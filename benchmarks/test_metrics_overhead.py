@@ -4,13 +4,14 @@ The registry's tentpole claim mirrors the tracer's (and AkitaRTM §VII):
 instrumentation that is not attached must cost nothing.  Two cells,
 same workload and platform as a Figure 7 column:
 
-1. ``uninstrumented`` — no SimMetrics constructed; every hook fast path
-   (``if self._hooks``) short-circuits.  The cell asserts the engine,
+1. ``uninstrumented`` — no SimMetrics constructed; every firing site
+   finds its position's hook chain empty.  The cell asserts the engine,
    components and connections really are hook-free.
-2. ``registry``       — SimMetrics attached: engine event/pass timing
-   hooks live, buffer-occupancy observation at every delivery, pull
-   collectors for ports/caches/CUs/RDMA, plus the self-overhead
-   counters (rtm_hook_callback_seconds_total by position).
+2. ``registry``       — SimMetrics attached: engine lifecycle hooks
+   (the pass clock), sampled buffer-occupancy observation at
+   deliveries, pull collectors for engine/ports/caches/CUs/RDMA, plus
+   the self-overhead counters (rtm_hook_callback_seconds_total by
+   position).  No callback runs per event.
 
 The registry cell's final state is exposed to
 ``metrics_exposition.txt`` — a real Prometheus scrape of the benchmark
@@ -96,9 +97,13 @@ def test_metrics_overhead(benchmark, metrics_overhead_results, mode):
     metrics_overhead_results[mode] = list(benchmark.stats.stats.data)
 
 
-def test_registry_run_within_sanity_bounds(metrics_overhead_results):
-    """Acceptance bound: registry-on stays <= 1.5x the uninstrumented
-    baseline (runs after the cells; skips when they did not)."""
+def test_registry_run_within_gate(metrics_overhead_results):
+    """ROADMAP gate: registry-on <= 1.10x the uninstrumented baseline.
+    Measured 1.10x on the reference host (medians of three runs of
+    these cells: 1.06, 1.10, 1.13; 1.29x before engine metrics became
+    pull-only), which does not clear the gate with room to spare, so
+    the bound is measured x 1.1 until it does.  Runs after the cells;
+    skips when they did not."""
     if len(metrics_overhead_results) < len(METRICS_MODES):
         pytest.skip("overhead cells not all collected in this run")
 
@@ -108,4 +113,4 @@ def test_registry_run_within_sanity_bounds(metrics_overhead_results):
 
     base = median(metrics_overhead_results["uninstrumented"])
     registry = median(metrics_overhead_results["registry"])
-    assert registry < base * 1.5
+    assert registry < base * 1.21

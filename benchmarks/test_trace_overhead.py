@@ -4,18 +4,17 @@ The tentpole claim of ``repro.trace`` mirrors AkitaRTM's own (§VII):
 instrumentation that is not active must cost nothing.  Three cells,
 same workload and platform as a Figure 7 column:
 
-1. ``untraced`` — no tracer constructed; the hook fast paths
-   (``if self._hooks``) short-circuit.  Must stay within noise of the
-   seed's unmonitored baseline.
-2. ``ring``     — tracer attached, every hop and task recorded into
-   the bounded in-memory ring.
+1. ``untraced`` — no tracer constructed; every firing site finds its
+   position's hook chain empty.  Must stay within noise of the seed's
+   unmonitored baseline.
+2. ``ring``     — tracer attached, every hop and task noted as a raw
+   record in the bounded in-memory ring (formatted only when read).
 3. ``sqlite``   — same events flowing into the WAL-journaled,
    batch-inserted SQLite store.
 
-Recording is allowed to cost real time (every port crossing becomes an
-object append); what is bounded is the *shape*: traced runs must stay
-within sanity multiples of untraced, and untraced must be
-indistinguishable from a plain run.
+Recording is allowed to cost real time (every port crossing becomes a
+tuple append); traced runs are gated against untraced (see the last
+test), and untraced must be indistinguishable from a plain run.
 
 The ring cell's events are exported to ``trace_artifact.jsonl`` so CI
 uploads a real trace alongside the timing summary.
@@ -106,7 +105,7 @@ def test_trace_overhead(benchmark, trace_overhead_results, tmp_path,
     trace_overhead_results[mode] = list(benchmark.stats.stats.data)
 
 
-def test_traced_runs_within_sanity_bounds(trace_overhead_results):
+def test_traced_runs_within_gate(trace_overhead_results):
     """Runs after the cells above (alphabetical luck is not relied on:
     results are only asserted when present)."""
     if len(trace_overhead_results) < len(TRACE_MODES):
@@ -119,7 +118,11 @@ def test_traced_runs_within_sanity_bounds(trace_overhead_results):
     base = median(trace_overhead_results["untraced"])
     ring = median(trace_overhead_results["ring"])
     sqlite = median(trace_overhead_results["sqlite"])
-    # Recording every hop costs real time, but must stay within sane
-    # multiples; untraced must never regress past noise.
-    assert ring < base * 4.0
+    # ROADMAP gate: ring <= 1.25x untraced.  Measured 1.47x on the
+    # reference host (medians of three runs of these cells: 1.42, 1.47,
+    # 1.53; 1.60-1.76x before records became format-on-read), so the
+    # bound is measured x 1.1 until the gate is reached.
+    assert ring < base * 1.62
+    # The durable store formats and batches on the simulation thread:
+    # a sanity multiple, not a gate.
     assert sqlite < base * 5.0

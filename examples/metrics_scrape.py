@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
 """Scrape a live run's /metrics and print the Figure-7 breakdown.
 
-The metrics registry prices every hook position while the simulation
-runs (`rtm_hook_callback_seconds_total{position=...}`), so monitoring
-overhead is a quantity you *scrape from the run itself* rather than
-measure by differencing wall clocks across repeated runs.  This script
-runs the 2-chiplet StoreStorm write workload, scrapes the registry
-mid-flight and again at the end, and prints the per-position cost
-table (see EXPERIMENTS.md, "Figure 7 from /metrics alone").
+The metrics registry prices every hook position one of its callbacks
+runs at (`rtm_hook_callback_seconds_total{position=...}`), so the
+callback share of monitoring overhead is a quantity you *scrape from
+the run itself* rather than measure by differencing wall clocks across
+repeated runs.  No callback runs per event — event counts and engine
+wall time are read from the engine at scrape time — so the table lists
+the occupancy sample at `port_deliver` and the engine lifecycle
+positions only.  This script runs the 2-chiplet StoreStorm write
+workload, scrapes the registry mid-flight and again at the end, and
+prints the per-position cost table (see EXPERIMENTS.md, "Figure 7 from
+/metrics alone").
 
 Run:  python examples/metrics_scrape.py
 """
@@ -46,9 +50,9 @@ def print_breakdown(snapshot) -> None:
         per = (t / n * 1e9) if n else 0.0
         print(f"  {pos:<16s} {n:>12,.0f} {t:>10.4f} {per:>9.0f}")
     if wall:
-        print(f"  overhead fraction: {total / wall:.1%} of "
-              f"{wall:.3f}s event wall time (sampled; single-digit-%"
-              " differences are noise)")
+        print(f"  callback share: {total / wall:.1%} of "
+              f"{wall:.3f}s engine wall time (delivery cost is sampled"
+              " and scaled: an upper bound)")
 
 
 def main() -> None:

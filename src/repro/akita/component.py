@@ -30,6 +30,10 @@ from .port import Port
 from .ticker import GHZ, next_tick
 
 
+_TASK_BEGIN = HookPos.TASK_BEGIN.index
+_TASK_END = HookPos.TASK_END.index
+
+
 class Component(Hookable):
     """Base class for all simulated hardware blocks."""
 
@@ -66,13 +70,25 @@ class Component(Hookable):
         raise NotImplementedError
 
     # -- task annotations (observed by repro.trace) ------------------------
+    @property
+    def _tasks_observed(self) -> bool:
+        """True while a hook is subscribed to ``TASK_BEGIN`` or
+        ``TASK_END``.  Call sites that format a label for
+        :meth:`task_begin` / :meth:`task_end` guard on this, so a
+        component watched only for other positions (metrics) formats
+        nothing.  (Underscored so that monitoring plumbing stays out of
+        the component's reflected field panel.)"""
+        chains = self._chains
+        return bool(chains[_TASK_BEGIN] or chains[_TASK_END])
+
     def task_begin(self, task_id: Any, kind: str = "",
                    what: str = "") -> None:
         """Announce the start of a unit of work (workgroup, cache miss,
-        RDMA transfer...).  No-op without hooks; hot call sites should
-        still guard with ``if self._hooks`` to skip the call entirely.
+        RDMA transfer...).  No-op unless a hook is subscribed to
+        ``TASK_BEGIN``; call sites that build their arguments should
+        guard with ``if self._tasks_observed`` to skip that work too.
         """
-        if HookPos.TASK_BEGIN in self._hook_positions:
+        if self._chains[_TASK_BEGIN]:
             self.fire_hooks(self, self._engine.now, HookPos.TASK_BEGIN,
                             TaskInfo(task_id, kind, what))
 
@@ -80,7 +96,7 @@ class Component(Hookable):
                  what: str = "") -> None:
         """Announce the end of the unit of work opened with the same
         *task_id* via :meth:`task_begin`."""
-        if HookPos.TASK_END in self._hook_positions:
+        if self._chains[_TASK_END]:
             self.fire_hooks(self, self._engine.now, HookPos.TASK_END,
                             TaskInfo(task_id, kind, what))
 

@@ -24,6 +24,8 @@ from .hooks import Hookable, HookCtx, HookPos
 from .message import Msg
 from .port import Port
 
+_CONN_TRANSFER = HookPos.CONN_TRANSFER.index
+
 
 @runtime_checkable
 class Connection(Protocol):
@@ -44,8 +46,10 @@ class Transfer:
 
     A hook (e.g. a fault injector) may set :attr:`drop` to make the
     message vanish in transit, or move :attr:`deliver_at` later to model
-    link-level delay.  When no hooks are attached the plan is never even
-    constructed, so the un-faulted send path pays nothing.
+    link-level delay.  The plan is constructed only when a hook is
+    subscribed to ``CONN_TRANSFER``, so the un-faulted send path pays
+    nothing — ``CONN_DROP`` observers (the tracer) included: nothing
+    can be dropped while nobody can ask for it.
     """
 
     msg: Msg
@@ -125,7 +129,7 @@ class DirectConnection(Hookable):
         self.msg_count += 1
         deliver_at = self._engine.now + self._latency
 
-        if self._hooks:
+        if self._chains[_CONN_TRANSFER]:
             transfer = Transfer(msg, deliver_at)
             self.invoke_hooks(HookCtx(self, self._engine.now,
                                       HookPos.CONN_TRANSFER, transfer))

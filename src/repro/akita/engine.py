@@ -18,6 +18,7 @@ safely.
 from __future__ import annotations
 
 import enum
+import math
 import threading
 import time
 from typing import Optional
@@ -28,6 +29,10 @@ from .hooks import Hookable, HookCtx, HookPos
 from .queue import EventQueue
 from ..profile.threads import register_current_thread as \
     _register_sim_thread
+
+
+_BEFORE_EVENT = HookPos.BEFORE_EVENT.index
+_AFTER_EVENT = HookPos.AFTER_EVENT.index
 
 
 class RunState(enum.Enum):
@@ -188,54 +193,64 @@ class Engine(Hookable):
         _register_sim_thread("simulation")
         self._state = RunState.RUNNING
         self.invoke_hooks(HookCtx(self, self._now, HookPos.ENGINE_START))
-        # One reusable ctx serves the before/after pair of every event:
-        # constructing two dataclasses per event is measurable at
-        # millions of events.  Hooks must not retain the ctx (see
-        # hooks.py); a hook attached between the two firings of one
-        # event still sees a correctly filled ctx.
-        ctx = HookCtx(self, self._now, HookPos.BEFORE_EVENT)
-        while True:
-            if self._terminated:
-                break
-            if self._pause_requested:
-                self._state = RunState.PAUSED
-                self._resume.wait()
-                self._state = RunState.RUNNING
-                continue
-            with self._lock:
-                if len(self._queue) == 0:
-                    break
-                event = self._queue.pop()
-            self._now = event.time
-            self._last_event_time = event.time
-            hooks = self._hooks
-            if hooks:
-                ctx.now = self._now
-                ctx.pos = HookPos.BEFORE_EVENT
-                ctx.item = event
-                ctx.skip = False
-                for hook in hooks:
-                    hook(ctx)
-                if ctx.skip:
-                    continue
-            event.handler.handle(event)
-            self._event_count += 1
-            hooks = self._hooks
-            if hooks:
-                ctx.now = self._now
-                ctx.pos = HookPos.AFTER_EVENT
-                ctx.item = event
-                ctx.skip = False
-                for hook in hooks:
-                    hook(ctx)
-            if self._throttle_delay:
-                time.sleep(self._throttle_delay)
+        self._process_before(math.inf)
         if self._terminated:
             self._state = RunState.ENDED
             self.invoke_hooks(HookCtx(self, self._now, HookPos.ENGINE_END))
         else:
             self._state = RunState.DRY
             self.invoke_hooks(HookCtx(self, self._now, HookPos.ENGINE_DRY))
+
+    def _process_before(self, horizon: VTimeInSec,
+                        pausable: bool = True) -> None:
+        """The event loop: handle every event with ``time < horizon``
+        in queue order, until the queue holds none or
+        :meth:`terminate`.  Parks between events while a pause is
+        requested, unless *pausable* is false."""
+        queue = self._queue
+        lock = self._lock
+        # One reusable ctx serves the before/after pair of every event:
+        # constructing two dataclasses per event is measurable at
+        # millions of events.  Hooks must not retain the ctx (see
+        # hooks.py).  The chains are read afresh at each firing, so a
+        # hook attached between the two firings of one event still sees
+        # a correctly filled ctx.
+        ctx = HookCtx(self, self._now, HookPos.BEFORE_EVENT)
+        while not self._terminated:
+            if self._pause_requested and pausable:
+                self._state = RunState.PAUSED
+                self._resume.wait()
+                self._state = RunState.RUNNING
+                continue
+            with lock:
+                now = queue.next_time()
+                if now is None or now >= horizon:
+                    break
+                event = queue.pop()
+            self._now = now
+            self._last_event_time = now
+            chain = self._chains[_BEFORE_EVENT]
+            if chain:
+                ctx.now = now
+                ctx.pos = HookPos.BEFORE_EVENT
+                ctx.item = event
+                ctx.skip = False
+                for hook in chain:
+                    hook(ctx)
+                if ctx.skip:
+                    continue
+            event.handler.handle(event)
+            self._event_count += 1
+            chain = self._chains[_AFTER_EVENT]
+            if chain:
+                ctx.now = now
+                ctx.pos = HookPos.AFTER_EVENT
+                ctx.item = event
+                ctx.skip = False
+                for hook in chain:
+                    hook(ctx)
+            if self._throttle_delay:
+                time.sleep(self._throttle_delay)
 
     def run_window(self, horizon: VTimeInSec) -> int:
         """Process every event strictly before *horizon*, then stop.
@@ -263,52 +278,14 @@ class Engine(Hookable):
             _register_sim_thread("simulation")
             self.invoke_hooks(HookCtx(self, self._now, HookPos.ENGINE_START))
         self._state = RunState.RUNNING
-        processed = 0
-        ctx = HookCtx(self, self._now, HookPos.BEFORE_EVENT)
-        while True:
-            if self._terminated:
-                break
-            if self._pause_requested:
-                self._state = RunState.PAUSED
-                self._resume.wait()
-                self._state = RunState.RUNNING
-                continue
-            with self._lock:
-                nxt = self._queue.next_time()
-                if nxt is None or nxt >= horizon:
-                    break
-                event = self._queue.pop()
-            self._now = event.time
-            self._last_event_time = event.time
-            hooks = self._hooks
-            if hooks:
-                ctx.now = self._now
-                ctx.pos = HookPos.BEFORE_EVENT
-                ctx.item = event
-                ctx.skip = False
-                for hook in hooks:
-                    hook(ctx)
-                if ctx.skip:
-                    continue
-            event.handler.handle(event)
-            self._event_count += 1
-            processed += 1
-            hooks = self._hooks
-            if hooks:
-                ctx.now = self._now
-                ctx.pos = HookPos.AFTER_EVENT
-                ctx.item = event
-                ctx.skip = False
-                for hook in hooks:
-                    hook(ctx)
-            if self._throttle_delay:
-                time.sleep(self._throttle_delay)
+        before = self._event_count
+        self._process_before(horizon)
         if self._terminated:
             self._state = RunState.ENDED
             self.invoke_hooks(HookCtx(self, self._now, HookPos.ENGINE_END))
         else:
             self._now = max(self._now, horizon)
-        return processed
+        return self._event_count - before
 
     def finish_windows(self) -> None:
         """Mark the end of windowed execution (queue empty, run done)."""
@@ -348,34 +325,6 @@ class Engine(Hookable):
         Does not honor pause requests; intended for single-threaded use.
         """
         self._state = RunState.RUNNING
-        ctx = HookCtx(self, self._now, HookPos.BEFORE_EVENT)
-        while True:
-            with self._lock:
-                nxt = self._queue.next_time()
-                if nxt is None or nxt > t or self._terminated:
-                    break
-                event = self._queue.pop()
-            self._now = event.time
-            self._last_event_time = event.time
-            hooks = self._hooks
-            if hooks:
-                ctx.now = self._now
-                ctx.pos = HookPos.BEFORE_EVENT
-                ctx.item = event
-                ctx.skip = False
-                for hook in hooks:
-                    hook(ctx)
-                if ctx.skip:
-                    continue
-            event.handler.handle(event)
-            self._event_count += 1
-            hooks = self._hooks
-            if hooks:
-                ctx.now = self._now
-                ctx.pos = HookPos.AFTER_EVENT
-                ctx.item = event
-                ctx.skip = False
-                for hook in hooks:
-                    hook(ctx)
+        self._process_before(math.nextafter(t, math.inf), pausable=False)
         self._now = max(self._now, t)
         self._state = RunState.DRY

@@ -11,17 +11,42 @@ Hooks must also read the ctx synchronously and never retain it: hot
 paths (the engine's event loop) reuse one ctx object across
 invocations, mutating its fields in place, so a stored reference would
 silently change under the observer.
+
+Dispatch is per position.  Every :class:`Hookable` keeps one
+precomputed *chain* (a tuple of callables) per :class:`HookPos`; a
+firing site reads the chain of its own position and does nothing at all
+when that chain is empty, whatever is subscribed elsewhere::
+
+    chain = component._chains[_PORT_SEND]      # _PORT_SEND: an int
+    if chain:
+        component.fire_hooks(port, now, HookPos.PORT_SEND, msg)
+
+A hook attached with ``positions=`` is entered only at those positions
+and need not look at ``ctx.pos``.
 """
 
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass
-from typing import Any, Callable, List
+from typing import Any, Callable, List, Optional, Tuple
 
 
 class HookPos(enum.Enum):
-    """Well-known positions at which hooks fire."""
+    """Well-known positions at which hooks fire.
+
+    ``value`` is the position's public name (a metric label);
+    ``index`` is its slot in :attr:`Hookable._chains` — firing sites
+    bind it to a module constant so the per-event test is an integer
+    subscript, never an enum hash.
+    """
+
+    def __new__(cls, value: str) -> "HookPos":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.index = len(cls.__members__)
+        return member
 
     BEFORE_EVENT = "before_event"
     AFTER_EVENT = "after_event"
@@ -46,7 +71,7 @@ class TaskInfo:
     Components annotate their units of work (a mapped workgroup, a cache
     miss in flight, an RDMA transfer) with a stable *task_id* so begin
     and end can be paired by observers, plus ``kind``/``what`` metadata
-    for display.  Constructed only when hooks are attached.
+    for display.  Constructed only when a task hook is subscribed.
     """
 
     task_id: Any
@@ -85,65 +110,70 @@ class HookCtx:
 
 Hook = Callable[[HookCtx], None]
 
+#: ``_chains`` of a hookable nobody observes.
+_NO_CHAINS: Tuple[Tuple[Hook, ...], ...] = ((),) * len(HookPos)
+
+# Attaching is rare and may come from any thread (a server thread
+# starting the tracer mid-run); one process-wide lock keeps the
+# read-modify-write of a subscription list whole without putting a lock
+# object on every component.
+_ATTACH_LOCK = threading.Lock()
+
 
 class Hookable:
     """Mixin that lets observers attach hooks to an object."""
 
     def __init__(self) -> None:
-        self._hooks: List[Hook] = []
+        # Subscriptions in attach order: (hook, the HookPos.index values
+        # it wants, or None for all).
+        self._hooks: List[Tuple[Hook, Optional[frozenset]]] = []
+        # One tuple of hooks per HookPos.index, replaced wholesale on
+        # every attach/detach: a firing site that already fetched a
+        # chain keeps iterating a consistent one.
+        self._chains = _NO_CHAINS
         self._hook_ctx: Any = None
-        # Union of positions the attached hooks want.  Firing sites may
-        # test ``pos in obj._hook_positions`` before building the hook
-        # payload, so a narrowly subscribed observer (e.g. metrics
-        # watching only deliveries) costs nothing at the positions it
-        # ignores.  An empty set doubles as the "no hooks" fast check.
-        self._hook_positions: frozenset = frozenset()
-        self._hook_subs: List[tuple] = []
 
     def accept_hook(self, hook: Hook,
                     positions: Any = None) -> None:
-        """Attach *hook*; it will be invoked on every hookable action.
+        """Attach *hook*.
 
-        *positions* optionally narrows the subscription: an iterable of
-        :class:`HookPos` this hook cares about.  Hooks are still invoked
-        at any position another hook subscribed to (they must filter on
-        ``ctx.pos`` regardless); the narrowing only lets firing sites
-        skip positions nobody wants.
+        *positions* is an iterable of the :class:`HookPos` the hook
+        wants; it is never invoked anywhere else.  ``None`` subscribes
+        to every position.
         """
-        self._hooks.append(hook)
-        self._hook_subs.append(
-            (hook, None if positions is None else frozenset(positions)))
-        self._rebuild_positions()
+        wanted = None if positions is None \
+            else frozenset(pos.index for pos in positions)
+        with _ATTACH_LOCK:
+            self._hooks.append((hook, wanted))
+            self._rebuild_chains()
 
     def remove_hook(self, hook: Hook) -> None:
         """Detach *hook*.  Missing hooks are ignored."""
-        try:
-            self._hooks.remove(hook)
-        except ValueError:
-            return
-        for i, (h, _) in enumerate(self._hook_subs):
-            if h == hook:
-                del self._hook_subs[i]
-                break
-        self._rebuild_positions()
+        with _ATTACH_LOCK:
+            for i, (attached, _) in enumerate(self._hooks):
+                if attached == hook:
+                    del self._hooks[i]
+                    self._rebuild_chains()
+                    return
 
-    def _rebuild_positions(self) -> None:
-        wanted: set = set()
-        for _, positions in self._hook_subs:
-            if positions is None:
-                wanted = set(HookPos)
-                break
-            wanted |= positions
-        self._hook_positions = frozenset(wanted)
+    def _rebuild_chains(self) -> None:
+        if not self._hooks:
+            self._chains = _NO_CHAINS
+            return
+        self._chains = tuple(
+            tuple(hook for hook, wanted in self._hooks
+                  if wanted is None or index in wanted)
+            for index in range(len(HookPos)))
 
     def invoke_hooks(self, ctx: HookCtx) -> None:
-        """Invoke all attached hooks with *ctx*."""
-        for hook in self._hooks:
+        """Invoke the hooks subscribed to ``ctx.pos`` with *ctx*."""
+        for hook in self._chains[ctx.pos.index]:
             hook(ctx)
 
     def fire_hooks(self, domain: Any, now: float, pos: HookPos,
                    item: Any = None) -> HookCtx:
-        """Invoke all hooks, reusing one ctx object per hookable.
+        """Invoke the hooks subscribed to *pos*, reusing one ctx object
+        per hookable.
 
         The hot-path variant of :meth:`invoke_hooks`: allocating a
         fresh :class:`HookCtx` per port crossing is measurable at
@@ -161,7 +191,7 @@ class Hookable:
             ctx.pos = pos
             ctx.item = item
             ctx.skip = False
-        for hook in self._hooks:
+        for hook in self._chains[pos.index]:
             hook(ctx)
         return ctx
 
@@ -176,14 +206,12 @@ class Hookable:
     # the snapshot attaches a fresh monitor.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        for attr in ("_hooks", "_hook_ctx", "_hook_positions",
-                     "_hook_subs"):
+        for attr in ("_hooks", "_chains", "_hook_ctx"):
             state.pop(attr, None)
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._hooks = []
+        self._chains = _NO_CHAINS
         self._hook_ctx = None
-        self._hook_positions = frozenset()
-        self._hook_subs = []

@@ -23,6 +23,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .component import Component
     from .connection import Connection
 
+_PORT_SEND = HookPos.PORT_SEND.index
+_PORT_DELIVER = HookPos.PORT_DELIVER.index
+_PORT_RETRIEVE = HookPos.PORT_RETRIEVE.index
+
 
 class Port:
     """A named, buffered endpoint attached to a component."""
@@ -82,7 +86,7 @@ class Port:
         # connection may deliver (or drop) inline, and the trace must
         # show the send first.
         comp = self.component
-        if comp is not None and HookPos.PORT_SEND in comp._hook_positions:
+        if comp is not None and comp._chains[_PORT_SEND]:
             comp.fire_hooks(self, comp._engine.now,
                             HookPos.PORT_SEND, msg)
         self._connection.send(self, msg)
@@ -96,7 +100,7 @@ class Port:
         self.num_delivered += 1
         comp = self.component
         if comp is not None:
-            if HookPos.PORT_DELIVER in comp._hook_positions:
+            if comp._chains[_PORT_DELIVER]:
                 comp.fire_hooks(self, comp._engine.now,
                                 HookPos.PORT_DELIVER, msg)
             comp.notify_recv(self)
@@ -115,8 +119,7 @@ class Port:
             return None
         msg = self.buf.pop()
         comp = self.component
-        if comp is not None and \
-                HookPos.PORT_RETRIEVE in comp._hook_positions:
+        if comp is not None and comp._chains[_PORT_RETRIEVE]:
             comp.fire_hooks(self, comp._engine.now,
                             HookPos.PORT_RETRIEVE, msg)
         if self._connection is not None:

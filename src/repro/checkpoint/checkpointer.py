@@ -190,8 +190,6 @@ class Checkpointer:
     # Cadence internals
     # ------------------------------------------------------------------
     def _on_event(self, ctx: HookCtx) -> None:
-        if ctx.pos is not HookPos.AFTER_EVENT:
-            return
         if self.engine.event_count >= self._next_at:
             self.save_now()  # on the sim thread => between events
             self._next_at = self.engine.event_count + self.every_events

@@ -262,7 +262,7 @@ class FaultInjector:
         if self._conn_hooked:
             return
         for conn in self.simulation.connections:
-            conn.accept_hook(self._on_transfer)
+            conn.accept_hook(self._on_transfer, (HookPos.CONN_TRANSFER,))
         self._conn_hooked = True
 
     def _unhook_connections(self) -> None:
@@ -275,7 +275,8 @@ class FaultInjector:
     def _hook_engine(self) -> None:
         if self._engine_hooked:
             return
-        self.simulation.engine.accept_hook(self._on_before_event)
+        self.simulation.engine.accept_hook(self._on_before_event,
+                                           (HookPos.BEFORE_EVENT,))
         self._engine_hooked = True
 
     def _unhook_engine(self) -> None:
@@ -286,8 +287,6 @@ class FaultInjector:
 
     # -- message faults (connection hook) --------------------------------
     def _on_transfer(self, ctx: HookCtx) -> None:
-        if ctx.pos is not HookPos.CONN_TRANSFER:
-            return
         transfer = ctx.item
         msg = transfer.msg
         src_name = msg.src.name if msg.src is not None else ""
@@ -312,8 +311,6 @@ class FaultInjector:
 
     # -- stall faults (engine hook) --------------------------------------
     def _on_before_event(self, ctx: HookCtx) -> None:
-        if ctx.pos is not HookPos.BEFORE_EVENT:
-            return
         event = ctx.item
         if not isinstance(event, TickEvent):
             return

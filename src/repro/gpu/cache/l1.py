@@ -127,7 +127,7 @@ class L1VCache(TickingComponent):
         self.num_reads += 1
         entry = self.mshr.allocate(line)
         entry.waiting.append(req)
-        if self._hooks:
+        if self._tasks_observed:
             self.task_begin(line, "cache_miss", f"read@{line:#x}")
         self._try_send_fetch(entry)
         return True
@@ -140,7 +140,7 @@ class L1VCache(TickingComponent):
         key = ("w", req.id)
         entry = self.mshr.allocate(key)
         entry.waiting.append(req)
-        if self._hooks:
+        if self._tasks_observed:
             self.task_begin(key, "cache_miss", f"write@{req.address:#x}")
         self._try_send_write(entry)
         return True
@@ -195,7 +195,7 @@ class L1VCache(TickingComponent):
             self.bottom_port.retrieve_incoming()
             del self._pending_down[msg.respond_to]
             entry = self.mshr.release(key)
-            if self._hooks:
+            if self._tasks_observed:
                 self.task_end(key, "cache_miss")
             if isinstance(msg, DataReadyRsp):
                 self.tags.fill(entry.key)  # write-through: victims clean

@@ -150,7 +150,7 @@ class ComputeUnit(TickingComponent):
             for wf_id in range(num_wfs):
                 ops = iter(program(msg.wg_id, wf_id))
                 self.wavefronts.append(_Wavefront(wg, wf_id, ops))
-            if self._hooks:
+            if self._tasks_observed:
                 self.task_begin((wg.launch_id, wg.wg_id), "workgroup",
                                 f"wg[{wg.wg_id}]x{num_wfs}wf")
             progress = True
@@ -183,7 +183,7 @@ class ComputeUnit(TickingComponent):
             wf.wg.remaining_wfs -= 1
             if wf.wg.remaining_wfs == 0:
                 self._completions.append(wf.wg)
-                if self._hooks:
+                if self._tasks_observed:
                     self.task_end((wf.wg.launch_id, wf.wg.wg_id),
                                   "workgroup", f"wg[{wf.wg.wg_id}]")
         return progress

@@ -134,7 +134,7 @@ class RDMAEngine(TickingComponent):
             envelope = NetMsg(self._switch_port, fwd,
                               self._remote_ports[target], self.net_port)
             self._to_net.append(envelope)
-            if self._hooks:
+            if self._tasks_observed:
                 self.task_begin(fwd.id, "rdma_transfer",
                                 f"req#{msg.id}->chiplet{target}")
             progress = True
@@ -162,7 +162,7 @@ class RDMAEngine(TickingComponent):
                 original = self._outgoing.pop(payload.respond_to, None)
                 if original is not None:
                     assert original.src is not None
-                    if self._hooks:
+                    if self._tasks_observed:
                         self.task_end(payload.respond_to,
                                       "rdma_transfer")
                     self._to_l1.append(

@@ -12,28 +12,31 @@ Two collection styles, chosen per metric for cost:
 * **Pull (free on the sim thread).**  Counters the components already
   maintain as plain state — ``engine.event_count``, ``port.num_sent``,
   ``tags.hits``, ``mshr.size``, RDMA in-flight — are copied into the
-  registry by a collector that runs at *scrape* time.  The simulation
-  pays nothing for these, ever.
+  registry by a collector that runs at *scrape* time, and the engine's
+  wall time is read off the pass clock (started at ``ENGINE_START``,
+  stopped at ``ENGINE_DRY``/``ENGINE_END``) at the same moment.  The
+  simulation pays nothing for these, ever: no callback runs per event.
 * **Hooks (bounded, measured).**  Quantities that only exist at an
-  instant — buffer occupancy at delivery, wall-time per event, wall
-  time of an engine pass — are recorded from hook callbacks.  The
-  callbacks publish their own cost per hook position
-  (``rtm_hook_callback_seconds_total{position=...}``) — exactly the
-  decomposition of AkitaRTM's Figure 7, live instead of post-hoc.  On
-  the per-event positions that cost is *sampled* (one measured pair in
-  64, scaled) so self-accounting does not itself dominate the budget
-  it reports.
+  instant — buffer occupancy at delivery, the start and end of an
+  engine pass — are recorded from hook callbacks, subscribed to exactly
+  those positions.  The callbacks publish their own cost per hook
+  position (``rtm_hook_callback_seconds_total{position=...}``) —
+  exactly the decomposition of AkitaRTM's Figure 7, live instead of
+  post-hoc; a position no callback is subscribed to reports 0.
+  Occupancy is *sampled* (one delivery in 4, its cost scaled) so
+  self-accounting does not itself dominate the budget it reports.
 
 When :meth:`start` has not been called the hot paths run zero metrics
-code: every hook site in the engine/ports sits behind ``if
-self._hooks`` and this module attaches nothing at construction.
+code: every firing site tests its own position's (empty) hook chain
+and this module attaches nothing at construction.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
+from ..akita.engine import RunState
 from ..akita.hooks import HookCtx, HookPos
 from ..akita.simulation import Simulation
 from .registry import MetricRegistry
@@ -46,6 +49,11 @@ OCCUPANCY_BUCKETS = (0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
 #: Engine-pass wall-time bounds in seconds.
 PASS_BUCKETS = (0.001, 0.01, 0.1, 0.5, 1.0, 5.0, 30.0)
 
+#: The engine positions instrumentation listens at: none is per event.
+_ENGINE_LIFECYCLE = (HookPos.ENGINE_START, HookPos.ENGINE_PAUSE,
+                     HookPos.ENGINE_CONTINUE, HookPos.ENGINE_DRY,
+                     HookPos.ENGINE_END)
+
 
 class SimMetrics:
     """Attachable instrumentation publishing a simulation's vitals."""
@@ -56,10 +64,11 @@ class SimMetrics:
         self.registry = registry if registry is not None \
             else MetricRegistry()
         self._started = False
-        self._event_t0 = 0.0
-        self._pass_t0: Optional[float] = None
-        self._n_after = 0  # sampling counters for self-overhead
-        self._n_deliver = 0
+        # The pass clock: (wall seconds of finished passes, start of
+        # the pass in flight or None).  One tuple, replaced whole, so
+        # the scrape thread never pairs an old total with a new start.
+        self._pass_clock: Tuple[float, Optional[float]] = (0.0, None)
+        self._n_deliver = 0  # occupancy sampling counter
         self._define_families()
 
     # ------------------------------------------------------------------
@@ -79,7 +88,8 @@ class SimMetrics:
             "Events pending in the engine queue.")
         self._m_event_wall = reg.counter(
             "rtm_engine_event_wall_seconds_total",
-            "Wall-clock seconds spent inside event handlers.")
+            "Wall-clock seconds the engine spent processing events: "
+            "finished passes plus the one in flight.")
         self._m_pass_wall = reg.histogram(
             "rtm_engine_pass_wall_seconds",
             "Wall-clock duration of each engine pass (start to dry/end).",
@@ -150,15 +160,10 @@ class SimMetrics:
         self._cb_seconds: Dict[HookPos, Any] = {
             pos: self._m_cb_seconds.labels(pos.value) for pos in HookPos}
         self._occ_children: Dict[int, Any] = {}
-        # The per-event positions additionally skip the dict: their
+        # The per-delivery position additionally skips the dict: its
         # children are bound straight to attributes.
-        self._cnt_before = self._cb_count[HookPos.BEFORE_EVENT]
-        self._sec_before = self._cb_seconds[HookPos.BEFORE_EVENT]
-        self._cnt_after = self._cb_count[HookPos.AFTER_EVENT]
-        self._sec_after = self._cb_seconds[HookPos.AFTER_EVENT]
         self._cnt_deliver = self._cb_count[HookPos.PORT_DELIVER]
         self._sec_deliver = self._cb_seconds[HookPos.PORT_DELIVER]
-        self._ev_wall = self._m_event_wall._default
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -172,12 +177,13 @@ class SimMetrics:
         if self._started:
             return
         sim = self.simulation
-        sim.engine.accept_hook(self._on_engine_hook)
+        if sim.engine.run_state is RunState.RUNNING:
+            # Attached mid-pass (a live scrape): clock it from here.
+            self._pass_clock = (self._pass_clock[0], perf_counter())
+        sim.engine.accept_hook(self._on_engine_lifecycle,
+                               _ENGINE_LIFECYCLE)
         for comp in sim.components:
-            # Narrow subscription: ports skip firing send/retrieve/task
-            # positions entirely when metrics is the only observer.
-            comp.accept_hook(self._on_component_hook,
-                             (HookPos.PORT_DELIVER,))
+            comp.accept_hook(self._on_deliver, (HookPos.PORT_DELIVER,))
         self.registry.add_collector(self._collect)
         self._started = True
 
@@ -192,11 +198,12 @@ class SimMetrics:
             return
         self._collect()
         sim = self.simulation
-        sim.engine.remove_hook(self._on_engine_hook)
+        sim.engine.remove_hook(self._on_engine_lifecycle)
         for comp in sim.components:
-            comp.remove_hook(self._on_component_hook)
+            comp.remove_hook(self._on_deliver)
         self.registry.remove_collector(self._collect)
-        self._event_t0 = 0.0  # a later re-attach starts unpaired again
+        # Unobserved from here on: stop the clock of a pass in flight.
+        self._pass_clock = (self._engine_wall(), None)
         self._started = False
 
     def status(self) -> Dict[str, Any]:
@@ -208,47 +215,21 @@ class SimMetrics:
     # ------------------------------------------------------------------
     # Hook callbacks (simulation thread — keep them lean)
     # ------------------------------------------------------------------
-    def _on_engine_hook(self, ctx: HookCtx) -> None:
-        pos = ctx.pos
-        if pos is HookPos.BEFORE_EVENT:
-            self._cnt_before.value += 1.0
-            self._event_t0 = perf_counter()
-            return
-        if pos is HookPos.AFTER_EVENT:
-            t1 = perf_counter()
-            t0 = self._event_t0
-            if t0:  # unpaired when attached mid-event (live scrape)
-                self._ev_wall.value += t1 - t0
-            self._cnt_after.value += 1.0
-            # Self-overhead is sampled: every 64th pair is measured
-            # end-to-end and scaled, so the Figure 7 decomposition
-            # stays live without two extra clock reads per event.  The
-            # before callback's body is one clock read plus a counter
-            # bump — the same work this measured section performs — so
-            # the sample is attributed to both positions.
-            n = self._n_after = self._n_after + 1
-            if not n & 63:
-                cost = (perf_counter() - t1) * 64.0
-                self._sec_after.value += cost
-                self._sec_before.value += cost
-            return
-        # Rare lifecycle positions (start/pause/continue/dry/end).
+    def _on_engine_lifecycle(self, ctx: HookCtx) -> None:
+        # Start/pause/continue/dry/end: a handful of calls per run.
         t0 = perf_counter()
+        pos = ctx.pos
+        done, started = self._pass_clock
         if pos is HookPos.ENGINE_START:
-            self._pass_t0 = t0
-        elif pos in (HookPos.ENGINE_DRY, HookPos.ENGINE_END):
-            if self._pass_t0 is not None:
-                self._m_pass_wall.observe(t0 - self._pass_t0)
-                self._pass_t0 = None
+            self._pass_clock = (done, t0)
+        elif pos in (HookPos.ENGINE_DRY, HookPos.ENGINE_END) \
+                and started is not None:
+            self._m_pass_wall.observe(t0 - started)
+            self._pass_clock = (done + (t0 - started), None)
         self._cb_count[pos].value += 1.0
         self._cb_seconds[pos].value += perf_counter() - t0
 
-    def _on_component_hook(self, ctx: HookCtx) -> None:
-        # Only deliveries carry an instant quantity (buffer fullness);
-        # every other position returns after one identity check so the
-        # send/retrieve/task paths stay near-free while attached.
-        if ctx.pos is not HookPos.PORT_DELIVER:
-            return
+    def _on_deliver(self, ctx: HookCtx) -> None:
         self._cnt_deliver.value += 1.0
         # Occupancy is a distribution, so it tolerates sampling: every
         # 4th delivery is observed (and self-timed, scaled to the
@@ -274,6 +255,7 @@ class SimMetrics:
         sim = self.simulation
         engine = sim.engine
         self._m_events.set(float(engine.event_count))
+        self._m_event_wall.set(self._engine_wall())
         self._m_sim_time.set(engine.now)
         self._m_queue_depth.set(float(engine.pending_event_count))
         for conn in sim.connections:
@@ -292,6 +274,11 @@ class SimMetrics:
             if delivered:
                 self._m_delivered.labels(name).set(float(delivered))
             self._collect_gpu(name, comp)
+
+    def _engine_wall(self) -> float:
+        done, started = self._pass_clock
+        return done if started is None \
+            else done + (perf_counter() - started)
 
     def _collect_gpu(self, name: str, comp: Any) -> None:
         tags = getattr(comp, "tags", None)

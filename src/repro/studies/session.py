@@ -73,11 +73,25 @@ def problem_workload() -> Im2Col:
                   cols_per_wavefront=32)
 
 
+#: Event-rate cap of the part-3 simulation.  The congestion the study
+#: is built around is an opening phase: the RDMA engines hold more than
+#: 50 in-flight transactions for roughly the first 130k events, then
+#: hover around 40-60.  A person takes minutes over the diagnostic
+#: walk; the emulated participant takes ~1.5 s, and a simulator running
+#: flat out is 100k-150k events in by then — past the phase, the more so
+#: the faster the simulator gets.  Slowing simulated time (the paper's
+#: own §V-C device) keeps the walk inside the phase it was designed to
+#: observe, on any host and at any simulator speed.
+PROBLEM_EVENTS_PER_SECOND = 20_000
+
+
 class _LiveSim:
     """A monitored simulation running in a background thread."""
 
-    def __init__(self, config: GPUPlatformConfig, workload):
+    def __init__(self, config: GPUPlatformConfig, workload,
+                 events_per_second: float = 0.0):
         self.platform = GPUPlatform(config)
+        self.platform.engine.set_throttle(events_per_second)
         self.monitor = Monitor(self.platform.simulation)
         self.monitor.attach_driver(self.platform.driver)
         workload.enqueue(self.platform.driver)
@@ -233,7 +247,8 @@ def run_session(profile: Profile,
     fir_sim.stop()
 
     # Part 3: problematic im2col.
-    problem = _LiveSim(problem_platform_config(), problem_workload())
+    problem = _LiveSim(problem_platform_config(), problem_workload(),
+                       events_per_second=PROBLEM_EVENTS_PER_SECOND)
     client = problem.start()
     problem.warm_up()
     agent = ParticipantAgent(profile, client, think_time)

@@ -25,9 +25,11 @@ Typical usage::
     from repro.trace import write_perfetto
     write_perfetto(tracer.query(limit=0), "trace.json")
 
-Recording costs nothing when no tracer is attached: the framework's
-hook fast paths (``if self._hooks``) skip even the hook-context
-construction, exactly like the fault injector.
+Recording costs nothing when no tracer is attached: every firing site
+finds its position's hook chain empty and skips even the hook-context
+construction, exactly like the fault injector.  While one is attached
+the simulation thread only notes raw records; events are formatted
+when read (see :mod:`repro.trace.events`).
 """
 
 from .events import FIELDS, TraceEvent, TraceKind, message_path

@@ -5,6 +5,13 @@ message crossed a port, a buffer slot filled or drained, a component
 started or finished a unit of work.  Events are deliberately flat (all
 scalar fields) so the same record round-trips unchanged through the
 ring buffer, the SQLite backend, JSONL files and the Perfetto exporter.
+
+The tracer does not build events while the simulation runs.  It notes
+each fact as a *raw record* — a flat tuple of numbers and references to
+objects that outlive the run anyway (ports, components, message
+classes; never the message) — and :meth:`TraceEvent.from_record` turns
+a record into an event, names and strings included, when somebody reads
+it.
 """
 
 from __future__ import annotations
@@ -31,9 +38,21 @@ class TraceKind:
     MESSAGE = (SEND, DELIVER, RETRIEVE, DROP)
 
 
+_TASK_KINDS = (TraceKind.TASK_BEGIN, TraceKind.TASK_END)
+
 #: Column order shared by the SQLite schema and the JSONL records.
 FIELDS = ("seq", "time", "kind", "component", "what", "msg_id",
           "msg_type", "src", "dst", "extra")
+
+#: Layout of a raw record.  ``subject`` is the port (message kinds),
+#: connection (drop) or component (task kinds) that saw the fact;
+#: ``label`` the task's display label; ``msg_type`` the message class
+#: (task kinds: the task kind string); ``src``/``dst`` ports or None;
+#: ``size`` the port buffer's fill after a deliver/retrieve, else None;
+#: ``link`` the id of the request a message answers (task kinds: the
+#: task id), else None.
+RECORD_FIELDS = ("seq", "time", "kind", "subject", "label", "msg_id",
+                 "msg_type", "src", "dst", "size", "link")
 
 
 class TraceEvent:
@@ -95,6 +114,23 @@ class TraceEvent:
                    seq=data.get("seq", -1))
 
     @classmethod
+    def from_record(cls, record: Tuple) -> "TraceEvent":
+        """Format one raw record (:data:`RECORD_FIELDS`)."""
+        seq, time, kind, subject, _, msg_id, msg_type, src, dst, size, \
+            link = record
+        component, what = record_names(record)
+        if kind in _TASK_KINDS:
+            return cls(time, kind, component, what, None, msg_type,
+                       extra=str(link), seq=seq)
+        extra = f"re:{link}" if link is not None else ""
+        if size is not None:
+            extra = f"{size}/{subject.buf.capacity} {extra}".rstrip()
+        return cls(time, kind, component, what, msg_id,
+                   msg_type.__name__,
+                   src.name if src is not None else "",
+                   dst.name if dst is not None else "", extra, seq=seq)
+
+    @classmethod
     def from_row(cls, row: Tuple) -> "TraceEvent":
         seq, time, kind, component, what, msg_id, msg_type, src, dst, \
             extra = row
@@ -111,6 +147,18 @@ class TraceEvent:
             else self.what
         return (f"<TraceEvent #{self.seq} t={self.time:g} "
                 f"{self.kind} {self.component} {subject}>")
+
+
+def record_names(record: Tuple) -> Tuple[str, str]:
+    """``(component, what)`` of a raw record: the two names a query's
+    component regex is searched in, without formatting the rest."""
+    kind, subject = record[2], record[3]
+    if kind in _TASK_KINDS:
+        return subject.name, record[4]
+    if kind == TraceKind.DROP:
+        return subject.name, subject.name
+    owner = subject.component
+    return owner.name if owner is not None else "", subject.name
 
 
 def message_path(events: List[TraceEvent]) -> List[str]:

@@ -4,9 +4,11 @@ Two implementations behind one API:
 
 * :class:`RingStore` — a bounded in-memory ring.  Appends are O(1) and
   allocation-free beyond the event object itself; the oldest events
-  fall off when the ring is full (``dropped`` counts them).  This is
-  the always-on default: a crashed or hung run still holds its last
-  N events for the watchdog post-mortem.
+  fall off when the ring is full (``dropped`` counts them).  What the
+  tracer records stays a raw tuple (see :mod:`.events`) until a reader
+  asks for it: a query formats only the rows it returns.  This is the
+  always-on default: a crashed or hung run still holds its last N
+  events for the watchdog post-mortem.
 * :class:`SQLiteStore` — a durable on-disk store in WAL mode.  Appends
   are buffered and written with ``executemany`` once per *batch* (or
   per wall-clock flush interval), so per-event cost stays near the
@@ -27,7 +29,7 @@ import time
 from collections import deque
 from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence
 
-from .events import FIELDS, TraceEvent
+from .events import FIELDS, TraceEvent, record_names
 
 #: ``limit=0`` means "no limit" in the query API.
 NO_LIMIT = 0
@@ -37,22 +39,6 @@ def _compile(pattern: Optional[str]) -> Optional["re.Pattern"]:
     return re.compile(pattern) if pattern else None
 
 
-def _match(ev: TraceEvent, component_re, kinds, t0, t1, msg_id) -> bool:
-    if kinds is not None and ev.kind not in kinds:
-        return False
-    if msg_id is not None and ev.msg_id != msg_id:
-        return False
-    if t0 is not None and ev.time < t0:
-        return False
-    if t1 is not None and ev.time > t1:
-        return False
-    if component_re is not None and not (
-            component_re.search(ev.component)
-            or component_re.search(ev.what)):
-        return False
-    return True
-
-
 class TraceStore:
     """Base class: sequence numbering + the query contract."""
 
@@ -60,16 +46,30 @@ class TraceStore:
 
     def __init__(self) -> None:
         self._next_seq = 0
-        self.recorded = 0  # total events ever appended
+        self._first_seq = 0  # where this store's own numbering began
+
+    @property
+    def recorded(self) -> int:
+        """Total events ever appended to this store object."""
+        return self._next_seq - self._first_seq
 
     # -- writing -----------------------------------------------------------
     def append(self, event: TraceEvent) -> TraceEvent:
         """Assign the next sequence number and persist *event*."""
         event.seq = self._next_seq
         self._next_seq += 1
-        self.recorded += 1
         self._store(event)
         return event
+
+    def record(self, time, kind, subject, label, msg_id, msg_type, src,
+               dst, size, link) -> None:
+        """Persist one fact, given as the fields of a raw record
+        (:data:`.events.RECORD_FIELDS` after ``seq``): the tracer's
+        entry point, called on the simulation thread.  The default
+        formats it on the spot."""
+        self.append(TraceEvent.from_record(
+            (-1, time, kind, subject, label, msg_id, msg_type, src, dst,
+             size, link)))
 
     def _store(self, event: TraceEvent) -> None:
         raise NotImplementedError
@@ -146,10 +146,18 @@ class RingStore(TraceStore):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = int(capacity)
-        self._ring: Deque[TraceEvent] = deque(maxlen=self.capacity)
+        # Holds appended events and, from the tracer, raw records.
+        self._ring: Deque[Any] = deque(maxlen=self.capacity)
 
     def _store(self, event: TraceEvent) -> None:
         self._ring.append(event)
+
+    def record(self, time, kind, subject, label, msg_id, msg_type, src,
+               dst, size, link) -> None:
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        self._ring.append((seq, time, kind, subject, label, msg_id,
+                           msg_type, src, dst, size, link))
 
     def clear(self) -> None:
         self._ring.clear()
@@ -162,11 +170,7 @@ class RingStore(TraceStore):
         return self.recorded - len(self._ring)
 
     def tail(self, n: int) -> List[TraceEvent]:
-        if n <= 0:
-            return []
-        # Snapshot first: the simulation thread may append concurrently.
-        snapshot = list(self._ring)
-        return snapshot[-n:]
+        return self.query(limit=n) if n > 0 else []
 
     def query(self, component: Optional[str] = None,
               kind: Optional[Iterable[str]] = None,
@@ -175,10 +179,34 @@ class RingStore(TraceStore):
               limit: int = 1000) -> List[TraceEvent]:
         component_re = _compile(component)
         kinds = _normalize_kinds(kind)
-        matches = [ev for ev in list(self._ring)
-                   if _match(ev, component_re, kinds, t0, t1, msg_id)]
-        if limit and limit != NO_LIMIT:
-            matches = matches[-limit:]
+        matches: List[TraceEvent] = []
+        # Snapshot first: the simulation thread may append concurrently.
+        # Newest first, so a bounded query stops at its limit and
+        # formats nothing older.
+        for item in reversed(list(self._ring)):
+            raw = type(item) is tuple
+            if raw:
+                time, ev_kind, ev_msg_id = item[1], item[2], item[5]
+            else:
+                time, ev_kind, ev_msg_id = item.time, item.kind, item.msg_id
+            if kinds is not None and ev_kind not in kinds:
+                continue
+            if msg_id is not None and ev_msg_id != msg_id:
+                continue
+            if t0 is not None and time < t0:
+                continue
+            if t1 is not None and time > t1:
+                continue
+            if component_re is not None:
+                names = record_names(item) if raw \
+                    else (item.component, item.what)
+                if not (component_re.search(names[0])
+                        or component_re.search(names[1])):
+                    continue
+            matches.append(TraceEvent.from_record(item) if raw else item)
+            if len(matches) == limit:
+                break
+        matches.reverse()
         return matches
 
     def stats(self) -> Dict[str, Any]:
@@ -238,7 +266,7 @@ class SQLiteStore(TraceStore):
         # Resume numbering after an existing file.
         row = self._conn.execute("SELECT MAX(seq) FROM events").fetchone()
         if row and row[0] is not None:
-            self._next_seq = row[0] + 1
+            self._next_seq = self._first_seq = row[0] + 1
 
     def _store(self, event: TraceEvent) -> None:
         self._pending.append(event.to_row())

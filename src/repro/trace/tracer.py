@@ -1,10 +1,14 @@
-"""The tracer: turns hook firings into stored :class:`TraceEvent`\\ s.
+"""The tracer: notes hook firings as raw records in a store.
 
-A :class:`Tracer` attaches one hook to every component (for port and
-task events) and every connection (for in-transit drops) of a
-simulation.  Detached, the simulation pays nothing: the hook fast paths
-(``if self._hooks``) never construct a context.  Attached, each event
-costs one dict-free object append into the configured store.
+A :class:`Tracer` subscribes every component to the three port
+positions and the two task positions, and every connection to
+``CONN_DROP`` — one bound callable per position, entered nowhere else.
+Detached, the simulation pays nothing: every firing site finds its
+position's hook chain empty.  Attached, each fact costs one tuple of
+numbers and long-lived references (:data:`.events.RECORD_FIELDS`) in
+the store; names, the ``"3/8"`` occupancy string and the
+``re:<id>`` link are formatted when the record is read, and only for the
+rows a query returns.  A record never holds the message itself.
 
 The per-message linkage rule: a message keeps its id for one hop
 (send → deliver → retrieve, or send → drop).  Components forward work
@@ -16,27 +20,20 @@ two directions can be paired.
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..akita.hooks import HookCtx, HookPos
 from ..akita.simulation import Simulation
 from .events import TraceEvent, TraceKind, message_path
 from .store import RingStore, TraceStore
 
-#: HookPos -> TraceKind for the port-lifecycle hooks.
-_PORT_KINDS = {
-    HookPos.PORT_SEND: TraceKind.SEND,
-    HookPos.PORT_DELIVER: TraceKind.DELIVER,
-    HookPos.PORT_RETRIEVE: TraceKind.RETRIEVE,
-}
 
-
-def _response_link(msg: Any) -> str:
-    """``"re:<id>"`` when *msg* answers an earlier request."""
+def _request_id(msg: Any) -> Optional[int]:
+    """Id of the request *msg* answers, or None for a request."""
     original = getattr(msg, "respond_to", None)
     if original is None:
         original = getattr(msg, "original_id", None)
-    return f"re:{original}" if original is not None else ""
+    return original
 
 
 class Tracer:
@@ -63,6 +60,14 @@ class Tracer:
         self._recording = False
         self._hooked_components: List[Any] = []
         self._hooked_connections: List[Any] = []
+        self._record = self.store.record
+        self._component_hooks = (
+            (HookPos.PORT_SEND, self._on_send),
+            (HookPos.PORT_DELIVER, self._on_deliver),
+            (HookPos.PORT_RETRIEVE, self._on_retrieve),
+            (HookPos.TASK_BEGIN, self._on_task_begin),
+            (HookPos.TASK_END, self._on_task_end),
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -78,19 +83,21 @@ class Tracer:
         pattern = re.compile(self.include) if self.include else None
         for component in self.simulation.components:
             if pattern is None or pattern.search(component.name):
-                component.accept_hook(self._on_hook)
+                for pos, hook in self._component_hooks:
+                    component.accept_hook(hook, (pos,))
                 self._hooked_components.append(component)
         for conn in self.simulation.connections:
-            conn.accept_hook(self._on_hook)
+            conn.accept_hook(self._on_drop, (HookPos.CONN_DROP,))
             self._hooked_connections.append(conn)
         self._recording = True
 
     def stop(self) -> None:
         """Detach all hooks and flush the store (idempotent)."""
         for component in self._hooked_components:
-            component.remove_hook(self._on_hook)
+            for _, hook in self._component_hooks:
+                component.remove_hook(hook)
         for conn in self._hooked_connections:
-            conn.remove_hook(self._on_hook)
+            conn.remove_hook(self._on_drop)
         self._hooked_components.clear()
         self._hooked_connections.clear()
         self.store.flush()
@@ -104,40 +111,43 @@ class Tracer:
         self.store.clear()
 
     # ------------------------------------------------------------------
-    # The hook (runs on the simulation thread; must stay cheap)
+    # The hooks (run on the simulation thread; must stay cheap)
     # ------------------------------------------------------------------
-    def _on_hook(self, ctx: HookCtx) -> None:
-        pos = ctx.pos
-        kind = _PORT_KINDS.get(pos)
-        if kind is not None:
-            port = ctx.domain
-            msg = ctx.item
-            comp = port.component
-            src = msg.src.name if msg.src is not None else ""
-            dst = msg.dst.name if msg.dst is not None else ""
-            extra = _response_link(msg)
-            if kind != TraceKind.SEND:
-                occupancy = f"{port.buf.size}/{port.buf.capacity}"
-                extra = f"{occupancy} {extra}".rstrip()
-            self.store.append(TraceEvent(
-                ctx.now, kind, comp.name if comp is not None else "",
-                port.name, msg.id, type(msg).__name__, src, dst, extra))
-        elif pos is HookPos.CONN_DROP:
-            transfer = ctx.item
-            msg = transfer.msg
-            src = msg.src.name if msg.src is not None else ""
-            dst = msg.dst.name if msg.dst is not None else ""
-            self.store.append(TraceEvent(
-                ctx.now, TraceKind.DROP, ctx.domain.name, ctx.domain.name,
-                msg.id, type(msg).__name__, src, dst,
-                _response_link(msg)))
-        elif pos is HookPos.TASK_BEGIN or pos is HookPos.TASK_END:
-            info = ctx.item
-            kind = TraceKind.TASK_BEGIN if pos is HookPos.TASK_BEGIN \
-                else TraceKind.TASK_END
-            self.store.append(TraceEvent(
-                ctx.now, kind, ctx.domain.name, info.what, None,
-                info.kind, extra=str(info.task_id)))
+    def _on_send(self, ctx: HookCtx) -> None:
+        msg = ctx.item
+        self._record(ctx.now, TraceKind.SEND, ctx.domain, None, msg.id,
+                     type(msg), msg.src, msg.dst, None, _request_id(msg))
+
+    def _on_deliver(self, ctx: HookCtx) -> None:
+        port = ctx.domain
+        msg = ctx.item
+        self._record(ctx.now, TraceKind.DELIVER, port, None, msg.id,
+                     type(msg), msg.src, msg.dst, len(port.buf),
+                     _request_id(msg))
+
+    def _on_retrieve(self, ctx: HookCtx) -> None:
+        port = ctx.domain
+        msg = ctx.item
+        self._record(ctx.now, TraceKind.RETRIEVE, port, None, msg.id,
+                     type(msg), msg.src, msg.dst, len(port.buf),
+                     _request_id(msg))
+
+    def _on_drop(self, ctx: HookCtx) -> None:
+        msg = ctx.item.msg
+        self._record(ctx.now, TraceKind.DROP, ctx.domain, None, msg.id,
+                     type(msg), msg.src, msg.dst, None, _request_id(msg))
+
+    def _on_task_begin(self, ctx: HookCtx) -> None:
+        info = ctx.item
+        self._record(ctx.now, TraceKind.TASK_BEGIN, ctx.domain,
+                     info.what, None, info.kind, None, None, None,
+                     info.task_id)
+
+    def _on_task_end(self, ctx: HookCtx) -> None:
+        info = ctx.item
+        self._record(ctx.now, TraceKind.TASK_END, ctx.domain,
+                     info.what, None, info.kind, None, None, None,
+                     info.task_id)
 
     # ------------------------------------------------------------------
     # Queries

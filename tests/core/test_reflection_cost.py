@@ -1,0 +1,114 @@
+"""Reflection must not tax the simulation it looks at.
+
+On CPython 3.11/3.12 the first ``vars(obj)`` / ``obj.__dict__`` /
+``hasattr(obj, "__dict__")`` turns an instance's inline attribute values
+into a real dict, and every later attribute access on that instance is
+several times slower.  The monitor's reflection (buffer discovery at
+registration, the on-demand component panel) must find the same things
+as before without doing that to any component, the engine or its queue.
+"""
+
+import gc
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.akita import Buffer, Component, Engine
+from repro.core import (BufferAnalyzer, Monitor, discover_buffers,
+                        serialize_component)
+from repro.gpu import GPUPlatform, GPUPlatformConfig
+from repro.workloads import FIR
+
+DATA = Path(__file__).parent / "data"
+
+needs_inline_values = pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="instances have a real __dict__ from birth before 3.11")
+
+
+def has_materialised_dict(obj) -> bool:
+    """Whether *obj*'s attributes live in a real dict, asked without
+    creating one: an instance with inline values refers to the values
+    themselves, a materialised one to the dict that holds them —
+    recognised by an attribute name every hookable (``_hook_ctx``) or
+    event queue (``_heap``) has."""
+    return any(type(ref) is dict and ("_hook_ctx" in ref or "_heap" in ref)
+               for ref in gc.get_referents(obj))
+
+
+@pytest.fixture
+def platform():
+    return GPUPlatform(GPUPlatformConfig.small(num_chiplets=2))
+
+
+def _watched_objects(platform):
+    engine = platform.simulation.engine
+    return [*platform.simulation.components, engine, engine._queue]
+
+
+def test_analyzer_finds_the_same_buffers_in_the_same_order(platform):
+    """``small2_buffer_names.txt``: what discovery through ``vars()``
+    found on this platform before it stopped touching ``__dict__``."""
+    analyzer = BufferAnalyzer()
+    for component in platform.simulation.components:
+        analyzer.register_component(component)
+    names = [row.name for row in analyzer.snapshot(include_empty=True)]
+    expected = (DATA / "small2_buffer_names.txt").read_text().split()
+    assert len(expected) == 117
+    # snapshot() sorts stably and every buffer is empty: discovery order.
+    assert names == expected
+
+
+@needs_inline_values
+def test_detector_sees_a_materialised_dict(platform):
+    component = platform.simulation.components[0]
+    assert not has_materialised_dict(component)
+    vars(component)
+    assert has_materialised_dict(component)
+
+
+@needs_inline_values
+def test_monitoring_materialises_no_dict(platform):
+    FIR(num_samples=256).enqueue(platform.driver)
+    assert not any(map(has_materialised_dict, _watched_objects(platform)))
+    monitor = Monitor(platform.simulation)
+    monitor.attach_driver(platform.driver)
+    monitor.overview()
+    monitor.progress_bars()
+    monitor.analyzer.snapshot(top=20)
+    by_class = {type(monitor._components[name]): name
+                for name in monitor.component_names()}
+    for name in by_class.values():
+        detail = monitor.component_detail(name)
+        assert detail["fields"] and detail["watchable"]
+    monitor.ensure_sim_metrics().start()
+    monitor.ensure_tracer().start()
+    assert platform.run()
+    monitor.metrics.snapshot()
+    monitor.tracer.query(limit=10)
+    assert not any(map(has_materialised_dict, _watched_objects(platform)))
+
+
+class _Odd(Component):
+    """Fields the class's own code never mentions."""
+
+    level = 1  # shadowed per instance below
+
+    def __init__(self, engine):
+        super().__init__("Sys.Odd", engine)
+        self.inside = Buffer("Sys.Odd.Inside", 2)
+
+    def handle(self, event):
+        pass
+
+
+def test_fields_assigned_from_outside_the_class_are_still_found():
+    odd = _Odd(Engine())
+    odd.bolted_on = 41
+    odd.level = 2
+    fields = serialize_component(odd)["fields"]
+    assert fields["bolted_on"] == 41
+    assert fields["level"] == 2
+    assert fields["inside"]["name"] == "Sys.Odd.Inside"
+    assert [b.name for b in discover_buffers(odd)] == ["Sys.Odd.Inside"]

@@ -84,15 +84,83 @@ def test_run_populates_all_layer_families(platform):
                        snap["rtm_rdma_forwarded_total"]["samples"]}
     assert any("RDMA" in name for name in rdma_components)
 
-    # Monitor-overhead layer: per-hook-position time and count.
+    # Monitor-overhead layer: per-hook-position time and count of the
+    # callbacks that actually ran.  Nothing is subscribed per event —
+    # the engine families above were pulled at scrape time.
     by_pos = {s["labels"]["position"]: s["value"] for s in
               snap["rtm_hook_callbacks_total"]["samples"]}
-    assert by_pos[HookPos.BEFORE_EVENT.value] == events
-    assert by_pos[HookPos.AFTER_EVENT.value] == events
-    assert by_pos[HookPos.PORT_DELIVER.value] > 0
+    assert by_pos[HookPos.BEFORE_EVENT.value] == 0
+    assert by_pos[HookPos.AFTER_EVENT.value] == 0
+    assert by_pos[HookPos.ENGINE_START.value] == 1
+    assert by_pos[HookPos.ENGINE_DRY.value] == 1
+    assert by_pos[HookPos.PORT_DELIVER.value] == delivered
     seconds_by_pos = {s["labels"]["position"]: s["value"] for s in
                       snap["rtm_hook_callback_seconds_total"]["samples"]}
-    assert seconds_by_pos[HookPos.BEFORE_EVENT.value] > 0
+    assert seconds_by_pos[HookPos.BEFORE_EVENT.value] == 0
+    assert seconds_by_pos[HookPos.PORT_DELIVER.value] > 0
+
+
+def test_no_callback_is_subscribed_per_event(platform):
+    sm = SimMetrics(platform.simulation)
+    sm.start()
+    chains = platform.simulation.engine._chains
+    assert not chains[HookPos.BEFORE_EVENT.index]
+    assert not chains[HookPos.AFTER_EVENT.index]
+    for comp in platform.simulation.components:
+        assert [pos for pos in HookPos if comp._chains[pos.index]] \
+            == [HookPos.PORT_DELIVER]
+    sm.stop()
+
+
+def test_engine_families_are_live_while_a_pass_is_in_flight(platform):
+    """Pulled, not pushed: a scrape in the middle of a run reads the
+    engine's own counter and the running pass clock."""
+    sm = SimMetrics(platform.simulation)
+    sm.start()
+    engine = platform.simulation.engine
+    scrapes = []
+
+    def scrape(ctx):
+        if engine.event_count in (100, 200):
+            snap = sm.registry.snapshot()
+            scrapes.append((
+                engine.event_count,
+                snap["rtm_engine_events_total"]["samples"][0]["value"],
+                snap["rtm_engine_event_wall_seconds_total"]["samples"][0][
+                    "value"]))
+
+    engine.accept_hook(scrape, positions=(HookPos.AFTER_EVENT,))
+    assert platform.run()
+    engine.remove_hook(scrape)
+    (n1, events1, wall1), (n2, events2, wall2) = scrapes
+    assert (events1, events2) == (n1, n2)
+    assert 0 < wall1 < wall2
+    final = sm.registry.snapshot()
+    wall = final["rtm_engine_event_wall_seconds_total"]["samples"][0][
+        "value"]
+    assert wall > wall2
+    # Finished passes and the histogram of passes tell the same story.
+    passes = final["rtm_engine_pass_wall_seconds"]["samples"][0]
+    assert passes["count"] == 1 and passes["sum"] == pytest.approx(wall)
+    sm.stop()
+
+
+def test_attach_mid_pass_clocks_from_attach(platform):
+    sm = SimMetrics(platform.simulation)
+    engine = platform.simulation.engine
+
+    def attach(ctx):
+        if engine.event_count == 50:
+            sm.start()
+
+    engine.accept_hook(attach, positions=(HookPos.AFTER_EVENT,))
+    assert platform.run()
+    snap = sm.registry.snapshot()
+    assert snap["rtm_engine_event_wall_seconds_total"]["samples"][0][
+        "value"] > 0
+    assert snap["rtm_engine_events_total"]["samples"][0]["value"] == \
+        engine.event_count
+    sm.stop()
 
 
 def test_exposition_during_run_includes_required_families(platform):

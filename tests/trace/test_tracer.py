@@ -43,9 +43,11 @@ def test_no_hooks_before_start_and_after_stop(platform):
 def test_start_stop_idempotent(platform):
     tracer = Tracer(platform.simulation)
     tracer.start()
+    # One callable per position the tracer records at.
+    once = [c.num_hooks for c in platform.simulation.components]
+    assert set(once) == {5}
     tracer.start()
-    assert all(len(c._hooks) == 1
-               for c in platform.simulation.components)
+    assert [c.num_hooks for c in platform.simulation.components] == once
     tracer.stop()
     tracer.stop()
     assert all(not c._hooks for c in platform.simulation.components)
