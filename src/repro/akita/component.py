@@ -89,7 +89,7 @@ class Component(Hookable):
         guard with ``if self._tasks_observed`` to skip that work too.
         """
         if self._chains[_TASK_BEGIN]:
-            self.fire_hooks(self, self._engine.now, HookPos.TASK_BEGIN,
+            self.fire_hooks(self, self._engine._now, HookPos.TASK_BEGIN,
                             TaskInfo(task_id, kind, what))
 
     def task_end(self, task_id: Any, kind: str = "",
@@ -97,7 +97,7 @@ class Component(Hookable):
         """Announce the end of the unit of work opened with the same
         *task_id* via :meth:`task_begin`."""
         if self._chains[_TASK_END]:
-            self.fire_hooks(self, self._engine.now, HookPos.TASK_END,
+            self.fire_hooks(self, self._engine._now, HookPos.TASK_END,
                             TaskInfo(task_id, kind, what))
 
     # -- notifications (called by ports/connections) -----------------------
@@ -118,6 +118,13 @@ class TickingComponent(Component):
         super().__init__(name, engine)
         self.freq = freq
         self._next_scheduled: float | None = None
+        # A tick time known to be no later than the next cycle
+        # boundary.  The boundary only moves forward, so for as long as
+        # ``_next_scheduled`` equals this value a wake-up has nothing
+        # to schedule, and one comparison says so.  Whoever else writes
+        # ``_next_scheduled`` (fault injector, checkpoint restore)
+        # disarms the shortcut merely by changing it.
+        self._near_tick = -1.0
         self._last_tick_time = -1.0
         self.tick_count = 0  # total ticks executed (observable by RTM)
 
@@ -129,16 +136,17 @@ class TickingComponent(Component):
     # -- tick machinery ----------------------------------------------------
     def handle(self, event: Event) -> None:
         if isinstance(event, TickEvent):
-            if (self._next_scheduled is not None
-                    and event.time >= self._next_scheduled):
+            at = event.time
+            scheduled = self._next_scheduled
+            if scheduled is not None and at >= scheduled:
                 self._next_scheduled = None
-            if event.time == self._last_tick_time:
+            if at == self._last_tick_time:
                 # Duplicate tick in the same cycle (can happen when the
                 # monitor pokes a component that was already scheduled).
                 return
-            self._last_tick_time = event.time
+            self._last_tick_time = at
             self.tick_count += 1
-            if self.tick():
+            if self.tick() and self._next_scheduled != self._near_tick:
                 self.tick_later()
 
     def tick_later(self) -> None:
@@ -148,7 +156,16 @@ class TickingComponent(Component):
         Safe to call from monitoring threads; this is the primitive
         behind AkitaRTM's *Tick* button.
         """
-        self.tick_at(next_tick(self._engine.now, self.freq))
+        scheduled = self._next_scheduled
+        if scheduled == self._near_tick:
+            return
+        engine = self._engine
+        t = next_tick(engine._now, self.freq)
+        if scheduled is not None and scheduled <= t:
+            self._near_tick = scheduled
+            return
+        self._next_scheduled = self._near_tick = t
+        engine.schedule(TickEvent(t, self))
 
     def tick_at(self, t: float) -> None:
         """Schedule a tick at cycle-aligned time *t* (used by components
@@ -158,11 +175,17 @@ class TickingComponent(Component):
         *later* tick is pending, the earlier one is scheduled anyway and
         the later one becomes a harmless stale wakeup.
         """
-        t = max(t, next_tick(self._engine.now, self.freq))
-        if self._next_scheduled is not None and self._next_scheduled <= t:
+        engine = self._engine
+        soonest = next_tick(engine._now, self.freq)
+        if t <= soonest:
+            t = soonest
+        scheduled = self._next_scheduled
+        if scheduled is not None and scheduled <= t:
             return
         self._next_scheduled = t
-        self._engine.schedule(TickEvent(t, self))
+        if t == soonest:
+            self._near_tick = t
+        engine.schedule(TickEvent(t, self))
 
     @property
     def asleep(self) -> bool:
@@ -170,7 +193,9 @@ class TickingComponent(Component):
         return self._next_scheduled is None
 
     def notify_recv(self, port: Port) -> None:
-        self.tick_later()
+        if self._next_scheduled != self._near_tick:
+            self.tick_later()
 
     def notify_available(self, port: Port) -> None:
-        self.tick_later()
+        if self._next_scheduled != self._near_tick:
+            self.tick_later()

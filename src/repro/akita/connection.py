@@ -70,7 +70,11 @@ class DeliveryEvent(Event):
 
     def __init__(self, time: float, connection: "DirectConnection",
                  msg: Msg):
-        super().__init__(time, connection, secondary=True)
+        # Slots filled directly, uncoerced: *time* is the connection's
+        # own clock arithmetic.
+        self.time = time
+        self.handler = connection
+        self.secondary = True
         self.msg = msg
 
 
@@ -114,24 +118,30 @@ class DirectConnection(Hookable):
 
     def can_send(self, src: Port, msg: Msg) -> bool:
         dst = msg.dst
-        if dst is None or dst not in self._inflight:
+        inflight = self._inflight.get(dst)
+        if inflight is None:
             raise PortError(
                 f"message {msg!r} has no destination on connection "
                 f"{self.name}")
-        return dst.buf.free_slots - self._inflight[dst] > 0
+        # Buffer.free_slots, on the buffer's own fields.
+        buf = dst.buf
+        return not buf._pinned and \
+            buf._capacity - len(buf._items) - inflight > 0
 
     def send(self, src: Port, msg: Msg) -> None:
         """Reserve a destination slot and schedule delivery."""
         dst = msg.dst
         assert dst is not None
         self._inflight[dst] += 1
-        msg.send_time = self._engine.now
+        engine = self._engine
+        now = engine._now
+        msg.send_time = now
         self.msg_count += 1
-        deliver_at = self._engine.now + self._latency
+        deliver_at = now + self._latency
 
         if self._chains[_CONN_TRANSFER]:
             transfer = Transfer(msg, deliver_at)
-            self.invoke_hooks(HookCtx(self, self._engine.now,
+            self.invoke_hooks(HookCtx(self, now,
                                       HookPos.CONN_TRANSFER, transfer))
             if transfer.drop:
                 # The message vanishes in transit: release the reserved
@@ -140,13 +150,13 @@ class DirectConnection(Hookable):
                 # component has of a lossy link.
                 self._inflight[dst] -= 1
                 self.dropped_count += 1
-                self.invoke_hooks(HookCtx(self, self._engine.now,
+                self.invoke_hooks(HookCtx(self, now,
                                           HookPos.CONN_DROP, transfer))
                 self.notify_available(dst)
                 return
-            deliver_at = max(transfer.deliver_at, self._engine.now)
+            deliver_at = max(transfer.deliver_at, now)
 
-        self._engine.schedule(DeliveryEvent(deliver_at, self, msg))
+        engine.schedule(DeliveryEvent(deliver_at, self, msg))
 
     def handle(self, event: DeliveryEvent) -> None:
         """Deliver the event's message (engine-facing Handler API)."""
@@ -157,6 +167,7 @@ class DirectConnection(Hookable):
     def notify_available(self, port: Port) -> None:
         """A buffer slot freed at *port*; wake potential senders."""
         for p in self._ports:
-            if p is port or p.component is None:
-                continue
-            p.component.notify_available(p)
+            if p is not port:
+                comp = p.component
+                if comp is not None:
+                    comp.notify_available(p)

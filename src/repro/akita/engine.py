@@ -13,6 +13,25 @@ Any other thread (e.g. AkitaRTM's HTTP server thread) may call
 accessors.  Pausing blocks the simulation thread *between* events, so a
 paused simulation is at a consistent event boundary and can be inspected
 safely.
+
+There is no lock.  The simulation thread is the only one that pops, and
+both it and foreign threads insert with a single ``heappush`` of an
+entry whose tie-break number comes from one atomic ``next()`` — the two
+properties (spelled out in :mod:`repro.akita.queue`) that make every
+heap operation complete under the interpreter lock without running
+Python code, so a foreign insert is never lost, never duplicates a
+sequence number and never leaves the heap half-sifted under the loop.
+The accessors read with one subscript and treat "just emptied" as
+empty.
+
+What a foreign thread cannot know is the time: it reads :attr:`now`,
+the loop moves on, and its event arrives in the loop's past.  That is
+settled where the event is consumed, not where it is inserted: the loop
+never steps the clock backwards, and handles a late event *at the
+current time* (``event.time`` is moved up to match, so a handler that
+reschedules relative to it stays in the present).  Only the caller that
+cannot have raced the loop — the thread that runs it, or anyone before
+the first run — gets :class:`SchedulingError` for an event in the past.
 """
 
 from __future__ import annotations
@@ -21,6 +40,7 @@ import enum
 import math
 import threading
 import time
+from heapq import heappop, heappush
 from typing import Optional
 
 from .errors import EngineError, SchedulingError
@@ -52,7 +72,8 @@ class Engine(Hookable):
         super().__init__()
         self._queue = EventQueue()
         self._now: VTimeInSec = 0.0
-        self._lock = threading.RLock()
+        # Ident of the thread that last entered the event loop.
+        self._sim_thread: Optional[int] = None
         self._resume = threading.Event()
         self._resume.set()
         self._pause_requested = False
@@ -85,8 +106,7 @@ class Engine(Hookable):
 
     @property
     def pending_event_count(self) -> int:
-        with self._lock:
-            return len(self._queue)
+        return len(self._queue)
 
     @property
     def next_event_time(self) -> Optional[VTimeInSec]:
@@ -94,8 +114,7 @@ class Engine(Hookable):
         queue is empty.  The quantity shards report at every window
         barrier: the coordinator's grant horizon is the minimum of
         these across shards plus the sync window."""
-        with self._lock:
-            return self._queue.next_time()
+        return self._queue.next_time()
 
     @property
     def last_event_time(self) -> VTimeInSec:
@@ -110,18 +129,24 @@ class Engine(Hookable):
     # Scheduling
     # ------------------------------------------------------------------
     def schedule(self, event: Event) -> None:
-        """Insert *event* into the queue.
+        """Insert *event* into the queue.  Safe from any thread.
 
         Raises
         ------
         SchedulingError
-            If the event is in the past.
+            If the event is in the past and the caller is the
+            simulation thread (see the module docstring): any other
+            thread may have raced the loop, and has its late event
+            handled at the current time instead.
         """
-        if event.time < self._now:
+        at = event.time
+        if at < self._now and self._sim_thread in (
+                None, threading.get_ident()):
             raise SchedulingError(
-                f"cannot schedule event at {event.time} when now={self._now}")
-        with self._lock:
-            self._queue.push(event)
+                f"cannot schedule event at {at} when now={self._now}")
+        queue = self._queue
+        heappush(queue._heap,
+                 (at, event.secondary, next(queue._seq), event))
 
     # ------------------------------------------------------------------
     # Control (callable from monitoring threads)
@@ -207,27 +232,31 @@ class Engine(Hookable):
         in queue order, until the queue holds none or
         :meth:`terminate`.  Parks between events while a pause is
         requested, unless *pausable* is false."""
-        queue = self._queue
-        lock = self._lock
+        heap = self._queue._heap
+        now = self._now
         # One reusable ctx serves the before/after pair of every event:
         # constructing two dataclasses per event is measurable at
         # millions of events.  Hooks must not retain the ctx (see
         # hooks.py).  The chains are read afresh at each firing, so a
         # hook attached between the two firings of one event still sees
         # a correctly filled ctx.
-        ctx = HookCtx(self, self._now, HookPos.BEFORE_EVENT)
+        ctx = HookCtx(self, now, HookPos.BEFORE_EVENT)
+        self._sim_thread = threading.get_ident()
         while not self._terminated:
             if self._pause_requested and pausable:
                 self._state = RunState.PAUSED
                 self._resume.wait()
                 self._state = RunState.RUNNING
                 continue
-            with lock:
-                now = queue.next_time()
-                if now is None or now >= horizon:
-                    break
-                event = queue.pop()
-            self._now = now
+            if not heap or heap[0][0] >= horizon:
+                break
+            event_time, _, _, event = heappop(heap)
+            if event_time < now:
+                # Scheduled by another thread against a clock that has
+                # since moved on: it happens now.
+                event.time = now
+            else:
+                now = self._now = event_time
             self._last_event_time = now
             chain = self._chains[_BEFORE_EVENT]
             if chain:
@@ -304,13 +333,12 @@ class Engine(Hookable):
         or dry), so dropping them loses nothing.
         """
         state = super().__getstate__()
-        for attr in ("_lock", "_resume"):
-            state.pop(attr, None)
+        state.pop("_resume", None)
+        state["_sim_thread"] = None  # idents mean nothing elsewhere
         return state
 
     def __setstate__(self, state: dict) -> None:
         super().__setstate__(state)
-        self._lock = threading.RLock()
         self._resume = threading.Event()
         self._resume.set()
         # The restored engine is runnable regardless of how the

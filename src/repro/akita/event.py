@@ -10,39 +10,19 @@ Two details mirror the Go Akita framework:
 * **Secondary events.**  Within a single timestamp, *primary* events run
   before *secondary* ones.  Connections use secondary events so that all
   components observe a consistent pre-tick state before messages move.
-* **Event IDs.**  Every event gets a monotonically increasing ID that
-  breaks ties deterministically, so two runs of the same simulation
-  process events in exactly the same order.
+* **Deterministic ties.**  Events of the same timestamp and class run
+  in the order they were scheduled: the queue numbers its own
+  insertions (see :mod:`repro.akita.queue`), so two runs of the same
+  simulation process events in exactly the same order.  An event
+  itself carries no identity beyond its fields.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Protocol, runtime_checkable
 
 #: Virtual time, in simulated seconds.  A 1 GHz component ticks every 1e-9.
 VTimeInSec = float
-
-_event_ids = itertools.count()
-
-
-def event_id_watermark() -> int:
-    """An id strictly greater than every event id handed out so far.
-
-    Consumes one id, which is harmless — ids only need uniqueness and
-    monotonicity.  Checkpoints store the watermark so a restoring
-    process can fast-forward its counter and never mint an id that
-    collides with (or sorts before) one frozen in the snapshot, keeping
-    the queue's deterministic tie-breaking intact.
-    """
-    return next(_event_ids)
-
-
-def ensure_event_ids_at_least(n: int) -> None:
-    """Fast-forward the event id counter so the next id is >= *n*."""
-    global _event_ids
-    current = next(_event_ids)
-    _event_ids = itertools.count(max(current + 1, int(n)))
 
 
 @runtime_checkable
@@ -68,18 +48,17 @@ class Event:
         timestamp.
     """
 
-    __slots__ = ("time", "handler", "secondary", "id")
+    __slots__ = ("time", "handler", "secondary")
 
     def __init__(self, time: VTimeInSec, handler: Handler,
                  secondary: bool = False):
         self.time = float(time)
         self.handler = handler
         self.secondary = bool(secondary)
-        self.id = next(_event_ids)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = type(self).__name__
-        return f"<{kind} t={self.time:.9f} id={self.id}>"
+        return f"<{kind} t={self.time:.9f}>"
 
 
 class TickEvent(Event):
@@ -93,7 +72,11 @@ class TickEvent(Event):
     __slots__ = ()
 
     def __init__(self, time: VTimeInSec, handler: Handler):
-        super().__init__(time, handler, secondary=True)
+        # Slots filled directly, uncoerced: the one caller that matters
+        # is the tick machinery, which computed *time* itself.
+        self.time = time
+        self.handler = handler
+        self.secondary = True
 
 
 class CallbackEvent(Event):

@@ -18,7 +18,8 @@ _msg_ids = itertools.count()
 
 def msg_id_watermark() -> int:
     """An id strictly greater than every message id handed out so far
-    (consumes one id; see :func:`repro.akita.event.event_id_watermark`).
+    (consumes one id, which is harmless — ids only need uniqueness and
+    monotonicity).
 
     Message ids key request/response matching (e.g. the CU's
     outstanding-request table), so a restored process must never reuse

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Any, Optional, TYPE_CHECKING
 
 from .buffer import Buffer
-from .errors import PortError
+from .errors import BufferError_, PortError
 from .hooks import HookPos
 from .message import Msg
 
@@ -77,9 +77,10 @@ class Port:
         the send (mirroring Akita's non-blocking ``Send``).  Components
         treat a ``False`` as "retry on a later tick".
         """
-        if self._connection is None:
+        conn = self._connection
+        if conn is None:
             raise PortError(f"port {self.name} is not connected")
-        if not self._connection.can_send(self, msg):
+        if not conn.can_send(self, msg):
             return False
         msg.src = self
         # Hook before the connection takes over: a zero-latency
@@ -87,27 +88,34 @@ class Port:
         # show the send first.
         comp = self.component
         if comp is not None and comp._chains[_PORT_SEND]:
-            comp.fire_hooks(self, comp._engine.now,
+            comp.fire_hooks(self, comp._engine._now,
                             HookPos.PORT_SEND, msg)
-        self._connection.send(self, msg)
+        conn.send(self, msg)
         self.num_sent += 1
         return True
 
     # -- receiving ----------------------------------------------------------
     def deliver(self, msg: Msg) -> None:
         """Called by the connection when a message arrives."""
-        self.buf.push(msg)
+        # Buffer.push, Buffer.peek and Buffer.pop spelled out on the
+        # buffer's own fields: every message crosses these three.
+        buf = self.buf
+        items = buf._items
+        if len(items) >= buf._capacity:
+            raise BufferError_(f"push to full buffer {buf.name}")
+        items.append(msg)
         self.num_delivered += 1
         comp = self.component
         if comp is not None:
             if comp._chains[_PORT_DELIVER]:
-                comp.fire_hooks(self, comp._engine.now,
+                comp.fire_hooks(self, comp._engine._now,
                                 HookPos.PORT_DELIVER, msg)
             comp.notify_recv(self)
 
     def peek_incoming(self) -> Optional[Msg]:
         """Look at the oldest received message without consuming it."""
-        return self.buf.peek()
+        items = self.buf._items
+        return items[0] if items else None
 
     def retrieve_incoming(self) -> Optional[Msg]:
         """Consume and return the oldest received message, or ``None``.
@@ -115,15 +123,17 @@ class Port:
         Consuming frees a buffer slot; the connection is notified so that
         senders blocked on backpressure wake up and retry.
         """
-        if self.buf.size == 0:
+        items = self.buf._items
+        if not items:
             return None
-        msg = self.buf.pop()
+        msg = items.popleft()
         comp = self.component
         if comp is not None and comp._chains[_PORT_RETRIEVE]:
-            comp.fire_hooks(self, comp._engine.now,
+            comp.fire_hooks(self, comp._engine._now,
                             HookPos.PORT_RETRIEVE, msg)
-        if self._connection is not None:
-            self._connection.notify_available(self)
+        conn = self._connection
+        if conn is not None:
+            conn.notify_available(self)
         return msg
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

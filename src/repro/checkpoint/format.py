@@ -7,8 +7,8 @@ Layout::
 
 The header is one line of JSON carrying a magic string, a format
 version, the payload length, its SHA-256, and a ``meta`` dict (sim
-time, event count, id watermarks, plus whatever the caller adds — job
-id, attempt, cadence sequence).  Loading verifies magic, version,
+time, event count, the message id watermark, plus whatever the caller
+adds — job id, attempt, cadence sequence).  Loading verifies magic, version,
 length and digest before unpickling, so a truncated or bit-flipped
 file fails loudly instead of resuming a corrupt simulation.  Files are
 written via temp-file + fsync + atomic rename
@@ -17,10 +17,11 @@ survives a crash mid-save.
 
 Restore fix-ups (what pickling alone cannot carry):
 
-* **Id watermarks.**  Event and message ids come from process-global
-  counters; the restoring process fast-forwards its counters past the
-  snapshot's watermark so restored ids stay unique and the event
-  queue's deterministic tie-breaking is preserved.
+* **Message id watermark.**  Message ids come from a process-global
+  counter and key request/response matching; the restoring process
+  fast-forwards its counter past the snapshot's watermark so restored
+  ids stay unique.  (Events carry no id: the event queue pickles its
+  own tie-break sequence.)
 * **Workload programs.**  Wavefront op streams are generators of
   (deterministic) workload programs — unpicklable.  Kernel descriptors
   drop them on save; the loader reinstalls them by kernel name from
@@ -44,11 +45,7 @@ import pickle
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..akita.component import TickingComponent
-from ..akita.event import (
-    TickEvent,
-    ensure_event_ids_at_least,
-    event_id_watermark,
-)
+from ..akita.event import TickEvent
 from ..akita.message import ensure_msg_ids_at_least, msg_id_watermark
 from ..core.atomicio import atomic_write_bytes
 
@@ -62,7 +59,10 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = "rtm-ckpt"
-CHECKPOINT_VERSION = 1
+#: Goes up whenever a pickled class changes shape, so that a file
+#: from another build is refused at the header and not by a failing
+#: (or worse, succeeding) unpickle.  2: events carry no ``id``.
+CHECKPOINT_VERSION = 2
 
 #: Refuse to parse absurd header lines (a corrupt file could otherwise
 #: make the reader scan for a newline through gigabytes of pickle).
@@ -93,7 +93,6 @@ def save_checkpoint(platform: Any, path: str,
         header_meta.setdefault("event_count", engine.event_count)
         header_meta.setdefault("pending_events",
                                engine.pending_event_count)
-    header_meta["event_id_watermark"] = event_id_watermark()
     header_meta["msg_id_watermark"] = msg_id_watermark()
     try:
         payload = pickle.dumps(platform,
@@ -151,7 +150,6 @@ def load_checkpoint(path: str, workload: Any = None,
             f"checkpoint {path} failed to unpickle: "
             f"{type(exc).__name__}: {exc}") from exc
     meta = header.get("meta", {})
-    ensure_event_ids_at_least(int(meta.get("event_id_watermark", 0)) + 1)
     ensure_msg_ids_at_least(int(meta.get("msg_id_watermark", 0)) + 1)
     _reinstall_programs(platform, workload, programs)
     if revive:

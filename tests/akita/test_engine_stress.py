@@ -8,15 +8,16 @@ import pytest
 from repro.akita import CallbackEvent, Engine, RunState
 
 
-def _self_rescheduling_chain(engine, count):
-    done = {"n": 0}
+def _self_rescheduling_chain(engine, count, start=1.0):
+    done = {"n": 0, "times": []}
 
     def cb(event):
         done["n"] += 1
+        done["times"].append(engine.now)
         if done["n"] < count:
             engine.schedule(CallbackEvent(event.time + 1.0, cb))
 
-    engine.schedule(CallbackEvent(1.0, cb))
+    engine.schedule(CallbackEvent(start, cb))
     return done
 
 
@@ -33,15 +34,21 @@ def test_repeated_pause_continue_under_load():
     assert done["n"] == 50_000
 
 
-def test_concurrent_scheduling_from_other_threads():
+@pytest.mark.parametrize("while_", ["paused", "running"])
+def test_concurrent_scheduling_from_other_threads(while_,
+                                                  eager_thread_switches):
     engine = Engine()
     hits = []
 
     def cb(event):
         hits.append(event.time)
 
-    # Pause so externally scheduled events pile up safely, then run.
-    engine.pause()
+    if while_ == "paused":
+        # Externally scheduled events pile up, then run.
+        engine.pause()
+    else:
+        # The loop pops its own far-future chain while they arrive.
+        chain = _self_rescheduling_chain(engine, 100_000, start=1e6)
     thread = threading.Thread(target=engine.run)
     thread.start()
 
@@ -49,16 +56,72 @@ def test_concurrent_scheduling_from_other_threads():
         for i in range(200):
             engine.schedule(CallbackEvent(base + i, cb))
 
-    workers = [threading.Thread(target=scheduler, args=(k * 1000.0 + 1,))
+    workers = [threading.Thread(target=scheduler, args=(k * 1000.0 + 1e7,))
                for k in range(4)]
     for w in workers:
         w.start()
     for w in workers:
-        w.join()
+        w.join(timeout=60)
+        assert not w.is_alive()
     engine.continue_()
     thread.join(timeout=60)
+    assert not thread.is_alive()
     assert len(hits) == 800
     assert hits == sorted(hits)  # causal order preserved
+    if while_ == "running":
+        assert chain["n"] == 100_000
+
+
+def test_scheduling_at_now_from_another_thread_never_rewinds_the_clock(
+        eager_thread_switches):
+    """A server thread reads ``engine.now`` and schedules there while
+    the loop advances.  Its event may arrive in the loop's past: it
+    must neither be refused (the Tick button answering HTTP 500) nor
+    pull virtual time backwards when popped."""
+    engine = Engine()
+    chain = _self_rescheduling_chain(engine, 200_000)
+    observed = []  # engine.now as each foreign event is handled
+    failures = []
+    scheduled = 0
+
+    def foreign(event):
+        observed.append(engine.now)
+        assert event.time == engine.now
+
+    def hammer():
+        nonlocal scheduled
+        try:
+            while chain["n"] < 200_000 and sim.is_alive():
+                # Keep the backlog short (the loop must get to run dry)
+                # with the two accessors a dashboard polls.
+                if engine.pending_event_count < 64 \
+                        and engine.next_event_time is not None:
+                    engine.schedule(CallbackEvent(engine.now, foreign))
+                    scheduled += 1
+        except Exception as exc:  # noqa: BLE001 - reported below
+            failures.append(exc)
+
+    def run():
+        try:
+            engine.run()
+        except Exception as exc:  # noqa: BLE001 - reported below
+            failures.append(exc)
+
+    sim = threading.Thread(target=run, daemon=True)
+    server = threading.Thread(target=hammer, daemon=True)
+    sim.start()
+    server.start()
+    sim.join(timeout=120)
+    server.join(timeout=120)
+    assert not sim.is_alive() and not server.is_alive()
+    assert failures == []
+    assert chain["n"] == 200_000
+    # What the hammer slipped in after the loop's last look stays
+    # queued for the next run(): nothing is lost.
+    engine.run()
+    assert scheduled > 0 and len(observed) == scheduled
+    assert observed == sorted(observed)
+    assert chain["times"] == sorted(chain["times"])
 
 
 def test_terminate_while_paused_releases_thread():

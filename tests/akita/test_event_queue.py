@@ -1,5 +1,9 @@
 """Tests for events and the event queue ordering rules."""
 
+import pickle
+import threading
+import warnings
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,13 +16,6 @@ class _Recorder:
 
     def handle(self, event):
         self.seen.append(event)
-
-
-def test_event_ids_are_monotonic():
-    h = _Recorder()
-    a = Event(1.0, h)
-    b = Event(1.0, h)
-    assert b.id > a.id
 
 
 def test_tick_event_is_secondary():
@@ -102,12 +99,51 @@ def test_queue_pops_in_nondecreasing_time_order(times):
                                     allow_nan=False),
                           st.booleans()),
                 min_size=1, max_size=100))
-def test_queue_total_order_is_time_then_class_then_id(specs):
+def test_queue_total_order_is_time_then_class_then_insertion(specs):
     h = _Recorder()
     q = EventQueue()
     events = [Event(t, h, secondary=s) for t, s in specs]
     for e in events:
         q.push(e)
     popped = [q.pop() for _ in range(len(events))]
-    keys = [(e.time, e.secondary, e.id) for e in popped]
+    pushed_as = {id(e): i for i, e in enumerate(events)}
+    keys = [(e.time, e.secondary, pushed_as[id(e)]) for e in popped]
     assert keys == sorted(keys)
+
+
+def test_threads_pushing_the_same_instant_never_tie(eager_thread_switches):
+    """Four threads push same-time, same-class events while the main
+    thread pops: a duplicated sequence number would make the heap
+    compare two events and raise TypeError, a lost update would lose
+    an event."""
+    h = _Recorder()
+    q = EventQueue()
+    per_thread = 5000
+    pushers = [threading.Thread(
+        target=lambda: [q.push(Event(1.0, h)) for _ in range(per_thread)])
+        for _ in range(4)]
+    for t in pushers:
+        t.start()
+    popped = 0
+    while any(t.is_alive() for t in pushers) or len(q):
+        if q.next_time() is not None:
+            q.pop()
+            popped += 1
+    for t in pushers:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    assert popped == 4 * per_thread
+
+
+def test_sequence_pickles_as_a_plain_int():
+    q = EventQueue()
+    for tag in "abc":  # a string stands in for the handler: it pickles
+        q.push(Event(1.0, tag))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # 3.12: itertools pickling warns
+        state = q.__getstate__()
+        restored = pickle.loads(pickle.dumps(q))
+    assert type(state["_seq"]) is int
+    # The restored queue numbers new entries after the frozen ones.
+    restored.push(Event(1.0, "d"))
+    assert [restored.pop().handler for _ in range(4)] == list("abcd")

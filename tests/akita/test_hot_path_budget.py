@@ -1,0 +1,67 @@
+"""A perf gate that does not depend on the host: calls per event.
+
+Wall time on a shared CI runner moves by a factor of two between
+minutes; the number of function calls the interpreter makes to simulate
+one event does not move at all.  This counts every call — Python
+functions and C builtins alike, what ``cProfile`` reports as
+``total_calls`` — over an unmonitored FIR run and holds it to a
+committed budget, so the next one-line wrapper layered onto the
+engine → tick → port path fails here instead of waiting for a benchmark
+run to notice.
+
+History (bare FIR, small two-chiplet platform), calls per event before
+and after the hot path was flattened: 45.35 → 26.21 on the 256-sample
+run measured here, 47.60 → 27.43 at the benchmark's 4096 samples
+(``python tests/akita/test_hot_path_budget.py`` prints both).  The
+budget sits about 10% above what the code reaches.  If a change
+legitimately needs more calls, say why in the commit that raises it.
+"""
+
+import gc
+import sys
+
+from repro.gpu import GPUPlatform, GPUPlatformConfig
+from repro.workloads import FIR
+
+CALLS_PER_EVENT_BUDGET = 29.0
+
+
+def calls_per_event(num_samples=256):
+    platform = GPUPlatform(GPUPlatformConfig.small(num_chiplets=2))
+    FIR(num_samples=num_samples).enqueue(platform.driver)
+    calls = 0
+
+    def count(frame, kind, arg):
+        nonlocal calls
+        if kind == "call" or kind == "c_call":
+            calls += 1
+
+    # A cyclic collection landing inside the run would finalize other
+    # tests' garbage (suspended wavefront generators, among others) on
+    # this thread, under this profile function.
+    gc.collect()
+    gc.disable()
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        completed = platform.run()
+    finally:
+        sys.setprofile(previous)
+        gc.enable()
+    assert completed
+    return calls / platform.engine.event_count
+
+
+def test_bare_fir_stays_inside_the_call_budget():
+    measured = calls_per_event()
+    assert measured == calls_per_event(), "the count must repeat exactly"
+    assert measured <= CALLS_PER_EVENT_BUDGET, (
+        f"{measured:.1f} calls per simulated event, budget "
+        f"{CALLS_PER_EVENT_BUDGET}: something on the engine/tick/port "
+        "path gained a layer")
+
+
+if __name__ == "__main__":
+    for samples in (256, 4096):
+        print(f"FIR({samples}): {calls_per_event(samples):.2f} "
+              "calls per event")
