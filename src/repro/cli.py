@@ -270,10 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet_run.add_argument("--buggy-l2", action="store_true",
                            help="enable case study 2's write-buffer "
                                 "bug in every job")
-    fleet_run.add_argument("--cold", action="store_true",
-                           help="legacy dispatch: one subprocess per "
-                                "job attempt instead of a warm "
-                                "persistent-worker pool")
     fleet_run.add_argument("--worker-restarts", type=int, default=None,
                            help="crashed warm workers replaced before "
                                 "the pool gives up (default: one per "
@@ -293,9 +289,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="the campaign's --journal file")
     fleet_resume.add_argument("--workers", type=int, default=2,
                               help="worker pool size (default 2)")
-    fleet_resume.add_argument("--cold", action="store_true",
-                              help="one subprocess per attempt instead "
-                                   "of a warm pool")
     fleet_resume.add_argument("--worker-restarts", type=int,
                               default=None,
                               help="crashed warm workers replaced "
@@ -897,9 +890,8 @@ def _drive_campaign(args: argparse.Namespace, manager, journal,
     manager.start()
     if service is not None:
         service.start()
-    mode = "cold" if getattr(args, "cold", False) else "warm"
     print(f"fleet gateway: {gateway.url}  "
-          f"({num_jobs} jobs, {args.workers} {mode} workers)")
+          f"({num_jobs} jobs, {args.workers} warm workers)")
     if journal is not None:
         print(f"campaign journal: {journal.path}")
     if service is not None:
@@ -1011,7 +1003,6 @@ def _fleet_run(args: argparse.Namespace) -> int:
                        workers=args.workers, jobs=len(specs))
     queue.submit_all(specs)
     manager = FleetManager(queue, num_workers=args.workers,
-                           warm=not args.cold,
                            max_worker_restarts=args.worker_restarts,
                            worker_args=_fleet_worker_args(args),
                            journal=journal)
@@ -1058,7 +1049,6 @@ def _fleet_resume(args: argparse.Namespace) -> int:
                    workers=args.workers, resumed_jobs=len(resumed))
     journal.attach(queue)
     manager = FleetManager(queue, num_workers=args.workers,
-                           warm=not args.cold,
                            max_worker_restarts=args.worker_restarts,
                            worker_args=_fleet_worker_args(args),
                            journal=journal)

@@ -9,10 +9,12 @@ This package runs them behind a single pane of glass:
 * :class:`FleetManager` — an async dispatcher over a pool of warm
   persistent workers (each boots once, then runs a stream of jobs over
   the control channel), with worker-death detection, post-mortems and
-  a crashed-worker recycle budget; ``warm=False`` restores the legacy
-  one-subprocess-per-attempt dispatch (:mod:`repro.fleet.manager`);
-* the line-framed JSON control channel both sides speak
-  (:mod:`repro.fleet.protocol`);
+  a crashed-worker recycle budget (:mod:`repro.fleet.manager`);
+* :class:`~repro.fleet.channel.WorkerChannel` — one supervised
+  ``python -m`` child and its framed pipes, the only worker-process
+  mechanism here and in :mod:`repro.shard`
+  (:mod:`repro.fleet.channel`), speaking the line-framed JSON
+  protocol of :mod:`repro.fleet.protocol`;
 * the worker entry point itself (:mod:`repro.fleet.worker`, spawned as
   ``python -m repro.fleet.worker --serve``);
 * :class:`FleetGateway` — the aggregating front server: ``/api/fleet``,

@@ -36,9 +36,9 @@ be named ``jobs``.)
 ``/metrics`` federates: the gateway's own fleet-level families (jobs by
 state, live workers, retries, worker restarts — un-labelled) followed
 by per-job expositions, each sample labelled with **both**
-``worker="wN"`` and ``job="<job_id>"`` — under the warm fleet one
-long-lived worker produces series for many jobs, so the worker label
-alone no longer identifies a run.  Completed jobs come from the
+``worker="wN"`` and ``job="<job_id>"`` — one long-lived worker
+produces series for many jobs, so the worker label alone does not
+identify a run.  Completed jobs come from the
 control-channel cache (their worker may have moved on to another job,
 or died); jobs still running are scraped live from their worker.  Each
 job appears exactly once per scrape, so one scrape taken after the
@@ -58,13 +58,11 @@ from ..core.server import (
     JSONRequestHandler,
 )
 from ..metrics import CONTENT_TYPE as _PROM_CONTENT_TYPE
-from ..metrics import MetricRegistry, expose, federate, inject_labels
+from ..metrics import (MetricRegistry, expose, federate_sources,
+                       inject_labels)
+from ..metrics.federation import SCRAPE_TIMEOUT
 
 __all__ = ["FleetGateway"]
-
-#: Per-worker scrape/proxy timeout: a wedged worker must not hold the
-#: whole federated scrape hostage.
-_PROXY_TIMEOUT = 5.0
 
 
 class _GatewayHandler(JSONRequestHandler):
@@ -331,43 +329,28 @@ class FleetGateway(HTTPServerThread):
         return status
 
     def federated_metrics(self) -> str:
-        """One exposition for the whole fleet (see module docstring).
-
-        Per-job expositions, each labelled ``(worker, job)``.  Final
-        expositions (from the manager's control-channel cache) win over
-        a live scrape of the same job — the cache is the complete run,
-        the scrape a moment of it — so every job contributes exactly
-        one set of series no matter when the scrape lands.
-        """
+        """One exposition for the whole fleet (see module docstring):
+        per-job expositions, each labelled ``(worker, job)``.  A job's
+        final exposition (from the manager's control-channel cache)
+        wins over a live scrape of the same job — see
+        :func:`~repro.metrics.federation.federate_sources`."""
         finals = self.manager.final_metrics()
-        expositions = []
-        unreachable = []
-        for job_id, entry in sorted(finals.items()):
-            expositions.append(
-                ({"worker": str(entry.get("worker_id")),
-                  "job": job_id}, entry["text"]))
-        for target in sorted(self.manager.scrape_targets(),
-                             key=lambda t: (t["worker_id"],
-                                            t["job_id"])):
-            if target["job_id"] in finals:
-                continue  # a final already landed; don't double-count
-            try:
-                with urlopen(Request(target["url"] + "/metrics",
-                                     method="GET"),
-                             timeout=_PROXY_TIMEOUT) as response:
-                    expositions.append(
-                        ({"worker": target["worker_id"],
-                          "job": target["job_id"]},
-                         response.read().decode()))
-            except (URLError, TimeoutError, ConnectionError, OSError) \
-                    as exc:
-                unreachable.append((target["worker_id"], str(exc)))
-        preamble = expose(self.registry)
-        body = federate(expositions, preamble=preamble)
-        for worker_id, error in unreachable:
-            body += (f"# worker {worker_id} unreachable: "
-                     f"{error}\n")
-        return body
+        sources = [
+            (f"worker {entry.get('worker_id')}",
+             {"worker": str(entry.get("worker_id")), "job": job_id},
+             entry["text"], None)
+            for job_id, entry in sorted(finals.items())]
+        sources += [
+            (f"worker {target['worker_id']}",
+             {"worker": target["worker_id"], "job": target["job_id"]},
+             None, target["url"])
+            for target in sorted(self.manager.scrape_targets(),
+                                 key=lambda t: (t["worker_id"],
+                                                t["job_id"]))
+            # a final already landed; don't double-count
+            if target["job_id"] not in finals]
+        return federate_sources(sources,
+                                preamble=expose(self.registry))
 
     def campaign_profile(self, params: Optional[Dict[str, str]] = None
                          ) -> Dict[str, Any]:
@@ -420,7 +403,7 @@ class FleetGateway(HTTPServerThread):
                                  f"{worker_id!r}"}).encode())
         try:
             with urlopen(Request(url + target, method=method),
-                         timeout=_PROXY_TIMEOUT) as response:
+                         timeout=SCRAPE_TIMEOUT) as response:
                 content_type = response.headers.get(
                     "Content-Type", "application/octet-stream")
                 return response.status, content_type, response.read()

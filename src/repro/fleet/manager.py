@@ -1,59 +1,47 @@
 """The fleet manager: an async dispatcher over persistent warm workers.
 
 ``FleetManager`` drains a :class:`~repro.fleet.queue.JobQueue` through a
-pool of worker subprocesses.  Two dispatch modes share one event loop:
+pool of ``num_workers`` persistent ``repro.fleet.worker --serve``
+processes, spawned once.  Each boots its interpreter, imports and RTM
+HTTP server a single time, then accepts a *stream* of job assignments
+over a :class:`~repro.fleet.channel.WorkerChannel` (commands down
+stdin, framed events up stdout), rebuilding simulation state between
+jobs instead of re-exec'ing.  This is what makes short-job campaigns
+scale: a one-subprocess-per-attempt fleet measured 0.97x at 2 workers
+because every attempt re-paid interpreter + platform startup and server
+teardown.
 
-* **warm** (default): ``num_workers`` persistent
-  ``repro.fleet.worker --serve`` processes are spawned once.  Each
-  boots its interpreter, imports and RTM HTTP server a single time,
-  then accepts a *stream* of job assignments over a bidirectional
-  line-framed JSON control channel (commands down stdin, events up
-  stdout), resetting simulation state between jobs instead of
-  re-exec'ing.  This is what makes short-job campaigns scale: the old
-  one-subprocess-per-attempt fleet measured 0.97x at 2 workers because
-  every attempt re-paid interpreter + platform startup and server
-  teardown.
-* **cold** (``warm=False``): the PR-5 behavior — one subprocess per
-  job attempt, maximum isolation, and the measured baseline the warm
-  pool's throughput benchmark compares against.
-
-The scheduler is a single thread driven by a queue of control events
-(pushed by per-worker pipe reader threads), not a poll loop over
-``Popen.poll``: a ``ready`` event dispatches the next queued job in the
-same scheduling turn it arrives, so idle gaps between jobs are bounded
-by pipe latency, not a polling interval.
+The scheduler is a single thread driven by the one queue every
+worker's channel feeds, not a poll loop over ``Popen.poll``: a
+``ready`` event dispatches the next queued job in the same scheduling
+turn it arrives, so idle gaps between jobs are bounded by pipe latency,
+not a polling interval.
 
 **Failure discipline.**  A worker that dies mid-job (stdout EOF without
 a result event) gets a post-mortem assembled from its exit code, last
 control events and stderr tail; the job re-enters the queue at the
-front of the line under :meth:`JobQueue.fail`'s retry policy.  Warm
-workers that crash are *recycled* — a replacement process is spawned —
+front of the line under :meth:`JobQueue.fail`'s retry policy.
+Workers that crash are *recycled* — a replacement process is spawned —
 up to ``max_worker_restarts`` for the pool's lifetime; if the budget is
 spent and no workers remain, the remaining jobs are failed rather than
 left to hang the campaign.
 
 A warm worker's final ``/metrics`` expositions are cached **per job**
 (shipped through the control channel in ``final-metrics`` events): one
-process now serves many jobs, so "the exited worker's last scrape" is
-no longer a meaningful unit — see :meth:`final_metrics`.
+process serves many jobs, so "the exited worker's last scrape" is
+not a meaningful unit — see :meth:`final_metrics`.
 """
 
 from __future__ import annotations
 
 import collections
-import json
-import os
 import queue as queue_module
-import signal
-import subprocess
-import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from .protocol import FrameDecoder, encode_command
+from .channel import WorkerChannel
 from .queue import Job, JobQueue
 
 __all__ = ["FleetManager", "WorkerHandle"]
@@ -61,15 +49,18 @@ __all__ = ["FleetManager", "WorkerHandle"]
 #: Wall seconds a terminated worker gets to flush before SIGKILL.
 _STOP_GRACE = 5.0
 
+#: The scheduler's wake-up when no control event arrives (it re-checks
+#: the stop flag and the queue — jobs can be submitted at any time).
+_IDLE_WAKEUP = 0.05
+
 
 @dataclass
 class WorkerHandle:
     """One worker subprocess and everything observed about it."""
 
     worker_id: str
-    process: subprocess.Popen
-    started_wall: float
-    warm: bool
+    channel: WorkerChannel
+    started_wall: float = field(default_factory=time.monotonic)
     job_id: Optional[str] = None      # currently assigned job
     attempt: int = 0
     state: str = "booting"  # booting | idle | running | exited
@@ -81,10 +72,6 @@ class WorkerHandle:
     last_progress: Optional[Dict[str, Any]] = None
     events: collections.deque = field(
         default_factory=lambda: collections.deque(maxlen=50))
-    stderr_tail: collections.deque = field(
-        default_factory=lambda: collections.deque(maxlen=40))
-    decoder: FrameDecoder = field(default_factory=FrameDecoder)
-    _threads: List[threading.Thread] = field(default_factory=list)
 
     def post_mortem(self) -> Dict[str, Any]:
         """What the manager knows about why this worker's job died."""
@@ -94,8 +81,8 @@ class WorkerHandle:
             "attempt": self.attempt,
             "exit_code": self.exit_code,
             "worker_alive": self.state != "exited",
-            "stderr_tail": list(self.stderr_tail),
-            "torn_frames": self.decoder.errors,
+            "stderr_tail": list(self.channel.stderr_tail),
+            "torn_frames": self.channel.decoder.errors,
         }
         source = self.result or {}
         if source.get("job_id") == self.job_id:
@@ -115,23 +102,23 @@ class WorkerHandle:
             "pid": self.pid,
             "url": self.url,
             "state": self.state,
-            "warm": self.warm,
             "jobs_done": self.jobs_done,
             "exit_code": self.exit_code,
             "last_progress": self.last_progress,
             "uptime_seconds": round(
                 time.monotonic() - self.started_wall, 3),
+            # Why a worker that never booted died (e.g. argparse
+            # rejecting a worker flag) is only ever said here.
+            "stderr_tail": (list(self.channel.stderr_tail)
+                            if self.state == "exited" else []),
         }
 
 
 class FleetManager:
-    """Schedules a job queue across a pool of worker subprocesses."""
+    """Schedules a job queue across a pool of warm worker processes."""
 
     def __init__(self, queue: JobQueue, num_workers: int = 2,
-                 warm: bool = True,
-                 python: Optional[str] = None,
                  worker_args: Optional[List[str]] = None,
-                 poll_interval: float = 0.05,
                  snapshot_dir: Optional[str] = None,
                  max_worker_restarts: Optional[int] = None,
                  journal=None):
@@ -139,10 +126,7 @@ class FleetManager:
             raise ValueError("need at least one worker slot")
         self.queue = queue
         self.num_workers = num_workers
-        self.warm = warm
-        self.python = python or sys.executable
         self.worker_args = list(worker_args or [])
-        self.poll_interval = poll_interval
         self.snapshot_dir = snapshot_dir
         #: Optional :class:`~repro.fleet.journal.CampaignJournal`.  The
         #: queue's transitions are journaled by the journal's own queue
@@ -152,7 +136,7 @@ class FleetManager:
         self.journal = journal
         if journal is not None:
             journal.attach(queue)
-        #: Crashed warm workers replaced over the pool's lifetime.
+        #: Crashed workers replaced over the pool's lifetime.
         self.max_worker_restarts = (num_workers
                                     if max_worker_restarts is None
                                     else max_worker_restarts)
@@ -176,6 +160,8 @@ class FleetManager:
         self._events: "queue_module.Queue" = queue_module.Queue()
         self._spawned = 0
         self._restarts_used = 0
+        #: A worker exited and was not replaced (see wait_ready).
+        self._slot_lost = False
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
@@ -186,28 +172,29 @@ class FleetManager:
         if self._thread is not None and self._thread.is_alive():
             return
         self._stop.clear()
-        if self.warm:
-            for _ in range(self.num_workers):
-                self._spawn_warm()
+        self._slot_lost = False
+        for _ in range(self.num_workers):
+            self._spawn()
         self._thread = threading.Thread(target=self._loop, daemon=True,
                                         name="rtm-fleet-scheduler")
         self._thread.start()
 
     def wait_ready(self, timeout: Optional[float] = None) -> bool:
-        """Block until every warm worker has booted (announced its
-        first ``ready``); True if they all did in time.  Useful to
-        separate pool warm-up from campaign dispatch — e.g. when
-        timing a campaign against a pre-warmed pool."""
-        if not self.warm:
-            return True  # cold workers exist only while running a job
+        """Block until every worker has booted (announced its first
+        ``ready``); True if they all did in time.  Useful to separate
+        pool warm-up from campaign dispatch — e.g. when timing a
+        campaign against a pre-warmed pool.
+
+        Returns False as soon as a worker has exited without being
+        replaced: nothing refills that slot, so the pool can never
+        fill.  ``status()["workers"]`` says why it died."""
         deadline = (None if timeout is None
                     else time.monotonic() + timeout)
         while True:
-            with self._lock:
-                handles = list(self._active.values())
-            booted = [h for h in handles if h.url is not None]
-            if len(booted) >= self.num_workers:
+            if len(self.live_workers()) >= self.num_workers:
                 return True
+            if self._slot_lost:
+                return False
             if deadline is not None and time.monotonic() > deadline:
                 return False
             time.sleep(0.01)
@@ -221,15 +208,14 @@ class FleetManager:
         with self._lock:
             active = list(self._active.values())
         for handle in active:
-            self._send_shutdown(handle)
+            handle.channel.shutdown()
+            if handle.state == "running":
+                # SIGTERM aborts the simulation; the worker still
+                # flushes the job's result event before exiting.
+                handle.channel.process.terminate()
         deadline = time.monotonic() + _STOP_GRACE
         for handle in active:
-            remaining = max(0.0, deadline - time.monotonic())
-            try:
-                handle.process.wait(timeout=remaining)
-            except subprocess.TimeoutExpired:
-                handle.process.kill()
-                handle.process.wait()
+            handle.channel.reap(max(0.0, deadline - time.monotonic()))
         # Process whatever the workers flushed on the way out (a job
         # that completed during shutdown still counts), then fail any
         # job that never got a result.
@@ -247,18 +233,14 @@ class FleetManager:
     def _loop(self) -> None:
         while not self._stop.is_set():
             try:
-                item = self._events.get(timeout=self.poll_interval)
+                item = self._events.get(timeout=_IDLE_WAKEUP)
             except queue_module.Empty:
                 item = None
             if item is not None:
                 self._handle_item(item)
                 # Drain whatever else already arrived: scheduling
                 # decisions should see the freshest picture.
-                while True:
-                    try:
-                        self._handle_item(self._events.get_nowait())
-                    except queue_module.Empty:
-                        break
+                self._drain_events()
             self._dispatch()
             self._update_drained()
 
@@ -283,16 +265,18 @@ class FleetManager:
     # Event handling
     # ------------------------------------------------------------------
     def _handle_item(self, item) -> None:
-        kind, handle, payload = item
-        if kind == "event":
-            self._handle_event(handle, payload)
-        elif kind == "eof":
+        channel, _arrival, event = item
+        with self._lock:
+            handle = self._active.get(channel.name)
+        if handle is None:
+            return  # already finalized (stop() raced the reader)
+        if event is None:
             self._handle_eof(handle)
+        else:
+            self._handle_event(handle, event)
 
     def _handle_event(self, handle: WorkerHandle,
                       event: Dict[str, Any]) -> None:
-        if handle.state == "exited":
-            return
         handle.events.append(event)
         kind = event.get("event")
         if kind == "ready":
@@ -377,13 +361,12 @@ class FleetManager:
                 handle.post_mortem())
         if handle.job_id == job_id:
             handle.job_id = None
-            if handle.state != "exited":
-                handle.state = "idle" if handle.warm else handle.state
+            handle.state = "idle"
 
     def _handle_eof(self, handle: WorkerHandle) -> None:
         """A worker's stdout closed: the process is dead or dying."""
         self._finalize(handle)
-        if not self.warm or self._stop.is_set():
+        if self._stop.is_set():
             return
         # Recycle the slot if the pool still has work to do and the
         # restart budget allows.
@@ -391,8 +374,10 @@ class FleetManager:
         work_left = counts["queued"] > 0 or counts["running"] > 0
         if work_left and self._restarts_used < self.max_worker_restarts:
             self._restarts_used += 1
-            self._spawn_warm()
-        elif work_left and not self._active:
+            self._spawn()
+            return
+        self._slot_lost = True
+        if work_left and not self._active:
             # Budget spent, pool empty: fail what remains rather than
             # hang the campaign.
             self._fail_pending("worker pool exhausted "
@@ -416,15 +401,7 @@ class FleetManager:
                 return  # already finalized (stop() raced the reaper)
             del self._active[handle.worker_id]
             self._history.append(handle)
-        try:
-            handle.process.wait(timeout=_STOP_GRACE)
-        except subprocess.TimeoutExpired:  # pragma: no cover - defensive
-            handle.process.kill()
-            handle.process.wait()
-        for thread in handle._threads:
-            if thread is not threading.current_thread():
-                thread.join(timeout=2.0)
-        handle.exit_code = handle.process.returncode
+        handle.exit_code = handle.channel.reap(_STOP_GRACE)
         handle.state = "exited"
         if handle.job_id is not None:
             # Died without a result event for its assigned job.
@@ -445,12 +422,6 @@ class FleetManager:
     # Dispatch
     # ------------------------------------------------------------------
     def _dispatch(self) -> None:
-        if self.warm:
-            self._dispatch_warm()
-        else:
-            self._dispatch_cold()
-
-    def _dispatch_warm(self) -> None:
         with self._lock:
             idle = [h for h in self._active.values()
                     if h.state == "idle"]
@@ -469,14 +440,9 @@ class FleetManager:
             resume_from = self._resume_path(job)
             if resume_from is not None:
                 payload["resume_from"] = resume_from
-            command = encode_command(payload)
-            try:
-                handle.process.stdin.write(command)
-                handle.process.stdin.flush()
-            except (BrokenPipeError, OSError, ValueError):
-                # The worker died between ready and now; its eof event
-                # is in flight and will requeue this job.
-                pass
+            # A False send means the worker died between ready and
+            # now; its EOF item is in flight and will requeue this job.
+            handle.channel.send(payload)
 
     def _resume_path(self, job: Job) -> Optional[str]:
         """The checkpoint a dispatch of *job* should resume from, or
@@ -502,117 +468,20 @@ class FleetManager:
         for job_id, entry in replay.checkpoints.items():
             self._job_checkpoints.setdefault(job_id, dict(entry))
 
-    def _dispatch_cold(self) -> None:
-        while True:
-            with self._lock:
-                if len(self._active) >= self.num_workers:
-                    return
-            if self.queue.pending_count == 0:
-                return
-            worker_id = self._next_worker_id()
-            job = self.queue.claim(worker_id)
-            if job is None:
-                return
-            self._spawn_cold(job, worker_id)
-
     # ------------------------------------------------------------------
-    # Spawning and the control channel
+    # Spawning
     # ------------------------------------------------------------------
-    def _worker_env(self) -> Dict[str, str]:
-        """The child must be able to ``import repro`` even when the
-        parent runs from a source checkout that is not installed."""
-        env = dict(os.environ)
-        package_root = str(Path(__file__).resolve().parents[2])
-        existing = env.get("PYTHONPATH", "")
-        if package_root not in existing.split(os.pathsep):
-            env["PYTHONPATH"] = (package_root + os.pathsep + existing
-                                 if existing else package_root)
-        return env
-
-    def _next_worker_id(self) -> str:
-        with self._lock:
-            self._spawned += 1
-            return f"w{self._spawned}"
-
-    def _spawn_warm(self) -> None:
-        worker_id = self._next_worker_id()
-        argv = [self.python, "-m", "repro.fleet.worker", "--serve",
-                "--worker-id", worker_id]
+    def _spawn(self) -> None:
+        self._spawned += 1
+        worker_id = f"w{self._spawned}"
+        args = ["--serve", "--worker-id", worker_id]
         if self.snapshot_dir is not None:
-            argv += ["--snapshot-dir", self.snapshot_dir]
-        argv += self.worker_args
-        self._launch(argv, worker_id, warm=True)
-
-    def _spawn_cold(self, job: Job, worker_id: str) -> None:
-        argv = [self.python, "-m", "repro.fleet.worker",
-                "--spec", json.dumps(job.spec.to_dict()),
-                "--attempt", str(job.attempt)]
-        resume_from = self._resume_path(job)
-        if resume_from is not None:
-            argv += ["--resume-from", resume_from]
-        if self.snapshot_dir is not None:
-            argv += ["--snapshot-dir", self.snapshot_dir]
-        argv += self.worker_args
-        handle = self._launch(argv, worker_id, warm=False)
-        handle.job_id = job.spec.job_id
-        handle.attempt = job.attempt
-        handle.state = "running"
-
-    def _launch(self, argv: List[str], worker_id: str,
-                warm: bool) -> WorkerHandle:
-        process = subprocess.Popen(
-            argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE, env=self._worker_env())
-        handle = WorkerHandle(worker_id=worker_id, process=process,
-                              started_wall=time.monotonic(), warm=warm)
-        for target in (self._read_control, self._read_stderr):
-            thread = threading.Thread(target=target, args=(handle,),
-                                      daemon=True,
-                                      name=f"rtm-fleet-{worker_id}-io")
-            handle._threads.append(thread)
-            thread.start()
+            args += ["--snapshot-dir", self.snapshot_dir]
+        channel = WorkerChannel("repro.fleet.worker",
+                                args + self.worker_args,
+                                self._events, worker_id)
         with self._lock:
-            self._active[worker_id] = handle
-        return handle
-
-    def _read_control(self, handle: WorkerHandle) -> None:
-        """Pump raw stdout chunks through the damage-tolerant frame
-        decoder into the scheduler's event queue."""
-        stream = handle.process.stdout
-        decoder = handle.decoder
-        while True:
-            chunk = stream.read1(65536)
-            if not chunk:
-                break
-            for event in decoder.feed(chunk):
-                self._events.put(("event", handle, event))
-        decoder.flush()
-        stream.close()
-        self._events.put(("eof", handle, None))
-
-    def _read_stderr(self, handle: WorkerHandle) -> None:
-        for raw in handle.process.stderr:
-            handle.stderr_tail.append(
-                raw.decode("utf-8", "replace").rstrip("\n"))
-        handle.process.stderr.close()
-
-    def _send_shutdown(self, handle: WorkerHandle) -> None:
-        """Ask a worker to exit: shutdown command + closed stdin for an
-        idle worker, SIGTERM to abort a running simulation."""
-        if handle.process.poll() is not None:
-            return
-        try:
-            handle.process.stdin.write(
-                encode_command({"cmd": "shutdown"}))
-            handle.process.stdin.flush()
-            handle.process.stdin.close()
-        except (BrokenPipeError, OSError, ValueError):
-            pass
-        if handle.state == "running" or not handle.warm:
-            try:
-                handle.process.send_signal(signal.SIGTERM)
-            except (ProcessLookupError, OSError):
-                pass
+            self._active[worker_id] = WorkerHandle(worker_id, channel)
 
     # ------------------------------------------------------------------
     # Views (consumed by the gateway and the CLI)
@@ -656,7 +525,6 @@ class FleetManager:
                        + [h.to_dict() for h in self._history])
         return {
             "num_workers": self.num_workers,
-            "warm": self.warm,
             "drained": self.drained.is_set(),
             "worker_restarts": self._restarts_used,
             "worker_restart_budget": self.max_worker_restarts,

@@ -5,7 +5,6 @@ worker on stdin as bare JSON lines (the manager is the only writer, so
 no prefix is needed)::
 
     {"cmd": "run", "spec": {...}, "attempt": 0}
-    {"cmd": "reset"}
     {"cmd": "shutdown"}
 
 **Events** travel worker → manager on stdout, each line prefixed
@@ -21,9 +20,10 @@ Framing is the weak point of any stdout protocol: a worker dying
 mid-write leaves a torn line, a stray ``print`` from deep inside a
 simulation can land *without* a trailing newline and glue itself onto
 the next control line, and the OS delivers pipe traffic in arbitrary
-chunk boundaries.  :class:`FrameDecoder` is the defensive reader the
-manager uses: feed it raw byte chunks as they arrive and it yields only
-complete, parseable control events, tolerating
+chunk boundaries.  :class:`FrameDecoder` is the defensive reader every
+:class:`~repro.fleet.channel.WorkerChannel` uses: feed it raw byte
+chunks as they arrive and it yields only complete, parseable control
+events, tolerating
 
 * chunks that split a line (even mid-UTF-8-sequence),
 * interleaved non-``@fleet`` stdout (ignored),

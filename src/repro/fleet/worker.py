@@ -1,36 +1,28 @@
 """The fleet worker: a persistent process running monitored simulations.
 
-Spawned by the :class:`~repro.fleet.manager.FleetManager` in one of two
-modes:
+Spawned by the :class:`~repro.fleet.manager.FleetManager` as::
 
-* **warm** (the default fleet mode)::
+    python -m repro.fleet.worker --serve --worker-id w1
 
-      python -m repro.fleet.worker --serve --worker-id w1
-
-  The process boots its platform machinery once — interpreter, imports,
-  the RTM HTTP server — then reads line-framed JSON commands from stdin
-  (``run`` / ``reset`` / ``shutdown``, see :mod:`repro.fleet.protocol`)
-  and executes a *stream* of jobs, resetting simulation state between
-  jobs instead of re-exec'ing.  The reset rebuilds the (cheap, ~1 ms)
-  platform object graph from scratch for every job — the only reset
-  that provably cannot bleed engine time, cache contents, metric
-  counters or trace records from one job into the next — while the
-  expensive process-level state (interpreter, imported modules, the
-  HTTP server and its port) stays warm.  One worker's RTM server thus
-  spans many jobs: the URL announced in ``ready`` is stable for the
-  process lifetime and is rebound to each job's fresh monitor.
-
-* **one-shot** (the legacy cold mode, kept for per-attempt isolation
-  and as the throughput benchmark's baseline)::
-
-      python -m repro.fleet.worker --spec '<JobSpec JSON>' --attempt 0
+The process boots its platform machinery once — interpreter, imports,
+the RTM HTTP server — then reads line-framed JSON commands from stdin
+(``run`` / ``shutdown``, see :mod:`repro.fleet.protocol`) and executes
+a *stream* of jobs, rebuilding simulation state between jobs instead
+of re-exec'ing.  The (cheap, ~1 ms) platform object graph is built from
+scratch for every job — the only reset that provably cannot bleed
+engine time, cache contents, metric counters or trace records from one
+job into the next — while the expensive process-level state
+(interpreter, imported modules, the HTTP server and its port) stays
+warm.  One worker's RTM server thus spans many jobs: the URL announced
+in ``ready`` is stable for the process lifetime and is rebound to each
+job's fresh monitor.
 
 **Event channel.**  The worker talks to its manager over stdout with
 ``@fleet``-prefixed JSON lines (:func:`repro.fleet.protocol.emit`):
 
 * ``ready`` — ``{worker_id, pid, url, port, jobs_done}``: the worker
   is idle and will accept a ``run`` command (sent at boot and again
-  after every job).  In one-shot mode it doubles as registration.
+  after every job).
 * ``started`` — ``{job_id, attempt}``: a run command was picked up.
 * ``progress`` — ``{job_id, attempt, sim_time, events, run_state}``:
   periodic heartbeat while a job runs (drives fleet status views and
@@ -47,9 +39,9 @@ modes:
 * ``done`` / ``failed`` — the result: ``{job_id, attempt, ok,
   run_state, sim_time, events, watchdog, fault_stats, trace}``.
 
-Exit status (one-shot): 0 completed, 1 hang/abort/crash, 2 rejected
-spec.  Warm workers exit 0 on ``shutdown`` or stdin EOF (an orphaned
-worker whose manager died must not linger).
+The worker exits 0 on ``shutdown`` or stdin EOF (an orphaned worker
+whose manager died must not linger); a failed job is an event, never an
+exit status.
 
 SIGTERM/SIGINT abort the running simulation so the result event is
 flushed before exit — ``FleetManager.stop()`` never leaves half-written
@@ -59,7 +51,6 @@ control traffic behind.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import signal
 import sys
@@ -73,12 +64,11 @@ from ..metrics import expose
 from .protocol import CONTROL_PREFIX, decode_command, emit
 from .queue import JobSpec
 
-__all__ = ["run_worker", "serve", "main", "CONTROL_PREFIX",
-           "WorkerSettings"]
+__all__ = ["serve", "main", "CONTROL_PREFIX", "WorkerSettings"]
 
 
 class WorkerSettings:
-    """Supervision tuning shared by both worker modes.
+    """Supervision tuning for every job this worker runs.
 
     The defaults tune for fleet duty: a worker that stalls is a wasted
     slot, so hangs are confirmed fast (0.75 s without progress) and
@@ -403,13 +393,12 @@ class _AbortCurrent:
 
 def serve(worker_id: str, settings: WorkerSettings,
           port: int = 0) -> int:
-    """Warm mode: boot once, run jobs from stdin until shutdown/EOF."""
+    """Boot once, run jobs from stdin until shutdown/EOF."""
     # Boot the process-lifetime server against an idle placeholder
     # monitor; each job rebinds it.  Booting the server *before*
     # announcing ready is what lets the gateway proxy this worker the
     # moment its first job is assigned.
-    idle_monitor = Monitor()
-    server = RTMServer(idle_monitor, port=port)
+    server = RTMServer(Monitor(), port=port)
     server.start()
     abort = _AbortCurrent()
     abort.install()
@@ -429,13 +418,6 @@ def serve(worker_id: str, settings: WorkerSettings,
             cmd = command.get("cmd")
             if cmd == "shutdown" or abort.requested:
                 break
-            if cmd == "reset":
-                # Drop the last job's monitor early (normally the next
-                # run replaces it; reset lets a manager reclaim memory
-                # on a long-idle worker).
-                server.rebind(idle_monitor)
-                ready()
-                continue
             if cmd != "run":
                 emit({"event": "failed", "job_id": None,
                       "attempt": command.get("attempt", 0), "ok": False,
@@ -472,40 +454,15 @@ def serve(worker_id: str, settings: WorkerSettings,
     return 0
 
 
-def run_worker(spec: JobSpec, attempt: int = 0, port: int = 0,
-               settings: Optional[WorkerSettings] = None,
-               resume_from: Optional[str] = None) -> int:
-    """One-shot mode: run a single job to completion in this process;
-    returns the exit code.  (The cold fleet's unit of dispatch, and the
-    warm-vs-cold benchmark's baseline.)"""
-    settings = settings or WorkerSettings()
-    placeholder = Monitor()
-    server = RTMServer(placeholder, port=port)
-    server.start()
-    abort = _AbortCurrent()
-    abort.install()
-    emit({"event": "ready", "worker_id": None, "pid": os.getpid(),
-          "url": server.url, "port": server.port, "jobs_done": 0})
-    try:
-        ok = _execute_job(spec, attempt, server, settings, abort=abort,
-                          resume_from=resume_from)
-    finally:
-        server.stop()
-    return 0 if ok else 1
-
-
-def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.fleet.worker",
         description="fleet-managed monitored simulation worker")
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--spec",
-                      help="one-shot mode: JobSpec as a JSON object")
-    mode.add_argument("--serve", action="store_true",
-                      help="warm mode: accept a stream of jobs on stdin")
+    parser.add_argument("--serve", action="store_true",
+                        help="accept a stream of jobs on stdin (the "
+                             "only mode; the flag names it in `ps`)")
     parser.add_argument("--worker-id", default="w?",
-                        help="identity echoed in ready events (warm)")
-    parser.add_argument("--attempt", type=int, default=0)
+                        help="identity echoed in ready events")
     parser.add_argument("--port", type=int, default=0,
                         help="RTM server port (default: ephemeral)")
     parser.add_argument("--stall-threshold", type=float, default=0.75)
@@ -520,33 +477,18 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
                         help="checkpoint every N simulation events")
     parser.add_argument("--checkpoint-interval", type=float, default=0.0,
                         help="checkpoint every T wall seconds")
-    parser.add_argument("--resume-from", default=None,
-                        help="one-shot mode: restore this checkpoint "
-                             "instead of starting at t=0")
     parser.add_argument("--profile", action="store_true",
                         help="run every job under the continuous "
                              "profiler; ship profile summaries upstream")
     parser.add_argument("--profile-interval", type=float, default=0.02,
                         help="continuous-profiler sampling interval")
-    return parser.parse_args(argv)
+    return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _parse_args(argv)
-    settings = WorkerSettings.from_args(args)
-    if args.serve:
-        return serve(args.worker_id, settings, port=args.port)
-    try:
-        spec = JobSpec.from_dict(json.loads(args.spec))
-        spec.validate()
-    except (ValueError, TypeError, json.JSONDecodeError) as exc:
-        emit({"event": "failed", "job_id": None, "attempt": args.attempt,
-              "ok": False, "run_state": "rejected",
-              "error": f"bad spec: {exc}", "watchdog": None,
-              "fault_stats": {}, "trace": None})
-        return 2
-    return run_worker(spec, attempt=args.attempt, port=args.port,
-                      settings=settings, resume_from=args.resume_from)
+    args = _build_parser().parse_args(argv)
+    return serve(args.worker_id, WorkerSettings.from_args(args),
+                 port=args.port)
 
 
 if __name__ == "__main__":  # pragma: no cover - subprocess entry

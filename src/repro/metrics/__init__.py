@@ -20,7 +20,13 @@ from .exposition import (
     format_labels,
     parse_exposition,
 )
-from .federation import federate, inject_label, inject_labels
+from .federation import (
+    federate,
+    federate_sources,
+    inject_label,
+    inject_labels,
+    scrape,
+)
 from .instrument import OCCUPANCY_BUCKETS, PASS_BUCKETS, SimMetrics
 from .registry import (
     Counter,
@@ -47,10 +53,12 @@ __all__ = [
     "expose",
     "family_total",
     "federate",
+    "federate_sources",
     "format_labels",
     "parse_exposition",
     "inject_label",
     "inject_labels",
     "rate",
+    "scrape",
     "snapshot_delta",
 ]

@@ -1,14 +1,14 @@
 """Federating Prometheus expositions from many workers into one scrape.
 
-The fleet gateway scrapes every worker's ``/metrics`` and has to merge N
-expositions that all use the *same* family names (every worker runs the
-same instrumentation).  Two things make the merge non-trivial:
+The fleet gateway and the shard coordinator each merge N expositions
+that all use the *same* family names (every worker runs the same
+instrumentation).  Two things make the merge non-trivial:
 
 * every sample needs identity labels so the series stay distinguishable
-  downstream — ``worker="wN"`` alone under the cold fleet, and
-  ``worker="wN",job="fir-c1"`` under the warm fleet, where one
-  long-lived worker produces expositions for *many* jobs
-  (:func:`inject_label` / :func:`inject_labels`);
+  downstream — ``worker="wN",job="fir-c1"`` for the fleet, where one
+  long-lived worker produces expositions for *many* jobs, and
+  ``shard="k"`` for a sharded run (:func:`inject_label` /
+  :func:`inject_labels`);
 * ``# HELP``/``# TYPE`` headers must appear exactly once per family and
   all samples of a family must stay contiguous, as the text format
   requires (:func:`federate` re-groups lines by family).
@@ -16,14 +16,23 @@ same instrumentation).  Two things make the merge non-trivial:
 Only the exposition *text* is touched — the gateway never needs to parse
 values, so a worker publishing a family the gateway has never heard of
 federates just fine.
+
+:func:`federate_sources` is the front-door loop both callers share:
+cached final exposition, else a live :func:`scrape`, else a comment.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
+from urllib.request import Request, urlopen
 
-__all__ = ["inject_label", "inject_labels", "federate"]
+__all__ = ["SCRAPE_TIMEOUT", "inject_label", "inject_labels",
+           "federate", "federate_sources", "scrape"]
+
+#: Per-worker scrape/proxy timeout: a wedged worker must not hold the
+#: whole federated scrape hostage.
+SCRAPE_TIMEOUT = 5.0
 
 #: ``metric_name{labels} value [timestamp]`` — group 1 the name, group 2
 #: the (optional) brace block, group 3 the rest of the line.
@@ -89,20 +98,16 @@ def _family_of(sample_name: str, known: Iterable[str]) -> str:
     return sample_name
 
 
-def federate(expositions: Iterable[
-                 Tuple[Union[str, Dict[str, str]], str]],
-             label: str = "worker",
+def federate(expositions: Iterable[Tuple[Dict[str, str], str]],
              preamble: str = "") -> str:
-    """Merge ``(identity, exposition_text)`` pairs into one document.
+    """Merge ``(labels, exposition_text)`` pairs into one document.
 
-    *identity* is either a bare worker id (injected as
-    ``label="<worker_id>"``, the cold-fleet shape) or a dict of label
-    pairs (e.g. ``{"worker": "w1", "job": "fir-c1"}``, the warm-fleet
-    shape where one worker serves many jobs).  Families are re-grouped
-    so all samples of a name are contiguous, and HELP/TYPE headers are
-    emitted once per family (first exposition's wording wins).
-    *preamble* is prepended verbatim (the gateway's own, un-labelled,
-    fleet-level families).
+    *labels* is the dict of identity pairs injected into every sample
+    of that exposition (e.g. ``{"worker": "w1", "job": "fir-c1"}``).
+    Families are re-grouped so all samples of a name are contiguous,
+    and HELP/TYPE headers are emitted once per family (first
+    exposition's wording wins).  *preamble* is prepended verbatim (the
+    gateway's own, un-labelled, fleet-level families).
     """
     help_lines: Dict[str, str] = {}
     type_lines: Dict[str, str] = {}
@@ -115,9 +120,7 @@ def federate(expositions: Iterable[
             order.append(family)
         return samples[family]
 
-    for identity, text in expositions:
-        labels = (identity if isinstance(identity, dict)
-                  else {label: identity})
+    for labels, text in expositions:
         labelled = inject_labels(text, labels)
         for line in labelled.splitlines():
             if not line.strip():
@@ -150,3 +153,40 @@ def federate(expositions: Iterable[
             lines.append(type_lines[family])
         lines.extend(rows)
     return "\n".join(lines) + "\n" if lines else ""
+
+
+def scrape(url: str, path: str) -> str:
+    """GET ``url + path`` from a worker's own server, as text.  Raises
+    :class:`OSError` (``URLError``, timeouts, resets) on failure."""
+    with urlopen(Request(url + path, method="GET"),
+                 timeout=SCRAPE_TIMEOUT) as response:
+        return response.read().decode("utf-8", "replace")
+
+
+def federate_sources(sources: Iterable[Tuple[
+                         str, Dict[str, str], Optional[str],
+                         Optional[str]]],
+                     preamble: str = "") -> str:
+    """One exposition from ``(name, labels, final_text, url)`` sources.
+
+    A source's *final_text* (the complete run, cached when it ended)
+    wins over a live scrape of *url* (a moment of it), so every source
+    contributes exactly one set of series no matter when the scrape
+    lands.  A source with neither, or whose scrape fails, becomes a
+    trailing ``# <name> unreachable: <reason>`` comment, never an
+    error — monitoring must not take down the run it watches.
+    """
+    expositions: List[Tuple[Dict[str, str], str]] = []
+    unreachable: List[str] = []
+    for name, labels, text, url in sources:
+        reason = "no URL to scrape"
+        if text is None and url:
+            try:
+                text = scrape(url, "/metrics")
+            except OSError as exc:
+                reason = str(exc)
+        if text is None:
+            unreachable.append(f"# {name} unreachable: {reason}\n")
+        else:
+            expositions.append((labels, text))
+    return federate(expositions, preamble=preamble) + "".join(unreachable)

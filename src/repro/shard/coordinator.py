@@ -1,8 +1,10 @@
 """Conservative time-window coordinator for sharded simulation.
 
 The :class:`ShardCoordinator` spawns one worker process per shard
-(``python -m repro.shard.worker``), speaks the fleet control framing
-with each over its pipes, and drives the barrier loop of conservative
+(``python -m repro.shard.worker``) on the same supervised
+:class:`~repro.fleet.channel.WorkerChannel` the fleet manager uses —
+each shard's channel feeds its own queue, which the coordinator blocks
+on at the barrier — and drives the barrier loop of conservative
 parallel discrete-event simulation:
 
 1. Every shard reports its next pending event time at the barrier.
@@ -28,30 +30,30 @@ its gateway federates every shard's AkitaRTM server into one dashboard
 together with the coordinator's own barrier metrics, ``/api/progress``
 sums per-kernel progress (each workgroup runs on exactly one shard),
 ``/api/buffers`` concatenates buffer rows.
+
+A shard that dies, goes silent or closes its pipe raises
+:class:`ShardWorkerError` naming the shard, its exit code (read after
+the reap), the torn frames its decoder saw and the last lines of its
+stderr.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import queue
-import subprocess
-import sys
-import threading
 import time
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
-from urllib.request import Request, urlopen
 
 from ..core.server import (
     BadRequest,
     HTTPServerThread,
     JSONRequestHandler,
 )
-from ..fleet.protocol import FrameDecoder, encode_command, split_batches
+from ..fleet.channel import WorkerChannel
+from ..fleet.protocol import split_batches
 from ..gpu.platform import GPUPlatformConfig
 from ..metrics import CONTENT_TYPE as _PROM_CONTENT_TYPE
-from ..metrics import MetricRegistry, expose, federate
+from ..metrics import MetricRegistry, expose, federate_sources, scrape
 from ..workloads import Workload
 from .partition import chiplet_owners, owner_of_name
 from .runtime import workload_spec
@@ -63,8 +65,8 @@ __all__ = ["ShardCoordinator", "ShardGateway", "ShardResult",
 #: milliseconds; even a solo fast-forward grant stays far inside this.
 _DEFAULT_TIMEOUT = 120.0
 
-#: Timeout for scraping a shard's live dashboard endpoints.
-_PROXY_TIMEOUT = 5.0
+#: Wall seconds a shard worker gets to exit before SIGKILL.
+_REAP_GRACE = 2.0
 
 #: Solo-mode grant length in cycles: long enough to amortize the
 #: barrier away during single-shard phases (kernel setup, memcopies,
@@ -107,89 +109,6 @@ class ShardResult:
     progress: List[Dict[str, Any]]
 
 
-class _ShardProc:
-    """One worker process: pipes, framing, and a reader thread.
-
-    The reader timestamps every decoded event at arrival, so barrier
-    skew can be attributed to the shard that *finished* last, not the
-    one the coordinator happened to drain last.
-    """
-
-    def __init__(self, shard: int):
-        self.shard = shard
-        src_root = str(Path(__file__).resolve().parents[2])
-        env = os.environ.copy()
-        env["PYTHONPATH"] = src_root + os.pathsep + env.get(
-            "PYTHONPATH", "")
-        self.proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.shard.worker"],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
-        self.decoder = FrameDecoder()
-        self._events: "queue.Queue[Optional[Tuple[float, dict]]]" = \
-            queue.Queue()
-        self._reader = threading.Thread(
-            target=self._read, daemon=True,
-            name=f"shard-reader-{shard}")
-        self._reader.start()
-
-    def _read(self) -> None:
-        stream = self.proc.stdout
-        while True:
-            chunk = stream.read1(65536)
-            if not chunk:
-                break
-            for event in self.decoder.feed(chunk):
-                self._events.put((time.monotonic(), event))
-        self.decoder.flush()
-        self._events.put(None)
-
-    def send(self, payload: Dict[str, Any]) -> None:
-        try:
-            self.proc.stdin.write(encode_command(payload))
-            self.proc.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
-            raise ShardWorkerError(
-                f"shard {self.shard}: worker pipe closed "
-                f"({exc})") from None
-
-    def recv(self, timeout: float) -> Tuple[float, Dict[str, Any]]:
-        """Next event with its arrival wall-clock timestamp."""
-        try:
-            item = self._events.get(timeout=timeout)
-        except queue.Empty:
-            raise ShardWorkerError(
-                f"shard {self.shard}: no response within "
-                f"{timeout:.0f}s") from None
-        if item is None:
-            raise ShardWorkerError(
-                f"shard {self.shard}: worker exited unexpectedly "
-                f"(rc={self.proc.poll()})")
-        wall, event = item
-        if event.get("event") == "shard-error":
-            raise ShardWorkerError(
-                f"shard {self.shard}: {event.get('op')} failed: "
-                f"{event.get('error')}")
-        return wall, event
-
-    def close(self) -> None:
-        if self.proc.poll() is None:
-            try:
-                self.send({"cmd": "shutdown"})
-            except ShardWorkerError:
-                pass
-            try:
-                self.proc.wait(timeout=2.0)
-            except subprocess.TimeoutExpired:
-                self.proc.kill()
-                self.proc.wait()
-        for stream in (self.proc.stdin, self.proc.stdout):
-            if stream is not None:
-                try:
-                    stream.close()
-                except OSError:
-                    pass
-
-
 class ShardCoordinator:
     """Drives N shard workers through conservative sync windows."""
 
@@ -197,8 +116,7 @@ class ShardCoordinator:
                  num_shards: int, *, monitor: bool = False,
                  metrics: bool = False, port: int = 0,
                  host: str = "127.0.0.1",
-                 timeout: float = _DEFAULT_TIMEOUT,
-                 solo_cycles: int = _SOLO_GRANT_CYCLES):
+                 timeout: float = _DEFAULT_TIMEOUT):
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
         self.config = config
@@ -208,7 +126,7 @@ class ShardCoordinator:
         self.monitor = monitor
         self.metrics = metrics
         self.timeout = timeout
-        self._solo_seconds = solo_cycles / config.freq
+        self._solo_seconds = _SOLO_GRANT_CYCLES / config.freq
         self._window_seconds = config.shard_window_cycles / config.freq
         self.registry = MetricRegistry()
         self._m_window = self.registry.histogram(
@@ -224,7 +142,9 @@ class ShardCoordinator:
             "Wall-clock time each shard spent finished at the barrier "
             "waiting for the slowest shard (smallest total = laggard)",
             ("shard",))
-        self._procs: List[_ShardProc] = []
+        self._channels: List[WorkerChannel] = []
+        #: One event queue per shard, fed by that shard's channel.
+        self._sinks: List["queue.Queue"] = []
         self.shard_urls: Dict[int, Optional[str]] = {}
         self._last_progress: Dict[int, List[Dict[str, Any]]] = {}
         self._next_times: Dict[int, Optional[float]] = {}
@@ -264,34 +184,80 @@ class ShardCoordinator:
         except Exception:
             self.close()
             raise
-        for proc in self._procs:
-            proc.close()
+        self._reap_workers()
         return result
 
     def close(self) -> None:
-        for proc in self._procs:
-            proc.close()
+        self._reap_workers()
         if self._gateway is not None:
             self._gateway.stop()
             self._gateway = None
 
+    def _reap_workers(self) -> None:
+        for channel in self._channels:
+            channel.shutdown()
+        for channel in self._channels:
+            channel.reap(_REAP_GRACE)
+
     def _spawn(self) -> None:
         spec = workload_spec(self.workload)
         config_dict = dataclasses.asdict(self.config)
-        self._procs = [_ShardProc(k) for k in range(self.num_shards)]
-        for k, proc in enumerate(self._procs):
-            proc.send({"cmd": "init", "shard": k,
-                       "num_shards": self.num_shards,
-                       "config": config_dict, "workload": spec,
-                       "monitor": self.monitor, "metrics": self.metrics,
-                       "port": 0})
-        for k, proc in enumerate(self._procs):
-            _, ready = proc.recv(self.timeout)
+        self._sinks = [queue.Queue() for _ in range(self.num_shards)]
+        self._channels = [
+            WorkerChannel("repro.shard.worker", [], sink, f"shard{k}")
+            for k, sink in enumerate(self._sinks)]
+        for k in range(self.num_shards):
+            self._send(k, {"cmd": "init", "shard": k,
+                           "num_shards": self.num_shards,
+                           "config": config_dict, "workload": spec,
+                           "monitor": self.monitor,
+                           "metrics": self.metrics, "port": 0})
+        for k in range(self.num_shards):
+            _, ready = self._recv(k)
             if ready.get("event") != "shard-ready":
                 raise ShardWorkerError(
                     f"shard {k}: expected shard-ready, got {ready!r}")
             self.shard_urls[k] = ready.get("url")
             self._next_times[k] = ready.get("next_time")
+
+    # ------------------------------------------------------------------
+    # Talking to one shard
+    # ------------------------------------------------------------------
+    def _send(self, k: int, payload: Dict[str, Any]) -> None:
+        if not self._channels[k].send(payload):
+            raise self._worker_error(k, "worker pipe closed",
+                                     exited=True)
+
+    def _recv(self, k: int) -> Tuple[float, Dict[str, Any]]:
+        """Shard *k*'s next event with its arrival timestamp."""
+        try:
+            _, arrival, event = self._sinks[k].get(timeout=self.timeout)
+        except queue.Empty:
+            raise self._worker_error(
+                k, f"no response within {self.timeout:.0f}s",
+                exited=False) from None
+        if event is None:
+            raise self._worker_error(k, "worker exited unexpectedly",
+                                     exited=True)
+        if event.get("event") == "shard-error":
+            raise ShardWorkerError(
+                f"shard {k}: {event.get('op')} failed: "
+                f"{event.get('error')}")
+        return arrival, event
+
+    def _worker_error(self, k: int, what: str,
+                      exited: bool) -> ShardWorkerError:
+        channel = self._channels[k]
+        # An exit code exists only after the reap: poll() at stdout
+        # EOF races the exit itself and can still say None.
+        rc = (channel.reap(_REAP_GRACE) if exited
+              else channel.process.poll())
+        message = (f"shard {k}: {what} (rc={rc}, "
+                   f"torn_frames={channel.decoder.errors})")
+        tail = list(channel.stderr_tail)[-5:]
+        if tail:
+            message += "; stderr: " + " | ".join(tail)
+        return ShardWorkerError(message)
 
     # ------------------------------------------------------------------
     # The barrier loop
@@ -316,7 +282,7 @@ class ShardCoordinator:
             run_set = [k for k, t in active.items() if t < horizon]
             round_start = time.monotonic()
             for k in run_set:
-                self._procs[k].send({
+                self._send(k, {
                     "cmd": "window", "horizon": horizon,
                     "chunk_seconds":
                         self._window_seconds if solo else None})
@@ -331,8 +297,7 @@ class ShardCoordinator:
                 self._m_barrier.labels(str(k)).inc(t_last - at)
             for owner, items in inboxes.items():
                 for batch in split_batches(items):
-                    self._procs[owner].send({"cmd": "inject",
-                                             "msgs": batch})
+                    self._send(owner, {"cmd": "inject", "msgs": batch})
                 earliest = min(i["deliver_at"] for i in items)
                 t = self._next_times[owner]
                 self._next_times[owner] = (
@@ -343,9 +308,8 @@ class ShardCoordinator:
                       inboxes: Dict[int, List[Dict[str, Any]]],
                       arrivals: Dict[int, float],
                       hub_done: bool) -> bool:
-        proc = self._procs[k]
         while True:
-            wall, event = proc.recv(self.timeout)
+            wall, event = self._recv(k)
             kind = event.get("event")
             if kind == "shard-outbox":
                 msgs = event["msgs"]
@@ -369,13 +333,13 @@ class ShardCoordinator:
     # ------------------------------------------------------------------
     def _collect(self, completed: bool,
                  start_wall: float) -> ShardResult:
-        for proc in self._procs:
-            proc.send({"cmd": "stop", "completed": completed})
+        for k in range(self.num_shards):
+            self._send(k, {"cmd": "stop", "completed": completed})
         sim_time = 0.0
         events = instructions = wgs = mem_reqs = injected = 0
-        for k, proc in enumerate(self._procs):
+        for k in range(self.num_shards):
             while True:
-                _, event = proc.recv(self.timeout)
+                _, event = self._recv(k)
                 if event.get("event") == "shard-stopped":
                     break
             sim_time = max(sim_time,
@@ -407,35 +371,14 @@ class ShardCoordinator:
 
         Final expositions (cached at ``stop``) win over a live scrape;
         a shard that is both unstopped and unreachable is recorded as
-        a comment, never an error — monitoring must not take down the
-        run it watches.
+        a comment, never an error (see
+        :func:`~repro.metrics.federation.federate_sources`).
         """
-        expositions: List[Tuple[Dict[str, str], str]] = []
-        unreachable: List[int] = []
-        for k in range(self.num_shards):
-            text = self._final_metrics.get(k)
-            if text is None:
-                text = self._scrape(k, "/metrics")
-            if text is None:
-                unreachable.append(k)
-                continue
-            expositions.append(({"shard": str(k)}, text))
-        body = federate(expositions, label="shard",
-                        preamble=expose(self.registry))
-        for k in unreachable:
-            body += f"# shard {k} unreachable\n"
-        return body
-
-    def _scrape(self, k: int, path: str) -> Optional[str]:
-        url = self.shard_urls.get(k)
-        if not url:
-            return None
-        try:
-            with urlopen(Request(url + path, method="GET"),
-                         timeout=_PROXY_TIMEOUT) as rsp:
-                return rsp.read().decode("utf-8", "replace")
-        except OSError:
-            return None
+        return federate_sources(
+            [(f"shard {k}", {"shard": str(k)},
+              self._final_metrics.get(k), self.shard_urls.get(k))
+             for k in range(self.num_shards)],
+            preamble=expose(self.registry))
 
     def merged_progress(self) -> List[Dict[str, Any]]:
         """Global per-kernel progress: each workgroup executes on
@@ -466,12 +409,12 @@ class ShardCoordinator:
             query = "?" + urlencode(params)
         rows: List[Dict[str, Any]] = []
         for k in range(self.num_shards):
-            text = self._scrape(k, "/api/buffers" + query)
-            if text is None:
+            url = self.shard_urls.get(k)
+            if not url:
                 continue
             try:
-                payload = _json.loads(text)
-            except ValueError:
+                payload = _json.loads(scrape(url, "/api/buffers" + query))
+            except (OSError, ValueError):
                 continue
             for row in payload.get("buffers", []):
                 row["shard"] = k

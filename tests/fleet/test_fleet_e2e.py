@@ -1,6 +1,6 @@
 """End-to-end fleet campaigns with real worker subprocesses.
 
-Three live campaigns back the PR's acceptance criteria:
+Two live campaigns back the PR's acceptance criteria:
 
 * ``fleet4``: a warm 4-worker pool drains a 6-job workload x
   chiplet-count sweep in which one job's first attempt is sabotaged
@@ -14,9 +14,6 @@ Three live campaigns back the PR's acceptance criteria:
   — the process-death path, as opposed to the run-failure path above.
   The manager must requeue the job with a post-mortem, spawn a
   replacement worker within the restart budget, and still drain.
-* ``test_cold_mode...``: the legacy one-subprocess-per-attempt
-  dispatch stays alive behind ``warm=False`` (it is the throughput
-  benchmark's baseline).
 """
 
 import json
@@ -215,15 +212,31 @@ def test_smoke2_two_workers_four_jobs_one_stall():
                 f',job="{job.spec.job_id}"') in metrics, job.spec.job_id
 
 
-def test_cold_mode_still_dispatches_one_process_per_attempt():
-    specs = [JobSpec(f"fir-cold{i}", "fir",
-                     params={"num_samples": 2048}) for i in range(3)]
-    queue, status, metrics = _run_campaign(specs, num_workers=2,
-                                           warm=False)
-    assert status["summary"]["completed"] == 3
-    assert status["warm"] is False
-    workers = status["workers"]
-    assert len(workers) == 3  # one process per attempt
-    assert all(w["state"] == "exited" for w in workers)
-    for job in queue.jobs():
-        assert f'job="{job.spec.job_id}"' in metrics
+
+
+def test_wait_ready_gives_up_when_the_pool_can_never_boot():
+    """Both workers die on argparse's exit 2 and the empty queue
+    respawns nothing: wait_ready must say so at once, not sleep out
+    its timeout, and status must carry the reason."""
+    manager = FleetManager(JobQueue(), num_workers=2,
+                           worker_args=["--bogus"])
+    manager.start()
+    try:
+        started = time.monotonic()
+        assert manager.wait_ready(timeout=30.0) is False
+        assert time.monotonic() - started < 2.0
+        # wait_ready returns at the *first* lost slot, which may be
+        # w2's: give w1's exit a moment to settle too.
+        deadline = time.monotonic() + 10.0
+        while True:
+            w1 = next(w for w in manager.status()["workers"]
+                      if w["worker_id"] == "w1")
+            if w1["state"] == "exited":
+                break
+            assert time.monotonic() < deadline, w1
+            time.sleep(0.01)
+    finally:
+        manager.stop()
+    assert w1["exit_code"] == 2
+    assert any("unrecognized arguments" in line
+               for line in w1["stderr_tail"])

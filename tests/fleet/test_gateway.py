@@ -50,7 +50,7 @@ class _StubManager:
                 for job_id, entry in self.final.items()}
 
     def status(self):
-        return {"num_workers": 2, "warm": True, "drained": False,
+        return {"num_workers": 2, "drained": False,
                 "worker_restarts": self.restarts,
                 "summary": dict(self.summary), "workers": [], "jobs": []}
 

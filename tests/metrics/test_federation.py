@@ -1,6 +1,8 @@
 """Label injection and multi-worker federation of text expositions."""
 
-from repro.metrics import MetricRegistry, expose, federate, inject_label
+from repro.core.server import HTTPServerThread, JSONRequestHandler
+from repro.metrics import (MetricRegistry, expose, federate,
+                           federate_sources, inject_label)
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +56,10 @@ def test_inject_real_exposition_round_trips():
 # federate
 # ---------------------------------------------------------------------------
 
+_W1 = {"worker": "w1"}
+_W2 = {"worker": "w2"}
+
+
 def _exposition(value):
     return ("# HELP rtm_events_total Simulation events.\n"
             "# TYPE rtm_events_total counter\n"
@@ -61,13 +67,13 @@ def _exposition(value):
 
 
 def test_federate_labels_every_worker():
-    out = federate([("w1", _exposition(10)), ("w2", _exposition(20))])
+    out = federate([(_W1, _exposition(10)), (_W2, _exposition(20))])
     assert 'rtm_events_total{worker="w1"} 10' in out
     assert 'rtm_events_total{worker="w2"} 20' in out
 
 
 def test_federate_emits_headers_once_and_groups_families():
-    out = federate([("w1", _exposition(1)), ("w2", _exposition(2))])
+    out = federate([(_W1, _exposition(1)), (_W2, _exposition(2))])
     lines = out.splitlines()
     assert lines.count("# HELP rtm_events_total Simulation events.") == 1
     assert lines.count("# TYPE rtm_events_total counter") == 1
@@ -80,7 +86,7 @@ def test_federate_emits_headers_once_and_groups_families():
 def test_federate_first_help_wording_wins():
     a = "# HELP m First wording.\n# TYPE m gauge\nm 1\n"
     b = "# HELP m Second wording.\n# TYPE m gauge\nm 2\n"
-    out = federate([("w1", a), ("w2", b)])
+    out = federate([(_W1, a), (_W2, b)])
     assert "First wording." in out
     assert "Second wording." not in out
 
@@ -92,7 +98,7 @@ def test_federate_groups_histogram_series_under_base_family():
             'lat_bucket{le="+Inf"} 2\n'
             "lat_sum 0.7\n"
             "lat_count 2\n")
-    out = federate([("w1", text), ("w2", text)])
+    out = federate([(_W1, text), (_W2, text)])
     lines = [l for l in out.splitlines() if not l.startswith("#")]
     # All 8 series stay under the single pair of headers, workers
     # interleaved by family, not split into separate family blocks.
@@ -104,7 +110,7 @@ def test_federate_prepends_preamble_unlabelled():
     preamble = ("# HELP rtm_fleet_workers_live Live workers.\n"
                 "# TYPE rtm_fleet_workers_live gauge\n"
                 "rtm_fleet_workers_live 2\n")
-    out = federate([("w1", _exposition(1))], preamble=preamble)
+    out = federate([(_W1, _exposition(1))], preamble=preamble)
     assert out.startswith("# HELP rtm_fleet_workers_live")
     assert "rtm_fleet_workers_live 2\n" in out  # no worker label
 
@@ -115,6 +121,44 @@ def test_federate_empty_input_is_empty():
 
 def test_federate_worker_unique_families_pass_through():
     extra = "# HELP only_w2 Special.\n# TYPE only_w2 gauge\nonly_w2 9\n"
-    out = federate([("w1", _exposition(1)),
-                    ("w2", _exposition(2) + extra)])
+    out = federate([(_W1, _exposition(1)),
+                    (_W2, _exposition(2) + extra)])
     assert 'only_w2{worker="w2"} 9' in out
+
+
+# ---------------------------------------------------------------------------
+# federate_sources
+# ---------------------------------------------------------------------------
+
+class _LiveHandler(JSONRequestHandler):
+    def do_GET(self):  # noqa: N802 (stdlib naming)
+        self._send_body(_exposition(7).encode(), "text/plain")
+
+
+def test_sources_final_text_wins_over_a_live_url():
+    live = HTTPServerThread(_LiveHandler)
+    live.start()
+    try:
+        out = federate_sources([
+            ("shard 0", {"shard": "0"}, _exposition(1), live.url),
+            ("shard 1", {"shard": "1"}, None, live.url)])
+    finally:
+        live.stop()
+    assert 'rtm_events_total{shard="0"} 1' in out   # cached final
+    assert 'rtm_events_total{shard="1"} 7' in out   # scraped live
+    assert "unreachable" not in out
+
+
+def test_sources_dead_url_is_one_comment_not_an_exception():
+    preamble = "# TYPE own gauge\nown 1\n"
+    out = federate_sources(
+        [("worker w1", _W1, None, "http://127.0.0.1:9"),
+         ("worker w2", _W2, _exposition(2), None),
+         ("shard 3", {"shard": "3"}, None, None)],
+        preamble=preamble)
+    lines = out.splitlines()
+    assert lines[:2] == preamble.splitlines()
+    assert 'rtm_events_total{worker="w2"} 2' in lines
+    assert [l for l in lines if "unreachable" in l] == lines[-2:]
+    assert lines[-2].startswith("# worker w1 unreachable: ")
+    assert lines[-1] == "# shard 3 unreachable: no URL to scrape"

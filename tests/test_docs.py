@@ -1,5 +1,6 @@
 """Documentation consistency checks."""
 
+import argparse
 import pathlib
 import re
 
@@ -35,6 +36,33 @@ def test_examples_advertised_in_readme_exist():
     readme = (ROOT / "README.md").read_text()
     for path in re.findall(r"python (examples/[\w_]+\.py)", readme):
         assert (ROOT / path).is_file()
+
+
+def _option_strings(parser):
+    """Every ``--flag`` of *parser* and of its whole subcommand tree."""
+    flags = set()
+    for action in parser._actions:
+        flags.update(o for o in action.option_strings
+                     if o.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            for child in action.choices.values():
+                flags |= _option_strings(child)
+    return flags
+
+
+def test_docs_name_only_flags_the_parsers_have():
+    """A flag deleted from the CLI must leave the docs with it."""
+    from repro.cli import _build_parser
+    from repro.fleet.worker import _build_parser as _worker_parser
+
+    known = (_option_strings(_build_parser())
+             | _option_strings(_worker_parser())
+             | {"--benchmark-only"})  # pytest-benchmark's, not ours
+    for name in ("README.md", "EXPERIMENTS.md"):
+        text = (ROOT / name).read_text()
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text))
+        assert named <= known, \
+            f"{name} names unknown flags: {sorted(named - known)}"
 
 
 def test_public_modules_have_docstrings():
