@@ -53,7 +53,7 @@ def _run_once(profiled):
     assert completed
     evidence = None
     if profiled:
-        profiler = monitor.continuous
+        profiler = monitor.profiler
         evidence = {"status": profiler.status(),
                     "threads": set(profiler.attribution()["threads"])}
     monitor.stop_server()

@@ -47,8 +47,7 @@ from .errors import EngineError, SchedulingError
 from .event import Event, VTimeInSec
 from .hooks import Hookable, HookCtx, HookPos
 from .queue import EventQueue
-from ..profile.threads import register_current_thread as \
-    _register_sim_thread
+from .threads import register_current_thread as _register_sim_thread
 
 
 _BEFORE_EVENT = HookPos.BEFORE_EVENT.index
@@ -211,10 +210,9 @@ class Engine(Hookable):
         if self._terminated:
             raise EngineError("cannot run a terminated engine")
         # Claim the *simulation* role for the calling thread: the sim
-        # thread is, by definition, whoever runs the engine, and the
-        # profilers need to know (a monitor pins its sampler to this
-        # registration so server/watchdog threads can never masquerade
-        # as simulation time).
+        # thread is, by definition, whoever runs the engine, and a
+        # profiler attached from above reads the claim so server and
+        # watchdog threads can never masquerade as simulation time.
         _register_sim_thread("simulation")
         self._state = RunState.RUNNING
         self.invoke_hooks(HookCtx(self, self._now, HookPos.ENGINE_START))

@@ -1,22 +1,20 @@
 """Process-wide registry of *threads of interest*.
 
-The sampling profilers need to know which thread is which: the paper's
-profiler panel (task T4) profiles the **simulation thread**, while the
-overhead-attribution plane also labels the server, sampler and watchdog
+A sampling profiler needs to know which thread is which: the paper's
+profiler panel (task T4) reports the **simulation thread**, while the
+overhead attribution also labels the server, sampler and watchdog
 threads so their cost shows up under their own name instead of being
 silently folded into the simulation profile.
 
-The simulation thread cannot be known at :class:`~repro.core.monitor.
-Monitor` construction time — it is simply *whichever thread ends up
-calling* :meth:`Engine.run`.  The engine therefore registers itself
-here on entry to ``run()`` (see ``akita/engine.py``), and the monitor
-pins its profiler to :func:`sim_thread_id` — a late-bound callable, so
-the pin resolves correctly even when the monitor is built first.
+The simulation thread cannot be known when a monitor is constructed —
+it is simply *whichever thread ends up calling* :meth:`Engine.run`.
+The engine therefore claims the role here on entry to ``run()``, and
+tools attached from above (:mod:`repro.profile`) read the claim on
+every sample.  The registry lives in ``akita`` so that the engine
+imports nothing above itself.
 
 Everything else is derived from thread names: the repo's own daemon
-threads follow a strict ``rtm-*`` naming discipline, which keeps this
-module dependency-free (it must be importable from ``akita`` without
-dragging in ``repro.core``).
+threads follow a strict ``rtm-*`` naming discipline.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ _NAME_RULES = (
     ("rtm-watchdog", "monitor"),
     ("rtm-checkpoint", "monitor"),
     ("rtm-historian", "monitor"),
-    ("rtm-profiler", "profiler"),
     ("rtm-cprofiler", "profiler"),
     ("MainThread", "main"),
 )
@@ -68,8 +65,7 @@ def unregister_thread(ident: Optional[int] = None) -> None:
 
 def sim_thread_id() -> Optional[int]:
     """Ident of the thread currently holding the ``simulation`` role,
-    or None when no engine has run yet (profilers fall back to
-    sampling every thread, the pre-registration behavior)."""
+    or None when no engine has run yet."""
     with _lock:
         for tid, role in _roles.items():
             if role == "simulation":

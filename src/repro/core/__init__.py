@@ -39,7 +39,6 @@ from .inspector import (
     watchable_paths,
 )
 from .monitor import Monitor
-from .profiler import FunctionStats, ProfileReport, SamplingProfiler
 from .progress import ProgressBar
 from .resources import ResourceMonitor, ResourceSample
 from .server import BadRequest, HTTPServerThread, JSONRequestHandler, RTMServer
@@ -52,7 +51,6 @@ __all__ = [
     "BadRequest",
     "BufferAnalyzer",
     "BufferRow",
-    "FunctionStats",
     "HangDetector",
     "HangStatus",
     "HISTORY",
@@ -61,7 +59,6 @@ __all__ = [
     "MAX_WATCHES",
     "METRIC",
     "Monitor",
-    "ProfileReport",
     "ProgressBar",
     "RecordedSeries",
     "SeriesRecorder",
@@ -71,7 +68,6 @@ __all__ = [
     "RTMClientError",
     "RTMConnectionError",
     "RTMServer",
-    "SamplingProfiler",
     "ValueMonitor",
     "ValueWatch",
     "Watchdog",

@@ -40,12 +40,10 @@ from ..akita.component import Component, TickingComponent
 from ..akita.engine import Engine
 from ..akita.simulation import Simulation
 from ..metrics import MetricRegistry, SimMetrics
-from ..profile.threads import sim_thread_id
 from .alerts import AlertManager, AlertRule
 from .bottleneck import BufferAnalyzer
 from .hangdetect import HangDetector, HangStatus
 from .inspector import serialize_component, watchable_paths
-from .profiler import SamplingProfiler
 from .progress import ProgressBar
 from .resources import ResourceMonitor
 from .timeseries import ValueMonitor, ValueWatch
@@ -68,12 +66,7 @@ class Monitor:
         self.metrics = MetricRegistry()
         self.values = ValueMonitor(registry=self.metrics)
         self.alerts = AlertManager(registry=self.metrics)
-        # Pinned to the simulation thread: the target is late-bound
-        # (the sim thread is whichever thread calls Engine.run, which
-        # registers itself), so server/SSE/watchdog threads are never
-        # attributed into the simulation profile.
-        self.profiler = SamplingProfiler(target_thread_id=sim_thread_id)
-        self.continuous = None  # set by attach/ensure_continuous_profiler
+        self.profiler = None  # set by start_continuous_profiling
         self._abort_on_hang = False
         self.resources: Optional[ResourceMonitor] = None
         self.hang: Optional[HangDetector] = None
@@ -204,33 +197,22 @@ class Monitor:
         return self.sim_metrics
 
     # ------------------------------------------------------------------
-    # Continuous profiling (the overhead-attribution plane)
+    # Profiling (task T4 and the overhead-attribution plane)
     # ------------------------------------------------------------------
-    def attach_continuous_profiler(self, profiler) -> None:
-        """Expose *profiler* over ``/api/profile/*``; its cumulative
-        layer attribution is published into the monitor's registry as
-        ``rtm_profile_layer_seconds_total``.  Replaces (and stops) any
-        previous one."""
-        if self.continuous is not None and self.continuous is not profiler:
-            self.continuous.stop()
-        self.continuous = profiler
-        profiler.bind_registry(self.metrics)
-
-    def ensure_continuous_profiler(self, **config):
-        """Return the continuous profiler, creating (but not starting)
-        it on first use.  Imported lazily so simulations that never
-        profile never load the profile package's machinery."""
-        if self.continuous is None:
-            from ..profile import ContinuousProfiler
-            self.attach_continuous_profiler(ContinuousProfiler(**config))
-        return self.continuous
-
     def start_continuous_profiling(self, **config):
-        """Create (if needed) and start the always-on rolling
-        profiler; returns it."""
-        profiler = self.ensure_continuous_profiler(**config)
-        profiler.start()
-        return profiler
+        """Start the rolling sampling profiler and return it; *config*
+        configures it when this call creates it.  It is served over
+        ``/api/profile*`` and its cumulative layer attribution is
+        published into the monitor's registry as
+        ``rtm_profile_layer_seconds_total``.  Imported lazily so
+        simulations that never profile never load the profile
+        package."""
+        if self.profiler is None:
+            from ..profile import ContinuousProfiler
+            self.profiler = ContinuousProfiler(**config)
+            self.profiler.bind_registry(self.metrics)
+        self.profiler.start()
+        return self.profiler
 
     def attach_checkpointer(self, checkpointer) -> None:
         """Expose *checkpointer* over ``/api/checkpoint`` and give the
@@ -412,17 +394,18 @@ class Monitor:
         heuristic fires — the fully automated 'fail fast' mode."""
         self._abort_on_hang = enable
 
-    def check_alerts(self) -> List[AlertRule]:
-        """One evaluation pass over all rules (sampler calls this)."""
+    def check_alerts(self) -> List[Dict[str, Any]]:
+        """One evaluation pass over all rules (sampler calls this);
+        returns the new transitions."""
         engine = self._require_engine()
-        fired = self.alerts.evaluate_all(engine.now)
+        transitions = self.alerts.evaluate_all(engine.now)
         if self._abort_on_hang and self.hang is not None \
                 and self._simulation is not None:
             cpu = self.resources.sample().cpu_percent \
                 if self.resources else 0.0
             if self.hang.check(cpu).hung:
                 self._simulation.abort()
-        return fired
+        return transitions
 
     # ------------------------------------------------------------------
     # Status aggregates
@@ -508,10 +491,8 @@ class Monitor:
             self.tracer.stop()
         if self.sim_metrics is not None:
             self.sim_metrics.stop()
-        if self.profiler.running:
+        if self.profiler is not None:
             self.profiler.stop()
-        if self.continuous is not None and self.continuous.running:
-            self.continuous.stop()
 
     @property
     def url(self) -> Optional[str]:

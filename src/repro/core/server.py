@@ -40,12 +40,12 @@ GET      /api/trace/query?component&...  filtered trace events
 GET      /api/trace/follow?msg_id=I      one message's hops + path
 GET      /api/trace/export?format&path   JSONL / Perfetto export
 POST     /api/trace?action=start|stop|clear  control the tracer
-GET      /api/profile?top=K              profiler report (T4)
-POST     /api/profile/start|stop         control the one-shot profiler
-GET      /api/profile/windows?last=N     rolling-profiler window ring
+GET      /api/profile?top=K              simulation-thread report (T4)
+POST     /api/profile/start|stop         start|stop the sampling profiler
+GET      /api/profile/windows?last=N     the profiler's window ring
 GET      /api/profile/attribution?last   overhead decomposed by layer
 GET      /api/profile/export?format=F    collapsed / speedscope export
-POST     /api/profile/continuous?action  start|stop the rolling profiler
+POST     /api/profile/continuous?action  the same start|stop, configurable
 POST     /api/pause | /api/continue      simulation control
 POST     /api/kickstart                  resume a dry run loop
 POST     /api/throttle?events_per_second slow down time (§V-C)
@@ -68,11 +68,12 @@ handler bugs (the final ``except Exception`` backstop).
 from __future__ import annotations
 
 import json
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from ..metrics import CONTENT_TYPE as _PROM_CONTENT_TYPE
@@ -167,6 +168,38 @@ class JSONRequestHandler(BaseHTTPRequestHandler):
         parsed = urlparse(self.path)
         params = {k: v[0] for k, v in parse_qs(parsed.query).items()}
         return parsed.path, params
+
+    def _send_event_stream(self, produce: Callable[[], Iterable[Any]],
+                           interval: float, count: int = 0,
+                           keepalive: bool = False) -> None:
+        """Server-Sent Events: every *interval* seconds write each
+        payload *produce* returns as one ``data:`` frame, until the
+        client leaves, *count* frames are sent, or the server stops.
+        With *keepalive*, each round also writes a comment so an idle
+        stream does not trip the client's socket timeout."""
+        self.send_response(200)
+        self.send_header("Content-Type", "text/event-stream")
+        self.send_header("Cache-Control", "no-cache")
+        self.send_header("Access-Control-Allow-Origin", "*")
+        self.end_headers()
+        stopping = self.server.stopping
+        sent = 0
+        try:
+            while True:
+                for payload in produce():
+                    self.wfile.write(
+                        b"data: " + json.dumps(payload).encode() + b"\n\n")
+                    self.wfile.flush()
+                    sent += 1
+                    if count and sent >= count:
+                        return
+                if keepalive:
+                    self.wfile.write(b": keepalive\n\n")
+                    self.wfile.flush()
+                if stopping.wait(interval):
+                    return
+        except OSError:
+            pass  # client went away; nothing to report
 
 
 class _Handler(JSONRequestHandler):
@@ -285,15 +318,7 @@ class _Handler(JSONRequestHandler):
                     **(checkpointer.status() if checkpointer else {}),
                 })
             elif path == "/api/profile":
-                top = _int_param(params, "top", 15)
-                report = monitor.profiler.report(top)
-                payload = report.to_dict()
-                payload["running"] = monitor.profiler.running
-                payload["continuous"] = (
-                    monitor.continuous.status()
-                    if monitor.continuous is not None
-                    else {"running": False})
-                self._send_json(payload)
+                self._get_profile(params)
             elif path == "/api/profile/windows":
                 self._get_profile_windows(params)
             elif path == "/api/profile/attribution":
@@ -377,19 +402,20 @@ class _Handler(JSONRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _metrics_snapshot(self, params: Dict[str, str]) -> Dict[str, Any]:
-        import re
+    @staticmethod
+    def _names_param(params: Dict[str, str]) -> Optional[str]:
+        """The ``names`` family filter, checked to be a regex."""
         names = params.get("names")
         if names is not None:
             try:
                 re.compile(names)
             except re.error as exc:
                 raise BadRequest(f"bad names regex: {exc}") from None
-        return self.monitor.metrics.snapshot(names)
+        return names
 
     def _get_metrics(self, params: Dict[str, str]) -> None:
         self._ensure_sim_metrics_started()
-        current = self._metrics_snapshot(params)
+        current = self.monitor.metrics.snapshot(self._names_param(params))
         want_delta = params.get("delta", "") not in ("", "0", "false")
         payload: Dict[str, Any] = {"delta": want_delta}
         if want_delta:
@@ -408,50 +434,25 @@ class _Handler(JSONRequestHandler):
         monitor = self.monitor
         interval = max(0.05, _float_param(params, "interval", 0.5))
         count = _int_param(params, "count", 0)
-        import re
-        names = params.get("names")
-        if names is not None:
-            try:
-                re.compile(names)
-            except re.error as exc:
-                raise BadRequest(f"bad names regex: {exc}") from None
+        names = self._names_param(params)
         # attach=0 lets passive consumers (the dashboard header) stream
         # overview/resources without attaching simulation hooks — an open
         # browser tab must not perturb the overhead it displays.
         if params.get("attach", "1") not in ("0", "false"):
             self._ensure_sim_metrics_started()
-        self.send_response(200)
-        self.send_header("Content-Type", "text/event-stream")
-        self.send_header("Cache-Control", "no-cache")
-        self.send_header("Access-Control-Allow-Origin", "*")
-        self.end_headers()
-        stopping = getattr(self.server, "stopping", None)
-        sent = 0
-        try:
-            while True:
-                payload: Dict[str, Any] = {
-                    "metrics": monitor.metrics.snapshot(names)}
-                try:
-                    payload["overview"] = monitor.overview()
-                except RuntimeError:
-                    pass
-                if monitor.resources is not None:
-                    payload["resources"] = \
-                        monitor.resources.sample().to_dict()
-                self.wfile.write(
-                    b"data: " + json.dumps(payload).encode() + b"\n\n")
-                self.wfile.flush()
-                sent += 1
-                if count and sent >= count:
-                    break
-                if stopping is not None:
-                    if stopping.wait(interval):
-                        break
-                else:  # pragma: no cover - servers always set one
-                    import time as _time
-                    _time.sleep(interval)
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            pass  # client went away; nothing to report
+
+        def snapshot():
+            payload: Dict[str, Any] = {
+                "metrics": monitor.metrics.snapshot(names)}
+            try:
+                payload["overview"] = monitor.overview()
+            except RuntimeError:
+                pass
+            if monitor.resources is not None:
+                payload["resources"] = monitor.resources.sample().to_dict()
+            return (payload,)
+
+        self._send_event_stream(snapshot, interval, count)
 
     def _post_metrics(self, params: Dict[str, str]) -> None:
         monitor = self.monitor
@@ -474,13 +475,25 @@ class _Handler(JSONRequestHandler):
             raise BadRequest(
                 f"action must be 'start' or 'stop', got {action!r}")
 
-    # -- continuous profiling ------------------------------------------------
-    def _require_continuous(self):
-        profiler = self.monitor.continuous
+    # -- profiling -----------------------------------------------------------
+    def _get_profile(self, params: Dict[str, str]) -> None:
+        top = _int_param(params, "top", 15)
+        profiler = self.monitor.profiler
+        if profiler is None:
+            payload = {"duration": 0.0, "samples": 0, "functions": [],
+                       "edges": [], "running": False,
+                       "continuous": {"running": False}}
+        else:
+            payload = profiler.report(top)
+            payload["running"] = profiler.running
+            payload["continuous"] = profiler.status()
+        self._send_json(payload)
+
+    def _require_profiler(self):
+        profiler = self.monitor.profiler
         if profiler is None:
             self._send_error_json(
-                "continuous profiler not attached; "
-                "POST /api/profile/continuous?action=start", 404)
+                "profiler never started; POST /api/profile/start", 404)
             return None
         return profiler
 
@@ -492,7 +505,7 @@ class _Handler(JSONRequestHandler):
         return last or None
 
     def _get_profile_windows(self, params: Dict[str, str]) -> None:
-        profiler = self._require_continuous()
+        profiler = self._require_profiler()
         if profiler is None:
             return
         last = self._last_param(params)
@@ -500,7 +513,7 @@ class _Handler(JSONRequestHandler):
                          "windows": profiler.windows(last)})
 
     def _get_profile_attribution(self, params: Dict[str, str]) -> None:
-        profiler = self._require_continuous()
+        profiler = self._require_profiler()
         if profiler is None:
             return
         last = self._last_param(params)
@@ -508,7 +521,7 @@ class _Handler(JSONRequestHandler):
         self._send_json(profiler.attribution(last, top=top))
 
     def _get_profile_export(self, params: Dict[str, str]) -> None:
-        profiler = self._require_continuous()
+        profiler = self._require_profiler()
         if profiler is None:
             return
         fmt = params.get("format", "speedscope")
@@ -551,15 +564,13 @@ class _Handler(JSONRequestHandler):
                     config[key] = _float_param(params, key)
             if "ring" in params:
                 config["ring"] = _int_param(params, "ring", 15)
-            if monitor.continuous is None:
-                try:
-                    monitor.ensure_continuous_profiler(**config)
-                except ValueError as exc:
-                    raise BadRequest(str(exc)) from None
-            monitor.continuous.start()
-            self._send_json(monitor.continuous.status())
+            try:
+                profiler = monitor.start_continuous_profiling(**config)
+            except ValueError as exc:
+                raise BadRequest(str(exc)) from None
+            self._send_json(profiler.status())
         elif action == "stop":
-            profiler = self._require_continuous()
+            profiler = self._require_profiler()
             if profiler is None:
                 return
             profiler.stop()
@@ -586,9 +597,8 @@ class _Handler(JSONRequestHandler):
         }
         if "component" in params:
             try:
-                import re as _re
-                _re.compile(params["component"])
-            except _re.error as exc:
+                re.compile(params["component"])
+            except re.error as exc:
                 raise BadRequest(
                     f"bad component regex: {exc}") from None
             filters["component"] = params["component"]
@@ -708,10 +718,11 @@ class _Handler(JSONRequestHandler):
                     self._send_error_json(
                         f"{name!r} is not a ticking component", 400)
             elif path == "/api/profile/start":
-                monitor.profiler.start()
+                monitor.start_continuous_profiling()
                 self._send_json({"profiling": True})
             elif path == "/api/profile/stop":
-                monitor.profiler.stop()
+                if monitor.profiler is not None:
+                    monitor.profiler.stop()
                 self._send_json({"profiling": False})
             elif path == "/api/profile/continuous":
                 self._post_profile_continuous(params)

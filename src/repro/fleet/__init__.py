@@ -16,7 +16,7 @@ This package runs them behind a single pane of glass:
   (:mod:`repro.fleet.channel`), speaking the line-framed JSON
   protocol of :mod:`repro.fleet.protocol`;
 * the worker entry point itself (:mod:`repro.fleet.worker`, spawned as
-  ``python -m repro.fleet.worker --serve``);
+  ``python -m repro.fleet.worker``);
 * :class:`FleetGateway` — the aggregating front server: ``/api/fleet``,
   a reverse proxy to every worker's own API, per-job final expositions
   at ``/api/fleet/jobs/<job>/metrics``, and a federated ``/metrics``

@@ -158,7 +158,9 @@ class _GatewayHandler(JSONRequestHandler):
                                  "b=<campaign>")
             self._send_json(store.compare(a, b))
         elif path == "/api/historian/alerts" and method == "GET":
-            self._send_json(service.engine.to_dict())
+            engine = service.engine
+            self._send_json({"rules": engine.to_dict(),
+                             "transitions": engine.transitions})
         elif path == "/api/historian/rules" and method == "POST":
             self._send_json(
                 {"rule": self.gateway.add_historian_rule(params)})
@@ -190,35 +192,18 @@ class _GatewayHandler(JSONRequestHandler):
                 cursor = transitions[-1]["seq"] if transitions else 0
         except ValueError as exc:
             raise BadRequest(f"bad stream parameter: {exc}") from None
-        self.send_response(200)
-        self.send_header("Content-Type", "text/event-stream")
-        self.send_header("Cache-Control", "no-cache")
-        self.end_headers()
-        stopping = getattr(self.server, "stopping", None)
-        sent = 0
-        try:
-            while True:
-                for event in engine.transitions_since(cursor):
-                    cursor = event["seq"]
-                    self.wfile.write(b"data: "
-                                     + json.dumps(event).encode()
-                                     + b"\n\n")
-                    self.wfile.flush()
-                    sent += 1
-                    if count and sent >= count:
-                        return
-                # Keepalive comment: an idle stream must not trip the
-                # client's socket timeout while a campaign warms up.
-                self.wfile.write(b": keepalive\n\n")
-                self.wfile.flush()
-                if stopping is not None:
-                    if stopping.wait(interval):
-                        return
-                else:  # pragma: no cover - servers always set one
-                    import time as _time
-                    _time.sleep(interval)
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            pass  # client went away; nothing to report
+
+        def new_transitions():
+            nonlocal cursor
+            events = engine.transitions_since(cursor)
+            if events:
+                cursor = events[-1]["seq"]
+            return events
+
+        # Keepalive: an idle stream must not trip the client's socket
+        # timeout while a campaign warms up.
+        self._send_event_stream(new_transitions, interval, count,
+                                keepalive=True)
 
     def _proxy(self, method: str, path: str) -> None:
         remainder = path[len("/api/fleet/"):]

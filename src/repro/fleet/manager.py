@@ -1,9 +1,9 @@
 """The fleet manager: an async dispatcher over persistent warm workers.
 
 ``FleetManager`` drains a :class:`~repro.fleet.queue.JobQueue` through a
-pool of ``num_workers`` persistent ``repro.fleet.worker --serve``
-processes, spawned once.  Each boots its interpreter, imports and RTM
-HTTP server a single time, then accepts a *stream* of job assignments
+pool of ``num_workers`` persistent ``repro.fleet.worker`` processes,
+spawned once.  Each boots its interpreter, imports and RTM HTTP
+server a single time, then accepts a *stream* of job assignments
 over a :class:`~repro.fleet.channel.WorkerChannel` (commands down
 stdin, framed events up stdout), rebuilding simulation state between
 jobs instead of re-exec'ing.  This is what makes short-job campaigns
@@ -474,7 +474,7 @@ class FleetManager:
     def _spawn(self) -> None:
         self._spawned += 1
         worker_id = f"w{self._spawned}"
-        args = ["--serve", "--worker-id", worker_id]
+        args = ["--worker-id", worker_id]
         if self.snapshot_dir is not None:
             args += ["--snapshot-dir", self.snapshot_dir]
         channel = WorkerChannel("repro.fleet.worker",

@@ -2,7 +2,7 @@
 
 Spawned by the :class:`~repro.fleet.manager.FleetManager` as::
 
-    python -m repro.fleet.worker --serve --worker-id w1
+    python -m repro.fleet.worker --worker-id w1
 
 The process boots its platform machinery once — interpreter, imports,
 the RTM HTTP server — then reads line-framed JSON commands from stdin
@@ -336,14 +336,14 @@ def _execute_job(spec: JobSpec, attempt: int, server: RTMServer,
         "checkpoints": (checkpointer.status()
                         if checkpointer is not None else None),
     }
-    if monitor.continuous is not None:
+    if monitor.profiler is not None:
         # Stop sampling, then ship the job's profile digest ahead of
         # the result (like final-metrics: the gateway's campaign
         # profile must be complete when the job goes terminal).
-        monitor.continuous.stop()
+        monitor.profiler.stop()
         emit({"event": "profile-summary", "job_id": spec.job_id,
               "attempt": attempt,
-              "summary": monitor.continuous.summary()})
+              "summary": monitor.profiler.summary()})
     # Final exposition first (see module docstring: the gateway's
     # per-job cache must be complete before the job goes terminal).
     emit({"event": "final-metrics", "job_id": spec.job_id,
@@ -364,10 +364,8 @@ def _teardown(monitor: Monitor) -> None:
         monitor.tracer.stop()
     if monitor.sim_metrics is not None:
         monitor.sim_metrics.stop()
-    if monitor.profiler.running:
+    if monitor.profiler is not None:
         monitor.profiler.stop()
-    if monitor.continuous is not None and monitor.continuous.running:
-        monitor.continuous.stop()
 
 
 class _AbortCurrent:
@@ -458,9 +456,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.fleet.worker",
         description="fleet-managed monitored simulation worker")
-    parser.add_argument("--serve", action="store_true",
-                        help="accept a stream of jobs on stdin (the "
-                             "only mode; the flag names it in `ps`)")
     parser.add_argument("--worker-id", default="w?",
                         help="identity echoed in ready events")
     parser.add_argument("--port", type=int, default=0,

@@ -9,8 +9,9 @@ firings.  On top of it:
 
 * :class:`RetentionPolicy` + :meth:`Historian.prune` — age/count
   retention per record kind, run as the service's idle-time sweep;
-* :class:`MetricRule` / :class:`RuleEngine` — declarative
-  threshold/rate/absence rules over metric families with deduplicated
+* :class:`MetricRule` — declarative threshold/rate/absence rules over
+  metric families, run by the one alert engine
+  (:class:`repro.core.alerts.AlertManager`) with deduplicated
   ``firing``/``resolved`` transitions;
 * :class:`HistorianService` — the background sampler wiring a live
   campaign (gateway + manager) into the store;
@@ -34,7 +35,7 @@ Typical use::
     report = historian.compare("sweep-41", "sweep-42")
 """
 
-from .rules import MetricRule, RuleEngine, RULE_KINDS
+from .rules import MetricRule, RULE_KINDS
 from .service import HistorianService, gateway_source, registry_source
 from .store import Historian, RetentionPolicy, RECORD_KINDS
 
@@ -45,7 +46,6 @@ __all__ = [
     "RECORD_KINDS",
     "RULE_KINDS",
     "RetentionPolicy",
-    "RuleEngine",
     "gateway_source",
     "registry_source",
 ]

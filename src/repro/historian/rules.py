@@ -1,8 +1,9 @@
 """Declarative alert rules over metric families.
 
-:mod:`repro.core.alerts` watches one live simulation's component
-values.  The historian's rules generalize that to the *fleet* plane:
-they evaluate against parsed metric snapshots (the gateway's federated
+:class:`repro.core.alerts.AlertRule` watches one live simulation's
+component values.  :class:`MetricRule` is the *fleet* plane's value
+source for the same state machine and engine (:mod:`repro.core.alerts`):
+it evaluates against parsed metric snapshots (the gateway's federated
 ``/metrics``, or any registry exposition), so one rule can watch a
 family aggregated across every worker and job.
 
@@ -16,31 +17,24 @@ Three rule kinds:
 * ``absence``   — fires when the family has no matching samples at all
   (a worker that stopped reporting).
 
-Rules are state machines with **deduplicated transitions**: a breach
-held for ``for_seconds`` emits one ``firing``; the rule then stays
-silently firing until the condition clears, which emits one
-``resolved`` and re-arms it.  The evaluator never fires per tick.
+A breach must hold for ``for_seconds`` before the rule fires.
 """
 
 from __future__ import annotations
 
-import itertools
-import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-from ..core.alerts import OPERATORS
+from ..core.alerts import OPERATORS, Rule, rule_ids
 from ..metrics.exposition import family_total
 
-__all__ = ["MetricRule", "RuleEngine", "RULE_KINDS"]
+__all__ = ["MetricRule", "RULE_KINDS"]
 
 RULE_KINDS = ("threshold", "rate", "absence")
 
-_rule_ids = itertools.count(1)
-
 
 @dataclass
-class MetricRule:
+class MetricRule(Rule):
     """One declarative rule over a metric family (see module doc)."""
 
     family: str
@@ -50,22 +44,19 @@ class MetricRule:
     labels: Dict[str, str] = field(default_factory=dict)
     for_seconds: float = 0.0
     name: str = ""
-    id: int = field(default_factory=lambda: next(_rule_ids))
+    id: int = field(default_factory=lambda: next(rule_ids))
 
-    # runtime state
-    state: str = "ok"  # ok | pending | firing
-    last_value: Optional[float] = None
-    fired_count: int = 0
-    _holding_since: Optional[float] = None
     _prev: Optional[Tuple[float, float]] = None  # (wall, total) for rate
 
+    @property
+    def hold(self) -> float:
+        return self.for_seconds
+
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.kind not in RULE_KINDS:
             raise ValueError(f"unknown rule kind {self.kind!r}; "
                              f"use one of {RULE_KINDS}")
-        if self.op not in OPERATORS:
-            raise ValueError(f"unknown operator {self.op!r}; "
-                             f"use one of {sorted(OPERATORS)}")
         if not self.name:
             labels = ",".join(f"{k}={v}"
                               for k, v in sorted(self.labels.items()))
@@ -79,8 +70,8 @@ class MetricRule:
                 self.name = f"{target} {self.op} {self.threshold:g}"
 
     # ------------------------------------------------------------------
-    def _breaching(self, families: Dict[str, Any],
-                   now_wall: float) -> bool:
+    def breaching(self, families: Dict[str, Any],
+                  now_wall: float) -> bool:
         total, matched = family_total(families, self.family, self.labels)
         if self.kind == "absence":
             self.last_value = float(matched)
@@ -103,34 +94,6 @@ class MetricRule:
         self.last_value = value
         return OPERATORS[self.op](value, self.threshold)
 
-    def evaluate(self, families: Dict[str, Any],
-                 now_wall: Optional[float] = None) -> Optional[str]:
-        """Advance the state machine against one parsed snapshot.
-
-        Returns ``"firing"`` or ``"resolved"`` on a transition, else
-        ``None`` — by construction at most one transition per call, and
-        a still-breaching rule emits nothing.
-        """
-        now_wall = time.monotonic() if now_wall is None else now_wall
-        breaching = self._breaching(families, now_wall)
-        if breaching:
-            if self.state == "firing":
-                return None
-            if self._holding_since is None:
-                self._holding_since = now_wall
-            if now_wall - self._holding_since >= self.for_seconds:
-                self.state = "firing"
-                self.fired_count += 1
-                return "firing"
-            self.state = "pending"
-            return None
-        self._holding_since = None
-        if self.state == "firing":
-            self.state = "ok"
-            return "resolved"
-        self.state = "ok"
-        return None
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "id": self.id,
@@ -146,74 +109,3 @@ class MetricRule:
             "fired_count": self.fired_count,
         }
 
-
-class RuleEngine:
-    """Evaluates a rule set against incoming snapshots.
-
-    Transitions accumulate in a sequence-numbered log the SSE stream
-    and the historian's ``alert`` records both drain — the sequence
-    number is what makes "exactly once into the stream" checkable.
-    """
-
-    def __init__(self, registry=None):
-        """*registry*: a :class:`~repro.metrics.MetricRegistry` that
-        gets the ``rtm_alerts_transitions_total{state=...}`` counter
-        (shared family name with :class:`repro.core.alerts.
-        AlertManager` — one alerting vocabulary, two planes)."""
-        self._rules: Dict[int, MetricRule] = {}
-        self.transitions: List[Dict[str, Any]] = []
-        self._seq = itertools.count(1)
-        self._counter = None
-        if registry is not None:
-            self.attach_registry(registry)
-
-    def attach_registry(self, registry) -> None:
-        """(Re)bind the transitions counter — the gateway attaches its
-        own registry when the service binds to it."""
-        self._counter = registry.counter(
-            "rtm_alerts_transitions_total",
-            "Deduplicated alert rule transitions.", ("state",))
-
-    def add(self, rule: MetricRule) -> MetricRule:
-        self._rules[rule.id] = rule
-        return rule
-
-    def remove(self, rule_id: int) -> bool:
-        return self._rules.pop(rule_id, None) is not None
-
-    @property
-    def rules(self) -> List[MetricRule]:
-        return list(self._rules.values())
-
-    def evaluate_all(self, families: Dict[str, Any],
-                     now_wall: Optional[float] = None
-                     ) -> List[Dict[str, Any]]:
-        """One pass over every rule; returns the new transitions."""
-        now_wall = time.monotonic() if now_wall is None else now_wall
-        new: List[Dict[str, Any]] = []
-        for rule in list(self._rules.values()):
-            transition = rule.evaluate(families, now_wall)
-            if transition is None:
-                continue
-            event = {
-                "seq": next(self._seq),
-                "rule_id": rule.id,
-                "name": rule.name,
-                "state": transition,
-                "value": rule.last_value,
-                "wall": time.time(),
-            }
-            new.append(event)
-            self.transitions.append(event)
-            if self._counter is not None:
-                self._counter.labels(transition).inc()
-        return new
-
-    def transitions_since(self, seq: int) -> List[Dict[str, Any]]:
-        """Transitions with a sequence number greater than *seq* —
-        the SSE resume cursor."""
-        return [t for t in self.transitions if t["seq"] > seq]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"rules": [rule.to_dict() for rule in self.rules],
-                "transitions": list(self.transitions)}

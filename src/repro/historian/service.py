@@ -27,8 +27,9 @@ import threading
 import time
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
+from ..core.alerts import AlertManager
 from ..metrics.exposition import parse_exposition
-from .rules import MetricRule, RuleEngine
+from .rules import MetricRule
 from .store import Historian, RetentionPolicy
 
 __all__ = ["HistorianService", "gateway_source", "registry_source"]
@@ -85,7 +86,7 @@ class HistorianService:
         self.source = source
         self.interval = interval
         self.prune_interval = prune_interval
-        self.engine = RuleEngine()
+        self.engine = AlertManager()
         for rule in rules:
             self.engine.add(rule)
         self.retention = list(retention)

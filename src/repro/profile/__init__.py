@@ -1,12 +1,15 @@
-"""`repro.profile` — the continuous-profiling / overhead-attribution
-plane layered over :mod:`repro.core.profiler`.
+"""`repro.profile` — the one sampling profiler and the overhead
+attribution built on it.
 
-Import-light on purpose: :mod:`repro.akita.engine` registers the
-simulation thread through :mod:`repro.profile.threads` on every
-``run()``, so nothing in this package may import ``repro.core`` or
-``repro.akita`` (directly or transitively).
+The only thing it takes from below is the thread-role registry
+:mod:`repro.akita.threads` (``Engine.run`` claims the ``simulation``
+role there), re-exported here; nothing in this package imports
+``repro.core``.
 """
 
+from ..akita.threads import (register_current_thread, role_of,
+                             sim_thread_id, thread_roles,
+                             unregister_thread)
 from .attribution import (IDLE_LEAVES, LAYERS, PATH_RULES,
                           attribution_report, classify_frame,
                           classify_path, classify_stack, diff_summaries,
@@ -15,8 +18,6 @@ from .attribution import (IDLE_LEAVES, LAYERS, PATH_RULES,
 from .continuous import ContinuousProfiler, ProfileWindow
 from .export import (SPEEDSCOPE_SCHEMA, collapsed_stacks, frame_label,
                      speedscope_document)
-from .threads import (register_current_thread, role_of, sim_thread_id,
-                      thread_roles, unregister_thread)
 
 __all__ = [
     "IDLE_LEAVES",

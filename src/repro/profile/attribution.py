@@ -15,7 +15,7 @@ metrics    ``repro/metrics/``
 trace      ``repro/trace/``
 faults     ``repro/faults/``
 server     ``repro/core/server.py`` + the stdlib HTTP/socket stack
-profiler   ``repro/profile/`` and ``repro/core/profiler.py``
+profiler   ``repro/profile/``
 fleet      ``repro/fleet/``
 monitor    the rest of ``repro/core/`` + historian + checkpoint
 workload   ``repro/gpu/``, ``repro/workloads/``, ``repro/studies/``
@@ -55,7 +55,6 @@ PATH_RULES: Tuple[Tuple[str, str], ...] = (
     ("repro/trace/", "trace"),
     ("repro/faults/", "faults"),
     ("repro/core/server", "server"),
-    ("repro/core/profiler", "profiler"),
     ("repro/profile/", "profiler"),
     ("repro/fleet/", "fleet"),
     ("repro/historian/", "monitor"),
@@ -151,6 +150,16 @@ def function_totals(stacks: Dict[str, Dict[Stack, float]]
     return totals
 
 
+def ranked_functions(stacks: Dict[str, Dict[Stack, float]], top: int
+                     ) -> List[Tuple[Frame, Dict[str, float]]]:
+    """The *top* functions by self time (pprof's "flat" ordering — the
+    first question is where time is actually spent), total time as the
+    tiebreaker."""
+    return sorted(function_totals(stacks).items(),
+                  key=lambda item: (item[1]["self"], item[1]["total"]),
+                  reverse=True)[:top]
+
+
 def attribution_report(stacks: Dict[str, Dict[Stack, float]],
                        duration: float, samples: int,
                        top: int = 20) -> Dict[str, Any]:
@@ -162,10 +171,6 @@ def attribution_report(stacks: Dict[str, Dict[Stack, float]],
         for layer, seconds in role_layers.items():
             layers[layer] = layers.get(layer, 0.0) + seconds
     total = sum(layers.values())
-    functions = function_totals(stacks)
-    ranked = sorted(functions.items(),
-                    key=lambda item: (item[1]["self"], item[1]["total"]),
-                    reverse=True)[:top]
     return {
         "duration": round(duration, 3),
         "samples": samples,
@@ -182,7 +187,7 @@ def attribution_report(stacks: Dict[str, Dict[Stack, float]],
             "layer": classify_frame(frame),
             "self": round(stats["self"], 4),
             "total": round(stats["total"], 4),
-        } for frame, stats in ranked],
+        } for frame, stats in ranked_functions(stacks, top)],
     }
 
 

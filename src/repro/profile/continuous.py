@@ -1,14 +1,16 @@
-"""The continuous profiling plane: an always-on rolling profiler.
+"""The one sampling profiler: always-on, rolling, role-labelled.
 
-Where :class:`repro.core.profiler.SamplingProfiler` is the paper's
-one-shot panel — start, look, stop, report dies with the process —
-this profiler is designed to run for the whole life of a campaign:
+It serves the paper's profiler panel (task **T4**, Figure 2 E — the Go
+original shells into ``pprof``; :meth:`ContinuousProfiler.report` is
+the same top-N self/total table plus caller→callee arcs for the
+simulation thread) and is designed to run for the whole life of a
+campaign:
 
 * it keeps a **ring of fixed-duration profile windows** instead of one
   global aggregate, so "what was the simulation doing in the last
   thirty seconds" is answerable at any time without ever restarting;
 * every sample is labeled with its **thread role** (simulation,
-  server, monitor, …) via :mod:`repro.profile.threads`, so the server
+  server, monitor, …) via :mod:`repro.akita.threads`, so the server
   thread's time can never masquerade as simulation time;
 * every sampled stack is **attributed to a layer** (folded in at
   window close so classification runs once per unique stack, not once
@@ -29,10 +31,10 @@ import time
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional
 
-from . import threads as _threads
+from ..akita import threads as _threads
 from .attribution import (Stack, attribution_report, classify_stack,
-                          make_summary)
-from .export import collapsed_stacks, speedscope_document
+                          make_summary, ranked_functions)
+from .export import collapsed_stacks, frame_label, speedscope_document
 
 
 class ProfileWindow:
@@ -105,7 +107,10 @@ class ContinuousProfiler:
         #: windows, never reset while running: the monotonically
         #: increasing counter family (readers add the open window).
         self._layer_totals: Dict[tuple, float] = {}
-        self._role_cache: Dict[int, str] = {}
+        #: thread ident -> thread name.  Only the name is cached: an
+        #: explicit role claim (``Engine.run``) can arrive mid-window
+        #: and must show on the very next sample.
+        self._name_cache: Dict[int, str] = {}
         #: code object -> (name, path, firstlineno): frames are rebuilt
         #: on every sample but their code objects are long-lived, so
         #: interning keeps the sample path nearly allocation-free.
@@ -193,9 +198,8 @@ class ContinuousProfiler:
         self._windows_opened += 1
         self._window = ProfileWindow(self._windows_opened, now,
                                      time.time())
-        # Thread roles can change between windows (a new run() pins the
-        # simulation role to a new thread); re-resolve lazily.
-        self._role_cache.clear()
+        # Idents are reused once a thread exits; re-resolve lazily.
+        self._name_cache.clear()
         return self._window
 
     def _close_window(self, now: float) -> None:
@@ -228,16 +232,12 @@ class ContinuousProfiler:
         return totals
 
     def _role_of(self, thread_id: int) -> str:
-        role = self._role_cache.get(thread_id)
-        if role is None:
-            name = ""
-            for thread in threading.enumerate():
-                if thread.ident == thread_id:
-                    name = thread.name
-                    break
-            role = _threads.role_of(thread_id, name)
-            self._role_cache[thread_id] = role
-        return role
+        name = self._name_cache.get(thread_id)
+        if name is None:
+            name = next((thread.name for thread in threading.enumerate()
+                         if thread.ident == thread_id), "")
+            self._name_cache[thread_id] = name
+        return _threads.role_of(thread_id, name)
 
     def _walk(self, leaf_frame) -> Stack:
         cache = self._frame_cache
@@ -252,8 +252,8 @@ class ContinuousProfiler:
                                        code.co_firstlineno)
             append(entry)
             frame = frame.f_back
-        # Drop thread-bootstrap scaffolding at the base, like the
-        # one-shot profiler does.
+        # Drop the thread-bootstrap scaffolding at the stack base:
+        # pprof likewise reports user frames, not runtime plumbing.
         while stack and stack[-1][1].endswith("threading.py"):
             stack.pop()
         return tuple(stack)
@@ -316,6 +316,49 @@ class ContinuousProfiler:
                                 + (1 if self._window else 0),
                                 last or 10 ** 9)
         return report
+
+    def report(self, top: int = 15) -> Dict[str, Any]:
+        """The T4 panel payload over the kept windows: the top-*top*
+        functions of the ``simulation`` role (every role but the
+        profiler's own if no thread held it while they were sampled)
+        ranked by self time — pprof's "flat" ordering — plus the call
+        edges connecting them, which is what the dashboard's arc
+        diagram draws."""
+        stacks = self.merged_stacks()
+        if "simulation" in stacks:
+            stacks = {"simulation": stacks["simulation"]}
+        else:
+            stacks.pop("profiler", None)
+        ranked = ranked_functions(stacks, top)
+        kept = {frame for frame, _ in ranked}
+        edges: Dict[tuple, float] = {}
+        for per_stack in stacks.values():
+            for stack, seconds in per_stack.items():
+                for callee, caller in zip(stack, stack[1:]):
+                    if caller in kept and callee in kept:
+                        key = (caller, callee)
+                        edges[key] = edges.get(key, 0.0) + seconds
+        duration, samples = self._span(None)
+        return {
+            "duration": round(duration, 3),
+            "samples": samples,
+            "functions": [{"name": frame_label(frame),
+                           "self_time": round(stats["self"], 4),
+                           "total_time": round(stats["total"], 4)}
+                          for frame, stats in ranked],
+            "edges": [{"caller": frame_label(caller),
+                       "callee": frame_label(callee),
+                       "time": round(seconds, 4)}
+                      for (caller, callee), seconds in sorted(
+                          edges.items(), key=lambda kv: -kv[1])],
+        }
+
+    def reset(self) -> None:
+        """Forget the kept windows.  The cumulative layer totals are a
+        counter family and keep what the windows already folded in."""
+        with self._lock:
+            self._close_window(time.monotonic())
+            self._ring.clear()
 
     def summary(self, last: Optional[int] = None,
                 top_functions: int = 40,

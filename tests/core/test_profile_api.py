@@ -1,5 +1,6 @@
-"""The ``/api/profile`` HTTP surface: one-shot panel, continuous
-profiler endpoints, and the pinned-sim-thread / pinned-buffer fixes.
+"""The ``/api/profile`` HTTP surface: the T4 panel and the window /
+attribution / export endpoints — two views of the monitor's one
+profiler — and the pinned-sim-thread / pinned-buffer fixes.
 
 Everything flows over HTTP the way the dashboard drives it.
 """
@@ -47,14 +48,14 @@ def _status_of(client, path, method="GET"):
         return exc.code
 
 
-# -------------------------------------------------- one-shot profiler
+# -------------------------------------------------- the T4 panel
 def test_profile_payload_shape(rig):
     _, __, client = rig
     payload = client.profile(top=5)
     assert set(payload) >= {"functions", "edges", "samples",
                             "running", "continuous"}
     assert payload["running"] is False
-    # No continuous profiler attached yet: the key still reports state.
+    # No profiler started yet: the key still reports state.
     assert payload["continuous"] == {"running": False}
 
 
@@ -64,6 +65,11 @@ def test_profile_start_stop_idempotent(rig):
     assert _status_of(client, "/api/profile/start", "POST") == 200
     assert monitor.profiler.running
     assert client.profile()["running"] is True
+    # The panel's buttons and ?action= are one start/stop.
+    assert client.profile()["continuous"]["running"] is True
+    assert client.profile_continuous_stop()["running"] is False
+    assert client.profile()["running"] is False
+    client.profile_start()
     assert _status_of(client, "/api/profile/stop", "POST") == 200
     assert _status_of(client, "/api/profile/stop", "POST") == 200
     assert not monitor.profiler.running
@@ -74,11 +80,11 @@ def test_profile_bad_top_param_is_400(rig):
     assert _status_of(client, "/api/profile?top=banana") == 400
 
 
-def test_one_shot_profiler_is_pinned_to_sim_thread(rig):
-    """The unpinned-profiler regression: a Monitor-built profiler used
-    to sample *every* thread, so the HTTP server's own frames polluted
-    the paper's T4 panel.  Pinned late to the engine's registration,
-    the report must now contain simulation frames only."""
+def test_panel_report_is_pinned_to_sim_thread(rig):
+    """The unpinned-profiler regression: the HTTP server's own frames
+    used to pollute the paper's T4 panel.  The report reads only the
+    role the engine claims, so it must contain simulation frames
+    only."""
     platform, monitor, client = rig
     _enqueue(platform, taps=128)
     client.profile_start()
@@ -103,7 +109,24 @@ def test_one_shot_profiler_is_pinned_to_sim_thread(rig):
                    or "selectors.py" in n for n in names), names
 
 
-# ---------------------------------------------- continuous endpoints
+def test_panel_start_on_an_open_window_reports_the_simulation(rig):
+    """The profiler is already sampling, inside a window far longer
+    than the run, when the run thread is born and claims the
+    simulation role: the panel must show it, not an empty list."""
+    platform, monitor, client = rig
+    _enqueue(platform, taps=128)
+    client.profile_continuous_start(interval=0.005, window_seconds=60.0)
+    time.sleep(0.05)
+    client.profile_start()
+    runner = _run_async(platform)
+    runner.join()
+    report = client.profile(top=50)
+    assert report["continuous"]["windows_opened"] == 1
+    names = {fn["name"] for fn in report["functions"]}
+    assert any("engine.py" in n or "driver.py" in n for n in names), names
+
+
+# ---------------------------------------------- window-ring endpoints
 def test_continuous_endpoints_404_until_started(rig):
     _, __, client = rig
     for path in ("/api/profile/windows", "/api/profile/attribution",
@@ -135,7 +158,7 @@ def test_continuous_lifecycle_over_http(rig):
     assert isinstance(text, str)
     status = client.profile_continuous_stop()
     assert status["running"] is False
-    # The one-shot payload now reflects the attached profiler.
+    # The panel payload carries the same profiler's status.
     assert client.profile()["continuous"]["samples"] > 0
 
 

@@ -1,4 +1,5 @@
-"""Tests for the sampling profiler and the hang detector."""
+"""Tests for the profiler panel's report (task T4) and the hang
+detector."""
 
 import threading
 import time
@@ -6,7 +7,9 @@ import time
 import pytest
 
 from repro.akita import CallbackEvent, Simulation
-from repro.core import BufferAnalyzer, HangDetector, SamplingProfiler
+from repro.core import BufferAnalyzer, HangDetector
+from repro.profile import (ContinuousProfiler, register_current_thread,
+                           sim_thread_id, unregister_thread)
 
 
 # ------------------------------------------------------------- profiler
@@ -21,55 +24,65 @@ def _busy_wrapper_beta(deadline):
     return _busy_function_alpha(deadline)
 
 
-def test_profiler_identifies_hot_function():
-    profiler = SamplingProfiler(interval=0.002)
+def _simulation_thread(deadline):
+    # The panel reports whichever thread holds the simulation role.
+    register_current_thread("simulation")
+    try:
+        _busy_wrapper_beta(deadline)
+    finally:
+        unregister_thread()
+
+
+def _profile_busy_thread(seconds, target=_simulation_thread):
+    profiler = ContinuousProfiler(interval=0.002)
     worker = threading.Thread(
-        target=_busy_wrapper_beta, args=(time.monotonic() + 0.5,))
+        target=target, args=(time.monotonic() + seconds,))
     profiler.start()
     worker.start()
     worker.join()
     profiler.stop()
-    report = profiler.report(top=10)
-    assert report.samples > 10
-    names = [f.name for f in report.functions]
+    return profiler
+
+
+def test_profiler_identifies_hot_function():
+    report = _profile_busy_thread(0.5).report(top=10)
+    assert report["samples"] > 10
+    names = [f["name"] for f in report["functions"]]
     assert any("_busy_function_alpha" in n for n in names)
 
 
 def test_profiler_self_vs_total_time():
-    profiler = SamplingProfiler(interval=0.002)
-    worker = threading.Thread(
-        target=_busy_wrapper_beta, args=(time.monotonic() + 0.5,))
-    profiler.start()
-    worker.start()
-    worker.join()
-    profiler.stop()
-    functions = {f.name: f for f in profiler.report(top=200).functions}
-    alpha = next(f for n, f in functions.items()
-                 if "_busy_function_alpha" in n)
-    beta = next(f for n, f in functions.items()
-                if "_busy_wrapper_beta" in n)
+    functions = _profile_busy_thread(0.5).report(top=200)["functions"]
+    alpha = next(f for f in functions
+                 if "_busy_function_alpha" in f["name"])
+    beta = next(f for f in functions
+                if "_busy_wrapper_beta" in f["name"])
     # The leaf does the work; the wrapper only accumulates total time.
-    assert alpha.self_time > 0
-    assert beta.total_time >= alpha.self_time * 0.5
-    assert beta.self_time < alpha.self_time
+    assert alpha["self_time"] > 0
+    assert beta["total_time"] >= alpha["self_time"] * 0.5
+    assert beta["self_time"] < alpha["self_time"]
 
 
 def test_profiler_records_call_edges():
-    profiler = SamplingProfiler(interval=0.002)
-    worker = threading.Thread(
-        target=_busy_wrapper_beta, args=(time.monotonic() + 0.4,))
-    profiler.start()
-    worker.start()
-    worker.join()
-    profiler.stop()
-    report = profiler.report(top=200)
-    assert any("_busy_wrapper_beta" in caller
-               and "_busy_function_alpha" in callee
-               for caller, callee, _ in report.edges)
+    report = _profile_busy_thread(0.4).report(top=200)
+    assert any("_busy_wrapper_beta" in edge["caller"]
+               and "_busy_function_alpha" in edge["callee"]
+               and edge["time"] > 0
+               for edge in report["edges"])
+
+
+def test_report_falls_back_to_every_thread_without_a_simulation_role():
+    claimed = sim_thread_id()  # an earlier test's engine may hold it
+    if claimed is not None:
+        unregister_thread(claimed)
+    report = _profile_busy_thread(
+        0.3, target=_busy_wrapper_beta).report(top=200)
+    names = [f["name"] for f in report["functions"]]
+    assert any("_busy_function_alpha" in n for n in names)
 
 
 def test_profiler_start_stop_idempotent():
-    profiler = SamplingProfiler(interval=0.01)
+    profiler = ContinuousProfiler(interval=0.01)
     profiler.start()
     profiler.start()
     assert profiler.running
@@ -79,21 +92,16 @@ def test_profiler_start_stop_idempotent():
 
 
 def test_profiler_reset():
-    profiler = SamplingProfiler(interval=0.002)
-    worker = threading.Thread(
-        target=_busy_wrapper_beta, args=(time.monotonic() + 0.2,))
-    profiler.start()
-    worker.start()
-    worker.join()
-    profiler.stop()
+    profiler = _profile_busy_thread(0.2)
+    assert profiler.report()["functions"]
     profiler.reset()
-    assert profiler.report().functions == []
+    report = profiler.report()
+    assert report["functions"] == [] and report["samples"] == 0
 
 
 def test_report_serializes():
-    profiler = SamplingProfiler(interval=0.005)
-    d = profiler.report().to_dict()
-    assert set(d) == {"duration", "samples", "functions", "edges"}
+    report = ContinuousProfiler(interval=0.005).report()
+    assert set(report) == {"duration", "samples", "functions", "edges"}
 
 
 # ------------------------------------------------------------- hang detector

@@ -12,7 +12,7 @@ def test_core_exports_the_monitoring_stack():
     from repro import core
 
     for name in ("Monitor", "RTMServer", "RTMClient", "BufferAnalyzer",
-                 "SamplingProfiler", "ValueMonitor", "ValueWatch",
+                 "ValueMonitor", "ValueWatch",
                  "ProgressBar", "HangDetector", "ResourceMonitor",
                  "AlertManager", "AlertRule", "SeriesRecorder",
                  "Watchdog", "WatchdogConfig", "RTMConnectionError",

@@ -1,5 +1,5 @@
 """The supervised worker channel on its own, against real
-``repro.fleet.worker --serve`` children (no mocks).
+``repro.fleet.worker`` children (no mocks).
 
 Damaged frames are covered by ``test_framing*.py``: the channel feeds
 the same :class:`FrameDecoder` and adds no parsing of its own.
@@ -8,13 +8,15 @@ the same :class:`FrameDecoder` and adds no parsing of its own.
 import queue
 import signal
 
+import pytest
+
 from repro.fleet.channel import WorkerChannel
 
 
 def _spawn(*args):
     sink = queue.Queue()
     channel = WorkerChannel("repro.fleet.worker",
-                            ["--serve", "--worker-id", "w1", *args],
+                            ["--worker-id", "w1", *args],
                             sink, "w1")
     return channel, sink
 
@@ -66,8 +68,9 @@ def test_sigkill_yields_one_eof_and_a_signal_exit_code():
     channel.shutdown()  # a no-op on a dead child, not an error
 
 
-def test_bogus_flag_exits_2_with_the_reason_in_the_stderr_tail():
-    channel, sink = _spawn("--bogus")
+@pytest.mark.parametrize("flag", ["--bogus", "--serve"])
+def test_bogus_flag_exits_2_with_the_reason_in_the_stderr_tail(flag):
+    channel, sink = _spawn(flag)
     try:
         items = _drain_to_eof(sink)
     finally:

@@ -28,7 +28,7 @@ def test_emit_writes_prefixed_flushed_json(capsys):
 
 @pytest.mark.slow
 def test_warm_worker_serves_multiple_jobs_from_stdin():
-    """One --serve process: two run commands, two results, one URL."""
+    """One worker process: two run commands, two results, one URL."""
     commands = b"".join([
         encode_command({"cmd": "run", "attempt": 0,
                         "spec": {"job_id": "a", "workload": "fir",
@@ -39,7 +39,7 @@ def test_warm_worker_serves_multiple_jobs_from_stdin():
         encode_command({"cmd": "shutdown"}),
     ])
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.fleet.worker", "--serve",
+        [sys.executable, "-m", "repro.fleet.worker",
          "--worker-id", "w1"],
         input=commands, capture_output=True, timeout=120,
         env=_worker_env())
@@ -84,7 +84,7 @@ def test_warm_worker_rejects_bad_spec_and_keeps_serving():
         encode_command({"cmd": "shutdown"}),
     ])
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.fleet.worker", "--serve",
+        [sys.executable, "-m", "repro.fleet.worker",
          "--worker-id", "w1"],
         input=commands, capture_output=True, timeout=120,
         env=_worker_env())
@@ -102,7 +102,7 @@ def test_warm_worker_rejects_bad_spec_and_keeps_serving():
 def test_warm_worker_exits_cleanly_on_stdin_eof():
     """An orphaned worker (manager gone, pipe closed) must not linger."""
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.fleet.worker", "--serve",
+        [sys.executable, "-m", "repro.fleet.worker",
          "--worker-id", "w1"],
         input=b"", capture_output=True, timeout=60, env=_worker_env())
     assert proc.returncode == 0, proc.stderr.decode()

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.historian import MetricRule, RuleEngine
+from repro.core import AlertManager
+from repro.historian import MetricRule
 from repro.metrics import MetricRegistry, expose, parse_exposition
 
 
@@ -103,7 +104,7 @@ def test_rule_works_on_parsed_exposition():
 # ------------------------------------------------------------- engine
 def test_engine_transitions_are_deduplicated_and_sequenced():
     registry = MetricRegistry()
-    engine = RuleEngine(registry=registry)
+    engine = AlertManager(registry=registry)
     engine.add(MetricRule("x", op=">=", threshold=5))
     engine.add(MetricRule("y", kind="absence"))
 
@@ -125,7 +126,7 @@ def test_engine_transitions_are_deduplicated_and_sequenced():
 
 
 def test_engine_add_remove():
-    engine = RuleEngine()
+    engine = AlertManager()
     rule = engine.add(MetricRule("x", op=">=", threshold=1))
     assert engine.remove(rule.id)
     assert not engine.remove(rule.id)

@@ -77,6 +77,30 @@ def test_start_is_idempotent_and_stop_keeps_data(busy):
     assert profiler.status()["samples"] == samples
 
 
+def test_role_claimed_mid_window_shows_on_the_next_sample():
+    """``Engine.run`` may claim the simulation role long after the
+    window opened; the thread must not stay filed under the role its
+    name had at the window's first sample."""
+    go, stop = threading.Event(), threading.Event()
+
+    def claim_late():
+        go.wait()
+        _busy_simulation(stop)
+
+    worker = threading.Thread(target=claim_late)
+    worker.start()
+    profiler = ContinuousProfiler(interval=0.005, window_seconds=60.0)
+    profiler.start()
+    time.sleep(0.1)  # sampled a few times while still unclaimed
+    go.set()
+    time.sleep(0.3)
+    stop.set()
+    worker.join()
+    profiler.stop()
+    assert profiler.status()["windows_opened"] == 1
+    assert profiler.attribution()["threads"].get("simulation")
+
+
 def test_windows_last_selects_recent(busy):
     profiler = _profiled(busy, seconds=0.5)
     all_windows = profiler.windows()

@@ -74,7 +74,8 @@ def test_public_modules_have_docstrings():
             "repro.akita.engine", "repro.akita.component",
             "repro.akita.simulation",
             "repro.core.monitor", "repro.core.server",
-            "repro.core.inspector", "repro.core.profiler",
+            "repro.core.inspector", "repro.profile.continuous",
+            "repro.akita.threads", "repro.historian.rules",
             "repro.core.bottleneck", "repro.core.timeseries",
             "repro.core.hangdetect", "repro.core.resources",
             "repro.core.client", "repro.core.alerts",
