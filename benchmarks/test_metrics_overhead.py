@@ -99,11 +99,14 @@ def test_metrics_overhead(benchmark, metrics_overhead_results, mode):
 
 def test_registry_run_within_gate(metrics_overhead_results):
     """ROADMAP gate: registry-on <= 1.10x the uninstrumented baseline.
-    Measured 1.10x on the reference host (medians of three runs of
-    these cells: 1.06, 1.10, 1.13; 1.29x before engine metrics became
-    pull-only), which does not clear the gate with room to spare, so
-    the bound is measured x 1.1 until it does.  Runs after the cells;
-    skips when they did not."""
+    Measured 1.08x on the reference host (medians of six runs of these
+    cells, on a host whose speed wandered between them: 0.91, 0.98,
+    1.06, 1.11, 1.13, 1.26; the same two cells interleaved in one
+    process gave 1.02 and 1.07, against 1.10 for the parent; 1.10x
+    before the delivery callback became positional, 1.29x before
+    engine metrics became pull-only).  Under the gate, but by less
+    than the runs spread, so the bound stays measured x 1.1.  Runs
+    after the cells; skips when they did not."""
     if len(metrics_overhead_results) < len(METRICS_MODES):
         pytest.skip("overhead cells not all collected in this run")
 
@@ -113,4 +116,4 @@ def test_registry_run_within_gate(metrics_overhead_results):
 
     base = median(metrics_overhead_results["uninstrumented"])
     registry = median(metrics_overhead_results["registry"])
-    assert registry < base * 1.21
+    assert registry < base * 1.19

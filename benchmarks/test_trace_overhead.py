@@ -118,11 +118,15 @@ def test_traced_runs_within_gate(trace_overhead_results):
     base = median(trace_overhead_results["untraced"])
     ring = median(trace_overhead_results["ring"])
     sqlite = median(trace_overhead_results["sqlite"])
-    # ROADMAP gate: ring <= 1.25x untraced.  Measured 1.47x on the
-    # reference host (medians of three runs of these cells: 1.42, 1.47,
-    # 1.53; 1.60-1.76x before records became format-on-read), so the
-    # bound is measured x 1.1 until the gate is reached.
-    assert ring < base * 1.62
+    # ROADMAP gate: ring <= 1.25x untraced.  Measured 1.23x on the
+    # reference host (medians of six runs of these cells, on a host
+    # whose speed wandered between them: 0.96, 0.98, 1.14, 1.32, 1.39,
+    # 1.55; the same two cells interleaved in one process gave 1.20,
+    # 1.26 and 1.30, against 1.45 for the parent; 1.47x before
+    # component hooks became positional and a record one frame,
+    # 1.60-1.76x before records became format-on-read).  That reaches
+    # the gate without clearing it, so the bound stays measured x 1.1.
+    assert ring < base * 1.36
     # The durable store formats and batches on the simulation thread:
     # a sanity multiple, not a gate.
     assert sqlite < base * 5.0

@@ -89,16 +89,18 @@ class Component(Hookable):
         guard with ``if self._tasks_observed`` to skip that work too.
         """
         if self._chains[_TASK_BEGIN]:
-            self.fire_hooks(self, self._engine._now, HookPos.TASK_BEGIN,
-                            TaskInfo(task_id, kind, what))
+            now, info = self._engine._now, TaskInfo(task_id, kind, what)
+            for hook in self._chains[_TASK_BEGIN]:
+                hook(self, now, info)
 
     def task_end(self, task_id: Any, kind: str = "",
                  what: str = "") -> None:
         """Announce the end of the unit of work opened with the same
         *task_id* via :meth:`task_begin`."""
         if self._chains[_TASK_END]:
-            self.fire_hooks(self, self._engine._now, HookPos.TASK_END,
-                            TaskInfo(task_id, kind, what))
+            now, info = self._engine._now, TaskInfo(task_id, kind, what)
+            for hook in self._chains[_TASK_END]:
+                hook(self, now, info)
 
     # -- notifications (called by ports/connections) -----------------------
     def notify_recv(self, port: Port) -> None:

@@ -1,28 +1,38 @@
 """A minimal hook system for observing simulation internals.
 
 Hooks are how AkitaRTM (and any other instrumentation) observes the engine
-and components without modifying them.  A :class:`Hookable` object invokes
-every attached hook with a :class:`HookCtx` describing what just happened.
-
-The engine fires hooks around each event; components may fire hooks around
-message handling.  Hooks must be cheap: they run on the simulation thread.
-
-Hooks must also read the ctx synchronously and never retain it: hot
-paths (the engine's event loop) reuse one ctx object across
-invocations, mutating its fields in place, so a stored reference would
-silently change under the observer.
+and components without modifying them.  Hooks must be cheap: they run on
+the simulation thread.
 
 Dispatch is per position.  Every :class:`Hookable` keeps one
 precomputed *chain* (a tuple of callables) per :class:`HookPos`; a
 firing site reads the chain of its own position and does nothing at all
-when that chain is empty, whatever is subscribed elsewhere::
+when that chain is empty, whatever is subscribed elsewhere.  A hook
+attached with ``positions=`` is entered only at those positions.
 
-    chain = component._chains[_PORT_SEND]      # _PORT_SEND: an int
-    if chain:
-        component.fire_hooks(port, now, HookPos.PORT_SEND, msg)
+The calling convention belongs to the position:
 
-A hook attached with ``positions=`` is entered only at those positions
-and need not look at ``ctx.pos``.
+* The five **component positions** — ``PORT_SEND``, ``PORT_DELIVER``,
+  ``PORT_RETRIEVE`` (subject: the port, item: the message) and
+  ``TASK_BEGIN``, ``TASK_END`` (subject: the component, item: a
+  :class:`TaskInfo`) — call ``hook(subject, now, item)``.  They fire
+  per message, an observer there only ever reads those three values,
+  and a ctx filled by the site and read back by the hook was a frame
+  and a dozen attribute writes per fact.  The firing site is its own
+  loop, behind the one subscript-and-test an unobserved site costs::
+
+      if component._chains[_PORT_SEND]:             # _PORT_SEND: an int
+          for hook in component._chains[_PORT_SEND]:
+              hook(port, now, msg)
+
+* **Engine and connection positions** call ``hook(ctx)`` with a
+  :class:`HookCtx`: ``BEFORE_EVENT`` answers through ``ctx.skip``,
+  ``CONN_TRANSFER`` through the :class:`~repro.akita.connection.Transfer`
+  plan in ``ctx.item``, and one hook subscribed to several engine
+  positions tells them apart by ``ctx.pos``.  Hooks must read the ctx
+  synchronously and never retain it: the engine's event loop reuses one
+  ctx object across invocations, mutating its fields in place, so a
+  stored reference would silently change under the observer.
 """
 
 from __future__ import annotations
@@ -81,7 +91,7 @@ class TaskInfo:
 
 @dataclass(slots=True)
 class HookCtx:
-    """Context handed to each hook invocation.
+    """Context handed to each hook at an engine or connection position.
 
     Attributes
     ----------
@@ -108,7 +118,9 @@ class HookCtx:
     skip: bool = False
 
 
-Hook = Callable[[HookCtx], None]
+#: ``hook(ctx)`` or ``hook(subject, now, item)``, by position (module
+#: docstring).
+Hook = Callable[..., None]
 
 #: ``_chains`` of a hookable nobody observes.
 _NO_CHAINS: Tuple[Tuple[Hook, ...], ...] = ((),) * len(HookPos)
@@ -131,7 +143,6 @@ class Hookable:
         # every attach/detach: a firing site that already fetched a
         # chain keeps iterating a consistent one.
         self._chains = _NO_CHAINS
-        self._hook_ctx: Any = None
 
     def accept_hook(self, hook: Hook,
                     positions: Any = None) -> None:
@@ -139,7 +150,7 @@ class Hookable:
 
         *positions* is an iterable of the :class:`HookPos` the hook
         wants; it is never invoked anywhere else.  ``None`` subscribes
-        to every position.
+        to every position this hookable fires.
         """
         wanted = None if positions is None \
             else frozenset(pos.index for pos in positions)
@@ -166,34 +177,10 @@ class Hookable:
             for index in range(len(HookPos)))
 
     def invoke_hooks(self, ctx: HookCtx) -> None:
-        """Invoke the hooks subscribed to ``ctx.pos`` with *ctx*."""
+        """Invoke the hooks subscribed to ``ctx.pos`` with *ctx* (engine
+        and connection positions)."""
         for hook in self._chains[ctx.pos.index]:
             hook(ctx)
-
-    def fire_hooks(self, domain: Any, now: float, pos: HookPos,
-                   item: Any = None) -> HookCtx:
-        """Invoke the hooks subscribed to *pos*, reusing one ctx object
-        per hookable.
-
-        The hot-path variant of :meth:`invoke_hooks`: allocating a
-        fresh :class:`HookCtx` per port crossing is measurable at
-        millions of messages, so the ctx is mutated in place instead.
-        Safe because hooks run synchronously on the simulation thread
-        and must not retain the ctx (module docstring).  Returns the
-        ctx so callers can inspect ``skip``.
-        """
-        ctx = self._hook_ctx
-        if ctx is None:
-            ctx = self._hook_ctx = HookCtx(domain, now, pos, item)
-        else:
-            ctx.domain = domain
-            ctx.now = now
-            ctx.pos = pos
-            ctx.item = item
-            ctx.skip = False
-        for hook in self._chains[pos.index]:
-            hook(ctx)
-        return ctx
 
     @property
     def num_hooks(self) -> int:
@@ -206,7 +193,7 @@ class Hookable:
     # the snapshot attaches a fresh monitor.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        for attr in ("_hooks", "_chains", "_hook_ctx"):
+        for attr in ("_hooks", "_chains"):
             state.pop(attr, None)
         return state
 
@@ -214,4 +201,3 @@ class Hookable:
         self.__dict__.update(state)
         self._hooks = []
         self._chains = _NO_CHAINS
-        self._hook_ctx = None

@@ -45,9 +45,13 @@ class Msg:
     size_bytes:
         Wire size, used by bandwidth-limited connections (the inter-
         chiplet network).
+    respond_to:
+        Id of the request this message answers; ``None`` on the class,
+        so every message has one.  Responses shadow it with a slot.
     """
 
     __slots__ = ("id", "src", "dst", "size_bytes", "send_time")
+    respond_to: Optional[int] = None
 
     def __init__(self, dst: Optional["Port"] = None, size_bytes: int = 4):
         self.id = next(_msg_ids)
@@ -64,11 +68,11 @@ class Msg:
 class GeneralRsp(Msg):
     """Generic acknowledgement carrying the id of the original request."""
 
-    __slots__ = ("original_id",)
+    __slots__ = ("respond_to",)
 
-    def __init__(self, dst: "Port", original_id: int, size_bytes: int = 4):
+    def __init__(self, dst: "Port", respond_to: int, size_bytes: int = 4):
         super().__init__(dst, size_bytes)
-        self.original_id = original_id
+        self.respond_to = respond_to
 
 
 class ControlMsg(Msg):

@@ -88,8 +88,9 @@ class Port:
         # show the send first.
         comp = self.component
         if comp is not None and comp._chains[_PORT_SEND]:
-            comp.fire_hooks(self, comp._engine._now,
-                            HookPos.PORT_SEND, msg)
+            now = comp._engine._now
+            for hook in comp._chains[_PORT_SEND]:
+                hook(self, now, msg)
         conn.send(self, msg)
         self.num_sent += 1
         return True
@@ -108,8 +109,9 @@ class Port:
         comp = self.component
         if comp is not None:
             if comp._chains[_PORT_DELIVER]:
-                comp.fire_hooks(self, comp._engine._now,
-                                HookPos.PORT_DELIVER, msg)
+                now = comp._engine._now
+                for hook in comp._chains[_PORT_DELIVER]:
+                    hook(self, now, msg)
             comp.notify_recv(self)
 
     def peek_incoming(self) -> Optional[Msg]:
@@ -129,8 +131,9 @@ class Port:
         msg = items.popleft()
         comp = self.component
         if comp is not None and comp._chains[_PORT_RETRIEVE]:
-            comp.fire_hooks(self, comp._engine._now,
-                            HookPos.PORT_RETRIEVE, msg)
+            now = comp._engine._now
+            for hook in comp._chains[_PORT_RETRIEVE]:
+                hook(self, now, msg)
         conn = self._connection
         if conn is not None:
             conn.notify_available(self)

@@ -24,7 +24,11 @@ Two collection styles, chosen per metric for cost:
   exactly the decomposition of AkitaRTM's Figure 7, live instead of
   post-hoc; a position no callback is subscribed to reports 0.
   Occupancy is *sampled* (one delivery in 4, its cost scaled) so
-  self-accounting does not itself dominate the budget it reports.
+  self-accounting does not itself dominate the budget it reports: the
+  delivery callback takes ``PORT_DELIVER``'s positional
+  ``(port, now, msg)``, and three calls in four are one counter step —
+  the count the collector publishes as
+  ``rtm_hook_callbacks_total{position="port_deliver"}``.
 
 When :meth:`start` has not been called the hot paths run zero metrics
 code: every firing site tests its own position's (empty) hook chain
@@ -68,7 +72,7 @@ class SimMetrics:
         # the pass in flight or None).  One tuple, replaced whole, so
         # the scrape thread never pairs an old total with a new start.
         self._pass_clock: Tuple[float, Optional[float]] = (0.0, None)
-        self._n_deliver = 0  # occupancy sampling counter
+        self._n_deliver = 0  # deliveries seen; every 4th is sampled
         self._define_families()
 
     # ------------------------------------------------------------------
@@ -159,10 +163,10 @@ class SimMetrics:
             pos: self._m_cb_count.labels(pos.value) for pos in HookPos}
         self._cb_seconds: Dict[HookPos, Any] = {
             pos: self._m_cb_seconds.labels(pos.value) for pos in HookPos}
-        self._occ_children: Dict[int, Any] = {}
+        self._occ_children: Dict[Any, Any] = {}  # by port
         # The per-delivery position additionally skips the dict: its
-        # children are bound straight to attributes.
-        self._cnt_deliver = self._cb_count[HookPos.PORT_DELIVER]
+        # seconds child is bound straight to an attribute, and its
+        # count is ``_n_deliver``, published by _collect.
         self._sec_deliver = self._cb_seconds[HookPos.PORT_DELIVER]
 
     # ------------------------------------------------------------------
@@ -229,22 +233,21 @@ class SimMetrics:
         self._cb_count[pos].value += 1.0
         self._cb_seconds[pos].value += perf_counter() - t0
 
-    def _on_deliver(self, ctx: HookCtx) -> None:
-        self._cnt_deliver.value += 1.0
+    def _on_deliver(self, port: Any, now: float, msg: Any) -> None:
         # Occupancy is a distribution, so it tolerates sampling: every
         # 4th delivery is observed (and self-timed, scaled to the
-        # family's usual per-call meaning).
+        # family's usual per-call meaning); the other three leave after
+        # this one counter step, which _collect publishes.
         n = self._n_deliver = self._n_deliver + 1
         if n & 3:
             return
         t0 = perf_counter()
-        port = ctx.domain
-        child = self._occ_children.get(id(port))
+        child = self._occ_children.get(port)
         if child is None:
             comp = port.component
             name = comp.name if comp is not None else port.name
-            child = self._m_occupancy.labels(name)
-            self._occ_children[id(port)] = child
+            child = self._occ_children[port] = \
+                self._m_occupancy.labels(name)
         child.observe(port.buf.fullness)
         self._sec_deliver.value += (perf_counter() - t0) * 4.0
 
@@ -258,6 +261,7 @@ class SimMetrics:
         self._m_event_wall.set(self._engine_wall())
         self._m_sim_time.set(engine.now)
         self._m_queue_depth.set(float(engine.pending_event_count))
+        self._cb_count[HookPos.PORT_DELIVER].set(float(self._n_deliver))
         for conn in sim.connections:
             name = getattr(conn, "name", repr(conn))
             dropped = getattr(conn, "dropped_count", 0)

@@ -26,10 +26,10 @@ Typical usage::
     write_perfetto(tracer.query(limit=0), "trace.json")
 
 Recording costs nothing when no tracer is attached: every firing site
-finds its position's hook chain empty and skips even the hook-context
-construction, exactly like the fault injector.  While one is attached
-the simulation thread only notes raw records; events are formatted
-when read (see :mod:`repro.trace.events`).
+finds its position's hook chain empty and does nothing, exactly like
+the fault injector.  While one is attached the simulation thread only
+notes raw records, one Python frame each; events are formatted when
+read (see :mod:`repro.trace.events`).
 """
 
 from .events import FIELDS, TraceEvent, TraceKind, message_path

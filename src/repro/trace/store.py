@@ -15,13 +15,18 @@ Two implementations behind one API:
   ring's.  Queries flush first, so readers always see a consistent
   prefix.
 
-Both support the same filtered query: component-name regex, kind set,
-virtual-time window, message id, bounded to the most recent *limit*
-matches.
+Both take writes through the same two doors — ``put(record)`` for a
+finished raw record whose first field the writer minted with
+``store.seq()`` (the tracer, on the simulation thread), and
+``append(event)`` for a :class:`TraceEvent`, numbered from the same
+sequence — and support the same filtered query: component-name regex,
+kind set, virtual-time window, message id, bounded to the most recent
+*limit* matches.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 import sqlite3
 import threading
@@ -45,31 +50,29 @@ class TraceStore:
     backend = "base"
 
     def __init__(self) -> None:
-        self._next_seq = 0
-        self._first_seq = 0  # where this store's own numbering began
+        #: Mints the next sequence number.  One atomic C call on an
+        #: ``itertools.count`` (the ``EventQueue`` idiom): writers on
+        #: any thread never share a number, and nothing but a write
+        #: ever takes one.
+        self.seq = itertools.count().__next__
 
     @property
     def recorded(self) -> int:
-        """Total events ever appended to this store object."""
-        return self._next_seq - self._first_seq
+        """Total events ever written to this store object."""
+        raise NotImplementedError
 
     # -- writing -----------------------------------------------------------
     def append(self, event: TraceEvent) -> TraceEvent:
         """Assign the next sequence number and persist *event*."""
-        event.seq = self._next_seq
-        self._next_seq += 1
+        event.seq = self.seq()
         self._store(event)
         return event
 
-    def record(self, time, kind, subject, label, msg_id, msg_type, src,
-               dst, size, link) -> None:
-        """Persist one fact, given as the fields of a raw record
-        (:data:`.events.RECORD_FIELDS` after ``seq``): the tracer's
-        entry point, called on the simulation thread.  The default
-        formats it on the spot."""
-        self.append(TraceEvent.from_record(
-            (-1, time, kind, subject, label, msg_id, msg_type, src, dst,
-             size, link)))
+    def put(self, record: tuple) -> None:
+        """Persist one raw record (:data:`.events.RECORD_FIELDS`) whose
+        ``seq`` the caller took from :attr:`seq`: the tracer's entry
+        point, called on the simulation thread."""
+        raise NotImplementedError
 
     def _store(self, event: TraceEvent) -> None:
         raise NotImplementedError
@@ -148,18 +151,23 @@ class RingStore(TraceStore):
         self.capacity = int(capacity)
         # Holds appended events and, from the tracer, raw records.
         self._ring: Deque[Any] = deque(maxlen=self.capacity)
+        # Either kind of write *is* the deque's append: no frame of
+        # this module stands between the tracer's hook and the ring.
+        self.put = self._store = self._ring.append
+        self._cleared_at = 0  # ``recorded`` when the ring was last emptied
 
-    def _store(self, event: TraceEvent) -> None:
-        self._ring.append(event)
-
-    def record(self, time, kind, subject, label, msg_id, msg_type, src,
-               dst, size, link) -> None:
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        self._ring.append((seq, time, kind, subject, label, msg_id,
-                           msg_type, src, dst, size, link))
+    @property
+    def recorded(self) -> int:
+        # Numbering starts at 0, so the newest entry's seq says how
+        # many were written; reading it takes no sequence number.
+        try:
+            newest = self._ring[-1]
+        except IndexError:
+            return self._cleared_at
+        return (newest[0] if type(newest) is tuple else newest.seq) + 1
 
     def clear(self) -> None:
+        self._cleared_at = self.recorded
         self._ring.clear()
 
     def __len__(self) -> int:
@@ -256,6 +264,7 @@ class SQLiteStore(TraceStore):
         self.batch_size = int(batch_size)
         self.flush_interval = float(flush_interval)
         self._pending: List[tuple] = []
+        self._recorded = 0
         self._last_flush = time.monotonic()
         self._lock = threading.RLock()
         self._conn = sqlite3.connect(self.path, check_same_thread=False)
@@ -266,14 +275,28 @@ class SQLiteStore(TraceStore):
         # Resume numbering after an existing file.
         row = self._conn.execute("SELECT MAX(seq) FROM events").fetchone()
         if row and row[0] is not None:
-            self._next_seq = self._first_seq = row[0] + 1
+            self.seq = itertools.count(row[0] + 1).__next__
+
+    @property
+    def recorded(self) -> int:
+        return self._recorded
+
+    def put(self, record: tuple) -> None:
+        self._store(TraceEvent.from_record(record))
 
     def _store(self, event: TraceEvent) -> None:
-        self._pending.append(event.to_row())
-        if (len(self._pending) >= self.batch_size
-                or time.monotonic() - self._last_flush
-                >= self.flush_interval):
-            self.flush()
+        row = event.to_row()
+        # flush() swaps ``_pending`` under this lock.  Outside it, a
+        # reader's flush landing between "which list" and "append"
+        # (inside to_row(), say) writes the old list out and the row
+        # goes into it afterwards, never to be written.
+        with self._lock:
+            self._recorded += 1
+            self._pending.append(row)
+            if (len(self._pending) >= self.batch_size
+                    or time.monotonic() - self._last_flush
+                    >= self.flush_interval):
+                self.flush()
 
     def flush(self) -> None:
         with self._lock:

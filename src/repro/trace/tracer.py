@@ -2,13 +2,15 @@
 
 A :class:`Tracer` subscribes every component to the three port
 positions and the two task positions, and every connection to
-``CONN_DROP`` — one bound callable per position, entered nowhere else.
+``CONN_DROP`` — one closure per position, entered nowhere else.
 Detached, the simulation pays nothing: every firing site finds its
-position's hook chain empty.  Attached, each fact costs one tuple of
-numbers and long-lived references (:data:`.events.RECORD_FIELDS`) in
-the store; names, the ``"3/8"`` occupancy string and the
-``re:<id>`` link are formatted when the record is read, and only for the
-rows a query returns.  A record never holds the message itself.
+position's hook chain empty.  Attached, each fact costs one frame: the
+closure the firing site calls builds one tuple of numbers and
+long-lived references (:data:`.events.RECORD_FIELDS`), numbered by the
+store's ``seq()``, and hands it to the store's ``put`` — for the ring,
+the deque's own ``append``.  Names, the ``"3/8"`` occupancy string and
+the ``re:<id>`` link are formatted when the record is read, and only
+for the rows a query returns.  A record never holds the message itself.
 
 The per-message linkage rule: a message keeps its id for one hop
 (send → deliver → retrieve, or send → drop).  Components forward work
@@ -20,7 +22,7 @@ two directions can be paired.
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..akita.hooks import HookCtx, HookPos
 from ..akita.simulation import Simulation
@@ -28,12 +30,49 @@ from .events import TraceEvent, TraceKind, message_path
 from .store import RingStore, TraceStore
 
 
-def _request_id(msg: Any) -> Optional[int]:
-    """Id of the request *msg* answers, or None for a request."""
-    original = getattr(msg, "respond_to", None)
-    if original is None:
-        original = getattr(msg, "original_id", None)
-    return original
+def _recording_hooks(store: TraceStore) -> Tuple[
+        Tuple[Tuple[HookPos, Callable[..., None]], ...],
+        Callable[[HookCtx], None]]:
+    """The hooks that write into *store*: ``(position, hook)`` for the
+    five component positions, and the ``CONN_DROP`` hook.
+
+    Each runs on the simulation thread once per fact and is one
+    expression over its arguments and closure cells; a buffer's fill is
+    read off the deque itself, ``len(port.buf)`` being two more calls.
+    """
+    put, seq = store.put, store.seq
+    SEND, DELIVER, RETRIEVE, DROP, TASK_BEGIN, TASK_END = TraceKind.ALL
+
+    def on_send(port, now, msg):
+        put((seq(), now, SEND, port, None, msg.id, type(msg), msg.src,
+             msg.dst, None, msg.respond_to))
+
+    def on_deliver(port, now, msg):
+        put((seq(), now, DELIVER, port, None, msg.id, type(msg), msg.src,
+             msg.dst, len(port.buf._items), msg.respond_to))
+
+    def on_retrieve(port, now, msg):
+        put((seq(), now, RETRIEVE, port, None, msg.id, type(msg),
+             msg.src, msg.dst, len(port.buf._items), msg.respond_to))
+
+    def on_task_begin(component, now, info):
+        put((seq(), now, TASK_BEGIN, component, info.what, None,
+             info.kind, None, None, None, info.task_id))
+
+    def on_task_end(component, now, info):
+        put((seq(), now, TASK_END, component, info.what, None,
+             info.kind, None, None, None, info.task_id))
+
+    def on_drop(ctx: HookCtx):
+        msg = ctx.item.msg
+        put((seq(), ctx.now, DROP, ctx.domain, None, msg.id, type(msg),
+             msg.src, msg.dst, None, msg.respond_to))
+
+    return ((HookPos.PORT_SEND, on_send),
+            (HookPos.PORT_DELIVER, on_deliver),
+            (HookPos.PORT_RETRIEVE, on_retrieve),
+            (HookPos.TASK_BEGIN, on_task_begin),
+            (HookPos.TASK_END, on_task_end)), on_drop
 
 
 class Tracer:
@@ -60,14 +99,8 @@ class Tracer:
         self._recording = False
         self._hooked_components: List[Any] = []
         self._hooked_connections: List[Any] = []
-        self._record = self.store.record
-        self._component_hooks = (
-            (HookPos.PORT_SEND, self._on_send),
-            (HookPos.PORT_DELIVER, self._on_deliver),
-            (HookPos.PORT_RETRIEVE, self._on_retrieve),
-            (HookPos.TASK_BEGIN, self._on_task_begin),
-            (HookPos.TASK_END, self._on_task_end),
-        )
+        self._component_hooks, self._on_drop = \
+            _recording_hooks(self.store)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -109,45 +142,6 @@ class Tracer:
 
     def clear(self) -> None:
         self.store.clear()
-
-    # ------------------------------------------------------------------
-    # The hooks (run on the simulation thread; must stay cheap)
-    # ------------------------------------------------------------------
-    def _on_send(self, ctx: HookCtx) -> None:
-        msg = ctx.item
-        self._record(ctx.now, TraceKind.SEND, ctx.domain, None, msg.id,
-                     type(msg), msg.src, msg.dst, None, _request_id(msg))
-
-    def _on_deliver(self, ctx: HookCtx) -> None:
-        port = ctx.domain
-        msg = ctx.item
-        self._record(ctx.now, TraceKind.DELIVER, port, None, msg.id,
-                     type(msg), msg.src, msg.dst, len(port.buf),
-                     _request_id(msg))
-
-    def _on_retrieve(self, ctx: HookCtx) -> None:
-        port = ctx.domain
-        msg = ctx.item
-        self._record(ctx.now, TraceKind.RETRIEVE, port, None, msg.id,
-                     type(msg), msg.src, msg.dst, len(port.buf),
-                     _request_id(msg))
-
-    def _on_drop(self, ctx: HookCtx) -> None:
-        msg = ctx.item.msg
-        self._record(ctx.now, TraceKind.DROP, ctx.domain, None, msg.id,
-                     type(msg), msg.src, msg.dst, None, _request_id(msg))
-
-    def _on_task_begin(self, ctx: HookCtx) -> None:
-        info = ctx.item
-        self._record(ctx.now, TraceKind.TASK_BEGIN, ctx.domain,
-                     info.what, None, info.kind, None, None, None,
-                     info.task_id)
-
-    def _on_task_end(self, ctx: HookCtx) -> None:
-        info = ctx.item
-        self._record(ctx.now, TraceKind.TASK_END, ctx.domain,
-                     info.what, None, info.kind, None, None, None,
-                     info.task_id)
 
     # ------------------------------------------------------------------
     # Queries

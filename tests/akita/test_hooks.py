@@ -6,11 +6,16 @@ import threading
 
 from repro.akita import (
     CallbackEvent,
+    Component,
+    DirectConnection,
     Engine,
     HookCtx,
     HookPos,
     Hookable,
+    Msg,
+    TaskInfo,
 )
+from repro.akita.connection import DeliveryEvent, Transfer
 
 
 def test_hookable_attach_invoke_remove():
@@ -78,30 +83,114 @@ def test_hook_can_count_event_rate():
 
 
 # ----------------------------------------------------------------------
-# Per-position chains: a hook is entered only where it subscribed
+# The convention belongs to the position: ports and components call
+# hook(subject, now, item); engines and connections call hook(ctx)
 # ----------------------------------------------------------------------
-def _fire_everywhere(h):
-    for pos in HookPos:
-        h.invoke_hooks(HookCtx(h, 0.0, pos))
-        h.fire_hooks(h, 0.0, pos)
+COMPONENT_POSITIONS = (HookPos.PORT_SEND, HookPos.PORT_DELIVER,
+                       HookPos.PORT_RETRIEVE, HookPos.TASK_BEGIN,
+                       HookPos.TASK_END)
+
+
+class _Node(Component):
+    def __init__(self, name, engine):
+        super().__init__(name, engine)
+        self.io = self.add_port("IO", 2)
+
+    def notify_recv(self, port):
+        port.retrieve_incoming()
+
+
+class _Rig:
+    """Two components over one connection; :meth:`exercise` drives
+    every component position through its real firing site."""
+
+    def __init__(self):
+        self.engine = Engine()
+        self.a = _Node("A", self.engine)
+        self.b = _Node("B", self.engine)
+        self.link = DirectConnection("Link", self.engine, latency=2e-9)
+        self.link.plug_in(self.a.io)
+        self.link.plug_in(self.b.io)
+        self.msg = Msg(self.b.io)
+
+    def exercise(self):
+        assert self.a.io.send(self.msg)
+        self.engine.run()
+        self.b.task_begin(7, "wg", "WG 7")
+        self.b.task_end(7, "wg", "WG 7")
+
+
+def _watch(seen, component, positions):
+    """One hook per position (a positional hook is not told where it
+    is), each noting ``(pos, *what it was called with)``."""
+    for pos in positions:
+        component.accept_hook(
+            lambda *args, pos=pos: seen.append((pos, *args)), (pos,))
+
+
+def test_component_positions_deliver_subject_now_item():
+    rig, seen = _Rig(), []
+    _watch(seen, rig.a, COMPONENT_POSITIONS)
+    _watch(seen, rig.b, COMPONENT_POSITIONS)
+    rig.exercise()
+    task = TaskInfo(7, "wg", "WG 7")
+    assert seen == [
+        (HookPos.PORT_SEND, rig.a.io, 0.0, rig.msg),
+        (HookPos.PORT_DELIVER, rig.b.io, 2e-9, rig.msg),
+        (HookPos.PORT_RETRIEVE, rig.b.io, 2e-9, rig.msg),
+        (HookPos.TASK_BEGIN, rig.b, 2e-9, task),
+        (HookPos.TASK_END, rig.b, 2e-9, task),
+    ]
+
+
+def test_engine_and_connection_positions_still_deliver_a_ctx():
+    rig, seen = _Rig(), []
+
+    def note(ctx):
+        assert type(ctx) is HookCtx
+        seen.append((ctx.pos, ctx.domain, ctx.now, type(ctx.item)))
+
+    def skip_deliveries(ctx):
+        note(ctx)
+        ctx.skip = ctx.item.handler is rig.link
+
+    rig.engine.accept_hook(skip_deliveries, (HookPos.BEFORE_EVENT,))
+    rig.engine.accept_hook(note, (HookPos.AFTER_EVENT,))
+    rig.link.accept_hook(note)
+    deliveries = []
+    _watch(deliveries, rig.b, (HookPos.PORT_DELIVER,))
+    rig.exercise()
+    assert seen == [
+        (HookPos.CONN_TRANSFER, rig.link, 0.0, Transfer),
+        (HookPos.BEFORE_EVENT, rig.engine, 2e-9, DeliveryEvent),
+    ]
+    # The skipped event was discarded unhandled: nothing was delivered
+    # and AFTER_EVENT never fired for it.
+    assert not deliveries and rig.engine.event_count == 0
 
 
 def test_narrowed_hook_is_never_called_elsewhere():
-    h = Hookable()
-    seen = []
-    h.accept_hook(lambda ctx: seen.append(ctx.pos),
-                  positions=(HookPos.PORT_DELIVER, HookPos.TASK_END))
-    _fire_everywhere(h)
-    assert seen == [HookPos.PORT_DELIVER] * 2 + [HookPos.TASK_END] * 2
+    rig, seen = _Rig(), []
+    _watch(seen, rig.b, (HookPos.PORT_DELIVER, HookPos.TASK_END))
+    rig.exercise()
+    assert [pos for pos, *_ in seen] \
+        == [HookPos.PORT_DELIVER, HookPos.TASK_END]
 
 
 def test_positions_none_sees_every_position():
-    h = Hookable()
-    seen = []
-    h.accept_hook(lambda ctx: seen.append(ctx.pos))
-    for pos in HookPos:
-        h.fire_hooks(h, 0.0, pos)
-    assert seen == list(HookPos)
+    """...that its hookable fires, each in that position's convention."""
+    rig, seen = _Rig(), []
+    rig.b.accept_hook(lambda *args: seen.append(args))
+    rig.link.accept_hook(lambda ctx: seen.append(ctx.pos))
+    rig.exercise()
+    task = TaskInfo(7, "wg", "WG 7")
+    assert seen == [
+        HookPos.CONN_TRANSFER,
+        (rig.b.io, 2e-9, rig.msg),   # deliver
+        (rig.b.io, 2e-9, rig.msg),   # retrieve
+        (rig.b, 2e-9, task),
+        (rig.b, 2e-9, task),
+    ]
 
 
 def test_unsubscribed_positions_have_empty_chains():
@@ -125,63 +214,82 @@ def test_engine_narrowed_hook_skips_the_event_positions():
     assert seen == [HookPos.ENGINE_START, HookPos.ENGINE_DRY]
 
 
-def test_attach_and_detach_from_inside_a_firing_hook():
-    h = Hookable()
+def _edit_subscriptions_mid_firing(h, pos, fire):
     calls = []
 
-    def late(ctx):
+    def late(*args):
         calls.append("late")
 
-    def first(ctx):
+    def first(*args):
         calls.append("first")
         h.remove_hook(first)
-        h.accept_hook(late, positions=(HookPos.AFTER_EVENT,))
+        h.accept_hook(late, positions=(pos,))
 
-    def second(ctx):
+    def second(*args):
         calls.append("second")
 
     h.accept_hook(first)
-    h.accept_hook(second, positions=(HookPos.AFTER_EVENT,))
-    ctx = HookCtx(h, 0.0, HookPos.AFTER_EVENT)
+    h.accept_hook(second, positions=(pos,))
     # The firing in progress finishes on the chain it started with...
-    h.invoke_hooks(ctx)
+    fire()
     assert calls == ["first", "second"]
     # ...and the next one sees the edited subscriptions, in attach order.
-    h.invoke_hooks(ctx)
+    fire()
     assert calls == ["first", "second", "second", "late"]
     assert h.num_hooks == 2
 
 
+def test_attach_and_detach_from_inside_a_firing_hook():
+    h = Hookable()
+    ctx = HookCtx(h, 0.0, HookPos.AFTER_EVENT)
+    _edit_subscriptions_mid_firing(h, HookPos.AFTER_EVENT,
+                                   lambda: h.invoke_hooks(ctx))
+    rig = _Rig()
+    _edit_subscriptions_mid_firing(rig.b, HookPos.PORT_DELIVER,
+                                   lambda: rig.b.io.deliver(rig.msg))
+
+
 def test_attach_detach_from_other_threads_keeps_chains_consistent():
     """Server threads start and stop observers while the simulation
-    thread fires: no subscription may be lost or left behind."""
-    h = Hookable()
+    thread fires: no subscription may be lost or left behind, and no
+    hook is entered at a position it did not ask for."""
+    rig = _Rig()
+    port, node = rig.b.io, rig.b
     keeper_calls = []
-    h.accept_hook(keeper_calls.append, positions=(HookPos.PORT_SEND,))
+    _watch(keeper_calls, node, (HookPos.PORT_DELIVER,))
     stop = threading.Event()
     errors = []
+    # What each position, and no other, hands its hooks: the message is
+    # in the buffer at deliver and out of it at retrieve.
+    expected = {
+        HookPos.PORT_DELIVER:
+            lambda subject, item: subject is port and len(port.buf) == 1,
+        HookPos.PORT_RETRIEVE:
+            lambda subject, item: subject is port and len(port.buf) == 0,
+        HookPos.TASK_BEGIN:
+            lambda subject, item: subject is node
+            and type(item) is TaskInfo,
+    }
 
     def churn(pos):
-        def hook(ctx):
-            if ctx.pos is not pos:
-                errors.append((pos, ctx.pos))
+        def hook(subject, now, item):
+            if not expected[pos](subject, item):
+                errors.append((pos, subject, item))
         for _ in range(300):
-            h.accept_hook(hook, positions=(pos,))
-            h.remove_hook(hook)
+            node.accept_hook(hook, positions=(pos,))
+            node.remove_hook(hook)
 
     def fire():
         while not stop.is_set():
-            for pos in (HookPos.PORT_SEND, HookPos.PORT_DELIVER,
-                        HookPos.TASK_BEGIN):
-                h.invoke_hooks(HookCtx(h, 0.0, pos))
+            port.deliver(rig.msg)  # _Node retrieves it on the spot
+            node.task_begin(1)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         firer = threading.Thread(target=fire)
         churners = [threading.Thread(target=churn, args=(pos,))
-                    for pos in (HookPos.PORT_SEND, HookPos.PORT_DELIVER,
-                                HookPos.TASK_BEGIN, HookPos.PORT_SEND)]
+                    for pos in (*expected, HookPos.PORT_DELIVER)]
         firer.start()
         for t in churners:
             t.start()
@@ -194,9 +302,9 @@ def test_attach_detach_from_other_threads_keeps_chains_consistent():
     assert not firer.is_alive() and not any(t.is_alive() for t in churners)
     assert not errors
     assert keeper_calls  # the bystander kept being called throughout
-    assert h.num_hooks == 1
-    assert [pos for pos in HookPos if h._chains[pos.index]] \
-        == [HookPos.PORT_SEND]
+    assert node.num_hooks == 1
+    assert [pos for pos in HookPos if node._chains[pos.index]] \
+        == [HookPos.PORT_DELIVER]
 
 
 def test_checkpoint_round_trip_restores_empty_chains():

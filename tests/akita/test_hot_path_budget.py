@@ -15,20 +15,32 @@ run measured here, 47.60 → 27.43 at the benchmark's 4096 samples
 (``python tests/akita/test_hot_path_budget.py`` prints both).  The
 budget sits about 10% above what the code reaches.  If a change
 legitimately needs more calls, say why in the commit that raises it.
+
+The same count over an *instrumented* run (metrics registry attached,
+ring tracer recording — rtmbench's ``instrumented`` workload) gates the
+recording path: what recording adds per event, on top of the bare
+count.  History: 11.52 → 4.51 at 256 samples (11.83 → 4.57 at 4096)
+when component hooks became positional and a trace record one frame.
 """
 
 import gc
 import sys
 
+from repro.core import Monitor
 from repro.gpu import GPUPlatform, GPUPlatformConfig
 from repro.workloads import FIR
 
 CALLS_PER_EVENT_BUDGET = 29.0
+RECORDING_CALLS_PER_EVENT_BUDGET = 5.0
 
 
-def calls_per_event(num_samples=256):
+def calls_per_event(num_samples=256, instrumented=False):
     platform = GPUPlatform(GPUPlatformConfig.small(num_chiplets=2))
     FIR(num_samples=num_samples).enqueue(platform.driver)
+    if instrumented:
+        monitor = Monitor(platform.simulation)
+        monitor.ensure_sim_metrics().start()
+        monitor.ensure_tracer(backend="ring").start()
     calls = 0
 
     def count(frame, kind, arg):
@@ -61,7 +73,21 @@ def test_bare_fir_stays_inside_the_call_budget():
         "path gained a layer")
 
 
+def test_recording_stays_inside_the_call_budget():
+    bare = calls_per_event()
+    measured = calls_per_event(instrumented=True)
+    assert measured == calls_per_event(instrumented=True), \
+        "the count must repeat exactly"
+    assert measured - bare <= RECORDING_CALLS_PER_EVENT_BUDGET, (
+        f"recording adds {measured - bare:.2f} calls per simulated "
+        f"event, budget {RECORDING_CALLS_PER_EVENT_BUDGET}: something "
+        "between a firing site and the ring gained a frame")
+
+
 if __name__ == "__main__":
     for samples in (256, 4096):
-        print(f"FIR({samples}): {calls_per_event(samples):.2f} "
-              "calls per event")
+        bare = calls_per_event(samples)
+        instrumented = calls_per_event(samples, instrumented=True)
+        print(f"FIR({samples}) bare: {bare:.2f} calls per event")
+        print(f"FIR({samples}) instrumented: {instrumented:.2f} calls "
+              f"per event, recording adds {instrumented - bare:.2f}")

@@ -31,9 +31,9 @@ def has_materialised_dict(obj) -> bool:
     """Whether *obj*'s attributes live in a real dict, asked without
     creating one: an instance with inline values refers to the values
     themselves, a materialised one to the dict that holds them —
-    recognised by an attribute name every hookable (``_hook_ctx``) or
+    recognised by an attribute name every hookable (``_chains``) or
     event queue (``_heap``) has."""
-    return any(type(ref) is dict and ("_hook_ctx" in ref or "_heap" in ref)
+    return any(type(ref) is dict and ("_chains" in ref or "_heap" in ref)
                for ref in gc.get_referents(obj))
 
 

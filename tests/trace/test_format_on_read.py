@@ -15,7 +15,8 @@ import pytest
 
 from repro.akita import Component, DirectConnection, Engine, Msg
 from repro.gpu.mem import DataReadyRsp, ReadReq
-from repro.trace import RingStore, TraceEvent, TraceKind, Tracer
+from repro.trace import (RingStore, SQLiteStore, TraceEvent, TraceKind,
+                         Tracer)
 
 HERE = Path(__file__).parent
 SRC = HERE.parents[1] / "src"
@@ -122,11 +123,36 @@ def test_records_hold_no_message(pair):
 
 
 # ----------------------------------------------------------------------
-# The ring itself
+# The stores' two doors: put(raw record) and append(TraceEvent)
 # ----------------------------------------------------------------------
-def _record(i, port):
-    return (i * 1e-9, TraceKind.SEND if i % 2 else TraceKind.DELIVER,
-            port, None, i, ReadReq, port, port, i % 2 or None, None)
+def _put(store, i, port):
+    """What a tracer hook does: mint, build, hand over."""
+    store.put((store.seq(), i * 1e-9,
+               TraceKind.SEND if i % 2 else TraceKind.DELIVER, port, None,
+               i, ReadReq, port, port, i % 2 or None, None))
+
+
+@pytest.mark.parametrize("backend", ["ring", "sqlite"])
+def test_counts_stay_exact_across_reads_and_clear(backend, tmp_path):
+    port = _Sim().client.out
+    ring = backend == "ring"
+    store = RingStore(capacity=8) if ring \
+        else SQLiteStore(str(tmp_path / "trace.db"), batch_size=4)
+    for i in range(12):
+        _put(store, i, port)
+        # A read takes no sequence number and miscounts nothing.
+        assert store.recorded == i + 1 == store.stats()["recorded"]
+        assert store.dropped == (max(0, i + 1 - 8) if ring else 0)
+        assert store.tail(1)[0].seq == i == store.query(limit=0)[-1].seq
+    store.clear()
+    assert len(store) == 0 and store.recorded == 12
+    assert store.dropped == (12 if ring else 0)
+    assert store.append(TraceEvent(0.0, TraceKind.DROP, "c")).seq == 12
+    _put(store, 13, port)
+    assert [ev.seq for ev in store.query(limit=0)] == [12, 13]
+    assert store.recorded == 14 and len(store) == 2
+    assert store.dropped == (12 if ring else 0)
+    store.close()
 
 
 def test_seq_stays_continuous_under_overwrite():
@@ -137,7 +163,7 @@ def test_seq_stays_continuous_under_overwrite():
         if i % 5 == 0:
             store.append(TraceEvent(i * 1e-9, TraceKind.DROP, "c"))
         else:
-            store.record(*_record(i, port))
+            _put(store, i, port)
     assert store.recorded == 30 and store.dropped == 22 and len(store) == 8
     assert [ev.seq for ev in store.query(limit=0)] == list(range(22, 30))
     assert [ev.seq for ev in store.tail(3)] == [27, 28, 29]
@@ -154,7 +180,7 @@ def test_query_racing_concurrent_appends_sees_a_consistent_prefix():
     def writer():
         i = 0
         while not stop.is_set():
-            store.record(*_record(i, port))
+            _put(store, i, port)
             i += 1
 
     interval = sys.getswitchinterval()

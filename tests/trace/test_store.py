@@ -168,6 +168,29 @@ def test_sqlite_persists_and_resumes_seq(tmp_path):
     reopened.close()
 
 
+def test_sqlite_keeps_a_row_when_a_reader_flushes_mid_append(
+        tmp_path, monkeypatch):
+    """A server thread's query()/flush() can land while the simulation
+    thread is still formatting the row it is about to buffer; the row
+    must go into the batch that is written next, not the one just
+    written out."""
+    store = SQLiteStore(str(tmp_path / "t.db"), batch_size=1000,
+                        flush_interval=3600.0)
+    to_row = TraceEvent.to_row
+
+    def to_row_with_a_flush_landing_inside(event):
+        store.flush()
+        return to_row(event)
+
+    monkeypatch.setattr(TraceEvent, "to_row",
+                        to_row_with_a_flush_landing_inside)
+    _fill(store, 2)
+    monkeypatch.undo()
+    assert store.recorded == 2
+    assert [ev.seq for ev in store.query(limit=0)] == [0, 1]
+    store.close()
+
+
 def test_sqlite_query_flushes_pending(tmp_path):
     store = SQLiteStore(str(tmp_path / "t.db"), batch_size=1000,
                         flush_interval=3600.0)
