@@ -20,22 +20,14 @@ Two layers:
   every T wall seconds (pauses the engine at an event boundary first).
 """
 
-from .checkpointer import Checkpointer
-from .format import (
-    CHECKPOINT_MAGIC,
-    CHECKPOINT_VERSION,
-    CheckpointError,
-    load_checkpoint,
-    read_checkpoint_meta,
-    save_checkpoint,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CHECKPOINT_MAGIC",
-    "CHECKPOINT_VERSION",
-    "Checkpointer",
-    "CheckpointError",
-    "load_checkpoint",
-    "read_checkpoint_meta",
-    "save_checkpoint",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "Checkpointer": ".checkpointer",
+    "CHECKPOINT_MAGIC": ".format",
+    "CHECKPOINT_VERSION": ".format",
+    "CheckpointError": ".format",
+    "load_checkpoint": ".format",
+    "read_checkpoint_meta": ".format",
+    "save_checkpoint": ".format",
+})

@@ -18,67 +18,42 @@ The twelve-function plugin API lives on :class:`Monitor`; the HTTP API
 dashboard under ``static/`` or programmatically via :class:`RTMClient`.
 """
 
-from .alerts import AlertManager, AlertRule
-from .bottleneck import BufferAnalyzer, BufferRow
-from .client import RTMClient, RTMClientError, RTMConnectionError
-from .export import (
-    METRIC,
-    RecordedSeries,
-    SeriesRecorder,
-    export_watches_csv,
-    load_recorded_series,
-    metric_target,
-)
-from .hangdetect import HangDetector, HangStatus
-from .inspector import (
-    discover_buffers,
-    numeric_value,
-    resolve_path,
-    serialize_component,
-    serialize_value,
-    watchable_paths,
-)
-from .monitor import Monitor
-from .progress import ProgressBar
-from .resources import ResourceMonitor, ResourceSample
-from .server import BadRequest, HTTPServerThread, JSONRequestHandler, RTMServer
-from .timeseries import HISTORY, MAX_WATCHES, ValueMonitor, ValueWatch
-from .watchdog import Watchdog, WatchdogConfig
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AlertManager",
-    "AlertRule",
-    "BadRequest",
-    "BufferAnalyzer",
-    "BufferRow",
-    "HangDetector",
-    "HangStatus",
-    "HISTORY",
-    "HTTPServerThread",
-    "JSONRequestHandler",
-    "MAX_WATCHES",
-    "METRIC",
-    "Monitor",
-    "ProgressBar",
-    "RecordedSeries",
-    "SeriesRecorder",
-    "ResourceMonitor",
-    "ResourceSample",
-    "RTMClient",
-    "RTMClientError",
-    "RTMConnectionError",
-    "RTMServer",
-    "ValueMonitor",
-    "ValueWatch",
-    "Watchdog",
-    "WatchdogConfig",
-    "discover_buffers",
-    "export_watches_csv",
-    "load_recorded_series",
-    "metric_target",
-    "numeric_value",
-    "resolve_path",
-    "serialize_component",
-    "serialize_value",
-    "watchable_paths",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "AlertManager": ".alerts",
+    "AlertRule": ".alerts",
+    "BufferAnalyzer": ".bottleneck",
+    "BufferRow": ".bottleneck",
+    "RTMClient": ".client",
+    "RTMClientError": ".client",
+    "RTMConnectionError": ".client",
+    "export_watches_csv": ".export",
+    "load_recorded_series": ".export",
+    "METRIC": ".export",
+    "metric_target": ".export",
+    "RecordedSeries": ".export",
+    "SeriesRecorder": ".export",
+    "HangDetector": ".hangdetect",
+    "HangStatus": ".hangdetect",
+    "discover_buffers": ".inspector",
+    "numeric_value": ".inspector",
+    "resolve_path": ".inspector",
+    "serialize_component": ".inspector",
+    "serialize_value": ".inspector",
+    "watchable_paths": ".inspector",
+    "Monitor": ".monitor",
+    "ProgressBar": ".progress",
+    "ResourceMonitor": ".resources",
+    "ResourceSample": ".resources",
+    "BadRequest": ".server",
+    "HTTPServerThread": ".server",
+    "JSONRequestHandler": ".server",
+    "RTMServer": ".server",
+    "HISTORY": ".timeseries",
+    "MAX_WATCHES": ".timeseries",
+    "ValueMonitor": ".timeseries",
+    "ValueWatch": ".timeseries",
+    "Watchdog": ".watchdog",
+    "WatchdogConfig": ".watchdog",
+})

@@ -206,6 +206,8 @@ class _Handler(JSONRequestHandler):
     """Routes requests to the monitor.  One instance per request."""
 
     monitor = None  # injected by RTMServer via subclassing
+    #: ``(monitor, its snapshot)`` as of the last ``?delta=1`` answer.
+    _metrics_prev: Tuple[Any, Dict[str, Any]] = (None, {})
 
     # -- static files ------------------------------------------------------
     def _serve_static(self, path: str) -> None:
@@ -415,15 +417,19 @@ class _Handler(JSONRequestHandler):
 
     def _get_metrics(self, params: Dict[str, str]) -> None:
         self._ensure_sim_metrics_started()
-        current = self.monitor.metrics.snapshot(self._names_param(params))
+        monitor = self.monitor
+        current = monitor.metrics.snapshot(self._names_param(params))
         want_delta = params.get("delta", "") not in ("", "0", "false")
         payload: Dict[str, Any] = {"delta": want_delta}
         if want_delta:
             # The previous snapshot lives on the per-server handler
-            # class, so deltas span requests but not server restarts.
-            previous = getattr(type(self), "_metrics_prev", None)
-            payload["metrics"] = _snapshot_delta(previous or {}, current)
-            type(self)._metrics_prev = current
+            # class, so deltas span requests but not server restarts;
+            # it counts only for the monitor it was taken from, so the
+            # first delta after a rebind() starts from zero.
+            taken_from, previous = type(self)._metrics_prev
+            payload["metrics"] = _snapshot_delta(
+                previous if taken_from is monitor else {}, current)
+            type(self)._metrics_prev = (monitor, current)
         else:
             payload["metrics"] = current
         self._send_json(payload)
@@ -957,3 +963,6 @@ class RTMServer(HTTPServerThread):
         finish against the monitor they started with.
         """
         self._handler.monitor = monitor
+        # The ``?delta=1`` baseline is keyed to the monitor it was taken
+        # from; dropping it lets that monitor's simulation be collected.
+        self._handler._metrics_prev = (None, {})

@@ -26,31 +26,20 @@ Typical usage::
     print(result.summary())
 """
 
-from .campaign import CampaignResult, CampaignRunner
-from .injector import FaultInjector, FaultKind, FaultSpec
-from .scenarios import (
-    LIBRARY,
-    Expectation,
-    FaultScenario,
-    cycles,
-    l2_intake_pinned,
-    rdma_message_loss,
-    slow_network,
-    write_buffer_stall,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CampaignResult",
-    "CampaignRunner",
-    "Expectation",
-    "FaultInjector",
-    "FaultKind",
-    "FaultScenario",
-    "FaultSpec",
-    "LIBRARY",
-    "cycles",
-    "l2_intake_pinned",
-    "rdma_message_loss",
-    "slow_network",
-    "write_buffer_stall",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "CampaignResult": ".campaign",
+    "CampaignRunner": ".campaign",
+    "FaultInjector": ".injector",
+    "FaultKind": ".injector",
+    "FaultSpec": ".injector",
+    "cycles": ".scenarios",
+    "Expectation": ".scenarios",
+    "FaultScenario": ".scenarios",
+    "l2_intake_pinned": ".scenarios",
+    "LIBRARY": ".scenarios",
+    "rdma_message_loss": ".scenarios",
+    "slow_network": ".scenarios",
+    "write_buffer_stall": ".scenarios",
+})

@@ -39,23 +39,19 @@ Typical campaign::
     manager.stop(); gateway.stop()
 """
 
-from .gateway import FleetGateway
-from .journal import CampaignJournal, JournalReplay, replay_journal
-from .manager import FleetManager, WorkerHandle
-from .protocol import CONTROL_PREFIX, FrameDecoder
-from .queue import Job, JobQueue, JobSpec, workload_catalog
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CONTROL_PREFIX",
-    "CampaignJournal",
-    "FleetGateway",
-    "FleetManager",
-    "FrameDecoder",
-    "Job",
-    "JobQueue",
-    "JobSpec",
-    "JournalReplay",
-    "WorkerHandle",
-    "replay_journal",
-    "workload_catalog",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "FleetGateway": ".gateway",
+    "CampaignJournal": ".journal",
+    "JournalReplay": ".journal",
+    "replay_journal": ".journal",
+    "FleetManager": ".manager",
+    "WorkerHandle": ".manager",
+    "CONTROL_PREFIX": ".protocol",
+    "FrameDecoder": ".protocol",
+    "Job": ".queue",
+    "JobQueue": ".queue",
+    "JobSpec": ".queue",
+    "workload_catalog": ".queue",
+})

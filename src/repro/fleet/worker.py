@@ -59,6 +59,8 @@ from typing import List, Optional
 
 from ..core import Monitor
 from ..core.server import RTMServer
+# Every job's enable_watchdog() runs it; boot pays for it, not job one.
+from ..core.watchdog import Watchdog  # noqa: F401
 from ..gpu import GPUPlatform, GPUPlatformConfig
 from ..metrics import expose
 from .protocol import CONTROL_PREFIX, decode_command, emit

@@ -35,17 +35,15 @@ Typical use::
     report = historian.compare("sweep-41", "sweep-42")
 """
 
-from .rules import MetricRule, RULE_KINDS
-from .service import HistorianService, gateway_source, registry_source
-from .store import Historian, RetentionPolicy, RECORD_KINDS
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Historian",
-    "HistorianService",
-    "MetricRule",
-    "RECORD_KINDS",
-    "RULE_KINDS",
-    "RetentionPolicy",
-    "gateway_source",
-    "registry_source",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "MetricRule": ".rules",
+    "RULE_KINDS": ".rules",
+    "gateway_source": ".service",
+    "HistorianService": ".service",
+    "registry_source": ".service",
+    "Historian": ".store",
+    "RECORD_KINDS": ".store",
+    "RetentionPolicy": ".store",
+})

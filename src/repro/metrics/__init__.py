@@ -13,52 +13,28 @@ Three front doors, all served by :class:`repro.core.RTMServer`:
 * ``GET /api/stream``   — Server-Sent Events pushing snapshots
 """
 
-from .exposition import (
-    CONTENT_TYPE,
-    expose,
-    family_total,
-    format_labels,
-    parse_exposition,
-)
-from .federation import (
-    federate,
-    federate_sources,
-    inject_label,
-    inject_labels,
-    scrape,
-)
-from .instrument import OCCUPANCY_BUCKETS, PASS_BUCKETS, SimMetrics
-from .registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    Metric,
-    MetricRegistry,
-    Series,
-    rate,
-    snapshot_delta,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CONTENT_TYPE",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Metric",
-    "MetricRegistry",
-    "OCCUPANCY_BUCKETS",
-    "PASS_BUCKETS",
-    "Series",
-    "SimMetrics",
-    "expose",
-    "family_total",
-    "federate",
-    "federate_sources",
-    "format_labels",
-    "parse_exposition",
-    "inject_label",
-    "inject_labels",
-    "rate",
-    "scrape",
-    "snapshot_delta",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "CONTENT_TYPE": ".exposition",
+    "expose": ".exposition",
+    "family_total": ".exposition",
+    "format_labels": ".exposition",
+    "parse_exposition": ".exposition",
+    "federate": ".federation",
+    "federate_sources": ".federation",
+    "inject_label": ".federation",
+    "inject_labels": ".federation",
+    "scrape": ".federation",
+    "OCCUPANCY_BUCKETS": ".instrument",
+    "PASS_BUCKETS": ".instrument",
+    "SimMetrics": ".instrument",
+    "Counter": ".registry",
+    "Gauge": ".registry",
+    "Histogram": ".registry",
+    "Metric": ".registry",
+    "MetricRegistry": ".registry",
+    "rate": ".registry",
+    "Series": ".registry",
+    "snapshot_delta": ".registry",
+})

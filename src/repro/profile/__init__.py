@@ -7,39 +7,29 @@ role there), re-exported here; nothing in this package imports
 ``repro.core``.
 """
 
-from ..akita.threads import (register_current_thread, role_of,
-                             sim_thread_id, thread_roles,
-                             unregister_thread)
-from .attribution import (IDLE_LEAVES, LAYERS, PATH_RULES,
-                          attribution_report, classify_frame,
-                          classify_path, classify_stack, diff_summaries,
-                          make_summary, merge_summaries,
-                          summary_stack_map)
-from .continuous import ContinuousProfiler, ProfileWindow
-from .export import (SPEEDSCOPE_SCHEMA, collapsed_stacks, frame_label,
-                     speedscope_document)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "IDLE_LEAVES",
-    "LAYERS",
-    "PATH_RULES",
-    "SPEEDSCOPE_SCHEMA",
-    "ContinuousProfiler",
-    "ProfileWindow",
-    "attribution_report",
-    "classify_frame",
-    "classify_path",
-    "classify_stack",
-    "collapsed_stacks",
-    "diff_summaries",
-    "frame_label",
-    "make_summary",
-    "merge_summaries",
-    "register_current_thread",
-    "role_of",
-    "sim_thread_id",
-    "speedscope_document",
-    "summary_stack_map",
-    "thread_roles",
-    "unregister_thread",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "register_current_thread": "..akita.threads",
+    "role_of": "..akita.threads",
+    "sim_thread_id": "..akita.threads",
+    "thread_roles": "..akita.threads",
+    "unregister_thread": "..akita.threads",
+    "attribution_report": ".attribution",
+    "classify_frame": ".attribution",
+    "classify_path": ".attribution",
+    "classify_stack": ".attribution",
+    "diff_summaries": ".attribution",
+    "IDLE_LEAVES": ".attribution",
+    "LAYERS": ".attribution",
+    "make_summary": ".attribution",
+    "merge_summaries": ".attribution",
+    "PATH_RULES": ".attribution",
+    "summary_stack_map": ".attribution",
+    "ContinuousProfiler": ".continuous",
+    "ProfileWindow": ".continuous",
+    "collapsed_stacks": ".export",
+    "frame_label": ".export",
+    "speedscope_document": ".export",
+    "SPEEDSCOPE_SCHEMA": ".export",
+})

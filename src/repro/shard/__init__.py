@@ -23,35 +23,21 @@ package implements that execution mode:
   AkitaRTM dashboards behind one gateway.
 """
 
-from .boundary import (
-    BoundaryCodec,
-    BoundaryInjector,
-    ShardConnection,
-    build_port_registry,
-)
-from .coordinator import (
-    ShardCoordinator,
-    ShardGateway,
-    ShardResult,
-    ShardWorkerError,
-    run_sharded,
-)
-from .partition import chiplet_owners, owner_of_name
-from .runtime import ShardRuntime, resolve_workload, workload_spec
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BoundaryCodec",
-    "BoundaryInjector",
-    "ShardConnection",
-    "ShardCoordinator",
-    "ShardGateway",
-    "ShardResult",
-    "ShardRuntime",
-    "ShardWorkerError",
-    "build_port_registry",
-    "chiplet_owners",
-    "owner_of_name",
-    "resolve_workload",
-    "run_sharded",
-    "workload_spec",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "BoundaryCodec": ".boundary",
+    "BoundaryInjector": ".boundary",
+    "build_port_registry": ".boundary",
+    "ShardConnection": ".boundary",
+    "run_sharded": ".coordinator",
+    "ShardCoordinator": ".coordinator",
+    "ShardGateway": ".coordinator",
+    "ShardResult": ".coordinator",
+    "ShardWorkerError": ".coordinator",
+    "chiplet_owners": ".partition",
+    "owner_of_name": ".partition",
+    "resolve_workload": ".runtime",
+    "ShardRuntime": ".runtime",
+    "workload_spec": ".runtime",
+})

@@ -32,32 +32,22 @@ notes raw records, one Python frame each; events are formatted when
 read (see :mod:`repro.trace.events`).
 """
 
-from .events import FIELDS, TraceEvent, TraceKind, message_path
-from .export import (
-    EXPORT_FORMATS,
-    export_events,
-    read_jsonl,
-    to_perfetto,
-    write_jsonl,
-    write_perfetto,
-)
-from .store import NO_LIMIT, RingStore, SQLiteStore, TraceStore
-from .tracer import Tracer
+from .._lazy import lazy_exports
 
-__all__ = [
-    "EXPORT_FORMATS",
-    "FIELDS",
-    "NO_LIMIT",
-    "RingStore",
-    "SQLiteStore",
-    "TraceEvent",
-    "TraceKind",
-    "TraceStore",
-    "Tracer",
-    "export_events",
-    "message_path",
-    "read_jsonl",
-    "to_perfetto",
-    "write_jsonl",
-    "write_perfetto",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "FIELDS": ".events",
+    "message_path": ".events",
+    "TraceEvent": ".events",
+    "TraceKind": ".events",
+    "export_events": ".export",
+    "EXPORT_FORMATS": ".export",
+    "read_jsonl": ".export",
+    "to_perfetto": ".export",
+    "write_jsonl": ".export",
+    "write_perfetto": ".export",
+    "NO_LIMIT": ".store",
+    "RingStore": ".store",
+    "SQLiteStore": ".store",
+    "TraceStore": ".store",
+    "Tracer": ".tracer",
+})

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import re
-import sqlite3
 import threading
 import time
 from collections import deque
@@ -267,6 +266,7 @@ class SQLiteStore(TraceStore):
         self._recorded = 0
         self._last_flush = time.monotonic()
         self._lock = threading.RLock()
+        import sqlite3  # here, not at module top: the ring never pays
         self._conn = sqlite3.connect(self.path, check_same_thread=False)
         self._conn.executescript(_SCHEMA)
         self._conn.execute("PRAGMA journal_mode=WAL")

@@ -7,7 +7,7 @@ import urllib.request
 
 import pytest
 
-from repro.core import Monitor, RTMClient, RTMClientError
+from repro.core import Monitor, RTMClient, RTMClientError, RTMServer
 from repro.gpu import GPUPlatform, GPUPlatformConfig
 from repro.workloads import suite_small
 from repro.workloads.storestorm import StoreStorm
@@ -124,6 +124,31 @@ def test_api_metrics_delta(rig):
     # Second delta right after: nothing ran in between.
     again = client.metrics_snapshot(delta=True)
     assert again["rtm_engine_events_total"]["samples"][0]["value"] == 0
+
+
+def test_delta_after_rebind_starts_from_the_new_monitor():
+    """A warm fleet worker rebinds one server to each job's monitor:
+    job N+1's first delta must not be measured against job N's totals."""
+    first, second = Monitor(), Monitor()
+    first.metrics.counter("jobs_work_total", "work").inc(100)
+    second.metrics.counter("jobs_work_total", "work").inc(30)
+    server = RTMServer(first)
+    server.start()
+    client = RTMClient(server.url)
+
+    def delta():
+        families = client.metrics_snapshot(delta=True,
+                                           names="jobs_work_total")
+        return families["jobs_work_total"]["samples"][0]["value"]
+
+    try:
+        assert delta() == 100
+        server.rebind(second)
+        assert delta() == 30
+        second.metrics.counter("jobs_work_total", "work").inc(5)
+        assert delta() == 5
+    finally:
+        server.stop()
 
 
 def test_metrics_start_stop_roundtrip(rig):

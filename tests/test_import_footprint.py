@@ -1,0 +1,234 @@
+"""A process imports what it runs — two host-independent gates.
+
+*What an entry point loads.*  Every subsystem ``__init__.py`` above the
+core is a lazy table (:mod:`repro._lazy`), so ``python -m
+repro.shard.worker`` loads the simulator and the shard plane, not the
+coordinator, the fleet manager, the HTTP server and ``urllib``.  Each
+entry below is imported in a fresh interpreter; modules it must never
+load and the number of ``repro.*`` modules it may load are gated (at
+PR 17: shard worker 80, fleet worker 75, ``Monitor`` 35).
+
+*What a timed region loads: nothing.*  A lazy import that first
+resolves inside ``platform.run()``, a request handler, a fleet job or a
+shard window moves set-up cost into the measured run.  Each region
+below runs in a fresh interpreter after the set-up its process really
+does; ``sys.modules`` must be the same set before and after.
+
+``python tests/test_import_footprint.py`` prints the table: modules,
+``repro.*`` modules and import milliseconds per entry.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _python(code, *flags):
+    """Run *code* in a fresh interpreter that can import ``repro``;
+    returns ``(last stdout line parsed as JSON, stderr)``."""
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", code], capture_output=True,
+        text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1]), proc.stderr
+
+
+def _is_repro(module):
+    return module == "repro" or module.startswith("repro.")
+
+
+# ----------------------------------------------------------------------
+# What an entry point loads
+# ----------------------------------------------------------------------
+def loaded_by(entry, *flags):
+    """``(modules the *entry* statement adds to sys.modules, stderr)``."""
+    return _python(
+        "import sys; before = set(sys.modules)\n"
+        f"{entry}\n"
+        "added = sorted(set(sys.modules) - before)\n"
+        "import json; print(json.dumps(added))", *flags)
+
+
+#: entry statement -> (module prefixes it must not load, repro.* budget)
+ENTRIES = {
+    "import repro.shard.worker": ((
+        "repro.core", "repro.metrics", "repro.historian",
+        "repro.fleet.manager", "repro.fleet.gateway",
+        "repro.fleet.journal", "repro.fleet.queue",
+        "http.server", "urllib.request", "sqlite3"), 58),
+    "import repro.fleet.worker": ((
+        "repro.fleet.manager", "repro.fleet.gateway",
+        "repro.fleet.journal", "repro.core.client", "repro.core.export",
+        "repro.historian", "repro.shard", "repro.studies",
+        "urllib.request", "sqlite3"), 70),
+    "from repro.core import Monitor": ((
+        "repro.core.server", "repro.core.client", "repro.core.export",
+        "http.server", "urllib.request"), 31),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_entry_point_loads_no_neighbours(entry):
+    forbidden, budget = ENTRIES[entry]
+    modules, _ = loaded_by(entry)
+    offenders = [m for m in modules
+                 if any(m == f or m.startswith(f + ".") for f in forbidden)]
+    assert not offenders, f"`{entry}` loads {offenders}"
+    count = sum(map(_is_repro, modules))
+    assert count <= budget, (
+        f"`{entry}` loads {count} repro.* modules, budget {budget}: "
+        "a package __init__ or a worker grew an import it does not run")
+
+
+def test_a_bare_simulation_loads_the_three_core_layers_and_no_more():
+    modules, _ = loaded_by("import repro.gpu, repro.workloads")
+    core_layers = {"repro"}
+    for layer in ("akita", "gpu", "workloads"):
+        for path in (SRC / "repro" / layer).rglob("*.py"):
+            parts = path.relative_to(SRC).with_suffix("").parts
+            core_layers.add(".".join(
+                parts[:-1] if parts[-1] == "__init__" else parts))
+    assert set(filter(_is_repro, modules)) == core_layers
+
+
+# ----------------------------------------------------------------------
+# What a timed region loads
+# ----------------------------------------------------------------------
+_PLATFORM = """
+import json, sys
+from repro.gpu import GPUPlatform, GPUPlatformConfig
+from repro.workloads import FIR
+platform = GPUPlatform(GPUPlatformConfig.small(num_chiplets=2))
+FIR(num_samples=256).enqueue(platform.driver)
+"""
+
+_MONITOR = _PLATFORM + """
+from repro.core import Monitor
+monitor = Monitor(platform.simulation)
+monitor.attach_driver(platform.driver)
+"""
+
+_RECORDING = """
+monitor.ensure_sim_metrics().start()
+monitor.ensure_tracer(backend="ring").start()
+"""
+
+_RUN = """
+before = set(sys.modules)
+assert platform.run()
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+# One dashboard cycle and one scraper cycle (rtmbench's two readers),
+# answered while the engine is inside run(): the simulation thread asks
+# from a callback event, over a bare socket so that the client side
+# imports nothing either.
+_SERVED = """
+import socket
+from repro.akita import CallbackEvent
+port = int(monitor.start_server().rsplit(":", 1)[1])
+component = platform.simulation.component_names[0]
+answered = []
+
+def get(path):
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
+        s.sendall(f"GET {path} HTTP/1.0\\r\\n\\r\\n".encode())
+        reply = b"".join(iter(lambda: s.recv(65536), b""))
+    assert reply.split(b"\\r\\n", 1)[0].endswith(b"200 OK"), reply[:200]
+    answered.append(path)
+
+def reader_cycles(event):
+    assert platform.simulation.run_state == "running"
+    assert platform.engine.event_count > 0
+    for path in ("/api/overview", "/api/progress", "/api/buffers?top=20",
+                 f"/api/component?name={component}", "/metrics",
+                 "/api/metrics?delta=1",
+                 "/api/trace/query?kind=deliver&limit=100"):
+        get(path)
+
+platform.engine.schedule(CallbackEvent(2e-6, reader_cycles))
+"""
+
+_FLEET_JOB = """
+import json, sys
+from repro.fleet import worker
+server = worker.RTMServer(worker.Monitor())
+server.start()
+spec = worker.JobSpec("job", "fir", params={"num_samples": 256})
+before = set(sys.modules)
+assert worker._execute_job(spec, 0, server, worker.WorkerSettings())
+added = set(sys.modules) - before
+server.stop()
+print(json.dumps(sorted(added)))
+"""
+
+_SHARD_WINDOW = """
+import dataclasses, json, sys
+from repro.shard import worker
+from repro.shard.runtime import workload_spec
+from repro.gpu.platform import GPUPlatformConfig
+from repro.workloads import StoreStorm
+state = worker._WorkerState()
+worker._handle_init(state, {
+    "shard": 0, "num_shards": 2,
+    "config": dataclasses.asdict(GPUPlatformConfig.small(num_chiplets=4)),
+    "workload": workload_spec(StoreStorm())})
+before = set(sys.modules)
+worker._handle_window(state, {"horizon": state.runtime.next_time + 1e-6})
+assert state.runtime.engine.event_count > 0
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+TIMED_REGIONS = {
+    "bare run": _PLATFORM + _RUN,
+    "run with registry and ring tracer": _MONITOR + _RECORDING + _RUN,
+    "run with both reader cycles served": (
+        _MONITOR + _RECORDING + _SERVED + _RUN
+        + "assert len(answered) == 7, answered\n"),
+    "default fleet job": _FLEET_JOB,
+    "shard window": _SHARD_WINDOW,
+}
+
+
+@pytest.mark.parametrize("region", sorted(TIMED_REGIONS))
+def test_timed_region_imports_nothing(region):
+    added, _ = _python(TIMED_REGIONS[region])
+    assert added == [], (
+        f"{region}: first imported inside the timed region — import "
+        "them where the process sets up")
+
+
+# ----------------------------------------------------------------------
+# The table
+# ----------------------------------------------------------------------
+def _import_ms(stderr):
+    """Milliseconds of top-level imports in an ``-X importtime`` log:
+    the cumulative column of every line that is not nested in another."""
+    total_us = 0
+    for line in stderr.splitlines():
+        if line.startswith("import time:") and "|" in line:
+            _, cumulative, name = line.split("|")
+            if name.startswith(" ") and not name.startswith("  ") \
+                    and cumulative.strip().isdigit():
+                total_us += int(cumulative)
+    return total_us / 1e3
+
+
+if __name__ == "__main__":
+    _, startup = loaded_by("pass", "-X", "importtime")
+    print(f"{'entry':66s}{'modules':>8s}{'repro.*':>9s}{'import ms':>11s}")
+    for entry in (*sorted(ENTRIES), "import repro.gpu, repro.workloads",
+                  "import repro.gpu, repro.workloads; "
+                  "from repro.core import Monitor",
+                  "import repro.shard.coordinator",
+                  "import repro.fleet.manager", "import repro.cli"):
+        modules, log = loaded_by(entry, "-X", "importtime")
+        print(f"{entry:66s}{len(modules):8d}"
+              f"{sum(map(_is_repro, modules)):9d}"
+              f"{_import_ms(log) - _import_ms(startup):11.1f}")
