@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import threading
+import time
 from typing import Any
 
 __all__ = ["atomic_write_bytes", "atomic_write_text", "atomic_write_json"]
@@ -27,9 +28,20 @@ def atomic_write_bytes(path: Any, data: bytes, fsync: bool = True) -> None:
     file, complete.
     """
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory)
+    fd = None
+    while fd is None:
+        # Unique to this process, thread and moment — and exclusive, so
+        # a leftover of the same name is stepped over, never reused.
+        # (``tempfile.mkstemp`` does the same behind ``shutil``, ``random``
+        # and three compression modules that a serving process would
+        # import for nothing else.)
+        tmp = (f"{path}.{os.getpid()}.{threading.get_ident()}."
+               f"{time.monotonic_ns()}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL
+                         | getattr(os, "O_BINARY", 0), 0o600)
+        except FileExistsError:
+            pass  # a crashed writer's leftover: the next moment's name
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

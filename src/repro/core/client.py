@@ -5,11 +5,19 @@ Used by the test suite, the Figure 7 benchmark harness (scenario 4's
 client), and the simulated user study, whose participant agents interact
 with the monitor exactly the way the web frontend does — over HTTP.
 
+A client holds one HTTP/1.1 connection and keeps it alive between
+calls (:meth:`RTMClient.close`, or ``with RTMClient(url) as client:``,
+releases it).  Calls from several threads are answered one at a time;
+give each thread its own client to have them answered side by side.
+
 GET requests are idempotent, so transient transport failures (socket
 timeouts while the simulation thread hogs the GIL, resets mid-response)
 are retried with exponential backoff and jitter up to ``max_retries``
 times.  POST/DELETE are never retried — a timed-out control request may
-still have been applied.
+still have been applied — and for the same reason never ride a reused
+connection: one that the server closed while it idled fails only after
+the request was written.  A GET that finds its kept-alive connection
+closed reopens it once; that is not a retry.
 
 Connection *refused* is different: the kernel answered immediately and
 definitively — nothing is listening on that port.  In a fleet, that is
@@ -22,13 +30,14 @@ racing a server that is still binding its socket).
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
+import threading
 import time
+from http.client import HTTPConnection, HTTPException
 from typing import Any, Dict, Iterator, List, Optional
-from urllib.error import HTTPError, URLError
-from urllib.parse import urlencode
-from urllib.request import Request, urlopen
+from urllib.parse import urlencode, urlsplit
 
 
 class RTMClientError(RuntimeError):
@@ -43,14 +52,6 @@ class RTMConnectionError(RTMClientError):
     timeout, so callers probing possibly-dead workers get their answer
     in microseconds instead of after a full backoff cycle.
     """
-
-
-def _refused(exc: BaseException) -> bool:
-    """Is *exc* (or the URLError wrapping it) a connection-refused?"""
-    if isinstance(exc, ConnectionRefusedError):
-        return True
-    reason = getattr(exc, "reason", None)
-    return isinstance(reason, ConnectionRefusedError)
 
 
 class RTMClient:
@@ -87,27 +88,46 @@ class RTMClient:
         self.retry_refused = retry_refused
         self.retry_count = 0  # total transient retries, for tests/stats
         self._sleep = time.sleep  # injectable for tests
+        parts = urlsplit(self.base)
+        self._prefix = parts.path
+        # http.client has no HTTPSConnection on a Python built without
+        # ssl, so the name is looked up for an https URL only.
+        connection = (http.client.HTTPSConnection
+                      if parts.scheme == "https" else HTTPConnection)
+        # Connects at the first request, and again after any close().
+        self._conn = connection(parts.netloc, timeout=timeout)
+        self._lock = threading.Lock()  # one request at a time
+
+    def close(self) -> None:
+        """Release the connection; the next call opens a new one."""
+        with self._lock:
+            self._conn.close()
+
+    def __enter__(self) -> "RTMClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- transport ---------------------------------------------------------
     def _call(self, method: str, endpoint: str,
               params: Optional[Dict[str, Any]] = None,
-              parse_json: bool = True) -> Any:
-        url = f"{self.base}{endpoint}"
+              parse_json: bool = True, stream: bool = False) -> Any:
+        """One API call under the retry rules of the module docstring;
+        *parse_json* and *stream* are :meth:`_request`'s."""
+        target = f"{self._prefix}{endpoint}"
         if params:
-            url += "?" + urlencode(params)
+            target += "?" + urlencode(params)
         attempts = 1 + (self.max_retries if method == "GET" else 0)
         for attempt in range(attempts):
             try:
-                # Positional-compatible: tests stub _request with the
-                # three-argument signature.
-                if parse_json:
-                    return self._request(method, endpoint, url)
-                return self._request(method, endpoint, url,
-                                     parse_json=False)
+                return self._request(method, endpoint, target,
+                                     parse_json, stream)
             except RTMClientError:
                 raise  # server verdict (HTTP status) — never retry
-            except (URLError, TimeoutError, ConnectionError) as exc:
-                if _refused(exc) and not self.retry_refused:
+            except (OSError, HTTPException) as exc:
+                if isinstance(exc, ConnectionRefusedError) \
+                        and not self.retry_refused:
                     raise RTMConnectionError(
                         f"{method} {endpoint}: connection refused — "
                         f"nothing listening at {self.base}") from exc
@@ -119,20 +139,42 @@ class RTMClient:
                 delay = self.backoff * (2 ** attempt)
                 self._sleep(delay * (1.0 + random.uniform(0.0, 0.5)))
 
-    def _request(self, method: str, endpoint: str, url: str,
-                 parse_json: bool = True) -> Any:
-        request = Request(url, method=method)
-        try:
-            with urlopen(request, timeout=self.timeout) as response:
-                body = response.read().decode()
-                return json.loads(body) if parse_json else body
-        except HTTPError as exc:
+    def _request(self, method: str, endpoint: str, target: str,
+                 parse_json: bool = True, stream: bool = False) -> Any:
+        """One request and its answer over the client's connection:
+        parsed JSON, the text itself, or — *stream* — an iterator over
+        a Server-Sent-Events body, which takes the connection with it."""
+        conn = self._conn
+        with self._lock:
+            if method != "GET":
+                conn.close()
+            reused = conn.sock is not None
             try:
-                detail = json.loads(exc.read().decode()).get("error", "")
-            except Exception:
+                try:
+                    conn.request(method, target)
+                    response = conn.getresponse()
+                except ConnectionError:
+                    # The server closed a connection it had kept alive
+                    # (idle timeout, restart) before one response byte.
+                    if not reused:
+                        raise
+                    conn.close()
+                    conn.request(method, target)
+                    response = conn.getresponse()
+                if stream and response.status < 400:
+                    return self._iter_sse(response)
+                body = response.read().decode()
+            except BaseException:
+                conn.close()  # mid-exchange: not reusable
+                raise
+        if response.status >= 400:
+            try:
+                detail = json.loads(body).get("error", "")
+            except (ValueError, AttributeError):
                 detail = ""
             raise RTMClientError(
-                f"{method} {endpoint} -> {exc.code}: {detail}") from exc
+                f"{method} {endpoint} -> {response.status}: {detail}")
+        return json.loads(body) if parse_json else body
 
     def _get(self, endpoint: str, **params) -> Any:
         return self._call("GET", endpoint, params or None)
@@ -310,30 +352,7 @@ class RTMClient:
             params["names"] = names
         if not attach:
             params["attach"] = "0"
-        url = f"{self.base}/api/stream?" + urlencode(params)
-        attempts = 1 + self.max_retries
-        response = None
-        for attempt in range(attempts):
-            try:
-                response = urlopen(Request(url, method="GET"),
-                                   timeout=self.timeout)
-                break
-            except HTTPError as exc:
-                raise RTMClientError(
-                    f"GET /api/stream -> {exc.code}") from exc
-            except (URLError, TimeoutError, ConnectionError) as exc:
-                if _refused(exc) and not self.retry_refused:
-                    raise RTMConnectionError(
-                        f"GET /api/stream: connection refused — "
-                        f"nothing listening at {self.base}") from exc
-                if attempt == attempts - 1:
-                    raise RTMClientError(
-                        f"GET /api/stream: {exc} "
-                        f"(after {attempt + 1} attempts)") from exc
-                self.retry_count += 1
-                delay = self.backoff * (2 ** attempt)
-                self._sleep(delay * (1.0 + random.uniform(0.0, 0.5)))
-        return self._iter_sse(response)
+        return self._call("GET", "/api/stream", params, stream=True)
 
     @staticmethod
     def _iter_sse(response) -> Iterator[Dict[str, Any]]:
@@ -347,7 +366,7 @@ class RTMClient:
                     elif not line and data_lines:
                         yield json.loads("\n".join(data_lines))
                         data_lines = []
-        except (URLError, TimeoutError, ConnectionError, OSError):
+        except (OSError, HTTPException):
             return  # stream ended; caller may reconnect
 
     # -- fleet (gateway endpoints) -------------------------------------------
@@ -451,22 +470,8 @@ class RTMClient:
             params["count"] = max_events
         if since is not None:
             params["since"] = since
-        url = (f"{self.base}/api/historian/stream?"
-               + urlencode(params))
-        try:
-            response = urlopen(Request(url, method="GET"),
-                               timeout=self.timeout)
-        except HTTPError as exc:
-            raise RTMClientError(
-                f"GET /api/historian/stream -> {exc.code}") from exc
-        except (URLError, TimeoutError, ConnectionError) as exc:
-            if _refused(exc) and not self.retry_refused:
-                raise RTMConnectionError(
-                    f"GET /api/historian/stream: connection refused — "
-                    f"nothing listening at {self.base}") from exc
-            raise RTMClientError(
-                f"GET /api/historian/stream: {exc}") from exc
-        return self._iter_sse(response)
+        return self._call("GET", "/api/historian/stream", params,
+                          stream=True)
 
     # -- controls -----------------------------------------------------------
     def pause(self) -> None:

@@ -55,10 +55,11 @@ GET      /api/watches                    all watches + their 300-pt series
 DELETE   /api/watch?id=I                 remove a watch
 =======  ==============================  =====================================
 
-Requests are served from dedicated threads; the monitor performs all
-work on demand, serializing one component or value per request (§VII's
-low-overhead design choices 1 and 2), in a thread parallel to the
-simulation thread (choice 3).
+One thread serves each client connection, request after request
+(HTTP/1.1 keep-alive; the client's ``Connection`` header is the only
+switch); the monitor performs all work on demand, serializing one
+component or value per request (§VII's low-overhead design choices 1
+and 2), in a thread parallel to the simulation thread (choice 3).
 
 Status-code discipline: 400 for malformed or missing query parameters,
 404 for unknown component/alert/watch/fault ids, 500 only for genuine
@@ -68,11 +69,12 @@ handler bugs (the final ``except Exception`` backstop).
 from __future__ import annotations
 
 import json
+import os
 import re
+import socket
+import socketserver
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
-from time import perf_counter
+from time import gmtime, perf_counter
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
@@ -80,7 +82,8 @@ from ..metrics import CONTENT_TYPE as _PROM_CONTENT_TYPE
 from ..metrics import expose as _expose
 from ..metrics import snapshot_delta as _snapshot_delta
 
-STATIC_DIR = Path(__file__).parent / "static"
+STATIC_DIR = os.path.join(os.path.dirname(os.path.realpath(__file__)),
+                          "static")
 
 #: HTTP handler latency buckets (seconds).
 _HTTP_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0)
@@ -129,40 +132,170 @@ def _float_param(params: Dict[str, str], key: str,
                          f"got {raw!r}") from None
 
 
-class JSONRequestHandler(BaseHTTPRequestHandler):
-    """Shared plumbing of the AkitaRTM HTTP handlers.
+#: Request framing bounds: bytes in one request or header line, header
+#: lines in one request, bytes of a body (read only to be skipped).
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+_MAX_BODY = 1 << 20
 
-    Both the per-simulation :class:`RTMServer` handler and the fleet
-    gateway (:mod:`repro.fleet.gateway`) speak the same dialect: JSON
-    bodies, ``{"error": ...}`` envelopes with the 400/404/500 status
-    discipline, and query strings flattened to single values.
+_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
+            405: "Method Not Allowed", 500: "Internal Server Error",
+            502: "Bad Gateway"}
+_CORS = (("Access-Control-Allow-Origin", "*"),)
+#: An HTTP-date is English whatever the process's LC_TIME says.
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
+           "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+
+
+class _Refused(Exception):
+    """The bytes on the connection are not a request this server reads;
+    the message is the ``reason`` the refusal is counted under."""
+
+
+class JSONRequestHandler(socketserver.StreamRequestHandler):
+    """The HTTP/1.1 request loop and shared plumbing of the AkitaRTM
+    handlers.  One instance, on one thread, per client connection.
+
+    The per-simulation :class:`RTMServer` handler, the fleet gateway
+    (:mod:`repro.fleet.gateway`) and the shard gateway speak the same
+    dialect: parameters in the query string (a request body is skipped),
+    JSON bodies, ``{"error": ...}`` envelopes with the 400/404/500
+    status discipline, and query strings flattened to single values.
+    Subclasses define ``do_GET``/``do_POST``/``do_DELETE``.
     """
 
     server_version = "AkitaRTM/1.0"
+    #: A kept-alive connection that stays silent this long is closed.
+    timeout = 30.0
+    #: Every response leaves in one write, so Nagle's algorithm has
+    #: nothing to merge — only a delayed ACK to wait on.
+    disable_nagle_algorithm = True
+    #: The registry refused requests are counted in; ``None`` (the two
+    #: gateways): nowhere.
+    registry = None
 
-    def log_message(self, fmt, *args):  # silence default stderr logging
-        pass
+    def handle(self) -> None:
+        server = self.server
+        try:
+            try:
+                while self._read_request():
+                    with server.lock:
+                        server.requests_served += 1
+                    getattr(self, "do_" + self.command,
+                            self._method_not_allowed)()
+                    if self.close_connection or server.stopping.is_set():
+                        return
+            except _Refused as refused:
+                self._refuse(str(refused))
+        except OSError:
+            pass  # reset, idle timeout, or stop() shut the connection
 
-    def _send_json(self, payload: Any, status: int = 200) -> None:
-        body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("Access-Control-Allow-Origin", "*")
-        self.end_headers()
-        self.wfile.write(body)
+    def _method_not_allowed(self) -> None:
+        allowed = ", ".join(sorted(name[3:] for name in dir(self)
+                                   if name.startswith("do_")))
+        self._send_json({"error": f"method {self.command!r} not allowed"},
+                        405, (("Allow", allowed),))
+
+    def _refuse(self, reason: str) -> None:
+        """Damaged requests are counted and survived.  After a framing
+        error no later byte can be trusted to start a request: answer
+        400 and close."""
+        if self.registry is not None:
+            self.registry.counter(
+                "rtm_http_bad_requests_total",
+                "Requests refused by the HTTP parser, by reason.",
+                ("reason",)).labels(reason).inc()
+        self.close_connection = True
+        self._send_error_json(
+            "bad request: " + reason.replace("_", " "), 400)
+
+    def _read_line(self) -> bytes:
+        line = self.rfile.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise _Refused("line_too_long")
+        if line and not line.endswith(b"\n"):
+            raise _Refused("truncated")
+        return line
+
+    def _read_request(self) -> bool:
+        """Read the next request into ``command``, ``path`` and
+        ``headers`` (names lower-cased) and decide whether the
+        connection outlives it; ``False`` when the client has left."""
+        line = self._read_line()
+        if not line:
+            return False
+        words = str(line, "latin-1").split()
+        if len(words) != 3 or not words[2].startswith("HTTP/1."):
+            raise _Refused("request_line")
+        self.command, self.path, version = words
+        self.headers = headers = {}
+        while True:
+            line = self._read_line()
+            if not line:
+                raise _Refused("truncated")
+            if line in (b"\r\n", b"\n"):
+                break
+            if len(headers) == _MAX_HEADERS:
+                raise _Refused("too_many_headers")
+            name, colon, value = str(line, "latin-1").partition(":")
+            if not colon:
+                raise _Refused("header")
+            headers[name.strip().lower()] = value.strip()
+        try:
+            length = int(headers.get("content-length", 0))
+        except ValueError:
+            length = -1
+        if not 0 <= length <= _MAX_BODY:
+            raise _Refused("content_length")
+        # The API carries its parameters in the query string; a body is
+        # read only so that the next request on the connection parses.
+        self.rfile.read(length)
+        connection = headers.get("connection", "").lower()
+        self.close_connection = (connection == "close" or (
+            version == "HTTP/1.0" and connection != "keep-alive"))
+        return True
+
+    def _write(self, data: bytes) -> None:
+        with self.server.lock:  # counted first: whoever reads it, sees it
+            self.server.response_writes += 1
+        self.wfile.write(data)
+
+    def _respond(self, status: int, content_type: str,
+                 body: Optional[bytes],
+                 extra_headers: Iterable[Tuple[str, str]] = ()) -> None:
+        """The one place a response head is written: status line,
+        headers and *body* leave in a single write.  ``body=None``
+        starts a response of unknown length, which only closing the
+        connection ends."""
+        if body is None:
+            self.close_connection = True
+        year, month, day, hour, minute, second, weekday = gmtime()[:7]
+        head = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
+                f"Server: {self.server_version}",
+                f"Date: {_DAYS[weekday]}, {day:02d} {_MONTHS[month - 1]} "
+                f"{year} {hour:02d}:{minute:02d}:{second:02d} GMT",
+                f"Content-Type: {content_type}"]
+        if body is not None:
+            head.append(f"Content-Length: {len(body)}")
+        head.extend(f"{name}: {value}" for name, value in extra_headers)
+        head.append("Connection: close" if self.close_connection
+                    else "Connection: keep-alive")
+        self._write("\r\n".join(head).encode("latin-1") + b"\r\n\r\n"
+                    + (body or b""))
+
+    def _send_json(self, payload: Any, status: int = 200,
+                   extra_headers: Tuple[Tuple[str, str], ...] = ()
+                   ) -> None:
+        self._respond(status, "application/json",
+                      json.dumps(payload).encode(), _CORS + extra_headers)
 
     def _send_error_json(self, message: str, status: int = 400) -> None:
         self._send_json({"error": message}, status)
 
     def _send_body(self, body: bytes, content_type: str,
                    status: int = 200) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("Access-Control-Allow-Origin", "*")
-        self.end_headers()
-        self.wfile.write(body)
+        self._respond(status, content_type, body, _CORS)
 
     def _query(self) -> Tuple[str, Dict[str, str]]:
         parsed = urlparse(self.path)
@@ -177,25 +310,20 @@ class JSONRequestHandler(BaseHTTPRequestHandler):
         client leaves, *count* frames are sent, or the server stops.
         With *keepalive*, each round also writes a comment so an idle
         stream does not trip the client's socket timeout."""
-        self.send_response(200)
-        self.send_header("Content-Type", "text/event-stream")
-        self.send_header("Cache-Control", "no-cache")
-        self.send_header("Access-Control-Allow-Origin", "*")
-        self.end_headers()
+        self._respond(200, "text/event-stream", None,
+                      (("Cache-Control", "no-cache"),) + _CORS)
         stopping = self.server.stopping
         sent = 0
         try:
             while True:
                 for payload in produce():
-                    self.wfile.write(
-                        b"data: " + json.dumps(payload).encode() + b"\n\n")
-                    self.wfile.flush()
+                    self._write(b"data: " + json.dumps(payload).encode()
+                                + b"\n\n")
                     sent += 1
                     if count and sent >= count:
                         return
                 if keepalive:
-                    self.wfile.write(b": keepalive\n\n")
-                    self.wfile.flush()
+                    self._write(b": keepalive\n\n")
                 if stopping.wait(interval):
                     return
         except OSError:
@@ -203,7 +331,7 @@ class JSONRequestHandler(BaseHTTPRequestHandler):
 
 
 class _Handler(JSONRequestHandler):
-    """Routes requests to the monitor.  One instance per request."""
+    """Routes requests to the monitor, resolved anew for each request."""
 
     monitor = None  # injected by RTMServer via subclassing
     #: ``(monitor, its snapshot)`` as of the last ``?delta=1`` answer.
@@ -214,26 +342,26 @@ class _Handler(JSONRequestHandler):
         if path in ("/", "/index.html"):
             path = "/index.html"
         rel = path.lstrip("/").replace("static/", "", 1)
-        target = (STATIC_DIR / rel).resolve()
-        if not str(target).startswith(str(STATIC_DIR.resolve())) \
-                or not target.is_file():
+        target = os.path.realpath(os.path.join(STATIC_DIR, rel))
+        if not target.startswith(STATIC_DIR + os.sep) \
+                or not os.path.isfile(target):
             self._send_error_json("not found", 404)
             return
-        body = target.read_bytes()
-        self.send_response(200)
-        self.send_header("Content-Type",
-                         _CONTENT_TYPES.get(target.suffix,
-                                            "application/octet-stream"))
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        with open(target, "rb") as f:
+            body = f.read()
+        self._respond(200, _CONTENT_TYPES.get(
+            os.path.splitext(target)[1], "application/octet-stream"), body)
 
     # -- self-instrumentation ------------------------------------------------
+    @property
+    def registry(self):
+        return getattr(self.monitor, "metrics", None)
+
     def _record_http(self, method: str, endpoint: str,
                      seconds: float) -> None:
         """Publish this request into the monitor's registry — the HTTP
         slice of Figure 7's overhead decomposition, live."""
-        registry = getattr(self.monitor, "metrics", None)
+        registry = self.registry
         if registry is None:
             return
         registry.counter(
@@ -396,13 +524,8 @@ class _Handler(JSONRequestHandler):
 
     def _get_prometheus(self) -> None:
         self._ensure_sim_metrics_started()
-        body = _expose(self.monitor.metrics).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", _PROM_CONTENT_TYPE)
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("Access-Control-Allow-Origin", "*")
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_body(_expose(self.monitor.metrics).encode(),
+                        _PROM_CONTENT_TYPE)
 
     @staticmethod
     def _names_param(params: Dict[str, str]) -> Optional[str]:
@@ -887,14 +1010,51 @@ class _Handler(JSONRequestHandler):
             self._send_error_json(f"{type(exc).__name__}: {exc}", 500)
 
 
+class _ConnectionServer(socketserver.ThreadingTCPServer):
+    """The accept loop under :class:`HTTPServerThread`: one daemon
+    thread per client connection, each on record while it is open so
+    that stopping the server can close it."""
+
+    allow_reuse_address = True
+    daemon_threads = True
+
+    def __init__(self, address, handler, thread_name: str):
+        super().__init__(address, handler)
+        self.stopping = threading.Event()
+        self.thread_name = thread_name
+        #: Guards ``open`` and the three counters.
+        self.lock = threading.Lock()
+        self.open: Dict[socket.socket, threading.Thread] = {}
+        self.connections_accepted = 0
+        self.requests_served = 0
+        self.response_writes = 0
+
+    def process_request(self, request, client_address) -> None:
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address), daemon=True,
+            name=f"{self.thread_name}-conn")
+        with self.lock:
+            self.connections_accepted += 1
+            self.open[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request) -> None:
+        with self.lock:
+            self.open.pop(request, None)
+        super().shutdown_request(request)
+
+
 class HTTPServerThread:
-    """Owns a ThreadingHTTPServer and its serving thread.
+    """Owns the listening socket, its accept thread and the connections.
 
     The reusable server shell: bind at construction time (so ``port=0``
-    resolves to the ephemeral port before :meth:`start` returns), serve
+    resolves to the ephemeral port before :meth:`start` returns), accept
     from a daemon thread, and expose a ``stopping`` event that long-
     lived handlers (SSE streams) wait on between pushes so :meth:`stop`
     unparks them immediately instead of waiting out an interval.
+    :meth:`stop` also shuts every kept-alive connection: a handler
+    thread must not go on answering for a stopped server.
     """
 
     thread_name = "rtm-http"
@@ -907,8 +1067,8 @@ class HTTPServerThread:
     poll_interval = 0.05
 
     def __init__(self, handler, host: str = "127.0.0.1", port: int = 0):
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.stopping = threading.Event()
+        self._httpd = _ConnectionServer((host, port), handler,
+                                        self.thread_name)
         self._handler = handler
         self._thread: Optional[threading.Thread] = None
         self.host = host
@@ -918,6 +1078,19 @@ class HTTPServerThread:
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
+    # The request path as host-independent counts (tier-1 gates them).
+    @property
+    def connections_accepted(self) -> int:
+        return self._httpd.connections_accepted
+
+    @property
+    def requests_served(self) -> int:
+        return self._httpd.requests_served
+
+    @property
+    def response_writes(self) -> int:
+        return self._httpd.response_writes
+
     def start(self) -> None:
         self._thread = threading.Thread(
             target=lambda: self._httpd.serve_forever(
@@ -926,12 +1099,23 @@ class HTTPServerThread:
         self._thread.start()
 
     def stop(self) -> None:
-        self._httpd.stopping.set()
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
+        httpd = self._httpd
+        httpd.stopping.set()
+        httpd.shutdown()
+        httpd.server_close()
+        with httpd.lock:
+            connections = list(httpd.open.items())
+        for connection, _ in connections:
+            try:
+                # Wakes a handler parked on a silent kept-alive
+                # connection; one in mid-answer fails its write.
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the handler closed it first
+        for thread in [self._thread] + [t for _, t in connections]:
+            if thread is not None:
+                thread.join(timeout=2.0)
+        self._thread = None
 
 
 class RTMServer(HTTPServerThread):

@@ -23,10 +23,10 @@ only through the monitor's thread-safe surface.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from .atomicio import atomic_write_json
@@ -281,14 +281,15 @@ class Watchdog:
                  stem: str) -> Optional[str]:
         if self.config.snapshot_dir is None:
             return None
-        directory = Path(self.config.snapshot_dir)
+        directory = os.fspath(self.config.snapshot_dir)
         try:
-            directory.mkdir(parents=True, exist_ok=True)
-            path = directory / f"{stem}_{self.hang_count}.json"
+            os.makedirs(directory, exist_ok=True)
+            path = os.path.join(directory,
+                                f"{stem}_{self.hang_count}.json")
             # Atomic: a crash (or a kill -9 racing the watchdog) must
             # never leave a torn post-mortem — it is the one file an
             # operator reads after the crash.
             atomic_write_json(path, payload)
-            return str(path)
+            return path
         except OSError:
             return None  # diagnostics must never take the run down

@@ -519,6 +519,12 @@ class FleetManager:
             return {job_id: dict(entry)
                     for job_id, entry in self._profiles.items()}
 
+    def terminal_jobs(self, already: Dict[str, str]
+                      ) -> List[Dict[str, Any]]:
+        """The finished jobs a recorder holding *already* (job id →
+        state) has left to record (:meth:`JobQueue.terminal_jobs`)."""
+        return self.queue.terminal_jobs(already)
+
     def status(self) -> Dict[str, Any]:
         with self._lock:
             workers = ([h.to_dict() for h in self._active.values()]

@@ -154,6 +154,12 @@ class JobQueue:
         self._lock = threading.Lock()
         self._jobs: Dict[str, Job] = {}
         self._pending: List[str] = []  # job ids, FIFO
+        #: Jobs per state and retries granted, kept in step with every
+        #: transition: the scheduler asks each turn, a harness polls
+        #: ``done``, and neither may cost a scan of the campaign.
+        self._counts = {"queued": 0, "running": 0, "completed": 0,
+                        "failed": 0}
+        self._retries = 0
         #: Transition observers, called as ``fn(event, job)`` *inside*
         #: the queue's lock — observation order is transition order,
         #: which is what lets a write-ahead journal record a coherent
@@ -172,6 +178,11 @@ class JobQueue:
         for observer in self._observers:
             observer(event, job)
 
+    def _move(self, job: "Job", state: str) -> None:
+        self._counts[job.state] -= 1
+        self._counts[state] += 1
+        job.state = state
+
     # -- submission ------------------------------------------------------
     def submit(self, spec: JobSpec) -> Job:
         """Validate and enqueue; duplicate job ids are an error (a
@@ -183,6 +194,7 @@ class JobQueue:
                 raise ValueError(f"duplicate job id {spec.job_id!r}")
             job = Job(spec)
             self._jobs[spec.job_id] = job
+            self._counts["queued"] += 1
             self._pending.append(spec.job_id)
             self._notify("submit", job)
             return job
@@ -216,6 +228,8 @@ class JobQueue:
                       workers=list(workers or []), result=result,
                       failures=list(failures or []))
             self._jobs[spec.job_id] = job
+            self._counts[state] += 1
+            self._retries += job.retries
             if state == "queued":
                 self._pending.append(spec.job_id)
             self._notify("restore", job)
@@ -229,7 +243,7 @@ class JobQueue:
             if not self._pending:
                 return None
             job = self._jobs[self._pending.pop(0)]
-            job.state = "running"
+            self._move(job, "running")
             job.worker_id = worker_id
             job.workers.append(worker_id)
             self._notify("claim", job)
@@ -239,7 +253,7 @@ class JobQueue:
                  result: Optional[Dict[str, Any]] = None) -> Job:
         with self._lock:
             job = self._jobs[job_id]
-            job.state = "completed"
+            self._move(job, "completed")
             job.result = result
             job.worker_id = None
             self._notify("complete", job)
@@ -261,10 +275,11 @@ class JobQueue:
             job.worker_id = None
             if job.attempt < job.spec.max_retries:
                 job.attempt += 1
-                job.state = "queued"
+                self._retries += 1
+                self._move(job, "queued")
                 self._pending.insert(0, job_id)
             else:
-                job.state = "failed"
+                self._move(job, "failed")
             self._notify("fail", job)
             return job
 
@@ -284,22 +299,25 @@ class JobQueue:
 
     def counts(self) -> Dict[str, int]:
         with self._lock:
-            counts = {"queued": 0, "running": 0, "completed": 0,
-                      "failed": 0}
-            for job in self._jobs.values():
-                counts[job.state] += 1
-            counts["total"] = len(self._jobs)
-            counts["retries"] = sum(j.retries
-                                    for j in self._jobs.values())
-            return counts
+            return {**self._counts, "total": len(self._jobs),
+                    "retries": self._retries}
 
     @property
     def done(self) -> bool:
         """Every submitted job reached a terminal state."""
         with self._lock:
-            return all(j.state in ("completed", "failed")
-                       for j in self._jobs.values())
+            return not (self._counts["queued"] or self._counts["running"])
 
     def to_dict(self) -> List[Dict[str, Any]]:
         with self._lock:
             return [job.to_dict() for job in self._jobs.values()]
+
+    def terminal_jobs(self, already: Dict[str, str]
+                      ) -> List[Dict[str, Any]]:
+        """The completed and failed jobs, as dicts, that *already* (job
+        id → state) does not hold in that state: what a recorder has
+        left to record.  Only those are serialised."""
+        with self._lock:
+            return [job.to_dict() for job in self._jobs.values()
+                    if job.state in ("completed", "failed")
+                    and already.get(job.spec.job_id) != job.state]

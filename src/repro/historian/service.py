@@ -57,7 +57,7 @@ class HistorianService:
         Identity of this campaign in the store; generated if omitted.
     manager:
         A :class:`~repro.fleet.manager.FleetManager` (or anything with
-        its ``status()``/``final_metrics()`` views) to harvest job
+        its ``terminal_jobs()``/``final_metrics()`` views) to harvest job
         outcomes from.  Optional: a fleet-less monitored run records
         snapshots and alerts only.
     source:
@@ -195,18 +195,19 @@ class HistorianService:
         """Record every job that reached a terminal state since the
         last round — outcome + final exposition as a ``job`` record,
         watchdog verdicts as ``postmortem`` records."""
-        status = self.manager.status()
+        # New is told from recorded before anything is serialised: a
+        # tick costs what finished since the last one, not the campaign.
+        recorded = self._recorded_jobs
+        fresh = self.manager.terminal_jobs(recorded)
+        if not fresh:
+            return
         finals = self.manager.final_metrics()
         profiles = (self.manager.profiles()
                     if hasattr(self.manager, "profiles") else {})
-        for job in status.get("jobs", []):
-            job_id = job.get("spec", {}).get("job_id")
-            state = job.get("state")
-            if job_id is None or state not in ("completed", "failed"):
-                continue
-            if self._recorded_jobs.get(job_id) == state:
-                continue
-            self._recorded_jobs[job_id] = state
+        for job in fresh:
+            job_id = job["spec"]["job_id"]
+            state = job["state"]
+            recorded[job_id] = state
             final = finals.get(job_id, {})
             result = job.get("result") or {}
             self.historian.record(

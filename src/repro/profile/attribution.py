@@ -63,7 +63,6 @@ PATH_RULES: Tuple[Tuple[str, str], ...] = (
     ("repro/gpu/", "workload"),
     ("repro/workloads/", "workload"),
     ("repro/studies/", "workload"),
-    ("http/server", "server"),
     ("socketserver", "server"),
     ("/socket.py", "server"),
     ("/selectors.py", "server"),

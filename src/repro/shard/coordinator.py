@@ -440,7 +440,7 @@ class _ShardGatewayHandler(JSONRequestHandler):
 
     coordinator: ShardCoordinator = None  # type: ignore[assignment]
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
+    def do_GET(self) -> None:  # noqa: N802 (request-loop naming)
         path, params = self._query()
         try:
             if path == "/metrics":

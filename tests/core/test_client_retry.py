@@ -122,7 +122,7 @@ def test_http_error_status_is_never_retried(monkeypatch):
     client = _client(max_retries=5)
     calls = []
 
-    def fake_request(method, endpoint, url):
+    def fake_request(method, endpoint, url, *flags):
         calls.append(url)
         raise RTMClientError(f"{method} {endpoint} -> 404: nope")
 
@@ -137,7 +137,7 @@ def test_transient_then_success_recovers(monkeypatch):
     client = _client(max_retries=3)
     attempts = []
 
-    def flaky(method, endpoint, url):
+    def flaky(method, endpoint, url, *flags):
         attempts.append(url)
         if len(attempts) < 3:
             raise URLError("connection refused")

@@ -183,3 +183,48 @@ def test_to_dict_carries_spec_state_and_history():
     assert payload["state"] == "completed"
     assert payload["workers"] == ["w1", "w2"]
     assert payload["retries"] == 1
+
+
+def test_incremental_counts_and_done_agree_with_a_full_scan():
+    """``counts()`` and ``done`` are kept in step with each transition
+    (the scheduler asks every turn); a scan of the jobs is the oracle."""
+    import random
+    rng = random.Random(19)
+    queue = JobQueue()
+    queue.restore(_spec("r-done"), state="completed")
+    queue.restore(_spec("r-failed", max_retries=0), state="failed",
+                  failures=[{"error": "x"}])
+    queue.restore(_spec("r-retried", max_retries=2), attempt=1,
+                  failures=[{"error": "x"}])
+    running, submitted = [], 0
+    for step in range(400):
+        move = rng.choice(("submit", "claim", "claim", "complete", "fail"))
+        if move == "submit":
+            submitted += 1
+            queue.submit(_spec(f"j{submitted}",
+                               max_retries=rng.randrange(3)))
+        elif move == "claim":
+            job = queue.claim(f"w{step % 3}")
+            if job is not None:
+                running.append(job.spec.job_id)
+        elif running:
+            job_id = running.pop(rng.randrange(len(running)))
+            if move == "complete":
+                queue.complete(job_id)
+            else:
+                queue.fail(job_id, "boom")
+        jobs = queue.jobs()
+        scan = {state: sum(j.state == state for j in jobs)
+                for state in ("queued", "running", "completed", "failed")}
+        scan["total"] = len(jobs)
+        scan["retries"] = sum(j.retries for j in jobs)
+        assert queue.counts() == scan
+        assert queue.done == all(j.state in ("completed", "failed")
+                                 for j in jobs)
+    assert scan["retries"] > 0 and scan["failed"] > 1 and not queue.done
+    while queue.claim("w") is not None:
+        pass
+    for job in queue.jobs():
+        if job.state == "running":
+            queue.complete(job.spec.job_id)
+    assert queue.done

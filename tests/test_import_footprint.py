@@ -6,7 +6,11 @@ repro.shard.worker`` loads the simulator and the shard plane, not the
 coordinator, the fleet manager, the HTTP server and ``urllib``.  Each
 entry below is imported in a fresh interpreter; modules it must never
 load and the number of ``repro.*`` modules it may load are gated (at
-PR 17: shard worker 80, fleet worker 75, ``Monitor`` 35).
+PR 17: shard worker 80, fleet worker 75, ``Monitor`` 35).  The front
+door is gated too: a process that serves loads ``socketserver``, not
+``http.server`` and the ``email``/``http.client``/``ssl`` stack under
+it, and opening a server adds 17 modules to a monitored process (70
+at PR 18).
 
 *What a timed region loads: nothing.*  A lazy import that first
 resolves inside ``platform.run()``, a request handler, a fleet job or a
@@ -55,6 +59,13 @@ def loaded_by(entry, *flags):
         "import json; print(json.dumps(added))", *flags)
 
 
+#: What ``http.server``, ``urllib.request`` and ``tempfile`` drag into a
+#: process whose only use for them was to answer a request.
+HTTP_STACK = ("http.server", "http.client", "email", "ssl", "html",
+              "mimetypes", "shutil", "pathlib")
+
+SERVING = "from repro.core import Monitor; Monitor().start_server()"
+
 #: entry statement -> (module prefixes it must not load, repro.* budget)
 ENTRIES = {
     "import repro.shard.worker": ((
@@ -66,10 +77,14 @@ ENTRIES = {
         "repro.fleet.manager", "repro.fleet.gateway",
         "repro.fleet.journal", "repro.core.client", "repro.core.export",
         "repro.historian", "repro.shard", "repro.studies",
-        "urllib.request", "sqlite3"), 70),
+        "urllib.request", "sqlite3", *HTTP_STACK), 70),
+    "import repro.core.server": ((
+        "repro.core.client", "urllib.request", *HTTP_STACK), 9),
     "from repro.core import Monitor": ((
         "repro.core.server", "repro.core.client", "repro.core.export",
         "http.server", "urllib.request"), 31),
+    SERVING: ((
+        "repro.core.client", "urllib.request", *HTTP_STACK), 33),
 }
 
 
@@ -84,6 +99,13 @@ def test_entry_point_loads_no_neighbours(entry):
     assert count <= budget, (
         f"`{entry}` loads {count} repro.* modules, budget {budget}: "
         "a package __init__ or a worker grew an import it does not run")
+
+
+def test_opening_the_front_door_adds_under_twenty_modules():
+    monitor, _ = loaded_by("from repro.core import Monitor")
+    serving, _ = loaded_by(SERVING)
+    added = sorted(set(serving) - set(monitor))
+    assert len(added) <= 20, added  # of every origin, stdlib included
 
 
 def test_a_bare_simulation_loads_the_three_core_layers_and_no_more():
@@ -133,6 +155,9 @@ _SERVED = """
 import socket
 from repro.akita import CallbackEvent
 port = int(monitor.start_server().rsplit(":", 1)[1])
+# The first connect of a process loads the IDNA codec; this one's
+# readers live in the process, so it is theirs to load at set-up.
+socket.create_connection(("127.0.0.1", port), timeout=10).close()
 component = platform.simulation.component_names[0]
 answered = []
 
