@@ -9,6 +9,7 @@ progress.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Any, Dict, List
 
@@ -43,26 +44,45 @@ class BufferRow:
 
 
 class BufferAnalyzer:
-    """Snapshots buffer levels across registered components."""
+    """Snapshots buffer levels across registered components.
+
+    Registering a component only notes it; its buffers are discovered
+    at the first read after it (:meth:`snapshot`, :meth:`non_empty`,
+    :attr:`buffer_count`), so a monitor whose bottleneck table nobody
+    opens never pays for the reflection walk.
+    """
 
     def __init__(self) -> None:
+        self._components: List[Any] = []
+        #: How many of ``_components`` discovery has walked.  Advanced
+        #: under ``_lock``, and only after that component's buffers are
+        #: in ``_buffers``: a reader that sees it caught up sees them.
+        self._walked = 0
+        self._lock = threading.Lock()
         self._buffers: List[Buffer] = []
         self._known: set = set()
 
-    def register_component(self, component: Any) -> int:
-        """Discover and track *component*'s buffers.  Returns how many
-        new buffers were found."""
-        added = 0
-        for buf in discover_buffers(component):
-            if id(buf) not in self._known:
-                self._known.add(id(buf))
-                self._buffers.append(buf)
-                added += 1
-        return added
+    def register_component(self, component: Any) -> None:
+        """Track *component*'s buffers from the next read on."""
+        self._components.append(component)
+
+    def _discovered(self) -> List[Buffer]:
+        """Every registered component's buffers, walking the components
+        registered since the last read first."""
+        if self._walked < len(self._components):
+            with self._lock:
+                while self._walked < len(self._components):
+                    for buf in discover_buffers(
+                            self._components[self._walked]):
+                        if id(buf) not in self._known:
+                            self._known.add(id(buf))
+                            self._buffers.append(buf)
+                    self._walked += 1
+        return self._buffers
 
     @property
     def buffer_count(self) -> int:
-        return len(self._buffers)
+        return len(self._discovered())
 
     def snapshot(self, sort: str = "percent",
                  top: int = 0,
@@ -84,7 +104,7 @@ class BufferAnalyzer:
             raise ValueError(f"sort must be one of {SORT_KEYS}")
         rows = [BufferRow(b.name, b.size, b.capacity,
                           getattr(b, "pinned", False))
-                for b in self._buffers
+                for b in self._discovered()
                 if include_empty or b.size > 0
                 or getattr(b, "pinned", False)]
         key = (lambda r: (r.percent, r.size)) if sort == "percent" \

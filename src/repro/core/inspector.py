@@ -193,6 +193,11 @@ def discover_buffers(component: Any) -> List[Buffer]:
     asks an object for its ``__dict__``: see :func:`_instance_fields`
     for what that would cost the simulation.  Names are not needed — a
     buffer carries its own.
+
+    It may run on a server thread beside a live engine, so containers
+    are iterated over atomic copies (``list(d.values())``,
+    ``tuple(seq)``): a simulation thread resizing one mid-walk must
+    not raise "changed size during iteration" here.
     """
     found: List[Buffer] = []
     seen: set = set()
@@ -211,11 +216,11 @@ def discover_buffers(component: Any) -> List[Buffer]:
             walk(obj.buf, depth + 1)
             return
         if isinstance(obj, dict):
-            for v in obj.values():
+            for v in list(obj.values()):
                 walk(v, depth + 1)
             return
         if isinstance(obj, (list, tuple, set, frozenset)):
-            for v in obj:
+            for v in tuple(obj):
                 walk(v, depth + 1)
             return
         if isinstance(obj, _TURN_BACK):

@@ -94,7 +94,8 @@ class Monitor:
     def register_component(self, component: Any) -> None:
         """Start monitoring *component*: its fields become inspectable
         and its buffers join the bottleneck analyzer — no modification
-        of the component required (reflection does the discovery)."""
+        of the component required (reflection does the discovery, when
+        the analyzer is first read)."""
         name = getattr(component, "name", None)
         if not name:
             raise ValueError("component needs a 'name' to be monitored")

@@ -11,11 +11,14 @@ scale: a one-subprocess-per-attempt fleet measured 0.97x at 2 workers
 because every attempt re-paid interpreter + platform startup and server
 teardown.
 
-The scheduler is a single thread driven by the one queue every
-worker's channel feeds, not a poll loop over ``Popen.poll``: a
-``ready`` event dispatches the next queued job in the same scheduling
-turn it arrives, so idle gaps between jobs are bounded by pipe latency,
-not a polling interval.
+The scheduler is a single thread blocked on the one queue every
+worker's channel feeds, not a poll loop over ``Popen.poll`` or a timer:
+a ``ready`` event dispatches the next queued job in the same scheduling
+turn it arrives, and every job-queue transition that adds dispatchable
+work (``submit``, a queued ``restore``, a ``fail`` that requeues) posts
+that queue one coalesced wake item through :meth:`JobQueue.subscribe`,
+as does :meth:`FleetManager.stop`.  Idle gaps are bounded by pipe and
+thread hand-off latency, and an idle pool takes no turns at all.
 
 **Failure discipline.**  A worker that dies mid-job (stdout EOF without
 a result event) gets a post-mortem assembled from its exit code, last
@@ -49,9 +52,9 @@ __all__ = ["FleetManager", "WorkerHandle"]
 #: Wall seconds a terminated worker gets to flush before SIGKILL.
 _STOP_GRACE = 5.0
 
-#: The scheduler's wake-up when no control event arrives (it re-checks
-#: the stop flag and the queue — jobs can be submitted at any time).
-_IDLE_WAKEUP = 0.05
+#: The item that wakes the scheduler for something no worker said
+#: (channel items are ``(channel, arrival, event)`` tuples).
+_WAKE = None
 
 
 @dataclass
@@ -158,10 +161,20 @@ class FleetManager:
         #: the campaign-wide /api/fleet/profile.
         self._profiles: Dict[str, Dict[str, Any]] = {}
         self._events: "queue_module.Queue" = queue_module.Queue()
+        #: Turns the scheduler has taken and wake items posted to it:
+        #: both stand still while nothing happens.
+        self.scheduler_turns = 0
+        self.wakes_posted = 0
+        #: A wake item is in ``_events``, unread (guarded by the lock).
+        self._wake_lock = threading.Lock()
+        self._wake_pending = False
+        queue.subscribe(self._on_transition)
         self._spawned = 0
         self._restarts_used = 0
         #: A worker exited and was not replaced (see wait_ready).
         self._slot_lost = False
+        #: Notified when a worker announces ``ready`` or a slot is lost.
+        self._pool_changed = threading.Condition(self._lock)
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
@@ -178,6 +191,8 @@ class FleetManager:
         self._thread = threading.Thread(target=self._loop, daemon=True,
                                         name="rtm-fleet-scheduler")
         self._thread.start()
+        # Jobs queued before this manager subscribed woke nobody.
+        self._wake()
 
     def wait_ready(self, timeout: Optional[float] = None) -> bool:
         """Block until every worker has booted (announced its first
@@ -188,20 +203,19 @@ class FleetManager:
         Returns False as soon as a worker has exited without being
         replaced: nothing refills that slot, so the pool can never
         fill.  ``status()["workers"]`` says why it died."""
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)
-        while True:
-            if len(self.live_workers()) >= self.num_workers:
-                return True
-            if self._slot_lost:
-                return False
-            if deadline is not None and time.monotonic() > deadline:
-                return False
-            time.sleep(0.01)
+        def booted() -> bool:
+            return sum(h.url is not None for h in self._active.values()
+                       ) >= self.num_workers
+
+        with self._pool_changed:
+            self._pool_changed.wait_for(
+                lambda: booted() or self._slot_lost, timeout)
+            return booted()
 
     def stop(self) -> None:
         """Stop scheduling, shut the pool down, settle the queue."""
         self._stop.set()
+        self._wake()
         if self._thread is not None:
             self._thread.join(timeout=10.0)
             self._thread = None
@@ -232,17 +246,30 @@ class FleetManager:
     # ------------------------------------------------------------------
     def _loop(self) -> None:
         while not self._stop.is_set():
-            try:
-                item = self._events.get(timeout=_IDLE_WAKEUP)
-            except queue_module.Empty:
-                item = None
-            if item is not None:
-                self._handle_item(item)
-                # Drain whatever else already arrived: scheduling
-                # decisions should see the freshest picture.
-                self._drain_events()
+            item = self._events.get()
+            self.scheduler_turns += 1
+            self._handle_item(item)
+            # Drain whatever else already arrived: scheduling
+            # decisions should see the freshest picture.
+            self._drain_events()
             self._dispatch()
             self._update_drained()
+
+    def _on_transition(self, event: str, job: Job) -> None:
+        """Queue observer (runs inside the queue's lock): a job that
+        just became dispatchable is the scheduler's business."""
+        if job.state == "queued":
+            self._wake()
+
+    def _wake(self) -> None:
+        """Give the scheduler a turn.  Coalesced: a burst of submits
+        finds the first one's item still unread and posts nothing."""
+        with self._wake_lock:
+            if self._wake_pending:
+                return
+            self._wake_pending = True
+            self.wakes_posted += 1
+        self._events.put(_WAKE)
 
     def _drain_events(self) -> None:
         while True:
@@ -265,6 +292,12 @@ class FleetManager:
     # Event handling
     # ------------------------------------------------------------------
     def _handle_item(self, item) -> None:
+        if item is _WAKE:
+            # Cleared before the turn looks at the queue: whoever finds
+            # it still set made their change before this turn reads it.
+            with self._wake_lock:
+                self._wake_pending = False
+            return
         channel, _arrival, event = item
         with self._lock:
             handle = self._active.get(channel.name)
@@ -284,6 +317,8 @@ class FleetManager:
             handle.pid = event.get("pid") or handle.pid
             if handle.job_id is None:
                 handle.state = "idle"
+            with self._pool_changed:
+                self._pool_changed.notify_all()
         elif kind == "started":
             handle.state = "running"
         elif kind == "progress":
@@ -376,7 +411,9 @@ class FleetManager:
             self._restarts_used += 1
             self._spawn()
             return
-        self._slot_lost = True
+        with self._pool_changed:
+            self._slot_lost = True
+            self._pool_changed.notify_all()
         if work_left and not self._active:
             # Budget spent, pool empty: fail what remains rather than
             # hang the campaign.

@@ -12,6 +12,7 @@ is exhausted and the job is marked terminally failed.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import threading
 from dataclasses import dataclass, field
@@ -153,7 +154,7 @@ class JobQueue:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._jobs: Dict[str, Job] = {}
-        self._pending: List[str] = []  # job ids, FIFO
+        self._pending: collections.deque = collections.deque()  # ids, FIFO
         #: Jobs per state and retries granted, kept in step with every
         #: transition: the scheduler asks each turn, a harness polls
         #: ``done``, and neither may cost a scan of the campaign.
@@ -242,7 +243,7 @@ class JobQueue:
         with self._lock:
             if not self._pending:
                 return None
-            job = self._jobs[self._pending.pop(0)]
+            job = self._jobs[self._pending.popleft()]
             self._move(job, "running")
             job.worker_id = worker_id
             job.workers.append(worker_id)
@@ -277,7 +278,7 @@ class JobQueue:
                 job.attempt += 1
                 self._retries += 1
                 self._move(job, "queued")
-                self._pending.insert(0, job_id)
+                self._pending.appendleft(job_id)
             else:
                 self._move(job, "failed")
             self._notify("fail", job)

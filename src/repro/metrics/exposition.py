@@ -14,8 +14,9 @@ histogram families with escaped HELP text and label values, histogram
 
 from __future__ import annotations
 
+import functools
 import re
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from .registry import MetricRegistry
 
@@ -54,24 +55,37 @@ def _format_value(value: float) -> str:
     return repr(value)
 
 
-def _bucket_le(bound: float) -> str:
-    return _format_value(float(bound))
+@functools.lru_cache(maxsize=64)
+def _bucket_les(bounds: Tuple[float, ...]) -> Tuple[str, ...]:
+    """``le="..."`` for each bound of a histogram and for ``+Inf``:
+    one string per bucket line, rendered once per bounds tuple."""
+    return tuple(f'le="{_format_value(float(bound))}"'
+                 for bound in (*bounds, float("inf")))
 
 
 def expose(registry: MetricRegistry) -> str:
-    """Render every family in *registry* (collectors run first)."""
+    """Render every family in *registry* (collectors run first).
+
+    A child's label set never changes, so its ``{a="x",b="y"}`` is
+    rendered (escaped) at its first scrape and kept on the family;
+    every later line splices the kept string."""
     lines = []
     for metric in registry.metrics():
+        name = metric.name
         if metric.help:
-            lines.append(f"# HELP {metric.name} "
-                         f"{_escape_help(metric.help)}")
-        lines.append(f"# TYPE {metric.name} {metric.type}")
+            lines.append(f"# HELP {name} {_escape_help(metric.help)}")
+        lines.append(f"# TYPE {name} {metric.type}")
+        histogram = metric.type == "histogram"
+        rendered = metric._label_bodies
         for label_values, child in metric.samples():
-            labels = dict(zip(metric.labelnames, label_values))
-            if metric.type == "histogram":
-                _expose_histogram(lines, metric.name, labels, child)
+            labels = rendered.get(label_values)
+            if labels is None:
+                labels = rendered[label_values] = format_labels(
+                    dict(zip(metric.labelnames, label_values)))
+            if histogram:
+                _expose_histogram(lines, name, labels, child)
             else:
-                lines.append(f"{metric.name}{format_labels(labels)} "
+                lines.append(f"{name}{labels} "
                              f"{_format_value(child.value)}")
     return "\n".join(lines) + "\n" if lines else ""
 
@@ -173,20 +187,14 @@ def family_total(families: Dict[str, Dict[str, object]], name: str,
     return total, matched
 
 
-def _expose_histogram(lines, name: str, labels: Dict[str, str],
-                      child) -> None:
+def _expose_histogram(lines, name: str, labels: str, child) -> None:
+    """Bucket, sum and count lines of one child; ``le`` is spliced in
+    after the child's own rendered *labels* (``{...}`` or empty)."""
+    bucket = f"{name}_bucket{labels[:-1]}," if labels \
+        else f"{name}_bucket{{"
     cumulative = 0
-    for bound, count in zip(child.bounds, child.counts):
+    for le, count in zip(_bucket_les(child.bounds), child.counts):
         cumulative += count
-        le_labels = dict(labels)
-        le_labels["le"] = _bucket_le(bound)
-        lines.append(f"{name}_bucket{format_labels(le_labels)} "
-                     f"{cumulative}")
-    cumulative += child.counts[-1]
-    inf_labels = dict(labels)
-    inf_labels["le"] = "+Inf"
-    lines.append(f"{name}_bucket{format_labels(inf_labels)} "
-                 f"{cumulative}")
-    lines.append(f"{name}_sum{format_labels(labels)} "
-                 f"{_format_value(child.sum)}")
-    lines.append(f"{name}_count{format_labels(labels)} {child.count}")
+        lines.append(f"{bucket}{le}}} {cumulative}")
+    lines.append(f"{name}_sum{labels} {_format_value(child.sum)}")
+    lines.append(f"{name}_count{labels} {child.count}")

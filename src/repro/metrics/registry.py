@@ -171,7 +171,7 @@ class Metric:
     """One metric family: a name, a type, and labelled children."""
 
     __slots__ = ("name", "help", "type", "labelnames", "_children",
-                 "_default", "_kwargs")
+                 "_default", "_kwargs", "_label_bodies")
 
     def __init__(self, name: str, help: str, type: str,
                  labelnames: Sequence[str] = (), **kwargs):
@@ -183,6 +183,10 @@ class Metric:
         self.type = type
         self.labelnames = tuple(labelnames)
         self._children: Dict[Tuple[str, ...], Any] = {}
+        #: label values -> the child's rendered ``{a="x",b="y"}``: filled
+        #: by :func:`~repro.metrics.exposition.expose` at a child's
+        #: first scrape, dropped with the child by :meth:`remove`.
+        self._label_bodies: Dict[Tuple[str, ...], str] = {}
         self._kwargs = kwargs
         self._default = None if self.labelnames else self._make_child()
 
@@ -213,8 +217,9 @@ class Metric:
 
     def remove(self, *values: str) -> bool:
         """Drop one child (e.g. a deleted watch)."""
-        return self._children.pop(tuple(str(v) for v in values),
-                                  None) is not None
+        key = tuple(str(v) for v in values)
+        self._label_bodies.pop(key, None)
+        return self._children.pop(key, None) is not None
 
     def samples(self) -> List[Tuple[Tuple[str, ...], Any]]:
         """(label values, child) pairs; the default child has ``()``."""

@@ -36,8 +36,11 @@ def test_register_counts_buffers(analyzer_with_boxes):
 
 def test_register_is_idempotent(analyzer_with_boxes):
     analyzer, a, b = analyzer_with_boxes
-    assert analyzer.register_component(a) == 0
+    analyzer.register_component(a)      # before the first read
     assert analyzer.buffer_count == 2
+    analyzer.register_component(a)      # and after it
+    assert analyzer.buffer_count == 2
+    assert len(analyzer.snapshot(include_empty=True)) == 2
 
 
 def test_snapshot_hides_empty_by_default(analyzer_with_boxes):

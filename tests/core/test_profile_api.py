@@ -12,7 +12,8 @@ import urllib.request
 
 import pytest
 
-from repro.core import Monitor, RTMClient, RTMClientError
+from repro.core import (Monitor, RTMClient, RTMClientError,
+                        discover_buffers)
 from repro.gpu import GPUPlatform, GPUPlatformConfig
 from repro.workloads import FIR
 
@@ -219,7 +220,8 @@ def test_buffers_payload_carries_pinned_flag(rig):
     """The ``pinned`` field distinguishes a fault-pinned buffer from a
     genuinely full one; it used to be dropped by ``to_dict``."""
     _, monitor, client = rig
-    target = monitor.analyzer._buffers[0]
+    target = next(buf for name in monitor.component_names()
+                  for buf in discover_buffers(monitor.component(name)))
     target.pin()
     try:
         rows = client.buffers(top=0)

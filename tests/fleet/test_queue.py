@@ -187,7 +187,10 @@ def test_to_dict_carries_spec_state_and_history():
 
 def test_incremental_counts_and_done_agree_with_a_full_scan():
     """``counts()`` and ``done`` are kept in step with each transition
-    (the scheduler asks every turn); a scan of the jobs is the oracle."""
+    (the scheduler asks every turn); a scan of the jobs is the oracle.
+    Claims come off a 2,000-job queue in the order a model deque says:
+    first in, first out, retries ahead of everything."""
+    import collections
     import random
     rng = random.Random(19)
     queue = JobQueue()
@@ -196,34 +199,45 @@ def test_incremental_counts_and_done_agree_with_a_full_scan():
                   failures=[{"error": "x"}])
     queue.restore(_spec("r-retried", max_retries=2), attempt=1,
                   failures=[{"error": "x"}])
+    order = collections.deque(["r-retried"])
     running, submitted = [], 0
+
+    def submit():
+        nonlocal submitted
+        submitted += 1
+        queue.submit(_spec(f"j{submitted}", max_retries=rng.randrange(3)))
+        order.append(f"j{submitted}")
+
+    for _ in range(2000):
+        submit()
     for step in range(400):
         move = rng.choice(("submit", "claim", "claim", "complete", "fail"))
         if move == "submit":
-            submitted += 1
-            queue.submit(_spec(f"j{submitted}",
-                               max_retries=rng.randrange(3)))
+            submit()
         elif move == "claim":
             job = queue.claim(f"w{step % 3}")
-            if job is not None:
-                running.append(job.spec.job_id)
+            assert job.spec.job_id == order.popleft()
+            running.append(job.spec.job_id)
         elif running:
             job_id = running.pop(rng.randrange(len(running)))
             if move == "complete":
                 queue.complete(job_id)
-            else:
-                queue.fail(job_id, "boom")
+            elif queue.fail(job_id, "boom").state == "queued":
+                order.appendleft(job_id)
         jobs = queue.jobs()
-        scan = {state: sum(j.state == state for j in jobs)
+        tally = collections.Counter(j.state for j in jobs)
+        scan = {state: tally[state]
                 for state in ("queued", "running", "completed", "failed")}
         scan["total"] = len(jobs)
         scan["retries"] = sum(j.retries for j in jobs)
         assert queue.counts() == scan
+        assert queue.pending_count == len(order) == scan["queued"]
         assert queue.done == all(j.state in ("completed", "failed")
                                  for j in jobs)
     assert scan["retries"] > 0 and scan["failed"] > 1 and not queue.done
-    while queue.claim("w") is not None:
-        pass
+    while (job := queue.claim("w")) is not None:
+        assert job.spec.job_id == order.popleft()
+    assert not order and queue.claim("w") is None
     for job in queue.jobs():
         if job.state == "running":
             queue.complete(job.spec.job_id)
