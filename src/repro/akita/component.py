@@ -10,6 +10,9 @@ A :class:`Component` owns ports and reacts to events.  A
   cycle; otherwise the component *sleeps* — it consumes zero events until
   something wakes it (a message arrival, freed buffer space, or
   AkitaRTM's *Tick* button via :meth:`TickingComponent.tick_later`).
+* Ports and connections skip ``notify_*`` for a component whose
+  next-cycle tick is already pending (``_next_scheduled == _near_tick``:
+  never true of a non-ticking component, which is told every time).
 
 The sleep/wake discipline is what makes hangs observable: a deadlocked
 simulation puts every component to sleep, the event queue runs dry, and
@@ -18,12 +21,12 @@ the monitor sees virtual time freeze while buffers stay non-empty.
 
 from __future__ import annotations
 
-from typing import Dict, List
-
-from typing import Any
+from heapq import heappush
+from typing import Any, Dict, List
 
 from . import naming
 from .engine import Engine
+from .errors import ConfigurationError
 from .event import Event, TickEvent
 from .hooks import HookPos, Hookable, TaskInfo
 from .port import Port
@@ -43,6 +46,11 @@ class Component(Hookable):
         self.name = name
         self._engine = engine
         self._ports: Dict[str, Port] = {}
+        # ``notify_*`` is called only while these two differ, and only
+        # a TickingComponent makes them meet.  (Not class attributes:
+        # shadowed, they send core.inspector's reflection to ``vars()``.)
+        self._next_scheduled: float | None = None
+        self._near_tick = -1.0
 
     # -- ports ---------------------------------------------------------
     def add_port(self, local_name: str, buf_capacity: int = 4) -> Port:
@@ -118,15 +126,16 @@ class TickingComponent(Component):
 
     def __init__(self, name: str, engine: Engine, freq: float = GHZ):
         super().__init__(name, engine)
+        if not freq > 0:  # or the next cycle boundary is not after now
+            raise ConfigurationError(
+                f"component {name!r} needs a positive freq, got {freq}")
         self.freq = freq
-        self._next_scheduled: float | None = None
-        # A tick time known to be no later than the next cycle
-        # boundary.  The boundary only moves forward, so for as long as
-        # ``_next_scheduled`` equals this value a wake-up has nothing
-        # to schedule, and one comparison says so.  Whoever else writes
-        # ``_next_scheduled`` (fault injector, checkpoint restore)
-        # disarms the shortcut merely by changing it.
-        self._near_tick = -1.0
+        # ``_near_tick`` is a tick time known to be no later than the
+        # next cycle boundary.  The boundary only moves forward, so
+        # while ``_next_scheduled`` equals it a wake-up has nothing to
+        # schedule, and one comparison at the call site says so.
+        # Whoever else writes ``_next_scheduled`` (fault injector,
+        # checkpoint restore) disarms the shortcut by changing it.
         self._last_tick_time = -1.0
         self.tick_count = 0  # total ticks executed (observable by RTM)
 
@@ -148,8 +157,20 @@ class TickingComponent(Component):
                 return
             self._last_tick_time = at
             self.tick_count += 1
-            if self.tick() and self._next_scheduled != self._near_tick:
-                self.tick_later()
+            if self.tick():
+                # tick_later() in this frame, one per progressing tick.
+                scheduled = self._next_scheduled
+                if scheduled != self._near_tick:
+                    engine = self._engine
+                    freq = self.freq
+                    t = (int(engine._now * freq + 1e-6) + 1) / freq
+                    if scheduled is not None and scheduled <= t:
+                        self._near_tick = scheduled
+                    else:
+                        self._next_scheduled = self._near_tick = t
+                        queue = engine._queue
+                        heappush(queue._heap, (t, True, next(queue._seq),
+                                               TickEvent(t, self)))
 
     def tick_later(self) -> None:
         """Schedule a tick for the next cycle unless an earlier-or-equal
@@ -162,12 +183,18 @@ class TickingComponent(Component):
         if scheduled == self._near_tick:
             return
         engine = self._engine
-        t = next_tick(engine._now, self.freq)
+        freq = self.freq
+        # ticker.next_tick(), spelled out: > now for any positive freq,
+        # the one thing Engine.schedule checks before this same push (a
+        # foreign thread's late tick is handled at the current time).
+        t = (int(engine._now * freq + 1e-6) + 1) / freq
         if scheduled is not None and scheduled <= t:
             self._near_tick = scheduled
             return
         self._next_scheduled = self._near_tick = t
-        engine.schedule(TickEvent(t, self))
+        queue = engine._queue
+        heappush(queue._heap,
+                 (t, True, next(queue._seq), TickEvent(t, self)))
 
     def tick_at(self, t: float) -> None:
         """Schedule a tick at cycle-aligned time *t* (used by components
@@ -195,9 +222,7 @@ class TickingComponent(Component):
         return self._next_scheduled is None
 
     def notify_recv(self, port: Port) -> None:
-        if self._next_scheduled != self._near_tick:
-            self.tick_later()
+        self.tick_later()
 
     def notify_available(self, port: Port) -> None:
-        if self._next_scheduled != self._near_tick:
-            self.tick_later()
+        self.tick_later()

@@ -15,10 +15,11 @@ err on the side of waking.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappush
 from typing import Dict, List, Protocol, runtime_checkable
 
 from .engine import Engine
-from .errors import PortError
+from .errors import ConfigurationError, PortError
 from .event import Event
 from .hooks import Hookable, HookCtx, HookPos
 from .message import Msg
@@ -97,6 +98,9 @@ class DirectConnection(Hookable):
         self.name = name
         self._engine = engine
         self._latency = float(latency)
+        if not self._latency >= 0:  # or send() would push into the past
+            raise ConfigurationError(
+                f"connection {name!r} needs latency >= 0, got {latency}")
         self._ports: List[Port] = []
         self._inflight: Dict[Port, int] = {}
         self.msg_count = 0  # total messages transported (observable)
@@ -156,7 +160,10 @@ class DirectConnection(Hookable):
                 return
             deliver_at = max(transfer.deliver_at, now)
 
-        engine.schedule(DeliveryEvent(deliver_at, self, msg))
+        # deliver_at >= now on both paths: Engine.schedule's own push.
+        queue = engine._queue
+        heappush(queue._heap, (deliver_at, True, next(queue._seq),
+                               DeliveryEvent(deliver_at, self, msg)))
 
     def handle(self, event: DeliveryEvent) -> None:
         """Deliver the event's message (engine-facing Handler API)."""
@@ -165,9 +172,11 @@ class DirectConnection(Hookable):
         msg.dst.deliver(msg)
 
     def notify_available(self, port: Port) -> None:
-        """A buffer slot freed at *port*; wake potential senders."""
+        """A buffer slot freed at *port*; wake potential senders (not
+        those already due next cycle: ``TickingComponent._near_tick``)."""
         for p in self._ports:
             if p is not port:
                 comp = p.component
-                if comp is not None:
+                if comp is not None and \
+                        comp._next_scheduled != comp._near_tick:
                     comp.notify_available(p)

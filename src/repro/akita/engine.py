@@ -22,7 +22,12 @@ heap operation complete under the interpreter lock without running
 Python code, so a foreign insert is never lost, never duplicates a
 sequence number and never leaves the heap half-sifted under the loop.
 The accessors read with one subscript and treat "just emptied" as
-empty.
+empty.  Within ``akita``, code that has established ``time >= now`` (a
+tick's next cycle boundary, a send plus a checked latency) makes that
+same push itself; for everyone else ``_queue`` is private
+(``tests/test_layering.py``) and :meth:`schedule` the door.  Only the
+loop writes ``_now``; a ``Component`` subclass may read it as
+``self._engine._now``, anyone else uses :attr:`now`.
 
 What a foreign thread cannot know is the time: it reads :attr:`now`,
 the loop moves on, and its event arrives in the loop's past.  That is

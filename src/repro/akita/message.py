@@ -13,6 +13,7 @@ from typing import Optional, TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .port import Port
 
+#: Rebound by a restore: read it as ``message._msg_ids``, not by value.
 _msg_ids = itertools.count()
 
 

@@ -36,6 +36,10 @@ class Port:
         self.component = component
         self.name = name
         self.buf = Buffer(f"{name}.Buf", buf_capacity)
+        #: The buffer's own deque, oldest first: :meth:`peek_incoming`
+        #: without the call, for the owning component's tick.  Read-only
+        #: by contract; a Buffer never rebinds its deque.
+        self.incoming = self.buf._items
         self._connection: Optional["Connection"] = None
         #: Messages sent / received through this port (monitorable;
         #: deltas give the per-port throughput view the paper lists as
@@ -112,11 +116,13 @@ class Port:
                 now = comp._engine._now
                 for hook in comp._chains[_PORT_DELIVER]:
                     hook(self, now, msg)
-            comp.notify_recv(self)
+            # Nothing to tell a component already due next cycle.
+            if comp._next_scheduled != comp._near_tick:
+                comp.notify_recv(self)
 
     def peek_incoming(self) -> Optional[Msg]:
         """Look at the oldest received message without consuming it."""
-        items = self.buf._items
+        items = self.incoming
         return items[0] if items else None
 
     def retrieve_incoming(self) -> Optional[Msg]:
@@ -125,7 +131,7 @@ class Port:
         Consuming frees a buffer slot; the connection is notified so that
         senders blocked on backpressure wake up and retry.
         """
-        items = self.buf._items
+        items = self.incoming
         if not items:
             return None
         msg = items.popleft()

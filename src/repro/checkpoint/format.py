@@ -62,7 +62,8 @@ CHECKPOINT_MAGIC = "rtm-ckpt"
 #: Goes up whenever a pickled class changes shape, so that a file
 #: from another build is refused at the header and not by a failing
 #: (or worse, succeeding) unpickle.  2: events carry no ``id``.
-CHECKPOINT_VERSION = 2
+#: 3: every port has ``incoming``, every component the wake-up pair.
+CHECKPOINT_VERSION = 3
 
 #: Refuse to parse absurd header lines (a corrupt file could otherwise
 #: make the reader scan for a newline through gigabytes of pickle).

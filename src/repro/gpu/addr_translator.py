@@ -75,7 +75,7 @@ class AddressTranslator(TickingComponent):
         progress |= self._drain_pipeline()
         progress |= self._accept()
         if (self._pipeline and not progress
-                and self._pipeline[0][0] > self.engine.now + 1e-15):
+                and self._pipeline[0][0] > self._engine._now + 1e-15):
             # Nothing to do until the head translation completes; a
             # ready-but-blocked head waits for a notify_available wake.
             self.tick_at(self._pipeline[0][0])
@@ -83,13 +83,14 @@ class AddressTranslator(TickingComponent):
 
     def _accept(self) -> bool:
         progress = False
+        items = self.top_port.incoming
         for _ in range(self.width):
             # Only the translation pipeline is a held resource; requests
             # already forwarded to the cache below are its problem, not
             # ours (the table entry is pure bookkeeping for the reply).
-            if len(self._pipeline) >= self.max_inflight:
+            if not items or len(self._pipeline) >= self.max_inflight:
                 break
-            msg = self.top_port.peek_incoming()
+            msg = items[0]
             if not isinstance(msg, MemReq):
                 break
             self.top_port.retrieve_incoming()
@@ -98,7 +99,7 @@ class AddressTranslator(TickingComponent):
             else:
                 latency = self.miss_latency
                 self.tlb.fill(msg.address)
-            ready = self.engine.now + latency / self.freq
+            ready = self._engine._now + latency / self.freq
             heapq.heappush(self._pipeline, (ready, self._seq, msg))
             self._seq += 1
             progress = True
@@ -109,7 +110,7 @@ class AddressTranslator(TickingComponent):
         timing model does not relocate pages)."""
         assert self.down_port is not None, f"{self.name} not wired"
         progress = False
-        now = self.engine.now
+        now = self._engine._now
         for _ in range(self.width):
             if not self._pipeline or self._pipeline[0][0] > now + 1e-15:
                 break
@@ -130,9 +131,10 @@ class AddressTranslator(TickingComponent):
 
     def _respond_up(self) -> bool:
         progress = False
+        items = self.bottom_port.incoming
         for _ in range(self.width):
-            msg = self.bottom_port.peek_incoming()
-            if not isinstance(msg, MemRsp):
+            msg = items[0] if items else None
+            if msg is None or not isinstance(msg, MemRsp):
                 break
             original = self._pending_down.get(msg.respond_to)
             if original is None:

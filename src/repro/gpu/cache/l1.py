@@ -78,7 +78,7 @@ class L1VCache(TickingComponent):
         progress |= self._issue_pending_fetches()
         progress |= self._process_top()
         if (self._respond_queue and not progress
-                and self._respond_queue[0][0] > self.engine.now + 1e-15):
+                and self._respond_queue[0][0] > self._engine._now + 1e-15):
             # Head response not ready yet; ready-but-blocked responses
             # wait for a notify_available wake instead of busy-polling.
             self.tick_at(self._respond_queue[0][0])
@@ -87,9 +87,10 @@ class L1VCache(TickingComponent):
     # -- upstream request handling ------------------------------------------
     def _process_top(self) -> bool:
         progress = False
+        items = self.top_port.incoming
         for _ in range(self.width):
-            msg = self.top_port.peek_incoming()
-            if not isinstance(msg, MemReq):
+            msg = items[0] if items else None
+            if msg is None or not isinstance(msg, MemReq):
                 break
             if isinstance(msg, ReadReq):
                 if not self._handle_read(msg):
@@ -184,9 +185,10 @@ class L1VCache(TickingComponent):
 
     def _process_bottom(self) -> bool:
         progress = False
+        items = self.bottom_port.incoming
         for _ in range(self.width):
-            msg = self.bottom_port.peek_incoming()
-            if not isinstance(msg, MemRsp):
+            msg = items[0] if items else None
+            if msg is None or not isinstance(msg, MemRsp):
                 break
             key = self._pending_down.get(msg.respond_to)
             if key is None:
@@ -210,13 +212,13 @@ class L1VCache(TickingComponent):
 
     # -- responses -------------------------------------------------------------
     def _queue_response(self, rsp: MemRsp) -> None:
-        ready = self.engine.now + self.hit_latency / self.freq
+        ready = self._engine._now + self.hit_latency / self.freq
         heapq.heappush(self._respond_queue, (ready, self._seq, rsp))
         self._seq += 1
 
     def _send_responses(self) -> bool:
         progress = False
-        now = self.engine.now
+        now = self._engine._now
         for _ in range(self.width):
             if (not self._respond_queue
                     or self._respond_queue[0][0] > now + 1e-15):

@@ -93,12 +93,11 @@ class WriteBuffer(TickingComponent):
 
     def _accept_from_l2(self) -> bool:
         progress = False
+        items = self.in_port.incoming
         for _ in range(self.width):
-            if len(self._queue) >= self.queue_capacity:
+            if not items or len(self._queue) >= self.queue_capacity:
                 break
-            msg = self.in_port.peek_incoming()
-            if msg is None:
-                break
+            msg = items[0]
             self.in_port.retrieve_incoming()
             if isinstance(msg, EvictionReq):
                 self._queue.append((_EVICT, msg))
@@ -110,12 +109,11 @@ class WriteBuffer(TickingComponent):
 
     def _accept_from_dram(self) -> bool:
         progress = False
+        items = self.dram_port.incoming
         for _ in range(self.width):
-            if len(self._queue) >= self.queue_capacity:
+            if not items or len(self._queue) >= self.queue_capacity:
                 break
-            msg = self.dram_port.peek_incoming()
-            if msg is None:
-                break
+            msg = items[0]
             if isinstance(msg, DataReadyRsp):
                 original = self._pending_fetches.pop(msg.respond_to, None)
                 self.dram_port.retrieve_incoming()

@@ -45,8 +45,9 @@ class CommandProcessor(TickingComponent):
 
     def _intake_driver(self) -> bool:
         progress = False
-        while True:
-            msg = self.driver_port.peek_incoming()
+        items = self.driver_port.incoming
+        while items:
+            msg = items[0]
             if not isinstance(msg, LaunchKernelMsg):
                 break
             self.driver_port.retrieve_incoming()
@@ -61,8 +62,9 @@ class CommandProcessor(TickingComponent):
 
     def _intake_dispatcher(self) -> bool:
         progress = False
-        while True:
-            msg = self.dispatcher_port.peek_incoming()
+        items = self.dispatcher_port.incoming
+        while items:
+            msg = items[0]
             if not isinstance(msg, KernelCompleteMsg):
                 break
             self.dispatcher_port.retrieve_incoming()

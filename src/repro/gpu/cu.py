@@ -137,8 +137,9 @@ class ComputeUnit(TickingComponent):
 
     def _accept_workgroups(self) -> bool:
         progress = False
-        while True:
-            msg = self.ctrl_port.peek_incoming()
+        items = self.ctrl_port.incoming
+        while items:
+            msg = items[0]
             if not isinstance(msg, MapWGMsg):
                 break
             num_wfs = msg.kernel.descriptor.wavefronts_per_wg
@@ -159,9 +160,10 @@ class ComputeUnit(TickingComponent):
     def _drain_responses(self) -> bool:
         progress = False
         for port in (self.mem_port, self.scalar_port):
+            items = port.incoming
             for _ in range(self.issue_width * 2):
-                msg = port.peek_incoming()
-                if not isinstance(msg, MemRsp):
+                msg = items[0] if items else None
+                if msg is None or not isinstance(msg, MemRsp):
                     break
                 port.retrieve_incoming()
                 wf = self._outstanding.pop(msg.respond_to, None)

@@ -77,8 +77,9 @@ class Dispatcher(TickingComponent):
 
     def _process_cp_messages(self) -> bool:
         progress = False
-        while True:
-            msg = self.cp_port.peek_incoming()
+        items = self.cp_port.incoming
+        while items:
+            msg = items[0]
             if not isinstance(msg, LaunchKernelMsg):
                 break
             self.cp_port.retrieve_incoming()
@@ -125,8 +126,9 @@ class Dispatcher(TickingComponent):
 
     def _process_cu_messages(self) -> bool:
         progress = False
-        while True:
-            msg = self.cu_port.peek_incoming()
+        items = self.cu_port.incoming
+        while items:
+            msg = items[0]
             if not isinstance(msg, WGCompleteMsg):
                 break
             self.cu_port.retrieve_incoming()

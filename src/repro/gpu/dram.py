@@ -46,7 +46,7 @@ class DRAMController(TickingComponent):
         progress |= self._respond_ready()
         progress |= self._accept()
         if (self._inflight and not progress
-                and self._inflight[0][0] > self.engine.now + 1e-15):
+                and self._inflight[0][0] > self._engine._now + 1e-15):
             # Head not ready yet: wake when it is.  A head that is ready
             # but blocked sleeps instead; freed buffer space upstream
             # wakes us via notify_available.
@@ -55,21 +55,22 @@ class DRAMController(TickingComponent):
 
     def _accept(self) -> bool:
         progress = False
+        items = self.top_port.incoming
         for _ in range(self.requests_per_cycle):
-            if len(self._inflight) >= self.queue_capacity:
+            if not items or len(self._inflight) >= self.queue_capacity:
                 break
-            msg = self.top_port.peek_incoming()
+            msg = items[0]
             if not isinstance(msg, MemReq):
                 break
             self.top_port.retrieve_incoming()
-            ready = self.engine.now + self.latency_cycles / self.freq
+            ready = self._engine._now + self.latency_cycles / self.freq
             self._inflight.append((ready, msg))
             progress = True
         return progress
 
     def _respond_ready(self) -> bool:
         progress = False
-        now = self.engine.now
+        now = self._engine._now
         for _ in range(self.requests_per_cycle):
             if not self._inflight or self._inflight[0][0] > now + 1e-15:
                 break

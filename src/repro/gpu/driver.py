@@ -139,8 +139,9 @@ class Driver(TickingComponent):
 
     def _advance_kernel(self, cmd: _KernelCommand) -> bool:
         progress = False
-        while True:
-            msg = self.gpu_port.peek_incoming()
+        items = self.gpu_port.incoming
+        while items:
+            msg = items[0]
             if not isinstance(msg, KernelCompleteMsg):
                 break
             self.gpu_port.retrieve_incoming()

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING
 
+from ..akita import message
 from ..akita.message import Msg
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -37,7 +38,12 @@ class MemReq(Msg):
 
     def __init__(self, dst: "Port", address: int, access_bytes: int,
                  pid: int = 0):
-        super().__init__(dst, size_bytes=16)
+        # Msg.__init__ in this frame (counter read through its module).
+        self.id = next(message._msg_ids)
+        self.src = None
+        self.dst = dst
+        self.size_bytes = 16
+        self.send_time = -1.0
         self.address = int(address)
         self.access_bytes = int(access_bytes)
         self.pid = pid
@@ -74,7 +80,11 @@ class MemRsp(Msg):
     __slots__ = ("respond_to",)
 
     def __init__(self, dst: "Port", respond_to: int, size_bytes: int):
-        super().__init__(dst, size_bytes)
+        self.id = next(message._msg_ids)  # as MemReq: Msg.__init__
+        self.src = None
+        self.dst = dst
+        self.size_bytes = size_bytes
+        self.send_time = -1.0
         self.respond_to = respond_to  # id of the request being answered
 
 

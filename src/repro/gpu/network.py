@@ -58,8 +58,9 @@ class ChipletSwitch(TickingComponent):
             port = self._ports_list[self._rr]
             self._rr = (self._rr + 1) % n
             attempts += 1
-            msg = port.peek_incoming()
-            if not isinstance(msg, NetMsg):
+            items = port.incoming
+            msg = items[0] if items else None
+            if msg is None or not isinstance(msg, NetMsg):
                 continue
             out_index = self._routes.get(msg.final_dst)
             if out_index is None:

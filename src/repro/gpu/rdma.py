@@ -121,10 +121,11 @@ class RDMAEngine(TickingComponent):
     def _intake_from_l1(self) -> bool:
         """Local L1 misses to remote pages: wrap and queue for the net."""
         progress = False
+        items = self.l1_port.incoming
         for _ in range(self.width):
-            if len(self._to_net) >= self.net_queue_capacity:
+            if not items or len(self._to_net) >= self.net_queue_capacity:
                 break
-            msg = self.l1_port.peek_incoming()
+            msg = items[0]
             if not isinstance(msg, MemReq):
                 break
             self.l1_port.retrieve_incoming()
@@ -144,10 +145,11 @@ class RDMAEngine(TickingComponent):
         """Traffic from other chiplets: requests go to the local L2,
         responses go back to the waiting local L1."""
         progress = False
+        items = self.net_port.incoming
         for _ in range(self.width):
-            if len(self._to_l2) >= 64:
+            if not items or len(self._to_l2) >= 64:
                 break
-            msg = self.net_port.peek_incoming()
+            msg = items[0]
             if not isinstance(msg, NetMsg):
                 break
             payload = msg.payload
@@ -173,10 +175,11 @@ class RDMAEngine(TickingComponent):
     def _intake_from_l2(self) -> bool:
         """Local L2 answered a remote-origin request: ship it home."""
         progress = False
+        items = self.l2_port.incoming
         for _ in range(self.width):
-            if len(self._to_net) >= self.net_queue_capacity:
+            if not items or len(self._to_net) >= self.net_queue_capacity:
                 break
-            msg = self.l2_port.peek_incoming()
+            msg = items[0]
             if not isinstance(msg, MemRsp):
                 break
             record = self._incoming.pop(msg.respond_to, None)

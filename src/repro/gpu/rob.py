@@ -81,10 +81,11 @@ class ReorderBuffer(TickingComponent):
         """
         assert self.down_port is not None, f"{self.name} not wired"
         progress = False
+        items = self.top_port.incoming
         for _ in range(self.width):
-            if len(self.transactions) >= self.capacity:
+            if not items or len(self.transactions) >= self.capacity:
                 break
-            msg = self.top_port.peek_incoming()
+            msg = items[0]
             if not isinstance(msg, MemReq):
                 break
             if isinstance(msg, ReadReq):
@@ -105,9 +106,10 @@ class ReorderBuffer(TickingComponent):
 
     def _process_responses(self) -> bool:
         progress = False
+        items = self.bottom_port.incoming
         for _ in range(self.width):
-            msg = self.bottom_port.peek_incoming()
-            if not isinstance(msg, MemRsp):
+            msg = items[0] if items else None
+            if msg is None or not isinstance(msg, MemRsp):
                 break
             entry = self._by_forwarded_id.get(msg.respond_to)
             if entry is None:  # response to a dropped transaction: discard

@@ -264,12 +264,12 @@ class ShardConnection(DirectConnection):
         if dst in self._inflight:
             super().send(src, msg)
             return
-        msg.send_time = self._engine.now
+        msg.send_time = now = self._engine._now
         self.msg_count += 1
         self.exported_count += 1
         self._exported_this_window[dst] = \
             self._exported_this_window.get(dst, 0) + 1
-        self._export(msg, self._engine.now + self._latency)
+        self._export(msg, now + self._latency)
 
     # -- inbound delivery -----------------------------------------------
     def deliver_inbound(self, msg: Msg) -> bool:
@@ -347,7 +347,7 @@ class BoundaryInjector:
         the window invariant makes past arrivals impossible, but a
         same-instant clamp keeps the engine's no-past-events contract
         airtight against float rounding)."""
-        at = max(deliver_at, self._engine.now)
+        at = max(deliver_at, self._engine._now)
         self._engine.schedule(_InjectionEvent(at, self, msg))
 
     def handle(self, event: _InjectionEvent) -> None:

@@ -1,15 +1,19 @@
 """Tests for components and the tick/sleep/wake discipline."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.akita import (
     Component,
+    ConfigurationError,
     DirectConnection,
     Engine,
     GHZ,
+    MHZ,
     Msg,
     TickEvent,
     TickingComponent,
+    next_tick,
 )
 
 
@@ -142,3 +146,32 @@ def test_lower_frequency_means_longer_cycles():
     slow.tick_later()
     engine.run()
     assert engine.now == pytest.approx(6e-9)  # 3 ticks at 2ns, start at 2ns
+
+
+@pytest.mark.parametrize("freq", [0, -1e9, float("nan")])
+def test_non_positive_frequency_is_a_construction_error(freq):
+    with pytest.raises(ConfigurationError, match="freq"):
+        _Counter("C", Engine(), budget=1, freq=freq)
+
+
+@given(st.floats(min_value=0.0, max_value=1.0),
+       st.sampled_from([GHZ, 0.5e9, 1.4e9, 2e9, MHZ]))
+def test_a_tick_pushed_in_place_lands_on_the_next_cycle_boundary(now, freq):
+    """``handle`` and ``tick_later`` compute the boundary themselves and
+    push without ``Engine.schedule``'s past-check: what they compute
+    must be ``ticker.next_tick`` and must lie after *now*."""
+    expected = next_tick(now, freq)
+    assert expected > now
+
+    engine = Engine()
+    woken = _Counter("Woken", engine, budget=1, freq=freq)
+    engine.run_until(now)
+    woken.tick_later()
+    assert engine.next_event_time == woken._next_scheduled == expected
+
+    engine = Engine()
+    ticking = _Counter("Ticking", engine, budget=2, freq=freq)
+    engine.schedule(TickEvent(now, ticking))
+    engine.run_until(now)  # one progressing tick, rescheduled by handle
+    assert ticking.work_done == 1
+    assert engine.next_event_time == ticking._next_scheduled == expected

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.akita import CallbackEvent, Engine, RunState
+from repro.akita import CallbackEvent, Engine, RunState, TickingComponent
 
 
 def _self_rescheduling_chain(engine, count, start=1.0):
@@ -70,6 +70,52 @@ def test_concurrent_scheduling_from_other_threads(while_,
     assert hits == sorted(hits)  # causal order preserved
     if while_ == "running":
         assert chain["n"] == 100_000
+
+
+class _Sleeper(TickingComponent):
+    """Never makes progress: every wake-up is exactly one tick."""
+
+    def tick(self):
+        return False
+
+
+@pytest.mark.parametrize("while_", ["paused", "running"])
+def test_tick_later_from_other_threads_lands(while_, eager_thread_switches):
+    """The Tick button's path.  ``tick_later()`` pushes its event onto
+    the heap itself, against a clock the loop may have moved since: the
+    tick must still arrive (late ones at the current time), or the
+    component believes forever in a tick that never comes."""
+    engine = Engine()
+    sleepers = [_Sleeper(f"S{k}", engine) for k in range(4)]
+    if while_ == "paused":
+        engine.pause()
+    else:
+        chain = _self_rescheduling_chain(engine, 100_000)
+    thread = threading.Thread(target=engine.run)
+    thread.start()
+
+    def poke(sleeper):
+        for _ in range(200):
+            sleeper.tick_later()
+
+    workers = [threading.Thread(target=poke, args=(s,)) for s in sleepers]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(timeout=60)
+        assert not w.is_alive()
+    engine.continue_()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    engine.run()  # what was pushed after the loop's last look
+    assert all(s.asleep and s.tick_count >= 1 for s in sleepers)
+    assert engine.pending_event_count == 0
+    if while_ == "paused":
+        # 200 pokes at one clock reading are one tick.
+        assert [s.tick_count for s in sleepers] == [1] * 4
+    else:
+        assert chain["n"] == 100_000
+        assert chain["times"] == sorted(chain["times"])
 
 
 def test_scheduling_at_now_from_another_thread_never_rewinds_the_clock(

@@ -9,6 +9,11 @@ changed tie-break, a tick scheduled a cycle early, a wake-up skipped —
 changes a digest here within seconds, instead of surfacing only as a
 different total in a benchmark's determinism check.
 
+The same digests must come out whichever door drives the loop:
+``run()`` to the end, or ``run_window()`` over successive horizons a
+few cycles wide (the sharded mode's driver, which clamps the clock
+between windows).
+
 To regenerate after an *intended* change of event order::
 
     PYTHONPATH=src python tests/akita/test_event_order_golden.py
@@ -34,7 +39,19 @@ WORKLOADS = {
 }
 
 
-def event_order(make_workload):
+def _run_in_windows(platform, cycles=3.5):
+    """Drive the engine the way a shard does: one ``run_window()`` per
+    horizon, each *cycles* past the earliest pending event (not a whole
+    number, so horizons fall on and between cycle boundaries)."""
+    engine = platform.engine
+    platform.start()
+    while engine.next_event_time is not None:
+        engine.run_window(engine.next_event_time + cycles * 1e-9)
+    engine.finish_windows()
+    return platform.simulation.done
+
+
+def event_order(make_workload, drive=GPUPlatform.run):
     """``{"events": n, "sha256": digest}`` of one run on the small
     two-chiplet platform."""
     platform = GPUPlatform(GPUPlatformConfig.small(num_chiplets=2))
@@ -52,7 +69,7 @@ def event_order(make_workload):
         count += 1
 
     platform.engine.accept_hook(record, positions=(HookPos.BEFORE_EVENT,))
-    assert platform.run()
+    assert drive(platform)
     assert count == platform.engine.event_count
     return {"events": count, "sha256": digest.hexdigest()}
 
@@ -61,6 +78,13 @@ def event_order(make_workload):
 def test_event_order_matches_golden(workload):
     golden = json.loads(GOLDEN.read_text())
     assert event_order(WORKLOADS[workload]) == golden[workload]
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_event_order_is_the_same_through_run_window(workload):
+    golden = json.loads(GOLDEN.read_text())
+    assert event_order(WORKLOADS[workload], _run_in_windows) \
+        == golden[workload]
 
 
 if __name__ == "__main__":

@@ -4,11 +4,14 @@ import pytest
 
 from repro.akita import (
     Component,
+    ConfigurationError,
     DirectConnection,
     Engine,
+    HookPos,
     Msg,
     Port,
     PortError,
+    TickEvent,
     TickingComponent,
 )
 
@@ -186,3 +189,105 @@ def test_connection_counts_messages():
     for _ in range(3):
         prod.out.send(Msg(dst=sink.inp))
     assert conn.msg_count == 3
+
+
+def test_negative_latency_is_a_construction_error():
+    """``send()`` pushes its delivery without asking ``schedule()``
+    whether it lies in the past; the premise is checked here, once."""
+    engine = Engine()
+    for latency in (-1e-9, float("nan")):
+        with pytest.raises(ConfigurationError, match="latency"):
+            DirectConnection("Conn", engine, latency)
+    DirectConnection("Conn", engine, 0.0)
+
+
+def test_incoming_is_the_buffers_own_queue():
+    sink = _Sink("Sink", Engine())
+    port = sink.inp
+    assert port.incoming is port.buf._items
+    port.deliver(Msg(dst=port))
+    assert list(port.incoming) == [port.peek_incoming()]
+    port.buf.clear()
+    assert port.incoming is port.buf._items and not port.incoming
+
+
+class _ToldEverything(Component):
+    """Not a ticking component: nothing says a wake-up is redundant."""
+
+    def __init__(self, name, engine):
+        super().__init__(name, engine)
+        self.port_ = self.add_port("Port", 8)
+        self.recv = []
+        self.available = []
+
+    def handle(self, event):
+        pass
+
+    def notify_recv(self, port):
+        self.recv.append(port)
+
+    def notify_available(self, port):
+        self.available.append(port)
+
+
+def test_a_plain_component_is_told_of_every_delivery_and_retrieve():
+    engine = Engine()
+    a, b = _ToldEverything("A", engine), _ToldEverything("B", engine)
+    _wire(engine, a.port_, b.port_)
+    for _ in range(3):
+        assert a.port_.send(Msg(dst=b.port_))
+    engine.run()
+    assert b.recv == [b.port_] * 3 and a.recv == []
+    for n in range(1, 4):
+        assert b.port_.retrieve_incoming() is not None
+        assert a.available == [a.port_] * n
+    assert b.available == []  # the retrieving side is not its own sender
+
+
+class _Forwarder(TickingComponent):
+    """Moves messages from In to Out, one per cycle."""
+
+    def __init__(self, name, engine):
+        super().__init__(name, engine)
+        self.inp = self.add_port("In", 8)
+        self.out = self.add_port("Out", 8)
+        self.told = 0
+
+    def tick(self):
+        return self.inp.retrieve_incoming() is not None
+
+    def notify_recv(self, port):
+        self.told += 1
+        super().notify_recv(port)
+
+    def notify_available(self, port):
+        self.told += 1
+        super().notify_available(port)
+
+
+def test_a_component_due_next_cycle_is_not_told_and_not_scheduled_twice():
+    engine = Engine()
+    ticks = []
+    engine.accept_hook(
+        lambda ctx: ticks.append(ctx.now)
+        if isinstance(ctx.item, TickEvent) else None,
+        positions=(HookPos.BEFORE_EVENT,))
+    fwd = _Forwarder("F", engine)
+    src, sink = _Producer("P", engine), _Sink("S", engine, 8)
+    _wire(engine, src.out, fwd.inp)
+    _wire(engine, fwd.out, sink.inp)
+    # Asleep: the first delivery is a wake-up, the two landing at the
+    # same instant find the tick already pending.
+    for _ in range(3):
+        assert src.out.send(Msg(dst=fwd.inp))
+    engine.run_until(1e-9)
+    assert fwd.told == 1 and engine.pending_event_count == 1
+    # Due next cycle: a freed slot downstream tells it nothing either.
+    fwd.out.send(Msg(dst=sink.inp))
+    engine.run_until(1e-9)
+    sink.inp.retrieve_incoming()
+    assert fwd.told == 1
+    engine.run()
+    # Three messages, one tick each, and the one that found nothing.
+    assert fwd.tick_count == 4 and fwd.asleep
+    assert ticks == pytest.approx([2e-9, 3e-9, 4e-9, 5e-9])

@@ -109,6 +109,25 @@ def test_checkpoint_of_stalled_run_revives_on_restore(tmp_path):
     assert restored.driver.kernels[0].done
 
 
+def test_restored_ports_still_expose_their_buffers_own_queue(tmp_path):
+    """``Port.incoming`` is an alias components read every tick; a
+    restore that rebuilt it as a copy would show them an empty port
+    forever.  (Files from before the alias existed are version 2 and
+    refused at the header: ``test_unsupported_version_is_rejected``.)"""
+    platform = _platform()
+    _workload().enqueue(platform.driver)
+    platform.start()
+    platform.engine.run_until(2e-7)
+    path = str(tmp_path / "ckpt.rtm")
+    save_checkpoint(platform, path)
+    restored, _ = load_checkpoint(path, workload=_workload())
+    ports = [port for component in restored.simulation.components
+             for port in component.ports]
+    assert ports and any(port.incoming for port in ports)
+    assert all(port.incoming is port.buf._items for port in ports)
+    assert restored.run()
+
+
 # ----------------------------------------------------------------------
 # Damage detection
 # ----------------------------------------------------------------------
@@ -133,7 +152,7 @@ def test_truncated_file_is_rejected(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("version", [999, CHECKPOINT_VERSION - 1])
+@pytest.mark.parametrize("version", [999, *range(1, CHECKPOINT_VERSION)])
 def test_unsupported_version_is_rejected(tmp_path, version):
     """Newer files, and older ones (whose pickled events had an ``id``
     slot this build's classes lack), stop at the header."""

@@ -18,6 +18,7 @@ from repro.akita import Buffer, Component, Engine
 from repro.core import (BufferAnalyzer, Monitor, discover_buffers,
                         serialize_component)
 from repro.gpu import GPUPlatform, GPUPlatformConfig
+from repro.gpu.debug import TickStepper
 from repro.workloads import FIR
 
 DATA = Path(__file__).parent / "data"
@@ -88,6 +89,26 @@ def test_monitoring_materialises_no_dict(platform):
     monitor.metrics.snapshot()
     monitor.tracer.query(limit=10)
     assert not any(map(has_materialised_dict, _watched_objects(platform)))
+
+
+@needs_inline_values
+def test_the_step_debugger_leaves_its_component_as_fast_as_it_found_it(
+        platform):
+    """Removing the wrapped ``tick`` through ``__dict__`` would
+    materialise it for the rest of the process."""
+    FIR(num_samples=256).enqueue(platform.driver)
+    component = platform.chiplets[0].l2s[0]
+    stepper = TickStepper(component)
+    stepper.install()
+    assert not has_materialised_dict(component)
+    assert stepper.step() is stepper.records[-1]
+    stepper.uninstall()
+    assert not has_materialised_dict(component)
+    assert component.tick.__func__ is type(component).tick
+    stepper.uninstall()  # idempotent
+    before = component.tick_count
+    assert platform.run() and component.tick_count > before
+    assert len(stepper.records) == 1  # the breakpoint is really gone
 
 
 class _Odd(Component):

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.akita import Engine
+from repro.akita import Engine, message as akita_message
+from repro.akita.message import ControlMsg, GeneralRsp, Msg
+from repro.gpu import mem, protocol
 from repro.gpu import (
     CACHE_LINE_SIZE,
     DataReadyRsp,
@@ -15,6 +17,8 @@ from repro.gpu import (
     line_address,
 )
 from repro.gpu.mem import MemReq, MemRsp
+from repro.gpu.protocol import (KernelCompleteMsg, LaunchKernelMsg,
+                                MapWGMsg, WGCompleteMsg)
 
 
 class _Holder:
@@ -88,3 +92,54 @@ def test_message_ids_are_unique_and_increasing():
     b = WriteReq(_Holder(), 0, 4)
     c = EvictionReq(_Holder(), 0)
     assert a.id < b.id < c.id
+
+
+_KERNEL = object()  # messages only carry the reference
+
+#: One constructor call per concrete message class of the three modules.
+MAKE = {
+    Msg: lambda: Msg(_Holder()),
+    GeneralRsp: lambda: GeneralRsp(_Holder(), 1),
+    ControlMsg: lambda: ControlMsg(_Holder(), "flush"),
+    MemReq: lambda: MemReq(_Holder(), 0, 4),
+    ReadReq: lambda: ReadReq(_Holder(), 0, 4),
+    WriteReq: lambda: WriteReq(_Holder(), 0, 4),
+    MemRsp: lambda: MemRsp(_Holder(), 1, 16),
+    DataReadyRsp: lambda: DataReadyRsp(_Holder(), 1),
+    WriteDoneRsp: lambda: WriteDoneRsp(_Holder(), 1),
+    EvictionReq: lambda: EvictionReq(_Holder(), 0),
+    FetchedData: lambda: FetchedData(_Holder(), 0, 1),
+    NetMsg: lambda: NetMsg(_Holder(), Msg(_Holder()), _Holder(), _Holder()),
+    LaunchKernelMsg: lambda: LaunchKernelMsg(_Holder(), _KERNEL, [0]),
+    MapWGMsg: lambda: MapWGMsg(_Holder(), _KERNEL, 0, 0),
+    WGCompleteMsg: lambda: WGCompleteMsg(_Holder(), _KERNEL, 0, 0),
+    KernelCompleteMsg: lambda: KernelCompleteMsg(_Holder(), 0),
+}
+
+
+def _message_classes():
+    found = {Msg}
+    for module in (akita_message, mem, protocol):
+        found.update(value for value in vars(module).values()
+                     if isinstance(value, type) and issubclass(value, Msg))
+    return found
+
+
+def test_every_message_class_has_a_constructor_call_here():
+    assert set(MAKE) == _message_classes()
+
+
+@pytest.mark.parametrize("cls", sorted(MAKE, key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_ids_follow_a_fast_forwarded_counter(cls):
+    """A checkpoint restore fast-forwards the id counter by *rebinding*
+    a module global.  A constructor that fills ``Msg``'s slots itself
+    and captured the old counter by value would go on minting stale
+    ids — and answer requests frozen in the snapshot."""
+    floor = akita_message.msg_id_watermark() + 10**9
+    akita_message.ensure_msg_ids_at_least(floor)
+    msg = MAKE[cls]()
+    assert type(msg) is cls and msg.id >= floor
+    assert msg.src is None and msg.send_time == -1.0
+    later = [make().id for make in MAKE.values()]
+    assert later == sorted(set(later)) and later[0] > msg.id

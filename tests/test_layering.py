@@ -1,6 +1,10 @@
 """The dependency-free core, stated as a test: ``akita`` imports no
 sibling package of ``repro``, and ``gpu`` / ``workloads`` import only
 ``akita``, ``gpu`` and ``workloads`` — function-local imports included.
+
+And the engine's fast door stays inside its layer: ``akita`` pushes onto
+the event heap without ``Engine.schedule()`` where it has established
+"time >= now"; nobody outside ``akita`` touches the queue at all.
 """
 
 import ast
@@ -66,3 +70,51 @@ def test_the_walker_sees_relative_aliased_and_function_local_imports():
     found = sorted(name for name, _ in _repro_packages_imported(
         source, ("repro", "akita")))
     assert found == ["akita", "core", "profile", "trace"]
+
+
+#: The one reader of the heap outside ``akita``: restore reconciles
+#: each component's schedule flag with the ticks frozen in the queue.
+QUEUE_READERS = {("repro/checkpoint/format.py", "_revive_ticking")}
+
+
+def _engine_queue_reads(source):
+    """``(enclosing function, line)`` of every ``x._queue``, ``x._heap``
+    or ``x._seq`` where *x* is not plain ``self`` (a component's own
+    ``self._queue`` is its business; ``self._engine._queue`` is not)."""
+    def walk(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Attribute) \
+                and node.attr in ("_queue", "_heap", "_seq") \
+                and not (isinstance(node.value, ast.Name)
+                         and node.value.id == "self"):
+            yield function, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, function)
+    return walk(ast.parse(source), None)
+
+
+def test_only_akita_reaches_into_the_event_queue():
+    offenders = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        relative = path.relative_to(SRC).as_posix()
+        if relative.startswith("repro/akita/"):
+            continue
+        for function, line in _engine_queue_reads(path.read_text()):
+            if (relative, function) not in QUEUE_READERS:
+                offenders.append(f"{relative}:{line} ({function})")
+    assert not offenders, "\n".join(offenders)
+
+
+def test_the_queue_rule_sees_through_a_chain_but_not_own_state():
+    source = (
+        "class C:\n"
+        "    def own(self):\n"
+        "        return self._queue, self._seq\n"
+        "    def chained(self):\n"
+        "        heappush(self._engine._queue._heap, entry)\n"
+        "def free(engine):\n"
+        "    return next(engine._queue._seq)\n")
+    found = sorted(_engine_queue_reads(source))
+    assert found == [("chained", 5), ("chained", 5),
+                     ("free", 7), ("free", 7)]
