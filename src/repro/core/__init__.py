@@ -36,6 +36,11 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "SeriesRecorder": ".export",
     "HangDetector": ".hangdetect",
     "HangStatus": ".hangdetect",
+    "BadRequest": ".http",
+    "EventStream": ".http",
+    "HTTPServerThread": ".http",
+    "NotFound": ".http",
+    "Response": ".http",
     "discover_buffers": ".inspector",
     "numeric_value": ".inspector",
     "resolve_path": ".inspector",
@@ -46,9 +51,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "ProgressBar": ".progress",
     "ResourceMonitor": ".resources",
     "ResourceSample": ".resources",
-    "BadRequest": ".server",
-    "HTTPServerThread": ".server",
-    "JSONRequestHandler": ".server",
     "RTMServer": ".server",
     "HISTORY": ".timeseries",
     "MAX_WATCHES": ".timeseries",

@@ -1,26 +1,16 @@
 """The aggregating RTM gateway: one pane of glass for a whole fleet.
 
 A fleet of workers each serves its own dashboard + API on an ephemeral
-port.  The :class:`FleetGateway` is the stable front door:
+port.  The :class:`FleetGateway` is the stable front door: the routes
+of :data:`ROUTES`, and two families of paths that are not one string —
 
 =======  ===================================  ==========================
 Method   Path                                 Purpose
 =======  ===================================  ==========================
-GET      /api/fleet                           workers, jobs, retries
-GET      /api/fleet/profile                   campaign-wide merged profile
 GET      /api/fleet/jobs/<job>/metrics        one job's final exposition
 GET      /api/fleet/<worker>/<rest...>        reverse proxy to worker
 POST     /api/fleet/<worker>/<rest...>        (same — control actions)
 DELETE   /api/fleet/<worker>/<rest...>        (same)
-GET      /metrics                             federated exposition
-GET      /api/historian                       recording service status
-GET      /api/historian/campaigns             campaigns in the store
-GET      /api/historian/query                 filtered records
-GET      /api/historian/compare?a=&b=         two campaigns diffed
-GET      /api/historian/alerts                rules + transitions
-GET      /api/historian/stream                SSE alert transitions
-POST     /api/historian/rules                 add an alert rule
-DELETE   /api/historian/rules?id=             remove an alert rule
 =======  ===================================  ==========================
 
 The historian routes exist when a :class:`~repro.historian.
@@ -48,15 +38,13 @@ campaign carries every job's final series.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 from urllib.error import HTTPError, URLError
 from urllib.request import Request, urlopen
 
-from ..core.server import (
-    BadRequest,
-    HTTPServerThread,
-    JSONRequestHandler,
-)
+from ..core.http import (BadRequest, EventStream, HTTPServerThread,
+                         NotFound, Response, float_param, int_param,
+                         route_table)
 from ..metrics import CONTENT_TYPE as _PROM_CONTENT_TYPE
 from ..metrics import (MetricRegistry, expose, federate_sources,
                        inject_labels)
@@ -64,158 +52,29 @@ from ..metrics.federation import SCRAPE_TIMEOUT
 
 __all__ = ["FleetGateway"]
 
-
-class _GatewayHandler(JSONRequestHandler):
-    """Routes gateway requests; ``gateway`` injected via subclassing."""
-
-    gateway = None  # type: Optional[FleetGateway]
-
-    def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-        self._route("GET")
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._route("POST")
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        self._route("DELETE")
-
-    def _route(self, method: str) -> None:
-        path, params = self._query()
-        try:
-            if path == "/metrics" and method == "GET":
-                body = self.gateway.federated_metrics().encode()
-                self._send_body(body, _PROM_CONTENT_TYPE)
-            elif path == "/api/fleet" and method == "GET":
-                self._send_json(self.gateway.status())
-            elif path == "/api/fleet/profile" and method == "GET":
-                self._send_json(
-                    self.gateway.campaign_profile(params))
-            elif (path == "/api/historian/stream"
-                  and method == "GET"):
-                self._historian_stream(params)
-            elif path.startswith("/api/historian"):
-                self._historian(method, path, params)
-            elif (method == "GET"
-                  and path.startswith("/api/fleet/jobs/")
-                  and path.endswith("/metrics")):
-                job_id = path[len("/api/fleet/jobs/"):-len("/metrics")]
-                text = self.gateway.job_metrics(job_id.rstrip("/"))
-                if text is None:
-                    self._send_error_json(
-                        f"no final metrics for job {job_id!r}", 404)
-                else:
-                    self._send_body(text.encode(), _PROM_CONTENT_TYPE)
-            elif path.startswith("/api/fleet/"):
-                self._proxy(method, path)
-            else:
-                self._send_error_json("not found", 404)
-        except BadRequest as exc:
-            self._send_error_json(str(exc), 400)
-        except Exception as exc:  # surface handler bugs to the client
-            self._send_error_json(f"{type(exc).__name__}: {exc}", 500)
-
-    # ------------------------------------------------------------------
-    # Historian (the durable campaign record behind this gateway)
-    # ------------------------------------------------------------------
-    def _historian_service(self):
-        service = self.gateway.historian
-        if service is None:
-            raise BadRequest("historian not enabled for this campaign "
-                             "(start the fleet with --historian)")
-        return service
-
-    def _historian(self, method: str, path: str,
-                   params: Dict[str, str]) -> None:
-        service = self._historian_service()
-        store = service.historian
-        if path == "/api/historian" and method == "GET":
-            self._send_json(service.status())
-        elif path == "/api/historian/campaigns" and method == "GET":
-            self._send_json({"campaigns": store.campaigns()})
-        elif path == "/api/historian/query" and method == "GET":
-            filters: Dict[str, Any] = {}
-            if "campaign" in params:
-                filters["campaign_id"] = params["campaign"]
-            for key in ("kind", "name"):
-                if key in params:
-                    filters[key] = params[key]
-            for key in ("since", "until"):
-                if key in params:
-                    try:
-                        filters[key] = float(params[key])
-                    except ValueError:
-                        raise BadRequest(f"bad {key!r}: not a number")
-            try:
-                limit = int(params.get("limit", "1000"))
-            except ValueError:
-                raise BadRequest("bad 'limit': not an integer")
-            self._send_json(
-                {"records": store.query(limit=limit, **filters)})
-        elif path == "/api/historian/compare" and method == "GET":
-            a, b = params.get("a"), params.get("b")
-            if not a or not b:
-                raise BadRequest("compare needs ?a=<campaign>&"
-                                 "b=<campaign>")
-            self._send_json(store.compare(a, b))
-        elif path == "/api/historian/alerts" and method == "GET":
-            engine = service.engine
-            self._send_json({"rules": engine.to_dict(),
-                             "transitions": engine.transitions})
-        elif path == "/api/historian/rules" and method == "POST":
-            self._send_json(
-                {"rule": self.gateway.add_historian_rule(params)})
-        elif path == "/api/historian/rules" and method == "DELETE":
-            try:
-                rule_id = int(params.get("id", ""))
-            except ValueError:
-                raise BadRequest("rule DELETE needs ?id=<int>")
-            self._send_json(
-                {"removed": service.remove_rule(rule_id)})
-        else:
-            self._send_error_json("not found", 404)
-
-    def _historian_stream(self, params: Dict[str, str]) -> None:
-        """SSE of deduplicated alert-rule transitions.
-
-        ``since`` is a sequence-number cursor (default: only
-        transitions after the connection opens), ``count`` closes the
-        stream after N events — how a test proves "exactly once"."""
-        service = self._historian_service()
-        engine = service.engine
-        try:
-            interval = max(0.05, float(params.get("interval", "0.25")))
-            count = int(params.get("count", "0"))
-            if "since" in params:
-                cursor = int(params["since"])
-            else:
-                transitions = engine.transitions
-                cursor = transitions[-1]["seq"] if transitions else 0
-        except ValueError as exc:
-            raise BadRequest(f"bad stream parameter: {exc}") from None
-
-        def new_transitions():
-            nonlocal cursor
-            events = engine.transitions_since(cursor)
-            if events:
-                cursor = events[-1]["seq"]
-            return events
-
-        # Keepalive: an idle stream must not trip the client's socket
-        # timeout while a campaign warms up.
-        self._send_event_stream(new_transitions, interval, count,
-                                keepalive=True)
-
-    def _proxy(self, method: str, path: str) -> None:
-        remainder = path[len("/api/fleet/"):]
-        worker_id, _, sub_path = remainder.partition("/")
-        if not worker_id or not sub_path:
-            raise BadRequest(
-                "expected /api/fleet/<worker>/<endpoint>")
-        query = self.path.partition("?")[2]
-        target = "/" + sub_path + ("?" + query if query else "")
-        status, content_type, body = self.gateway.proxy(
-            method, worker_id, target)
-        self._send_body(body, content_type, status)
+#: ``(method, "path?parameters", FleetGateway method, purpose)``
+ROUTES = (
+    ("GET", "/api/fleet", "status", "workers, jobs, retries"),
+    ("GET", "/api/fleet/profile?format", "campaign_profile",
+     "campaign-wide merged profile"),
+    ("GET", "/metrics", "_prometheus", "federated exposition"),
+    ("GET", "/api/historian", "_historian_status",
+     "recording service status"),
+    ("GET", "/api/historian/campaigns", "_historian_campaigns",
+     "campaigns in the store"),
+    ("GET", "/api/historian/query?campaign&kind&name&since&until&limit",
+     "_historian_query", "filtered records"),
+    ("GET", "/api/historian/compare?a&b", "_historian_compare",
+     "two campaigns diffed"),
+    ("GET", "/api/historian/alerts", "_historian_alerts",
+     "rules + transitions"),
+    ("GET", "/api/historian/stream?interval&count&since",
+     "_historian_stream", "SSE alert transitions"),
+    ("POST", "/api/historian/rules?family&op&threshold&kind&for&labels"
+     "&name", "_add_historian_rule", "add an alert rule"),
+    ("DELETE", "/api/historian/rules?id", "_remove_historian_rule",
+     "remove an alert rule"),
+)
 
 
 class FleetGateway(HTTPServerThread):
@@ -233,14 +92,25 @@ class FleetGateway(HTTPServerThread):
 
     def __init__(self, manager, host: str = "127.0.0.1", port: int = 0):
         self.manager = manager
+        #: The fleet-level families: the preamble of the federated
+        #: exposition, which is why it is not the transport's
+        #: ``request_registry`` (see there).
         self.registry = MetricRegistry()
         #: Set by HistorianService.bind_gateway: enables the
         #: /api/historian/* routes and the alert-transition SSE stream.
         self.historian = None
         self._install_fleet_metrics()
-        handler = type("BoundGatewayHandler", (_GatewayHandler,),
-                       {"gateway": self})
-        super().__init__(handler, host=host, port=port)
+        super().__init__(route_table(ROUTES, self), host=host, port=port)
+
+    def unrouted(self, method: str, path: str, query: str) -> Response:
+        """The two path families of the module docstring."""
+        if (method == "GET" and path.startswith("/api/fleet/jobs/")
+                and path.endswith("/metrics")):
+            return self._job_metrics(
+                path[len("/api/fleet/jobs/"):-len("/metrics")].rstrip("/"))
+        if path.startswith("/api/fleet/"):
+            return self._proxy(method, path, query)
+        raise NotFound("not found")
 
     # ------------------------------------------------------------------
     # Fleet-level metric families (the gateway's own, un-labelled)
@@ -273,16 +143,80 @@ class FleetGateway(HTTPServerThread):
         self.registry.add_collector(collect)
 
     # ------------------------------------------------------------------
-    # Historian rule administration (HTTP -> MetricRule)
+    # Historian (the durable campaign record behind this gateway)
     # ------------------------------------------------------------------
-    def add_historian_rule(self, params: Dict[str, str]
-                           ) -> Dict[str, Any]:
+    def _historian_service(self):
+        service = self.historian
+        if service is None:
+            raise BadRequest("historian not enabled for this campaign "
+                             "(start the fleet with --historian)")
+        return service
+
+    def _historian_status(self, params):
+        return self._historian_service().status()
+
+    def _historian_campaigns(self, params):
+        store = self._historian_service().historian
+        return {"campaigns": store.campaigns()}
+
+    def _historian_query(self, params):
+        store = self._historian_service().historian
+        filters: Dict[str, Any] = {}
+        if "campaign" in params:
+            filters["campaign_id"] = params["campaign"]
+        for key in ("kind", "name"):
+            if key in params:
+                filters[key] = params[key]
+        for key in ("since", "until"):
+            if key in params:
+                filters[key] = float_param(params, key)
+        limit = int_param(params, "limit", 1000)
+        return {"records": store.query(limit=limit, **filters)}
+
+    def _historian_compare(self, params):
+        store = self._historian_service().historian
+        a, b = params.get("a"), params.get("b")
+        if not a or not b:
+            raise BadRequest("compare needs ?a=<campaign>&b=<campaign>")
+        return store.compare(a, b)
+
+    def _historian_alerts(self, params):
+        engine = self._historian_service().engine
+        return {"rules": engine.to_dict(),
+                "transitions": engine.transitions}
+
+    def _historian_stream(self, params):
+        """SSE of deduplicated alert-rule transitions.
+
+        ``since`` is a sequence-number cursor (default: only
+        transitions after the connection opens), ``count`` closes the
+        stream after N events — how a test proves "exactly once"."""
+        engine = self._historian_service().engine
+        interval = max(0.05, float_param(params, "interval", 0.25))
+        count = int_param(params, "count", 0)
+        if "since" in params:
+            cursor = int_param(params, "since", 0)
+        else:
+            transitions = engine.transitions
+            cursor = transitions[-1]["seq"] if transitions else 0
+
+        def new_transitions():
+            nonlocal cursor
+            events = engine.transitions_since(cursor)
+            if events:
+                cursor = events[-1]["seq"]
+            return events
+
+        # Keepalive: an idle stream must not trip the client's socket
+        # timeout while a campaign warms up.
+        return EventStream(new_transitions, interval, count, keepalive=True)
+
+    def _add_historian_rule(self, params):
         """Create a rule from query parameters: ``family`` (required),
         ``op``, ``threshold``, ``kind``, ``for`` (hold seconds),
         ``labels`` as ``k=v`` pairs joined by commas, ``name``."""
         from ..historian.rules import MetricRule
-        if self.historian is None:
-            raise BadRequest("historian not enabled")
+        service = self._historian_service()
         family = params.get("family", "")
         if not family:
             raise BadRequest("rule needs ?family=<metric family>")
@@ -296,22 +230,34 @@ class FleetGateway(HTTPServerThread):
             rule = MetricRule(
                 family=family,
                 op=params.get("op", ">="),
-                threshold=float(params.get("threshold", "0")),
+                threshold=float_param(params, "threshold", 0.0),
                 kind=params.get("kind", "threshold"),
                 labels=labels,
-                for_seconds=float(params.get("for", "0")),
+                for_seconds=float_param(params, "for", 0.0),
                 name=params.get("name", ""))
         except ValueError as exc:
             raise BadRequest(str(exc)) from None
-        return self.historian.add_rule(rule).to_dict()
+        return {"rule": service.add_rule(rule).to_dict()}
+
+    def _remove_historian_rule(self, params):
+        service = self._historian_service()
+        if "id" not in params:
+            raise BadRequest("parameter 'id' is required")
+        return {"removed": service.remove_rule(
+            int_param(params, "id", 0))}
 
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
-    def status(self) -> Dict[str, Any]:
+    def status(self, params: Optional[Dict[str, str]] = None
+               ) -> Dict[str, Any]:
         status = self.manager.status()
         status["gateway_url"] = self.url
         return status
+
+    def _prometheus(self, params):
+        return Response(self.federated_metrics().encode(),
+                        _PROM_CONTENT_TYPE)
 
     def federated_metrics(self) -> str:
         """One exposition for the whole fleet (see module docstring):
@@ -362,43 +308,46 @@ class FleetGateway(HTTPServerThread):
             "profile": merged,
         }
 
-    def job_metrics(self, job_id: str) -> Optional[str]:
+    def _job_metrics(self, job_id: str) -> Response:
         """One job's final exposition, ``(worker, job)``-labelled like
-        the federated view; ``None`` if the job never shipped one."""
+        the federated view; 404 if the job never shipped one."""
         entry = self.manager.final_metrics().get(job_id)
         if entry is None:
-            return None
-        return inject_labels(
+            raise NotFound(f"no final metrics for job {job_id!r}")
+        return Response(inject_labels(
             entry["text"],
-            {"worker": str(entry.get("worker_id")), "job": job_id})
+            {"worker": str(entry.get("worker_id")),
+             "job": job_id}).encode(), _PROM_CONTENT_TYPE)
 
     # ------------------------------------------------------------------
     # Reverse proxy
     # ------------------------------------------------------------------
-    def proxy(self, method: str, worker_id: str,
-              target: str) -> Tuple[int, str, bytes]:
-        """Forward one request to *worker_id*; returns
-        ``(status, content_type, body)``.  Unknown workers are 404,
-        dead ones 502 — the distinction a retrying client needs."""
+    def _proxy(self, method: str, path: str, query: str) -> Response:
+        """Forward one request to the worker *path* names.  Unknown
+        workers are 404, dead ones 502 — the distinction a retrying
+        client needs."""
+        worker_id, _, sub_path = path[len("/api/fleet/"):].partition("/")
+        if not worker_id or not sub_path:
+            raise BadRequest("expected /api/fleet/<worker>/<endpoint>")
         url = self.manager.live_workers().get(worker_id)
         if url is None:
-            return (404, "application/json",
-                    json.dumps({"error":
-                                 f"unknown or exited worker "
-                                 f"{worker_id!r}"}).encode())
+            raise NotFound(f"unknown or exited worker {worker_id!r}")
+        target = "/" + sub_path + ("?" + query if query else "")
         try:
             with urlopen(Request(url + target, method=method),
                          timeout=SCRAPE_TIMEOUT) as response:
                 content_type = response.headers.get(
                     "Content-Type", "application/octet-stream")
-                return response.status, content_type, response.read()
+                return Response(response.read(), content_type,
+                                response.status)
         except HTTPError as exc:
             # The worker's own verdict (400/404/...) passes through.
-            return (exc.code,
-                    exc.headers.get("Content-Type", "application/json"),
-                    exc.read())
+            return Response(
+                exc.read(),
+                exc.headers.get("Content-Type", "application/json"),
+                exc.code)
         except (URLError, TimeoutError, ConnectionError, OSError) as exc:
-            return (502, "application/json",
-                    json.dumps({"error":
-                                 f"worker {worker_id!r} unreachable: "
-                                 f"{exc}"}).encode())
+            return Response(
+                json.dumps({"error": f"worker {worker_id!r} unreachable: "
+                                     f"{exc}"}).encode(),
+                "application/json", 502)

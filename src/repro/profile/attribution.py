@@ -14,7 +14,8 @@ engine     the rest of ``repro/akita/`` (event dispatch, ports,
 metrics    ``repro/metrics/``
 trace      ``repro/trace/``
 faults     ``repro/faults/``
-server     ``repro/core/server.py`` + the stdlib HTTP/socket stack
+server     ``repro/core/http.py`` (transport, dispatch),
+           ``repro/core/server.py`` (routes) + the stdlib socket stack
 profiler   ``repro/profile/``
 fleet      ``repro/fleet/``
 monitor    the rest of ``repro/core/`` + historian + checkpoint
@@ -54,6 +55,7 @@ PATH_RULES: Tuple[Tuple[str, str], ...] = (
     ("repro/metrics/", "metrics"),
     ("repro/trace/", "trace"),
     ("repro/faults/", "faults"),
+    ("repro/core/http", "server"),
     ("repro/core/server", "server"),
     ("repro/profile/", "profiler"),
     ("repro/fleet/", "fleet"),

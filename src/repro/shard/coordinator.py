@@ -44,11 +44,7 @@ import queue
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.server import (
-    BadRequest,
-    HTTPServerThread,
-    JSONRequestHandler,
-)
+from ..core.http import HTTPServerThread, Response, route_table
 from ..fleet.channel import WorkerChannel
 from ..fleet.protocol import split_batches
 from ..gpu.platform import GPUPlatformConfig
@@ -128,6 +124,9 @@ class ShardCoordinator:
         self.timeout = timeout
         self._solo_seconds = _SOLO_GRANT_CYCLES / config.freq
         self._window_seconds = config.shard_window_cycles / config.freq
+        #: The barrier families: the preamble of the federated
+        #: exposition, which is why it is not the gateway transport's
+        #: ``request_registry`` (see there).
         self.registry = MetricRegistry()
         self._m_window = self.registry.histogram(
             "rtm_shard_window_seconds",
@@ -435,33 +434,13 @@ class ShardCoordinator:
 # ----------------------------------------------------------------------
 # Gateway
 # ----------------------------------------------------------------------
-class _ShardGatewayHandler(JSONRequestHandler):
-    """Bound per-gateway via a dynamic subclass (see ShardGateway)."""
-
-    coordinator: ShardCoordinator = None  # type: ignore[assignment]
-
-    def do_GET(self) -> None:  # noqa: N802 (request-loop naming)
-        path, params = self._query()
-        try:
-            if path == "/metrics":
-                body = self.coordinator.federated_metrics()
-                self._send_body(body.encode("utf-8"),
-                                _PROM_CONTENT_TYPE)
-            elif path == "/api/progress":
-                self._send_json(
-                    {"progress": self.coordinator.merged_progress()})
-            elif path == "/api/buffers":
-                self._send_json(
-                    {"buffers": self.coordinator.merged_buffers(params)})
-            elif path == "/api/shards":
-                self._send_json(self.coordinator.shard_status())
-            else:
-                self._send_error_json("not found", status=404)
-        except BadRequest as exc:
-            self._send_error_json(str(exc), status=400)
-        except Exception as exc:  # noqa: BLE001 - handler must answer
-            self._send_error_json(
-                f"{type(exc).__name__}: {exc}", status=500)
+#: ``(method, "path?parameters", ShardGateway method, purpose)``
+ROUTES = (
+    ("GET", "/metrics", "_prometheus", "each shard's series, shard= labelled"),
+    ("GET", "/api/progress", "_progress", "per-kernel progress, summed"),
+    ("GET", "/api/buffers?sort&top", "_buffers", "every shard's buffer rows"),
+    ("GET", "/api/shards", "_shards", "shard URLs, next times, windows"),
+)
 
 
 class ShardGateway(HTTPServerThread):
@@ -471,10 +450,21 @@ class ShardGateway(HTTPServerThread):
 
     def __init__(self, coordinator: ShardCoordinator,
                  host: str = "127.0.0.1", port: int = 0):
-        handler = type("BoundShardGatewayHandler",
-                       (_ShardGatewayHandler,),
-                       {"coordinator": coordinator})
-        super().__init__(handler, host=host, port=port)
+        self.coordinator = coordinator
+        super().__init__(route_table(ROUTES, self), host=host, port=port)
+
+    def _prometheus(self, params):
+        return Response(self.coordinator.federated_metrics().encode(),
+                        _PROM_CONTENT_TYPE)
+
+    def _progress(self, params):
+        return {"progress": self.coordinator.merged_progress()}
+
+    def _buffers(self, params):
+        return {"buffers": self.coordinator.merged_buffers(params)}
+
+    def _shards(self, params):
+        return self.coordinator.shard_status()
 
 
 # ----------------------------------------------------------------------

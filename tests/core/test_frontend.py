@@ -2,15 +2,16 @@
 
 The frontend is plain HTML/CSS/JS served by the backend; these tests
 keep it consistent with the API surface (every endpoint the JS calls
-must exist in the server's router, and vice versa for the views)."""
+must be in the server's route table, and vice versa for the views)."""
 
 import re
 from pathlib import Path
 
 import pytest
 
+from repro.core.server import ROUTES
+
 STATIC = Path(__file__).parents[2] / "src" / "repro" / "core" / "static"
-SERVER = Path(__file__).parents[2] / "src" / "repro" / "core" / "server.py"
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +20,6 @@ def assets():
         "html": (STATIC / "index.html").read_text(),
         "js": (STATIC / "app.js").read_text(),
         "css": (STATIC / "style.css").read_text(),
-        "server": SERVER.read_text(),
     }
 
 
@@ -53,7 +53,7 @@ def test_html_has_every_paper_view(assets):
 
 def test_js_calls_only_existing_endpoints(assets):
     called = set(re.findall(r"/api/[a-z/]+", assets["js"]))
-    served = set(re.findall(r'"(/api/[a-z/]+)"', assets["server"]))
+    served = {spec.partition("?")[0] for _, spec, _, _ in ROUTES}
     unknown = {c.rstrip("/") for c in called} - served
     assert not unknown, f"frontend calls unknown endpoints: {unknown}"
 

@@ -16,7 +16,8 @@ def test_core_exports_the_monitoring_stack():
                  "ProgressBar", "HangDetector", "ResourceMonitor",
                  "AlertManager", "AlertRule", "SeriesRecorder",
                  "Watchdog", "WatchdogConfig", "RTMConnectionError",
-                 "HTTPServerThread", "JSONRequestHandler"):
+                 "HTTPServerThread", "BadRequest", "NotFound",
+                 "Response", "EventStream"):
         assert hasattr(core, name), name
         assert name in core.__all__
 

@@ -30,7 +30,7 @@ import pytest
 
 from repro.core import (Monitor, RTMClient, RTMClientError,
                         RTMConnectionError, RTMServer)
-from repro.core.server import HTTPServerThread, JSONRequestHandler
+from repro.core.http import HTTPServerThread
 from repro.gpu import GPUPlatform, GPUPlatformConfig
 from repro.workloads import FIR
 
@@ -141,7 +141,7 @@ def test_date_header_is_the_http_date_http_server_sent(server, monkeypatch,
                                                        when):
     """Built from constant English names: ``strftime`` would follow
     LC_TIME once an embedding program calls ``setlocale(LC_ALL, "")``."""
-    monkeypatch.setattr("repro.core.server.gmtime",
+    monkeypatch.setattr("repro.core.http.gmtime",
                         lambda: time.gmtime(when))
     reply = _raw(server, b"GET /api/overview HTTP/1.0\r\n\r\n")
     assert b"\r\nDate: %s\r\n" % formatdate(when, usegmt=True).encode() \
@@ -248,8 +248,10 @@ def test_rebind_holds_per_request_on_the_same_connection():
         server.stop()
 
 
-def test_idle_timeout_costs_a_get_no_retry_and_sends_a_post_once(server):
-    server._handler.timeout = 0.1  # the fixed idle timeout, shortened
+def test_idle_timeout_costs_a_get_no_retry_and_sends_a_post_once(
+        server, monkeypatch):
+    # The fixed idle timeout, shortened.
+    monkeypatch.setattr("repro.core.http._Connection.timeout", 0.1)
 
     def wait_for_idle_close():
         deadline = time.monotonic() + 5.0
@@ -336,11 +338,7 @@ def test_damaged_requests_are_counted_and_survived(server, monkeypatch,
 
 def test_a_handler_without_a_registry_refuses_uncounted():
     """The two gateways: the same 400, nowhere to count it."""
-    class Handler(JSONRequestHandler):
-        def do_GET(self):  # noqa: N802 (request-loop naming)
-            self._send_json({"ok": True})
-
-    server = HTTPServerThread(Handler)
+    server = HTTPServerThread({("GET", "/x"): lambda params: {"ok": True}})
     server.start()
     try:
         reply = _raw(server, b"GET /x\r\n\r\n")

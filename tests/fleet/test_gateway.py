@@ -13,8 +13,7 @@ from urllib.request import Request, urlopen
 import pytest
 
 from repro.core import RTMClient, RTMClientError, RTMConnectionError
-from repro.core.server import (BadRequest, HTTPServerThread,
-                               JSONRequestHandler)
+from repro.core.http import HTTPServerThread, NotFound, Response
 from repro.fleet import FleetGateway
 
 
@@ -55,23 +54,23 @@ class _StubManager:
                 "summary": dict(self.summary), "workers": [], "jobs": []}
 
 
-class _FakeWorkerHandler(JSONRequestHandler):
-    """A stand-in worker API: /metrics, /api/overview, /api/boom."""
+def _boom(params):
+    raise NotFound("no such endpoint")
 
-    def do_GET(self):  # noqa: N802 (stdlib naming)
-        path = self._query()[0]
-        if path == "/metrics":
-            self._send_body(b"# HELP up Up.\n# TYPE up gauge\nup 1\n",
-                            "text/plain; version=0.0.4")
-        elif path == "/api/overview":
-            self._send_json({"run_state": "running"})
-        else:
-            self._send_error_json("no such endpoint", 404)
+
+#: A stand-in worker API.
+_FAKE_WORKER = {
+    ("GET", "/metrics"): lambda params: Response(
+        b"# HELP up Up.\n# TYPE up gauge\nup 1\n",
+        "text/plain; version=0.0.4"),
+    ("GET", "/api/overview"): lambda params: {"run_state": "running"},
+    ("GET", "/api/boom"): _boom,
+}
 
 
 @pytest.fixture()
 def fake_worker():
-    server = HTTPServerThread(_FakeWorkerHandler)
+    server = HTTPServerThread(_FAKE_WORKER)
     server.start()
     yield server
     server.stop()

@@ -1,6 +1,6 @@
 """Label injection and multi-worker federation of text expositions."""
 
-from repro.core.server import HTTPServerThread, JSONRequestHandler
+from repro.core.http import HTTPServerThread, Response
 from repro.metrics import (MetricRegistry, expose, federate,
                            federate_sources, inject_label)
 
@@ -130,13 +130,9 @@ def test_federate_worker_unique_families_pass_through():
 # federate_sources
 # ---------------------------------------------------------------------------
 
-class _LiveHandler(JSONRequestHandler):
-    def do_GET(self):  # noqa: N802 (stdlib naming)
-        self._send_body(_exposition(7).encode(), "text/plain")
-
-
 def test_sources_final_text_wins_over_a_live_url():
-    live = HTTPServerThread(_LiveHandler)
+    live = HTTPServerThread({("GET", "/metrics"): lambda params: Response(
+        _exposition(7).encode(), "text/plain")})
     live.start()
     try:
         out = federate_sources([

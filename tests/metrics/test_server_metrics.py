@@ -96,6 +96,30 @@ def test_http_latency_by_endpoint_is_published(rig):
     assert latency["/api/overview"]["sum"] > 0
 
 
+def test_endpoint_label_is_bounded_by_the_route_table(rig):
+    """Whatever paths clients ask for, the label is a table path,
+    ``/static`` for a served file, or one constant for the rest (at
+    PR 21, 50 unknown ``/api/`` paths were 50 series, ten lines each in
+    the latency histogram)."""
+    _, __, client = rig
+
+    def endpoints():
+        # Asked on the client's one connection: every earlier request
+        # on it has been recorded by the time this one is read.
+        return {s["labels"]["endpoint"] for s in client.metrics_snapshot()[
+            "rtm_http_requests_total"]["samples"]} - {"/api/metrics"}
+
+    client.overview()
+    client._call("GET", "/static/app.js", parse_json=False)
+    assert endpoints() == {"/api/overview", "/static"}
+    for i in range(50):
+        with pytest.raises(RTMClientError, match="404"):
+            client._get(f"/api/typo{i}")
+        with pytest.raises(RTMClientError, match="404"):
+            client._get(f"/static/typo{i}.js")
+    assert endpoints() == {"/api/overview", "/static", "/unmatched"}
+
+
 # -- /api/metrics (JSON) ---------------------------------------------------
 
 def test_api_metrics_snapshot_and_names_filter(rig):

@@ -8,7 +8,8 @@ from repro.profile import (LAYERS, attribution_report, classify_frame,
 ENGINE = ("run", "/repo/src/repro/akita/engine.py", 150)
 HOOKS = ("invoke_hooks", "/repo/src/repro/akita/hooks.py", 40)
 METRICS = ("_on_engine_hook", "/repo/src/repro/metrics/instrument.py", 200)
-SERVER = ("do_GET", "/repo/src/repro/core/server.py", 100)
+SERVER = ("_overview", "/repo/src/repro/core/server.py", 100)
+TRANSPORT = ("_dispatch", "/repo/src/repro/core/http.py", 170)
 WORKLOAD = ("issue", "/repo/src/repro/gpu/driver.py", 30)
 STDLIB = ("dumps", "/usr/lib/python3.11/json/__init__.py", 120)
 IDLE = ("wait", "/usr/lib/python3.11/threading.py", 295)
@@ -20,6 +21,7 @@ def test_classify_path_rules():
     assert classify_path(HOOKS[1]) == "hooks"
     assert classify_path(METRICS[1]) == "metrics"
     assert classify_path(SERVER[1]) == "server"
+    assert classify_path(TRANSPORT[1]) == "server"
     assert classify_path(WORKLOAD[1]) == "workload"
     assert classify_path("/repo/src/repro/core/monitor.py") == "monitor"
     assert classify_path("/repo/src/repro/fleet/worker.py") == "fleet"
@@ -42,6 +44,7 @@ def test_classify_stack_is_leaf_first():
 def test_classify_stack_stdlib_defers_to_caller():
     # json.dumps called from the server is server time.
     assert classify_stack((STDLIB, SERVER)) == "server"
+    assert classify_stack((STDLIB, TRANSPORT)) == "server"
     assert classify_stack((STDLIB,)) == "other"
 
 

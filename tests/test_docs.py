@@ -65,6 +65,75 @@ def test_docs_name_only_flags_the_parsers_have():
             f"{name} names unknown flags: {sorted(named - known)}"
 
 
+def _route_rows():
+    """The rows of the three route tables."""
+    from repro.core.server import ROUTES
+    from repro.fleet.gateway import ROUTES as fleet_routes
+    from repro.shard.coordinator import ROUTES as shard_routes
+    return ROUTES + fleet_routes + shard_routes
+
+
+def _route_paths():
+    return {spec.partition("?")[0] for _, spec, _, _ in _route_rows()}
+
+
+def _is_served(path, routes):
+    """Whether *path*, as prose spells it, names a route: ``a|b`` in
+    its last segment is two paths, a trailing ``/*`` a prefix, and
+    ``/api/fleet/<worker>/<endpoint>`` and ``/api/fleet/jobs/<job>/
+    metrics`` are the two families ``FleetGateway.unrouted`` serves."""
+    stem, _, last = path.rpartition("/")
+    if last == "*":
+        return any(route.startswith(stem + "/") for route in routes)
+    if all(f"{stem}/{name}" in routes for name in last.split("|")):
+        return True
+    return path.startswith("/api/fleet/") and path.count("/") >= 4
+
+
+def test_docs_name_only_paths_the_route_tables_have():
+    routes = _route_paths()
+    for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
+        text = (ROOT / name).read_text().replace("\\|", "|")
+        named = re.findall(
+            r"(?<![\w/>])/metrics\b|/api/[a-z0-9_/<>|*]*[a-z0-9_>*]", text)
+        unknown = sorted({p for p in named if not _is_served(p, routes)})
+        assert not unknown, f"{name} names unknown routes: {unknown}"
+
+
+def test_readme_names_every_route_of_the_three_tables():
+    readme = (ROOT / "README.md").read_text().replace("\\|", "|")
+    for method, spec, _, purpose in _route_rows():
+        row = f"| {method} | `{spec}` | {purpose} |"
+        assert row in readme, f"README lacks the row {row}"
+
+
+def test_client_calls_only_routes_the_tables_have():
+    routes = _route_paths()
+    client = (ROOT / "src" / "repro" / "core" / "client.py").read_text()
+    called = set(re.findall(r'"(/api/[a-z_/]+|/metrics)"', client))
+    assert called and called <= routes, sorted(called - routes)
+
+
+def test_design_inventory_names_only_files_that_exist():
+    design = (ROOT / "DESIGN.md").read_text()
+    inventory = design.split("## System inventory")[1].split("\n## ")[0]
+    checked = 0
+    for line in inventory.splitlines():
+        cells = line.split("|")
+        if len(cells) < 4 or set(cells[2]) <= set(" -"):
+            continue  # not a table row, or the header rule
+        for entry in re.findall(r"`([\w/{},.]+)`", cells[2]):
+            stem, brace, rest = entry.partition("{")
+            names = rest.partition("}")[0].split(",") if brace else [""]
+            tail = rest.partition("}")[2]
+            for name in names:
+                path = ROOT / "src" / "repro" / f"{stem}{name}{tail}"
+                assert path.exists(), \
+                    f"DESIGN's inventory names missing {stem}{name}{tail}"
+                checked += 1
+    assert checked > 60
+
+
 def test_public_modules_have_docstrings():
     import importlib
 

@@ -9,8 +9,9 @@ load and the number of ``repro.*`` modules it may load are gated (at
 PR 17: shard worker 80, fleet worker 75, ``Monitor`` 35).  The front
 door is gated too: a process that serves loads ``socketserver``, not
 ``http.server`` and the ``email``/``http.client``/``ssl`` stack under
-it, and opening a server adds 17 modules to a monitored process (70
-at PR 18).
+it, and opening a server adds 18 modules to a monitored process (70
+at PR 18); a gateway loads the transport (``repro.core.http``), not the
+RTM routes.
 
 *What a timed region loads: nothing.*  A lazy import that first
 resolves inside ``platform.run()``, a request handler, a fleet job or a
@@ -80,6 +81,9 @@ ENTRIES = {
         "urllib.request", "sqlite3", *HTTP_STACK), 70),
     "import repro.core.server": ((
         "repro.core.client", "urllib.request", *HTTP_STACK), 9),
+    # The two gateways run the transport, not the RTM routes.
+    "import repro.fleet.gateway": (("repro.core.server",), 12),
+    "import repro.shard.coordinator": (("repro.core.server",), 65),
     "from repro.core import Monitor": ((
         "repro.core.server", "repro.core.client", "repro.core.export",
         "http.server", "urllib.request"), 31),
@@ -251,7 +255,6 @@ if __name__ == "__main__":
     for entry in (*sorted(ENTRIES), "import repro.gpu, repro.workloads",
                   "import repro.gpu, repro.workloads; "
                   "from repro.core import Monitor",
-                  "import repro.shard.coordinator",
                   "import repro.fleet.manager", "import repro.cli"):
         modules, log = loaded_by(entry, "-X", "importtime")
         print(f"{entry:66s}{len(modules):8d}"

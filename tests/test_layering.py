@@ -5,6 +5,13 @@ sibling package of ``repro``, and ``gpu`` / ``workloads`` import only
 And the engine's fast door stays inside its layer: ``akita`` pushes onto
 the event heap without ``Engine.schedule()`` where it has established
 "time >= now"; nobody outside ``akita`` touches the queue at all.
+
+And there is one front door: only ``core/http.py`` touches a socket or
+writes a response, and no module defines a ``do_GET``-style handler
+method — a route returns its answer to the one dispatch.
+
+``python tests/test_layering.py`` prints ``src/repro`` lines per package
+and in total (the number ROADMAP's aim 2 is judged by).
 """
 
 import ast
@@ -118,3 +125,76 @@ def test_the_queue_rule_sees_through_a_chain_but_not_own_state():
     found = sorted(_engine_queue_reads(source))
     assert found == [("chained", 5), ("chained", 5),
                      ("free", 7), ("free", 7)]
+
+
+#: The one module that touches a socket (transport and dispatch).
+TRANSPORT = "repro/core/http.py"
+_TRANSPORT_NAMES = {"socketserver", "wfile", "_respond"}
+_HANDLER_METHODS = {"do_GET", "do_POST", "do_DELETE"}
+
+
+def _front_door_breaches(source, is_transport=False):
+    """``(name, line)`` of every ``do_GET``-style method defined in
+    *source* and — unless it is the transport's own — of every import
+    of ``socketserver`` and every ``wfile`` / ``_respond`` it names."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names, banned = [node.name], _HANDLER_METHODS
+        elif is_transport:
+            continue
+        elif isinstance(node, ast.Import):
+            names = [alias.name.split(".")[0] for alias in node.names]
+            banned = _TRANSPORT_NAMES
+        elif isinstance(node, ast.ImportFrom):
+            names = [(node.module or "").split(".")[0]]
+            banned = _TRANSPORT_NAMES
+        elif isinstance(node, ast.Attribute):
+            names, banned = [node.attr], _TRANSPORT_NAMES
+        elif isinstance(node, ast.Name):
+            names, banned = [node.id], _TRANSPORT_NAMES
+        else:
+            continue
+        for name in names:
+            if name in banned:
+                yield name, node.lineno
+
+
+def test_only_the_transport_touches_a_socket_and_nobody_subclasses_it():
+    offenders = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        relative = path.relative_to(SRC).as_posix()
+        for name, line in _front_door_breaches(
+                path.read_text(), is_transport=relative == TRANSPORT):
+            offenders.append(f"{relative}:{line} ({name})")
+    assert not offenders, "\n".join(offenders)
+
+
+def test_the_front_door_rule_sees_each_spelling_but_not_lookalikes():
+    source = (
+        "import socketserver\n"
+        "from socketserver import ThreadingTCPServer\n"
+        "class Handler(Base):\n"
+        "    def do_GET(self):\n"
+        "        self.wfile.write(b'x')\n"
+        "        self._respond(200, 'text/plain', b'x')\n"
+        "    def tick(self):\n"
+        "        self._respond_queue.append(self._respond_ready())\n"
+        "        return 'socketserver'\n")
+    assert sorted(_front_door_breaches(source)) == [
+        ("_respond", 6), ("do_GET", 4), ("socketserver", 1),
+        ("socketserver", 2), ("wfile", 5)]
+    assert list(_front_door_breaches(source, is_transport=True)) == [
+        ("do_GET", 4)]
+
+
+if __name__ == "__main__":
+    lines = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        parts = path.relative_to(SRC / "repro").parts
+        package = parts[0] if len(parts) > 1 else "(top level)"
+        lines[package] = lines.get(package, 0) + len(
+            path.read_text().splitlines())
+    print(f"{'package':14s}{'lines':>8s}")
+    for package, count in sorted(lines.items()):
+        print(f"{package:14s}{count:8d}")
+    print(f"{'src/repro':14s}{sum(lines.values()):8d}")
