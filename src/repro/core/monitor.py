@@ -483,6 +483,11 @@ class Monitor:
         if self._server is not None:
             self._server.stop()
             self._server = None
+        self.stop_planes()
+
+    def stop_planes(self) -> None:
+        """Stop everything simulation-scoped — every plane but the HTTP
+        server, which a warm fleet worker keeps across jobs."""
         self.stop_sampler()
         if self.watchdog is not None:
             self.watchdog.stop()

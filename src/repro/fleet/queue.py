@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Dict, FrozenSet, List, Optional
 
-from ..workloads import StoreStorm, Workload, suite_small
+from ..workloads import SMALL, Workload
 
 __all__ = ["JobSpec", "Job", "JobQueue", "workload_catalog"]
 
@@ -28,9 +28,7 @@ def workload_catalog() -> Dict[str, Workload]:
     """The workloads a fleet job may name: the paper's six benchmarks
     (small problem sizes — fleet campaigns multiply runtimes) plus the
     StoreStorm diagnostic used for crash campaigns."""
-    catalog = suite_small()
-    catalog["storestorm"] = StoreStorm()
-    return catalog
+    return {name: factory() for name, factory in SMALL.items()}
 
 
 @lru_cache(maxsize=1)
@@ -102,7 +100,7 @@ class JobSpec:
 
     def build_workload(self) -> Workload:
         """The concrete workload instance, overrides applied."""
-        workload = workload_catalog()[self.workload]
+        workload = SMALL[self.workload]()
         if self.params:
             workload = dataclasses.replace(workload, **self.params)
         return workload

@@ -55,6 +55,7 @@ import os
 import signal
 import sys
 import threading
+from dataclasses import dataclass
 from typing import List, Optional
 
 from ..core import Monitor
@@ -69,57 +70,42 @@ from .queue import JobSpec
 __all__ = ["serve", "main", "CONTROL_PREFIX", "WorkerSettings"]
 
 
+#: Supervision tuned for fleet duty: a worker that stalls is a wasted
+#: slot, so hangs are confirmed fast (0.75 s without progress) and
+#: aborted after one recovery attempt rather than debugged interactively.
+STALL_THRESHOLD = 0.75
+WATCHDOG_INTERVAL = 0.1
+HANG_WAIT = 60.0
+PROGRESS_INTERVAL = 0.2
+
+
+@dataclass
 class WorkerSettings:
-    """Supervision tuning for every job this worker runs.
+    """What the manager's command line sets for every job this worker
+    runs (the parser below declares the same six)."""
 
-    The defaults tune for fleet duty: a worker that stalls is a wasted
-    slot, so hangs are confirmed fast (0.75 s without progress) and
-    aborted after one recovery attempt rather than debugged
-    interactively.
-    """
-
-    def __init__(self, stall_threshold: float = 0.75,
-                 watchdog_interval: float = 0.1,
-                 hang_wait: float = 60.0,
-                 progress_interval: float = 0.2,
-                 snapshot_dir: Optional[str] = None,
-                 checkpoint_dir: Optional[str] = None,
-                 checkpoint_events: int = 0,
-                 checkpoint_interval: float = 0.0,
-                 profile: bool = False,
-                 profile_interval: float = 0.02):
-        self.stall_threshold = stall_threshold
-        self.watchdog_interval = watchdog_interval
-        self.hang_wait = hang_wait
-        self.progress_interval = progress_interval
-        self.snapshot_dir = snapshot_dir
-        #: Where per-job checkpoints are written (``None`` disables
-        #: checkpointing; the cadence below must also be non-zero).
-        self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_events = int(checkpoint_events)
-        self.checkpoint_interval = float(checkpoint_interval)
-        #: Run every job under the continuous profiler and ship a
-        #: profile summary up the control channel.
-        self.profile = bool(profile)
-        self.profile_interval = float(profile_interval)
+    snapshot_dir: Optional[str] = None
+    #: Where per-job checkpoints are written (``None`` disables
+    #: checkpointing; a cadence below must also be non-zero).
+    checkpoint_dir: Optional[str] = None
+    checkpoint_events: int = 0
+    checkpoint_interval: float = 0.0
+    #: Run every job under the continuous profiler and ship a profile
+    #: summary up the control channel.
+    profile: bool = False
+    profile_interval: float = 0.02
 
     @property
     def checkpointing(self) -> bool:
         return self.checkpoint_dir is not None and (
             self.checkpoint_events > 0 or self.checkpoint_interval > 0)
 
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "WorkerSettings":
-        return cls(stall_threshold=args.stall_threshold,
-                   watchdog_interval=args.watchdog_interval,
-                   hang_wait=args.hang_wait,
-                   progress_interval=args.progress_interval,
-                   snapshot_dir=args.snapshot_dir,
-                   checkpoint_dir=args.checkpoint_dir,
-                   checkpoint_events=args.checkpoint_events,
-                   checkpoint_interval=args.checkpoint_interval,
-                   profile=args.profile,
-                   profile_interval=args.profile_interval)
+
+def _emit_failed(job_id: Optional[str], attempt: int, run_state: str,
+                 error: str) -> None:
+    emit({"event": "failed", "job_id": job_id, "attempt": attempt,
+          "ok": False, "run_state": run_state, "error": error,
+          "watchdog": None, "fault_stats": {}, "trace": None})
 
 
 def _arm_fault(monitor: Monitor, spec: JobSpec) -> None:
@@ -134,28 +120,24 @@ def _arm_fault(monitor: Monitor, spec: JobSpec) -> None:
 class _ProgressEmitter:
     """Background heartbeat while a job runs."""
 
-    def __init__(self, platform: GPUPlatform, job_id: str, attempt: int,
-                 interval: float):
+    def __init__(self, platform: GPUPlatform, job_id: str, attempt: int):
         self._platform = platform
         self._job_id = job_id
         self._attempt = attempt
-        self._interval = interval
         self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def __enter__(self) -> "_ProgressEmitter":
         self._thread = threading.Thread(target=self._run, daemon=True,
                                         name="fleet-progress")
+
+    def __enter__(self) -> "_ProgressEmitter":
         self._thread.start()
         return self
 
     def __exit__(self, *exc_info) -> None:
         self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
+        self._thread.join(timeout=2.0)
 
     def _run(self) -> None:
-        while not self._stop.wait(self._interval):
+        while not self._stop.wait(PROGRESS_INTERVAL):
             simulation = self._platform.simulation
             emit({"event": "progress", "job_id": self._job_id,
                   "attempt": self._attempt,
@@ -172,6 +154,7 @@ def _build_platform(spec: JobSpec, resume_from: Optional[str]):
     stale or damaged checkpoint must cost a cold start, not the job).
     """
     workload = spec.build_workload()
+    resume = None
     if resume_from is not None:
         from ..checkpoint import CheckpointError, load_checkpoint
         try:
@@ -185,18 +168,10 @@ def _build_platform(spec: JobSpec, resume_from: Optional[str]):
             }
         except CheckpointError as exc:
             resume = {"path": resume_from, "error": str(exc)}
-            platform = _cold_platform(spec, workload)
-            return platform, resume
-    return _cold_platform(spec, workload), None
-
-
-def _cold_platform(spec: JobSpec, workload) -> GPUPlatform:
-    config = GPUPlatformConfig.small(
-        num_chiplets=spec.chiplets,
-        l2_write_buffer_bug=spec.buggy_l2)
-    platform = GPUPlatform(config)
+    platform = GPUPlatform(GPUPlatformConfig.small(
+        num_chiplets=spec.chiplets, l2_write_buffer_bug=spec.buggy_l2))
     workload.enqueue(platform.driver)
-    return platform
+    return platform, resume
 
 
 def _make_checkpointer(platform: GPUPlatform, spec: JobSpec,
@@ -238,7 +213,7 @@ def _execute_job(spec: JobSpec, attempt: int, server: RTMServer,
     emit({"event": "started", "job_id": spec.job_id,
           "attempt": attempt, "resume_from": resume_from})
     monitor: Optional[Monitor] = None
-    checkpointer = None
+    failing_as = "rejected"  # a bad build; a bad run is "crashed"
     try:
         platform, resume = _build_platform(spec, resume_from)
         if abort is not None:
@@ -249,20 +224,19 @@ def _execute_job(spec: JobSpec, attempt: int, server: RTMServer,
         monitor = Monitor(platform.simulation)
         monitor.attach_driver(platform.driver)
         if monitor.hang is not None:
-            monitor.hang.stall_threshold = settings.stall_threshold
+            monitor.hang.stall_threshold = STALL_THRESHOLD
         monitor.start_sampler()
         # The process-lifetime server now fronts this job's monitor:
         # the dashboard URL spans jobs, the simulation behind it is new.
         server.rebind(monitor)
         if settings.checkpointing:
-            checkpointer = _make_checkpointer(platform, spec, attempt,
-                                              settings, monitor)
-            monitor.attach_checkpointer(checkpointer)
-            checkpointer.start()
+            monitor.attach_checkpointer(_make_checkpointer(
+                platform, spec, attempt, settings, monitor))
+            monitor.checkpointer.start()
         monitor.enable_watchdog(
-            check_interval=settings.watchdog_interval,
+            check_interval=WATCHDOG_INTERVAL,
             max_tick_retries=1,
-            retry_wait=settings.watchdog_interval,
+            retry_wait=WATCHDOG_INTERVAL,
             snapshot_dir=settings.snapshot_dir)
         if spec.fault is not None and attempt < spec.fault_attempts \
                 and (resume is None or "error" in resume):
@@ -290,36 +264,22 @@ def _execute_job(spec: JobSpec, attempt: int, server: RTMServer,
                 "rtm_job_resume_sim_time",
                 "Virtual time this attempt resumed from."
             ).set(float(resume["sim_time"]))
-    except Exception as exc:  # bad build: report, stay alive
-        emit({"event": "failed", "job_id": spec.job_id,
-              "attempt": attempt, "ok": False, "run_state": "rejected",
-              "error": f"{type(exc).__name__}: {exc}",
-              "watchdog": None, "fault_stats": {}, "trace": None})
-        if checkpointer is not None:
-            checkpointer.stop()
+        failing_as = "crashed"
+        with _ProgressEmitter(platform, spec.job_id, attempt):
+            ok = platform.run(hang_wait=HANG_WAIT)
+    except Exception as exc:  # a result too: report it, stay alive
+        _emit_failed(spec.job_id, attempt, failing_as,
+                     f"{type(exc).__name__}: {exc}")
         if monitor is not None:
-            _teardown(monitor)
-        return False
-
-    try:
-        with _ProgressEmitter(platform, spec.job_id, attempt,
-                              settings.progress_interval):
-            ok = platform.run(hang_wait=settings.hang_wait)
-    except Exception as exc:  # a crash is a result too
-        emit({"event": "failed", "job_id": spec.job_id,
-              "attempt": attempt, "ok": False, "run_state": "crashed",
-              "error": f"{type(exc).__name__}: {exc}",
-              "watchdog": None, "fault_stats": {}, "trace": None})
-        if checkpointer is not None:
-            checkpointer.stop()
-        _teardown(monitor)
+            monitor.stop_planes()
         return False
     finally:
         if abort is not None:
             abort.platform = None
 
+    checkpointer = monitor.checkpointer
     if checkpointer is not None:
-        checkpointer.stop()
+        checkpointer.stop()  # a settled status() for the result below
     watchdog_report = (monitor.watchdog.report
                        if monitor.watchdog is not None else None)
     injector = monitor.injector
@@ -351,23 +311,8 @@ def _execute_job(spec: JobSpec, attempt: int, server: RTMServer,
     emit({"event": "final-metrics", "job_id": spec.job_id,
           "attempt": attempt, "metrics_text": expose(monitor.metrics)})
     emit({"event": ("done" if ok else "failed"), **result})
-    _teardown(monitor)
+    monitor.stop_planes()
     return ok
-
-
-def _teardown(monitor: Monitor) -> None:
-    """Stop everything simulation-scoped — but *not* the HTTP server,
-    which belongs to the process, not the job.  (This is the cheap
-    subset of ``Monitor.stop_server``.)"""
-    monitor.stop_sampler()
-    if monitor.watchdog is not None:
-        monitor.watchdog.stop()
-    if monitor.tracer is not None:
-        monitor.tracer.stop()
-    if monitor.sim_metrics is not None:
-        monitor.sim_metrics.stop()
-    if monitor.profiler is not None:
-        monitor.profiler.stop()
 
 
 class _AbortCurrent:
@@ -419,12 +364,8 @@ def serve(worker_id: str, settings: WorkerSettings,
             if cmd == "shutdown" or abort.requested:
                 break
             if cmd != "run":
-                emit({"event": "failed", "job_id": None,
-                      "attempt": command.get("attempt", 0), "ok": False,
-                      "run_state": "rejected",
-                      "error": f"unknown command {cmd!r}",
-                      "watchdog": None, "fault_stats": {},
-                      "trace": None})
+                _emit_failed(None, command.get("attempt", 0), "rejected",
+                             f"unknown command {cmd!r}")
                 ready()  # still idle, still serving
                 continue
             attempt = int(command.get("attempt", 0))
@@ -432,13 +373,8 @@ def serve(worker_id: str, settings: WorkerSettings,
                 spec = JobSpec.from_dict(command["spec"])
                 spec.validate()
             except (KeyError, ValueError, TypeError) as exc:
-                emit({"event": "failed",
-                      "job_id": (command.get("spec") or {}).get("job_id"),
-                      "attempt": attempt, "ok": False,
-                      "run_state": "rejected",
-                      "error": f"bad spec: {exc}",
-                      "watchdog": None, "fault_stats": {},
-                      "trace": None})
+                _emit_failed((command.get("spec") or {}).get("job_id"),
+                             attempt, "rejected", f"bad spec: {exc}")
                 ready()
                 continue
             ok = _execute_job(spec, attempt, server, settings,
@@ -462,10 +398,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="identity echoed in ready events")
     parser.add_argument("--port", type=int, default=0,
                         help="RTM server port (default: ephemeral)")
-    parser.add_argument("--stall-threshold", type=float, default=0.75)
-    parser.add_argument("--watchdog-interval", type=float, default=0.1)
-    parser.add_argument("--hang-wait", type=float, default=60.0)
-    parser.add_argument("--progress-interval", type=float, default=0.2)
     parser.add_argument("--snapshot-dir", default=None)
     parser.add_argument("--checkpoint-dir", default=None,
                         help="write per-job checkpoints here (enables "
@@ -483,9 +415,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    return serve(args.worker_id, WorkerSettings.from_args(args),
-                 port=args.port)
+    args = vars(_build_parser().parse_args(argv))
+    worker_id, port = args.pop("worker_id"), args.pop("port")
+    return serve(worker_id, WorkerSettings(**args), port=port)
 
 
 if __name__ == "__main__":  # pragma: no cover - subprocess entry

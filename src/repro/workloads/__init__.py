@@ -7,6 +7,7 @@ the real OpenCL kernels' locality and striding.  See DESIGN.md for why
 this substitution preserves everything AkitaRTM observes.
 """
 
+from functools import partial
 from typing import Callable, Dict
 
 from .aes import AES
@@ -29,17 +30,24 @@ SUITE: Dict[str, Callable[[], Workload]] = {
 }
 
 
+#: Every runnable workload as a zero-argument factory, at problem sizes
+#: that engage all CUs of a scaled platform while keeping pure-Python
+#: event counts tractable: the suite plus the StoreStorm diagnostic.
+#: Whoever needs one workload builds one, not all seven.
+SMALL: Dict[str, Callable[[], Workload]] = {
+    "aes": partial(AES, num_blocks=2048),
+    "bfs": partial(BFS, num_vertices=2048),
+    "fir": partial(FIR, num_samples=8192),
+    "im2col": partial(Im2Col.scaled, batch=16),
+    "kmeans": partial(KMeans, num_points=2048),
+    "matmul": partial(MatMul, n=64, tile=16),
+    "storestorm": StoreStorm,
+}
+
+
 def suite_small() -> Dict[str, Workload]:
-    """Problem sizes that engage all CUs of a scaled platform while
-    keeping pure-Python event counts tractable."""
-    return {
-        "aes": AES(num_blocks=2048),
-        "bfs": BFS(num_vertices=2048),
-        "fir": FIR(num_samples=8192),
-        "im2col": Im2Col.scaled(batch=16),
-        "kmeans": KMeans(num_points=2048),
-        "matmul": MatMul(n=64, tile=16),
-    }
+    """The paper's suite at the :data:`SMALL` problem sizes."""
+    return {name: SMALL[name]() for name in SUITE}
 
 
 __all__ = [
@@ -49,6 +57,7 @@ __all__ = [
     "Im2Col",
     "KMeans",
     "MatMul",
+    "SMALL",
     "StoreStorm",
     "SUITE",
     "WORD",

@@ -1,15 +1,17 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 import os
 import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, main
 
 
 def test_workloads_lists_suite(capsys):
@@ -210,6 +212,106 @@ def test_run_sigterm_exits_zero_after_flushing():
     assert proc.returncode == 0, out
     assert "shutdown signal honoured" in out
     assert "interrupted" in out
+
+
+@pytest.mark.slow
+def test_trace_sigterm_exits_zero_with_a_flushed_database(tmp_path):
+    # Every run-like command goes through the one guarded run: a
+    # SIGTERMed `repro trace --backend sqlite` stops the engine, flushes
+    # the store's pending batch and exits 0 (unguarded, the default
+    # action killed it mid-batch and the finally: never ran).
+    db = tmp_path / "im2col.db"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath(
+        os.path.join(os.path.dirname(__file__), "..", "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "trace", "im2col",
+         "--chiplets", "1", "--backend", "sqlite", "--db", str(db)],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        text=True, env=env)
+    try:
+        # The store creates its file before the run starts; give the
+        # run a moment to be demonstrably underway, then interrupt.
+        deadline = time.monotonic() + 60
+        while not db.exists() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        time.sleep(1.0)
+        assert proc.poll() is None, "the run ended before the signal"
+        proc.send_signal(signal.SIGTERM)
+        out, _ = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0, out
+    assert "interrupted:" in out
+    assert f"trace database: {db}" in out
+    from repro.trace import SQLiteStore
+    store = SQLiteStore(str(db))
+    assert len(store) > 0
+    store.close()
+
+
+# ---------------------------------------------------------------------------
+# The parser tree: no flag moved
+# ---------------------------------------------------------------------------
+
+def _parser_tree(parser, path=("repro",)):
+    """One line per argument of *parser* and of every parser under it:
+    the subcommand path, the option strings (or the positional's name),
+    the default, the choices and the help text."""
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        name = " ".join(sorted(action.option_strings)) \
+            or f"<{action.dest}>"
+        choices = ",".join(sorted(action.choices)) \
+            if action.choices else "-"
+        text = " ".join((action.help or "-").split())
+        yield (f"{' '.join(path)} | {name} | {action.default!r} | "
+               f"{choices} | {text}")
+        if isinstance(action, argparse._SubParsersAction):
+            for child in sorted(action.choices):
+                yield from _parser_tree(action.choices[child],
+                                        path + (child,))
+
+
+def _leaves(parser, path=()):
+    subparsers = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield list(path)
+    for action in subparsers:
+        for name, child in action.choices.items():
+            yield from _leaves(child, path + (name,))
+
+
+def test_parser_tree_is_the_one_committed_before_the_registry():
+    """`cli_parser_tree.txt` is this walk of the parser at the commit
+    before subcommands moved into their packages: every subcommand,
+    flag, default, choice list and help string is where it was.  The
+    one widening: every run-like command takes `storestorm`, as `run`
+    always did (one `choices` list)."""
+    suite = "aes,bfs,fir,im2col,kmeans,matmul | benchmark to execute"
+    expected = []
+    for line in (Path(__file__).parent
+                 / "cli_parser_tree.txt").read_text().splitlines():
+        if line.startswith(("repro trace | <workload>",
+                            "repro metrics | <workload>",
+                            "repro profile record | <workload>")):
+            assert line.endswith(suite), line
+            line = line.replace("matmul |", "matmul,storestorm |")
+        expected.append(line)
+    assert sorted(_parser_tree(_build_parser())) == expected
+
+
+@pytest.mark.parametrize("leaf", list(_leaves(_build_parser())),
+                         ids=" ".join)
+def test_every_leaf_command_prints_its_help(leaf, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*leaf, "--help"])
+    assert exit_info.value.code == 0
+    assert f"usage: repro {' '.join(leaf)}" in capsys.readouterr().out
 
 
 def test_unknown_command_rejected():

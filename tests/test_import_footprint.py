@@ -6,7 +6,8 @@ repro.shard.worker`` loads the simulator and the shard plane, not the
 coordinator, the fleet manager, the HTTP server and ``urllib``.  Each
 entry below is imported in a fresh interpreter; modules it must never
 load and the number of ``repro.*`` modules it may load are gated (at
-PR 17: shard worker 80, fleet worker 75, ``Monitor`` 35).  The front
+PR 17: shard worker 80, fleet worker 75, ``Monitor`` 35; ``repro.cli``
+67 before it became a registry at PR 23).  The front
 door is gated too: a process that serves loads ``socketserver``, not
 ``http.server`` and the ``email``/``http.client``/``ssl`` stack under
 it, and opening a server adds 18 modules to a monitored process (70
@@ -67,6 +68,14 @@ HTTP_STACK = ("http.server", "http.client", "email", "ssl", "html",
 
 SERVING = "from repro.core import Monitor; Monitor().start_server()"
 
+#: What ``python -m repro <anything> --help`` has loaded when it prints.
+PARSING = "import repro.cli; repro.cli._build_parser()"
+#: A command line is not a monitor, a client, a study or a database
+#: until a handler runs.
+_NOT_A_PARSER = ("repro.core.monitor", "repro.core.client",
+                 "repro.studies.session", "repro.metrics.registry",
+                 "sqlite3")
+
 #: entry statement -> (module prefixes it must not load, repro.* budget)
 ENTRIES = {
     "import repro.shard.worker": ((
@@ -89,6 +98,10 @@ ENTRIES = {
         "http.server", "urllib.request"), 31),
     SERVING: ((
         "repro.core.client", "urllib.request", *HTTP_STACK), 33),
+    # The simulator (gpu + workloads) and the registry; building the
+    # parser adds the five ``*/cli.py`` and their packages' lazy tables.
+    "import repro.cli": (_NOT_A_PARSER, 49),
+    PARSING: (_NOT_A_PARSER, 60),
 }
 
 
@@ -255,7 +268,7 @@ if __name__ == "__main__":
     for entry in (*sorted(ENTRIES), "import repro.gpu, repro.workloads",
                   "import repro.gpu, repro.workloads; "
                   "from repro.core import Monitor",
-                  "import repro.fleet.manager", "import repro.cli"):
+                  "import repro.fleet.manager"):
         modules, log = loaded_by(entry, "-X", "importtime")
         print(f"{entry:66s}{len(modules):8d}"
               f"{sum(map(_is_repro, modules)):9d}"

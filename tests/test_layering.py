@@ -10,11 +10,17 @@ And there is one front door: only ``core/http.py`` touches a socket or
 writes a response, and no module defines a ``do_GET``-style handler
 method — a route returns its answer to the one dispatch.
 
+And the command line is a table: ``cli.py`` names the planes in its
+``SUBCOMMANDS`` rows and the simulator it runs, nothing else, and a
+plane's ``cli.py`` imports nothing but the stdlib and ``repro.cli``
+until a handler runs.
+
 ``python tests/test_layering.py`` prints ``src/repro`` lines per package
 and in total (the number ROADMAP's aim 2 is judged by).
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -185,6 +191,77 @@ def test_the_front_door_rule_sees_each_spelling_but_not_lookalikes():
         ("socketserver", 2), ("wfile", 5)]
     assert list(_front_door_breaches(source, is_transport=True)) == [
         ("do_GET", 4)]
+
+
+#: What ``cli.py`` may name besides the planes of its own table: the
+#: simulator it runs, the monitor it attaches, the paper's study — and
+#: the shard plane, whose command line is a flag of ``run``.
+CLI_OWN = {"gpu", "workloads", "core", "studies", "shard"}
+
+
+def _subcommand_modules():
+    """The ``SUBCOMMANDS`` tuple of ``cli.py``, read without importing."""
+    tree = ast.parse((SRC / "repro" / "cli.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and node.targets[0].id == "SUBCOMMANDS")
+
+
+def _eager_non_stdlib_imports(source, package):
+    """Dotted names of what *source* imports at module level from
+    outside the standard library (function-local imports run when a
+    handler does, and are not this rule's business)."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = package[:len(package) - node.level + 1] \
+                if node.level else ()
+            names = [".".join([*base, *filter(None, [node.module])])]
+        else:
+            continue
+        for name in names:
+            if name.split(".")[0] not in sys.stdlib_module_names:
+                yield name
+
+
+def test_cli_names_only_its_table_and_the_simulator():
+    planes = set()
+    for module in _subcommand_modules():
+        top, plane, leaf = module.split(".")
+        assert (top, leaf) == ("repro", "cli"), module
+        source = (SRC / "repro" / plane / "cli.py").read_text()
+        assert "def register(subparsers)" in source, module
+        planes.add(plane)
+    named = {name for name, _ in _repro_packages_imported(
+        (SRC / "repro" / "cli.py").read_text(), ("repro",))}
+    assert named <= planes | CLI_OWN, sorted(named - planes - CLI_OWN)
+
+
+def test_a_planes_cli_imports_only_the_stdlib_and_the_registry():
+    modules = sorted((SRC / "repro").glob("*/cli.py"))
+    assert {f"repro.{path.parent.name}.cli" for path in modules} \
+        == set(_subcommand_modules())
+    for path in modules:
+        package = path.relative_to(SRC).parts[:-1]
+        eager = set(_eager_non_stdlib_imports(path.read_text(), package))
+        assert eager <= {"repro.cli"}, f"{path.relative_to(SRC)}: {eager}"
+
+
+def test_the_eager_import_rule_sees_each_spelling_but_not_local_ones():
+    source = (
+        "from __future__ import annotations\n"
+        "import argparse, json\n"
+        "import repro.core\n"
+        "from ..cli import run_platform\n"
+        "from . import Historian\n"
+        "from .store import Historian\n"
+        "def handler(args):\n"
+        "    from ..core import Monitor\n")
+    assert sorted(_eager_non_stdlib_imports(
+        source, ("repro", "historian"))) == [
+            "repro.cli", "repro.core", "repro.historian",
+            "repro.historian.store"]
 
 
 if __name__ == "__main__":
