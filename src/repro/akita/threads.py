@@ -14,13 +14,14 @@ every sample.  The registry lives in ``akita`` so that the engine
 imports nothing above itself.
 
 Everything else is derived from thread names: the repo's own daemon
-threads follow a strict ``rtm-*`` naming discipline.
+threads follow a strict ``rtm-*`` naming discipline, which
+:class:`Periodic` (the one loop that wakes every N seconds) checks.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional
+from typing import Any, Callable, Dict, Optional, Union
 
 _lock = threading.Lock()
 #: explicit registrations: thread ident -> role
@@ -35,9 +36,13 @@ _NAME_RULES = (
     ("rtm-watchdog", "monitor"),
     ("rtm-checkpoint", "monitor"),
     ("rtm-historian", "monitor"),
+    ("rtm-recorder", "monitor"),
     ("rtm-cprofiler", "profiler"),
+    ("rtm-progress", "fleet"),
+    ("rtm-fleet-scheduler", "fleet"),
     ("MainThread", "main"),
 )
+_PREFIXES = tuple(prefix for prefix, _ in _NAME_RULES)
 
 
 def register_current_thread(role: str) -> int:
@@ -95,3 +100,85 @@ def thread_roles() -> Dict[int, str]:
             continue
         roles[ident] = role_of(ident, thread.name)
     return roles
+
+
+#: The one bound on how long :meth:`Periodic.stop` waits for a loop.
+JOIN_TIMEOUT = 5.0
+#: Held by ``start()`` and by a loop deciding to exit, so a ``start()``
+#: racing a ``stop()`` leaves exactly one loop.
+_lifecycle = threading.Lock()
+
+
+class Periodic:
+    """Call *body* every *interval* seconds (a number, or a callable
+    read before every wait) on a daemon thread named *name* — which
+    must map to a role in ``_NAME_RULES`` — until stopped.
+
+    One failure rule: a body that raises is counted (``turns``,
+    ``failures``, ``last_error``: plain attributes, served in the
+    owner's status document) and the loop goes on.
+    """
+
+    def __init__(self, name: str, interval: Union[float, Callable[[], float]],
+                 body: Callable[[], Any]):
+        if not name.startswith(_PREFIXES):
+            raise ValueError(f"no role in _NAME_RULES for {name!r}")
+        self.name = name
+        self.interval = interval
+        self.body = body
+        self.turns = 0
+        self.failures = 0
+        self.last_error: Optional[str] = None
+        self._stop = threading.Event()
+        self._thread: Optional[threading.Thread] = None
+
+    @property
+    def running(self) -> bool:
+        thread = self._thread
+        return thread is not None and thread.is_alive()
+
+    def start(self) -> None:
+        """Idempotent; a loop that outlived :meth:`stop` is told to
+        carry on instead of getting a second loop beside it."""
+        with _lifecycle:
+            if self._stop.is_set():  # a first start has nothing to clear
+                self._stop.clear()
+            if self._thread is None or not self._thread.is_alive():
+                self._thread = threading.Thread(
+                    target=self._run, daemon=True, name=self.name)
+                self._thread.start()
+
+    def stop(self) -> None:
+        """End the loop and wait up to ``JOIN_TIMEOUT`` for it.  A
+        thread still in its body by then — or a body calling this to
+        end its own loop — is kept (``running`` stays true, in the
+        status document too) and ends when the body returns."""
+        self._stop.set()
+        thread = self._thread
+        if thread is not None and thread is not threading.current_thread():
+            thread.join(JOIN_TIMEOUT)
+
+    def wait(self, seconds: float) -> bool:
+        """An interruptible sleep for bodies; True when asked to end."""
+        return self._stop.wait(seconds)
+
+    def status(self) -> Dict[str, Any]:
+        return {"name": self.name, "running": self.running,
+                "turns": self.turns, "failures": self.failures,
+                "last_error": self.last_error}
+
+    def _run(self) -> None:
+        while True:
+            while not self._stop.wait(
+                    self.interval() if callable(self.interval)
+                    else self.interval):
+                self.turns += 1
+                try:
+                    self.body()
+                except Exception as exc:
+                    self.failures += 1
+                    self.last_error = f"{type(exc).__name__}: {exc}"
+            with _lifecycle:
+                if self._stop.is_set():  # not revived by a start()
+                    self._thread = None
+                    return

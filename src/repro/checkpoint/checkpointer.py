@@ -25,6 +25,7 @@ from typing import Any, Callable, Dict, Optional
 
 from ..akita.engine import RunState
 from ..akita.hooks import HookCtx, HookPos
+from ..akita.threads import Periodic
 from .format import CheckpointError, save_checkpoint
 
 __all__ = ["Checkpointer"]
@@ -88,8 +89,8 @@ class Checkpointer:
         self._save_lock = threading.Lock()
         self._next_at = 0
         self._hook_installed = False
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
+        self.loop = Periodic("rtm-checkpointer", self.interval,
+                             self.save_paused)
         self._metrics = None
         if registry is not None:
             self._metrics = {
@@ -118,22 +119,15 @@ class Checkpointer:
             self.engine.accept_hook(self._on_event,
                                     positions=(HookPos.AFTER_EVENT,))
             self._hook_installed = True
-        if self.interval > 0 and self._thread is None:
-            self._stop.clear()
-            self._thread = threading.Thread(
-                target=self._interval_loop, daemon=True,
-                name="rtm-checkpointer")
-            self._thread.start()
+        if self.interval > 0:
+            self.loop.start()
 
     def stop(self) -> None:
         """Detach the hook and stop the interval thread."""
         if self._hook_installed:
             self.engine.remove_hook(self._on_event)
             self._hook_installed = False
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
+        self.loop.stop()
 
     # ------------------------------------------------------------------
     # Saving
@@ -184,6 +178,7 @@ class Checkpointer:
             "errors": self.errors,
             "last_error": self.last_error,
             "last": (self.last_header or {}).get("meta"),
+            "loop": self.loop.status(),
         }
 
     # ------------------------------------------------------------------
@@ -194,10 +189,6 @@ class Checkpointer:
             self.save_now()  # on the sim thread => between events
             self._next_at = self.engine.event_count + self.every_events
 
-    def _interval_loop(self) -> None:
-        while not self._stop.wait(self.interval):
-            self.save_paused()
-
     def save_paused(self) -> bool:
         """Pause → park → save → continue.  Returns True on a save."""
         engine = self.engine
@@ -207,7 +198,7 @@ class Checkpointer:
                 deadline = _PAUSE_WAIT / _PAUSE_POLL
                 while engine.run_state is RunState.RUNNING \
                         and deadline > 0:
-                    if self._stop.wait(_PAUSE_POLL):
+                    if self.loop.wait(_PAUSE_POLL):
                         return False
                     deadline -= 1
                 if engine.run_state is RunState.RUNNING:

@@ -13,12 +13,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..akita.threads import Periodic
 from .atomicio import atomic_write_text
 from .client import RTMClient
 from .timeseries import ValueMonitor
@@ -106,26 +106,18 @@ class SeriesRecorder:
             Wall-clock polling period in seconds.
         """
         self.client = client
-        self.interval = interval
         self.series = [RecordedSeries(f"{component}.{path}", component,
                                       path)
                        for component, path in targets]
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
+        self.loop = Periodic("rtm-recorder", interval, self.sample_once)
 
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> None:
         """Begin polling in a background thread."""
-        self._stop.clear()
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="rtm-recorder")
-        self._thread.start()
+        self.loop.start()
 
     def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
+        self.loop.stop()
 
     def record_for(self, duration: float) -> None:
         """Convenience: record for *duration* wall seconds, blocking."""
@@ -166,10 +158,6 @@ class SeriesRecorder:
             except Exception:
                 continue
             series.points.append((data["time"], data["value"]))
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            self.sample_once()
 
     # -- export ------------------------------------------------------------
     def to_csv(self, path) -> Path:

@@ -24,6 +24,10 @@ from ..metrics import MetricRegistry
 from .bottleneck import BufferAnalyzer, BufferRow
 
 
+class NoSimulation(RuntimeError):
+    """A hang verdict was asked of a monitor with no simulation yet."""
+
+
 @dataclass
 class HangStatus:
     """The detector's verdict."""
@@ -99,13 +103,15 @@ class HangDetector:
         """Wall seconds since the simulation time last advanced."""
         if not self._history:
             return 0.0
-        newest_wall, newest_sim = self._history[-1]
+        # A snapshot: other threads append while this walks.
+        history = tuple(self._history)
+        newest_wall, newest_sim = history[-1]
         stall_start = newest_wall
-        for wall, sim in reversed(self._history):
+        for wall, sim in reversed(history):
             if sim < newest_sim - 1e-15:
                 break
             stall_start = wall
-        return self._history[-1][0] - stall_start
+        return newest_wall - stall_start
 
     def check(self, cpu_percent: Optional[float] = None) -> HangStatus:
         """Evaluate the heuristic now."""

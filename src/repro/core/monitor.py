@@ -33,16 +33,16 @@ hang detector.
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Dict, List, Optional
 
 from ..akita.component import Component, TickingComponent
 from ..akita.engine import Engine
 from ..akita.simulation import Simulation
+from ..akita.threads import Periodic
 from ..metrics import MetricRegistry, SimMetrics
 from .alerts import AlertManager, AlertRule
 from .bottleneck import BufferAnalyzer
-from .hangdetect import HangDetector, HangStatus
+from .hangdetect import HangDetector, HangStatus, NoSimulation
 from .inspector import serialize_component, watchable_paths
 from .progress import ProgressBar
 from .resources import ResourceMonitor
@@ -73,13 +73,13 @@ class Monitor:
         self.injector = None  # set by attach_injector / ensure_injector
         self.watchdog = None  # set by attach_watchdog / enable_watchdog
         self.checkpointer = None  # set by attach_checkpointer
-        self.tracer = None  # set by attach_tracer / ensure_tracer
+        self.tracer = None  # set by ensure_tracer
         self.sim_metrics: Optional[SimMetrics] = None
         self._server = None  # set by start_server
         self._driver = None
         self.sample_interval = sample_interval
-        self._sampler: Optional[threading.Thread] = None
-        self._sampler_stop = threading.Event()
+        self.sampler = Periodic("rtm-sampler",
+                                lambda: self.sample_interval, self._sample)
         if simulation is not None:
             self.register_simulation(simulation)
 
@@ -141,13 +141,6 @@ class Monitor:
     # ------------------------------------------------------------------
     # Tracing
     # ------------------------------------------------------------------
-    def attach_tracer(self, tracer) -> None:
-        """Expose *tracer* over ``/api/trace`` and in diagnostics;
-        replaces (and closes) any previous one."""
-        if self.tracer is not None and self.tracer is not tracer:
-            self.tracer.close()
-        self.tracer = tracer
-
     def ensure_tracer(self, backend: str = "ring", capacity: int = 65536,
                       db_path: Optional[str] = None,
                       include: Optional[str] = None):
@@ -177,14 +170,6 @@ class Monitor:
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------
-    def attach_sim_metrics(self, sim_metrics: SimMetrics) -> None:
-        """Expose *sim_metrics* over ``/metrics``; replaces (and stops)
-        any previous instrumentation."""
-        if self.sim_metrics is not None \
-                and self.sim_metrics is not sim_metrics:
-            self.sim_metrics.stop()
-        self.sim_metrics = sim_metrics
-
     def ensure_sim_metrics(self) -> SimMetrics:
         """Return the simulation instrumentation, creating (but not
         starting) it on first use.  The registry is the monitor's own,
@@ -423,11 +408,12 @@ class Monitor:
             "pending_events": engine.pending_event_count,
             "num_components": len(self._components),
             "num_buffers": self.analyzer.buffer_count,
+            "sampler": self.sampler.status(),
         }
 
     def hang_status(self) -> HangStatus:
         if self.hang is None:
-            raise RuntimeError("no simulation registered")
+            raise NoSimulation("no simulation registered")
         cpu = self.resources.sample().cpu_percent if self.resources \
             else None
         return self.hang.check(cpu)
@@ -438,30 +424,18 @@ class Monitor:
     def start_sampler(self) -> None:
         """Start the background sampler.  Optional: a polling client
         (like the web frontend) can drive sampling itself instead."""
-        if self._sampler is not None and self._sampler.is_alive():
-            return
-        self._sampler_stop.clear()
-        self._sampler = threading.Thread(target=self._sample_loop,
-                                         daemon=True, name="rtm-sampler")
-        self._sampler.start()
+        self.sampler.start()
 
     def stop_sampler(self) -> None:
-        self._sampler_stop.set()
-        if self._sampler is not None:
-            self._sampler.join(timeout=2.0)
-            self._sampler = None
+        self.sampler.stop()
 
-    def _sample_loop(self) -> None:
-        while not self._sampler_stop.wait(self.sample_interval):
-            engine = self._engine
-            if engine is None:
-                continue
-            self.values.sample_all(engine.now)
-            if self.hang is not None:
-                cpu = self.resources.sample().cpu_percent \
-                    if self.resources else 0.0
-                self.hang.record(cpu)
-            self.check_alerts()
+    def _sample(self) -> None:
+        if self._engine is None:
+            return
+        self.values.sample_all(self._engine.now)
+        if self.hang is not None:  # a simulation, so resources too
+            self.hang.record(self.resources.sample().cpu_percent)
+        self.check_alerts()
 
     # ------------------------------------------------------------------
     # Server lifecycle (Go API #6, #7)
@@ -488,17 +462,10 @@ class Monitor:
     def stop_planes(self) -> None:
         """Stop everything simulation-scoped — every plane but the HTTP
         server, which a warm fleet worker keeps across jobs."""
-        self.stop_sampler()
-        if self.watchdog is not None:
-            self.watchdog.stop()
-        if self.checkpointer is not None:
-            self.checkpointer.stop()
-        if self.tracer is not None:
-            self.tracer.stop()
-        if self.sim_metrics is not None:
-            self.sim_metrics.stop()
-        if self.profiler is not None:
-            self.profiler.stop()
+        for plane in (self.sampler, self.watchdog, self.checkpointer,
+                      self.tracer, self.sim_metrics, self.profiler):
+            if plane is not None:
+                plane.stop()
 
     @property
     def url(self) -> Optional[str]:

@@ -24,12 +24,13 @@ only through the monitor's thread-safe surface.
 from __future__ import annotations
 
 import os
-import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
+from ..akita.threads import Periodic
 from .atomicio import atomic_write_json
+from .hangdetect import NoSimulation
 
 
 @dataclass
@@ -81,34 +82,27 @@ class Watchdog:
         self.state = "idle"
         self.report: Optional[Dict[str, Any]] = None
         self.hang_count = 0
-        self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
+        self.loop = Periodic("rtm-watchdog", self.config.check_interval,
+                             self._check)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Start supervising (idempotent)."""
-        if self._thread is not None and self._thread.is_alive():
-            return
-        self._stop.clear()
-        self.state = "watching"
-        self._thread = threading.Thread(target=self._loop, daemon=True,
-                                        name="rtm-watchdog")
-        self._thread.start()
+        if not self.loop.running:
+            self.state = "watching"
+        self.loop.start()
 
     def stop(self) -> None:
         """Stop supervising.  Does not touch the simulation."""
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
+        self.loop.stop()
         if self.state == "watching":
             self.state = "stopped"
 
     @property
     def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
+        return self.loop.running
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -117,23 +111,23 @@ class Watchdog:
             "hang_count": self.hang_count,
             "config": self.config.to_dict(),
             "report": self.report,
+            "loop": self.loop.status(),
         }
 
     # ------------------------------------------------------------------
     # The supervision loop
     # ------------------------------------------------------------------
-    def _loop(self) -> None:
-        while not self._stop.wait(self.config.check_interval):
-            try:
-                status = self.monitor.hang_status()
-            except RuntimeError:
-                continue  # no simulation registered yet
-            if not status.hung:
-                continue
-            self.hang_count += 1
-            self._handle_hang(status)
-            if self.state in ("aborted", "failed"):
-                return  # nothing left to supervise
+    def _check(self) -> None:
+        try:
+            status = self.monitor.hang_status()
+        except NoSimulation:
+            return  # nothing to supervise yet
+        if not status.hung:
+            return
+        self.hang_count += 1
+        self._handle_hang(status)
+        if self.state in ("aborted", "failed"):
+            self.loop.stop()  # nothing left to supervise
 
     def _handle_hang(self, status) -> None:
         detected_wall = time.monotonic()
@@ -191,18 +185,13 @@ class Watchdog:
         suspects = self._suspects(status)
         attempts = 0
         for attempt in range(self.config.max_tick_retries):
-            if self._stop.is_set():
-                break
             attempts = attempt + 1
             for name in suspects:
                 self.monitor.tick_component(name)
             self.monitor.kick_start()
-            if self._stop.wait(self.config.retry_wait):
+            if self.loop.wait(self.config.retry_wait):
                 break
-            try:
-                status = self.monitor.hang_status()
-            except RuntimeError:
-                break
+            status = self.monitor.hang_status()
             if not status.hung:
                 return True, attempts
         return False, attempts

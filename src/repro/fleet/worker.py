@@ -54,10 +54,10 @@ import argparse
 import os
 import signal
 import sys
-import threading
 from dataclasses import dataclass
 from typing import List, Optional
 
+from ..akita.threads import Periodic
 from ..core import Monitor
 from ..core.server import RTMServer
 # Every job's enable_watchdog() runs it; boot pays for it, not job one.
@@ -117,33 +117,17 @@ def _arm_fault(monitor: Monitor, spec: JobSpec) -> None:
     injector.inject(FaultSpec(kind, target, **fault))
 
 
-class _ProgressEmitter:
-    """Background heartbeat while a job runs."""
+def _progress_loop(platform: GPUPlatform, job_id: str,
+                   attempt: int) -> Periodic:
+    """The heartbeat a running job sends upstream."""
+    def beat() -> None:
+        simulation = platform.simulation
+        emit({"event": "progress", "job_id": job_id, "attempt": attempt,
+              "sim_time": simulation.now,
+              "events": platform.engine.event_count,
+              "run_state": simulation.run_state})
 
-    def __init__(self, platform: GPUPlatform, job_id: str, attempt: int):
-        self._platform = platform
-        self._job_id = job_id
-        self._attempt = attempt
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="fleet-progress")
-
-    def __enter__(self) -> "_ProgressEmitter":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._stop.set()
-        self._thread.join(timeout=2.0)
-
-    def _run(self) -> None:
-        while not self._stop.wait(PROGRESS_INTERVAL):
-            simulation = self._platform.simulation
-            emit({"event": "progress", "job_id": self._job_id,
-                  "attempt": self._attempt,
-                  "sim_time": simulation.now,
-                  "events": self._platform.engine.event_count,
-                  "run_state": simulation.run_state})
+    return Periodic("rtm-progress", PROGRESS_INTERVAL, beat)
 
 
 def _build_platform(spec: JobSpec, resume_from: Optional[str]):
@@ -265,8 +249,12 @@ def _execute_job(spec: JobSpec, attempt: int, server: RTMServer,
                 "Virtual time this attempt resumed from."
             ).set(float(resume["sim_time"]))
         failing_as = "crashed"
-        with _ProgressEmitter(platform, spec.job_id, attempt):
+        progress = _progress_loop(platform, spec.job_id, attempt)
+        progress.start()
+        try:
             ok = platform.run(hang_wait=HANG_WAIT)
+        finally:
+            progress.stop()
     except Exception as exc:  # a result too: report it, stay alive
         _emit_failed(spec.job_id, attempt, failing_as,
                      f"{type(exc).__name__}: {exc}")

@@ -27,6 +27,7 @@ import threading
 import time
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
+from ..akita.threads import Periodic
 from ..core.alerts import AlertManager
 from ..metrics.exposition import parse_exposition
 from .rules import MetricRule
@@ -98,8 +99,7 @@ class HistorianService:
         self._postmortems_recorded = 0
         self._profiles_recorded = 0
         self._last_prune = time.monotonic()
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
+        self.loop = Periodic("rtm-historian", interval, self.tick)
         self._tick_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -124,27 +124,13 @@ class HistorianService:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        self._stop.clear()
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="rtm-historian")
-        self._thread.start()
+        self.loop.start()
 
     def stop(self) -> None:
         """Stop sampling, final-harvest, close out the campaign."""
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
+        self.loop.stop()
         self.tick(final=True)
         self.historian.end_campaign(self.campaign_id)
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            try:
-                self.tick()
-            except Exception:
-                # The historian must never take the campaign down.
-                pass
 
     # ------------------------------------------------------------------
     # One sampling round
@@ -263,6 +249,7 @@ class HistorianService:
         return {
             "campaign_id": self.campaign_id,
             "interval": self.interval,
+            "loop": self.loop.status(),
             "snapshots_recorded": self.snapshots_recorded,
             "jobs_recorded": len(self._recorded_jobs),
             "postmortems_recorded": self._postmortems_recorded,

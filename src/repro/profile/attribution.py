@@ -18,7 +18,8 @@ server     ``repro/core/http.py`` (transport, dispatch),
            ``repro/core/server.py`` (routes) + the stdlib socket stack
 profiler   ``repro/profile/``
 fleet      ``repro/fleet/``
-monitor    the rest of ``repro/core/`` + historian + checkpoint
+monitor    the rest of ``repro/core/`` + historian + checkpoint, and
+           ``repro/akita/threads.py`` (the periodic loop's own frame)
 workload   ``repro/gpu/``, ``repro/workloads/``, ``repro/studies/``
 idle       a leaf parked in ``threading.py`` (``Event.wait``,
            ``Condition.wait``, ``join``) — the thread exists but burns
@@ -51,6 +52,7 @@ Stack = Tuple[Frame, ...]
 #: Ordered (path substring, layer) rules; first match wins.
 PATH_RULES: Tuple[Tuple[str, str], ...] = (
     ("repro/akita/hooks", "hooks"),
+    ("repro/akita/threads", "monitor"),
     ("repro/akita/", "engine"),
     ("repro/metrics/", "metrics"),
     ("repro/trace/", "trace"),

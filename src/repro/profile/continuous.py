@@ -102,7 +102,6 @@ class ContinuousProfiler:
         self._window: Optional[ProfileWindow] = None
         self._windows_opened = 0
         self._samples_total = 0
-        self._started_at = 0.0
         #: cumulative (thread role, layer) -> seconds over *closed*
         #: windows, never reset while running: the monotonically
         #: increasing counter family (readers add the open window).
@@ -119,8 +118,8 @@ class ContinuousProfiler:
         self._stack_layers: Dict[Stack, str] = {}
         self._last_touch = time.monotonic()
         self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
+        self.loop = _threads.Periodic(
+            "rtm-cprofiler", lambda: self.effective_interval, self._sample)
         self._registry = None
 
     # ------------------------------------------------------------------
@@ -128,25 +127,17 @@ class ContinuousProfiler:
     # ------------------------------------------------------------------
     @property
     def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
+        return self.loop.running
 
     def start(self) -> None:
         """Begin continuous sampling.  Idempotent."""
-        if self.running:
-            return
-        self._stop.clear()
-        self._started_at = time.monotonic()
-        self._last_touch = self._started_at
-        self._thread = threading.Thread(target=self._loop, daemon=True,
-                                        name="rtm-cprofiler")
-        self._thread.start()
+        if not self.running:
+            self._last_touch = time.monotonic()
+        self.loop.start()
 
     def stop(self) -> None:
         """Stop sampling; the ring and totals stay readable."""
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
+        self.loop.stop()
         with self._lock:
             self._close_window(time.monotonic())
 
@@ -168,12 +159,8 @@ class ContinuousProfiler:
         periods = min(8, int(idle / self.backoff_after))
         return min(self.max_interval, self.interval * (2 ** periods))
 
-    def _loop(self) -> None:
+    def _sample(self) -> None:
         me = threading.get_ident()
-        while not self._stop.wait(self.effective_interval):
-            self._sample(me)
-
-    def _sample(self, me: int) -> None:
         dt = self.effective_interval
         now = time.monotonic()
         frames = sys._current_frames()
@@ -409,6 +396,7 @@ class ContinuousProfiler:
             "windows_kept": kept,
             "windows_opened": self._windows_opened,
             "samples": self._samples_total,
+            "loop": self.loop.status(),
         }
 
     # ------------------------------------------------------------------

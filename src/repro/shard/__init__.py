@@ -37,7 +37,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "ShardWorkerError": ".coordinator",
     "chiplet_owners": ".partition",
     "owner_of_name": ".partition",
-    "resolve_workload": ".runtime",
+    "resolve_workload": "..workloads",
     "ShardRuntime": ".runtime",
-    "workload_spec": ".runtime",
+    "workload_spec": "..workloads",
 })

@@ -50,9 +50,8 @@ from ..fleet.protocol import split_batches
 from ..gpu.platform import GPUPlatformConfig
 from ..metrics import CONTENT_TYPE as _PROM_CONTENT_TYPE
 from ..metrics import MetricRegistry, expose, federate_sources, scrape
-from ..workloads import Workload
+from ..workloads import Workload, workload_spec
 from .partition import chiplet_owners, owner_of_name
-from .runtime import workload_spec
 
 __all__ = ["ShardCoordinator", "ShardGateway", "ShardResult",
            "ShardWorkerError", "run_sharded"]

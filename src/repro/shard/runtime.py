@@ -22,13 +22,12 @@ windows: run every event strictly before the horizon, hand the outbox
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Dict, List, Optional
 
 from ..akita.connection import DirectConnection
 from ..gpu.cu import ComputeUnit
 from ..gpu.platform import GPUPlatform, GPUPlatformConfig
-from ..workloads import SUITE, StoreStorm, Workload
+from ..workloads import Workload, resolve_workload, workload_spec
 from .boundary import (
     BoundaryCodec,
     BoundaryInjector,
@@ -38,30 +37,6 @@ from .boundary import (
 from .partition import chiplet_owners, owner_of_name
 
 __all__ = ["ShardRuntime", "workload_spec", "resolve_workload"]
-
-#: Wire name → workload class, for reconstructing the coordinator's
-#: workload identically in every shard process.
-_WORKLOAD_CLASSES = {"storestorm": StoreStorm, **SUITE}
-
-
-def workload_spec(workload: Workload) -> Dict[str, Any]:
-    """Serialize *workload* for the shard-worker ``init`` command."""
-    for name, cls in _WORKLOAD_CLASSES.items():
-        if type(workload) is cls:
-            return {"name": name,
-                    "params": dataclasses.asdict(workload)}
-    raise ValueError(
-        f"{type(workload).__name__} is not a shardable workload")
-
-
-def resolve_workload(spec: Dict[str, Any]) -> Workload:
-    """Reconstruct the workload a shard-worker ``init`` describes."""
-    name = spec["name"]
-    try:
-        cls = _WORKLOAD_CLASSES[name]
-    except KeyError:
-        raise ValueError(f"unknown workload {name!r}") from None
-    return cls(**(spec.get("params") or {}))
 
 
 class ShardRuntime:

@@ -33,7 +33,8 @@ from typing import Any, Dict, Optional
 
 from ..fleet.protocol import decode_command, emit, split_batches
 from ..gpu.platform import GPUPlatformConfig
-from .runtime import ShardRuntime, resolve_workload
+from ..workloads import resolve_workload
+from .runtime import ShardRuntime
 
 
 class _WorkerState:

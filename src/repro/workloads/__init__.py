@@ -7,8 +7,9 @@ the real OpenCL kernels' locality and striding.  See DESIGN.md for why
 this substitution preserves everything AkitaRTM observes.
 """
 
+import dataclasses
 from functools import partial
-from typing import Callable, Dict
+from typing import Any, Callable, Dict
 
 from .aes import AES
 from .base import WORD, Workload, WorkloadRun, mix
@@ -50,9 +51,35 @@ def suite_small() -> Dict[str, Workload]:
     return {name: SMALL[name]() for name in SUITE}
 
 
+#: Name → class of every runnable workload: where a new workload is
+#: registered, and the name it crosses a process boundary under.
+CLASSES: Dict[str, type] = {**SUITE, "storestorm": StoreStorm}
+
+
+def workload_spec(workload: Workload) -> Dict[str, Any]:
+    """Serialize *workload* (a shard worker's ``init`` rebuilds it)."""
+    for name, cls in CLASSES.items():
+        if type(workload) is cls:
+            return {"name": name,
+                    "params": dataclasses.asdict(workload)}
+    raise ValueError(
+        f"{type(workload).__name__} is not a registered workload")
+
+
+def resolve_workload(spec: Dict[str, Any]) -> Workload:
+    """Reconstruct the workload a :func:`workload_spec` describes."""
+    name = spec["name"]
+    try:
+        cls = CLASSES[name]
+    except KeyError:
+        raise ValueError(f"unknown workload {name!r}") from None
+    return cls(**(spec.get("params") or {}))
+
+
 __all__ = [
     "AES",
     "BFS",
+    "CLASSES",
     "FIR",
     "Im2Col",
     "KMeans",
@@ -64,5 +91,7 @@ __all__ = [
     "Workload",
     "WorkloadRun",
     "mix",
+    "resolve_workload",
     "suite_small",
+    "workload_spec",
 ]

@@ -140,9 +140,9 @@ def test_start_stop_idempotent():
     monitor = FakeMonitor([])
     wd = Watchdog(monitor, WatchdogConfig(check_interval=0.01))
     wd.start()
-    thread_a = wd._thread
+    thread_a = wd.loop._thread
     wd.start()  # no-op while alive
-    assert wd._thread is thread_a
+    assert wd.loop._thread is thread_a
     wd.stop()
     wd.stop()  # second stop is harmless
     assert not wd.running

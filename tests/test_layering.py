@@ -15,6 +15,12 @@ And the command line is a table: ``cli.py`` names the planes in its
 plane's ``cli.py`` imports nothing but the stdlib and ``repro.cli``
 until a handler runs.
 
+And a loop that wakes every N seconds is written once: a thread is
+constructed only by ``akita/threads.py``'s ``Periodic``, the transport,
+the pipe readers, the event-driven fleet scheduler and the four sites
+that run a simulation on a thread, and nobody else spells
+``while not stop.wait(interval)``.
+
 ``python tests/test_layering.py`` prints ``src/repro`` lines per package
 and in total (the number ROADMAP's aim 2 is judged by).
 """
@@ -191,6 +197,71 @@ def test_the_front_door_rule_sees_each_spelling_but_not_lookalikes():
         ("socketserver", 2), ("wfile", 5)]
     assert list(_front_door_breaches(source, is_transport=True)) == [
         ("do_GET", 4)]
+
+
+#: Who may construct a thread, and how many times: the periodic loop,
+#: the transport (accept loop + one per connection), the pipe readers,
+#: the event-queue scheduler, and the sites that run a whole simulation
+#: on a thread so the caller can watch it.
+THREAD_SITES = {
+    "repro/akita/threads.py": 1,
+    "repro/core/http.py": 2,
+    "repro/fleet/channel.py": 1,
+    "repro/fleet/manager.py": 1,
+    "repro/cli.py": 2,
+    "repro/faults/campaign.py": 1,
+    "repro/studies/session.py": 1,
+}
+PERIODIC = "repro/akita/threads.py"
+
+
+def _thread_sites_and_wait_loops(source):
+    """``("Thread" | "wait-loop", line)`` for every ``threading.Thread(``
+    / ``Thread(`` call and every ``while not <x>.wait(...)`` loop."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            callee = node.func
+            name = callee.attr if isinstance(callee, ast.Attribute) \
+                else getattr(callee, "id", None)
+            if name == "Thread":
+                yield "Thread", node.lineno
+        elif isinstance(node, ast.While) \
+                and isinstance(node.test, ast.UnaryOp) \
+                and isinstance(node.test.op, ast.Not) \
+                and isinstance(node.test.operand, ast.Call) \
+                and isinstance(node.test.operand.func, ast.Attribute) \
+                and node.test.operand.func.attr == "wait":
+            yield "wait-loop", node.lineno
+
+
+def test_a_periodic_loop_is_written_once():
+    offenders = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        relative = path.relative_to(SRC).as_posix()
+        found = list(_thread_sites_and_wait_loops(path.read_text()))
+        threads = [line for kind, line in found if kind == "Thread"]
+        if len(threads) > THREAD_SITES.get(relative, 0):
+            offenders += [f"{relative}:{line} (Thread)" for line in threads]
+        if relative != PERIODIC:
+            offenders += [f"{relative}:{line} (wait-loop)"
+                          for kind, line in found if kind == "wait-loop"]
+    assert not offenders, "\n".join(offenders)
+    assert sum(THREAD_SITES.values()) <= 9
+
+
+def test_the_thread_rule_sees_each_spelling_but_not_lookalikes():
+    source = (
+        "import threading\n"
+        "from threading import Thread\n"
+        "t = threading.Thread(target=f)\n"
+        "u = Thread(target=f, daemon=True)\n"
+        "while not self._stop.wait(self.interval):\n"
+        "    pass\n"
+        "while not stop.is_set():\n"
+        "    if stop.wait(1.0): break\n"
+        "threading.current_thread()\n")
+    assert sorted(_thread_sites_and_wait_loops(source)) == [
+        ("Thread", 3), ("Thread", 4), ("wait-loop", 5)]
 
 
 #: What ``cli.py`` may name besides the planes of its own table: the
