@@ -35,6 +35,7 @@ from .ticker import GHZ, next_tick
 
 _TASK_BEGIN = HookPos.TASK_BEGIN.index
 _TASK_END = HookPos.TASK_END.index
+_new = object.__new__  # a hot TickEvent skips its __init__ frame
 
 
 class Component(Hookable):
@@ -168,16 +169,21 @@ class TickingComponent(Component):
                         self._near_tick = scheduled
                     else:
                         self._next_scheduled = self._near_tick = t
+                        event = _new(TickEvent)
+                        event.time = t
+                        event.handler = self
+                        event.secondary = True
                         queue = engine._queue
-                        heappush(queue._heap, (t, True, next(queue._seq),
-                                               TickEvent(t, self)))
+                        heappush(queue._heap,
+                                 (t, True, next(queue._seq), event))
 
-    def tick_later(self) -> None:
+    def tick_later(self, port: Port | None = None) -> None:
         """Schedule a tick for the next cycle unless an earlier-or-equal
         tick is already pending.
 
         Safe to call from monitoring threads; this is the primitive
-        behind AkitaRTM's *Tick* button.
+        behind AkitaRTM's *Tick* button.  It is both ``notify_*``
+        wake-ups too (one frame each), hence the ignored *port*.
         """
         scheduled = self._next_scheduled
         if scheduled == self._near_tick:
@@ -192,9 +198,12 @@ class TickingComponent(Component):
             self._near_tick = scheduled
             return
         self._next_scheduled = self._near_tick = t
+        event = _new(TickEvent)
+        event.time = t
+        event.handler = self
+        event.secondary = True
         queue = engine._queue
-        heappush(queue._heap,
-                 (t, True, next(queue._seq), TickEvent(t, self)))
+        heappush(queue._heap, (t, True, next(queue._seq), event))
 
     def tick_at(self, t: float) -> None:
         """Schedule a tick at cycle-aligned time *t* (used by components
@@ -221,8 +230,4 @@ class TickingComponent(Component):
         """True when no tick is scheduled (the component is sleeping)."""
         return self._next_scheduled is None
 
-    def notify_recv(self, port: Port) -> None:
-        self.tick_later()
-
-    def notify_available(self, port: Port) -> None:
-        self.tick_later()
+    notify_recv = notify_available = tick_later

@@ -26,6 +26,8 @@ from .message import Msg
 from .port import Port
 
 _CONN_TRANSFER = HookPos.CONN_TRANSFER.index
+_PORT_SEND = HookPos.PORT_SEND.index
+_new = object.__new__
 
 
 @runtime_checkable
@@ -36,7 +38,7 @@ class Connection(Protocol):
 
     def can_send(self, src: Port, msg: Msg) -> bool: ...
 
-    def send(self, src: Port, msg: Msg) -> None: ...
+    def try_send(self, src: Port, msg: Msg) -> bool: ...
 
     def notify_available(self, port: Port) -> None: ...
 
@@ -121,6 +123,7 @@ class DirectConnection(Hookable):
         self._inflight[port] = 0
 
     def can_send(self, src: Port, msg: Msg) -> bool:
+        """Would :meth:`try_send` accept *msg* now?  No side effect."""
         dst = msg.dst
         inflight = self._inflight.get(dst)
         if inflight is None:
@@ -132,13 +135,29 @@ class DirectConnection(Hookable):
         return not buf._pinned and \
             buf._capacity - len(buf._items) - inflight > 0
 
-    def send(self, src: Port, msg: Msg) -> None:
-        """Reserve a destination slot and schedule delivery."""
+    def try_send(self, src: Port, msg: Msg) -> bool:
+        """The one door of :meth:`Port.send`: refuse *msg* (``False``,
+        nothing changed), or set ``msg.src``, fire the sender's
+        ``PORT_SEND`` hooks, reserve the slot and schedule delivery."""
         dst = msg.dst
-        assert dst is not None
-        self._inflight[dst] += 1
+        inflight = self._inflight.get(dst)
+        if inflight is None:
+            raise PortError(
+                f"message {msg!r} has no destination on connection "
+                f"{self.name}")
+        buf = dst.buf  # can_send(), spelled out
+        if buf._pinned or buf._capacity - len(buf._items) - inflight <= 0:
+            return False
+        msg.src = src
         engine = self._engine
         now = engine._now
+        # Hook before the transfer: a zero-latency link may deliver (or
+        # drop) inline, and the trace must show the send first.
+        comp = src.component
+        if comp is not None and comp._chains[_PORT_SEND]:
+            for hook in comp._chains[_PORT_SEND]:
+                hook(src, now, msg)
+        self._inflight[dst] = inflight + 1
         msg.send_time = now
         self.msg_count += 1
         deliver_at = now + self._latency
@@ -157,13 +176,19 @@ class DirectConnection(Hookable):
                 self.invoke_hooks(HookCtx(self, now,
                                           HookPos.CONN_DROP, transfer))
                 self.notify_available(dst)
-                return
+                return True
             deliver_at = max(transfer.deliver_at, now)
 
+        # DeliveryEvent(deliver_at, self, msg) minus its __init__ frame;
         # deliver_at >= now on both paths: Engine.schedule's own push.
+        event = _new(DeliveryEvent)
+        event.time = deliver_at
+        event.handler = self
+        event.secondary = True
+        event.msg = msg
         queue = engine._queue
-        heappush(queue._heap, (deliver_at, True, next(queue._seq),
-                               DeliveryEvent(deliver_at, self, msg)))
+        heappush(queue._heap, (deliver_at, True, next(queue._seq), event))
+        return True
 
     def handle(self, event: DeliveryEvent) -> None:
         """Deliver the event's message (engine-facing Handler API)."""

@@ -38,9 +38,12 @@ The calling convention belongs to the position:
 from __future__ import annotations
 
 import enum
+import functools
+import gc
 import threading
+import types
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
 class HookPos(enum.Enum):
@@ -132,6 +135,69 @@ _NO_CHAINS: Tuple[Tuple[Hook, ...], ...] = ((),) * len(HookPos)
 _ATTACH_LOCK = threading.Lock()
 
 
+# -- an object's fields, read without its ``__dict__`` ------------------
+# CPython 3.11/3.12 keep an instance's attribute values inline until
+# something asks for its ``__dict__``; from then on every attribute
+# access on it is ~2.8x slower.  Checkpointing (Hookable.__getstate__)
+# and the monitor's reflection (repro.core.inspector) read fields here.
+_MISSING = object()
+
+
+@functools.lru_cache(maxsize=None)
+def declared_names(cls: type) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """``(candidate instance-attribute names, property names)`` of
+    *cls*, read off the class alone and once per class.
+
+    The candidates are every name the methods of *cls* and its bases
+    mention (``co_names``: a superset of what they assign on ``self``)
+    that no class in the MRO defines itself.
+    """
+    class_level: set = set()
+    mentioned: set = set()
+    properties: List[str] = []
+    for klass in cls.__mro__:
+        for name, member in vars(klass).items():
+            class_level.add(name)
+            if isinstance(member, property):
+                properties.append(name)
+                functions = (member.fget, member.fset, member.fdel)
+            else:
+                functions = (getattr(member, "__func__", member),)
+            codes = [f.__code__ for f in functions
+                     if isinstance(f, types.FunctionType)]
+            while codes:
+                code = codes.pop()
+                mentioned.update(code.co_names)
+                codes.extend(c for c in code.co_consts
+                             if isinstance(c, types.CodeType))
+    # No dunders: ``__dict__`` is the one name that must not be read.
+    candidates = sorted(name for name in mentioned - class_level
+                        if not name.startswith("__"))
+    return tuple(candidates), tuple(properties)
+
+
+def instance_fields(obj: Any) -> Dict[str, Any]:
+    """*obj*'s instance attributes by name: the names come from the
+    class (:func:`declared_names`), the values from ``getattr``, and
+    ``gc.get_referents`` — which lists an instance's values without
+    their names — tells whether any was missed (assigned from outside
+    the class's code, or shadowing a class attribute); only then is
+    ``__dict__`` read."""
+    if not type(obj).__dictoffset__:
+        return {slot: getattr(obj, slot)
+                for slot in getattr(obj, "__slots__", ())
+                if hasattr(obj, slot)}
+    fields = {}
+    for name in declared_names(type(obj))[0]:
+        value = getattr(obj, name, _MISSING)
+        if value is not _MISSING:
+            fields[name] = value
+    # Referents of an instance with inline values: its values + its type.
+    if len(fields) != len(gc.get_referents(obj)) - 1:
+        fields = dict(vars(obj))
+    return fields
+
+
 class Hookable:
     """Mixin that lets observers attach hooks to an object."""
 
@@ -190,14 +256,16 @@ class Hookable:
     # Hooks are monitoring-scoped: they close over tracers, metric
     # registries and injectors that live outside the simulated system.
     # A checkpoint captures the *simulated* state only; whoever restores
-    # the snapshot attaches a fresh monitor.
+    # the snapshot attaches a fresh monitor.  Field by field, never
+    # through ``__dict__`` (see instance_fields).
     def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
+        state = instance_fields(self)
         for attr in ("_hooks", "_chains"):
             state.pop(attr, None)
         return state
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
+        for name, value in state.items():
+            setattr(self, name, value)
         self._hooks = []
         self._chains = _NO_CHAINS

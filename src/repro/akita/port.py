@@ -23,7 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .component import Component
     from .connection import Connection
 
-_PORT_SEND = HookPos.PORT_SEND.index
 _PORT_DELIVER = HookPos.PORT_DELIVER.index
 _PORT_RETRIEVE = HookPos.PORT_RETRIEVE.index
 
@@ -79,25 +78,16 @@ class Port:
 
         Returns ``True`` on success, ``False`` when backpressure prevents
         the send (mirroring Akita's non-blocking ``Send``).  Components
-        treat a ``False`` as "retry on a later tick".
+        treat a ``False`` as "retry on a later tick".  The connection's
+        ``try_send`` does the rest, hooks included, in one call.
         """
         conn = self._connection
         if conn is None:
             raise PortError(f"port {self.name} is not connected")
-        if not conn.can_send(self, msg):
-            return False
-        msg.src = self
-        # Hook before the connection takes over: a zero-latency
-        # connection may deliver (or drop) inline, and the trace must
-        # show the send first.
-        comp = self.component
-        if comp is not None and comp._chains[_PORT_SEND]:
-            now = comp._engine._now
-            for hook in comp._chains[_PORT_SEND]:
-                hook(self, now, msg)
-        conn.send(self, msg)
-        self.num_sent += 1
-        return True
+        if conn.try_send(self, msg):
+            self.num_sent += 1
+            return True
+        return False
 
     # -- receiving ----------------------------------------------------------
     def deliver(self, msg: Msg) -> None:

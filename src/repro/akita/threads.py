@@ -31,7 +31,8 @@ _roles: Dict[int, str] = {}
 _NAME_RULES = (
     ("rtm-server", "server"),
     ("rtm-http", "server"),
-    ("rtm-gateway", "server"),
+    ("rtm-fleet-gateway", "server"),
+    ("rtm-shard-gateway", "server"),
     ("rtm-sampler", "monitor"),
     ("rtm-watchdog", "monitor"),
     ("rtm-checkpoint", "monitor"),
@@ -40,6 +41,7 @@ _NAME_RULES = (
     ("rtm-cprofiler", "profiler"),
     ("rtm-progress", "fleet"),
     ("rtm-fleet-scheduler", "fleet"),
+    ("rtm-channel", "fleet"),
     ("MainThread", "main"),
 )
 _PREFIXES = tuple(prefix for prefix, _ in _NAME_RULES)

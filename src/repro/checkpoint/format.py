@@ -63,7 +63,8 @@ CHECKPOINT_MAGIC = "rtm-ckpt"
 #: from another build is refused at the header and not by a failing
 #: (or worse, succeeding) unpickle.  2: events carry no ``id``.
 #: 3: every port has ``incoming``, every component the wake-up pair.
-CHECKPOINT_VERSION = 3
+#: 4: a hookable's fields in name order; an MSHR has ``full``/``unsent``.
+CHECKPOINT_VERSION = 4
 
 #: Refuse to parse absurd header lines (a corrupt file could otherwise
 #: make the reader scan for a newline through gigabytes of pickle).

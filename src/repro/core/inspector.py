@@ -18,13 +18,13 @@ This module is that reflection layer, in Python: given any object it
 
 from __future__ import annotations
 
-import functools
 import gc
 import types
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..akita.buffer import Buffer
 from ..akita.engine import Engine
+from ..akita.hooks import declared_names, instance_fields
 from ..akita.port import Port
 
 #: Recursion limit when serializing nested objects.
@@ -35,80 +35,16 @@ MAX_PREVIEW = 8
 MAX_BUFFER_DEPTH = 4
 
 _SCALAR_TYPES = (int, float, bool, str, type(None))
-_MISSING = object()
 #: Where the buffer hunt turns back: the engine (framework plumbing
 #: every component points at) and code, which holds no simulated state.
 _TURN_BACK = (Engine, type, types.FunctionType, types.MethodType,
               types.BuiltinFunctionType, types.ModuleType)
 
 
-@functools.lru_cache(maxsize=None)
-def _declared_names(cls: type) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-    """``(candidate instance-attribute names, property names)`` of
-    *cls*, read off the class alone and once per class.
-
-    The candidates are every name the methods of *cls* and its bases
-    mention (``co_names``: a superset of what they assign on ``self``)
-    that no class in the MRO defines itself.
-    """
-    class_level: set = set()
-    mentioned: set = set()
-    properties: List[str] = []
-    for klass in cls.__mro__:
-        for name, member in vars(klass).items():
-            class_level.add(name)
-            if isinstance(member, property):
-                properties.append(name)
-                functions = (member.fget, member.fset, member.fdel)
-            else:
-                functions = (getattr(member, "__func__", member),)
-            codes = [f.__code__ for f in functions
-                     if isinstance(f, types.FunctionType)]
-            while codes:
-                code = codes.pop()
-                mentioned.update(code.co_names)
-                codes.extend(c for c in code.co_consts
-                             if isinstance(c, types.CodeType))
-    # No dunders: ``__dict__`` is the one name that must not be read.
-    candidates = sorted(name for name in mentioned - class_level
-                        if not name.startswith("__"))
-    return tuple(candidates), tuple(properties)
-
-
-def _instance_fields(obj: Any) -> Dict[str, Any]:
-    """*obj*'s instance attributes by name, leaving ``obj.__dict__``
-    alone whenever it can.
-
-    CPython 3.11/3.12 keep an instance's attribute values inline until
-    something asks for its ``__dict__`` (``vars()``, ``dir()``, even
-    ``hasattr(obj, "__dict__")``); from then on every attribute access
-    on that instance is ~2.8x slower, for the rest of the run.  A
-    monitor must not do that to the components it watches.  So the
-    names come from the class (:func:`_declared_names`), the values
-    from ``getattr``, and ``gc.get_referents`` — which lists an
-    instance's values without their names — tells whether any was
-    missed (assigned from outside the class's code, or shadowing a
-    class attribute); only then is ``__dict__`` read.
-    """
-    if not type(obj).__dictoffset__:
-        return {slot: getattr(obj, slot)
-                for slot in getattr(obj, "__slots__", ())
-                if hasattr(obj, slot)}
-    fields = {}
-    for name in _declared_names(type(obj))[0]:
-        value = getattr(obj, name, _MISSING)
-        if value is not _MISSING:
-            fields[name] = value
-    # Referents of an instance with inline values: its values + its type.
-    if len(fields) != len(gc.get_referents(obj)) - 1:
-        fields = dict(vars(obj))
-    return fields
-
-
 def _public_attrs(obj: Any) -> Iterator[Tuple[str, Any]]:
     """Instance attributes + class properties, skipping private names."""
-    attrs = _instance_fields(obj)
-    for name in _declared_names(type(obj))[1]:
+    attrs = instance_fields(obj)
+    for name in declared_names(type(obj))[1]:
         if name not in attrs:
             try:
                 attrs[name] = getattr(obj, name)
@@ -190,8 +126,9 @@ def discover_buffers(component: Any) -> List[Buffer]:
     """Find every Buffer reachable from *component* (ports + internals).
 
     The walk follows attribute *values* (``gc.get_referents``) and never
-    asks an object for its ``__dict__``: see :func:`_instance_fields`
-    for what that would cost the simulation.  Names are not needed — a
+    asks an object for its ``__dict__``: see
+    :func:`repro.akita.hooks.instance_fields` for what that would cost
+    the simulation.  Names are not needed — a
     buffer carries its own.
 
     It may run on a server thread beside a live engine, so containers

@@ -72,11 +72,16 @@ class L1VCache(TickingComponent):
 
     # ------------------------------------------------------------------
     def tick(self) -> bool:
+        # Enter a sub-step only when its queue holds work.
         progress = False
-        progress |= self._send_responses()
-        progress |= self._process_bottom()
-        progress |= self._issue_pending_fetches()
-        progress |= self._process_top()
+        if self._respond_queue:
+            progress = self._send_responses()
+        if self.bottom_port.incoming:
+            progress |= self._process_bottom()
+        if self.mshr.unsent:
+            progress |= self._issue_pending_fetches()
+        if self.top_port.incoming:
+            progress |= self._process_top()
         if (self._respond_queue and not progress
                 and self._respond_queue[0][0] > self._engine._now + 1e-15):
             # Head response not ready yet; ready-but-blocked responses
@@ -169,6 +174,7 @@ class L1VCache(TickingComponent):
         if not self.bottom_port.send(fetch):
             return False
         entry.fetch_sent = True
+        self.mshr.unsent -= 1
         self._pending_down[fetch.id] = entry.key
         return True
 
@@ -180,6 +186,7 @@ class L1VCache(TickingComponent):
         if not self.bottom_port.send(fwd):
             return False
         entry.fetch_sent = True
+        self.mshr.unsent -= 1
         self._pending_down[fwd.id] = entry.key
         return True
 

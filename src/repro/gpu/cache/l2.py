@@ -77,12 +77,18 @@ class L2Cache(TickingComponent):
 
     # ------------------------------------------------------------------
     def tick(self) -> bool:
+        # Enter a sub-step only when its queue holds work.
         progress = False
-        progress |= self._drain_eviction_staging()
-        progress |= self._send_responses()
-        progress |= self._process_fills()
-        progress |= self._issue_pending_fetches()
-        progress |= self._process_top()
+        if self.eviction_staging:
+            progress = self._drain_eviction_staging()
+        if self._respond_queue:
+            progress |= self._send_responses()
+        if self.storage_port.incoming:
+            progress |= self._process_fills()
+        if self.mshr.unsent:
+            progress |= self._issue_pending_fetches()
+        if self.top_port.incoming:
+            progress |= self._process_top()
         if (self._respond_queue and not progress
                 and self._respond_queue[0][0] > self._engine._now + 1e-15):
             # Head response not ready yet; ready-but-blocked responses
@@ -230,6 +236,7 @@ class L2Cache(TickingComponent):
             self.blocked_on = "send fetch to write buffer (InPort full)"
             return False
         entry.fetch_sent = True
+        self.mshr.unsent -= 1
         self.blocked_on = None
         return True
 

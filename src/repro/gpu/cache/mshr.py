@@ -33,6 +33,10 @@ class MSHR:
             raise ConfigurationError("MSHR capacity must be positive")
         self.capacity = capacity
         self._entries: Dict[int, MSHREntry] = {}
+        # Attributes, not properties: a cache's tick reads them without
+        # a frame.  Whoever sets an entry's fetch_sent decrements unsent.
+        self.full = False
+        self.unsent = 0
 
     # -- queries -----------------------------------------------------------
     @property
@@ -41,10 +45,6 @@ class MSHR:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @property
-    def full(self) -> bool:
-        return len(self._entries) >= self.capacity
 
     def lookup(self, key: int) -> Optional[MSHREntry]:
         return self._entries.get(key)
@@ -69,8 +69,12 @@ class MSHR:
             raise BufferError_(f"duplicate MSHR entry for {key!r}")
         entry = MSHREntry(key)
         self._entries[key] = entry
+        self.full = len(self._entries) >= self.capacity
+        self.unsent += 1
         return entry
 
     def release(self, key: int) -> MSHREntry:
         """Remove and return the entry for *key* (fetch completed)."""
-        return self._entries.pop(key)
+        entry = self._entries.pop(key)
+        self.full = False
+        return entry

@@ -40,6 +40,7 @@ from ..akita.connection import DirectConnection
 from ..akita.engine import Engine
 from ..akita.errors import PortError
 from ..akita.event import Event
+from ..akita.hooks import HookPos
 from ..akita.message import Msg
 from ..akita.port import Port
 from ..gpu.driver import Driver
@@ -56,6 +57,8 @@ from ..gpu.protocol import KernelCompleteMsg, LaunchKernelMsg
 
 __all__ = ["build_port_registry", "BoundaryCodec", "ShardConnection",
            "BoundaryInjector"]
+
+_PORT_SEND = HookPos.PORT_SEND.index
 
 
 def build_port_registry(simulation) -> Dict[str, Port]:
@@ -258,18 +261,26 @@ class ShardConnection(DirectConnection):
             return False
         return True
 
-    def send(self, src: Port, msg: Msg) -> None:
-        dst = msg.dst
-        assert dst is not None
-        if dst in self._inflight:
-            super().send(src, msg)
-            return
-        msg.send_time = now = self._engine._now
+    def try_send(self, src: Port, msg: Msg) -> bool:
+        # Only an export pays for the quota check.
+        if msg.dst in self._inflight:
+            return super().try_send(src, msg)
+        if not self.can_send(src, msg):
+            return False
+        msg.src = src
+        now = self._engine._now
+        comp = src.component
+        if comp is not None and comp._chains[_PORT_SEND]:
+            for hook in comp._chains[_PORT_SEND]:
+                hook(src, now, msg)
+        msg.send_time = now
         self.msg_count += 1
         self.exported_count += 1
+        dst = msg.dst
         self._exported_this_window[dst] = \
             self._exported_this_window.get(dst, 0) + 1
         self._export(msg, now + self._latency)
+        return True
 
     # -- inbound delivery -----------------------------------------------
     def deliver_inbound(self, msg: Msg) -> bool:

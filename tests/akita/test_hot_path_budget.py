@@ -16,20 +16,32 @@ run measured here, 47.60 → 27.43 at the benchmark's 4096 samples
 26.21 → 19.18 (27.43 → 20.24) when a tick began to reschedule itself in
 place, ports and connections stopped calling wake-ups that could change
 nothing, and ``gpu`` read the clock and its ports' queues without a
-frame.  Each budget sits about 10% above what the code reaches.  If a
-change legitimately needs more calls, say why in the commit that raises
-it.
+frame; then 19.18 → 16.84 (20.24 → 17.94) when a send became one
+reserve-or-refuse call on the connection, hot events were built without
+an ``__init__`` frame, a wake-up became ``tick_later`` itself and the
+caches stopped entering sub-steps whose queue is empty.  Each budget
+sits about 10% above what the code reaches.  If a change legitimately
+needs more calls, say why in the commit that raises it.
+
+A C call (``len``, ``heappush``) costs far less than a Python frame, so
+the mixed count understates a frame saving; the *frames* per event
+(``kind == "call"`` only) are gated on their own, 4–10% above what
+the code reaches.  History: FIR(256) 10.63 → 7.63, FIR(4096) 11.07 →
+8.16, ``Im2Col.scaled(batch=1)`` 10.23 → 7.52, the small StoreStorm
+10.16 → 6.93.
 
 FIR is mostly CU → ROB → L1 → L2 traffic on one chiplet, so the same
 count is held for the golden-order test's other two kernels:
-``Im2Col.scaled(batch=1)`` (RDMA and switch heavy; 26.13 → 19.39) and
-the small StoreStorm (write path, write buffers, DRAM; 25.35 → 17.97).
+``Im2Col.scaled(batch=1)`` (RDMA and switch heavy; 26.13 → 19.39 →
+17.45) and the small StoreStorm (write path, write buffers, DRAM;
+25.35 → 17.97 → 15.37).
 
 The same count over an *instrumented* run (metrics registry attached,
 ring tracer recording — rtmbench's ``instrumented`` workload) gates the
 recording path: what recording adds per event, on top of the bare
 count.  History: 11.52 → 4.51 at 256 samples (11.83 → 4.57 at 4096)
-when component hooks became positional and a trace record one frame.
+when component hooks became positional and a trace record one frame;
+unchanged when ``PORT_SEND`` moved from the port into the connection.
 """
 
 import gc
@@ -41,30 +53,40 @@ from repro.core import Monitor
 from repro.gpu import GPUPlatform, GPUPlatformConfig
 from repro.workloads import FIR, Im2Col, StoreStorm
 
-CALLS_PER_EVENT_BUDGET = 21.0
+CALLS_PER_EVENT_BUDGET = 18.5
 RECORDING_CALLS_PER_EVENT_BUDGET = 5.0
 #: The other two bench kernels: name -> (workload factory, budget).
 OTHER_KERNELS = {
-    "im2col_batch1": (lambda: Im2Col.scaled(batch=1), 21.3),
+    "im2col_batch1": (lambda: Im2Col.scaled(batch=1), 19.2),
     "storestorm_small": (lambda: StoreStorm(
         num_workgroups=4, wavefronts_per_wg=2, stores_per_wavefront=24),
-        19.7),
+        16.9),
+}
+#: Python frames per bare event: name -> (workload factory, budget).
+FRAME_BUDGETS = {
+    "fir256": (lambda: FIR(num_samples=256), 8.1),
+    "fir4096": (lambda: FIR(num_samples=4096), 8.8),
+    "im2col_batch1": (OTHER_KERNELS["im2col_batch1"][0], 7.8),
+    "storestorm_small": (OTHER_KERNELS["storestorm_small"][0], 7.6),
 }
 
 
-def calls_per_event(num_samples=256, instrumented=False, workload=None):
+def counts_per_event(num_samples=256, instrumented=False, workload=None):
+    """``(calls, Python frames)`` per simulated event of one run."""
     platform = GPUPlatform(GPUPlatformConfig.small(num_chiplets=2))
     (workload or FIR(num_samples=num_samples)).enqueue(platform.driver)
     if instrumented:
         monitor = Monitor(platform.simulation)
         monitor.ensure_sim_metrics().start()
         monitor.ensure_tracer(backend="ring").start()
-    calls = 0
+    frames = c_calls = 0
 
     def count(frame, kind, arg):
-        nonlocal calls
-        if kind == "call" or kind == "c_call":
-            calls += 1
+        nonlocal frames, c_calls
+        if kind == "call":
+            frames += 1
+        elif kind == "c_call":
+            c_calls += 1
 
     # A cyclic collection landing inside the run would finalize other
     # tests' garbage (suspended wavefront generators, among others) on
@@ -79,7 +101,12 @@ def calls_per_event(num_samples=256, instrumented=False, workload=None):
         sys.setprofile(previous)
         gc.enable()
     assert completed
-    return calls / platform.engine.event_count
+    events = platform.engine.event_count
+    return (frames + c_calls) / events, frames / events
+
+
+def calls_per_event(num_samples=256, instrumented=False, workload=None):
+    return counts_per_event(num_samples, instrumented, workload)[0]
 
 
 def test_bare_fir_stays_inside_the_call_budget():
@@ -102,6 +129,15 @@ def test_other_kernels_stay_inside_their_call_budget(kernel):
         f"{budget}")
 
 
+@pytest.mark.parametrize("kernel", sorted(FRAME_BUDGETS))
+def test_python_frames_per_event_stay_inside_their_budget(kernel):
+    make, budget = FRAME_BUDGETS[kernel]
+    measured = counts_per_event(workload=make())[1]
+    assert measured <= budget, (
+        f"{kernel}: {measured:.2f} Python frames per simulated event, "
+        f"budget {budget}: a message hop or a tick gained a frame")
+
+
 def test_recording_stays_inside_the_call_budget():
     bare = calls_per_event()
     measured = calls_per_event(instrumented=True)
@@ -114,12 +150,13 @@ def test_recording_stays_inside_the_call_budget():
 
 
 if __name__ == "__main__":
-    for samples in (256, 4096):
-        bare = calls_per_event(samples)
-        instrumented = calls_per_event(samples, instrumented=True)
-        print(f"FIR({samples}) bare: {bare:.2f} calls per event")
-        print(f"FIR({samples}) instrumented: {instrumented:.2f} calls "
-              f"per event, recording adds {instrumented - bare:.2f}")
-    for kernel, (make, _) in sorted(OTHER_KERNELS.items()):
-        print(f"{kernel} bare: "
-              f"{calls_per_event(workload=make()):.2f} calls per event")
+    print(f"{'bare run':18s}{'calls/event':>12s}{'frames/event':>14s}"
+          f"{'recording adds':>16s}")
+    for kernel, (make, _) in sorted(FRAME_BUDGETS.items()):
+        calls, frames = counts_per_event(workload=make())
+        adds = ""
+        if kernel.startswith("fir"):
+            adds = counts_per_event(workload=make(),
+                                    instrumented=True)[0] - calls
+            adds = f"{adds:.2f}"
+        print(f"{kernel:18s}{calls:12.2f}{frames:14.2f}{adds:>16s}")

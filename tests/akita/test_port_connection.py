@@ -5,6 +5,7 @@ import pytest
 from repro.akita import (
     Component,
     ConfigurationError,
+    Connection,
     DirectConnection,
     Engine,
     HookPos,
@@ -291,3 +292,61 @@ def test_a_component_due_next_cycle_is_not_told_and_not_scheduled_twice():
     # Three messages, one tick each, and the one that found nothing.
     assert fwd.tick_count == 4 and fwd.asleep
     assert ticks == pytest.approx([2e-9, 3e-9, 4e-9, 5e-9])
+
+
+# -- the one door: DirectConnection.try_send ---------------------------
+def test_a_refused_try_send_changes_nothing():
+    engine = Engine()
+    prod, sink = _Producer("P", engine), _Sink("S", engine, buf_capacity=1)
+    conn = _wire(engine, prod.out, sink.inp)
+    sent = []
+    prod.accept_hook(lambda port, now, msg: sent.append(msg),
+                     positions=(HookPos.PORT_SEND,))
+    first, refused = Msg(dst=sink.inp), Msg(dst=sink.inp)
+    assert conn.try_send(prod.out, first)
+    before = (prod.out.num_sent, conn.msg_count, dict(conn._inflight),
+              engine.pending_event_count)
+    assert conn.try_send(prod.out, refused) is False
+    assert prod.out.send(refused) is False
+    assert sent == [first], "no hook fires for a refusal"
+    assert (prod.out.num_sent, conn.msg_count, dict(conn._inflight),
+            engine.pending_event_count) == before
+    assert refused.src is None and first.src is prod.out
+
+
+def test_a_dropped_send_is_traced_before_its_drop_and_wakes_the_sender():
+    engine = Engine()
+    prod = _ToldEverything("P", engine)
+    sink = _Sink("S", engine, buf_capacity=1)
+    conn = _wire(engine, prod.port_, sink.inp)
+    trace = []
+    prod.accept_hook(lambda port, now, msg: trace.append(("send", msg)),
+                     positions=(HookPos.PORT_SEND,))
+
+    def drop(ctx):
+        ctx.item.drop = True
+
+    conn.accept_hook(drop, positions=(HookPos.CONN_TRANSFER,))
+    conn.accept_hook(lambda ctx: trace.append(("drop", ctx.item.msg)),
+                     positions=(HookPos.CONN_DROP,))
+    msg = Msg(dst=sink.inp)
+    assert prod.port_.send(msg), "a lossy link still counts the send"
+    assert trace == [("send", msg), ("drop", msg)]
+    assert prod.available == [prod.port_], "the freed slot wakes it"
+    assert conn._inflight[sink.inp] == 0 and conn.dropped_count == 1
+    assert prod.port_.num_sent == 1 and prod.port_.can_send(
+        Msg(dst=sink.inp))
+    engine.run()
+    assert sink.inp.buf.size == 0
+
+
+def test_the_connection_protocol_names_try_send():
+    class _SendOnly:
+        def plug_in(self, port): ...
+        def can_send(self, src, msg): ...
+        def send(self, src, msg): ...
+        def notify_available(self, port): ...
+
+    assert isinstance(DirectConnection("C", Engine()), Connection)
+    assert not isinstance(_SendOnly(), Connection)
+    assert not hasattr(DirectConnection, "send")

@@ -19,6 +19,8 @@ from repro.checkpoint import (
     read_checkpoint_meta,
     save_checkpoint,
 )
+from repro.akita import TickEvent
+from repro.akita.connection import DeliveryEvent
 from repro.gpu import GPUPlatform, GPUPlatformConfig
 from repro.workloads import FIR
 
@@ -126,6 +128,33 @@ def test_restored_ports_still_expose_their_buffers_own_queue(tmp_path):
     assert ports and any(port.incoming for port in ports)
     assert all(port.incoming is port.buf._items for port in ports)
     assert restored.run()
+
+
+def test_events_built_at_the_hot_sites_restore_to_the_same_run(tmp_path):
+    """Ticks and deliveries are built without ``__init__`` (slots filled
+    at the push site); frozen in a snapshot they must replay exactly:
+    same end time, same event count as the same run never
+    checkpointed."""
+    def paused_at_200ns():
+        platform = _platform()
+        _workload().enqueue(platform.driver)
+        platform.start()
+        platform.engine.run_until(2e-7)
+        return platform
+
+    reference = paused_at_200ns()
+    assert reference.run()
+    platform = paused_at_200ns()
+    pending = {type(entry[3]) for entry in platform.engine._queue._heap}
+    assert {TickEvent, DeliveryEvent} <= pending
+    path = str(tmp_path / "ckpt.rtm")
+    save_checkpoint(platform, path)
+    restored, _ = load_checkpoint(path, workload=_workload())
+    assert restored.run()
+    assert restored.engine.now == reference.engine.now
+    assert restored.engine.event_count == reference.engine.event_count
+    assert [k.completed for k in restored.driver.kernels] \
+        == [k.completed for k in reference.driver.kernels]
 
 
 # ----------------------------------------------------------------------

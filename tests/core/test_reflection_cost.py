@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.akita import Buffer, Component, Engine
+from repro.checkpoint import Checkpointer, load_checkpoint
 from repro.core import (BufferAnalyzer, Monitor, discover_buffers,
                         serialize_component)
 from repro.gpu import GPUPlatform, GPUPlatformConfig
@@ -44,8 +45,24 @@ def platform():
 
 
 def _watched_objects(platform):
-    engine = platform.simulation.engine
-    return [*platform.simulation.components, engine, engine._queue]
+    simulation = platform.simulation
+    engine = simulation.engine
+    return [*simulation.components, *simulation.connections, engine,
+            engine._queue]
+
+
+@pytest.fixture
+def checkpointed(platform, tmp_path):
+    """A FIR run that saved four checkpoints on its way, and the path
+    of the last one."""
+    FIR(num_samples=256).enqueue(platform.driver)
+    path = str(tmp_path / "ckpt.rtm")
+    checkpointer = Checkpointer(platform, path, every_events=300)
+    checkpointer.start()
+    assert platform.run()
+    checkpointer.stop()
+    assert checkpointer.count >= 2 and checkpointer.errors == 0
+    return platform, path
 
 
 def test_analyzer_finds_the_same_buffers_in_the_same_order(platform):
@@ -109,6 +126,24 @@ def test_the_step_debugger_leaves_its_component_as_fast_as_it_found_it(
     before = component.tick_count
     assert platform.run() and component.tick_count > before
     assert len(stepper.records) == 1  # the breakpoint is really gone
+
+
+@needs_inline_values
+def test_checkpointing_materialises_no_dict(checkpointed):
+    """Saving pickles every component: its state must be read field by
+    field, or a fleet job with a checkpoint cadence runs the rest of
+    its simulation on slow attribute access."""
+    platform, _ = checkpointed
+    assert not any(map(has_materialised_dict, _watched_objects(platform)))
+
+
+@needs_inline_values
+def test_a_restored_simulation_materialises_no_dict(checkpointed):
+    _, path = checkpointed
+    restored, _ = load_checkpoint(path, workload=FIR(num_samples=256))
+    assert not any(map(has_materialised_dict, _watched_objects(restored)))
+    assert restored.run()
+    assert not any(map(has_materialised_dict, _watched_objects(restored)))
 
 
 class _Odd(Component):

@@ -4,7 +4,7 @@ and the injection path."""
 
 import pytest
 
-from repro.akita import Component, DirectConnection, Engine, Msg
+from repro.akita import Component, DirectConnection, Engine, HookPos, Msg
 from repro.gpu.mem import (
     DataReadyRsp,
     NetMsg,
@@ -188,6 +188,43 @@ def test_remote_quota_blocks_then_window_barrier_wakes():
     assert prod.wakeups == 1  # blocked sender woken at the barrier
     assert prod.out.send(over)  # fresh quota
     assert len(exports) == quota + 1
+
+
+def test_local_export_and_quota_blocked_sends_take_the_one_door():
+    """Every send is one ``try_send`` that fires ``PORT_SEND`` itself;
+    a quota refusal fires nothing and leaves the message alone."""
+    engine = Engine()
+    prod, sink = _Producer("P", engine), _Sink("S", engine, capacity=4)
+    conn, exports = _boundary(engine)
+    conn.adopt(prod.out)
+    conn.adopt(sink.inp)
+    remote = _Sink("R", engine, capacity=1).inp
+    doors, hooked = [], []
+    door = conn.try_send
+
+    def counted(src, msg):
+        doors.append(msg)
+        return door(src, msg)
+
+    conn.try_send = counted
+    prod.accept_hook(lambda port, now, msg: hooked.append(msg),
+                     positions=(HookPos.PORT_SEND,))
+    local = Msg(dst=sink.inp)
+    exported = [Msg(dst=remote)
+                for _ in range(remote.buf.capacity
+                               * ShardConnection.QUOTA_FACTOR)]
+    blocked = Msg(dst=remote)
+    assert prod.out.send(local)
+    assert all(prod.out.send(msg) for msg in exported)
+    assert not prod.out.send(blocked)
+    assert doors == [local, *exported, blocked]
+    assert hooked == [local, *exported]
+    assert [msg for msg, _ in exports] == exported
+    assert local.src is prod.out and blocked.src is None
+    assert prod.out.num_sent == 1 + len(exported)
+    assert not hasattr(ShardConnection, "send")
+    engine.run()
+    assert sink.inp.buf.size == 1
 
 
 def test_inbound_parks_on_full_buffer_and_drains_on_retrieve():

@@ -11,6 +11,7 @@ failures.
 
 import contextlib
 import io
+import queue
 import sys
 import tempfile
 import threading
@@ -22,13 +23,16 @@ import pytest
 from repro.akita import threads
 from repro.akita.threads import Periodic
 from repro.checkpoint import Checkpointer
-from repro.core import Monitor, RTMClient
+from repro.core import Monitor, RTMClient, RTMClientError
 from repro.core.export import SeriesRecorder, metric_target
 from repro.core.watchdog import Watchdog, WatchdogConfig
+from repro.fleet import FleetGateway
+from repro.fleet.channel import WorkerChannel
 from repro.fleet.worker import _progress_loop
 from repro.gpu import GPUPlatform, GPUPlatformConfig
 from repro.historian import Historian, HistorianService, registry_source
 from repro.profile import ContinuousProfiler
+from repro.shard.coordinator import ShardGateway
 from repro.workloads import FIR
 
 INTERVAL = 0.01
@@ -305,6 +309,35 @@ def test_with_every_plane_on_no_rtm_thread_has_role_other(tmp_path):
     assert not [t.name for t in threading.enumerate()
                 if t.name.startswith("rtm-")]
 
+
+
+def test_gateways_and_worker_channels_have_a_role():
+    """The ``rtm-*`` threads that are not periodic: both gateways, a
+    client connection to each, and a worker channel's pipe readers."""
+    gateways = [FleetGateway(None), ShardGateway(None)]
+    clients = []
+    channel = WorkerChannel("repro.fleet.worker", ["--worker-id", "w1"],
+                            queue.Queue(), "w1")
+    try:
+        for gateway in gateways:
+            gateway.start()
+            clients.append(RTMClient(gateway.url))
+            with pytest.raises(RTMClientError, match="404"):
+                clients[-1]._get("/api/nonesuch")  # opens a -conn thread
+        live = {t.name: threads.role_of(t.ident, t.name)
+                for t in threading.enumerate()
+                if t.name.startswith("rtm-")}
+    finally:
+        for client in clients:
+            client.close()
+        for gateway in gateways:
+            gateway.stop()
+        channel.shutdown()
+        channel.reap(10.0)
+    assert {"rtm-fleet-gateway", "rtm-fleet-gateway-conn",
+            "rtm-shard-gateway", "rtm-shard-gateway-conn",
+            "rtm-channel-w1-stdout", "rtm-channel-w1-stderr"} <= set(live)
+    assert "other" not in live.values(), live
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp, \
