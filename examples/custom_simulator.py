@@ -8,13 +8,18 @@ is deliberately slow — registers it with the monitor, and shows the
 bottleneck analyzer pointing straight at C's input buffer.
 
 It also demonstrates the manual progress-bar API (the paper's
-"number of algorithm iterations" use case).
+"number of algorithm iterations" use case), and a view of its own: the
+simulator registers one extra route, ``GET /api/chain``, with the same
+public call the monitor's planes use, and every monitor server of the
+process answers it — no framework file edited.
 
 Run:  python examples/custom_simulator.py
 """
 
+import json
 import threading
 import time
+from urllib.request import urlopen
 
 from repro.akita import (
     DirectConnection,
@@ -22,7 +27,7 @@ from repro.akita import (
     Simulation,
     TickingComponent,
 )
-from repro.core import Monitor, RTMClient
+from repro.core import Monitor, RTMClient, register_routes
 
 
 class Producer(TickingComponent):
@@ -78,6 +83,17 @@ class Stage(TickingComponent):
             self.processed += 1
             return True
         return False
+
+
+def chain_view(server, params):
+    """``GET /api/chain``: how many requests each stage has passed on."""
+    monitor = server.monitor
+    return {name: monitor.component(name).processed
+            for name in ("B", "C", "D")}
+
+
+register_routes([("GET", "/api/chain", chain_view,
+                  "requests each stage processed")])
 
 
 def main() -> None:
@@ -143,6 +159,8 @@ def main() -> None:
     thread.join(timeout=120)
     print(f"\nchain drained: D processed {d.processed} requests "
           f"in {sim.now * 1e6:.1f} us simulated")
+    with urlopen(f"{url}/api/chain") as response:
+        print(f"GET /api/chain -> {json.load(response)}")
     monitor.stop_server()
 
 

@@ -16,6 +16,8 @@ imports nothing above itself.
 Everything else is derived from thread names: the repo's own daemon
 threads follow a strict ``rtm-*`` naming discipline, which
 :class:`Periodic` (the one loop that wakes every N seconds) checks.
+The main thread's one duty of the same kind lives here too:
+:class:`SignalGuard`, which turns SIGTERM/SIGINT into a clean stop.
 """
 
 from __future__ import annotations
@@ -184,3 +186,39 @@ class Periodic:
                 if self._stop.is_set():  # not revived by a start()
                     self._thread = None
                     return
+
+
+class SignalGuard:
+    """SIGTERM/SIGINT → remember it was asked, and call *on_signal*.
+
+    A fleet manager terminates its workers with SIGTERM; an operator
+    uses Ctrl-C.  Either way the command must wind down cleanly — stop
+    what it drives, flush whatever it exports — and report success:
+    being told to stop is not a failure.  Handlers are restored on
+    ``__exit__`` so library callers (tests invoke ``repro.cli.main``
+    in-process) don't leak process-wide state.
+    """
+
+    def __init__(self, on_signal: Callable[[], None] = lambda: None):
+        self._on_signal = on_signal
+        self._previous = {}
+        self.requested = False
+
+    def _handle(self, signum, frame):  # noqa: ARG002 (signal signature)
+        self.requested = True
+        self._on_signal()
+
+    def __enter__(self) -> "SignalGuard":
+        import signal  # here: a process that never guards never loads it
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            try:
+                self._previous[signum] = signal.signal(signum,
+                                                       self._handle)
+            except ValueError:
+                pass  # not the main thread: run unguarded
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        import signal
+        for signum, handler in self._previous.items():
+            signal.signal(signum, handler)

@@ -16,6 +16,8 @@ A failed save (e.g. a fault injector's pin-window callbacks are
 momentarily in the queue and unpicklable) is *counted and skipped*,
 never allowed to take the run down: durability machinery must not be a
 new crash source.
+
+Also the RTM server's checkpoint plane: :data:`ROUTES`.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from typing import Any, Callable, Dict, Optional
 from ..akita.engine import RunState
 from ..akita.hooks import HookCtx, HookPos
 from ..akita.threads import Periodic
+from ..core.http import BadRequest
 from .format import CheckpointError, save_checkpoint
 
 __all__ = ["Checkpointer"]
@@ -208,3 +211,27 @@ class Checkpointer:
                 engine.continue_()
         # Paused, dry, idle or ended: no thread is mutating sim state.
         return self.save_now() is not None
+
+
+# -- the checkpoint plane ----------------------------------------------
+def _status(server, params):
+    checkpointer = server.monitor.checkpointer
+    return {"enabled": checkpointer is not None,
+            **(checkpointer.status() if checkpointer else {})}
+
+
+def _save(server, params):
+    checkpointer = server.monitor.checkpointer
+    if checkpointer is None:
+        raise BadRequest("no checkpointer attached")
+    if params.get("action", "save") != "save":
+        raise BadRequest("unknown action (expected save)")
+    saved = checkpointer.save_paused()
+    return {"saved": saved, **checkpointer.status()}
+
+
+ROUTES = (
+    ("GET", "/api/checkpoint", _status, "checkpointer status"),
+    ("POST", "/api/checkpoint?action=save", _save,
+     "pause, save a checkpoint, continue"),
+)

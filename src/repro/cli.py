@@ -23,13 +23,13 @@ exports and exits 0 (:class:`SignalGuard`).
 
 import argparse
 import json
-import signal
 import sys
 import threading
 import time
 from importlib import import_module
 from typing import Callable, List, Optional, Tuple
 
+from .akita.threads import SignalGuard
 from .gpu import GPUPlatform, GPUPlatformConfig
 from .workloads import SMALL, SUITE, StoreStorm
 
@@ -88,40 +88,6 @@ def attach_monitor(platform: GPUPlatform, port: Optional[int] = None):
     if port is not None:
         print(f"AkitaRTM dashboard: {monitor.start_server(port=port)}")
     return monitor
-
-
-class SignalGuard:
-    """SIGTERM/SIGINT → remember it was asked, and call *on_signal*.
-
-    A fleet manager terminates its workers with SIGTERM; an operator
-    uses Ctrl-C.  Either way the command must wind down cleanly — stop
-    what it drives, flush whatever it exports — and report success:
-    being told to stop is not a failure.  Handlers are restored on
-    ``__exit__`` so library callers (tests invoke :func:`main`
-    in-process) don't leak process-wide state.
-    """
-
-    def __init__(self, on_signal: Callable[[], None] = lambda: None):
-        self._on_signal = on_signal
-        self._previous = {}
-        self.requested = False
-
-    def _handle(self, signum, frame):  # noqa: ARG002 (signal signature)
-        self.requested = True
-        self._on_signal()
-
-    def __enter__(self) -> "SignalGuard":
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                self._previous[signum] = signal.signal(signum,
-                                                       self._handle)
-            except ValueError:
-                pass  # not the main thread: run unguarded
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        for signum, handler in self._previous.items():
-            signal.signal(signum, handler)
 
 
 def run_platform(platform: GPUPlatform, hang_wait: float,

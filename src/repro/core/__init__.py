@@ -16,6 +16,7 @@ Typical usage::
 The twelve-function plugin API lives on :class:`Monitor`; the HTTP API
 (`/api/...`) is served by :class:`RTMServer` and consumed by the
 dashboard under ``static/`` or programmatically via :class:`RTMClient`.
+A simulator adds a route of its own with :func:`register_routes`.
 """
 
 from .._lazy import lazy_exports
@@ -51,6 +52,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "ProgressBar": ".progress",
     "ResourceMonitor": ".resources",
     "ResourceSample": ".resources",
+    "register_routes": ".server",
     "RTMServer": ".server",
     "HISTORY": ".timeseries",
     "MAX_WATCHES": ".timeseries",

@@ -39,6 +39,8 @@ from http.client import HTTPConnection, HTTPException
 from typing import Any, Dict, Iterator, List, Optional
 from urllib.parse import urlencode, urlsplit
 
+from .atomicio import atomic_write_text
+
 
 class RTMClientError(RuntimeError):
     """An API call failed (HTTP error or server-reported error)."""
@@ -299,12 +301,16 @@ class RTMClient:
 
     def trace_export(self, format: str = "jsonl",
                      path: Optional[str] = None, limit: int = 0) -> Any:
-        """Export the store: the document itself, or — with *path* — a
-        server-side file write confirmation."""
-        params: Dict[str, Any] = {"format": format, "limit": limit}
+        """Export the store: the document itself, also written to
+        *path* on this side when one is given (a request never names a
+        file the server writes)."""
+        document = self._get("/api/trace/export", format=format,
+                             limit=limit)
         if path is not None:
-            params["path"] = path
-        return self._get("/api/trace/export", **params)
+            text = ("".join(json.dumps(row) + "\n" for row in document)
+                    if format == "jsonl" else json.dumps(document))
+            atomic_write_text(path, text)
+        return document
 
     # -- metrics -------------------------------------------------------------
     def metrics_snapshot(self, delta: bool = False,

@@ -8,17 +8,18 @@ and the shard gateway are built on.  The three speak one dialect:
 parameters in the query string (a request body is skipped), JSON
 bodies, ``{"error": ...}`` envelopes.
 
-A server is a route table, ``{(method, path): callable(params)}``, and
-a route never sees the connection.  It **returns** what it answers — a
-JSON-able payload, a :class:`Response` for anything that is not JSON
+A server is a route table, ``{(method, path): fn(server, params)}``,
+and a route never sees the connection.  It **returns** what it answers
+— a JSON-able payload, a :class:`Response` for anything that is not JSON
 (Prometheus text, a static file, a proxied body) or an
 :class:`EventStream` — and **raises** :class:`BadRequest` (400: a
 malformed or missing parameter) or :class:`NotFound` (404: an unknown
 component / alert / watch / fault id).  The dispatch alone turns either
 into bytes, times the request, answers 405 for a method the table does
 not hold, hands a path no entry names to the server's
-:meth:`~HTTPServerThread.unrouted`, and keeps 500 for genuine route
-bugs (its ``except Exception`` is the only one on the request path).
+:meth:`~HTTPServerThread.resolve`, then :meth:`~HTTPServerThread.unrouted`,
+and keeps 500 for genuine route bugs (its ``except Exception`` is the
+only one on the request path).
 
 One thread serves each client connection, request after request (the
 client's ``Connection`` header is the only switch), and every response
@@ -55,7 +56,6 @@ _MAX_BODY = 1 << 20
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 500: "Internal Server Error",
             502: "Bad Gateway"}
-_CORS = (("Access-Control-Allow-Origin", "*"),)
 #: An HTTP-date is English whatever the process's LC_TIME says.
 _DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 _MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
@@ -122,12 +122,14 @@ def action_param(params: Dict[str, str], *actions: str) -> str:
     return action
 
 
-def route_table(rows: Iterable[Tuple[str, str, str, str]],
-                owner: Any) -> Dict[Tuple[str, str], Callable]:
-    """Bind a module's ``ROUTES`` rows — ``(method, "path?params",
-    method name, purpose)`` — to *owner*'s methods."""
-    return {(method, spec.partition("?")[0]): getattr(owner, name)
-            for method, spec, name, _ in rows}
+def route_table(rows: Iterable[Tuple[str, str, Any, str]],
+                cls: type) -> Dict[Tuple[str, str], Callable]:
+    """The table of ``ROUTES`` rows — ``(method, "path?params", handler,
+    purpose)`` — where a handler is ``fn(server, params)`` or the name of
+    the *cls* method that is one."""
+    return {(method, spec.partition("?")[0]):
+            getattr(cls, handler) if isinstance(handler, str) else handler
+            for method, spec, handler, _ in rows}
 
 
 def _json(payload: Any, status: int = 200) -> Response:
@@ -171,9 +173,9 @@ class _Connection(socketserver.StreamRequestHandler):
     def _dispatch(self, front: "HTTPServerThread") -> None:
         """Find the request's route, call it, answer, count."""
         method = self.command
-        routes = front.routes
         parsed = urlparse(self.path)
         endpoint = path = parsed.path
+        routes = front.routes
         route = routes.get((method, path))
         if route is None and not any(m == method for m, _ in routes):
             allowed = ", ".join(sorted({m for m, _ in routes}))
@@ -183,9 +185,11 @@ class _Connection(socketserver.StreamRequestHandler):
             return
         started = perf_counter()
         try:
+            if route is None:
+                route = front.resolve(method, path)
             if route is not None:
-                answer = route({key: values[0] for key, values
-                                in parse_qs(parsed.query).items()})
+                answer = route(front, {key: values[0] for key, values
+                                       in parse_qs(parsed.query).items()})
             else:
                 endpoint = _UNMATCHED_LABEL
                 answer = front.unrouted(method, path, parsed.query)
@@ -304,8 +308,7 @@ class _Connection(socketserver.StreamRequestHandler):
                 f"Content-Type: {content_type}"]
         if body is not None:
             head.append(f"Content-Length: {len(body)}")
-        head.extend(f"{name}: {value}"
-                    for name, value in extra_headers + _CORS)
+        head.extend(f"{name}: {value}" for name, value in extra_headers)
         head.append("Connection: close" if self.close_connection
                     else "Connection: keep-alive")
         self._write("\r\n".join(head).encode("latin-1") + b"\r\n\r\n"
@@ -385,6 +388,9 @@ class HTTPServerThread:
     #: a second of pure sleeping.
     poll_interval = 0.05
 
+    #: A table every instance of the class serves (else per instance).
+    routes: Dict[Tuple[str, str], Callable] = {}
+
     #: The registry requests and refusals are counted in, read per
     #: request; ``None``: nowhere.  Only ``RTMServer`` sets it.  The two
     #: gateways must not point it at their own ``registry``: that one is
@@ -393,9 +399,10 @@ class HTTPServerThread:
     #: in it would appear a second time beside each worker's own.
     request_registry = None
 
-    def __init__(self, routes: Dict[Tuple[str, str], Callable],
-                 host: str = "127.0.0.1", port: int = 0):
-        self.routes = routes
+    def __init__(self, routes: Optional[Dict[Tuple[str, str], Callable]]
+                 = None, host: str = "127.0.0.1", port: int = 0):
+        if routes is not None:
+            self.routes = routes
         #: The request path as host-independent counts (tier-1 gates
         #: them).
         self.connections_accepted = 0
@@ -405,6 +412,10 @@ class HTTPServerThread:
         self._thread: Optional[threading.Thread] = None
         self.host = host
         self.port = self._httpd.server_address[1]
+
+    def resolve(self, method: str, path: str) -> Optional[Callable]:
+        """A route the table did not hold when the request came."""
+        return None
 
     def unrouted(self, method: str, path: str, query: str) -> Any:
         """Answer a request whose ``(method, path)`` the table does not

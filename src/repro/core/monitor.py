@@ -35,11 +35,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from ..akita.component import Component, TickingComponent
+from ..akita.component import TickingComponent
 from ..akita.engine import Engine
 from ..akita.simulation import Simulation
 from ..akita.threads import Periodic
-from ..metrics import MetricRegistry, SimMetrics
+from ..metrics import MetricRegistry
 from .alerts import AlertManager, AlertRule
 from .bottleneck import BufferAnalyzer
 from .hangdetect import HangDetector, HangStatus, NoSimulation
@@ -47,6 +47,14 @@ from .inspector import serialize_component, watchable_paths
 from .progress import ProgressBar
 from .resources import ResourceMonitor
 from .timeseries import ValueMonitor, ValueWatch
+
+
+def _plane(prefix: str):
+    """The module the server's manifest names for *prefix*, its routes
+    registered: a plane is served from its attach.  (A relative import
+    would run two Python frames at every attach; this one runs none.)"""
+    from repro.core.server import planes
+    return planes[prefix]
 
 
 class Monitor:
@@ -74,7 +82,7 @@ class Monitor:
         self.watchdog = None  # set by attach_watchdog / enable_watchdog
         self.checkpointer = None  # set by attach_checkpointer
         self.tracer = None  # set by ensure_tracer
-        self.sim_metrics: Optional[SimMetrics] = None
+        self.sim_metrics = None  # set by ensure_sim_metrics
         self._server = None  # set by start_server
         self._driver = None
         self.sample_interval = sample_interval
@@ -119,58 +127,32 @@ class Monitor:
         self._driver = driver
 
     # ------------------------------------------------------------------
-    # Fault injection & supervision
+    # The planes, each built by the module the server's manifest names
     # ------------------------------------------------------------------
+    @property
+    def simulation(self) -> Optional[Simulation]:
+        """The registered simulation (``None`` until there is one)."""
+        return self._simulation
+
     def attach_injector(self, injector) -> None:
         """Expose *injector* over ``/api/faults`` and in diagnostics."""
+        _plane("/api/faults")
         self.injector = injector
 
     def ensure_injector(self, seed: int = 0):
-        """Return the attached injector, creating one on first use.
+        """Return the attached fault injector, creating one first."""
+        return _plane("/api/faults").ensure_injector(self, seed)
 
-        Imported lazily so simulations that never inject faults never
-        load the faults package."""
-        if self.injector is None:
-            if self._simulation is None:
-                raise RuntimeError(
-                    "fault injection needs a registered simulation")
-            from ..faults.injector import FaultInjector
-            self.injector = FaultInjector(self._simulation, seed=seed)
-        return self.injector
-
-    # ------------------------------------------------------------------
-    # Tracing
-    # ------------------------------------------------------------------
     def ensure_tracer(self, backend: str = "ring", capacity: int = 65536,
                       db_path: Optional[str] = None,
                       include: Optional[str] = None):
-        """Return the attached tracer, creating one on first use.
+        """Return the attached tracer, creating one on first use:
+        ``backend`` is ``"ring"`` (bounded in-memory, default) or
+        ``"sqlite"`` (durable; needs ``db_path``)."""
+        return _plane("/api/trace").ensure_tracer(
+            self, backend, capacity, db_path, include)
 
-        Imported lazily so simulations that never trace never load the
-        trace package.  ``backend`` is ``"ring"`` (bounded in-memory,
-        default) or ``"sqlite"`` (durable; needs ``db_path``).
-        """
-        if self.tracer is None:
-            if self._simulation is None:
-                raise RuntimeError("tracing needs a registered simulation")
-            from ..trace import RingStore, SQLiteStore, Tracer
-            if backend == "sqlite":
-                if not db_path:
-                    raise ValueError(
-                        "sqlite trace backend needs a db_path")
-                store = SQLiteStore(db_path)
-            elif backend == "ring":
-                store = RingStore(capacity)
-            else:
-                raise ValueError(
-                    f"backend must be 'ring' or 'sqlite', got {backend!r}")
-            self.tracer = Tracer(self._simulation, store, include=include)
-        return self.tracer
-
-    # ------------------------------------------------------------------
-    # Metrics
-    # ------------------------------------------------------------------
-    def ensure_sim_metrics(self) -> SimMetrics:
+    def ensure_sim_metrics(self):
         """Return the simulation instrumentation, creating (but not
         starting) it on first use.  The registry is the monitor's own,
         so simulation vitals and monitor-side families share one
@@ -179,26 +161,15 @@ class Monitor:
             if self._simulation is None:
                 raise RuntimeError(
                     "simulation metrics need a registered simulation")
-            self.sim_metrics = SimMetrics(self._simulation, self.metrics)
+            self.sim_metrics = _plane("/metrics").SimMetrics(
+                self._simulation, self.metrics)
         return self.sim_metrics
 
-    # ------------------------------------------------------------------
-    # Profiling (task T4 and the overhead-attribution plane)
-    # ------------------------------------------------------------------
     def start_continuous_profiling(self, **config):
-        """Start the rolling sampling profiler and return it; *config*
-        configures it when this call creates it.  It is served over
-        ``/api/profile*`` and its cumulative layer attribution is
-        published into the monitor's registry as
-        ``rtm_profile_layer_seconds_total``.  Imported lazily so
-        simulations that never profile never load the profile
-        package."""
-        if self.profiler is None:
-            from ..profile import ContinuousProfiler
-            self.profiler = ContinuousProfiler(**config)
-            self.profiler.bind_registry(self.metrics)
-        self.profiler.start()
-        return self.profiler
+        """Start the one rolling profiler (T4, overhead attribution) and
+        return it; *config* configures it when this call creates it."""
+        return _plane("/api/profile").start_continuous_profiling(
+            self, **config)
 
     def attach_checkpointer(self, checkpointer) -> None:
         """Expose *checkpointer* over ``/api/checkpoint`` and give the
@@ -206,6 +177,7 @@ class Monitor:
         watchdog persists one final (restorable) snapshot of the hung
         state before aborting, so the retry can resume instead of
         cold-starting.  Replaces (and stops) any previous one."""
+        _plane("/api/checkpoint")
         if self.checkpointer is not None \
                 and self.checkpointer is not checkpointer:
             self.checkpointer.stop()
@@ -214,6 +186,7 @@ class Monitor:
     def attach_watchdog(self, watchdog) -> None:
         """Expose *watchdog* over ``/api/watchdog``; replaces (and
         stops) any previous one."""
+        _plane("/api/watchdog")
         if self.watchdog is not None and self.watchdog is not watchdog:
             self.watchdog.stop()
         self.watchdog = watchdog
@@ -222,8 +195,9 @@ class Monitor:
         """Create, attach and start a :class:`~repro.core.watchdog.
         Watchdog`; keyword arguments populate its
         :class:`~repro.core.watchdog.WatchdogConfig`."""
-        from .watchdog import Watchdog, WatchdogConfig
-        self.attach_watchdog(Watchdog(self, WatchdogConfig(**config)))
+        watchdog = _plane("/api/watchdog")
+        self.attach_watchdog(watchdog.Watchdog(
+            self, watchdog.WatchdogConfig(**config)))
         self.watchdog.start()
         return self.watchdog
 

@@ -18,19 +18,21 @@ run (CI, a batch farm) degrades gracefully instead of silently wedging:
    the stalled buffers, instead of hanging forever.
 
 The watchdog runs on its own daemon thread and talks to the simulation
-only through the monitor's thread-safe surface.
+only through the monitor's thread-safe surface.  Its routes:
+:data:`ROUTES`.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional
 
 from ..akita.threads import Periodic
 from .atomicio import atomic_write_json
 from .hangdetect import NoSimulation
+from .http import NotFound, action_param, float_param, int_param
 
 
 @dataclass
@@ -57,16 +59,7 @@ class WatchdogConfig:
     trace_window: int = 64
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "check_interval": self.check_interval,
-            "max_tick_retries": self.max_tick_retries,
-            "retry_wait": self.retry_wait,
-            "snapshot_dir": self.snapshot_dir,
-            "recover": self.recover,
-            "abort_on_failure": self.abort_on_failure,
-            "max_suspects": self.max_suspects,
-            "trace_window": self.trace_window,
-        }
+        return asdict(self)
 
 
 class Watchdog:
@@ -282,3 +275,39 @@ class Watchdog:
             return path
         except OSError:
             return None  # diagnostics must never take the run down
+
+
+# -- the watchdog plane ------------------------------------------------
+def _status(server, params):
+    watchdog = server.monitor.watchdog
+    return {"enabled": watchdog is not None,
+            **(watchdog.to_dict() if watchdog else {})}
+
+
+def _control(server, params):
+    monitor = server.monitor
+    if action_param(params, "start", "stop") == "stop":
+        if monitor.watchdog is None:
+            raise NotFound("no watchdog attached")
+        monitor.watchdog.stop()
+        return monitor.watchdog.to_dict()
+    config: Dict[str, Any] = {}
+    for key in ("check_interval", "retry_wait"):
+        if key in params:
+            config[key] = float_param(params, key)
+    for key in ("max_tick_retries", "max_suspects", "trace_window"):
+        if key in params:
+            config[key] = int_param(params, key, 0)
+    for key in ("recover", "abort_on_failure"):
+        if key in params:
+            config[key] = params[key].lower() not in ("0", "false", "no")
+    if "snapshot_dir" in params:
+        config["snapshot_dir"] = params["snapshot_dir"]
+    return monitor.enable_watchdog(**config).to_dict()
+
+
+ROUTES = (
+    ("GET", "/api/watchdog", _status, "supervision state + post-mortem"),
+    ("POST", "/api/watchdog?action=start|stop&...", _control,
+     "control the watchdog"),
+)

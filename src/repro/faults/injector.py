@@ -26,6 +26,8 @@ inject the identical fault sequence.
 Zero overhead when idle: with no injector registered, no hooks exist,
 and the engine/connection fast paths skip hook-context construction
 entirely.
+
+Also the RTM server's faults plane: :func:`ensure_injector`, :data:`ROUTES`.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from ..akita.errors import SchedulingError
 from ..akita.event import CallbackEvent, TickEvent
 from ..akita.hooks import HookCtx, HookPos
 from ..akita.simulation import Simulation
+from ..core.http import BadRequest, NotFound, float_param, int_param
 
 
 class FaultKind(str, Enum):
@@ -368,3 +371,66 @@ class FaultInjector:
                     seen.add(id(buf))
                     found.append(buf)
         return found
+
+
+# -- the faults plane --------------------------------------------------
+def ensure_injector(monitor, seed: int = 0) -> FaultInjector:
+    """``Monitor.ensure_injector``: the monitor's injector, created on
+    first use."""
+    if monitor.injector is None:
+        if monitor.simulation is None:
+            raise RuntimeError(
+                "fault injection needs a registered simulation")
+        monitor.attach_injector(FaultInjector(monitor.simulation, seed))
+    return monitor.injector
+
+
+def _armed(server, params):
+    injector = server.monitor.injector
+    return {"armed": injector is not None,
+            "faults": injector.to_dict() if injector else [],
+            "stats": injector.stats() if injector else {}}
+
+
+def _arm(server, params):
+    """Arm one fault: ``kind`` + ``target`` are required."""
+    monitor = server.monitor
+    kind = params.get("kind", "")
+    target = params.get("target", "")
+    if kind not in [k.value for k in FaultKind]:
+        raise BadRequest(f"kind must be one of "
+                         f"{sorted(k.value for k in FaultKind)}, "
+                         f"got {kind!r}")
+    if not target:
+        raise BadRequest("parameter 'target' is required")
+    try:
+        injector = monitor.ensure_injector(
+            seed=int_param(params, "seed", 0))
+    except RuntimeError as exc:
+        raise BadRequest(str(exc)) from None
+    try:
+        spec = injector.inject(FaultSpec(
+            FaultKind(kind), target,
+            start=float_param(params, "start", 0.0),
+            end=float_param(params, "end"),
+            probability=float_param(params, "probability", 1.0),
+            delay=float_param(params, "delay", 0.0)))
+    except ValueError as exc:
+        raise BadRequest(str(exc)) from None
+    return spec.to_dict()
+
+
+def _revoke(server, params):
+    spec_id = int_param(params, "id", 0)
+    injector = server.monitor.injector
+    if injector is None or not injector.revoke(spec_id):
+        raise NotFound(f"unknown fault id {spec_id}")
+    return {"removed": True}
+
+
+ROUTES = (
+    ("GET", "/api/faults", _armed, "armed fault specs + stats"),
+    ("POST", "/api/faults?kind&target&seed&start&end&probability&delay",
+     _arm, "arm a fault (drop/delay/stall...)"),
+    ("DELETE", "/api/faults?id", _revoke, "disarm a fault"),
+)

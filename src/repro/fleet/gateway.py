@@ -100,7 +100,8 @@ class FleetGateway(HTTPServerThread):
         #: /api/historian/* routes and the alert-transition SSE stream.
         self.historian = None
         self._install_fleet_metrics()
-        super().__init__(route_table(ROUTES, self), host=host, port=port)
+        super().__init__(route_table(ROUTES, type(self)), host=host,
+                         port=port)
 
     def unrouted(self, method: str, path: str, query: str) -> Response:
         """The two path families of the module docstring."""

@@ -52,18 +52,19 @@ from __future__ import annotations
 
 import argparse
 import os
-import signal
 import sys
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..akita.threads import Periodic
+from ..akita.threads import Periodic, SignalGuard
 from ..core import Monitor
 from ..core.server import RTMServer
-# Every job's enable_watchdog() runs it; boot pays for it, not job one.
+# Every job's enable_watchdog() and ensure_sim_metrics() run them; boot
+# pays for them, not job one.
 from ..core.watchdog import Watchdog  # noqa: F401
 from ..gpu import GPUPlatform, GPUPlatformConfig
 from ..metrics import expose
+from ..metrics.instrument import SimMetrics  # noqa: F401
 from .protocol import CONTROL_PREFIX, decode_command, emit
 from .queue import JobSpec
 
@@ -183,11 +184,11 @@ def _make_checkpointer(platform: GPUPlatform, spec: JobSpec,
 
 def _execute_job(spec: JobSpec, attempt: int, server: RTMServer,
                  settings: WorkerSettings,
-                 abort: Optional["_AbortCurrent"] = None,
+                 running: Optional[List[GPUPlatform]] = None,
                  resume_from: Optional[str] = None) -> bool:
     """Run one job against *server*, emitting the full event sequence
-    (``started`` … ``final-metrics`` … ``done``/``failed``).  Returns
-    the job's success.
+    (``started`` … ``final-metrics`` … ``done``/``failed``), its
+    platform in *running* while it runs.  Returns the job's success.
 
     Everything simulation-scoped — platform, monitor, registry,
     watchdog, tracer, checkpointer — is built fresh here and torn down
@@ -200,10 +201,10 @@ def _execute_job(spec: JobSpec, attempt: int, server: RTMServer,
     failing_as = "rejected"  # a bad build; a bad run is "crashed"
     try:
         platform, resume = _build_platform(spec, resume_from)
-        if abort is not None:
-            # Expose the in-flight platform to the signal handler for
-            # the duration of this job only.
-            abort.platform = platform
+        if running is not None:
+            # The signal guard aborts what is in here: this job's
+            # platform, for the duration of this job only.
+            running.append(platform)
 
         monitor = Monitor(platform.simulation)
         monitor.attach_driver(platform.driver)
@@ -262,8 +263,8 @@ def _execute_job(spec: JobSpec, attempt: int, server: RTMServer,
             monitor.stop_planes()
         return False
     finally:
-        if abort is not None:
-            abort.platform = None
+        if running is not None:
+            running.clear()
 
     checkpointer = monitor.checkpointer
     if checkpointer is not None:
@@ -303,27 +304,6 @@ def _execute_job(spec: JobSpec, attempt: int, server: RTMServer,
     return ok
 
 
-class _AbortCurrent:
-    """SIGTERM/SIGINT → abort whatever simulation is running now.
-
-    The warm worker swaps simulations per job, so the handler chases a
-    mutable slot rather than closing over one platform.
-    """
-
-    def __init__(self) -> None:
-        self.platform: Optional[GPUPlatform] = None
-        self.requested = False
-
-    def install(self) -> None:
-        signal.signal(signal.SIGTERM, self._handle)
-        signal.signal(signal.SIGINT, self._handle)
-
-    def _handle(self, signum, frame):  # noqa: ARG002 (signal signature)
-        self.requested = True
-        if self.platform is not None:
-            self.platform.simulation.abort()
-
-
 def serve(worker_id: str, settings: WorkerSettings,
           port: int = 0) -> int:
     """Boot once, run jobs from stdin until shutdown/EOF."""
@@ -333,9 +313,12 @@ def serve(worker_id: str, settings: WorkerSettings,
     # moment its first job is assigned.
     server = RTMServer(Monitor(), port=port)
     server.start()
-    abort = _AbortCurrent()
-    abort.install()
+    running: List[GPUPlatform] = []
     jobs_done = 0
+
+    def abort_running() -> None:
+        for platform in list(running):
+            platform.simulation.abort()
 
     def ready() -> None:
         emit({"event": "ready", "worker_id": worker_id,
@@ -344,35 +327,36 @@ def serve(worker_id: str, settings: WorkerSettings,
 
     ready()
     try:
-        for line in sys.stdin:
-            command = decode_command(line)
-            if command is None:
-                continue
-            cmd = command.get("cmd")
-            if cmd == "shutdown" or abort.requested:
-                break
-            if cmd != "run":
-                _emit_failed(None, command.get("attempt", 0), "rejected",
-                             f"unknown command {cmd!r}")
-                ready()  # still idle, still serving
-                continue
-            attempt = int(command.get("attempt", 0))
-            try:
-                spec = JobSpec.from_dict(command["spec"])
-                spec.validate()
-            except (KeyError, ValueError, TypeError) as exc:
-                _emit_failed((command.get("spec") or {}).get("job_id"),
-                             attempt, "rejected", f"bad spec: {exc}")
+        with SignalGuard(abort_running) as guard:
+            for line in sys.stdin:
+                command = decode_command(line)
+                if command is None:
+                    continue
+                cmd = command.get("cmd")
+                if cmd == "shutdown" or guard.requested:
+                    break
+                if cmd != "run":
+                    _emit_failed(None, command.get("attempt", 0),
+                                 "rejected", f"unknown command {cmd!r}")
+                    ready()  # still idle, still serving
+                    continue
+                attempt = int(command.get("attempt", 0))
+                try:
+                    spec = JobSpec.from_dict(command["spec"])
+                    spec.validate()
+                except (KeyError, ValueError, TypeError) as exc:
+                    _emit_failed((command.get("spec") or {}).get("job_id"),
+                                 attempt, "rejected", f"bad spec: {exc}")
+                    ready()
+                    continue
+                ok = _execute_job(spec, attempt, server, settings,
+                                  running=running,
+                                  resume_from=command.get("resume_from"))
+                if ok:
+                    jobs_done += 1
+                if guard.requested:
+                    break
                 ready()
-                continue
-            ok = _execute_job(spec, attempt, server, settings,
-                              abort=abort,
-                              resume_from=command.get("resume_from"))
-            if ok:
-                jobs_done += 1
-            if abort.requested:
-                break
-            ready()
     finally:
         server.stop()
     return 0

@@ -6,7 +6,8 @@ in-flight, the dashboard's watched values, process resources — and the
 monitor's *own* overhead, decomposed by hook position (the paper's
 Figure 7 as a live metric family rather than a benchmark artifact).
 
-Three front doors, all served by :class:`repro.core.RTMServer`:
+Three front doors, routes of :mod:`.instrument` that
+:class:`repro.core.RTMServer` serves:
 
 * ``GET /metrics``      — Prometheus text exposition
 * ``GET /api/metrics``  — JSON snapshot (``?delta=1`` for rates)

@@ -33,17 +33,24 @@ Two collection styles, chosen per metric for cost:
 When :meth:`start` has not been called the hot paths run zero metrics
 code: every firing site tests its own position's (empty) hook chain
 and this module attaches nothing at construction.
+
+Also the RTM server's metrics plane: :data:`ROUTES` serve the monitor's
+registry and attach its :class:`SimMetrics` at the first scrape.
 """
 
 from __future__ import annotations
 
+import re
 from time import perf_counter
 from typing import Any, Dict, Optional, Tuple
 
 from ..akita.engine import RunState
 from ..akita.hooks import HookCtx, HookPos
 from ..akita.simulation import Simulation
-from .registry import MetricRegistry
+from ..core.http import (BadRequest, EventStream, NotFound, Response,
+                         action_param, float_param, int_param)
+from .exposition import CONTENT_TYPE, expose
+from .registry import MetricRegistry, snapshot_delta
 
 __all__ = ["SimMetrics", "OCCUPANCY_BUCKETS", "PASS_BUCKETS"]
 
@@ -310,3 +317,98 @@ class SimMetrics:
                 float(getattr(comp, "num_mem_reqs", 0)))
             self._m_cu_instr.labels(name).set(
                 float(getattr(comp, "num_instructions", 0)))
+
+
+# -- the metrics plane -------------------------------------------------
+def _instrument(monitor) -> None:
+    """Auto-attach simulation instrumentation on first scrape, the way
+    a Prometheus user expects /metrics to just work.  Monitors without
+    a registered simulation still expose their own (monitor-side)
+    families."""
+    try:
+        monitor.ensure_sim_metrics().start()
+    except RuntimeError:
+        pass
+
+
+def _names_param(params: Dict[str, str]) -> Optional[str]:
+    """The ``names`` family filter, checked to be a regex."""
+    names = params.get("names")
+    if names is not None:
+        try:
+            re.compile(names)
+        except re.error as exc:
+            raise BadRequest(f"bad names regex: {exc}") from None
+    return names
+
+
+def _prometheus(server, params):
+    monitor = server.monitor
+    _instrument(monitor)
+    return Response(expose(monitor.metrics).encode(), CONTENT_TYPE)
+
+
+def _snapshot(server, params):
+    monitor = server.monitor
+    _instrument(monitor)
+    current = monitor.metrics.snapshot(_names_param(params))
+    want_delta = params.get("delta", "") not in ("", "0", "false")
+    if want_delta:
+        # Deltas span requests but not server restarts, and the previous
+        # snapshot counts only for the monitor it was taken from: the
+        # first delta after a rebind() starts from zero.
+        taken_from, previous = server.plane_state.get(
+            "metrics_delta", (None, {}))
+        server.plane_state["metrics_delta"] = (monitor, current)
+        current = snapshot_delta(
+            previous if taken_from is monitor else {}, current)
+    return {"delta": want_delta, "metrics": current}
+
+
+def _stream(server, params):
+    """Server-Sent Events: push snapshots until the client leaves,
+    ``count`` is reached, or the server stops."""
+    monitor = server.monitor
+    interval = max(0.05, float_param(params, "interval", 0.5))
+    count = int_param(params, "count", 0)
+    names = _names_param(params)
+    # attach=0 lets passive consumers (the dashboard header) stream
+    # overview/resources without attaching simulation hooks — an open
+    # browser tab must not perturb the overhead it displays.
+    if params.get("attach", "1") not in ("0", "false"):
+        _instrument(monitor)
+
+    def snapshot():
+        payload: Dict[str, Any] = {"metrics": monitor.metrics.snapshot(names)}
+        if monitor.resources is not None:  # an engine is registered
+            payload["overview"] = monitor.overview()
+            payload["resources"] = monitor.resources.sample().to_dict()
+        return (payload,)
+
+    return EventStream(snapshot, interval, count)
+
+
+def _control(server, params):
+    monitor = server.monitor
+    if action_param(params, "start", "stop") == "stop":
+        if monitor.sim_metrics is None:
+            raise NotFound("no simulation metrics attached")
+        monitor.sim_metrics.stop()
+        return monitor.sim_metrics.status()
+    try:
+        sim_metrics = monitor.ensure_sim_metrics()
+    except RuntimeError as exc:
+        raise BadRequest(str(exc)) from None
+    sim_metrics.start()
+    return sim_metrics.status()
+
+
+ROUTES = (
+    ("GET", "/metrics", _prometheus, "Prometheus text exposition"),
+    ("GET", "/api/metrics?names&delta", _snapshot,
+     "registry snapshot (?delta=1)"),
+    ("GET", "/api/stream?interval&count&names&attach", _stream,
+     "SSE: periodic snapshot pushes"),
+    ("POST", "/api/metrics?action=start|stop", _control,
+     "attach/detach sim instrumentation"),
+)

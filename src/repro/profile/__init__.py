@@ -3,8 +3,9 @@ attribution built on it.
 
 The only thing it takes from below is the thread-role registry
 :mod:`repro.akita.threads` (``Engine.run`` claims the ``simulation``
-role there), re-exported here; nothing in this package imports
-``repro.core``.
+role there), re-exported here; of ``repro.core`` it imports only the
+route contract (:mod:`repro.core.http`) its ``/api/profile*`` routes
+answer by.
 """
 
 from .._lazy import lazy_exports

@@ -21,6 +21,9 @@ campaign:
 * when nobody has read a profile for a while it **backs off** its
   sampling rate geometrically (an unread profiler should cost
   approximately nothing); any read resets it to the base rate.
+
+Also the RTM server's profile plane: :func:`start_continuous_profiling`,
+:data:`ROUTES`.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ from collections import deque
 from typing import Any, Deque, Dict, List, Optional
 
 from ..akita import threads as _threads
+from ..core.http import (BadRequest, NotFound, Response, action_param,
+                         float_param, int_param)
 from .attribution import (Stack, attribution_report, classify_stack,
                           make_summary, ranked_functions)
 from .export import collapsed_stacks, frame_label, speedscope_document
@@ -422,3 +427,118 @@ class ContinuousProfiler:
 
         registry.add_collector(collect)
         self._registry = registry
+
+
+# -- the profile plane -------------------------------------------------
+def start_continuous_profiling(monitor, **config) -> ContinuousProfiler:
+    """``Monitor.start_continuous_profiling``: start the monitor's one
+    profiler, configured by *config* when this call creates it, and
+    publish its cumulative layer attribution into the monitor's registry
+    as ``rtm_profile_layer_seconds_total``."""
+    if monitor.profiler is None:
+        monitor.profiler = ContinuousProfiler(**config)
+        monitor.profiler.bind_registry(monitor.metrics)
+    monitor.profiler.start()
+    return monitor.profiler
+
+
+def _started(monitor) -> ContinuousProfiler:
+    profiler = monitor.profiler
+    if profiler is None:
+        raise NotFound("profiler never started; POST /api/profile/start")
+    return profiler
+
+
+def _last_param(params: Dict[str, str]) -> Optional[int]:
+    last = int_param(params, "last", 0)
+    if last < 0:
+        raise BadRequest("parameter 'last' must be >= 0")
+    return last or None
+
+
+def _report(server, params):
+    top = int_param(params, "top", 15)
+    profiler = server.monitor.profiler
+    if profiler is None:
+        return {"duration": 0.0, "samples": 0, "functions": [],
+                "edges": [], "running": False,
+                "continuous": {"running": False}}
+    payload = profiler.report(top)
+    payload["running"] = profiler.running
+    payload["continuous"] = profiler.status()
+    return payload
+
+
+def _start(server, params):
+    server.monitor.start_continuous_profiling()
+    return {"profiling": True}
+
+
+def _stop(server, params):
+    profiler = server.monitor.profiler
+    if profiler is not None:
+        profiler.stop()
+    return {"profiling": False}
+
+
+def _windows(server, params):
+    profiler = _started(server.monitor)
+    return {"status": profiler.status(),
+            "windows": profiler.windows(_last_param(params))}
+
+
+def _attribution(server, params):
+    profiler = _started(server.monitor)
+    return profiler.attribution(_last_param(params),
+                                top=int_param(params, "top", 20))
+
+
+def _export(server, params):
+    """The document itself: a request names no file to write."""
+    profiler = _started(server.monitor)
+    fmt = params.get("format", "speedscope")
+    last = _last_param(params)
+    if fmt == "collapsed":
+        return Response(profiler.collapsed(last, role=params.get("role"))
+                        .encode(), "text/plain; charset=utf-8")
+    if fmt == "speedscope":
+        return profiler.speedscope(last)
+    if fmt == "summary":
+        return profiler.summary(last)
+    raise BadRequest(f"format must be 'collapsed', 'speedscope' or "
+                     f"'summary', got {fmt!r}")
+
+
+def _control(server, params):
+    monitor = server.monitor
+    if action_param(params, "start", "stop") == "stop":
+        profiler = _started(monitor)
+        profiler.stop()
+        return profiler.status()
+    config: Dict[str, Any] = {}
+    for key in ("interval", "window_seconds", "backoff_after",
+                "max_interval"):
+        if key in params:
+            config[key] = float_param(params, key)
+    if "ring" in params:
+        config["ring"] = int_param(params, "ring", 15)
+    try:
+        profiler = monitor.start_continuous_profiling(**config)
+    except ValueError as exc:
+        raise BadRequest(str(exc)) from None
+    return profiler.status()
+
+
+ROUTES = (
+    ("GET", "/api/profile?top", _report, "simulation-thread report (T4)"),
+    ("POST", "/api/profile/start", _start, "start the sampling profiler"),
+    ("POST", "/api/profile/stop", _stop, "stop the sampling profiler"),
+    ("GET", "/api/profile/windows?last", _windows,
+     "the profiler's window ring"),
+    ("GET", "/api/profile/attribution?last&top", _attribution,
+     "overhead decomposed by layer"),
+    ("GET", "/api/profile/export?format&last&role", _export,
+     "collapsed / speedscope export"),
+    ("POST", "/api/profile/continuous?action=start|stop&interval&...",
+     _control, "the same start|stop, configurable"),
+)

@@ -37,7 +37,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "ShardWorkerError": ".coordinator",
     "chiplet_owners": ".partition",
     "owner_of_name": ".partition",
-    "resolve_workload": "..workloads",
     "ShardRuntime": ".runtime",
-    "workload_spec": "..workloads",
 })

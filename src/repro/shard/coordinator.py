@@ -450,7 +450,8 @@ class ShardGateway(HTTPServerThread):
     def __init__(self, coordinator: ShardCoordinator,
                  host: str = "127.0.0.1", port: int = 0):
         self.coordinator = coordinator
-        super().__init__(route_table(ROUTES, self), host=host, port=port)
+        super().__init__(route_table(ROUTES, type(self)), host=host,
+                         port=port)
 
     def _prometheus(self, params):
         return Response(self.coordinator.federated_metrics().encode(),

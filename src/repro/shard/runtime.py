@@ -27,7 +27,7 @@ from typing import Any, Dict, List, Optional
 from ..akita.connection import DirectConnection
 from ..gpu.cu import ComputeUnit
 from ..gpu.platform import GPUPlatform, GPUPlatformConfig
-from ..workloads import Workload, resolve_workload, workload_spec
+from ..workloads import Workload
 from .boundary import (
     BoundaryCodec,
     BoundaryInjector,
@@ -36,7 +36,7 @@ from .boundary import (
 )
 from .partition import chiplet_owners, owner_of_name
 
-__all__ = ["ShardRuntime", "workload_spec", "resolve_workload"]
+__all__ = ["ShardRuntime"]
 
 
 class ShardRuntime:

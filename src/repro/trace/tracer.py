@@ -17,6 +17,8 @@ The per-message linkage rule: a message keeps its id for one hop
 as *new* messages, so a request's journey through the hierarchy is a
 chain of hops; responses carry ``re:<request id>`` in ``extra`` so the
 two directions can be paired.
+
+Also the RTM server's trace plane: :func:`ensure_tracer`, :data:`ROUTES`.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..akita.hooks import HookCtx, HookPos
 from ..akita.simulation import Simulation
+from ..core.http import (BadRequest, NotFound, action_param, float_param,
+                         int_param)
 from .events import TraceEvent, TraceKind, message_path
-from .store import RingStore, TraceStore
+from .store import RingStore, SQLiteStore, TraceStore
 
 
 def _recording_hooks(store: TraceStore) -> Tuple[
@@ -175,3 +179,117 @@ class Tracer:
             "hooked_connections": len(self._hooked_connections),
             "store": self.store.stats(),
         }
+
+
+# -- the trace plane ---------------------------------------------------
+def ensure_tracer(monitor, backend: str = "ring", capacity: int = 65536,
+                  db_path: Optional[str] = None,
+                  include: Optional[str] = None) -> Tracer:
+    """``Monitor.ensure_tracer``: the monitor's tracer, created on first
+    use over a ``"ring"`` (bounded, in memory) or ``"sqlite"`` (durable,
+    at *db_path*) store."""
+    if monitor.tracer is None:
+        if monitor.simulation is None:
+            raise RuntimeError("tracing needs a registered simulation")
+        if backend == "sqlite":
+            if not db_path:
+                raise ValueError("sqlite trace backend needs a db_path")
+            store: TraceStore = SQLiteStore(db_path)
+        elif backend == "ring":
+            store = RingStore(capacity)
+        else:
+            raise ValueError(
+                f"backend must be 'ring' or 'sqlite', got {backend!r}")
+        monitor.tracer = Tracer(monitor.simulation, store, include=include)
+    return monitor.tracer
+
+
+def _attached(monitor) -> Tracer:
+    tracer = monitor.tracer
+    if tracer is None:
+        raise NotFound("no tracer attached; POST /api/trace?action=start")
+    return tracer
+
+
+def _status(server, params):
+    tracer = server.monitor.tracer
+    return {"attached": tracer is not None,
+            **(tracer.status() if tracer else {})}
+
+
+def _query(server, params):
+    tracer = _attached(server.monitor)
+    filters: Dict[str, Any] = {"limit": int_param(params, "limit", 200)}
+    if "component" in params:
+        try:
+            re.compile(params["component"])
+        except re.error as exc:
+            raise BadRequest(f"bad component regex: {exc}") from None
+        filters["component"] = params["component"]
+    if "kind" in params:
+        filters["kind"] = params["kind"].split(",")
+    if "t0" in params:
+        filters["t0"] = float_param(params, "t0")
+    if "t1" in params:
+        filters["t1"] = float_param(params, "t1")
+    if "msg_id" in params:
+        filters["msg_id"] = int_param(params, "msg_id", 0)
+    events = tracer.query(**filters)
+    return {"count": len(events), "events": [ev.to_dict() for ev in events]}
+
+
+def _follow(server, params):
+    tracer = _attached(server.monitor)
+    if "msg_id" not in params:
+        raise BadRequest("parameter 'msg_id' is required")
+    msg_id = int_param(params, "msg_id", 0)
+    events = tracer.follow(msg_id)
+    if not events:
+        raise NotFound(f"no trace events for message {msg_id}")
+    return {"msg_id": msg_id, "events": [ev.to_dict() for ev in events],
+            "path": message_path(events)}
+
+
+def _export(server, params):
+    """The document itself: a request names no file to write."""
+    from .export import export_events
+    tracer = _attached(server.monitor)
+    events = tracer.query(limit=int_param(params, "limit", 0))
+    try:
+        return export_events(events, params.get("format", "jsonl"))
+    except ValueError as exc:
+        raise BadRequest(str(exc)) from None
+
+
+def _control(server, params):
+    monitor = server.monitor
+    action = action_param(params, "start", "stop", "clear")
+    if action == "start":
+        try:
+            tracer = monitor.ensure_tracer(
+                backend=params.get("backend", "ring"),
+                capacity=int_param(params, "capacity", 65536),
+                db_path=params.get("db"), include=params.get("include"))
+        except (RuntimeError, ValueError) as exc:
+            raise BadRequest(str(exc)) from None
+        tracer.start()
+    else:
+        tracer = _attached(monitor)
+        if action == "stop":
+            tracer.stop()
+        else:
+            tracer.clear()
+    return tracer.status()
+
+
+ROUTES = (
+    ("GET", "/api/trace", _status, "tracer status + store stats"),
+    ("GET", "/api/trace/query?component&kind&t0&t1&msg_id&limit", _query,
+     "filtered trace events"),
+    ("GET", "/api/trace/follow?msg_id", _follow,
+     "one message's hops + path"),
+    ("GET", "/api/trace/export?format&limit", _export,
+     "JSONL / Perfetto export"),
+    ("POST", "/api/trace?action=start|stop|clear&backend&capacity&db&include",
+     _control, "control the tracer"),
+)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.server import ROUTES
+from repro.core.server import route_rows
 
 STATIC = Path(__file__).parents[2] / "src" / "repro" / "core" / "static"
 
@@ -53,7 +53,7 @@ def test_html_has_every_paper_view(assets):
 
 def test_js_calls_only_existing_endpoints(assets):
     called = set(re.findall(r"/api/[a-z/]+", assets["js"]))
-    served = {spec.partition("?")[0] for _, spec, _, _ in ROUTES}
+    served = {spec.partition("?")[0] for _, spec, _, _ in route_rows()}
     unknown = {c.rstrip("/") for c in called} - served
     assert not unknown, f"frontend calls unknown endpoints: {unknown}"
 

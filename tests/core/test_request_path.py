@@ -338,7 +338,8 @@ def test_damaged_requests_are_counted_and_survived(server, monkeypatch,
 
 def test_a_handler_without_a_registry_refuses_uncounted():
     """The two gateways: the same 400, nowhere to count it."""
-    server = HTTPServerThread({("GET", "/x"): lambda params: {"ok": True}})
+    server = HTTPServerThread(
+        {("GET", "/x"): lambda server, params: {"ok": True}})
     server.start()
     try:
         reply = _raw(server, b"GET /x\r\n\r\n")

@@ -3,13 +3,20 @@
 Each ``(method, path)`` of ``RTMServer``, ``FleetGateway`` and
 ``ShardGateway`` is asked once, without parameters, of a fresh server —
 never a 5xx (500 is for route bugs), and the status each answers is
-pinned below.  ``RTMServer`` is walked twice: bound to ``Monitor()``,
-which is what a warm fleet worker serves from boot until its first job,
-and to an idle registered simulation.  At PR 21 the six routes that
-read or drive the engine answered the first with 500.
+pinned below.  ``RTMServer``'s table is the composed one: its own rows
+and every plane's (``route_rows()``).  It is walked twice: bound to
+``Monitor()``, which is what a warm fleet worker serves from boot until
+its first job — nothing attached, so a plane's status is the one it
+answers before its attach — and to an idle registered simulation.  At
+PR 21 the six routes that read or drive the engine answered the first
+with 500.
 
 Then the behaviour at the table's edges that a rewrite of the dispatch
 can change without any route noticing.
+
+``python tests/core/test_route_walk.py`` prints the composed table:
+method, path, the module that answers it, and its status before any
+plane is attached.
 """
 
 import socket
@@ -18,7 +25,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core import Monitor, RTMServer
-from repro.core.server import ROUTES
+from repro.core.server import route_rows
 from repro.fleet import FleetGateway
 from repro.fleet.gateway import ROUTES as FLEET_ROUTES
 from repro.gpu import GPUPlatform, GPUPlatformConfig
@@ -143,22 +150,19 @@ WALK = (
 
 
 def test_the_pinned_statuses_cover_the_three_tables():
-    for pinned, rows in ((RTM_STATUS, ROUTES), (FLEET_STATUS, FLEET_ROUTES),
+    for pinned, rows in ((RTM_STATUS, route_rows()),
+                         (FLEET_STATUS, FLEET_ROUTES),
                          (SHARD_STATUS, SHARD_ROUTES)):
         assert set(pinned) == {(method, spec.partition("?")[0])
                                for method, spec, _, _ in rows}
 
 
-@pytest.mark.parametrize(
-    "make,route,status", WALK,
-    ids=[f"{make.__name__[1:]}-{method}-{path}"
-         for make, (method, path), _ in WALK])
-def test_every_route_answers(make, route, status):
-    method, path = route
+def _answer(make, method, path):
+    """``(status, server)``: *path* asked of a fresh server *make* builds,
+    stopped again — with every plane a route may have started."""
     server = make()
     server.start()
     try:
-        assert route in server.routes
         # The one route that never ends by itself, and attaches hooks.
         query = "?count=1&attach=0" if path == "/api/stream" else ""
         answered, _ = _ask(server, method, path + query)
@@ -167,6 +171,16 @@ def test_every_route_answers(make, route, status):
         monitor = getattr(server, "monitor", None)
         if monitor is not None:
             monitor.stop_server()  # a route may have started a sampler
+    return answered, server
+
+
+@pytest.mark.parametrize(
+    "make,route,status", WALK,
+    ids=[f"{make.__name__[1:]}-{method}-{path}"
+         for make, (method, path), _ in WALK])
+def test_every_route_answers(make, route, status):
+    answered, server = _answer(make, *route)
+    assert route in server.routes  # resolved by now, if a plane's
     assert answered < 500
     assert answered == status
 
@@ -201,3 +215,12 @@ def test_a_method_the_table_does_not_hold_is_405(make, allow):
         assert f"\r\nAllow: {allow}\r\n" in head + "\r\n"
     finally:
         server.stop()
+
+
+if __name__ == "__main__":
+    print(f"{'method':8s}{'path':28s}{'answered by':28s}pre-attach")
+    for method, spec, _, _ in route_rows():
+        path = spec.partition("?")[0]
+        status, server = _answer(_bare_monitor, method, path)
+        module = server.routes[(method, path)].__module__
+        print(f"{method:8s}{path:28s}{module[len('repro.'):]:28s}{status}")

@@ -54,16 +54,17 @@ class _StubManager:
                 "summary": dict(self.summary), "workers": [], "jobs": []}
 
 
-def _boom(params):
+def _boom(server, params):
     raise NotFound("no such endpoint")
 
 
 #: A stand-in worker API.
 _FAKE_WORKER = {
-    ("GET", "/metrics"): lambda params: Response(
+    ("GET", "/metrics"): lambda server, params: Response(
         b"# HELP up Up.\n# TYPE up gauge\nup 1\n",
         "text/plain; version=0.0.4"),
-    ("GET", "/api/overview"): lambda params: {"run_state": "running"},
+    ("GET", "/api/overview"):
+        lambda server, params: {"run_state": "running"},
     ("GET", "/api/boom"): _boom,
 }
 

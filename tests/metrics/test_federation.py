@@ -131,8 +131,9 @@ def test_federate_worker_unique_families_pass_through():
 # ---------------------------------------------------------------------------
 
 def test_sources_final_text_wins_over_a_live_url():
-    live = HTTPServerThread({("GET", "/metrics"): lambda params: Response(
-        _exposition(7).encode(), "text/plain")})
+    live = HTTPServerThread({("GET", "/metrics"):
+                             lambda server, params: Response(
+                                 _exposition(7).encode(), "text/plain")})
     live.start()
     try:
         out = federate_sources([

@@ -66,11 +66,11 @@ def test_docs_name_only_flags_the_parsers_have():
 
 
 def _route_rows():
-    """The rows of the three route tables."""
-    from repro.core.server import ROUTES
+    """The rows of the three route tables, ``RTMServer``'s composed."""
+    from repro.core.server import route_rows
     from repro.fleet.gateway import ROUTES as fleet_routes
     from repro.shard.coordinator import ROUTES as shard_routes
-    return ROUTES + fleet_routes + shard_routes
+    return route_rows() + fleet_routes + shard_routes
 
 
 def _route_paths():
@@ -104,6 +104,16 @@ def test_readme_names_every_route_of_the_three_tables():
     readme = (ROOT / "README.md").read_text().replace("\\|", "|")
     for method, spec, _, purpose in _route_rows():
         row = f"| {method} | `{spec}` | {purpose} |"
+        assert row in readme, f"README lacks the row {row}"
+
+
+def test_readme_names_the_package_that_answers_each_rtm_route():
+    from repro.core.server import RTMServer, route_rows
+    readme = (ROOT / "README.md").read_text().replace("\\|", "|")
+    for method, spec, _, purpose in route_rows():
+        handler = RTMServer.routes[(method, spec.partition("?")[0])]
+        package = handler.__module__.split(".")[1]
+        row = f"| {method} | `{spec}` | {purpose} | `{package}` |"
         assert row in readme, f"README lacks the row {row}"
 
 

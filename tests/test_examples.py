@@ -132,6 +132,9 @@ def test_custom_simulator():
                       if "C.In.Buf" in line]
     assert analyzer_lines and "slow component" in analyzer_lines[0]
     assert "chain drained: D processed 50000 requests" in out
+    # The route the example registered, served beside the built-in ones.
+    assert ("GET /api/chain -> {'B': 50000, 'C': 50000, 'D': 50000}"
+            in out)
 
 
 @pytest.mark.slow

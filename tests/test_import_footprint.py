@@ -10,9 +10,9 @@ PR 17: shard worker 80, fleet worker 75, ``Monitor`` 35; ``repro.cli``
 67 before it became a registry at PR 23).  The front
 door is gated too: a process that serves loads ``socketserver``, not
 ``http.server`` and the ``email``/``http.client``/``ssl`` stack under
-it, and opening a server adds 18 modules to a monitored process (70
-at PR 18); a gateway loads the transport (``repro.core.http``), not the
-RTM routes.
+it, and opening a server adds 13 modules to a monitored process (18
+before the planes' routes left ``core/server.py``, 70 at PR 18); a
+gateway loads the transport (``repro.core.http``), not the RTM routes.
 
 *What a timed region loads: nothing.*  A lazy import that first
 resolves inside ``platform.run()``, a request handler, a fleet job or a
@@ -213,7 +213,7 @@ print(json.dumps(sorted(added)))
 _SHARD_WINDOW = """
 import dataclasses, json, sys
 from repro.shard import worker
-from repro.shard.runtime import workload_spec
+from repro.workloads import workload_spec
 from repro.gpu.platform import GPUPlatformConfig
 from repro.workloads import StoreStorm
 state = worker._WorkerState()

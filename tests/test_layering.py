@@ -2,6 +2,11 @@
 sibling package of ``repro``, and ``gpu`` / ``workloads`` import only
 ``akita``, ``gpu`` and ``workloads`` — function-local imports included.
 
+And ``core`` imports no plane: not ``trace``, ``profile``, ``faults`` or
+``checkpoint``, function-local imports included.  The strings of
+``core/server.py``'s ``PLANES`` manifest are its only reference to them;
+a plane plugs in by registering its routes.
+
 And the engine's fast door stays inside its layer: ``akita`` pushes onto
 the event heap without ``Engine.schedule()`` where it has established
 "time >= now"; nobody outside ``akita`` touches the queue at all.
@@ -89,6 +94,42 @@ def test_the_walker_sees_relative_aliased_and_function_local_imports():
     found = sorted(name for name, _ in _repro_packages_imported(
         source, ("repro", "akita")))
     assert found == ["akita", "core", "profile", "trace"]
+
+
+#: The planes ``core`` reaches only through the manifest's strings.
+PLANES = {"trace", "profile", "faults", "checkpoint"}
+
+
+def _plane_imports(source, package=("repro", "core")):
+    return [(name, line) for name, line
+            in _repro_packages_imported(source, package) if name in PLANES]
+
+
+def test_core_imports_no_plane():
+    offenders = []
+    for path in sorted((SRC / "repro" / "core").rglob("*.py")):
+        package = path.relative_to(SRC).parts[:-1]
+        offenders += [f"{path.relative_to(SRC)}:{line} imports repro.{name}"
+                      for name, line in _plane_imports(path.read_text(),
+                                                       package)]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_the_plane_rule_sees_every_spelling_and_spares_the_manifest():
+    """What ``Monitor.ensure_tracer`` and ``server.py`` did before the
+    manifest, each spelling — and the manifest's own strings, which are
+    no import."""
+    source = (
+        "from ..profile import ContinuousProfiler\n"
+        "import repro.checkpoint.format\n"
+        "PLANES = {'/api/trace': 'repro.trace.tracer'}\n"
+        "def ensure_tracer():\n"
+        "    from ..trace import RingStore\n"
+        "def arm():\n"
+        "    from .. import faults\n"
+        "    from .watchdog import Watchdog\n")
+    assert sorted(_plane_imports(source)) == [
+        ("checkpoint", 2), ("faults", 7), ("profile", 1), ("trace", 5)]
 
 
 #: The one reader of the heap outside ``akita``: restore reconciles
@@ -265,9 +306,10 @@ def test_the_thread_rule_sees_each_spelling_but_not_lookalikes():
 
 
 #: What ``cli.py`` may name besides the planes of its own table: the
-#: simulator it runs, the monitor it attaches, the paper's study — and
-#: the shard plane, whose command line is a flag of ``run``.
-CLI_OWN = {"gpu", "workloads", "core", "studies", "shard"}
+#: simulator it runs (and ``akita``'s signal guard), the monitor it
+#: attaches, the paper's study — and the shard plane, whose command line
+#: is a flag of ``run``.
+CLI_OWN = {"akita", "gpu", "workloads", "core", "studies", "shard"}
 
 
 def _subcommand_modules():

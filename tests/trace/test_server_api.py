@@ -175,13 +175,31 @@ def test_trace_export_perfetto_inline(traced_rig):
     assert doc["displayTimeUnit"] == "ns"
 
 
-def test_trace_export_to_server_side_file(traced_rig, tmp_path):
+def test_trace_export_to_a_path_is_written_by_the_client(traced_rig,
+                                                         tmp_path):
     _, __, client = traced_rig
-    dest = str(tmp_path / "trace.json")
-    result = client.trace_export(format="perfetto", path=dest)
-    assert result["count"] > 0
-    doc = json.loads((tmp_path / "trace.json").read_text())
-    assert doc["traceEvents"]
+    perfetto = client.trace_export(format="perfetto",
+                                   path=str(tmp_path / "trace.json"))
+    assert perfetto["traceEvents"]
+    assert json.loads((tmp_path / "trace.json").read_text()) == perfetto
+    jsonl = client.trace_export(format="jsonl", limit=50,
+                                path=str(tmp_path / "trace.jsonl"))
+    assert len(jsonl) == 50
+    assert [json.loads(line) for line in (tmp_path / "trace.jsonl")
+            .read_text().splitlines()] == jsonl
+
+
+def test_a_get_names_no_file_the_server_writes(rig, tmp_path):
+    """Any web page can make a browser send a GET; the two export routes
+    once wrote wherever its ``path`` said."""
+    _, monitor, client = rig
+    client.trace_start()
+    client.profile_start()
+    for route in ("/api/trace/export", "/api/profile/export"):
+        target = tmp_path / route.replace("/", "_")
+        client._get(route, path=str(target))
+        assert not target.exists(), route
+    assert not list(tmp_path.iterdir())
 
 
 def test_trace_export_bad_format_is_400(traced_rig):
