@@ -8,20 +8,23 @@ shares, and the paper's own four commands:
 * ``demo``  — start the paper's "problematic im2col" simulation and
   keep the dashboard up for interactive exploration;
 * ``study`` — execute the scripted user study and print Figure 6;
-* ``workloads`` — list the available benchmarks (``--json`` emits the
-  machine-readable catalog fleet jobs are validated against).
+* ``workloads`` — list every runnable workload at the size ``run``
+  uses (``--json`` emits the machine-readable catalog fleet jobs are
+  validated against).
 
 Every other command lives in its plane's package and is one row of
 :data:`SUBCOMMANDS`: a module whose ``register(subparsers)`` adds its
 parsers and binds each to its handler with ``set_defaults(handler=…)``.
 
 A run-like command is :func:`add_workload_arguments` +
-:func:`build_platform` (+ :func:`attach_monitor`) + :func:`run_platform`,
+:func:`~repro.workloads.build_platform` (which the fleet worker calls
+too) (+ :func:`attach_monitor`) + :func:`run_platform`,
 which stops the engine on SIGTERM/SIGINT so the command flushes its
 exports and exits 0 (:class:`SignalGuard`).
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 import threading
@@ -30,8 +33,9 @@ from importlib import import_module
 from typing import Callable, List, Optional, Tuple
 
 from .akita.threads import SignalGuard
-from .gpu import GPUPlatform, GPUPlatformConfig
-from .workloads import SMALL, SUITE, StoreStorm
+from .gpu import GPUPlatform
+from .workloads import (WORKLOADS, build_platform, make_workload,
+                        platform_config)
 
 #: One module per plane that has a command line, in ``--help`` order.
 SUBCOMMANDS = (
@@ -48,7 +52,7 @@ def add_workload_arguments(parser: argparse.ArgumentParser,
     """What a run-like command takes: a benchmark (the paper's suite or
     the StoreStorm diagnostic, the shard layer's reference workload),
     its platform and — given its help text *hang_wait* — ``--hang-wait``."""
-    parser.add_argument("workload", choices=sorted(SMALL),
+    parser.add_argument("workload", choices=sorted(WORKLOADS),
                         help="benchmark to execute")
     parser.add_argument("--chiplets", type=int, default=2,
                         help="number of GPU chiplets (default 2)")
@@ -57,25 +61,6 @@ def add_workload_arguments(parser: argparse.ArgumentParser,
     if hang_wait is not None:
         parser.add_argument("--hang-wait", type=float, default=0.0,
                             help=hang_wait)
-
-
-def _config_and_workload(args: argparse.Namespace):
-    if getattr(args, "full_scale", False):
-        make_config = GPUPlatformConfig.r9_nano_mcm
-        workload = SUITE.get(args.workload, StoreStorm)()
-    else:
-        make_config = GPUPlatformConfig.small
-        workload = SMALL[args.workload]()
-    return make_config(num_chiplets=args.chiplets,
-                       l2_write_buffer_bug=args.buggy_l2), workload
-
-
-def build_platform(args: argparse.Namespace):
-    """``(platform, run)``: the platform *args* describes with its
-    workload enqueued."""
-    config, workload = _config_and_workload(args)
-    platform = GPUPlatform(config)
-    return platform, workload.enqueue(platform.driver)
 
 
 def attach_monitor(platform: GPUPlatform, port: Optional[int] = None):
@@ -165,9 +150,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.shards > 1:
-        return _run_sharded(args, *_config_and_workload(args))
+        return _run_sharded(args)
     from .metrics import rate
-    platform, run = build_platform(args)
+    platform, run = build_platform(args.workload, args.chiplets,
+                                   buggy_l2=args.buggy_l2,
+                                   full_scale=args.full_scale)
 
     monitor = attach_monitor(platform, args.port) if args.monitor else None
     start = time.monotonic()
@@ -198,7 +185,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _run_sharded(args: argparse.Namespace, config, workload) -> int:
+def _run_sharded(args: argparse.Namespace) -> int:
     """``repro run --shards N``: the conservative-sync sharded mode.
 
     The coordinator's gateway (``--monitor``) federates every shard's
@@ -206,9 +193,11 @@ def _run_sharded(args: argparse.Namespace, config, workload) -> int:
     local workgroup counts (exact — each workgroup runs on exactly one
     shard)."""
     from .shard import ShardCoordinator
-    coordinator = ShardCoordinator(config, workload, args.shards,
-                                   monitor=args.monitor,
-                                   port=args.port)
+    coordinator = ShardCoordinator(
+        platform_config(args.chiplets, buggy_l2=args.buggy_l2,
+                        full_scale=args.full_scale),
+        make_workload(args.workload, full_scale=args.full_scale),
+        args.shards, monitor=args.monitor, port=args.port)
     box: dict = {}
 
     def _drive() -> None:
@@ -289,32 +278,28 @@ def _cmd_study(args: argparse.Namespace) -> int:
 
 
 def _cmd_workloads(args: argparse.Namespace) -> int:
-    if args.json:
-        import dataclasses
-        from .fleet import workload_catalog
-        catalog = []
-        for name, workload in sorted(workload_catalog().items()):
-            kernel = workload.kernel()
-            catalog.append({
-                "name": name,
-                "type": type(workload).__name__,
-                "params": {f.name: getattr(workload, f.name)
-                           for f in dataclasses.fields(workload)},
-                "workgroups": kernel.num_workgroups,
-                "wavefronts_per_wg": kernel.wavefronts_per_wg,
-                "input_bytes": workload.input_bytes(),
-                "output_bytes": workload.output_bytes(),
-            })
-        print(json.dumps(catalog, indent=2))
-        return 0
-    for name, factory in sorted(SUITE.items()):
-        workload = factory()
+    rows = []
+    for name in sorted(WORKLOADS):
+        workload = make_workload(name)
         kernel = workload.kernel()
-        print(f"{name:8s} {type(workload).__name__:8s} "
-              f"{kernel.num_workgroups:>5d} workgroups x "
-              f"{kernel.wavefronts_per_wg} wavefronts, "
-              f"{workload.input_bytes():>10,d} B in / "
-              f"{workload.output_bytes():>10,d} B out")
+        rows.append({
+            "name": name,
+            "type": type(workload).__name__,
+            "params": dataclasses.asdict(workload),
+            "workgroups": kernel.num_workgroups,
+            "wavefronts_per_wg": kernel.wavefronts_per_wg,
+            "input_bytes": workload.input_bytes(),
+            "output_bytes": workload.output_bytes(),
+        })
+    if args.json:
+        print(json.dumps(rows, indent=2))
+        return 0
+    for row in rows:
+        print(f"{row['name']:10s} {row['type']:10s} "
+              f"{row['workgroups']:>5d} workgroups x "
+              f"{row['wavefronts_per_wg']} wavefronts, "
+              f"{row['input_bytes']:>10,d} B in / "
+              f"{row['output_bytes']:>10,d} B out")
     return 0
 
 

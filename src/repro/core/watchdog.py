@@ -32,7 +32,7 @@ from typing import Any, Dict, List, Optional
 from ..akita.threads import Periodic
 from .atomicio import atomic_write_json
 from .hangdetect import NoSimulation
-from .http import NotFound, action_param, float_param, int_param
+from .http import BadRequest, NotFound, action_param, float_param, int_param
 
 
 @dataclass
@@ -285,7 +285,12 @@ def _status(server, params):
 
 
 def _control(server, params):
+    """A request names no file: post-mortems are written only where the
+    process says (``enable_watchdog(snapshot_dir=)``)."""
     monitor = server.monitor
+    if "snapshot_dir" in params:
+        raise BadRequest("snapshot_dir is set from Python, not by a "
+                         "request")
     if action_param(params, "start", "stop") == "stop":
         if monitor.watchdog is None:
             raise NotFound("no watchdog attached")
@@ -301,8 +306,6 @@ def _control(server, params):
     for key in ("recover", "abort_on_failure"):
         if key in params:
             config[key] = params[key].lower() not in ("0", "false", "no")
-    if "snapshot_dir" in params:
-        config["snapshot_dir"] = params["snapshot_dir"]
     return monitor.enable_watchdog(**config).to_dict()
 
 

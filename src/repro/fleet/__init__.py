@@ -53,5 +53,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "Job": ".queue",
     "JobQueue": ".queue",
     "JobSpec": ".queue",
-    "workload_catalog": ".queue",
 })

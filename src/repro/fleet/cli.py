@@ -280,7 +280,8 @@ def _drive_campaign(args: argparse.Namespace, queue, journal,
 
 
 def _fleet_run(args: argparse.Namespace) -> int:
-    from . import CampaignJournal, JobQueue, JobSpec, workload_catalog
+    from ..workloads import WORKLOADS
+    from . import CampaignJournal, JobQueue, JobSpec
 
     workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
     chiplets = [int(c) for c in args.chiplets.split(",") if c.strip()]
@@ -288,7 +289,7 @@ def _fleet_run(args: argparse.Namespace) -> int:
         print("error: need at least one workload and one chiplet count",
               file=sys.stderr)
         return 2
-    unknown = sorted(set(workloads) - set(workload_catalog()))
+    unknown = sorted(set(workloads) - set(WORKLOADS))
     if unknown:
         print(f"error: unknown workloads {', '.join(unknown)} "
               f"(see: repro workloads --json)", file=sys.stderr)

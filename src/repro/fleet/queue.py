@@ -16,36 +16,11 @@ import collections
 import dataclasses
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Any, Dict, FrozenSet, List, Optional
+from typing import Any, Dict, List, Optional
 
-from ..workloads import SMALL, Workload
+from ..workloads import Workload, make_workload, workload_class
 
-__all__ = ["JobSpec", "Job", "JobQueue", "workload_catalog"]
-
-
-def workload_catalog() -> Dict[str, Workload]:
-    """The workloads a fleet job may name: the paper's six benchmarks
-    (small problem sizes — fleet campaigns multiply runtimes) plus the
-    StoreStorm diagnostic used for crash campaigns."""
-    return {name: factory() for name, factory in SMALL.items()}
-
-
-@lru_cache(maxsize=1)
-def _catalog_schema() -> Dict[str, FrozenSet[str]]:
-    """Workload name → its parameter names, computed once per process.
-
-    Validation only needs the catalog's *shape*; enqueueing an N-job
-    campaign used to rebuild every workload instance N times just to
-    ask for this.  The cache holds names and field sets — immutable
-    facts of the installed catalog — never the (mutable) workload
-    instances themselves, so :meth:`JobSpec.build_workload` still
-    constructs a fresh workload per run and jobs cannot share state
-    through the catalog.
-    """
-    return {name: frozenset(f.name
-                            for f in dataclasses.fields(workload))
-            for name, workload in workload_catalog().items()}
+__all__ = ["JobSpec", "Job", "JobQueue"]
 
 
 @dataclass
@@ -73,37 +48,23 @@ class JobSpec:
 
     def validate(self) -> None:
         """Reject jobs that could never run before any worker is spent
-        on them (the ``repro workloads --json`` catalog contract).
-        Validation runs against the cached catalog schema, so an
-        N-job campaign pays the catalog build once, not N times."""
+        on them (the ``repro workloads --json`` catalog contract): the
+        name and parameters are checked against the workload's class,
+        and no workload is built."""
         if not self.job_id:
             raise ValueError("job_id must be non-empty")
-        schema = _catalog_schema()
-        if self.workload not in schema:
-            raise ValueError(
-                f"unknown workload {self.workload!r}; expected one of "
-                f"{sorted(schema)}")
+        workload_class(self.workload, self.params)
         if self.chiplets < 1:
             raise ValueError("chiplets must be >= 1")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.params:
-            known = schema[self.workload]
-            unknown = set(self.params) - known
-            if unknown:
-                raise ValueError(
-                    f"unknown {self.workload} parameter(s) "
-                    f"{sorted(unknown)}; expected a subset of "
-                    f"{sorted(known)}")
         if self.fault is not None and "kind" not in self.fault:
             raise ValueError("fault needs at least a 'kind'")
 
     def build_workload(self) -> Workload:
-        """The concrete workload instance, overrides applied."""
-        workload = SMALL[self.workload]()
-        if self.params:
-            workload = dataclasses.replace(workload, **self.params)
-        return workload
+        """A fresh workload instance at the scaled size, overrides
+        applied."""
+        return make_workload(self.workload, self.params)
 
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)

@@ -62,9 +62,10 @@ from ..core.server import RTMServer
 # Every job's enable_watchdog() and ensure_sim_metrics() run them; boot
 # pays for them, not job one.
 from ..core.watchdog import Watchdog  # noqa: F401
-from ..gpu import GPUPlatform, GPUPlatformConfig
+from ..gpu import GPUPlatform
 from ..metrics import expose
 from ..metrics.instrument import SimMetrics  # noqa: F401
+from ..workloads import build_platform
 from .protocol import CONTROL_PREFIX, decode_command, emit
 from .queue import JobSpec
 
@@ -138,13 +139,12 @@ def _build_platform(spec: JobSpec, resume_from: Optional[str]):
     failed restore falls back to cold with the error recorded — a
     stale or damaged checkpoint must cost a cold start, not the job).
     """
-    workload = spec.build_workload()
     resume = None
     if resume_from is not None:
         from ..checkpoint import CheckpointError, load_checkpoint
         try:
-            platform, header = load_checkpoint(resume_from,
-                                               workload=workload)
+            platform, header = load_checkpoint(
+                resume_from, workload=spec.build_workload())
             return platform, {
                 "path": resume_from,
                 "sim_time": platform.engine.now,
@@ -153,9 +153,9 @@ def _build_platform(spec: JobSpec, resume_from: Optional[str]):
             }
         except CheckpointError as exc:
             resume = {"path": resume_from, "error": str(exc)}
-    platform = GPUPlatform(GPUPlatformConfig.small(
-        num_chiplets=spec.chiplets, l2_write_buffer_bug=spec.buggy_l2))
-    workload.enqueue(platform.driver)
+    platform, _ = build_platform(spec.workload, spec.chiplets,
+                                 params=spec.params,
+                                 buggy_l2=spec.buggy_l2)
     return platform, resume
 
 

@@ -204,11 +204,9 @@ class HistorianService:
                                or job.get("worker_id")
                                or final.get("worker_id")),
                  "retries": len(job.get("failures") or []),
-                 "result": {k: result.get(k)
-                            for k in ("run_state", "sim_time",
-                                      "event_count", "wall_seconds",
-                                      "resumed_from")
-                            if k in result},
+                 # What the manager settled, whole: its event count
+                 # and resume record included.
+                 "result": result,
                  "metrics_text": final.get("text")},
                 name=job_id)
             profile = profiles.get(job_id)

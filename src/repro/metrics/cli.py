@@ -23,7 +23,8 @@ def register(subparsers) -> None:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     from . import SimMetrics, expose
-    platform, _ = build_platform(args)
+    platform, _ = build_platform(args.workload, args.chiplets,
+                                  buggy_l2=args.buggy_l2)
     sim_metrics = SimMetrics(platform.simulation)
     sim_metrics.start()
     try:

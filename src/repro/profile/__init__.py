@@ -3,19 +3,16 @@ attribution built on it.
 
 The only thing it takes from below is the thread-role registry
 :mod:`repro.akita.threads` (``Engine.run`` claims the ``simulation``
-role there), re-exported here; of ``repro.core`` it imports only the
-route contract (:mod:`repro.core.http`) its ``/api/profile*`` routes
-answer by.
+role there; ``register_current_thread`` is re-exported here for code
+that runs the simulation on a thread of its own); of
+``repro.core`` it imports only the route contract
+(:mod:`repro.core.http`) its ``/api/profile*`` routes answer by.
 """
 
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "register_current_thread": "..akita.threads",
-    "role_of": "..akita.threads",
-    "sim_thread_id": "..akita.threads",
-    "thread_roles": "..akita.threads",
-    "unregister_thread": "..akita.threads",
     "attribution_report": ".attribution",
     "classify_frame": ".attribution",
     "classify_path": ".attribution",

@@ -98,7 +98,8 @@ def _print_summary(summary: dict, top: int) -> None:
 
 def _profile_record(args: argparse.Namespace) -> int:
     from ..core.atomicio import atomic_write_json
-    platform, _ = build_platform(args)
+    platform, _ = build_platform(args.workload, args.chiplets,
+                                  buggy_l2=args.buggy_l2)
     monitor = attach_monitor(platform, 0 if args.server else None)
     monitor.ensure_sim_metrics().start()
     profiler = monitor.start_continuous_profiling(

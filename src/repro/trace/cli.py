@@ -36,7 +36,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.backend == "sqlite" and not args.db:
         print("error: --backend sqlite needs --db", file=sys.stderr)
         return 2
-    platform, _ = build_platform(args)
+    platform, _ = build_platform(args.workload, args.chiplets,
+                                  buggy_l2=args.buggy_l2)
     store = (SQLiteStore(args.db) if args.backend == "sqlite"
              else RingStore(args.capacity))
     tracer = Tracer(platform.simulation, store,

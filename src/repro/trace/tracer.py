@@ -262,14 +262,19 @@ def _export(server, params):
 
 
 def _control(server, params):
+    """A request names no file: HTTP starts the ring store, and a SQLite
+    store is opened from Python (``ensure_tracer(db_path=)``) or by
+    ``repro trace --backend sqlite --db``."""
     monitor = server.monitor
     action = action_param(params, "start", "stop", "clear")
+    if "backend" in params or "db" in params:
+        raise BadRequest("the HTTP API records to the ring store only; "
+                         "open a SQLite store from Python")
     if action == "start":
         try:
             tracer = monitor.ensure_tracer(
-                backend=params.get("backend", "ring"),
                 capacity=int_param(params, "capacity", 65536),
-                db_path=params.get("db"), include=params.get("include"))
+                include=params.get("include"))
         except (RuntimeError, ValueError) as exc:
             raise BadRequest(str(exc)) from None
         tracer.start()
@@ -290,6 +295,6 @@ ROUTES = (
      "one message's hops + path"),
     ("GET", "/api/trace/export?format&limit", _export,
      "JSONL / Perfetto export"),
-    ("POST", "/api/trace?action=start|stop|clear&backend&capacity&db&include",
-     _control, "control the tracer"),
+    ("POST", "/api/trace?action=start|stop|clear&capacity&include",
+     _control, "control the tracer (ring store)"),
 )

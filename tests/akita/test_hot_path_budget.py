@@ -12,7 +12,7 @@ run to notice.
 History (bare FIR, small two-chiplet platform), calls per event before
 and after the hot path was flattened: 45.35 → 26.21 on the 256-sample
 run measured here, 47.60 → 27.43 at the benchmark's 4096 samples
-(``python tests/akita/test_hot_path_budget.py`` prints both); then
+(``python -m tests.akita.test_hot_path_budget`` prints both); then
 26.21 → 19.18 (27.43 → 20.24) when a tick began to reschedule itself in
 place, ports and connections stopped calling wake-ups that could change
 nothing, and ``gpu`` read the clock and its ports' queues without a
@@ -44,14 +44,12 @@ when component hooks became positional and a trace record one frame;
 unchanged when ``PORT_SEND`` moved from the port into the connection.
 """
 
-import gc
-import sys
-
 import pytest
 
 from repro.core import Monitor
 from repro.gpu import GPUPlatform, GPUPlatformConfig
 from repro.workloads import FIR, Im2Col, StoreStorm
+from tests.call_counter import count_calls
 
 CALLS_PER_EVENT_BUDGET = 18.5
 RECORDING_CALLS_PER_EVENT_BUDGET = 5.0
@@ -79,27 +77,7 @@ def counts_per_event(num_samples=256, instrumented=False, workload=None):
         monitor = Monitor(platform.simulation)
         monitor.ensure_sim_metrics().start()
         monitor.ensure_tracer(backend="ring").start()
-    frames = c_calls = 0
-
-    def count(frame, kind, arg):
-        nonlocal frames, c_calls
-        if kind == "call":
-            frames += 1
-        elif kind == "c_call":
-            c_calls += 1
-
-    # A cyclic collection landing inside the run would finalize other
-    # tests' garbage (suspended wavefront generators, among others) on
-    # this thread, under this profile function.
-    gc.collect()
-    gc.disable()
-    previous = sys.getprofile()
-    sys.setprofile(count)
-    try:
-        completed = platform.run()
-    finally:
-        sys.setprofile(previous)
-        gc.enable()
+    frames, c_calls, completed = count_calls(platform.run)
     assert completed
     events = platform.engine.event_count
     return (frames + c_calls) / events, frames / events

@@ -1,10 +1,12 @@
 """End-to-end: injected stall → detected → attributed → supervised.
 
-Everything flows over HTTP, the way a user (or CI harness) would drive
-it: arm a stall via ``POST /api/faults``, start the watchdog via
-``POST /api/watchdog``, then watch ``/api/hang`` flag the hang,
-``/api/buffers`` finger the stalled write buffer, and the watchdog
-abort the run with a post-mortem — all inside a bounded wall budget.
+Everything but the watchdog's start flows over HTTP, the way a user
+(or CI harness) would drive it: arm a stall via ``POST /api/faults``,
+then watch ``/api/hang`` flag the hang, ``/api/buffers`` finger the
+stalled write buffer, and the watchdog abort the run with a post-mortem
+— all inside a bounded wall budget.  The watchdog starts from Python,
+because where it writes post-mortems is the process's choice, never a
+request's.
 """
 
 import threading
@@ -46,8 +48,8 @@ def test_injected_stall_detected_attributed_and_supervised(rig, tmp_path):
     deadline = start + WALL_BUDGET
 
     spec = client.inject_fault("stall", "*WriteBuffer*", start=5e-7)
-    client.watchdog_start(check_interval=0.1, max_tick_retries=1,
-                          retry_wait=0.1, snapshot_dir=str(tmp_path))
+    monitor.enable_watchdog(check_interval=0.1, max_tick_retries=1,
+                            retry_wait=0.1, snapshot_dir=str(tmp_path))
 
     FIR(num_samples=2048).enqueue(platform.driver)
     thread = threading.Thread(

@@ -8,8 +8,9 @@ import pytest
 
 from repro.akita import CallbackEvent, Simulation
 from repro.core import BufferAnalyzer, HangDetector
-from repro.profile import (ContinuousProfiler, register_current_thread,
-                           sim_thread_id, unregister_thread)
+from repro.akita.threads import (register_current_thread, sim_thread_id,
+                                 unregister_thread)
+from repro.profile import ContinuousProfiler
 
 
 # ------------------------------------------------------------- profiler

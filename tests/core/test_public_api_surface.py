@@ -59,8 +59,10 @@ def test_workloads_exports_the_suite():
 
     assert set(workloads.SUITE) == {"aes", "bfs", "fir", "im2col",
                                     "kmeans", "matmul"}
-    for name in ("Workload", "WorkloadRun", "StoreStorm", "suite_small"):
+    for name in ("Workload", "WorkloadRun", "StoreStorm", "WORKLOADS",
+                 "make_workload", "build_platform"):
         assert hasattr(workloads, name), name
+        assert name in workloads.__all__
 
 
 def test_monitor_implements_the_twelve_functions():
@@ -107,6 +109,6 @@ def test_fleet_exports_the_orchestration_stack():
     from repro import fleet
 
     for name in ("FleetGateway", "FleetManager", "Job", "JobQueue",
-                 "JobSpec", "WorkerHandle", "workload_catalog"):
+                 "JobSpec", "WorkerHandle"):
         assert hasattr(fleet, name), name
         assert name in fleet.__all__

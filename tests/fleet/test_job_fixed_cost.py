@@ -15,20 +15,19 @@ History: 21,594 at PR 19; 11,325 (-47.6%) when buffers became
 discovered at first read (``Monitor()`` no longer walks every
 component for a table no job opens) and a label set rendered once
 (``expose()`` no longer builds and escapes a dict per histogram
-bucket line).  ``python tests/fleet/test_job_fixed_cost.py`` prints
+bucket line).  ``python -m tests.fleet.test_job_fixed_cost`` prints
 the table.
 """
 
 import contextlib
-import gc
 import io
-import sys
 
 from repro.core import Monitor
 from repro.core.server import RTMServer
 from repro.fleet.queue import JobSpec
 from repro.fleet.worker import WorkerSettings, _execute_job
 from repro.gpu import GPUPlatform, GPUPlatformConfig
+from tests.call_counter import count_calls
 
 #: ``job_calls() - bare_run_calls()`` measured at PR 19 (the parent of
 #: the change this file came with), same script, same spec.
@@ -39,25 +38,8 @@ SPEC = JobSpec("fixed-cost", "fir", params={"num_samples": 256})
 
 def _count_calls(fn):
     """Calls the current thread's interpreter makes inside ``fn()``."""
-    calls = 0
-
-    def count(frame, kind, arg):
-        nonlocal calls
-        if kind == "call" or kind == "c_call":
-            calls += 1
-
-    # A cyclic collection landing inside would finalize other tests'
-    # garbage on this thread, under this profile function.
-    gc.collect()
-    gc.disable()
-    previous = sys.getprofile()
-    sys.setprofile(count)
-    try:
-        result = fn()
-    finally:
-        sys.setprofile(previous)
-        gc.enable()
-    return calls, result
+    frames, c_calls, result = count_calls(fn)
+    return frames + c_calls, result
 
 
 @contextlib.contextmanager

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.fleet import JobQueue, JobSpec, workload_catalog
+from repro.fleet import JobQueue, JobSpec
+from repro.workloads import WORKLOADS
 
 
 def _spec(job_id="j1", **kwargs):
@@ -15,9 +16,10 @@ def _spec(job_id="j1", **kwargs):
 # ---------------------------------------------------------------------------
 
 def test_catalog_has_the_suite_plus_storestorm():
-    catalog = workload_catalog()
     assert {"aes", "bfs", "fir", "im2col", "kmeans",
-            "matmul", "storestorm"} <= set(catalog)
+            "matmul", "storestorm"} <= set(WORKLOADS)
+    for name in WORKLOADS:
+        _spec(workload=name).validate()
 
 
 def test_unknown_workload_is_rejected():
@@ -48,38 +50,44 @@ def test_spec_round_trips_through_dict():
     assert clone == spec
 
 
-def test_validation_builds_the_catalog_once_for_a_campaign(monkeypatch):
-    """Submitting N jobs must not rebuild the workload catalog N times
-    (validation runs against the cached schema)."""
-    from repro.fleet import queue as queue_module
+@pytest.fixture
+def fir_builds(monkeypatch):
+    """Every FIR instance constructed while the test runs, in order."""
+    from repro.workloads import FIR
 
-    calls = {"n": 0}
-    real_catalog = queue_module.workload_catalog
+    built = []
+    post_init = FIR.__post_init__
 
-    def counting_catalog():
-        calls["n"] += 1
-        return real_catalog()
+    def counting(self):
+        built.append(self)
+        post_init(self)
 
-    monkeypatch.setattr(queue_module, "workload_catalog",
-                        counting_catalog)
-    queue_module._catalog_schema.cache_clear()
-    try:
-        queue = JobQueue()
-        queue.submit_all([_spec(f"j{i}", params={"num_taps": 4})
-                          for i in range(25)])
-        assert calls["n"] == 1
-    finally:
-        queue_module._catalog_schema.cache_clear()
+    monkeypatch.setattr(FIR, "__post_init__", counting)
+    return built
 
 
-def test_cached_schema_does_not_leak_workload_instances():
+def test_validation_builds_the_catalog_once_for_a_campaign(fir_builds):
+    """The catalog is the name table, built once at import: submitting
+    N jobs checks names and parameters against the class and builds no
+    workload at all."""
+    queue = JobQueue()
+    queue.submit_all([_spec(f"j{i}", params={"num_taps": 4})
+                      for i in range(25)])
+    assert fir_builds == []
+
+
+def test_cached_schema_does_not_leak_workload_instances(fir_builds):
     """build_workload must hand out a fresh instance per call even
-    though validation is cached — jobs must not share state through
-    the catalog."""
-    spec_a, spec_b = _spec("a"), _spec("b")
+    though validation needs no instance — jobs must not share state
+    through the catalog."""
+    spec_a, spec_b = _spec("a", params={"num_taps": 4}), _spec("b")
     spec_a.validate(), spec_b.validate()
+    assert fir_builds == []
     built_a, built_b = spec_a.build_workload(), spec_b.build_workload()
-    assert built_a is not built_b
+    again = spec_a.build_workload()
+    assert fir_builds == [built_a, built_b, again]
+    assert built_a is not built_b and built_a is not again
+    assert built_a.num_taps == again.num_taps == 4
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ serialised (``Job.to_dict`` is a ``dataclasses.asdict`` of the spec and
 every failure record — once per job per tick made a campaign's
 recording quadratic in its length)."""
 
-from repro.fleet import JobQueue, JobSpec
+from types import SimpleNamespace
+
+from repro.fleet import FleetManager, JobQueue, JobSpec
 from repro.fleet.queue import Job
 from repro.historian import Historian, HistorianService
 
@@ -54,4 +56,31 @@ def test_a_tick_serialises_only_the_jobs_that_just_finished(
     rows = historian.query(campaign_id="c", kind="job", limit=1000)
     assert len(rows) == 202
     assert {row["name"] for row in rows} == {f"j{i}" for i in range(202)}
+    historian.close()
+
+
+def test_a_job_record_keeps_the_result_the_manager_settled(tmp_path):
+    """The manager's result names its event count ``events`` and its
+    restore ``resume``; the job record once kept only the keys it shared
+    with an older result shape (``run_state``, ``sim_time``)."""
+    queue = JobQueue()
+    manager = FleetManager(queue, num_workers=1)  # never started
+    queue.submit(JobSpec("j", "fir"))
+    queue.claim("w1")
+    resume = {"path": "j.rtm", "sim_time": 5e-06, "events": 12000,
+              "checkpoint_seq": 3}
+    manager._settle_job(
+        SimpleNamespace(worker_id="w1", job_id="j", attempt=1,
+                        jobs_done=0, state="running"),
+        {"event": "done", "job_id": "j", "attempt": 1, "ok": True,
+         "run_state": "completed", "sim_time": 1e-05, "events": 24217,
+         "watchdog": None, "fault_stats": {}, "trace": None,
+         "resume": resume, "checkpoints": None})
+    historian = Historian(tmp_path / "h.db")
+    HistorianService(historian, campaign_id="c", manager=manager,
+                     interval=60.0).tick(final=True)
+    (record,) = historian.jobs("c")
+    result = record["payload"]["result"]
+    assert result == queue.get("j").result
+    assert result["events"] == 24217 and result["resume"] == resume
     historian.close()

@@ -5,13 +5,13 @@ import pytest
 from repro.akita.hooks import HookPos
 from repro.gpu import GPUPlatform, GPUPlatformConfig
 from repro.metrics import MetricRegistry, SimMetrics, expose
-from repro.workloads import suite_small
+from repro.workloads import make_workload
 
 
 @pytest.fixture()
 def platform():
     p = GPUPlatform(GPUPlatformConfig.small(num_chiplets=2))
-    suite_small()["fir"].enqueue(p.driver)
+    make_workload("fir").enqueue(p.driver)
     return p
 
 

@@ -14,7 +14,7 @@ from repro.core import (
 )
 from repro.core.export import _parse_metric_spec, _resolve_metric
 from repro.gpu import GPUPlatform, GPUPlatformConfig
-from repro.workloads import suite_small
+from repro.workloads import make_workload
 
 
 @pytest.fixture
@@ -59,7 +59,7 @@ def test_resolve_metric_subset_match_and_histogram_count():
 
 def test_recorder_records_metric_and_roundtrips(rig, tmp_path):
     platform, _, client = rig
-    suite_small()["fir"].enqueue(platform.driver)
+    make_workload("fir").enqueue(platform.driver)
     client.metrics_start()
     recorder = SeriesRecorder(client, [
         metric_target("rtm_engine_events_total"),

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import Monitor, RTMClient, RTMClientError, RTMServer
 from repro.gpu import GPUPlatform, GPUPlatformConfig
-from repro.workloads import suite_small
+from repro.workloads import make_workload
 from repro.workloads.storestorm import StoreStorm
 
 
@@ -137,7 +137,7 @@ def test_api_metrics_bad_regex_is_400(rig):
 
 def test_api_metrics_delta(rig):
     platform, _, client = rig
-    suite_small()["fir"].enqueue(platform.driver)
+    make_workload("fir").enqueue(platform.driver)
     client.metrics_start()
     client.metrics_snapshot(delta=True)  # establish the baseline
     thread = _run(platform)

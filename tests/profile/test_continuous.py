@@ -7,8 +7,8 @@ import time
 import pytest
 
 from repro.metrics import MetricRegistry, expose
-from repro.profile import (ContinuousProfiler, register_current_thread,
-                           unregister_thread)
+from repro.akita.threads import register_current_thread, unregister_thread
+from repro.profile import ContinuousProfiler
 
 
 def _busy_simulation(stop):

@@ -3,9 +3,9 @@
 import threading
 
 from repro.akita import Engine
-from repro.profile import (register_current_thread, role_of,
-                           sim_thread_id, thread_roles,
-                           unregister_thread)
+from repro.akita.threads import (register_current_thread, role_of,
+                                 sim_thread_id, thread_roles,
+                                 unregister_thread)
 
 
 def test_register_and_unregister_current_thread():

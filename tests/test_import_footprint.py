@@ -13,6 +13,9 @@ door is gated too: a process that serves loads ``socketserver``, not
 it, and opening a server adds 13 modules to a monitored process (18
 before the planes' routes left ``core/server.py``, 70 at PR 18); a
 gateway loads the transport (``repro.core.http``), not the RTM routes.
+A workload module loads when its name is first used, and only that one
+(the shard worker loaded 56, the fleet worker 70, the coordinator 61 and
+``repro.cli`` 49 while each loaded all seven).
 
 *What a timed region loads: nothing.*  A lazy import that first
 resolves inside ``platform.run()``, a request handler, a fleet job or a
@@ -82,26 +85,27 @@ ENTRIES = {
         "repro.core", "repro.metrics", "repro.historian",
         "repro.fleet.manager", "repro.fleet.gateway",
         "repro.fleet.journal", "repro.fleet.queue",
-        "http.server", "urllib.request", "sqlite3"), 58),
+        "http.server", "urllib.request", "sqlite3"), 49),
     "import repro.fleet.worker": ((
         "repro.fleet.manager", "repro.fleet.gateway",
         "repro.fleet.journal", "repro.core.client", "repro.core.export",
         "repro.historian", "repro.shard", "repro.studies",
-        "urllib.request", "sqlite3", *HTTP_STACK), 70),
+        "urllib.request", "sqlite3", *HTTP_STACK), 63),
     "import repro.core.server": ((
         "repro.core.client", "urllib.request", *HTTP_STACK), 9),
     # The two gateways run the transport, not the RTM routes.
     "import repro.fleet.gateway": (("repro.core.server",), 12),
-    "import repro.shard.coordinator": (("repro.core.server",), 65),
+    "import repro.shard.coordinator": (("repro.core.server",), 54),
     "from repro.core import Monitor": ((
         "repro.core.server", "repro.core.client", "repro.core.export",
         "http.server", "urllib.request"), 31),
     SERVING: ((
         "repro.core.client", "urllib.request", *HTTP_STACK), 33),
-    # The simulator (gpu + workloads) and the registry; building the
-    # parser adds the five ``*/cli.py`` and their packages' lazy tables.
-    "import repro.cli": (_NOT_A_PARSER, 49),
-    PARSING: (_NOT_A_PARSER, 60),
+    # The simulator (gpu + the workloads table) and the registry;
+    # building the parser adds the five ``*/cli.py`` and their
+    # packages' lazy tables.
+    "import repro.cli": (_NOT_A_PARSER, 42),
+    PARSING: (_NOT_A_PARSER, 52),
 }
 
 
@@ -125,15 +129,48 @@ def test_opening_the_front_door_adds_under_twenty_modules():
     assert len(added) <= 20, added  # of every origin, stdlib included
 
 
-def test_a_bare_simulation_loads_the_three_core_layers_and_no_more():
-    modules, _ = loaded_by("import repro.gpu, repro.workloads")
-    core_layers = {"repro"}
-    for layer in ("akita", "gpu", "workloads"):
+def _modules_of(*layers):
+    """The dotted names of every module under ``src/repro/<layer>``."""
+    names = set()
+    for layer in layers:
         for path in (SRC / "repro" / layer).rglob("*.py"):
             parts = path.relative_to(SRC).with_suffix("").parts
-            core_layers.add(".".join(
+            names.add(".".join(
                 parts[:-1] if parts[-1] == "__init__" else parts))
-    assert set(filter(_is_repro, modules)) == core_layers
+    return names
+
+
+def test_a_bare_simulation_loads_akita_gpu_and_the_workloads_table():
+    """akita + gpu + the workloads table: no workload module until one
+    is named."""
+    modules, _ = loaded_by("import repro.gpu, repro.workloads")
+    assert set(filter(_is_repro, modules)) == (
+        {"repro", "repro._lazy", "repro.workloads"}
+        | _modules_of("akita", "gpu"))
+
+
+#: Each way a process comes to run ``fir``.
+_FIR_BY_NAME = {
+    "the table": "from repro.workloads import build_platform\n"
+                 "build_platform('fir', params={'num_samples': 256})",
+    "a fleet job": "import contextlib, io\n"
+                   "from repro.fleet import worker\n"
+                   "server = worker.RTMServer(worker.Monitor())\n"
+                   "spec = worker.JobSpec('j', 'fir',\n"
+                   "                      params={'num_samples': 256})\n"
+                   "spec.validate()\n"
+                   "with contextlib.redirect_stdout(io.StringIO()):\n"
+                   "    assert worker._execute_job(\n"
+                   "        spec, 0, server, worker.WorkerSettings())",
+}
+
+
+@pytest.mark.parametrize("way", sorted(_FIR_BY_NAME))
+def test_running_fir_loads_fir_and_no_other_workload(way):
+    modules, _ = loaded_by(_FIR_BY_NAME[way])
+    workloads = _modules_of("workloads") - {"repro.workloads"}
+    assert workloads & set(modules) == {"repro.workloads.fir",
+                                        "repro.workloads.base"}
 
 
 # ----------------------------------------------------------------------
@@ -203,6 +240,7 @@ from repro.fleet import worker
 server = worker.RTMServer(worker.Monitor())
 server.start()
 spec = worker.JobSpec("job", "fir", params={"num_samples": 256})
+spec.validate()  # as the worker does on receipt, loading the workload
 before = set(sys.modules)
 assert worker._execute_job(spec, 0, server, worker.WorkerSettings())
 added = set(sys.modules) - before

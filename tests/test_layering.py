@@ -1,11 +1,15 @@
 """The dependency-free core, stated as a test: ``akita`` imports no
 sibling package of ``repro``, and ``gpu`` / ``workloads`` import only
-``akita``, ``gpu`` and ``workloads`` — function-local imports included.
+``akita``, ``gpu`` and ``workloads`` (and the lazy-table helper
+``_lazy``) — function-local imports included.
 
 And ``core`` imports no plane: not ``trace``, ``profile``, ``faults`` or
 ``checkpoint``, function-local imports included.  The strings of
 ``core/server.py``'s ``PLANES`` manifest are its only reference to them;
 a plane plugs in by registering its routes.
+
+And a workload is reached through its name table: outside
+``repro/workloads/`` no module imports a workload module directly.
 
 And the engine's fast door stays inside its layer: ``akita`` pushes onto
 the event heap without ``Engine.schedule()`` where it has established
@@ -41,30 +45,35 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 ALLOWED = {
     "akita": {"akita"},
     "gpu": {"akita", "gpu", "workloads"},
-    "workloads": {"akita", "gpu", "workloads"},
+    # ``_lazy`` (which imports nothing of ``repro``) makes its name
+    # table lazy.
+    "workloads": {"_lazy", "akita", "gpu", "workloads"},
 }
 
 
-def _repro_packages_imported(source, package):
-    """``(subpackage of repro, line)`` for every import in *source*, the
-    text of a module living in *package* (a tuple of dotted-name parts)
-    — every ``import`` node, at any nesting depth."""
+def _imported_names(source, package):
+    """``(dotted-name parts, line)`` of everything *source*, the text of a
+    module living in *package* (a tuple of dotted-name parts), imports —
+    every ``import`` node, at any nesting depth; ``from a.b import c``
+    names ``a.b.c``."""
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            targets = [alias.name.split(".") for alias in node.names]
+            for alias in node.names:
+                yield alias.name.split("."), node.lineno
         elif isinstance(node, ast.ImportFrom):
             base = package[:len(package) - node.level + 1] \
                 if node.level else ()
             stem = list(base) + (node.module.split(".")
                                  if node.module else [])
-            # ``from .. import core`` names the subpackage in the alias.
-            targets = [stem] if len(stem) > 1 else \
-                [stem + [alias.name] for alias in node.names]
-        else:
-            continue
-        for target in targets:
-            if target[0] == "repro" and len(target) > 1:
-                yield target[1], node.lineno
+            for alias in node.names:
+                yield stem + [alias.name], node.lineno
+
+
+def _repro_packages_imported(source, package):
+    """``(subpackage of repro, line)`` for every import in *source*."""
+    for target, line in _imported_names(source, package):
+        if target[0] == "repro" and len(target) > 1:
+            yield target[1], line
 
 
 @pytest.mark.parametrize("layer", sorted(ALLOWED))
@@ -130,6 +139,49 @@ def test_the_plane_rule_sees_every_spelling_and_spares_the_manifest():
         "    from .watchdog import Watchdog\n")
     assert sorted(_plane_imports(source)) == [
         ("checkpoint", 2), ("faults", 7), ("profile", 1), ("trace", 5)]
+
+
+#: The modules behind ``repro.workloads``' name table.
+WORKLOAD_MODULES = {path.stem for path in
+                    (SRC / "repro" / "workloads").glob("*.py")}
+
+
+def _workload_module_imports(source, package):
+    """``(workload module, line)`` for every import in *source* that
+    names a module behind the workloads table instead of the table:
+    ``from ..workloads.fir import FIR``, ``import repro.workloads.fir``,
+    ``from ..workloads import fir``."""
+    for target, line in _imported_names(source, package):
+        if target[:2] == ["repro", "workloads"] and len(target) > 2 \
+                and target[2] in WORKLOAD_MODULES:
+            yield target[2], line
+
+
+def test_a_workload_is_reached_through_its_table():
+    """Outside ``repro/workloads/`` nobody imports a workload module: a
+    process names a workload, and the table loads that one."""
+    offenders = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        relative = path.relative_to(SRC)
+        if relative.parts[:2] == ("repro", "workloads"):
+            continue
+        offenders += [f"{relative}:{line} imports repro.workloads.{name}"
+                      for name, line in _workload_module_imports(
+                          path.read_text(), relative.parts[:-1])]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_the_workload_rule_sees_every_spelling_but_not_the_table():
+    source = (
+        "from ..workloads.fir import FIR\n"
+        "import repro.workloads.im2col\n"
+        "from ..workloads import Workload, base\n"
+        "from repro.workloads import make_workload, FIR\n"
+        "def f():\n"
+        "    from .. import workloads\n"
+        "    from ..workloads import storestorm as s\n")
+    assert sorted(_workload_module_imports(source, ("repro", "core"))) == [
+        ("base", 3), ("fir", 1), ("im2col", 2), ("storestorm", 7)]
 
 
 #: The one reader of the heap outside ``akita``: restore reconciles

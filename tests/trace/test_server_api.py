@@ -56,9 +56,12 @@ def test_trace_start_with_include_filter(rig):
 
 
 def test_trace_start_sqlite_backend(rig, tmp_path):
+    """A SQLite store is the process's choice (the Python API); HTTP
+    reads it like any other."""
     _, monitor, client = rig
     db = str(tmp_path / "trace.db")
-    status = client.trace_start(backend="sqlite", db=db)
+    monitor.ensure_tracer(backend="sqlite", db_path=db).start()
+    status = client.trace()
     assert status["store"]["backend"] == "sqlite"
     assert status["store"]["path"] == db
 
@@ -199,6 +202,21 @@ def test_a_get_names_no_file_the_server_writes(rig, tmp_path):
         target = tmp_path / route.replace("/", "_")
         client._get(route, path=str(target))
         assert not target.exists(), route
+    assert not list(tmp_path.iterdir())
+
+
+def test_a_post_names_no_file_the_server_writes(rig, tmp_path):
+    """Any web page can make a browser send a POST; the trace and
+    watchdog routes once created a database or a post-mortem directory
+    wherever its parameters said."""
+    _, monitor, client = rig
+    for route, params in (
+            ("/api/trace", {"backend": "sqlite",
+                            "db": str(tmp_path / "trace.db")}),
+            ("/api/watchdog", {"snapshot_dir": str(tmp_path / "pm")})):
+        with pytest.raises(RTMClientError, match="400"):
+            client._post(route, action="start", **params)
+    assert monitor.tracer is None and monitor.watchdog is None
     assert not list(tmp_path.iterdir())
 
 

@@ -3,6 +3,7 @@ end-to-end completion on the simulated platform."""
 
 import pytest
 
+from repro import workloads
 from repro.gpu import GPUPlatform, GPUPlatformConfig
 from repro.gpu.mem import CACHE_LINE_SIZE
 from repro.workloads import (
@@ -14,8 +15,11 @@ from repro.workloads import (
     MatMul,
     StoreStorm,
     SUITE,
+    WORKLOADS,
+    make_workload,
     mix,
-    suite_small,
+    resolve_workload,
+    workload_spec,
 )
 
 
@@ -30,7 +34,7 @@ def _kinds(trace):
 # ------------------------------------------------------------- generic
 @pytest.mark.parametrize("name", sorted(SUITE))
 def test_suite_default_constructible(name):
-    wl = SUITE[name]()
+    wl = make_workload(name, full_scale=True)
     k = wl.kernel()
     assert k.num_workgroups > 0
     assert k.wavefronts_per_wg > 0
@@ -40,13 +44,14 @@ def test_suite_default_constructible(name):
 
 @pytest.mark.parametrize("name", sorted(SUITE))
 def test_traces_are_deterministic(name):
-    wl_a, wl_b = SUITE[name](), SUITE[name]()
+    wl_a = make_workload(name, full_scale=True)
+    wl_b = make_workload(name, full_scale=True)
     assert _trace(wl_a, 1, 1) == _trace(wl_b, 1, 1)
 
 
 @pytest.mark.parametrize("name", sorted(SUITE))
 def test_traces_contain_valid_ops(name):
-    wl = suite_small()[name]
+    wl = make_workload(name)
     for wg, wf in [(0, 0), (1, 2)]:
         for op in wl.kernel().program(wg, wf):
             assert op[0] in ("load", "store", "sload", "compute")
@@ -55,6 +60,40 @@ def test_traces_contain_valid_ops(name):
             else:
                 assert op[1] >= 0      # address
                 assert op[2] > 0        # size
+
+
+# ------------------------------------------------------------- the table
+def test_the_table_names_the_suite_plus_storestorm():
+    assert set(SUITE) < set(WORKLOADS)
+    assert set(WORKLOADS) - set(SUITE) == {"storestorm"}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_a_name_builds_its_class_and_crosses_the_wire(name):
+    wl = make_workload(name)
+    assert wl.name == name
+    assert getattr(workloads, type(wl).__name__) is type(wl)  # exported
+    spec = workload_spec(wl)
+    assert spec["name"] == name
+    assert resolve_workload(spec) == wl
+    assert make_workload(name) is not wl  # a fresh instance per call
+
+
+def test_scaled_sizes_are_plain_overrides():
+    assert make_workload("im2col") == Im2Col.scaled(batch=16)
+    assert make_workload("fir") == FIR(num_samples=8192)
+    assert make_workload("fir", {"num_taps": 4}) == FIR(num_samples=8192,
+                                                        num_taps=4)
+    assert make_workload("fir", full_scale=True) == FIR()
+
+
+def test_the_table_refuses_unknown_names_and_parameters():
+    with pytest.raises(ValueError, match="unknown workload 'doom'"):
+        make_workload("doom")
+    with pytest.raises(ValueError, match=r"unknown fir parameter\(s\)"):
+        make_workload("fir", {"bogus_knob": 3})
+    with pytest.raises(ValueError, match="not a registered workload"):
+        workload_spec(object())
 
 
 def test_mix_is_deterministic_and_spreads():
@@ -159,7 +198,7 @@ def test_invalid_sizes_rejected(cls, kwargs):
 # ------------------------------------------------------------- end-to-end
 @pytest.mark.parametrize("name", ["fir", "kmeans", "matmul"])
 def test_small_suite_completes_on_platform(name):
-    wl = suite_small()[name]
+    wl = make_workload(name)
     platform = GPUPlatform(GPUPlatformConfig.small(num_chiplets=1))
     run = wl.enqueue(platform.driver)
     assert platform.run()
