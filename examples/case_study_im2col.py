@@ -20,7 +20,7 @@ Run:  python examples/case_study_im2col.py
 import threading
 import time
 
-from repro.core import Monitor, RTMClient
+from repro.core import Monitor, RTMClient, SeriesRecorder
 from repro.studies.session import problem_platform_config, problem_workload
 from repro.gpu import GPUPlatform
 
@@ -108,9 +108,10 @@ def main() -> None:
         ("RDMA transactions", rdma, "transactions",
          "large and sustained -> the network is the root cause"),
     ]:
-        points = client.sample_value(component, path, duration=1.2,
-                                     interval=0.03)
-        print(f"    {label:32s} {spark(points)}")
+        recorder = SeriesRecorder(client, [(component, path)],
+                                  interval=0.03)
+        recorder.record_for(1.2)
+        print(f"    {label:32s} {spark(recorder.series[0].points)}")
         print(f"    {'':32s} -> {verdict}")
     print()
 

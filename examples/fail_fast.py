@@ -8,8 +8,8 @@ rules on the bug-enabled platform of case study 2:
 
 1. a *notify* rule on the L2's top-port buffer (the early congestion
    symptom), and
-2. an *abort-on-hang* policy that terminates the run the moment the
-   hang heuristic fires —
+2. an *abort-on-hang* policy — the watchdog with no *Tick* retries —
+   that terminates the run the moment it confirms the hang —
 
 then launches the deadlocking workload and shows the run being torn
 down automatically, with the firing log explaining why.
@@ -34,10 +34,10 @@ def main() -> None:
     rule = monitor.add_alert(l2.name, "top_port.buf", ">=",
                              l2.top_port.buf.capacity, duration=0.05,
                              action="notify")
-    monitor.abort_on_hang()
+    monitor.enable_watchdog(max_tick_retries=0, check_interval=0.02)
     monitor.start_sampler()
     print(f"armed: {rule.label} (notify after 50ms sustained)")
-    print("armed: abort-on-hang policy")
+    print("armed: abort-on-hang policy (watchdog, no Tick retries)")
 
     StoreStorm().enqueue(platform.driver)
     print("\nlaunching the deadlocking workload "

@@ -19,6 +19,7 @@ Run:  python examples/trace_capture.py [out.jsonl]
 import sys
 
 from repro.core import Monitor
+from repro.faults import FaultKind, FaultSpec
 from repro.gpu import GPUPlatform, GPUPlatformConfig
 from repro.trace import TraceKind, write_jsonl
 from repro.workloads import FIR
@@ -37,7 +38,8 @@ def main() -> None:
 
     # The campaign fault: lose 2% of RDMA traffic after 100ns.
     injector = monitor.ensure_injector(seed=7)
-    injector.drop_messages("*RDMA*", probability=0.02, start=1e-7)
+    injector.inject(FaultSpec(FaultKind.DROP, "*RDMA*", start=1e-7,
+                              probability=0.02))
 
     ok = platform.run(hang_wait=0.0)
     state = "completed" if ok else platform.simulation.run_state

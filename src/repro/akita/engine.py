@@ -95,10 +95,6 @@ class Engine(Hookable):
         """Current virtual time in seconds."""
         return self._now
 
-    def current_time(self) -> VTimeInSec:
-        """Alias of :attr:`now`, mirroring Akita's ``CurrentTime()``."""
-        return self._now
-
     @property
     def run_state(self) -> RunState:
         return self._state
@@ -185,14 +181,10 @@ class Engine(Hookable):
         self-refreshing views become a live animation of the hardware.
         Safe to call from monitoring threads.
         """
-        if events_per_second <= 0:
+        if not events_per_second > 0:  # NaN too: no rate to hold
             self._throttle_delay = 0.0
         else:
             self._throttle_delay = 1.0 / events_per_second
-
-    @property
-    def throttled(self) -> bool:
-        return self._throttle_delay > 0.0
 
     def terminate(self) -> None:
         """Abort the simulation: run() returns as soon as possible and

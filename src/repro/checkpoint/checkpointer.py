@@ -167,11 +167,6 @@ class Checkpointer:
                     pass  # announcement failures must not kill the run
             return header
 
-    @property
-    def last_path(self) -> Optional[str]:
-        """Path of the last good checkpoint, or ``None`` if none yet."""
-        return self.path if self.count > 0 else None
-
     def status(self) -> Dict[str, Any]:
         return {
             "path": self.path,

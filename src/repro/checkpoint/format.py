@@ -128,16 +128,14 @@ def read_checkpoint_meta(path: str) -> Dict[str, Any]:
     return header
 
 
-def load_checkpoint(path: str, workload: Any = None,
-                    programs: Optional[Dict[str, Callable]] = None,
-                    revive: bool = True) -> Tuple[Any, Dict[str, Any]]:
+def load_checkpoint(path: str,
+                    workload: Any = None) -> Tuple[Any, Dict[str, Any]]:
     """Load, verify and fix up a checkpoint; returns ``(platform,
     header)``.
 
-    *workload* (a :class:`repro.workloads.base.Workload`) or *programs*
-    (kernel name → program fn) supplies the generator programs to
-    reinstall; omit both only for platforms that never launched a
-    kernel.  *revive* (default) schedules wake-up ticks so a snapshot
+    *workload* (a :class:`repro.workloads.base.Workload`) supplies the
+    generator program to reinstall; omit it only for platforms that
+    never launched a kernel.  Wake-up ticks are scheduled so a snapshot
     of a stalled run resumes making progress.
     """
     header, payload = _read_header(path, want_payload=True)
@@ -153,9 +151,8 @@ def load_checkpoint(path: str, workload: Any = None,
             f"{type(exc).__name__}: {exc}") from exc
     meta = header.get("meta", {})
     ensure_msg_ids_at_least(int(meta.get("msg_id_watermark", 0)) + 1)
-    _reinstall_programs(platform, workload, programs)
-    if revive:
-        _revive_ticking(platform)
+    _reinstall_programs(platform, workload)
+    _revive_ticking(platform)
     return platform, header
 
 
@@ -204,16 +201,15 @@ def _read_header(path: str,
             f"cannot read checkpoint {path}: {exc}") from exc
 
 
-def _reinstall_programs(platform: Any, workload: Any,
-                        programs: Optional[Dict[str, Callable]]) -> None:
+def _reinstall_programs(platform: Any, workload: Any) -> None:
     driver = getattr(platform, "driver", None)
     kernels = getattr(driver, "kernels", None)
     if not kernels:
         return
-    table: Dict[str, Callable] = dict(programs or {})
+    table: Dict[str, Callable] = {}
     if workload is not None:
         descriptor = workload.kernel()
-        table.setdefault(descriptor.name, descriptor.program)
+        table[descriptor.name] = descriptor.program
     missing = []
     for state in kernels:
         descriptor = state.descriptor
@@ -230,7 +226,7 @@ def _reinstall_programs(platform: Any, workload: Any,
         raise CheckpointError(
             "no program available for kernel(s) "
             f"{sorted(set(missing))}; pass the checkpoint's workload "
-            "(or a programs= mapping) to load_checkpoint")
+            "to load_checkpoint")
 
 
 def _revive_ticking(platform: Any) -> None:

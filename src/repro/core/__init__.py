@@ -29,8 +29,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "RTMClient": ".client",
     "RTMClientError": ".client",
     "RTMConnectionError": ".client",
-    "export_watches_csv": ".export",
-    "load_recorded_series": ".export",
     "METRIC": ".export",
     "metric_target": ".export",
     "RecordedSeries": ".export",

@@ -34,9 +34,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .inspector import numeric_value, resolve_path
 
-#: One id space for every rule kind (an engine keys its rules by id).
-rule_ids = itertools.count(1)
-
 #: Comparison operators accepted over the HTTP API.
 OPERATORS: Dict[str, Callable[[float, float], bool]] = {
     ">=": operator.ge,
@@ -56,7 +53,8 @@ class Rule:
     A subclass is a dataclass naming its configuration; it supplies
     :meth:`breaching` (which also records :attr:`last_value`), the
     seconds a breach must :attr:`hold` before it fires, and the
-    :attr:`name` its transitions are announced under."""
+    :attr:`name` its transitions are announced under.  Its :attr:`id`
+    is handed out by the :class:`AlertManager` it is added to."""
 
     op: str
     action = "notify"
@@ -112,10 +110,11 @@ class AlertRule(Rule):
     duration: float = 0.0
     action: str = "notify"
     label: str = ""
-    id: int = field(default_factory=lambda: next(rule_ids))
+    id: int = field(default=0, init=False)
 
-    fired_at_sim_time: Optional[float] = None
-    resolved_at_sim_time: Optional[float] = None
+    fired_at_sim_time: Optional[float] = field(default=None, init=False)
+    resolved_at_sim_time: Optional[float] = field(default=None,
+                                                  init=False)
 
     @property
     def hold(self) -> float:
@@ -180,9 +179,9 @@ class AlertManager:
     """Evaluates a rule set and performs the rules' actions.
 
     Transitions accumulate in one sequence-numbered log that
-    :attr:`fired_log` / :attr:`resolved_log`, the historian's SSE
-    stream and its ``alert`` records all read — the sequence number is
-    what makes "exactly once into the stream" checkable.
+    :attr:`fired_log`, the historian's SSE stream and its ``alert``
+    records all read — the sequence number is what makes "exactly once
+    into the stream" checkable.
     """
 
     def __init__(self, abort: Optional[Callable[[], None]] = None,
@@ -200,6 +199,7 @@ class AlertManager:
             ``rtm_alerts_transitions_total{state="firing"|"resolved"}``.
         """
         self._rules: Dict[int, Rule] = {}
+        self._ids = itertools.count(1)
         self._abort = abort
         self._log: List[Tuple[Rule, Dict[str, Any]]] = []
         self._seq = itertools.count(1)
@@ -215,6 +215,8 @@ class AlertManager:
             "Deduplicated alert rule transitions.", ("state",))
 
     def add(self, rule):
+        """Take *rule* in, numbered; returns it."""
+        rule.id = next(self._ids)
         self._rules[rule.id] = rule
         return rule
 
@@ -265,17 +267,11 @@ class AlertManager:
         the SSE resume cursor."""
         return [event for _, event in self._log if event["seq"] > seq]
 
-    def _rules_that(self, state: str) -> List[Rule]:
-        return [rule for rule, event in self._log
-                if event["state"] == state]
-
     @property
     def fired_log(self) -> List[Rule]:
-        return self._rules_that("firing")
-
-    @property
-    def resolved_log(self) -> List[Rule]:
-        return self._rules_that("resolved")
+        """The rule of each ``firing`` transition, in order."""
+        return [rule for rule, event in self._log
+                if event["state"] == "firing"]
 
     def to_dict(self) -> List[Dict[str, Any]]:
         return [rule.to_dict() for rule in self.rules]

@@ -57,9 +57,8 @@ def atomic_write_bytes(path: Any, data: bytes, fsync: bool = True) -> None:
         raise
 
 
-def atomic_write_text(path: Any, text: str, encoding: str = "utf-8",
-                      fsync: bool = True) -> None:
-    atomic_write_bytes(path, text.encode(encoding), fsync=fsync)
+def atomic_write_text(path: Any, text: str, fsync: bool = True) -> None:
+    atomic_write_bytes(path, text.encode("utf-8"), fsync=fsync)
 
 
 def atomic_write_json(path: Any, obj: Any, indent: int = 2,

@@ -23,9 +23,7 @@ Connection *refused* is different: the kernel answered immediately and
 definitively — nothing is listening on that port.  In a fleet, that is
 the signature of a dead worker, and burning the full backoff budget on
 it would stall every scrape behind the corpse.  Refused connections
-therefore fast-fail with :class:`RTMConnectionError` (pass
-``retry_refused=True`` to restore the old patient behaviour, e.g. when
-racing a server that is still binding its socket).
+therefore fast-fail with :class:`RTMConnectionError`.
 """
 
 from __future__ import annotations
@@ -73,21 +71,14 @@ class RTMClient:
     backoff:
         Initial retry delay in seconds; doubles per attempt, with up to
         50% uniform jitter added to avoid retry stampedes.
-    retry_refused:
-        Treat connection-refused like any transient failure (retry with
-        backoff) instead of fast-failing with
-        :class:`RTMConnectionError`.  Off by default: refused means the
-        server is gone, not busy.
     """
 
     def __init__(self, url: str, timeout: float = 5.0,
-                 max_retries: int = 3, backoff: float = 0.05,
-                 retry_refused: bool = False):
+                 max_retries: int = 3, backoff: float = 0.05):
         self.base = url.rstrip("/")
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
-        self.retry_refused = retry_refused
         self.retry_count = 0  # total transient retries, for tests/stats
         self._sleep = time.sleep  # injectable for tests
         parts = urlsplit(self.base)
@@ -128,8 +119,7 @@ class RTMClient:
             except RTMClientError:
                 raise  # server verdict (HTTP status) — never retry
             except (OSError, HTTPException) as exc:
-                if isinstance(exc, ConnectionRefusedError) \
-                        and not self.retry_refused:
+                if isinstance(exc, ConnectionRefusedError):
                     raise RTMConnectionError(
                         f"{method} {endpoint}: connection refused — "
                         f"nothing listening at {self.base}") from exc
@@ -382,12 +372,6 @@ class RTMClient:
         :class:`repro.fleet.FleetGateway` URL."""
         return self._get("/api/fleet")
 
-    def fleet_workers(self) -> List[Dict[str, Any]]:
-        return self.fleet_status()["workers"]
-
-    def fleet_jobs(self) -> List[Dict[str, Any]]:
-        return self.fleet_status()["jobs"]
-
     def fleet_worker_get(self, worker_id: str, endpoint: str,
                          **params) -> Any:
         """Call one worker's own API through the gateway's reverse
@@ -520,16 +504,6 @@ class RTMClient:
                               parse_json=False)
         return self._call("GET", "/api/profile/export", params)
 
-    def profile_continuous_start(self, **config) -> Dict[str, Any]:
-        """Start (creating if needed) the continuous profiler;
-        ``interval``/``window_seconds``/``ring``/``backoff_after``/
-        ``max_interval`` are forwarded as query parameters."""
-        return self._post("/api/profile/continuous", action="start",
-                          **config)
-
-    def profile_continuous_stop(self) -> Dict[str, Any]:
-        return self._post("/api/profile/continuous", action="stop")
-
     def watch(self, component: str, path: str) -> int:
         return self._post("/api/watch", component=component,
                           path=path)["id"]
@@ -537,16 +511,3 @@ class RTMClient:
     def unwatch(self, watch_id: int) -> bool:
         return self._call("DELETE", "/api/watch",
                           {"id": watch_id})["removed"]
-
-    # -- conveniences ----------------------------------------------------------
-    def sample_value(self, component: str, path: str, duration: float,
-                     interval: float = 0.05) -> List[tuple]:
-        """Poll one value for *duration* wall seconds — the frontend's
-        time-chart behaviour, and how Figure 5's series were captured."""
-        points = []
-        deadline = time.monotonic() + duration
-        while time.monotonic() < deadline:
-            data = self._get("/api/value", component=component, path=path)
-            points.append((data["time"], data["value"]))
-            time.sleep(interval)
-        return points

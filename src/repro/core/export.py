@@ -3,9 +3,8 @@
 §IV-C: once real-time monitoring narrows the problem, "users can then
 perform more targeted post-hoc analysis, essentially starting with a
 'smaller haystack'".  This module is that hand-off: it records selected
-values (through the same HTTP API the dashboard uses, or directly from
-a :class:`~repro.core.timeseries.ValueMonitor`) and writes them to CSV
-or JSON for offline tooling.
+values through the same HTTP API the dashboard uses and writes them to
+CSV or JSON for offline tooling.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..akita.threads import Periodic
 from .atomicio import atomic_write_text
 from .client import RTMClient
-from .timeseries import ValueMonitor
 
 #: Pseudo-component marking a target as a registry metric, not a
 #: component value path.
@@ -201,34 +199,3 @@ class SeriesRecorder:
         } for s in self.series]
         atomic_write_text(target, json.dumps(payload, indent=2))
         return target
-
-
-def load_recorded_series(path) -> List[RecordedSeries]:
-    """Load series written by :meth:`SeriesRecorder.to_json`.
-
-    Round-trips exactly: ``load_recorded_series(rec.to_json(p))``
-    returns series equal to ``rec.series`` (points become tuples
-    again; JSON ``null`` values come back as ``None``).
-    """
-    payload = json.loads(Path(path).read_text())
-    return [RecordedSeries(
-        label=entry["label"],
-        component=entry["component"],
-        path=entry["path"],
-        points=[(t, v) for t, v in entry["points"]],
-    ) for entry in payload]
-
-
-def export_watches_csv(values: ValueMonitor, path) -> Path:
-    """Dump a ValueMonitor's current watch histories (the dashboard's
-    300-point rings) to CSV — atomically, so a watch raising mid-dump
-    never leaves a torn artifact behind."""
-    target = Path(path)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["label", "time", "value"])
-    for watch in values.watches:
-        for t, v in watch.points:
-            writer.writerow([watch.label, t, v])
-    atomic_write_text(target, buffer.getvalue())
-    return target

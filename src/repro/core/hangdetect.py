@@ -24,6 +24,11 @@ from ..metrics import MetricRegistry
 from .bottleneck import BufferAnalyzer, BufferRow
 
 
+#: CPU% below which a stall is corroborated (an engine that is busy
+#: computing but not advancing time is *slow*, not hung).
+CPU_THRESHOLD = 50.0
+
+
 class NoSimulation(RuntimeError):
     """A hang verdict was asked of a monitor with no simulation yet."""
 
@@ -55,7 +60,6 @@ class HangDetector:
 
     def __init__(self, simulation, analyzer: BufferAnalyzer,
                  stall_threshold: float = 2.0,
-                 cpu_threshold: float = 50.0,
                  clock: Callable[[], float] = time.monotonic,
                  registry: Optional[MetricRegistry] = None):
         """
@@ -68,9 +72,6 @@ class HangDetector:
         stall_threshold:
             Wall seconds of frozen simulation time before declaring a
             hang.
-        cpu_threshold:
-            CPU% below which a stall is corroborated (an engine that is
-            busy computing but not advancing time is *slow*, not hung).
         clock:
             Wall-clock source.  Must be monotonic — ``time.monotonic``
             by default, never ``time.time``, whose NTP/DST jumps would
@@ -80,7 +81,6 @@ class HangDetector:
         self.simulation = simulation
         self.analyzer = analyzer
         self.stall_threshold = stall_threshold
-        self.cpu_threshold = cpu_threshold
         self.clock = clock
         # (wall, sim_time) history; a couple hundred points suffice.
         self._history: Deque[Tuple[float, float]] = deque(maxlen=512)
@@ -129,7 +129,7 @@ class HangDetector:
             hung = False
         else:
             hung = (stalled >= self.stall_threshold
-                    and cpu < self.cpu_threshold)
+                    and cpu < CPU_THRESHOLD)
         stuck = self.analyzer.non_empty() if hung else []
         if self._g_stalled is not None:
             self._g_stalled.set(stalled)

@@ -29,6 +29,7 @@ leaves in one write.
 from __future__ import annotations
 
 import json
+import math
 import socket
 import socketserver
 import threading
@@ -102,14 +103,19 @@ def int_param(params: Dict[str, str], key: str, default: int) -> int:
 
 def float_param(params: Dict[str, str], key: str,
                 default: Optional[float] = None) -> Optional[float]:
+    """A finite number: ``nan`` and ``inf`` parse, but no route can act
+    on one (``time.sleep(nan)`` kills the simulation thread)."""
     raw = params.get(key)
     if raw is None:
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except (TypeError, ValueError):
-        raise BadRequest(f"parameter {key!r} must be a number, "
-                         f"got {raw!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise BadRequest(f"parameter {key!r} must be a finite number, "
+                         f"got {raw!r}")
+    return value
 
 
 def action_param(params: Dict[str, str], *actions: str) -> str:

@@ -33,6 +33,8 @@ hang detector.
 
 from __future__ import annotations
 
+import itertools
+import threading
 from typing import Any, Dict, List, Optional
 
 from ..akita.component import TickingComponent
@@ -66,6 +68,12 @@ class Monitor:
         self._simulation: Optional[Simulation] = None
         self._components: Dict[str, Any] = {}
         self._bars: Dict[int, ProgressBar] = {}
+        #: The monitor numbers its bars.  A driver's bar, kept by the
+        #: ``id()`` of the kernel or memcopy it shows (the driver keeps
+        #: them all), keeps its number across reads.
+        self._bar_numbers = itertools.count(1)
+        self._driver_bars: Dict[int, ProgressBar] = {}
+        self._bars_lock = threading.Lock()
         self.analyzer = BufferAnalyzer()
         # The unified registry: every number the monitor publishes —
         # watches, resources, hang state, HTTP latency, simulation
@@ -75,7 +83,6 @@ class Monitor:
         self.values = ValueMonitor(registry=self.metrics)
         self.alerts = AlertManager(registry=self.metrics)
         self.profiler = None  # set by start_continuous_profiling
-        self._abort_on_hang = False
         self.resources: Optional[ResourceMonitor] = None
         self.hang: Optional[HangDetector] = None
         self.injector = None  # set by attach_injector / ensure_injector
@@ -125,6 +132,7 @@ class Monitor:
         """Auto-create the default progress bars: kernel block progress
         and memcopy byte progress (paper §IV-A)."""
         self._driver = driver
+        self._driver_bars = {}
 
     # ------------------------------------------------------------------
     # The planes, each built by the module the server's manifest names
@@ -207,6 +215,7 @@ class Monitor:
     def create_progress_bar(self, name: str, total: int = 0,
                             provider=None) -> ProgressBar:
         bar = ProgressBar(name, total, provider)
+        bar.id = next(self._bar_numbers)
         self._bars[bar.id] = bar
         return bar
 
@@ -221,12 +230,20 @@ class Monitor:
     def progress_bars(self) -> List[ProgressBar]:
         """All bars: explicitly created ones plus live bars for every
         kernel/memcopy the attached driver knows about."""
-        bars = list(self._bars.values())
-        if self._driver is not None:
-            for kernel in self._driver.kernels:
-                bars.append(ProgressBar.for_kernel(kernel))
-            for copy in self._driver.memcopies:
-                bars.append(ProgressBar.for_memcopy(copy))
+        with self._bars_lock:
+            bars = list(self._bars.values())
+            if self._driver is None:
+                return bars
+            known = self._driver_bars
+            for states, bar_for in (
+                    (self._driver.kernels, ProgressBar.for_kernel),
+                    (self._driver.memcopies, ProgressBar.for_memcopy)):
+                for state in states:
+                    bar = known.get(id(state))
+                    if bar is None:
+                        bar = known[id(state)] = bar_for(state)
+                        bar.id = next(self._bar_numbers)
+                    bars.append(bar)
         return bars
 
     # ------------------------------------------------------------------
@@ -344,28 +361,16 @@ class Monitor:
         """Watch ``component.path <op> threshold`` for *duration* wall
         seconds; on firing, flag it (``notify``) or terminate the run
         (``abort``).  Requires the sampler thread (or manual
-        :meth:`check_alerts` calls) to evaluate."""
+        :meth:`check_alerts` calls) to evaluate.  (A hung run is aborted
+        by the watchdog: ``enable_watchdog(max_tick_retries=0)``.)"""
         rule = AlertRule(self._components[component_name], path, op,
                          threshold, duration, action)
         return self.alerts.add(rule)
 
-    def abort_on_hang(self, enable: bool = True) -> None:
-        """Terminate the simulation automatically when the hang
-        heuristic fires — the fully automated 'fail fast' mode."""
-        self._abort_on_hang = enable
-
     def check_alerts(self) -> List[Dict[str, Any]]:
         """One evaluation pass over all rules (sampler calls this);
         returns the new transitions."""
-        engine = self._require_engine()
-        transitions = self.alerts.evaluate_all(engine.now)
-        if self._abort_on_hang and self.hang is not None \
-                and self._simulation is not None:
-            cpu = self.resources.sample().cpu_percent \
-                if self.resources else 0.0
-            if self.hang.check(cpu).hung:
-                self._simulation.abort()
-        return transitions
+        return self.alerts.evaluate_all(self._require_engine().now)
 
     # ------------------------------------------------------------------
     # Status aggregates

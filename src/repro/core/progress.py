@@ -10,16 +10,10 @@ simulation never has to call back into the monitor.
 
 from __future__ import annotations
 
-import itertools
-import time
 from typing import Callable, Dict, Optional, Tuple
-
-from ..metrics import rate as _rate
 
 #: () -> (completed, ongoing, total)
 ProgressProvider = Callable[[], Tuple[int, int, int]]
-
-_bar_ids = itertools.count(1)
 
 
 class ProgressBar:
@@ -27,14 +21,14 @@ class ProgressBar:
 
     def __init__(self, name: str, total: int = 0,
                  provider: Optional[ProgressProvider] = None):
-        self.id = next(_bar_ids)
+        #: Numbered by the :class:`~repro.core.monitor.Monitor` that
+        #: keeps the bar.
+        self.id = 0
         self.name = name
         self._total = total
         self._completed = 0
         self._ongoing = 0
         self._provider = provider
-        self._rate_wall = time.monotonic()
-        self._rate_completed = self.counts[0]
 
     # -- updates (static bars) ------------------------------------------
     def update(self, completed: int, ongoing: int = 0,
@@ -44,9 +38,6 @@ class ProgressBar:
         self._ongoing = ongoing
         if total is not None:
             self._total = total
-
-    def increment(self, by: int = 1) -> None:
-        self._completed += by
 
     # -- reads -----------------------------------------------------------
     @property
@@ -72,24 +63,6 @@ class ProgressBar:
     def not_started(self) -> int:
         completed, ongoing, total = self.counts
         return max(0, total - completed - ongoing)
-
-    @property
-    def fraction(self) -> float:
-        completed, _, total = self.counts
-        return completed / total if total else 0.0
-
-    def rate(self, now: Optional[float] = None) -> float:
-        """Completed items per wall second since the previous call
-        (or bar creation).  Shares :func:`repro.metrics.rate` with the
-        resource monitor and the CLI so every throughput number in the
-        system means the same thing."""
-        wall = time.monotonic() if now is None else now
-        completed = self.counts[0]
-        value = _rate(completed - self._rate_completed,
-                      wall - self._rate_wall)
-        self._rate_wall = wall
-        self._rate_completed = completed
-        return value
 
     def to_dict(self) -> Dict:
         completed, ongoing, total = self.counts

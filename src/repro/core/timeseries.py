@@ -30,8 +30,6 @@ HISTORY = 300
 #: Concurrent watches (paper: up to five values plotted).
 MAX_WATCHES = 5
 
-_watch_ids = itertools.count(1)
-
 
 class ValueWatch:
     """One monitored value and its recent history."""
@@ -39,7 +37,8 @@ class ValueWatch:
     def __init__(self, component: Any, path: str,
                  label: Optional[str] = None,
                  registry: Optional[MetricRegistry] = None):
-        self.id = next(_watch_ids)
+        #: Numbered by the :class:`ValueMonitor` that keeps the watch.
+        self.id = 0
         self.component = component
         self.path = path
         comp_name = getattr(component, "name", type(component).__name__)
@@ -96,11 +95,10 @@ class ValueWatch:
 class ValueMonitor:
     """Manages the active watches; thread-safe."""
 
-    def __init__(self, max_watches: int = MAX_WATCHES,
-                 registry: Optional[MetricRegistry] = None):
-        self.max_watches = max_watches
+    def __init__(self, registry: Optional[MetricRegistry] = None):
         self.registry = registry
         self._watches: Dict[int, ValueWatch] = {}
+        self._ids = itertools.count(1)
         self._lock = threading.Lock()
 
     def watch(self, component: Any, path: str,
@@ -111,11 +109,12 @@ class ValueMonitor:
         mirroring the dashboard's five-plot carousel.
         """
         with self._lock:
-            while len(self._watches) >= self.max_watches:
+            while len(self._watches) >= MAX_WATCHES:
                 oldest = min(self._watches)
                 self._watches.pop(oldest).release()
             w = ValueWatch(component, path, label,
                            registry=self.registry)
+            w.id = next(self._ids)
             self._watches[w.id] = w
             return w
 

@@ -12,10 +12,11 @@ run (CI, a batch farm) degrades gracefully instead of silently wedging:
    overview) to a JSON file.
 3. **Recover** — automate the paper's *Tick* button: wake the suspect
    components (owners of the stuck buffers) and kick-start the run
-   loop, a bounded number of times.
+   loop, ``max_tick_retries`` times (0 skips recovery).
 4. **Abort** — if the hang survives every retry, terminate the
    simulation cleanly and leave a structured post-mortem report naming
-   the stalled buffers, instead of hanging forever.
+   the stalled buffers, instead of hanging forever.  This is the one
+   door to "fail fast" on a hang: ``enable_watchdog(max_tick_retries=0)``.
 
 The watchdog runs on its own daemon thread and talks to the simulation
 only through the monitor's thread-safe surface.  Its routes:
@@ -34,6 +35,9 @@ from .atomicio import atomic_write_json
 from .hangdetect import NoSimulation
 from .http import BadRequest, NotFound, action_param, float_param, int_param
 
+#: How many suspect components one retry wakes.
+MAX_SUSPECTS = 8
+
 
 @dataclass
 class WatchdogConfig:
@@ -41,22 +45,25 @@ class WatchdogConfig:
 
     #: Seconds between hang checks while everything is healthy.
     check_interval: float = 0.25
-    #: Automated *Tick* retries before giving up on recovery.
+    #: Automated *Tick* retries before giving up on recovery (0: abort
+    #: a confirmed hang at once).
     max_tick_retries: int = 3
     #: Wall seconds to wait after each retry for progress to resume.
     retry_wait: float = 0.5
     #: Where diagnostic snapshots / post-mortems are written
     #: (``None`` = keep them in memory only).
     snapshot_dir: Optional[str] = None
-    #: Attempt tick-based recovery before aborting.
-    recover: bool = True
-    #: Abort the simulation when recovery fails (or is disabled).
-    abort_on_failure: bool = True
-    #: How many suspect components to wake per retry.
-    max_suspects: int = 8
     #: Trailing trace events attached to snapshots and post-mortems
     #: when the monitor has a tracer (0 disables).
     trace_window: int = 64
+
+    def __post_init__(self) -> None:
+        # ``not x > 0`` also refuses NaN: a zero or NaN interval would
+        # spin the supervision loop beside the simulation.
+        if not (self.check_interval > 0 and self.retry_wait > 0):
+            raise ValueError(
+                f"check_interval and retry_wait must be > 0, got "
+                f"{self.check_interval!r} and {self.retry_wait!r}")
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
@@ -67,7 +74,7 @@ class Watchdog:
 
     #: Lifecycle states, in the order they normally occur.
     STATES = ("idle", "watching", "recovering", "recovered", "aborted",
-              "failed", "stopped")
+              "stopped")
 
     def __init__(self, monitor, config: Optional[WatchdogConfig] = None):
         self.monitor = monitor
@@ -119,7 +126,7 @@ class Watchdog:
             return
         self.hang_count += 1
         self._handle_hang(status)
-        if self.state in ("aborted", "failed"):
+        if self.state == "aborted":
             self.loop.stop()  # nothing left to supervise
 
     def _handle_hang(self, status) -> None:
@@ -127,16 +134,13 @@ class Watchdog:
         snapshot = self._diagnostic_snapshot(status)
         snapshot_path = self._persist(snapshot, "watchdog_snapshot")
 
-        attempts = 0
-        recovered = False
-        if self.config.recover:
-            self.state = "recovering"
-            recovered, attempts = self._try_recover(status)
-
-        verdict = "recovered" if recovered else (
-            "aborted" if self.config.abort_on_failure else "failed")
+        self.state = "recovering"
+        recovered, attempts = self._try_recover(status)
         self.report = {
-            "verdict": verdict,
+            "verdict": "recovered" if recovered else "aborted",
+            # time.monotonic() at confirmation: what a campaign's
+            # hang_within is judged by.
+            "confirmed_at": detected_wall,
             "sim_time": status.sim_time,
             "stalled_wall_seconds": status.stalled_wall_seconds,
             "stuck_buffers": [b.to_dict() for b in status.stuck_buffers],
@@ -161,13 +165,10 @@ class Watchdog:
         self.report["resume_checkpoint"] = self._final_checkpoint()
         self.report["postmortem_path"] = self._persist(
             self.report, "watchdog_postmortem")
-        if self.config.abort_on_failure:
-            self.state = "aborted"
-            simulation = getattr(self.monitor, "_simulation", None)
-            if simulation is not None:
-                simulation.abort()
-        else:
-            self.state = "failed"
+        self.state = "aborted"
+        simulation = getattr(self.monitor, "_simulation", None)
+        if simulation is not None:
+            simulation.abort()
 
     # -- recovery -------------------------------------------------------
     def _try_recover(self, status) -> tuple:
@@ -205,7 +206,7 @@ class Watchdog:
                     owner = name
             if owner and owner not in ranked:
                 ranked.append(owner)
-            if len(ranked) >= self.config.max_suspects:
+            if len(ranked) >= MAX_SUSPECTS:
                 break
         return ranked
 
@@ -300,13 +301,13 @@ def _control(server, params):
     for key in ("check_interval", "retry_wait"):
         if key in params:
             config[key] = float_param(params, key)
-    for key in ("max_tick_retries", "max_suspects", "trace_window"):
+    for key in ("max_tick_retries", "trace_window"):
         if key in params:
             config[key] = int_param(params, key, 0)
-    for key in ("recover", "abort_on_failure"):
-        if key in params:
-            config[key] = params[key].lower() not in ("0", "false", "no")
-    return monitor.enable_watchdog(**config).to_dict()
+    try:
+        return monitor.enable_watchdog(**config).to_dict()
+    except ValueError as exc:
+        raise BadRequest(str(exc)) from None
 
 
 ROUTES = (

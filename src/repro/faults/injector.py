@@ -57,9 +57,6 @@ class FaultKind(str, Enum):
     PIN_BUFFER = "pin_buffer"  #: hold a buffer at capacity
     KILL_PORT = "kill_port"    #: drop all traffic touching a port
 
-
-_spec_ids = itertools.count(1)
-
 #: Kinds that act on messages in transit (connection hook).
 _MESSAGE_KINDS = (FaultKind.DROP, FaultKind.DELAY, FaultKind.KILL_PORT)
 
@@ -95,7 +92,8 @@ class FaultSpec:
     probability: float = 1.0
     delay: float = 0.0
     label: str = ""
-    id: int = field(default_factory=lambda: next(_spec_ids))
+    #: Handed out by the :class:`FaultInjector` that arms the spec.
+    id: int = field(default=0, init=False)
     #: Runtime counter: how many times this fault actually bit.
     applied_count: int = 0
 
@@ -155,6 +153,7 @@ class FaultInjector:
         self.seed = seed
         self._rng = random.Random(seed)
         self._specs: Dict[int, FaultSpec] = {}
+        self._ids = itertools.count(1)
         self._message_faults: List[FaultSpec] = []
         self._stall_faults: List[FaultSpec] = []
         self._pinned: Dict[int, List[Buffer]] = {}
@@ -165,7 +164,9 @@ class FaultInjector:
     # Arming / revoking
     # ------------------------------------------------------------------
     def inject(self, spec: FaultSpec) -> FaultSpec:
-        """Arm *spec*.  Returns it (with its assigned id)."""
+        """Arm *spec* — ``FaultSpec(kind, target, start, end, ...)``,
+        the one way to arm any kind.  Returns it, numbered."""
+        spec.id = next(self._ids)
         self._specs[spec.id] = spec
         if spec.kind in _MESSAGE_KINDS:
             self._message_faults.append(spec)
@@ -176,38 +177,6 @@ class FaultInjector:
         elif spec.kind is FaultKind.PIN_BUFFER:
             self._arm_pin(spec)
         return spec
-
-    # -- convenience constructors ---------------------------------------
-    def drop_messages(self, target: str, probability: float = 1.0,
-                      start: float = 0.0,
-                      end: Optional[float] = None) -> FaultSpec:
-        """Lose a fraction of the messages touching matching ports."""
-        return self.inject(FaultSpec(FaultKind.DROP, target, start, end,
-                                     probability=probability))
-
-    def delay_messages(self, target: str, delay: float,
-                       start: float = 0.0,
-                       end: Optional[float] = None) -> FaultSpec:
-        """Add *delay* virtual seconds to matching messages' transit."""
-        return self.inject(FaultSpec(FaultKind.DELAY, target, start, end,
-                                     delay=delay))
-
-    def stall_component(self, target: str, start: float = 0.0,
-                        end: Optional[float] = None) -> FaultSpec:
-        """Freeze matching components' tick handlers."""
-        return self.inject(FaultSpec(FaultKind.STALL, target, start, end))
-
-    def pin_buffer(self, target: str, start: float = 0.0,
-                   end: Optional[float] = None) -> FaultSpec:
-        """Hold matching buffers at capacity."""
-        return self.inject(FaultSpec(FaultKind.PIN_BUFFER, target, start,
-                                     end))
-
-    def kill_port(self, target: str, start: float = 0.0,
-                  end: Optional[float] = None) -> FaultSpec:
-        """Silently discard every message to or from matching ports."""
-        return self.inject(FaultSpec(FaultKind.KILL_PORT, target, start,
-                                     end))
 
     def revoke(self, spec_id: int) -> bool:
         """Disarm one fault.  Pinned buffers are released immediately."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 from ..akita.ticker import GHZ
-from .injector import FaultInjector, FaultKind, FaultSpec, _spec_ids
+from .injector import FaultInjector, FaultKind, FaultSpec
 
 
 def cycles(n: float, freq: float = GHZ) -> float:
@@ -47,8 +47,6 @@ class Expectation:
     completes: Optional[bool] = None
     #: Some stuck/bottleneck buffer must match this fnmatch pattern.
     buffer_pattern: Optional[str] = None
-    #: At least one alert rule must have fired.
-    alert_fired: Optional[bool] = None
 
 
 @dataclass
@@ -67,11 +65,8 @@ class FaultScenario:
         Copies keep the scenario reusable: runtime counters and ids stay
         with the armed instance, not the template.
         """
-        armed = []
-        for spec in self.faults:
-            armed.append(injector.inject(
-                replace(spec, id=next(_spec_ids), applied_count=0)))
-        return armed
+        return [injector.inject(replace(spec, applied_count=0))
+                for spec in self.faults]
 
     def to_dict(self) -> dict:
         return {

@@ -46,7 +46,7 @@ import codecs
 import json
 import sys
 import threading
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 __all__ = ["CONTROL_PREFIX", "FrameDecoder", "emit",
            "encode_command", "decode_command", "split_batches"]
@@ -209,9 +209,3 @@ class FrameDecoder:
             self.errors += 1
             return None
         return payload
-
-    def iter_text(self, text: str) -> Iterator[Dict[str, Any]]:
-        """Convenience for tests and offline transcripts: decode a
-        whole captured stdout string."""
-        yield from self.feed(text.encode("utf-8"))
-        yield from self.flush()

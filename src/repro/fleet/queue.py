@@ -252,11 +252,6 @@ class JobQueue:
         with self._lock:
             return list(self._jobs.values())
 
-    @property
-    def pending_count(self) -> int:
-        with self._lock:
-            return len(self._pending)
-
     def counts(self) -> Dict[str, int]:
         with self._lock:
             return {**self._counts, "total": len(self._jobs),

@@ -503,8 +503,11 @@ class GPUPlatform:
     # Execution helpers
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Kick the driver so enqueued commands begin executing."""
-        self.driver.tick_later()
+        """Kick the driver so enqueued commands begin executing.  A
+        driver mid-command (a restored snapshot) is woken by its own
+        traffic; a kick would add a tick the uninterrupted run lacks."""
+        if self.driver._current is None:
+            self.driver.tick_later()
 
     def run(self, hang_wait: float = 0.0) -> bool:
         """Start and run to completion; see :meth:`Simulation.run`."""

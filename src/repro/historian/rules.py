@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
-from ..core.alerts import OPERATORS, Rule, rule_ids
+from ..core.alerts import OPERATORS, Rule
 from ..metrics.exposition import family_total
 
 __all__ = ["MetricRule", "RULE_KINDS"]
@@ -44,7 +44,7 @@ class MetricRule(Rule):
     labels: Dict[str, str] = field(default_factory=dict)
     for_seconds: float = 0.0
     name: str = ""
-    id: int = field(default_factory=lambda: next(rule_ids))
+    id: int = field(default=0, init=False)
 
     _prev: Optional[Tuple[float, float]] = None  # (wall, total) for rate
 

@@ -13,7 +13,7 @@ manager's settled views):
   the ``resume_checkpoint`` and trace-window pointers), and, when the
   workers profiled, the job's continuous-profiling summary as a
   ``profile`` record;
-* every ``prune_interval`` seconds, run the retention sweep as an
+* every :data:`PRUNE_INTERVAL` seconds, run the retention sweep as an
   idle-time chore.
 
 The service also works without a fleet: pass ``source=`` a callable
@@ -34,6 +34,9 @@ from .rules import MetricRule
 from .store import Historian, RetentionPolicy
 
 __all__ = ["HistorianService", "gateway_source", "registry_source"]
+
+#: Wall seconds between retention sweeps.
+PRUNE_INTERVAL = 30.0
 
 
 def gateway_source(gateway) -> Callable[[], Dict[str, Any]]:
@@ -80,13 +83,11 @@ class HistorianService:
                  interval: float = 1.0,
                  rules: Iterable[MetricRule] = (),
                  retention: Iterable[RetentionPolicy] = (),
-                 prune_interval: float = 30.0,
                  meta: Optional[Dict[str, Any]] = None):
         self.historian = historian
         self.manager = manager
         self.source = source
         self.interval = interval
-        self.prune_interval = prune_interval
         self.engine = AlertManager()
         for rule in rules:
             self.engine.add(rule)
@@ -157,7 +158,7 @@ class HistorianService:
             now = time.monotonic()
             if self.retention and (final or
                                    now - self._last_prune
-                                   >= self.prune_interval):
+                                   >= PRUNE_INTERVAL):
                 self._last_prune = now
                 self.historian.prune(self.retention)
             if final:

@@ -333,10 +333,6 @@ class MetricRegistry:
         return self._get_or_create(Histogram, name, help, labelnames,
                                    buckets=buckets)
 
-    def unregister(self, name: str) -> bool:
-        with self._lock:
-            return self._metrics.pop(name, None) is not None
-
     def get(self, name: str) -> Optional[Metric]:
         return self._metrics.get(name)
 

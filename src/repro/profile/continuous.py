@@ -35,11 +35,17 @@ from collections import deque
 from typing import Any, Deque, Dict, List, Optional
 
 from ..akita import threads as _threads
-from ..core.http import (BadRequest, NotFound, Response, action_param,
-                         float_param, int_param)
+from ..core.http import BadRequest, NotFound, Response, int_param
 from .attribution import (Stack, attribution_report, classify_stack,
                           make_summary, ranked_functions)
 from .export import collapsed_stacks, frame_label, speedscope_document
+
+#: Windows kept in the ring.
+RING = 15
+#: Back-off: the sampling interval doubles per this many unread
+#: seconds, up to :data:`MAX_INTERVAL` (or the base interval, if longer).
+BACKOFF_AFTER = 30.0
+MAX_INTERVAL = 0.25
 
 
 class ProfileWindow:
@@ -89,21 +95,16 @@ class ContinuousProfiler:
     interest, with adaptive back-off when nobody is reading."""
 
     def __init__(self, interval: float = 0.02,
-                 window_seconds: float = 2.0,
-                 ring: int = 15,
-                 backoff_after: float = 30.0,
-                 max_interval: float = 0.25):
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        if window_seconds <= 0:
-            raise ValueError("window_seconds must be positive")
-        if ring < 1:
-            raise ValueError("ring must hold at least one window")
+                 window_seconds: float = 2.0):
+        # ``not x > 0`` also refuses NaN, which would spin the sampler.
+        if not interval > 0:
+            raise ValueError(f"interval must be > 0, got {interval!r}")
+        if not window_seconds > 0:
+            raise ValueError(
+                f"window_seconds must be > 0, got {window_seconds!r}")
         self.interval = interval
         self.window_seconds = window_seconds
-        self.backoff_after = backoff_after
-        self.max_interval = max(max_interval, interval)
-        self._ring: Deque[ProfileWindow] = deque(maxlen=ring)
+        self._ring: Deque[ProfileWindow] = deque(maxlen=RING)
         self._window: Optional[ProfileWindow] = None
         self._windows_opened = 0
         self._samples_total = 0
@@ -156,13 +157,14 @@ class ContinuousProfiler:
     @property
     def effective_interval(self) -> float:
         """The interval the sampler is using right now: the base rate
-        while read, doubling per idle ``backoff_after`` period up to
-        ``max_interval`` once nobody looks."""
+        while read, doubling per idle :data:`BACKOFF_AFTER` period up to
+        :data:`MAX_INTERVAL` once nobody looks."""
         idle = time.monotonic() - self._last_touch
-        if idle <= self.backoff_after:
+        if idle <= BACKOFF_AFTER:
             return self.interval
-        periods = min(8, int(idle / self.backoff_after))
-        return min(self.max_interval, self.interval * (2 ** periods))
+        periods = min(8, int(idle / BACKOFF_AFTER))
+        return min(max(MAX_INTERVAL, self.interval),
+                   self.interval * (2 ** periods))
 
     def _sample(self) -> None:
         me = threading.get_ident()
@@ -345,13 +347,6 @@ class ContinuousProfiler:
                           edges.items(), key=lambda kv: -kv[1])],
         }
 
-    def reset(self) -> None:
-        """Forget the kept windows.  The cumulative layer totals are a
-        counter family and keep what the windows already folded in."""
-        with self._lock:
-            self._close_window(time.monotonic())
-            self._ring.clear()
-
     def summary(self, last: Optional[int] = None,
                 top_functions: int = 40,
                 top_stacks: int = 250) -> Dict[str, Any]:
@@ -509,26 +504,6 @@ def _export(server, params):
                      f"'summary', got {fmt!r}")
 
 
-def _control(server, params):
-    monitor = server.monitor
-    if action_param(params, "start", "stop") == "stop":
-        profiler = _started(monitor)
-        profiler.stop()
-        return profiler.status()
-    config: Dict[str, Any] = {}
-    for key in ("interval", "window_seconds", "backoff_after",
-                "max_interval"):
-        if key in params:
-            config[key] = float_param(params, key)
-    if "ring" in params:
-        config["ring"] = int_param(params, "ring", 15)
-    try:
-        profiler = monitor.start_continuous_profiling(**config)
-    except ValueError as exc:
-        raise BadRequest(str(exc)) from None
-    return profiler.status()
-
-
 ROUTES = (
     ("GET", "/api/profile?top", _report, "simulation-thread report (T4)"),
     ("POST", "/api/profile/start", _start, "start the sampling profiler"),
@@ -539,6 +514,4 @@ ROUTES = (
      "overhead decomposed by layer"),
     ("GET", "/api/profile/export?format&last&role", _export,
      "collapsed / speedscope export"),
-    ("POST", "/api/profile/continuous?action=start|stop&interval&...",
-     _control, "the same start|stop, configurable"),
 )

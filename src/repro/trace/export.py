@@ -61,14 +61,13 @@ def read_jsonl(path) -> List[TraceEvent]:
 # ----------------------------------------------------------------------
 # Perfetto / Chrome trace_event
 # ----------------------------------------------------------------------
-def to_perfetto(events: Sequence[TraceEvent],
-                trace_name: str = "repro.trace") -> Dict[str, Any]:
+def to_perfetto(events: Sequence[TraceEvent]) -> Dict[str, Any]:
     """Build a ``trace_event`` JSON document from *events*."""
     pid = 1
     tids: Dict[str, int] = {}
     out: List[Dict[str, Any]] = [{
         "ph": "M", "pid": pid, "name": "process_name",
-        "args": {"name": trace_name},
+        "args": {"name": "repro.trace"},
     }]
 
     def tid_of(component: str) -> int:
@@ -131,13 +130,12 @@ def to_perfetto(events: Sequence[TraceEvent],
     }
 
 
-def write_perfetto(events: Sequence[TraceEvent], path,
-                   trace_name: str = "repro.trace") -> Path:
+def write_perfetto(events: Sequence[TraceEvent], path) -> Path:
     """Write the Perfetto JSON document for *events* to *path*
     (atomically — the document is built before the target is touched).
     """
     target = Path(path)
-    atomic_write_text(target, json.dumps(to_perfetto(events, trace_name)))
+    atomic_write_text(target, json.dumps(to_perfetto(events)))
     return target
 
 

@@ -70,6 +70,47 @@ def test_mid_run_checkpoint_resumes_to_identical_final_state(tmp_path):
         == reference.driver.commands_completed
 
 
+def test_save_over_http_mid_run_restores_to_the_same_end(tmp_path):
+    """``POST /api/checkpoint?action=save`` end to end: a snapshot
+    requested through the client while the run is live restores to a
+    run that ends at the uninterrupted run's event count and time."""
+    import threading
+    import time
+
+    from repro.core import Monitor, RTMClient
+
+    reference = _cold_reference()
+    platform = _platform()
+    _workload().enqueue(platform.driver)
+    monitor = Monitor(platform.simulation)
+    path = str(tmp_path / "live.rtm")
+    monitor.attach_checkpointer(Checkpointer(platform, path,
+                                             interval=3600.0))
+    client = RTMClient(monitor.start_server())
+    thread = threading.Thread(target=platform.run, daemon=True)
+    thread.start()
+    try:
+        deadline = time.monotonic() + 30.0
+        while platform.engine.event_count < 1000 \
+                and time.monotonic() < deadline:
+            time.sleep(0.001)
+        client.pause()
+        saved = client.checkpoint_save()
+        client.continue_()
+        thread.join(timeout=60.0)
+    finally:
+        monitor.stop_server()
+    assert not thread.is_alive()
+    assert saved["saved"] and saved["count"] == 1
+
+    restored, header = load_checkpoint(path, workload=_workload())
+    assert 0.0 < header["meta"]["sim_time"] < reference.engine.now
+    assert restored.engine.event_count < reference.engine.event_count
+    assert restored.run()
+    assert restored.engine.event_count == reference.engine.event_count
+    assert restored.engine.now == reference.engine.now
+
+
 def test_restored_wavefronts_replay_their_op_streams(tmp_path):
     """The checkpoint lands mid-kernel, so live wavefront generators
     must be rehydrated and fast-forwarded — progress counters prove
@@ -97,9 +138,9 @@ def test_checkpoint_of_stalled_run_revives_on_restore(tmp_path):
     that completes — the watchdog's restore escalation depends on it."""
     platform = _platform()
     _workload().enqueue(platform.driver)
-    from repro.faults.injector import FaultInjector
+    from repro.faults import FaultInjector, FaultKind, FaultSpec
     injector = FaultInjector(platform.simulation)
-    injector.stall_component("*WriteBuffer*", start=5e-7)
+    injector.inject(FaultSpec(FaultKind.STALL, "*WriteBuffer*", start=5e-7))
 
     assert not platform.run(), "stall should hang the run"
     assert platform.simulation.run_state == "hung"
@@ -259,7 +300,7 @@ def test_unpicklable_state_is_counted_not_fatal(tmp_path):
     assert ckpt.save_now() is None
     assert ckpt.errors == 1
     assert "picklable" in ckpt.last_error
-    assert ckpt.last_path is None
+    assert ckpt.count == 0 and ckpt.last_header is None
 
 
 def test_interval_mode_snapshots_a_threaded_run(tmp_path):

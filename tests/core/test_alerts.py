@@ -121,19 +121,21 @@ def test_manager_add_remove():
 # -------------------------------------------------------------- monitor + HTTP
 def test_abort_on_hang_terminates_hung_simulation():
     """Fully automated fail-fast: the hung platform is torn down by the
-    monitor without any human action."""
+    monitor without any human action — through its one door, the
+    watchdog with no *Tick* retries."""
     platform = GPUPlatform(StoreStorm.trigger_config(buggy=True))
     monitor = Monitor(platform.simulation)
     monitor.attach_driver(platform.driver)
-    monitor.sample_interval = 0.05
-    monitor.abort_on_hang()
-    monitor.start_sampler()
+    watchdog = monitor.enable_watchdog(max_tick_retries=0,
+                                       check_interval=0.05)
     StoreStorm().enqueue(platform.driver)
     # hang_wait large: only the monitor's abort can end this run.
     completed = platform.run(hang_wait=120.0)
-    monitor.stop_sampler()
+    monitor.stop_server()
     assert completed is False
     assert platform.simulation.run_state == "aborted"
+    assert watchdog.report["verdict"] == "aborted"
+    assert watchdog.report["recovery_attempts"] == 0
 
 
 def test_alert_api_over_http():
@@ -179,9 +181,9 @@ def test_still_breaching_rule_fires_once_then_resolves_once():
     assert [t["state"] for t in manager.evaluate_all(5.0)] == ["resolved"]
     assert rule.state == "ok"
     assert rule.resolved_at_sim_time == 5.0
-    assert manager.resolved_log == [rule]
     manager.evaluate_all(6.0)
-    assert manager.resolved_log == [rule]
+    assert [t["state"] for t in manager.transitions] == ["firing",
+                                                         "resolved"]
 
 
 def test_rule_refires_after_resolve():
@@ -274,7 +276,6 @@ def test_both_value_sources_walk_the_same_transition_sequence(make_rule):
         (1, "firing"), (2, "resolved"), (3, "firing")]
     assert manager.transitions_since(1) == manager.transitions[1:]
     assert manager.fired_log == [rule, rule]
-    assert manager.resolved_log == [rule]
     assert rule.fired_count == 2
 
 

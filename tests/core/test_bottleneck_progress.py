@@ -3,7 +3,7 @@
 import pytest
 
 from repro.akita import Buffer, Component, Engine
-from repro.core import BufferAnalyzer, ProgressBar
+from repro.core import BufferAnalyzer, Monitor, ProgressBar
 from repro.gpu.kernel import KernelDescriptor, KernelState, MemCopyState
 
 
@@ -117,14 +117,6 @@ def test_static_bar_updates():
     bar.update(40, ongoing=10)
     assert bar.counts == (40, 10, 100)
     assert bar.not_started == 50
-    assert bar.fraction == 0.4
-
-
-def test_bar_increment():
-    bar = ProgressBar("work", total=10)
-    bar.increment()
-    bar.increment(2)
-    assert bar.completed == 3
 
 
 def test_bar_to_dict():
@@ -154,9 +146,13 @@ def test_live_memcopy_bar():
     bar = ProgressBar.for_memcopy(copy)
     copy.copied_bytes = 250
     assert bar.counts == (250, 0, 1000)
-    assert bar.fraction == 0.25
 
 
 def test_bar_ids_unique():
-    a, b = ProgressBar("a"), ProgressBar("b")
-    assert a.id != b.id
+    """The monitor that keeps the bars numbers them, from 1, whoever
+    numbered bars before it in the process."""
+    for _ in range(2):
+        monitor = Monitor()
+        a = monitor.create_progress_bar("a")
+        b = monitor.create_progress_bar("b")
+        assert (a.id, b.id) == (1, 2)

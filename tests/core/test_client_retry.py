@@ -1,11 +1,10 @@
 """Retry behaviour of the HTTP client's transport layer.
 
-Port 9 (discard) refuses connections, which by default now FAST-FAILS
-with :class:`RTMConnectionError` instead of consuming the retry budget.
-The legacy retry/backoff tests therefore opt back in with
-``retry_refused=True`` so a refused connection behaves like any
-transient transport error; the fast-fail contract has its own tests at
-the bottom.
+The retry/backoff tests use a client whose every exchange is reset
+mid-flight — a transient transport error.  A refused connection (port 9,
+discard) is not transient: it FAST-FAILS with
+:class:`RTMConnectionError` without consuming the retry budget, and that
+contract has its own tests at the bottom.
 """
 
 import time
@@ -18,10 +17,14 @@ from repro.core import (Monitor, RTMClient, RTMClientError,
 from repro.gpu import GPUPlatform, GPUPlatformConfig
 
 
-def _client(max_retries=3, **kwargs):
-    kwargs.setdefault("retry_refused", True)
+def _reset(*args):
+    raise ConnectionResetError("connection reset by peer")
+
+
+def _client(max_retries=3):
     client = RTMClient("http://127.0.0.1:9", max_retries=max_retries,
-                       backoff=0.01, **kwargs)
+                       backoff=0.01)
+    client._request = _reset
     client._sleep = client_sleeps(client)
     return client
 
@@ -33,7 +36,7 @@ def client_sleeps(client):
 
 
 def test_get_retries_transient_failure_then_raises():
-    # Port 9 (discard) refuses connections: every attempt fails fast.
+    # Every attempt is reset: retried, then given up on.
     client = _client(max_retries=3)
     with pytest.raises(RTMClientError, match="after 4 attempts"):
         client.overview()
@@ -154,8 +157,8 @@ def test_transient_then_success_recovers(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_connection_refused_fast_fails_without_retries():
-    # Default client (no retry_refused): a dead port is a definitive
-    # verdict, answered immediately — no retries, no sleeps.
+    # A dead port is a definitive verdict, answered immediately — no
+    # retries, no sleeps.
     client = RTMClient("http://127.0.0.1:9", max_retries=5, backoff=0.5)
     sleeps = []
     client._sleep = sleeps.append
@@ -190,15 +193,6 @@ def test_metrics_stream_refuses_fast():
             pass
     assert time.monotonic() - start < 1.0
     assert sleeps == []
-
-
-def test_retry_refused_opts_back_into_backoff():
-    # The old behaviour stays one flag away for flaky-network users.
-    client = _client(max_retries=2)  # helper sets retry_refused=True
-    with pytest.raises(RTMClientError, match="after 3 attempts"):
-        client.overview()
-    assert client.retry_count == 2
-    assert len(client.sleep_log) == 2
 
 
 def test_retry_against_live_server_is_transparent():

@@ -7,37 +7,18 @@ import time
 
 import pytest
 
-from repro.core import Monitor, RTMClient, ValueMonitor
-from repro.core.export import (
-    RecordedSeries,
-    SeriesRecorder,
-    export_watches_csv,
-    load_recorded_series,
-)
+from repro.core import Monitor, RTMClient
+from repro.core.export import RecordedSeries, SeriesRecorder
 from repro.gpu import GPUPlatform, GPUPlatformConfig
 from repro.workloads import FIR
 
 
-class _Thing:
-    name = "Thing"
-
-    def __init__(self):
-        self.level = 0
-
-
-def test_export_watches_csv(tmp_path):
-    vm = ValueMonitor()
-    thing = _Thing()
-    vm.watch(thing, "level")
-    for i in range(5):
-        thing.level = i
-        vm.sample_all(float(i))
-    out = export_watches_csv(vm, tmp_path / "watches.csv")
-    rows = list(csv.reader(out.open()))
-    assert rows[0] == ["label", "time", "value"]
-    assert len(rows) == 6
-    assert rows[1] == ["Thing.level", "0.0", "0.0"]
-    assert rows[-1] == ["Thing.level", "4.0", "4.0"]
+def _loaded(path):
+    """The series a ``to_json`` document holds, as recorded."""
+    return [RecordedSeries(entry["label"], entry["component"],
+                           entry["path"],
+                           [tuple(point) for point in entry["points"]])
+            for entry in json.loads(path.read_text())]
 
 
 @pytest.fixture
@@ -100,17 +81,10 @@ def test_recorder_dump_load_round_trip(live, tmp_path):
                               interval=0.01)
     recorder.record_for(0.3)
     out = recorder.to_json(tmp_path / "series.json")
-
-    loaded = load_recorded_series(out)
-    assert len(loaded) == len(recorder.series)
-    for original, restored in zip(recorder.series, loaded):
-        assert restored.label == original.label
-        assert restored.component == original.component
-        assert restored.path == original.path
-        assert restored.points == original.points
+    assert _loaded(out) == recorder.series
 
 
-def test_load_recorded_series_synthetic_round_trip(tmp_path):
+def test_to_json_synthetic_round_trip(tmp_path):
     # Pure round-trip without a live server, including a None value
     # (a sample the recorder took while the path was not resolvable).
     series = RecordedSeries("A.size", "A", "size",
@@ -119,9 +93,7 @@ def test_load_recorded_series_synthetic_round_trip(tmp_path):
     recorder = SeriesRecorder.__new__(SeriesRecorder)
     recorder.series = [series]
     out = recorder.to_json(tmp_path / "series.json")
-    loaded = load_recorded_series(out)
-    assert loaded[0].points == series.points
-    assert loaded[0] == series
+    assert _loaded(out) == [series]
 
 
 def test_recorder_survives_bad_path(live, tmp_path):
@@ -158,25 +130,3 @@ def test_to_csv_failure_preserves_previous_artifact(tmp_path):
     with pytest.raises(Exception):
         recorder.to_csv(target)
     assert target.read_text() == "previous,complete,artifact\n"
-
-
-def test_export_watches_csv_failure_leaves_no_partial_file(tmp_path):
-    class _GoodWatch:
-        label = "good"
-        points = [(0.0, 1.0)]
-
-    class _PoisonedWatch:
-        label = "poison"
-
-        @property
-        def points(self):
-            raise RuntimeError("watch read failed mid-dump")
-
-    class _Values:
-        watches = [_GoodWatch(), _PoisonedWatch()]
-
-    target = tmp_path / "watches.csv"
-    with pytest.raises(RuntimeError):
-        export_watches_csv(_Values(), target)
-    assert not target.exists(), "partial CSV left behind"
-    assert list(tmp_path.iterdir()) == []

@@ -38,8 +38,7 @@ class FakeClock:
 def _detector(clock, threshold=2.0):
     sim = FakeSimulation()
     return sim, HangDetector(sim, BufferAnalyzer(),
-                             stall_threshold=threshold,
-                             cpu_threshold=50.0, clock=clock)
+                             stall_threshold=threshold, clock=clock)
 
 
 def test_default_clock_is_monotonic():

@@ -12,8 +12,7 @@ import urllib.request
 
 import pytest
 
-from repro.core import (Monitor, RTMClient, RTMClientError,
-                        discover_buffers)
+from repro.core import Monitor, RTMClient, discover_buffers
 from repro.gpu import GPUPlatform, GPUPlatformConfig
 from repro.workloads import FIR
 
@@ -66,10 +65,10 @@ def test_profile_start_stop_idempotent(rig):
     assert _status_of(client, "/api/profile/start", "POST") == 200
     assert monitor.profiler.running
     assert client.profile()["running"] is True
-    # The panel's buttons and ?action= are one start/stop.
+    # The panel's buttons start and stop the one rolling profiler.
     assert client.profile()["continuous"]["running"] is True
-    assert client.profile_continuous_stop()["running"] is False
-    assert client.profile()["running"] is False
+    client.profile_stop()
+    assert client.profile()["continuous"]["running"] is False
     client.profile_start()
     assert _status_of(client, "/api/profile/stop", "POST") == 200
     assert _status_of(client, "/api/profile/stop", "POST") == 200
@@ -116,7 +115,7 @@ def test_panel_start_on_an_open_window_reports_the_simulation(rig):
     simulation role: the panel must show it, not an empty list."""
     platform, monitor, client = rig
     _enqueue(platform, taps=128)
-    client.profile_continuous_start(interval=0.005, window_seconds=60.0)
+    monitor.start_continuous_profiling(interval=0.005, window_seconds=60.0)
     time.sleep(0.05)
     client.profile_start()
     runner = _run_async(platform)
@@ -133,17 +132,14 @@ def test_continuous_endpoints_404_until_started(rig):
     for path in ("/api/profile/windows", "/api/profile/attribution",
                  "/api/profile/export"):
         assert _status_of(client, path) == 404
-    assert _status_of(client,
-                      "/api/profile/continuous?action=stop",
-                      "POST") == 404
 
 
 def test_continuous_lifecycle_over_http(rig):
     platform, monitor, client = rig
     _enqueue(platform, taps=64)
-    status = client.profile_continuous_start(interval=0.005,
-                                             window_seconds=0.2)
-    assert status["running"] is True
+    profiler = monitor.start_continuous_profiling(interval=0.005,
+                                                  window_seconds=0.2)
+    assert profiler.running and client.profile()["continuous"]["running"]
     runner = _run_async(platform)
     runner.join()
     windows = client.profile_windows(last=3)
@@ -157,33 +153,36 @@ def test_continuous_lifecycle_over_http(rig):
     assert doc["profiles"]
     text = client.profile_export(format="collapsed")
     assert isinstance(text, str)
-    status = client.profile_continuous_stop()
-    assert status["running"] is False
+    client.profile_stop()
+    assert client.profile_windows()["status"]["running"] is False
     # The panel payload carries the same profiler's status.
     assert client.profile()["continuous"]["samples"] > 0
 
 
 def test_continuous_bad_params_are_400(rig):
-    _, __, client = rig
-    client.profile_continuous_start(interval=0.01)
+    _, monitor, client = rig
+    monitor.start_continuous_profiling(interval=0.01)
     try:
         assert _status_of(client,
                           "/api/profile/windows?last=-1") == 400
         assert _status_of(client,
                           "/api/profile/export?format=bogus") == 400
         assert _status_of(client,
-                          "/api/profile/continuous?action=bogus",
-                          "POST") == 400
-        assert _status_of(client,
                           "/api/profile/attribution?last=zzz") == 400
     finally:
-        client.profile_continuous_stop()
+        client.profile_stop()
 
 
 def test_continuous_start_rejects_bad_config(rig):
-    _, __, client = rig
-    with pytest.raises(RTMClientError):
-        client.profile_continuous_start(interval=-1.0)
+    """The profiler is configured from Python; a request names no
+    interval, and one that tries reaches no route."""
+    _, monitor, client = rig
+    for interval in (-1.0, 0.0, float("nan")):
+        with pytest.raises(ValueError):
+            monitor.start_continuous_profiling(interval=interval)
+    assert monitor.profiler is None
+    assert _status_of(client, "/api/profile/continuous?action=start"
+                      "&interval=0", "POST") == 404
 
 
 def test_profile_while_hung(rig):
@@ -194,7 +193,7 @@ def test_profile_while_hung(rig):
         monitor.hang.stall_threshold = 0.3
     _enqueue(platform)
     client.inject_fault("stall", "*WriteBuffer*", start=5e-7)
-    client.profile_continuous_start(interval=0.005, window_seconds=0.2)
+    monitor.start_continuous_profiling(interval=0.005, window_seconds=0.2)
     client.profile_start()
     runner = _run_async(platform, hang_wait=30.0)
     deadline = time.monotonic() + 30.0
@@ -210,7 +209,6 @@ def test_profile_while_hung(rig):
     report = client.profile_attribution()
     assert report["samples"] > 0
     client.profile_stop()
-    client.profile_continuous_stop()
     platform.simulation.abort()
     runner.join(timeout=10.0)
 

@@ -92,14 +92,6 @@ def test_profiler_start_stop_idempotent():
     assert not profiler.running
 
 
-def test_profiler_reset():
-    profiler = _profile_busy_thread(0.2)
-    assert profiler.report()["functions"]
-    profiler.reset()
-    report = profiler.report()
-    assert report["functions"] == [] and report["samples"] == 0
-
-
 def test_report_serializes():
     report = ContinuousProfiler(interval=0.005).report()
     assert set(report) == {"duration", "samples", "functions", "edges"}
@@ -140,8 +132,7 @@ def test_hung_when_run_state_says_so():
 def test_stall_plus_low_cpu_flags_hang():
     sim = Simulation()
     sim.set_completion_check(lambda: False)
-    detector = HangDetector(sim, BufferAnalyzer(), stall_threshold=0.05,
-                            cpu_threshold=50.0)
+    detector = HangDetector(sim, BufferAnalyzer(), stall_threshold=0.05)
     # Simulate a frozen clock while "running".
     sim.engine._state = type(sim.engine.run_state)("running")
     detector.record()

@@ -100,8 +100,7 @@ def test_client_mirrors_every_view_endpoint():
                    "profile_start", "profile_stop",
                    "faults", "inject_fault", "revoke_fault",
                    "watchdog", "watchdog_start", "watchdog_stop",
-                   "fleet_status", "fleet_workers", "fleet_jobs",
-                   "fleet_worker_get"):
+                   "fleet_status", "fleet_worker_get"):
         assert callable(getattr(RTMClient, method)), method
 
 

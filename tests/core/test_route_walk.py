@@ -70,7 +70,6 @@ RTM_STATUS = {
     ("GET", "/api/profile/windows"): (404, 404),
     ("GET", "/api/profile/attribution"): (404, 404),
     ("GET", "/api/profile/export"): (404, 404),
-    ("POST", "/api/profile/continuous"): (400, 400),
     ("POST", "/api/pause"): (400, 200),
     ("POST", "/api/continue"): (400, 200),
     ("POST", "/api/kickstart"): (200, 200),

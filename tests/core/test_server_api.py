@@ -107,6 +107,21 @@ def test_progress_endpoint(rig):
     assert total > 0
 
 
+def test_a_bar_keeps_its_id_across_reads(rig):
+    """A driver's kernel and memcopy bars are the monitor's, numbered
+    once: a second read names them by the same ids."""
+    platform, monitor, client = rig
+    FIR(num_samples=4096).enqueue(platform.driver)
+    first = [(b["id"], b["name"]) for b in client.progress()]
+    assert len(first) == 3  # two memcopies and the kernel
+    assert [(b["id"], b["name"]) for b in client.progress()] == first
+    assert sorted(bar_id for bar_id, _ in first) == [1, 2, 3]
+    extra = monitor.create_progress_bar("setup", total=1)
+    assert extra.id == 4
+    assert [b["id"] for b in client.progress()] == \
+        [4] + [bar_id for bar_id, _ in first]
+
+
 def test_pause_continue_via_http(rig):
     platform, _, client = rig
     FIR(num_samples=32768).enqueue(platform.driver)

@@ -56,6 +56,36 @@ def test_throttle_non_numeric_400(rig):
                    "/api/throttle?events_per_second=fast") == 400
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+@pytest.mark.parametrize("method,path", [
+    ("POST", "/api/throttle?events_per_second="),
+    ("POST", "/api/watchdog?action=start&check_interval="),
+    ("POST", "/api/faults?kind=delay&target=*Switch*&delay="),
+    ("GET", "/api/trace/query?t0="),
+    ("GET", "/api/stream?count=1&attach=0&interval="),
+])
+def test_non_finite_numbers_are_400_on_every_route(rig, method, path,
+                                                   value):
+    """``float()`` parses them; no route can act on one — a NaN
+    throttle killed the simulation thread in ``time.sleep``."""
+    _, monitor, _ = rig
+    monitor.ensure_tracer()
+    assert _status(monitor, method, path + value) == 400
+    assert monitor.watchdog is None  # nothing was started or armed
+    assert not (monitor.injector and monitor.injector.specs)
+
+
+def test_a_nan_throttle_leaves_the_run_alive(rig):
+    platform, monitor, client = rig
+    from repro.workloads import FIR
+    FIR(num_samples=2048).enqueue(platform.driver)
+    with pytest.raises(RTMClientError, match="400"):
+        client.throttle(float("nan"))
+    platform.engine.set_throttle(float("nan"))  # from Python: no throttle
+    assert platform.run()
+    assert platform.simulation.run_state == "completed"
+
+
 def test_alert_non_numeric_threshold_400(rig):
     platform, monitor, _ = rig
     name = platform.chiplets[0].robs[0].name
@@ -152,10 +182,10 @@ def test_watchdog_lifecycle_over_http(rig):
     assert client.watchdog()["enabled"] is False
 
     started = client.watchdog_start(check_interval=0.05,
-                                    max_tick_retries=1, recover="false")
+                                    max_tick_retries=1, trace_window=8)
     assert started["state"] == "watching"
     assert started["config"]["check_interval"] == 0.05
-    assert started["config"]["recover"] is False
+    assert started["config"]["trace_window"] == 8
 
     status = client.watchdog()
     assert status["enabled"] is True
@@ -177,3 +207,10 @@ def test_watchdog_bad_config_400(rig):
     assert _status(
         monitor, "POST",
         "/api/watchdog?action=start&check_interval=soon") == 400
+    # An interval of 0 or less would turn the watchdog into a busy loop
+    # beside the simulation: refused, and no watchdog is attached.
+    for key in ("check_interval", "retry_wait"):
+        for bad in ("0", "-1"):
+            assert _status(monitor, "POST", f"/api/watchdog?action=start"
+                           f"&{key}={bad}") == 400
+    assert monitor.watchdog is None

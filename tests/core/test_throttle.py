@@ -16,7 +16,6 @@ def test_throttle_slows_event_processing():
     for i in range(20):
         engine.schedule(CallbackEvent(float(i + 1), lambda e: None))
     engine.set_throttle(events_per_second=200)  # 5 ms per event
-    assert engine.throttled
     start = time.monotonic()
     engine.run()
     elapsed = time.monotonic() - start
@@ -29,7 +28,6 @@ def test_throttle_zero_restores_full_speed():
         engine.schedule(CallbackEvent(float(i + 1), lambda e: None))
     engine.set_throttle(1000)
     engine.set_throttle(0)
-    assert not engine.throttled
     start = time.monotonic()
     engine.run()
     assert time.monotonic() - start < 1.0

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.akita import Buffer
-from repro.core import ValueMonitor, ValueWatch
+from repro.core import Monitor, ValueMonitor, ValueWatch
+from repro.core import timeseries
 from repro.core.timeseries import MAX_WATCHES
 
 
@@ -36,8 +37,17 @@ def test_watch_ids_monotonic():
     assert b.id > a.id
 
 
-def test_limit_is_configurable():
-    vm = ValueMonitor(max_watches=2)
+def test_each_monitor_numbers_its_own_watches():
+    """Ids come from the collection, not the process: a second monitor
+    in one process (a warm fleet worker's next job) starts at 1 too."""
+    first = [Monitor().values.watch(_Gauge(), "reading").id
+             for _ in range(2)]
+    assert first == [1, 1]
+
+
+def test_limit_is_configurable(monkeypatch):
+    monkeypatch.setattr(timeseries, "MAX_WATCHES", 2)
+    vm = ValueMonitor()
     w1 = vm.watch(_Gauge(), "reading")
     w2 = vm.watch(_Gauge(), "reading")
     w3 = vm.watch(_Gauge(), "reading")
@@ -48,7 +58,10 @@ def test_limit_is_configurable():
 
 def test_default_limit_is_papers_five():
     assert MAX_WATCHES == 5
-    assert ValueMonitor().max_watches == 5
+    vm = ValueMonitor()
+    for _ in range(MAX_WATCHES + 1):
+        vm.watch(_Gauge(), "reading")
+    assert len(vm.watches) == 5
 
 
 def test_sample_interleaves_multiple_sources():

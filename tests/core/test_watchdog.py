@@ -8,6 +8,8 @@ snapshot → bounded recovery → abort/post-mortem.
 import json
 import time
 
+import pytest
+
 from repro.core.bottleneck import BufferRow
 from repro.core.hangdetect import HangStatus
 from repro.core.watchdog import Watchdog, WatchdogConfig
@@ -110,18 +112,19 @@ def test_abort_path_with_postmortem(tmp_path):
     assert "GPU[0].WriteBuffer[1].InPort.Buf" in names
 
 
-def test_no_recover_no_abort_leaves_failed_state():
+def test_zero_retries_aborts_without_ticking():
+    """``max_tick_retries=0`` is the one door that skips recovery: a
+    confirmed hang is aborted at once, nothing ticked."""
     monitor = FakeMonitor([True])
     wd = Watchdog(monitor, WatchdogConfig(check_interval=0.02,
-                                          recover=False,
-                                          abort_on_failure=False))
+                                          max_tick_retries=0))
     wd.start()
-    assert _wait(lambda: wd.state == "failed")
+    assert _wait(lambda: wd.state == "aborted")
     wd.stop()
-    assert wd.report["verdict"] == "failed"
+    assert wd.report["verdict"] == "aborted"
     assert wd.report["recovery_attempts"] == 0
-    assert monitor.ticked == []
-    assert not monitor._simulation.aborted
+    assert monitor.ticked == [] and monitor.kicks == 0
+    assert monitor._simulation.aborted
 
 
 def test_healthy_run_never_triggers():
@@ -153,7 +156,7 @@ def test_snapshot_dir_failure_is_swallowed(tmp_path):
     blocker.write_text("file, not dir")
     monitor = FakeMonitor([True])
     wd = Watchdog(monitor, WatchdogConfig(check_interval=0.02,
-                                          recover=False,
+                                          max_tick_retries=0,
                                           snapshot_dir=str(blocker)))
     wd.start()
     assert _wait(lambda: wd.state == "aborted")
@@ -167,4 +170,15 @@ def test_to_dict_shape():
     assert payload["state"] == "idle"
     assert payload["running"] is False
     assert payload["report"] is None
-    assert payload["config"]["max_tick_retries"] == 3
+    assert payload["config"] == {"check_interval": 0.25,
+                                 "max_tick_retries": 3, "retry_wait": 0.5,
+                                 "snapshot_dir": None, "trace_window": 64}
+
+
+def test_config_refuses_intervals_that_would_spin():
+    """A zero or negative interval busy-loops the supervision thread,
+    and NaN slips past ``x <= 0``: refused from Python."""
+    for key in ("check_interval", "retry_wait"):
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match=key):
+                WatchdogConfig(**{key: bad})

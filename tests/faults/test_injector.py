@@ -49,10 +49,13 @@ def test_spec_window_and_matching():
     assert not spec.matches("GPU[1].WriteBuffer[1]")
 
 
-def test_spec_ids_are_unique():
-    a = FaultSpec(FaultKind.STALL, "*")
-    b = FaultSpec(FaultKind.STALL, "*")
-    assert a.id != b.id
+def test_spec_ids_are_unique(platform):
+    """The injector that arms a spec numbers it, from 1 in each."""
+    for _ in range(2):
+        injector = FaultInjector(platform.simulation)
+        a = injector.inject(FaultSpec(FaultKind.STALL, "*"))
+        b = injector.inject(FaultSpec(FaultKind.STALL, "*"))
+        assert (a.id, b.id) == (1, 2)
 
 
 # ----------------------------------------------------------------------
@@ -68,9 +71,9 @@ def test_hooks_attach_lazily_and_detach_on_revoke(platform):
     injector = FaultInjector(platform.simulation)
     assert not platform.simulation.engine._hooks
 
-    stall = injector.stall_component("*WriteBuffer*")
+    stall = injector.inject(FaultSpec(FaultKind.STALL, "*WriteBuffer*"))
     assert platform.simulation.engine._hooks
-    drop = injector.drop_messages("*RDMA*")
+    drop = injector.inject(FaultSpec(FaultKind.DROP, "*RDMA*"))
     assert all(c._hooks for c in platform.simulation.connections)
 
     assert injector.revoke(stall.id)
@@ -82,9 +85,9 @@ def test_hooks_attach_lazily_and_detach_on_revoke(platform):
 
 def test_clear_disarms_everything(platform):
     injector = FaultInjector(platform.simulation)
-    injector.stall_component("*WriteBuffer*")
-    injector.drop_messages("*RDMA*")
-    injector.pin_buffer("*L2*TopPort.Buf")
+    injector.inject(FaultSpec(FaultKind.STALL, "*WriteBuffer*"))
+    injector.inject(FaultSpec(FaultKind.DROP, "*RDMA*"))
+    injector.inject(FaultSpec(FaultKind.PIN_BUFFER, "*L2*TopPort.Buf"))
     injector.clear()
     assert injector.specs == []
     assert not platform.simulation.engine._hooks
@@ -102,7 +105,8 @@ def _run(platform, samples=2048):
 
 def test_stall_hangs_the_run(platform):
     injector = FaultInjector(platform.simulation)
-    spec = injector.stall_component("*WriteBuffer*", start=5e-7)
+    spec = injector.inject(FaultSpec(FaultKind.STALL, "*WriteBuffer*",
+                                     start=5e-7))
     completed = _run(platform)
     assert not completed
     assert platform.simulation.run_state == "hung"
@@ -112,14 +116,15 @@ def test_stall_hangs_the_run(platform):
 def test_stall_outside_window_is_harmless(platform):
     injector = FaultInjector(platform.simulation)
     # Window closed before the run starts doing anything interesting.
-    spec = injector.stall_component("*WriteBuffer*", start=0.0, end=1e-12)
+    spec = injector.inject(FaultSpec(FaultKind.STALL, "*WriteBuffer*",
+                                     start=0.0, end=1e-12))
     assert _run(platform)
     assert spec.applied_count == 0
 
 
 def test_kill_port_hangs_and_counts_drops(platform):
     injector = FaultInjector(platform.simulation)
-    injector.kill_port("*RDMA*", start=1e-7)
+    injector.inject(FaultSpec(FaultKind.KILL_PORT, "*RDMA*", start=1e-7))
     completed = _run(platform)
     assert not completed
     assert injector.stats()["messages_dropped"] > 0
@@ -127,7 +132,7 @@ def test_kill_port_hangs_and_counts_drops(platform):
 
 def test_drop_probability_zero_never_bites(platform):
     injector = FaultInjector(platform.simulation)
-    spec = injector.drop_messages("*", probability=0.0)
+    spec = injector.inject(FaultSpec(FaultKind.DROP, "*", probability=0.0))
     assert _run(platform)
     assert spec.applied_count == 0
     assert injector.stats()["messages_dropped"] == 0
@@ -138,7 +143,8 @@ def test_drop_is_deterministic_per_seed():
     for _ in range(2):
         platform = GPUPlatform(GPUPlatformConfig.small(num_chiplets=2))
         injector = FaultInjector(platform.simulation, seed=42)
-        injector.drop_messages("*RDMA*", probability=0.05, start=1e-7)
+        injector.inject(FaultSpec(FaultKind.DROP, "*RDMA*", start=1e-7,
+                                  probability=0.05))
         _run(platform)
         counts.append(injector.stats()["messages_dropped"])
     assert counts[0] == counts[1]
@@ -151,7 +157,8 @@ def test_delay_slows_but_completes(platform):
     t_baseline = baseline.simulation.engine.now
 
     injector = FaultInjector(platform.simulation)
-    spec = injector.delay_messages("*Switch*", delay=5e-8)
+    spec = injector.inject(FaultSpec(FaultKind.DELAY, "*Switch*",
+                                     delay=5e-8))
     assert _run(platform)
     assert spec.applied_count > 0
     assert platform.simulation.engine.now > t_baseline
@@ -159,7 +166,8 @@ def test_delay_slows_but_completes(platform):
 
 def test_pin_buffer_shows_full_and_blocks_senders(platform):
     injector = FaultInjector(platform.simulation)
-    spec = injector.pin_buffer("*L2*TopPort.Buf")
+    spec = injector.inject(FaultSpec(FaultKind.PIN_BUFFER,
+                                     "*L2*TopPort.Buf"))
     assert spec.applied_count > 0
     chiplet = platform.chiplets[0]
     buf = chiplet.l2s[0].top_port.buf
@@ -176,12 +184,13 @@ def test_pin_buffer_shows_full_and_blocks_senders(platform):
 def test_pin_buffer_unknown_pattern_raises(platform):
     injector = FaultInjector(platform.simulation)
     with pytest.raises(ValueError, match="no buffer matches"):
-        injector.pin_buffer("*NoSuchBuffer*")
+        injector.inject(FaultSpec(FaultKind.PIN_BUFFER, "*NoSuchBuffer*"))
 
 
 def test_pin_window_releases_and_run_completes(platform):
     injector = FaultInjector(platform.simulation)
-    injector.pin_buffer("*L2*TopPort.Buf", start=0.0, end=2e-7)
+    injector.inject(FaultSpec(FaultKind.PIN_BUFFER, "*L2*TopPort.Buf",
+                              start=0.0, end=2e-7))
     # While pinned the senders stall; once the window closes the
     # scheduled release unpins and a kickstart resumes the run.
     FIR(num_samples=2048).enqueue(platform.driver)
@@ -193,7 +202,7 @@ def test_pin_window_releases_and_run_completes(platform):
 
 def test_stats_and_to_dict_shapes(platform):
     injector = FaultInjector(platform.simulation, seed=3)
-    injector.stall_component("*WriteBuffer*")
+    injector.inject(FaultSpec(FaultKind.STALL, "*WriteBuffer*"))
     (payload,) = injector.to_dict()
     assert payload["kind"] == "stall"
     assert payload["target"] == "*WriteBuffer*"

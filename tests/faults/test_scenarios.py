@@ -32,7 +32,7 @@ def test_library_names_match_scenario_names():
 def test_expectation_defaults_check_nothing():
     e = Expectation()
     assert e.hang_within is None and e.completes is None
-    assert e.buffer_pattern is None and e.alert_fired is None
+    assert e.buffer_pattern is None
 
 
 def test_arm_injects_fresh_copies():
@@ -43,12 +43,14 @@ def test_arm_injects_fresh_copies():
     template.applied_count = 99  # dirty the template
 
     (armed,) = scenario.arm(injector)
-    assert armed.id != template.id
+    assert armed is not template
+    assert (armed.id, template.id) == (1, 0)  # the injector numbers
     assert armed.applied_count == 0
     assert armed.target == template.target
     # Template list untouched; arming twice yields another fresh copy.
-    (again,) = scenario.arm(FaultInjector(platform.simulation))
-    assert again.id not in (armed.id, template.id)
+    (again,) = scenario.arm(injector)
+    assert again is not armed and again.id == 2
+    assert scenario.faults == [template]
 
 
 def test_scenario_to_dict_round_trips_key_fields():

@@ -152,7 +152,7 @@ def test_zero_retries_fails_on_first_crash():
     queue.claim("w1")
     queue.fail("a", "boom")
     assert queue.get("a").state == "failed"
-    assert queue.pending_count == 0
+    assert not queue._pending
 
 
 def test_retries_counter_excludes_the_terminal_attempt():
@@ -239,7 +239,7 @@ def test_incremental_counts_and_done_agree_with_a_full_scan():
         scan["total"] = len(jobs)
         scan["retries"] = sum(j.retries for j in jobs)
         assert queue.counts() == scan
-        assert queue.pending_count == len(order) == scan["queued"]
+        assert len(queue._pending) == len(order) == scan["queued"]
         assert queue.done == all(j.state in ("completed", "failed")
                                  for j in jobs)
     assert scan["retries"] > 0 and scan["failed"] > 1 and not queue.done

@@ -29,7 +29,7 @@ def _spec(job_id, **kwargs):
 
 
 def _events_from(capsys):
-    return list(FrameDecoder().iter_text(capsys.readouterr().out))
+    return FrameDecoder().feed(capsys.readouterr().out.encode())
 
 
 def _sample_value(exposition, family):

@@ -50,14 +50,6 @@ class TestRate:
         assert sample.events_per_second == pytest.approx(
             rate(5000, 2.0), rel=0.05)
 
-    def test_shared_by_progress_bar(self):
-        from repro.core.progress import ProgressBar
-
-        bar = ProgressBar("kernel", total=100)
-        bar._rate_wall -= 4.0
-        bar.update(completed=20)
-        assert bar.rate() == pytest.approx(rate(20, 4.0), rel=0.05)
-
 
 class TestCounter:
     def test_inc_and_value(self):

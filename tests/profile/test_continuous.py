@@ -9,6 +9,7 @@ import pytest
 from repro.metrics import MetricRegistry, expose
 from repro.akita.threads import register_current_thread, unregister_thread
 from repro.profile import ContinuousProfiler
+from repro.profile import continuous
 
 
 def _busy_simulation(stop):
@@ -43,16 +44,24 @@ def _profiled(busy, seconds=0.4, **kwargs):
 
 
 def test_constructor_validation():
-    with pytest.raises(ValueError):
-        ContinuousProfiler(interval=0.0)
-    with pytest.raises(ValueError):
-        ContinuousProfiler(window_seconds=0.0)
-    with pytest.raises(ValueError):
-        ContinuousProfiler(ring=0)
+    # NaN passes ``x <= 0`` and would spin the sampler: refused too.
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            ContinuousProfiler(interval=bad)
+        with pytest.raises(ValueError):
+            ContinuousProfiler(window_seconds=bad)
 
 
-def test_ring_stays_bounded(busy):
-    profiler = _profiled(busy, seconds=0.6, ring=3)
+@pytest.fixture
+def fast_backoff(monkeypatch):
+    """Back off after 50 ms unread, to at most 80 ms."""
+    monkeypatch.setattr(continuous, "BACKOFF_AFTER", 0.05)
+    monkeypatch.setattr(continuous, "MAX_INTERVAL", 0.08)
+
+
+def test_ring_stays_bounded(busy, monkeypatch):
+    monkeypatch.setattr(continuous, "RING", 3)
+    profiler = _profiled(busy, seconds=0.6)
     status = profiler.status()
     assert status["windows_kept"] <= 3
     assert status["windows_opened"] > 3  # older windows were evicted
@@ -137,9 +146,8 @@ def test_layer_totals_accumulate_and_registry_publishes(busy):
     assert 'thread="simulation"' in text
 
 
-def test_backoff_doubles_until_touched(busy):
-    profiler = ContinuousProfiler(interval=0.01, window_seconds=0.1,
-                                  backoff_after=0.05, max_interval=0.08)
+def test_backoff_doubles_until_touched(busy, fast_backoff):
+    profiler = ContinuousProfiler(interval=0.01, window_seconds=0.1)
     profiler.start()
     try:
         time.sleep(0.3)  # several unread back-off periods
@@ -153,15 +161,16 @@ def test_backoff_doubles_until_touched(busy):
 
 
 def test_backoff_is_capped(busy):
-    profiler = ContinuousProfiler(interval=0.01, backoff_after=0.01,
-                                  max_interval=0.05)
+    profiler = ContinuousProfiler(interval=0.01)
     profiler._last_touch -= 3600.0  # pretend nobody read for an hour
-    assert profiler.effective_interval == 0.05
+    assert profiler.effective_interval == continuous.MAX_INTERVAL
+    slow = ContinuousProfiler(interval=1.0)  # the base rate wins
+    slow._last_touch -= 3600.0
+    assert slow.effective_interval == 1.0
 
 
-def test_reading_resets_backoff(busy):
-    profiler = ContinuousProfiler(interval=0.01, window_seconds=0.1,
-                                  backoff_after=0.05, max_interval=0.08)
+def test_reading_resets_backoff(busy, fast_backoff):
+    profiler = ContinuousProfiler(interval=0.01, window_seconds=0.1)
     profiler.start()
     try:
         time.sleep(0.2)

@@ -24,6 +24,9 @@ And the command line is a table: ``cli.py`` names the planes in its
 plane's ``cli.py`` imports nothing but the stdlib and ``repro.cli``
 until a handler runs.
 
+And an id belongs to the collection that hands it out: ``core``,
+``faults`` and ``historian`` build no counter at module or class level.
+
 And a loop that wakes every N seconds is written once: a thread is
 constructed only by ``akita/threads.py``'s ``Periodic``, the transport,
 the pipe readers, the event-driven fleet scheduler and the four sites
@@ -290,6 +293,60 @@ def test_the_front_door_rule_sees_each_spelling_but_not_lookalikes():
         ("socketserver", 2), ("wfile", 5)]
     assert list(_front_door_breaches(source, is_transport=True)) == [
         ("do_GET", 4)]
+
+
+#: Packages whose ids belong to the collection that hands them out: a
+#: counter there is built per object, never shared by the process.
+PER_OBJECT_IDS = ("core", "faults", "historian")
+
+
+def _shared_counters(source):
+    """Lines of every ``itertools.count(...)`` (or imported ``count(...)``)
+    built outside a function — at module or class level, where one
+    counter numbers every object of the process."""
+    def walk(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (isinstance(func, ast.Name) and func.id == "count") or (
+                        isinstance(func, ast.Attribute)
+                        and func.attr == "count"
+                        and isinstance(func.value, ast.Name)
+                        and func.value.id == "itertools"):
+                    yield child.lineno
+            yield from walk(child)
+    return list(walk(ast.parse(source)))
+
+
+def test_ids_come_from_the_collection_not_the_process():
+    """A second monitor, alert engine or injector in one process (a warm
+    fleet worker's next job) numbers from 1 like the first."""
+    offenders = []
+    for package in PER_OBJECT_IDS:
+        for path in sorted((SRC / "repro" / package).rglob("*.py")):
+            offenders += [f"{path.relative_to(SRC)}:{line}"
+                          for line in _shared_counters(path.read_text())]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_the_counter_rule_sees_module_and_class_level_only():
+    source = (
+        "import itertools\n"
+        "from itertools import count\n"
+        "_ids = itertools.count(1)\n"
+        "more = count()\n"
+        "class Spec:\n"
+        "    ids = itertools.count()\n"
+        "    id: int = field(default_factory=lambda: next(count()))\n"
+        "    def __init__(self):\n"
+        "        self._ids = itertools.count(1)\n"
+        "def f():\n"
+        "    return itertools.count()\n"
+        "letters = 'abca'.count('a')\n")
+    assert _shared_counters(source) == [3, 4, 6]
 
 
 #: Who may construct a thread, and how many times: the periodic loop,

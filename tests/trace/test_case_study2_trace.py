@@ -47,8 +47,7 @@ def hung_trace(tmp_path_factory):
 
     out_dir = tmp_path_factory.mktemp("cs2_trace")
     perfetto_path = out_dir / "cs2_hang.json"
-    write_perfetto(tracer.query(limit=0), perfetto_path,
-                   trace_name="case-study-2 hang")
+    write_perfetto(tracer.query(limit=0), perfetto_path)
     return platform, monitor, tracer, perfetto_path
 
 
@@ -100,8 +99,8 @@ def test_write_buffer_tasks_left_open_at_hang(hung_trace):
 def test_watchdog_postmortem_carries_trace_window(hung_trace):
     platform, monitor, tracer, _ = hung_trace
     watchdog = Watchdog(monitor, WatchdogConfig(
-        check_interval=0.02, retry_wait=0.02, max_tick_retries=1,
-        recover=False, trace_window=32))
+        check_interval=0.02, retry_wait=0.02, max_tick_retries=0,
+        trace_window=32))
     monitor.attach_watchdog(watchdog)
     # Drive the hang handler directly (the run has already wedged;
     # no need for the polling thread).

@@ -52,12 +52,12 @@ def test_jsonl_is_one_object_per_line(tmp_path):
 
 
 def test_perfetto_document_shape():
-    doc = to_perfetto(_events(), trace_name="unit")
+    doc = to_perfetto(_events())
     assert set(doc) >= {"traceEvents", "displayTimeUnit", "otherData"}
     events = doc["traceEvents"]
     process_meta = [e for e in events
                     if e["ph"] == "M" and e["name"] == "process_name"]
-    assert process_meta[0]["args"]["name"] == "unit"
+    assert process_meta[0]["args"]["name"] == "repro.trace"
     thread_names = {e["args"]["name"] for e in events
                     if e["ph"] == "M" and e["name"] == "thread_name"}
     assert {"A", "B", "ConnBC"} <= thread_names
