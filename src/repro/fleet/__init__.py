@@ -10,13 +10,11 @@ This package runs them behind a single pane of glass:
   persistent workers (each boots once, then runs a stream of jobs over
   the control channel), with worker-death detection, post-mortems and
   a crashed-worker recycle budget (:mod:`repro.fleet.manager`);
-* :class:`~repro.fleet.channel.WorkerChannel` — one supervised
-  ``python -m`` child and its framed pipes, the only worker-process
-  mechanism here and in :mod:`repro.shard`
-  (:mod:`repro.fleet.channel`), speaking the line-framed JSON
-  protocol of :mod:`repro.fleet.protocol`;
-* the worker entry point itself (:mod:`repro.fleet.worker`, spawned as
-  ``python -m repro.fleet.worker``);
+* :class:`~repro.fleet.channel.WorkerChannel` — one supervised worker,
+  forked from its pool's one zygote (:mod:`repro.fleet.zygote`), and
+  its pipes speaking :mod:`repro.fleet.protocol`: the only
+  worker-process mechanism here and in :mod:`repro.shard`;
+* the worker itself (:mod:`repro.fleet.worker`);
 * :class:`FleetGateway` — the aggregating front server: ``/api/fleet``,
   a reverse proxy to every worker's own API, per-job final expositions
   at ``/api/fleet/jobs/<job>/metrics``, and a federated ``/metrics``

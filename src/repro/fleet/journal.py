@@ -139,14 +139,6 @@ class CampaignJournal:
                 self._unsynced = 0
             return record
 
-    def sync(self) -> None:
-        """Force-fsync everything appended so far."""
-        with self._lock:
-            if self._fh is not None and self._unsynced:
-                os.fsync(self._fh.fileno())
-                self.syncs += 1
-                self._unsynced = 0
-
     def close(self) -> None:
         with self._lock:
             if self._fh is None:

@@ -1,9 +1,11 @@
 """The fleet manager: an async dispatcher over persistent warm workers.
 
 ``FleetManager`` drains a :class:`~repro.fleet.queue.JobQueue` through a
-pool of ``num_workers`` persistent ``repro.fleet.worker`` processes,
-spawned once.  Each boots its interpreter, imports and RTM HTTP
-server a single time, then accepts a *stream* of job assignments
+pool of ``num_workers`` persistent ``repro.fleet.worker`` processes.
+``start()`` starts the pool's one :class:`~repro.fleet.channel.Zygote`,
+which imports the worker module once, and forks every worker from it
+(a replacement too); ``stop()`` stops and waits for it.  Each worker
+starts its RTM HTTP server once, then accepts a *stream* of job assignments
 over a :class:`~repro.fleet.channel.WorkerChannel` (commands down
 stdin, framed events up stdout), rebuilding simulation state between
 jobs instead of re-exec'ing.  This is what makes short-job campaigns
@@ -24,7 +26,7 @@ thread hand-off latency, and an idle pool takes no turns at all.
 a result event) gets a post-mortem assembled from its exit code, last
 control events and stderr tail; the job re-enters the queue at the
 front of the line under :meth:`JobQueue.fail`'s retry policy.
-Workers that crash are *recycled* — a replacement process is spawned —
+Workers that crash are *recycled* — a replacement process is forked —
 up to ``max_worker_restarts`` for the pool's lifetime; if the budget is
 spent and no workers remain, the remaining jobs are failed rather than
 left to hang the campaign.
@@ -44,7 +46,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from .channel import WorkerChannel
+from .channel import WorkerChannel, Zygote
 from .queue import Job, JobQueue
 
 __all__ = ["FleetManager", "WorkerHandle"]
@@ -68,7 +70,6 @@ class WorkerHandle:
     attempt: int = 0
     state: str = "booting"  # booting | idle | running | exited
     url: Optional[str] = None
-    pid: Optional[int] = None
     jobs_done: int = 0
     exit_code: Optional[int] = None
     result: Optional[Dict[str, Any]] = None   # last done/failed event
@@ -102,7 +103,7 @@ class WorkerHandle:
             "worker_id": self.worker_id,
             "job_id": self.job_id,
             "attempt": self.attempt,
-            "pid": self.pid,
+            "pid": self.channel.process.pid,
             "url": self.url,
             "state": self.state,
             "jobs_done": self.jobs_done,
@@ -177,6 +178,7 @@ class FleetManager:
         self._pool_changed = threading.Condition(self._lock)
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
+        self._zygote: Optional[Zygote] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -186,6 +188,7 @@ class FleetManager:
             return
         self._stop.clear()
         self._slot_lost = False
+        self._zygote = Zygote("repro.fleet.worker")
         for _ in range(self.num_workers):
             self._spawn()
         self._thread = threading.Thread(target=self._loop, daemon=True,
@@ -236,6 +239,8 @@ class FleetManager:
         self._drain_events()
         for handle in active:
             self._finalize(handle)
+        if self._zygote is not None:
+            self._zygote.close()
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until the queue drains; True if it did in time."""
@@ -314,7 +319,6 @@ class FleetManager:
         kind = event.get("event")
         if kind == "ready":
             handle.url = event.get("url") or handle.url
-            handle.pid = event.get("pid") or handle.pid
             if handle.job_id is None:
                 handle.state = "idle"
             with self._pool_changed:
@@ -514,8 +518,7 @@ class FleetManager:
         args = ["--worker-id", worker_id]
         if self.snapshot_dir is not None:
             args += ["--snapshot-dir", self.snapshot_dir]
-        channel = WorkerChannel("repro.fleet.worker",
-                                args + self.worker_args,
+        channel = WorkerChannel(self._zygote, args + self.worker_args,
                                 self._events, worker_id)
         with self._lock:
             self._active[worker_id] = WorkerHandle(worker_id, channel)

@@ -1,14 +1,12 @@
 """The fleet worker: a persistent process running monitored simulations.
 
-Spawned by the :class:`~repro.fleet.manager.FleetManager` as::
-
-    python -m repro.fleet.worker --worker-id w1
-
-The process boots its platform machinery once — interpreter, imports,
-the RTM HTTP server — then reads line-framed JSON commands from stdin
-(``run`` / ``shutdown``, see :mod:`repro.fleet.protocol`) and executes
-a *stream* of jobs, rebuilding simulation state between jobs instead
-of re-exec'ing.  The (cheap, ~1 ms) platform object graph is built from
+Forked by the :class:`~repro.fleet.manager.FleetManager`'s zygote as
+``main(["--worker-id", "w1"])`` (``python -m repro.fleet.worker
+--worker-id w1`` runs the same), it starts the RTM HTTP server once,
+then reads line-framed JSON commands from stdin (``run`` /
+``shutdown``, see :mod:`repro.fleet.protocol`) and executes a *stream*
+of jobs, rebuilding simulation state between jobs instead of
+re-exec'ing.  The (cheap, ~1 ms) platform object graph is built from
 scratch for every job — the only reset that provably cannot bleed
 engine time, cache contents, metric counters or trace records from one
 job into the next — while the expensive process-level state
@@ -69,7 +67,7 @@ from ..workloads import build_platform
 from .protocol import CONTROL_PREFIX, decode_command, emit
 from .queue import JobSpec
 
-__all__ = ["serve", "main", "CONTROL_PREFIX", "WorkerSettings"]
+__all__ = ["main", "CONTROL_PREFIX", "WorkerSettings"]
 
 
 #: Supervision tuned for fleet duty: a worker that stalls is a wasted
@@ -304,9 +302,11 @@ def _execute_job(spec: JobSpec, attempt: int, server: RTMServer,
     return ok
 
 
-def serve(worker_id: str, settings: WorkerSettings,
-          port: int = 0) -> int:
+def main(argv: List[str]) -> int:
     """Boot once, run jobs from stdin until shutdown/EOF."""
+    args = vars(_build_parser().parse_args(argv))
+    worker_id, port = args.pop("worker_id"), args.pop("port")
+    settings = WorkerSettings(**args)
     # Boot the process-lifetime server against an idle placeholder
     # monitor; each job rebinds it.  Booting the server *before*
     # announcing ready is what lets the gateway proxy this worker the
@@ -386,11 +386,5 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    args = vars(_build_parser().parse_args(argv))
-    worker_id, port = args.pop("worker_id"), args.pop("port")
-    return serve(worker_id, WorkerSettings(**args), port=port)
-
-
 if __name__ == "__main__":  # pragma: no cover - subprocess entry
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -15,10 +15,9 @@ package implements that execution mode:
 * :mod:`.runtime` — the per-process shard: build the full platform,
   prune to the owned slice, rewire boundary edges, run in granted
   windows.
-* :mod:`.worker` — the subprocess entry point
-  (``python -m repro.shard.worker``), speaking the fleet control
-  framing on its pipes.
-* :mod:`.coordinator` — spawns the workers, drives the conservative
+* :mod:`.worker` — the worker process (forked from the run's zygote),
+  speaking the fleet control framing on its pipes.
+* :mod:`.coordinator` — forks the workers, drives the conservative
   window barrier, routes boundary traffic, and federates the shards'
   AkitaRTM dashboards behind one gateway.
 """

@@ -1,11 +1,11 @@
 """Conservative time-window coordinator for sharded simulation.
 
-The :class:`ShardCoordinator` spawns one worker process per shard
-(``python -m repro.shard.worker``) on the same supervised
-:class:`~repro.fleet.channel.WorkerChannel` the fleet manager uses —
-each shard's channel feeds its own queue, which the coordinator blocks
-on at the barrier — and drives the barrier loop of conservative
-parallel discrete-event simulation:
+The :class:`ShardCoordinator` forks one ``repro.shard.worker`` per
+shard from the run's one :class:`~repro.fleet.channel.Zygote` (closed
+with the workers) on the same :class:`~repro.fleet.channel.WorkerChannel`
+the fleet manager uses — each shard's channel feeds its own queue, which
+the coordinator blocks on at the barrier — and drives the barrier loop
+of conservative parallel discrete-event simulation:
 
 1. Every shard reports its next pending event time at the barrier.
 2. The coordinator grants the horizon ``T_min + W``, where ``T_min``
@@ -45,7 +45,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.http import HTTPServerThread, Response, route_table
-from ..fleet.channel import WorkerChannel
+from ..fleet.channel import WorkerChannel, Zygote
 from ..fleet.protocol import split_batches
 from ..gpu.platform import GPUPlatformConfig
 from ..metrics import CONTENT_TYPE as _PROM_CONTENT_TYPE
@@ -92,7 +92,7 @@ class ShardResult:
     boundary_messages: int
     injected: int
     wall_seconds: float
-    #: Spawn + full-platform build + init handshake across all shards
+    #: Zygote + forks + full-platform build + init handshake (all shards)
     #: — the fixed cost a pool-style caller excludes from throughput
     #: (a shard set boots once, then runs a long simulation).
     boot_seconds: float
@@ -140,6 +140,7 @@ class ShardCoordinator:
             "Wall-clock time each shard spent finished at the barrier "
             "waiting for the slowest shard (smallest total = laggard)",
             ("shard",))
+        self._zygote: Optional[Zygote] = None
         self._channels: List[WorkerChannel] = []
         #: One event queue per shard, fed by that shard's channel.
         self._sinks: List["queue.Queue"] = []
@@ -196,13 +197,16 @@ class ShardCoordinator:
             channel.shutdown()
         for channel in self._channels:
             channel.reap(_REAP_GRACE)
+        if self._zygote is not None:
+            self._zygote.close()
 
     def _spawn(self) -> None:
         spec = workload_spec(self.workload)
         config_dict = dataclasses.asdict(self.config)
         self._sinks = [queue.Queue() for _ in range(self.num_shards)]
+        self._zygote = Zygote("repro.shard.worker")
         self._channels = [
-            WorkerChannel("repro.shard.worker", [], sink, f"shard{k}")
+            WorkerChannel(self._zygote, [], sink, f"shard{k}")
             for k, sink in enumerate(self._sinks)]
         for k in range(self.num_shards):
             self._send(k, {"cmd": "init", "shard": k,

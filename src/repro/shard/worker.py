@@ -1,4 +1,5 @@
-"""Shard worker process: ``python -m repro.shard.worker``.
+"""Shard worker process: forked by the coordinator's zygote, or run as
+``python -m repro.shard.worker``.
 
 Speaks the fleet control framing (bare JSON command lines on stdin,
 ``@fleet``-prefixed event lines on stdout — see
@@ -29,7 +30,7 @@ stay fair.
 from __future__ import annotations
 
 import sys
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from ..fleet.protocol import decode_command, emit, split_batches
 from ..gpu.platform import GPUPlatformConfig
@@ -101,8 +102,8 @@ def _handle_stop(state: _WorkerState, cmd: Dict[str, Any]) -> None:
         state.monitor.stop_server()
 
 
-def serve() -> int:
-    """Command loop; returns the process exit code."""
+def main(argv: List[str]) -> int:
+    """Command loop (*argv* is empty); returns the exit code."""
     state = _WorkerState()
     for line in sys.stdin:
         cmd = decode_command(line)
@@ -129,4 +130,4 @@ def serve() -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover - subprocess entry
-    sys.exit(serve())
+    sys.exit(main(sys.argv[1:]))

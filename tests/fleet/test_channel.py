@@ -10,15 +10,21 @@ import signal
 
 import pytest
 
-from repro.fleet.channel import WorkerChannel
+from repro.fleet.channel import WorkerChannel, Zygote
 
 
-def _spawn(*args):
-    sink = queue.Queue()
-    channel = WorkerChannel("repro.fleet.worker",
-                            ["--worker-id", "w1", *args],
-                            sink, "w1")
-    return channel, sink
+@pytest.fixture
+def _spawn():
+    zygote = Zygote("repro.fleet.worker")
+
+    def spawn(*args):
+        sink = queue.Queue()
+        channel = WorkerChannel(zygote, ["--worker-id", "w1", *args],
+                                sink, "w1")
+        return channel, sink
+
+    yield spawn
+    zygote.close()
 
 
 def _drain_to_eof(sink, timeout=60.0):
@@ -29,7 +35,7 @@ def _drain_to_eof(sink, timeout=60.0):
     return items
 
 
-def test_ready_arrives_stamped_and_shutdown_ends_with_one_eof():
+def test_ready_arrives_stamped_and_shutdown_ends_with_one_eof(_spawn):
     channel, sink = _spawn()
     try:
         first = sink.get(timeout=60.0)
@@ -52,7 +58,7 @@ def test_ready_arrives_stamped_and_shutdown_ends_with_one_eof():
     assert sink.empty(), "nothing may follow the EOF item"
 
 
-def test_sigkill_yields_one_eof_and_a_signal_exit_code():
+def test_sigkill_yields_one_eof_and_a_signal_exit_code(_spawn):
     channel, sink = _spawn()
     try:
         assert sink.get(timeout=60.0)[2]["event"] == "ready"
@@ -69,7 +75,8 @@ def test_sigkill_yields_one_eof_and_a_signal_exit_code():
 
 
 @pytest.mark.parametrize("flag", ["--bogus", "--serve"])
-def test_bogus_flag_exits_2_with_the_reason_in_the_stderr_tail(flag):
+def test_bogus_flag_exits_2_with_the_reason_in_the_stderr_tail(
+        _spawn, flag):
     channel, sink = _spawn(flag)
     try:
         items = _drain_to_eof(sink)

@@ -3,7 +3,7 @@
 A warm worker keeps its process (interpreter, imports, HTTP server)
 across jobs and rebuilds the simulation object graph per job.  These
 tests run consecutive jobs through one server — exactly what
-``serve()`` does per ``run`` command — and check the second job's
+``main()`` does per ``run`` command — and check the second job's
 metrics exposition, trace window and fault machinery carry nothing
 over from the first.
 """

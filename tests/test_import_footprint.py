@@ -23,8 +23,17 @@ shard window moves set-up cost into the measured run.  Each region
 below runs in a fresh interpreter after the set-up its process really
 does; ``sys.modules`` must be the same set before and after.
 
+*How many interpreters a pool starts: one.*  A fleet or a sharded run
+starts one zygote (``python -m repro.fleet.zygote <worker module>``),
+which imports the worker's modules once — the same ``repro.*`` set as
+the worker's own ``python -m`` entry — and forks every worker from it.
+A 3-worker fleet and a 3-shard run each call ``subprocess.Popen`` once
+(three times each before the zygote), and every worker's parent is the
+zygote.
+
 ``python tests/test_import_footprint.py`` prints the table: modules,
-``repro.*`` modules and import milliseconds per entry.
+``repro.*`` modules and import milliseconds per entry, then the
+interpreter starts per pool boot.
 """
 
 import json
@@ -34,6 +43,11 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from repro.fleet import FleetManager, JobQueue
+from repro.gpu.platform import GPUPlatformConfig
+from repro.shard import ShardCoordinator
+from repro.workloads import StoreStorm
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -91,6 +105,10 @@ ENTRIES = {
         "repro.fleet.journal", "repro.core.client", "repro.core.export",
         "repro.historian", "repro.shard", "repro.studies",
         "urllib.request", "sqlite3", *HTTP_STACK), 63),
+    # A zygote imports its worker module when it starts, not before.
+    "import repro.fleet.zygote": ((
+        "repro.core", "repro.gpu", "repro.workloads", "socketserver",
+        "urllib.request", *HTTP_STACK), 4),
     "import repro.core.server": ((
         "repro.core.client", "urllib.request", *HTTP_STACK), 9),
     # The two gateways run the transport, not the RTM routes.
@@ -165,11 +183,48 @@ _FIR_BY_NAME = {
 }
 
 
+def _zygote(module):
+    """Run ``python -m repro.fleet.zygote <module>`` in this interpreter
+    up to its first wait for a fork request, which finds its owner gone:
+    what is loaded afterwards is what every forked worker starts with."""
+    return ("import os, runpy, socket\n"
+            "ours, theirs = socket.socketpair(socket.AF_UNIX,\n"
+            "                                 socket.SOCK_SEQPACKET)\n"
+            "os.dup2(theirs.fileno(), 0); theirs.close(); ours.close()\n"
+            f"sys.argv = ['zygote', {module!r}]\n"
+            "try:\n"
+            "    runpy.run_module('repro.fleet.zygote', run_name='__main__')\n"
+            "except SystemExit as end:\n"
+            "    assert end.code == 0, end.code\n")
+
+
+@pytest.mark.parametrize("module, count", [("repro.fleet.worker", 63),
+                                           ("repro.shard.worker", 49)])
+def test_a_zygote_preloads_what_its_worker_entry_loads(module, count):
+    preloaded, _ = loaded_by(_zygote(module))
+    entry, _ = loaded_by(f"import {module}")
+    assert set(filter(_is_repro, preloaded)) == \
+        set(filter(_is_repro, entry))
+    assert sum(map(_is_repro, entry)) == count
+
+
+_FIR_BY_NAME["a job in a forked worker"] = (
+    _zygote("repro.fleet.worker") + _FIR_BY_NAME["a fleet job"])
+
+
 @pytest.mark.parametrize("way", sorted(_FIR_BY_NAME))
 def test_running_fir_loads_fir_and_no_other_workload(way):
     modules, _ = loaded_by(_FIR_BY_NAME[way])
     workloads = _modules_of("workloads") - {"repro.workloads"}
     assert workloads & set(modules) == {"repro.workloads.fir",
+                                        "repro.workloads.base"}
+
+
+def test_a_window_in_a_forked_shard_loads_only_its_workload():
+    modules, _ = loaded_by(_zygote("repro.shard.worker") + _SHARD_INIT
+                           + _WINDOW)
+    workloads = _modules_of("workloads") - {"repro.workloads"}
+    assert workloads & set(modules) == {"repro.workloads.storestorm",
                                         "repro.workloads.base"}
 
 
@@ -248,20 +303,26 @@ server.stop()
 print(json.dumps(sorted(added)))
 """
 
-_SHARD_WINDOW = """
+#: A shard's ``init`` as the coordinator sends it: the workload by name.
+_SHARD_INIT = """
 import dataclasses, json, sys
 from repro.shard import worker
-from repro.workloads import workload_spec
 from repro.gpu.platform import GPUPlatformConfig
-from repro.workloads import StoreStorm
 state = worker._WorkerState()
 worker._handle_init(state, {
     "shard": 0, "num_shards": 2,
     "config": dataclasses.asdict(GPUPlatformConfig.small(num_chiplets=4)),
-    "workload": workload_spec(StoreStorm())})
-before = set(sys.modules)
+    "workload": {"name": "storestorm", "params": {}}})
+"""
+
+_WINDOW = """
 worker._handle_window(state, {"horizon": state.runtime.next_time + 1e-6})
 assert state.runtime.engine.event_count > 0
+"""
+
+_SHARD_WINDOW = _SHARD_INIT + """
+before = set(sys.modules)
+""" + _WINDOW + """
 print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
@@ -282,6 +343,68 @@ def test_timed_region_imports_nothing(region):
     assert added == [], (
         f"{region}: first imported inside the timed region — import "
         "them where the process sets up")
+
+
+# ----------------------------------------------------------------------
+# How many interpreters a pool starts
+# ----------------------------------------------------------------------
+def _parent_of(pid):
+    """The parent pid field of ``/proc/<pid>/stat``."""
+    stat = Path(f"/proc/{pid}/stat").read_text()
+    return int(stat.rpartition(")")[2].split()[1])
+
+
+def _fleet_boot(size):
+    manager = FleetManager(JobQueue(), num_workers=size)
+    manager.start()
+    try:
+        assert manager.wait_ready(timeout=60)
+        return manager._zygote.process.pid, [
+            _parent_of(worker["pid"])
+            for worker in manager.status()["workers"]]
+    finally:
+        manager.stop()
+
+
+def _shard_boot(size):
+    coordinator = ShardCoordinator(
+        GPUPlatformConfig.small(num_chiplets=size),
+        StoreStorm(num_workgroups=8, stores_per_wavefront=4), size)
+    try:
+        coordinator._spawn()  # spawn, init, shard-ready: the boot
+        return coordinator._zygote.process.pid, [
+            _parent_of(channel.process.pid)
+            for channel in coordinator._channels]
+    finally:
+        coordinator.close()
+
+
+POOLS = {"fleet": _fleet_boot, "sharded": _shard_boot}
+
+
+def interpreter_starts(pool, size=3):
+    """``(subprocess.Popen calls, zygote pid, each worker's parent)``
+    for one boot of *pool* with *size* workers or shards."""
+    calls = []
+    real = subprocess.Popen
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    subprocess.Popen = counting
+    try:
+        zygote, parents = POOLS[pool](size)
+    finally:
+        subprocess.Popen = real
+    return len(calls), zygote, parents
+
+
+@pytest.mark.parametrize("pool", sorted(POOLS))
+def test_a_pool_boot_starts_one_interpreter(pool):
+    starts, zygote, parents = interpreter_starts(pool)
+    assert starts == 1, f"{pool}: {starts} interpreter starts for 3"
+    assert parents == [zygote] * 3
 
 
 # ----------------------------------------------------------------------
@@ -311,3 +434,9 @@ if __name__ == "__main__":
         print(f"{entry:66s}{len(modules):8d}"
               f"{sum(map(_is_repro, modules)):9d}"
               f"{_import_ms(log) - _import_ms(startup):11.1f}")
+    print(f"\n{'pool boot':20s}{'workers':>8s}{'interpreter starts':>20s}"
+          f"{'forked by the zygote':>22s}")
+    for pool in sorted(POOLS):
+        starts, zygote, parents = interpreter_starts(pool)
+        print(f"{pool:20s}{len(parents):8d}{starts:20d}"
+              f"{parents.count(zygote):22d}")

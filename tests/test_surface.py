@@ -85,7 +85,7 @@ BUDGET = {
     "metrics": (44, 25),
     "faults": (29, 34),
     "checkpoint": (10, 8),
-    "fleet": (69, 63),
+    "fleet": (69, 60),
     "historian": (31, 30),
     "shard": (40, 12),
 }

@@ -27,7 +27,7 @@ from repro.core import Monitor, RTMClient, RTMClientError
 from repro.core.export import SeriesRecorder, metric_target
 from repro.core.watchdog import Watchdog, WatchdogConfig
 from repro.fleet import FleetGateway
-from repro.fleet.channel import WorkerChannel
+from repro.fleet.channel import WorkerChannel, Zygote
 from repro.fleet.worker import _progress_loop
 from repro.gpu import GPUPlatform, GPUPlatformConfig
 from repro.historian import Historian, HistorianService, registry_source
@@ -316,8 +316,9 @@ def test_gateways_and_worker_channels_have_a_role():
     client connection to each, and a worker channel's pipe readers."""
     gateways = [FleetGateway(None), ShardGateway(None)]
     clients = []
-    channel = WorkerChannel("repro.fleet.worker", ["--worker-id", "w1"],
-                            queue.Queue(), "w1")
+    zygote = Zygote("repro.fleet.worker")
+    channel = WorkerChannel(zygote, ["--worker-id", "w1"], queue.Queue(),
+                            "w1")
     try:
         for gateway in gateways:
             gateway.start()
@@ -334,6 +335,7 @@ def test_gateways_and_worker_channels_have_a_role():
             gateway.stop()
         channel.shutdown()
         channel.reap(10.0)
+        zygote.close()
     assert {"rtm-fleet-gateway", "rtm-fleet-gateway-conn",
             "rtm-shard-gateway", "rtm-shard-gateway-conn",
             "rtm-channel-w1-stdout", "rtm-channel-w1-stderr"} <= set(live)
