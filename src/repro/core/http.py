@@ -129,12 +129,13 @@ def action_param(params: Dict[str, str], *actions: str) -> str:
 
 
 def route_table(rows: Iterable[Tuple[str, str, Any, str]],
-                cls: type) -> Dict[Tuple[str, str], Callable]:
+                owner: Any) -> Dict[Tuple[str, str], Callable]:
     """The table of ``ROUTES`` rows — ``(method, "path?params", handler,
     purpose)`` — where a handler is ``fn(server, params)`` or the name of
-    the *cls* method that is one."""
+    the *owner* method that is one (*owner* a server class, or an object
+    whose bound methods answer)."""
     return {(method, spec.partition("?")[0]):
-            getattr(cls, handler) if isinstance(handler, str) else handler
+            getattr(owner, handler) if isinstance(handler, str) else handler
             for method, spec, handler, _ in rows}
 
 
@@ -183,8 +184,10 @@ class _Connection(socketserver.StreamRequestHandler):
         endpoint = path = parsed.path
         routes = front.routes
         route = routes.get((method, path))
-        if route is None and not any(m == method for m, _ in routes):
-            allowed = ", ".join(sorted({m for m, _ in routes}))
+        if route is None and method not in front.unrouted_methods \
+                and not any(m == method for m, _ in routes):
+            allowed = ", ".join(sorted({m for m, _ in routes}
+                                       | set(front.unrouted_methods)))
             self._respond(
                 _json({"error": f"method {method!r} not allowed"}, 405),
                 (("Allow", allowed),))
@@ -396,6 +399,10 @@ class HTTPServerThread:
 
     #: A table every instance of the class serves (else per instance).
     routes: Dict[Tuple[str, str], Callable] = {}
+
+    #: Methods :meth:`unrouted` answers besides the table's; a request
+    #: in a method that neither holds is 405.
+    unrouted_methods: Tuple[str, ...] = ()
 
     #: The registry requests and refusals are counted in, read per
     #: request; ``None``: nowhere.  Only ``RTMServer`` sets it.  The two

@@ -18,7 +18,9 @@ This package runs them behind a single pane of glass:
 * :class:`FleetGateway` — the aggregating front server: ``/api/fleet``,
   a reverse proxy to every worker's own API, per-job final expositions
   at ``/api/fleet/jobs/<job>/metrics``, and a federated ``/metrics``
-  with ``(worker, job)`` labels (:mod:`repro.fleet.gateway`).
+  with ``(worker, job)`` labels (:mod:`repro.fleet.gateway`).  A plane
+  that records the campaign (:mod:`repro.historian`) mounts its own
+  routes on it; nothing here but the CLI names that plane.
 
 Typical campaign::
 

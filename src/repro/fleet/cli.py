@@ -11,11 +11,13 @@ from typing import List
 
 from ..cli import SignalGuard
 
+#: Wall seconds between a recorded campaign's historian samples.
+HISTORIAN_INTERVAL = 0.5
+
 
 def _add_fleet_common(parser: argparse.ArgumentParser) -> None:
     """Flags shared by ``fleet run`` and ``fleet resume``: the gateway,
-    the pool, the wall bound, durability (journal + checkpoints) and
-    artifacts."""
+    the pool, the wall bound, checkpoints and artifacts."""
     parser.add_argument("--workers", type=int, default=2,
                         help="worker pool size (default 2)")
     parser.add_argument("--port", type=int, default=0,
@@ -23,10 +25,6 @@ def _add_fleet_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--timeout", type=float, default=600.0,
                         help="wall bound for the whole campaign "
                              "(default 600 s)")
-    parser.add_argument("--journal", default="",
-                        help="append every scheduler transition to this "
-                             "write-ahead log (enables fleet resume); "
-                             "implied by fleet resume itself")
     parser.add_argument("--checkpoint-dir", default="",
                         help="workers write per-job checkpoints here; "
                              "retries resume from them instead of t=0")
@@ -34,9 +32,6 @@ def _add_fleet_common(parser: argparse.ArgumentParser) -> None:
                         help="checkpoint cadence in simulation events "
                              "(default 20000 when --checkpoint-dir is "
                              "set and no cadence is given)")
-    parser.add_argument("--checkpoint-interval", type=float,
-                        default=0.0,
-                        help="checkpoint cadence in wall seconds")
     parser.add_argument("--status-out", default="",
                         help="write the final /api/fleet JSON here "
                              "(atomically)")
@@ -50,17 +45,11 @@ def _add_fleet_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--campaign", default="",
                         help="campaign id in the historian database "
                              "(default: generated from the wall clock)")
-    parser.add_argument("--historian-interval", type=float, default=0.5,
-                        help="historian sampling cadence in wall "
-                             "seconds (default 0.5)")
     parser.add_argument("--profile", action="store_true",
                         help="run every worker under the continuous "
                              "profiler; per-job attribution summaries "
                              "ride the control channel into "
                              "/api/fleet/profile (and the historian)")
-    parser.add_argument("--profile-interval", type=float, default=0.02,
-                        help="worker profiler sampling interval in "
-                             "seconds (default 0.02)")
     parser.add_argument("--profile-out", default="",
                         help="write the merged campaign profile as a "
                              "speedscope JSON file here (atomically); "
@@ -84,10 +73,10 @@ def register(subparsers) -> None:
     fleet_run.add_argument("--buggy-l2", action="store_true",
                            help="enable case study 2's write-buffer "
                                 "bug in every job")
-    fleet_run.add_argument("--worker-restarts", type=int, default=None,
-                           help="crashed warm workers replaced before "
-                                "the pool gives up (default: one per "
-                                "worker slot)")
+    fleet_run.add_argument("--journal", default="",
+                           help="append every scheduler transition to "
+                                "this write-ahead log (enables fleet "
+                                "resume); implied by fleet resume itself")
     fleet_run.add_argument("--max-retries", type=int, default=1,
                            help="restart-policy budget per job "
                                 "(default 1)")
@@ -102,10 +91,6 @@ def register(subparsers) -> None:
                        "and finish it exactly-once")
     fleet_resume.add_argument("journal_path", metavar="journal",
                               help="the campaign's --journal file")
-    fleet_resume.add_argument("--worker-restarts", type=int,
-                              default=None,
-                              help="crashed warm workers replaced "
-                                   "before the pool gives up")
     _add_fleet_common(fleet_resume)
     fleet_resume.set_defaults(handler=_fleet_resume)
 
@@ -150,18 +135,12 @@ def _fleet_worker_args(args: argparse.Namespace) -> List[str]:
     cadence — a dir alone clearly means "I want checkpoints"."""
     extra: List[str] = []
     if args.checkpoint_dir:
-        extra += ["--checkpoint-dir", args.checkpoint_dir]
         events = args.checkpoint_events
-        if events <= 0 and args.checkpoint_interval <= 0:
-            events = 20_000
-        if events > 0:
-            extra += ["--checkpoint-events", str(events)]
-        if args.checkpoint_interval > 0:
-            extra += ["--checkpoint-interval",
-                      str(args.checkpoint_interval)]
+        extra += ["--checkpoint-dir", args.checkpoint_dir,
+                  "--checkpoint-events", str(events if events > 0
+                                             else 20_000)]
     if args.profile or args.profile_out:
-        extra += ["--profile",
-                  "--profile-interval", str(args.profile_interval)]
+        extra.append("--profile")
     return extra
 
 
@@ -186,7 +165,6 @@ def _drive_campaign(args: argparse.Namespace, queue, journal,
     from ..core.atomicio import atomic_write_json, atomic_write_text
 
     manager = FleetManager(queue, num_workers=args.workers,
-                           max_worker_restarts=args.worker_restarts,
                            worker_args=_fleet_worker_args(args),
                            journal=journal)
     if replay is not None:
@@ -198,7 +176,7 @@ def _drive_campaign(args: argparse.Namespace, queue, journal,
         historian = Historian(args.historian)
         service = HistorianService(
             historian, campaign_id=args.campaign or None,
-            manager=manager, interval=args.historian_interval,
+            manager=manager, interval=HISTORIAN_INTERVAL,
             meta={"workers": args.workers, "jobs": num_jobs})
         service.bind_gateway(gateway)
     gateway.start()

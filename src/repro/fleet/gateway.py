@@ -13,9 +13,9 @@ POST     /api/fleet/<worker>/<rest...>        (same — control actions)
 DELETE   /api/fleet/<worker>/<rest...>        (same)
 =======  ===================================  ==========================
 
-The historian routes exist when a :class:`~repro.historian.
-HistorianService` has bound itself to the gateway (``fleet run
---historian <db>`` does this); otherwise they answer 400.
+A plane that records the campaign mounts rows of its own on the one
+gateway it records (:mod:`repro.fleet.cli` wires that); this module
+names none of them.
 
 The reverse proxy makes every single-simulation view of the paper reach
 fleet scale unchanged: ``/api/fleet/w3/api/buffers`` is worker w3's
@@ -42,8 +42,7 @@ from typing import Any, Dict, Optional
 from urllib.error import HTTPError, URLError
 from urllib.request import Request, urlopen
 
-from ..core.http import (BadRequest, EventStream, HTTPServerThread,
-                         NotFound, Response, float_param, int_param,
+from ..core.http import (BadRequest, HTTPServerThread, NotFound, Response,
                          route_table)
 from ..metrics import CONTENT_TYPE as _PROM_CONTENT_TYPE
 from ..metrics import (MetricRegistry, expose, federate_sources,
@@ -58,22 +57,6 @@ ROUTES = (
     ("GET", "/api/fleet/profile?format", "campaign_profile",
      "campaign-wide merged profile"),
     ("GET", "/metrics", "_prometheus", "federated exposition"),
-    ("GET", "/api/historian", "_historian_status",
-     "recording service status"),
-    ("GET", "/api/historian/campaigns", "_historian_campaigns",
-     "campaigns in the store"),
-    ("GET", "/api/historian/query?campaign&kind&name&since&until&limit",
-     "_historian_query", "filtered records"),
-    ("GET", "/api/historian/compare?a&b", "_historian_compare",
-     "two campaigns diffed"),
-    ("GET", "/api/historian/alerts", "_historian_alerts",
-     "rules + transitions"),
-    ("GET", "/api/historian/stream?interval&count&since",
-     "_historian_stream", "SSE alert transitions"),
-    ("POST", "/api/historian/rules?family&op&threshold&kind&for&labels"
-     "&name", "_add_historian_rule", "add an alert rule"),
-    ("DELETE", "/api/historian/rules?id", "_remove_historian_rule",
-     "remove an alert rule"),
 )
 
 
@@ -89,6 +72,8 @@ class FleetGateway(HTTPServerThread):
     """
 
     thread_name = "rtm-fleet-gateway"
+    #: The reverse proxy forwards these (control actions included).
+    unrouted_methods = ("GET", "POST", "DELETE")
 
     def __init__(self, manager, host: str = "127.0.0.1", port: int = 0):
         self.manager = manager
@@ -96,9 +81,6 @@ class FleetGateway(HTTPServerThread):
         #: exposition, which is why it is not the transport's
         #: ``request_registry`` (see there).
         self.registry = MetricRegistry()
-        #: Set by HistorianService.bind_gateway: enables the
-        #: /api/historian/* routes and the alert-transition SSE stream.
-        self.historian = None
         self._install_fleet_metrics()
         super().__init__(route_table(ROUTES, type(self)), host=host,
                          port=port)
@@ -142,110 +124,6 @@ class FleetGateway(HTTPServerThread):
             restarts.set(float(status.get("worker_restarts", 0)))
 
         self.registry.add_collector(collect)
-
-    # ------------------------------------------------------------------
-    # Historian (the durable campaign record behind this gateway)
-    # ------------------------------------------------------------------
-    def _historian_service(self):
-        service = self.historian
-        if service is None:
-            raise BadRequest("historian not enabled for this campaign "
-                             "(start the fleet with --historian)")
-        return service
-
-    def _historian_status(self, params):
-        return self._historian_service().status()
-
-    def _historian_campaigns(self, params):
-        store = self._historian_service().historian
-        return {"campaigns": store.campaigns()}
-
-    def _historian_query(self, params):
-        store = self._historian_service().historian
-        filters: Dict[str, Any] = {}
-        if "campaign" in params:
-            filters["campaign_id"] = params["campaign"]
-        for key in ("kind", "name"):
-            if key in params:
-                filters[key] = params[key]
-        for key in ("since", "until"):
-            if key in params:
-                filters[key] = float_param(params, key)
-        limit = int_param(params, "limit", 1000)
-        return {"records": store.query(limit=limit, **filters)}
-
-    def _historian_compare(self, params):
-        store = self._historian_service().historian
-        a, b = params.get("a"), params.get("b")
-        if not a or not b:
-            raise BadRequest("compare needs ?a=<campaign>&b=<campaign>")
-        return store.compare(a, b)
-
-    def _historian_alerts(self, params):
-        engine = self._historian_service().engine
-        return {"rules": engine.to_dict(),
-                "transitions": engine.transitions}
-
-    def _historian_stream(self, params):
-        """SSE of deduplicated alert-rule transitions.
-
-        ``since`` is a sequence-number cursor (default: only
-        transitions after the connection opens), ``count`` closes the
-        stream after N events — how a test proves "exactly once"."""
-        engine = self._historian_service().engine
-        interval = max(0.05, float_param(params, "interval", 0.25))
-        count = int_param(params, "count", 0)
-        if "since" in params:
-            cursor = int_param(params, "since", 0)
-        else:
-            transitions = engine.transitions
-            cursor = transitions[-1]["seq"] if transitions else 0
-
-        def new_transitions():
-            nonlocal cursor
-            events = engine.transitions_since(cursor)
-            if events:
-                cursor = events[-1]["seq"]
-            return events
-
-        # Keepalive: an idle stream must not trip the client's socket
-        # timeout while a campaign warms up.
-        return EventStream(new_transitions, interval, count, keepalive=True)
-
-    def _add_historian_rule(self, params):
-        """Create a rule from query parameters: ``family`` (required),
-        ``op``, ``threshold``, ``kind``, ``for`` (hold seconds),
-        ``labels`` as ``k=v`` pairs joined by commas, ``name``."""
-        from ..historian.rules import MetricRule
-        service = self._historian_service()
-        family = params.get("family", "")
-        if not family:
-            raise BadRequest("rule needs ?family=<metric family>")
-        labels: Dict[str, str] = {}
-        for pair in filter(None, params.get("labels", "").split(",")):
-            key, sep, value = pair.partition("=")
-            if not sep:
-                raise BadRequest(f"bad label pair {pair!r}; use k=v")
-            labels[key.strip()] = value.strip()
-        try:
-            rule = MetricRule(
-                family=family,
-                op=params.get("op", ">="),
-                threshold=float_param(params, "threshold", 0.0),
-                kind=params.get("kind", "threshold"),
-                labels=labels,
-                for_seconds=float_param(params, "for", 0.0),
-                name=params.get("name", ""))
-        except ValueError as exc:
-            raise BadRequest(str(exc)) from None
-        return {"rule": service.add_rule(rule).to_dict()}
-
-    def _remove_historian_rule(self, params):
-        service = self._historian_service()
-        if "id" not in params:
-            raise BadRequest("parameter 'id' is required")
-        return {"removed": service.remove_rule(
-            int_param(params, "id", 0))}
 
     # ------------------------------------------------------------------
     # Views

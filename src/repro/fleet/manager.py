@@ -123,7 +123,6 @@ class FleetManager:
 
     def __init__(self, queue: JobQueue, num_workers: int = 2,
                  worker_args: Optional[List[str]] = None,
-                 snapshot_dir: Optional[str] = None,
                  max_worker_restarts: Optional[int] = None,
                  journal=None):
         if num_workers < 1:
@@ -131,7 +130,6 @@ class FleetManager:
         self.queue = queue
         self.num_workers = num_workers
         self.worker_args = list(worker_args or [])
-        self.snapshot_dir = snapshot_dir
         #: Optional :class:`~repro.fleet.journal.CampaignJournal`.  The
         #: queue's transitions are journaled by the journal's own queue
         #: observer (attached here, idempotently); the manager adds the
@@ -515,11 +513,9 @@ class FleetManager:
     def _spawn(self) -> None:
         self._spawned += 1
         worker_id = f"w{self._spawned}"
-        args = ["--worker-id", worker_id]
-        if self.snapshot_dir is not None:
-            args += ["--snapshot-dir", self.snapshot_dir]
-        channel = WorkerChannel(self._zygote, args + self.worker_args,
-                                self._events, worker_id)
+        channel = WorkerChannel(
+            self._zygote, ["--worker-id", worker_id] + self.worker_args,
+            self._events, worker_id)
         with self._lock:
             self._active[worker_id] = WorkerHandle(worker_id, channel)
 
@@ -558,12 +554,6 @@ class FleetManager:
         with self._lock:
             return {job_id: dict(entry)
                     for job_id, entry in self._profiles.items()}
-
-    def terminal_jobs(self, already: Dict[str, str]
-                      ) -> List[Dict[str, Any]]:
-        """The finished jobs a recorder holding *already* (job id →
-        state) has left to record (:meth:`JobQueue.terminal_jobs`)."""
-        return self.queue.terminal_jobs(already)
 
     def status(self) -> Dict[str, Any]:
         with self._lock:

@@ -82,23 +82,16 @@ PROGRESS_INTERVAL = 0.2
 @dataclass
 class WorkerSettings:
     """What the manager's command line sets for every job this worker
-    runs (the parser below declares the same six)."""
+    runs (the parser below declares the same four)."""
 
-    snapshot_dir: Optional[str] = None
     #: Where per-job checkpoints are written (``None`` disables
-    #: checkpointing; a cadence below must also be non-zero).
+    #: checkpointing; the event cadence must also be non-zero).
     checkpoint_dir: Optional[str] = None
     checkpoint_events: int = 0
-    checkpoint_interval: float = 0.0
     #: Run every job under the continuous profiler and ship a profile
     #: summary up the control channel.
     profile: bool = False
     profile_interval: float = 0.02
-
-    @property
-    def checkpointing(self) -> bool:
-        return self.checkpoint_dir is not None and (
-            self.checkpoint_events > 0 or self.checkpoint_interval > 0)
 
 
 def _emit_failed(job_id: Optional[str], attempt: int, run_state: str,
@@ -175,7 +168,6 @@ def _make_checkpointer(platform: GPUPlatform, spec: JobSpec,
 
     return Checkpointer(platform, path,
                         every_events=settings.checkpoint_events,
-                        interval=settings.checkpoint_interval,
                         meta={"job_id": spec.job_id, "attempt": attempt},
                         on_save=announce, registry=monitor.metrics)
 
@@ -212,15 +204,15 @@ def _execute_job(spec: JobSpec, attempt: int, server: RTMServer,
         # The process-lifetime server now fronts this job's monitor:
         # the dashboard URL spans jobs, the simulation behind it is new.
         server.rebind(monitor)
-        if settings.checkpointing:
+        if settings.checkpoint_dir is not None \
+                and settings.checkpoint_events > 0:
             monitor.attach_checkpointer(_make_checkpointer(
                 platform, spec, attempt, settings, monitor))
             monitor.checkpointer.start()
         monitor.enable_watchdog(
             check_interval=WATCHDOG_INTERVAL,
             max_tick_retries=1,
-            retry_wait=WATCHDOG_INTERVAL,
-            snapshot_dir=settings.snapshot_dir)
+            retry_wait=WATCHDOG_INTERVAL)
         if spec.fault is not None and attempt < spec.fault_attempts \
                 and (resume is None or "error" in resume):
             # A resumed attempt never re-arms its fault: the snapshot
@@ -305,13 +297,13 @@ def _execute_job(spec: JobSpec, attempt: int, server: RTMServer,
 def main(argv: List[str]) -> int:
     """Boot once, run jobs from stdin until shutdown/EOF."""
     args = vars(_build_parser().parse_args(argv))
-    worker_id, port = args.pop("worker_id"), args.pop("port")
+    worker_id = args.pop("worker_id")
     settings = WorkerSettings(**args)
     # Boot the process-lifetime server against an idle placeholder
     # monitor; each job rebinds it.  Booting the server *before*
     # announcing ready is what lets the gateway proxy this worker the
     # moment its first job is assigned.
-    server = RTMServer(Monitor(), port=port)
+    server = RTMServer(Monitor())
     server.start()
     running: List[GPUPlatform] = []
     jobs_done = 0
@@ -368,16 +360,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="fleet-managed monitored simulation worker")
     parser.add_argument("--worker-id", default="w?",
                         help="identity echoed in ready events")
-    parser.add_argument("--port", type=int, default=0,
-                        help="RTM server port (default: ephemeral)")
-    parser.add_argument("--snapshot-dir", default=None)
     parser.add_argument("--checkpoint-dir", default=None,
                         help="write per-job checkpoints here (enables "
                              "resume-from-checkpoint retries)")
     parser.add_argument("--checkpoint-events", type=int, default=0,
                         help="checkpoint every N simulation events")
-    parser.add_argument("--checkpoint-interval", type=float, default=0.0,
-                        help="checkpoint every T wall seconds")
     parser.add_argument("--profile", action="store_true",
                         help="run every job under the continuous "
                              "profiler; ship profile summaries upstream")

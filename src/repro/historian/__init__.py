@@ -8,14 +8,16 @@ post-mortems (checkpoint + trace-window pointers included), and alert
 firings.  On top of it:
 
 * :class:`RetentionPolicy` + :meth:`Historian.prune` — age/count
-  retention per record kind, run as the service's idle-time sweep;
+  retention per record kind, run by ``repro historian prune``;
 * :class:`MetricRule` — declarative threshold/rate/absence rules over
   metric families, run by the one alert engine
   (:class:`repro.core.alerts.AlertManager`) with deduplicated
   ``firing``/``resolved`` transitions;
 * :class:`HistorianService` — the background sampler wiring a live
   campaign (gateway + manager) into the store;
-* the gateway's ``/api/historian/*`` query + compare + SSE endpoints,
+* the ``/api/historian/*`` query + compare + SSE routes
+  (:data:`repro.historian.service.ROUTES`), which the service mounts
+  on the gateway it binds — the fleet itself imports no historian —
   ``RTMClient.historian_*``, and the ``repro historian`` CLI.
 
 Typical use::
@@ -40,7 +42,6 @@ from .._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "MetricRule": ".rules",
     "RULE_KINDS": ".rules",
-    "gateway_source": ".service",
     "HistorianService": ".service",
     "registry_source": ".service",
     "Historian": ".store",

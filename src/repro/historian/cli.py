@@ -6,6 +6,9 @@ import argparse
 import json
 import sys
 
+#: Family rows ``historian compare`` prints, largest move first.
+COMPARE_TOP = 15
+
 
 def register(subparsers) -> None:
     historian = subparsers.add_parser(
@@ -43,8 +46,6 @@ def register(subparsers) -> None:
     hist_compare.add_argument("--out", default="",
                               help="also write the comparison JSON "
                                    "here (atomically)")
-    hist_compare.add_argument("--top", type=int, default=15,
-                              help="family rows printed (default 15)")
     hist_compare.set_defaults(query=_historian_compare)
 
     hist_prune = hist_sub.add_parser(
@@ -161,7 +162,7 @@ def _historian_compare(args: argparse.Namespace, historian) -> int:
     moved.sort(key=lambda item: -abs(item[1]["delta"]))
     print(f"  {len(report['families'])} shared metric families, "
           f"{len(moved)} moved")
-    for name, entry in moved[:max(0, args.top)]:
+    for name, entry in moved[:COMPARE_TOP]:
         ratio = entry.get("ratio")
         print(f"    {name:48s} {entry['a']:14.6g} -> "
               f"{entry['b']:14.6g}  "
@@ -176,7 +177,7 @@ def _historian_compare(args: argparse.Namespace, historian) -> int:
         print(f"  profile: {jobs_profiled.get('a', 0)} vs "
               f"{jobs_profiled.get('b', 0)} jobs profiled")
         from ..profile.cli import print_profile_diff
-        print_profile_diff(profile, top=args.top, indent="  ")
+        print_profile_diff(profile, top=COMPARE_TOP, indent="  ")
     if args.out:
         print(f"wrote comparison JSON to {args.out}")
     return 0

@@ -12,9 +12,12 @@ manager's settled views):
   exposition, any watchdog post-mortem (failure post-mortems carry
   the ``resume_checkpoint`` and trace-window pointers), and, when the
   workers profiled, the job's continuous-profiling summary as a
-  ``profile`` record;
-* every :data:`PRUNE_INTERVAL` seconds, run the retention sweep as an
-  idle-time chore.
+  ``profile`` record.
+
+The service brings its own HTTP routes, :data:`ROUTES`, and
+:meth:`HistorianService.bind_gateway` mounts them on the one fleet
+gateway it records: a gateway no service is bound to has no
+``/api/historian/*`` paths.  Retention is ``repro historian prune``'s.
 
 The service also works without a fleet: pass ``source=`` a callable
 returning parsed families (see :func:`registry_source`) to record any
@@ -24,29 +27,21 @@ monitored run — the overhead benchmark drives it that way.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from ..akita.threads import Periodic
 from ..core.alerts import AlertManager
-from ..metrics.exposition import parse_exposition
+from ..core.http import (BadRequest, EventStream, float_param, int_param,
+                         route_table)
+from ..metrics.exposition import expose, family_total, parse_exposition
 from .rules import MetricRule
-from .store import Historian, RetentionPolicy
+from .store import Historian
 
-__all__ = ["HistorianService", "gateway_source", "registry_source"]
-
-#: Wall seconds between retention sweeps.
-PRUNE_INTERVAL = 30.0
-
-
-def gateway_source(gateway) -> Callable[[], Dict[str, Any]]:
-    """Snapshot source sampling a gateway's federated exposition."""
-    return lambda: parse_exposition(gateway.federated_metrics())
+__all__ = ["HistorianService", "registry_source"]
 
 
 def registry_source(registry) -> Callable[[], Dict[str, Any]]:
     """Snapshot source sampling a registry directly (no fleet)."""
-    from ..metrics.exposition import expose
     return lambda: parse_exposition(expose(registry))
 
 
@@ -61,9 +56,9 @@ class HistorianService:
         Identity of this campaign in the store; generated if omitted.
     manager:
         A :class:`~repro.fleet.manager.FleetManager` (or anything with
-        its ``terminal_jobs()``/``final_metrics()`` views) to harvest job
-        outcomes from.  Optional: a fleet-less monitored run records
-        snapshots and alerts only.
+        its ``queue.terminal_jobs()``, ``final_metrics()`` and
+        ``profiles()`` views) to harvest job outcomes from.  Optional: a
+        fleet-less monitored run records snapshots and alerts only.
     source:
         Callable returning parsed families (``parse_exposition``
         output).  Defaults to the gateway's federated exposition once
@@ -72,8 +67,6 @@ class HistorianService:
         Sampling cadence in wall seconds.
     rules:
         Initial :class:`MetricRule` set.
-    retention:
-        :class:`RetentionPolicy` list for the idle-time sweep.
     """
 
     def __init__(self, historian: Historian,
@@ -82,7 +75,6 @@ class HistorianService:
                  source: Optional[Callable[[], Dict[str, Any]]] = None,
                  interval: float = 1.0,
                  rules: Iterable[MetricRule] = (),
-                 retention: Iterable[RetentionPolicy] = (),
                  meta: Optional[Dict[str, Any]] = None):
         self.historian = historian
         self.manager = manager
@@ -91,15 +83,16 @@ class HistorianService:
         self.engine = AlertManager()
         for rule in rules:
             self.engine.add(rule)
-        self.retention = list(retention)
-        self._meta = dict(meta or {})
         self.campaign_id = historian.begin_campaign(campaign_id,
-                                                    meta=self._meta)
+                                                    meta=meta)
         self.snapshots_recorded = 0
+        #: Ticks whose snapshot source raised: the beat is skipped, the
+        #: harvest still runs.
+        self.source_failures = 0
+        self.last_source_error: Optional[str] = None
         self._recorded_jobs: Dict[str, str] = {}  # job_id -> state
         self._postmortems_recorded = 0
         self._profiles_recorded = 0
-        self._last_prune = time.monotonic()
         self.loop = Periodic("rtm-historian", interval, self.tick)
         self._tick_lock = threading.Lock()
 
@@ -108,18 +101,17 @@ class HistorianService:
     # ------------------------------------------------------------------
     def bind_gateway(self, gateway) -> None:
         """Use *gateway* as the snapshot source, count rule transitions
-        in its registry, and register this service on it so the
-        ``/api/historian/*`` routes come alive."""
+        in its registry, and mount :data:`ROUTES` on it, answered by
+        this service.  The gateway's table is replaced whole, so other
+        gateways keep theirs."""
         if self.source is None:
-            self.source = gateway_source(gateway)
+            self.source = lambda: parse_exposition(
+                gateway.federated_metrics())
         self.engine.attach_registry(gateway.registry)
-        gateway.historian = self
+        gateway.routes = {**gateway.routes, **route_table(ROUTES, self)}
 
     def add_rule(self, rule: MetricRule) -> MetricRule:
         return self.engine.add(rule)
-
-    def remove_rule(self, rule_id: int) -> bool:
-        return self.engine.remove(rule_id)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -137,15 +129,17 @@ class HistorianService:
     # One sampling round
     # ------------------------------------------------------------------
     def tick(self, final: bool = False) -> None:
-        """Sample + evaluate + harvest (+ sweep).  Public so tests and
-        the benchmark can drive the cadence deterministically."""
+        """Sample + evaluate + harvest.  Public so tests and the
+        benchmark can drive the cadence deterministically."""
         with self._tick_lock:
             families = None
             if self.source is not None:
                 try:
                     families = self.source()
-                except Exception:
-                    families = None  # unreachable source: skip a beat
+                except Exception as exc:  # unreachable: skip a beat
+                    self.source_failures += 1
+                    self.last_source_error = \
+                        f"{type(exc).__name__}: {exc}"
             if families is not None:
                 self._record_snapshot(families)
                 for transition in self.engine.evaluate_all(families):
@@ -155,17 +149,10 @@ class HistorianService:
                         wall=transition["wall"])
             if self.manager is not None:
                 self._harvest_jobs()
-            now = time.monotonic()
-            if self.retention and (final or
-                                   now - self._last_prune
-                                   >= PRUNE_INTERVAL):
-                self._last_prune = now
-                self.historian.prune(self.retention)
             if final:
                 self.historian.flush()
 
     def _record_snapshot(self, families: Dict[str, Any]) -> None:
-        from ..metrics.exposition import family_total
         totals = {}
         samples = 0
         for name, family in families.items():
@@ -185,12 +172,11 @@ class HistorianService:
         # New is told from recorded before anything is serialised: a
         # tick costs what finished since the last one, not the campaign.
         recorded = self._recorded_jobs
-        fresh = self.manager.terminal_jobs(recorded)
+        fresh = self.manager.queue.terminal_jobs(recorded)
         if not fresh:
             return
         finals = self.manager.final_metrics()
-        profiles = (self.manager.profiles()
-                    if hasattr(self.manager, "profiles") else {})
+        profiles = self.manager.profiles()
         for job in fresh:
             job_id = job["spec"]["job_id"]
             state = job["state"]
@@ -242,7 +228,7 @@ class HistorianService:
             self._postmortems_recorded += 1
 
     # ------------------------------------------------------------------
-    # Views (the gateway's /api/historian handlers call these)
+    # Views
     # ------------------------------------------------------------------
     def status(self) -> Dict[str, Any]:
         return {
@@ -250,13 +236,122 @@ class HistorianService:
             "interval": self.interval,
             "loop": self.loop.status(),
             "snapshots_recorded": self.snapshots_recorded,
+            "source_failures": self.source_failures,
+            "last_source_error": self.last_source_error,
             "jobs_recorded": len(self._recorded_jobs),
             "postmortems_recorded": self._postmortems_recorded,
             "profiles_recorded": self._profiles_recorded,
             "rules": [rule.to_dict() for rule in self.engine.rules],
             "transitions": len(self.engine.transitions),
-            "retention": [
-                {"kind": p.kind, "max_age": p.max_age,
-                 "max_count": p.max_count} for p in self.retention],
             "store": self.historian.stats(),
         }
+
+    # ------------------------------------------------------------------
+    # Routes: ``fn(gateway, params)``, bound to this service
+    # ------------------------------------------------------------------
+    def _get_status(self, gateway, params):
+        return self.status()
+
+    def _get_campaigns(self, gateway, params):
+        return {"campaigns": self.historian.campaigns()}
+
+    def _get_query(self, gateway, params):
+        filters = {key: params[key] for key in ("kind", "name")
+                   if key in params}
+        filters.update({key: float_param(params, key)
+                        for key in ("since", "until") if key in params})
+        if "campaign" in params:
+            filters["campaign_id"] = params["campaign"]
+        limit = int_param(params, "limit", 1000)
+        if limit < 1:
+            # The store reads 0 (and SQLite -1) as "no bound".
+            raise BadRequest(f"parameter 'limit' must be at least 1, "
+                             f"got {limit}")
+        return {"records": self.historian.query(limit=limit, **filters)}
+
+    def _get_compare(self, gateway, params):
+        a, b = params.get("a"), params.get("b")
+        if not a or not b:
+            raise BadRequest("compare needs ?a=<campaign>&b=<campaign>")
+        return self.historian.compare(a, b)
+
+    def _get_alerts(self, gateway, params):
+        return {"rules": self.engine.to_dict(),
+                "transitions": self.engine.transitions}
+
+    def _get_stream(self, gateway, params):
+        """SSE of deduplicated alert-rule transitions.
+
+        ``since`` is a sequence-number cursor (default: only
+        transitions after the connection opens), ``count`` closes the
+        stream after N events — how a test proves "exactly once"."""
+        engine = self.engine
+        interval = max(0.05, float_param(params, "interval", 0.25))
+        count = int_param(params, "count", 0)
+        if "since" in params:
+            cursor = int_param(params, "since", 0)
+        else:
+            transitions = engine.transitions
+            cursor = transitions[-1]["seq"] if transitions else 0
+
+        def new_transitions():
+            nonlocal cursor
+            events = engine.transitions_since(cursor)
+            if events:
+                cursor = events[-1]["seq"]
+            return events
+
+        # Keepalive: an idle stream must not trip the client's socket
+        # timeout while a campaign warms up.
+        return EventStream(new_transitions, interval, count, keepalive=True)
+
+    def _post_rule(self, gateway, params):
+        """Create a rule from query parameters: ``family`` (required),
+        ``op``, ``threshold``, ``kind``, ``for`` (hold seconds),
+        ``labels`` as ``k=v`` pairs joined by commas, ``name``."""
+        family = params.get("family", "")
+        if not family:
+            raise BadRequest("rule needs ?family=<metric family>")
+        labels: Dict[str, str] = {}
+        for pair in filter(None, params.get("labels", "").split(",")):
+            key, sep, value = pair.partition("=")
+            if not sep:
+                raise BadRequest(f"bad label pair {pair!r}; use k=v")
+            labels[key.strip()] = value.strip()
+        try:
+            rule = MetricRule(
+                family=family,
+                op=params.get("op", ">="),
+                threshold=float_param(params, "threshold", 0.0),
+                kind=params.get("kind", "threshold"),
+                labels=labels,
+                for_seconds=float_param(params, "for", 0.0),
+                name=params.get("name", ""))
+        except ValueError as exc:
+            raise BadRequest(str(exc)) from None
+        return {"rule": self.add_rule(rule).to_dict()}
+
+    def _delete_rule(self, gateway, params):
+        if "id" not in params:
+            raise BadRequest("parameter 'id' is required")
+        return {"removed": self.engine.remove(int_param(params, "id", 0))}
+
+
+#: ``(method, "path?parameters", HistorianService method, purpose)``,
+#: mounted on a fleet gateway by :meth:`HistorianService.bind_gateway`.
+ROUTES = (
+    ("GET", "/api/historian", "_get_status", "recording service status"),
+    ("GET", "/api/historian/campaigns", "_get_campaigns",
+     "campaigns in the store"),
+    ("GET", "/api/historian/query?campaign&kind&name&since&until&limit",
+     "_get_query", "filtered records"),
+    ("GET", "/api/historian/compare?a&b", "_get_compare",
+     "two campaigns diffed"),
+    ("GET", "/api/historian/alerts", "_get_alerts", "rules + transitions"),
+    ("GET", "/api/historian/stream?interval&count&since", "_get_stream",
+     "SSE alert transitions"),
+    ("POST", "/api/historian/rules?family&op&threshold&kind&for&labels"
+     "&name", "_post_rule", "add an alert rule"),
+    ("DELETE", "/api/historian/rules?id", "_delete_rule",
+     "remove an alert rule"),
+)

@@ -328,16 +328,13 @@ class Historian:
 
     def jobs(self, campaign_id: str) -> List[Dict[str, Any]]:
         """One entry per job of *campaign_id* (latest record wins)."""
-        latest: Dict[str, Dict[str, Any]] = {}
-        for record in self.query(campaign_id, kind="job", limit=0):
-            latest[record["name"]] = record
-        return [latest[name] for name in sorted(latest)]
+        return self._latest(campaign_id, "job")
 
-    def profiles(self, campaign_id: str) -> List[Dict[str, Any]]:
-        """One profile record per job of *campaign_id* (latest wins)."""
-        latest: Dict[str, Dict[str, Any]] = {}
-        for record in self.query(campaign_id, kind="profile", limit=0):
-            latest[record["name"]] = record
+    def _latest(self, campaign_id: str, kind: str
+                ) -> List[Dict[str, Any]]:
+        """Each job of *campaign_id*'s latest *kind* record, by id."""
+        latest = {record["name"]: record for record
+                  in self.query(campaign_id, kind=kind, limit=0)}
         return [latest[name] for name in sorted(latest)]
 
     def postmortems(self, campaign_id: str) -> List[Dict[str, Any]]:
@@ -441,7 +438,8 @@ class Historian:
         counts = {}
         for key, campaign_id in (("a", campaign_a), ("b", campaign_b)):
             summaries = [record["payload"].get("summary") or {}
-                         for record in self.profiles(campaign_id)]
+                         for record in self._latest(campaign_id,
+                                                    "profile")]
             summaries = [s for s in summaries if s]
             counts[key] = len(summaries)
             merged[key] = merge_summaries(summaries) if summaries else None
@@ -457,8 +455,7 @@ class Historian:
     def prune(self, policies: Iterable[RetentionPolicy],
               now: Optional[float] = None) -> Dict[str, int]:
         """Delete exactly the out-of-policy rows; returns deletions per
-        kind.  Runs as the service's idle-time sweep, or via the
-        ``repro historian prune`` CLI."""
+        kind.  ``repro historian prune`` runs it."""
         now = time.time() if now is None else now
         deleted: Dict[str, int] = {}
         with self._lock:

@@ -1,10 +1,13 @@
-"""Every route answers: one walk over the three route tables.
+"""Every route answers: one walk over the three servers' route tables.
 
 Each ``(method, path)`` of ``RTMServer``, ``FleetGateway`` and
 ``ShardGateway`` is asked once, without parameters, of a fresh server —
 never a 5xx (500 is for route bugs), and the status each answers is
-pinned below.  ``RTMServer``'s table is the composed one: its own rows
-and every plane's (``route_rows()``).  It is walked twice: bound to
+pinned below.  The fleet gateway's own rows are walked on a gateway no
+historian is bound to; the rows the historian brings (its ``ROUTES``)
+on one a ``HistorianService`` has bound itself to.  ``RTMServer``'s
+table is the composed one: its own rows and every plane's
+(``route_rows()``).  It is walked twice: bound to
 ``Monitor()``, which is what a warm fleet worker serves from boot until
 its first job — nothing attached, so a plane's status is the one it
 answers before its attach — and to an idle registered simulation.  At
@@ -29,6 +32,8 @@ from repro.core.server import route_rows
 from repro.fleet import FleetGateway
 from repro.fleet.gateway import ROUTES as FLEET_ROUTES
 from repro.gpu import GPUPlatform, GPUPlatformConfig
+from repro.historian import Historian, HistorianService
+from repro.historian.service import ROUTES as HISTORIAN_ROUTES
 from repro.shard.coordinator import ROUTES as SHARD_ROUTES
 from repro.shard.coordinator import ShardCoordinator, ShardGateway
 from repro.workloads import StoreStorm
@@ -85,12 +90,16 @@ FLEET_STATUS = {
     ("GET", "/api/fleet"): 200,
     ("GET", "/api/fleet/profile"): 200,
     ("GET", "/metrics"): 200,
-    ("GET", "/api/historian"): 400,
-    ("GET", "/api/historian/campaigns"): 400,
-    ("GET", "/api/historian/query"): 400,
+}
+
+#: The historian's rows, on a gateway a service has bound itself to.
+HISTORIAN_STATUS = {
+    ("GET", "/api/historian"): 200,
+    ("GET", "/api/historian/campaigns"): 200,
+    ("GET", "/api/historian/query"): 200,
     ("GET", "/api/historian/compare"): 400,
-    ("GET", "/api/historian/alerts"): 400,
-    ("GET", "/api/historian/stream"): 400,
+    ("GET", "/api/historian/alerts"): 200,
+    ("GET", "/api/historian/stream"): 200,
     ("POST", "/api/historian/rules"): 400,
     ("DELETE", "/api/historian/rules"): 400,
 }
@@ -124,6 +133,14 @@ def _fleet_gateway():
     return FleetGateway(_IDLE_MANAGER)
 
 
+def _historian_gateway():
+    """A fleet gateway recorded into an in-memory store."""
+    gateway = FleetGateway(_IDLE_MANAGER)
+    HistorianService(Historian(":memory:"),
+                     campaign_id="walk").bind_gateway(gateway)
+    return gateway
+
+
 def _shard_gateway():
     """Over a coordinator that never spawned: no shard has a URL."""
     return ShardGateway(ShardCoordinator(
@@ -131,26 +148,39 @@ def _shard_gateway():
 
 
 def _ask(server, method, path):
-    """``(status, head)`` of one HTTP/1.0 request."""
+    """``(status, head)`` of one HTTP/1.0 request, read up to the end of
+    the head (an event stream's body does not end)."""
     with socket.create_connection((server.host, server.port),
                                   timeout=10.0) as sock:
         sock.sendall(f"{method} {path} HTTP/1.0\r\n\r\n".encode())
-        reply = b"".join(iter(lambda: sock.recv(65536), b""))
+        reply = b""
+        while b"\r\n\r\n" not in reply:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            reply += chunk
     head = reply.partition(b"\r\n\r\n")[0].decode("latin-1")
     return int(head.split()[1]), head
 
 
+#: ``(server, factory, route, status)``; *server* names the test.
 WALK = (
-    [(_bare_monitor, key, status[0]) for key, status in RTM_STATUS.items()]
-    + [(_idle_simulation, key, status[1])
+    [("bare_monitor", _bare_monitor, key, status[0])
+     for key, status in RTM_STATUS.items()]
+    + [("idle_simulation", _idle_simulation, key, status[1])
        for key, status in RTM_STATUS.items()]
-    + [(_fleet_gateway, key, status) for key, status in FLEET_STATUS.items()]
-    + [(_shard_gateway, key, status) for key, status in SHARD_STATUS.items()])
+    + [("fleet_gateway", _fleet_gateway, key, status)
+       for key, status in FLEET_STATUS.items()]
+    + [("fleet_gateway", _historian_gateway, key, status)
+       for key, status in HISTORIAN_STATUS.items()]
+    + [("shard_gateway", _shard_gateway, key, status)
+       for key, status in SHARD_STATUS.items()])
 
 
 def test_the_pinned_statuses_cover_the_three_tables():
     for pinned, rows in ((RTM_STATUS, route_rows()),
                          (FLEET_STATUS, FLEET_ROUTES),
+                         (HISTORIAN_STATUS, HISTORIAN_ROUTES),
                          (SHARD_STATUS, SHARD_ROUTES)):
         assert set(pinned) == {(method, spec.partition("?")[0])
                                for method, spec, _, _ in rows}
@@ -174,9 +204,9 @@ def _answer(make, method, path):
 
 
 @pytest.mark.parametrize(
-    "make,route,status", WALK,
-    ids=[f"{make.__name__[1:]}-{method}-{path}"
-         for make, (method, path), _ in WALK])
+    "make,route,status", [row[1:] for row in WALK],
+    ids=[f"{server}-{method}-{path}"
+         for server, _, (method, path), _ in WALK])
 def test_every_route_answers(make, route, status):
     answered, server = _answer(make, *route)
     assert route in server.routes  # resolved by now, if a plane's
@@ -197,6 +227,32 @@ def test_a_method_the_path_does_not_take_is_404():
             status, _ = _ask(server, method, path)
             assert status == 404, (method, path)
         assert server.monitor.paused is False
+    finally:
+        server.stop()
+
+
+def test_an_unbound_gateway_serves_no_historian_path():
+    """No row, no special case: the paths a bound historian serves are
+    unknown to a gateway without one, like any path it does not serve."""
+    server = _fleet_gateway()
+    server.start()
+    try:
+        for method, path in HISTORIAN_STATUS:
+            status, _ = _ask(server, method, path)
+            assert status == 404, (method, path)
+    finally:
+        server.stop()
+
+
+@pytest.mark.parametrize("method", ["GET", "POST", "DELETE"])
+def test_the_fleet_proxy_takes_each_method_it_forwards(method):
+    """The reverse proxy is no table row, yet its methods are no 405:
+    an unknown worker is the proxy's own 404."""
+    server = _fleet_gateway()
+    server.start()
+    try:
+        status, _ = _ask(server, method, "/api/fleet/w9/api/pause")
+        assert status == 404
     finally:
         server.stop()
 

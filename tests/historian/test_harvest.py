@@ -17,10 +17,10 @@ class _Manager:
     def __init__(self, queue):
         self.queue = queue
 
-    def terminal_jobs(self, already):
-        return self.queue.terminal_jobs(already)
-
     def final_metrics(self):
+        return {}
+
+    def profiles(self):
         return {}
 
 
@@ -83,4 +83,32 @@ def test_a_job_record_keeps_the_result_the_manager_settled(tmp_path):
     result = record["payload"]["result"]
     assert result == queue.get("j").result
     assert result["events"] == 24217 and result["resume"] == resume
+    historian.close()
+
+
+def test_a_failing_snapshot_source_is_counted_and_the_harvest_runs(
+        tmp_path):
+    """A source that raises skips the snapshot, not the tick: the
+    failure is counted, its error kept in ``status()`` (what
+    ``/api/historian`` serves), and finished jobs are still recorded."""
+    queue = JobQueue()
+    queue.submit(JobSpec("j", "fir"))
+    queue.claim("w1")
+    queue.complete("j", {"run_state": "completed"})
+
+    def unreachable():
+        raise ConnectionError("gateway gone")
+
+    historian = Historian(tmp_path / "h.db")
+    service = HistorianService(historian, campaign_id="c",
+                               manager=_Manager(queue),
+                               source=unreachable, interval=60.0)
+    service.tick()
+    service.tick()
+    status = service.status()
+    assert status["source_failures"] == 2
+    assert status["last_source_error"] == "ConnectionError: gateway gone"
+    assert status["snapshots_recorded"] == 0
+    assert status["jobs_recorded"] == 1
+    assert [row["name"] for row in historian.jobs("c")] == ["j"]
     historian.close()

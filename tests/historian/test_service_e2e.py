@@ -34,8 +34,7 @@ def two_campaigns(tmp_path_factory):
                      "--workloads", "fir", "--chiplets", "1,2",
                      "--timeout", "300",
                      "--historian", str(db),
-                     "--campaign", "camp-a",
-                     "--historian-interval", "0.2"])
+                     "--campaign", "camp-a"])
     assert code == 0
 
     # -- campaign B: induced stall + alert rule + SSE witness ----------

@@ -66,11 +66,14 @@ def test_docs_name_only_flags_the_parsers_have():
 
 
 def _route_rows():
-    """The rows of the three route tables, ``RTMServer``'s composed."""
+    """The rows of the three servers' route tables, ``RTMServer``'s
+    composed and the fleet gateway's with the historian's rows, which a
+    bound ``HistorianService`` mounts on it."""
     from repro.core.server import route_rows
     from repro.fleet.gateway import ROUTES as fleet_routes
+    from repro.historian.service import ROUTES as historian_routes
     from repro.shard.coordinator import ROUTES as shard_routes
-    return route_rows() + fleet_routes + shard_routes
+    return route_rows() + fleet_routes + historian_routes + shard_routes
 
 
 def _route_paths():

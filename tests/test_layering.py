@@ -8,6 +8,11 @@ And ``core`` imports no plane: not ``trace``, ``profile``, ``faults`` or
 ``core/server.py``'s ``PLANES`` manifest are its only reference to them;
 a plane plugs in by registering its routes.
 
+And ``fleet`` imports no historian: the historian is a plane that
+mounts its own routes on the gateway it records.  ``fleet/cli.py`` is
+exempt — it wires a recorded campaign, as ``cli.py`` wires core's
+planes.
+
 And a workload is reached through its name table: outside
 ``repro/workloads/`` no module imports a workload module directly.
 
@@ -142,6 +147,45 @@ def test_the_plane_rule_sees_every_spelling_and_spares_the_manifest():
         "    from .watchdog import Watchdog\n")
     assert sorted(_plane_imports(source)) == [
         ("checkpoint", 2), ("faults", 7), ("profile", 1), ("trace", 5)]
+
+
+#: Where a campaign is wired: the one ``fleet`` module that may name the
+#: historian.
+FLEET_WIRING = "repro/fleet/cli.py"
+
+
+def _historian_imports(source, package=("repro", "fleet")):
+    return [line for name, line in _repro_packages_imported(source, package)
+            if name == "historian"]
+
+
+def test_fleet_imports_no_historian():
+    offenders = []
+    for path in sorted((SRC / "repro" / "fleet").rglob("*.py")):
+        where = path.relative_to(SRC).as_posix()
+        if where == FLEET_WIRING:
+            continue
+        offenders += [f"{where}:{line} imports repro.historian"
+                      for line in _historian_imports(
+                          path.read_text(), path.relative_to(SRC).parts[:-1])]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_the_historian_rule_sees_every_spelling():
+    """What ``fleet/gateway.py`` did before the historian brought its own
+    routes, and the other spellings — a docstring or a string naming the
+    historian is no import."""
+    source = (
+        '"""Mounted by repro.historian.service."""\n'
+        "from ..historian import rules as hr\n"
+        "import repro.historian.store\n"
+        "ROW = ('GET', '/api/historian')\n"
+        "def _add_rule(self, params):\n"
+        "    from ..historian.rules import MetricRule\n"
+        "def _other():\n"
+        "    from .. import historian\n"
+        "    from .queue import JobQueue\n")
+    assert _historian_imports(source) == [2, 3, 6, 8]
 
 
 #: The modules behind ``repro.workloads``' name table.

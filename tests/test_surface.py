@@ -32,10 +32,19 @@ counts as used: the census can miss dead surface, never invent it.
 needed.  Each package's count of names and options stays within
 :data:`BUDGET`, so the surface can only shrink.
 
+*The command line.*  The same rule for flags: every ``--flag`` of a
+``repro fleet`` or ``repro historian`` leaf is passed by a command line
+someone runs — a CI step, a fenced command in README or EXPERIMENTS, an
+example or a benchmark — and every flag of the fleet worker's parser by
+the code that builds a worker's command line (:data:`WORKER_FORWARDERS`).
+A flag nobody passes is a constant, or :data:`CLI_ALLOWED` says why it
+stays.
+
 ``python tests/test_surface.py`` prints every name, where it is used,
-and a per-package count.
+and a per-package count, then every campaign flag and who passes it.
 """
 
+import argparse
 import ast
 import re
 from pathlib import Path
@@ -85,8 +94,8 @@ BUDGET = {
     "metrics": (44, 25),
     "faults": (29, 34),
     "checkpoint": (10, 8),
-    "fleet": (69, 60),
-    "historian": (31, 30),
+    "fleet": (67, 57),
+    "historian": (28, 29),
     "shard": (40, 12),
 }
 
@@ -360,6 +369,191 @@ def test_the_census_reads_every_kind_of_use():
     assert "profile_start" not in docs
 
 
+# ----------------------------------------------------------------------
+# The command line: every campaign flag has a caller
+# ----------------------------------------------------------------------
+#: The subcommands whose leaves the flag census walks.
+CLI_PLANES = ("fleet", "historian")
+#: The docs whose fenced blocks are command lines someone runs.
+COMMAND_DOCS = ("README.md", "EXPERIMENTS.md")
+#: The modules that build the fleet worker's command line.
+WORKER_FORWARDERS = ("fleet/cli.py", "fleet/manager.py")
+
+_JSON = "the machine-readable form every query command offers " \
+    "(`historian show --json` is CI's): one convention across the CLI"
+_RESUME = "declared once for `fleet run` and `fleet resume` " \
+    "(`_add_fleet_common`), and passed to `fleet run`: a resumed " \
+    "campaign takes the flags its run took"
+_PORT = "a gateway on a known port is what an outside scraper or " \
+    "dashboard is pointed at; the default is ephemeral"
+
+#: ``"<leaf> <flag>"`` no command line passes, kept on purpose -> reason.
+CLI_ALLOWED = {
+    "fleet run --port": _PORT,
+    "fleet resume --port": _PORT,
+    "fleet run --buggy-l2": "case study 2's switch, which every run-like "
+        "command takes (`run --buggy-l2`), applied to a sweep",
+    "fleet run --max-retries": "the restart-policy budget; "
+        "tests/fleet/test_durability_e2e.py needs a job that fails "
+        "permanently (`--max-retries 0`)",
+    "fleet run --checkpoint-events": "the checkpoint cadence README "
+        "names; tests/fleet/test_durability_e2e.py needs a dense one on "
+        "a short job",
+    "fleet resume --checkpoint-events": "declared once with `fleet run "
+        "--checkpoint-events` (`_add_fleet_common`), whose reason holds: "
+        "a resumed campaign keeps its run's cadence",
+    "fleet resume --historian": _RESUME,
+    "fleet resume --campaign": _RESUME,
+    "fleet resume --profile": _RESUME,
+    "fleet resume --profile-out": _RESUME,
+    "fleet status --url": "the shell's view of a live campaign that "
+        "README and EXPERIMENTS give operators; tests/test_cli.py pins "
+        "its answer to a dead gateway",
+    "fleet status --json": _JSON,
+    "historian list --json": _JSON,
+    "historian compare --json": _JSON,
+    "historian prune --max-count": "the count bound of RetentionPolicy, "
+        "which EXPERIMENTS' retention check names; `historian prune` is "
+        "the one door to retention",
+    "worker --profile-interval": "test seam: tests/fleet/"
+        "test_fleet_profile.py samples its sub-second jobs at 10 ms",
+}
+
+
+def cli_flags():
+    """``{"<leaf> <flag>": parser}`` for every ``--flag`` of the
+    campaign leaves (``"fleet run --workers"``) and of the fleet worker
+    (``"worker --worker-id"``)."""
+    from repro.cli import _build_parser
+    from repro.fleet.worker import _build_parser as _worker_parser
+
+    def walk(parser, path):
+        subparsers = [action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+        for action in subparsers:
+            for name, child in action.choices.items():
+                yield from walk(child, path + (name,))
+        if not subparsers:
+            for action in parser._actions:
+                for flag in action.option_strings:
+                    if flag.startswith("--") and flag != "--help":
+                        yield " ".join(path + (flag,))
+
+    top = next(action for action in _build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    flags = [flag for plane in CLI_PLANES
+             for flag in walk(top.choices[plane], (plane,))]
+    return flags + list(walk(_worker_parser(), ("worker",)))
+
+
+def _command_lines(text):
+    """The shell command lines of *text*, backslash continuations
+    joined, as token lists."""
+    return [line.split() for line
+            in text.replace("\\\n", " ").splitlines()]
+
+
+def _fenced(text):
+    return "\n".join(re.findall(r"^```[^\n]*\n(.*?)^```", text,
+                                re.MULTILINE | re.DOTALL))
+
+
+def _python_command_lines(source):
+    """The lists and tuples of string constants in *source*: a command
+    line a script hands to ``main`` or ``subprocess``."""
+    return [[item.value for item in node.elts]
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.List, ast.Tuple)) and node.elts
+            and all(isinstance(item, ast.Constant)
+                    and isinstance(item.value, str) for item in node.elts)]
+
+
+def _passed(lines):
+    """``{"<plane> <leaf> <flag>"}`` the command lines *lines* pass."""
+    passed = set()
+    for tokens in lines:
+        for i, (plane, leaf) in enumerate(zip(tokens, tokens[1:])):
+            if plane in CLI_PLANES:
+                passed |= {f"{plane} {leaf} {token.partition('=')[0]}"
+                           for token in tokens[i + 2:]
+                           if token.startswith("--")}
+    return passed
+
+
+def _forwarded(source):
+    """``{"worker <flag>"}`` for every ``--flag`` string *source* puts
+    on a command line — not the ones it declares with
+    ``add_argument``."""
+    tree = ast.parse(source)
+    declared = {id(node.args[0]) for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and node.args
+                and getattr(node.func, "attr", "") == "add_argument"}
+    return {f"worker {node.value}" for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value.startswith("--") and id(node) not in declared}
+
+
+def flag_callers():
+    """``{"<leaf> <flag>"}`` that someone passes (see the docstring)."""
+    lines = []
+    for path in sorted((ROOT / ".github" / "workflows").glob("*.yml")):
+        lines += _command_lines(path.read_text())
+    for name in COMMAND_DOCS:
+        lines += _command_lines(_fenced((ROOT / name).read_text()))
+    for corpus in ("examples", "benchmarks"):
+        for path, _ in _python_files(corpus):
+            lines += _python_command_lines(path.read_text())
+    passed = _passed(lines)
+    for module in WORKER_FORWARDERS:
+        passed |= _forwarded((SRC / module).read_text())
+    return passed
+
+
+def test_every_campaign_flag_is_passed_or_allowed():
+    callers = flag_callers()
+    unexplained = [flag for flag in cli_flags()
+                   if flag not in callers and flag not in CLI_ALLOWED]
+    assert not unexplained, (
+        "no CI step, fenced doc command, example, benchmark or forwarder "
+        "passes these — make each a constant, or list it in CLI_ALLOWED "
+        "with a reason:\n" + "\n".join(unexplained))
+
+
+def test_every_allowed_flag_is_still_unpassed():
+    flags, callers = set(cli_flags()), flag_callers()
+    stale = sorted(flag for flag in CLI_ALLOWED
+                   if flag not in flags or flag in callers)
+    assert not stale, "gone or passed now; drop from CLI_ALLOWED:\n" + \
+        "\n".join(stale)
+
+
+def test_the_flag_census_reads_every_kind_of_command_line():
+    """Continuations, fences, Python lists and forwarders are read; a
+    flag of another command, prose outside a fence and a declaration
+    are no caller."""
+    ci = ("run: |\n"
+          "  PYTHONPATH=src python -m repro fleet run \\\n"
+          "    --workers 2 --timeout=300\n"
+          "  python -m repro profile report x.json --top 5\n")
+    doc = ("Pass `repro historian compare --top 3` for more.\n"
+           "```bash\n"
+           "python -m repro historian prune db --kind snapshot \\\n"
+           "    --max-age 60\n"
+           "```\n")
+    script = "main(['historian', 'list', 'db', '--json'])\n"
+    assert _passed(_command_lines(ci)
+                   + _command_lines(_fenced(doc))
+                   + _python_command_lines(script)) == {
+        "fleet run --workers", "fleet run --timeout",
+        "historian prune --kind", "historian prune --max-age",
+        "historian list --json"}
+    assert _forwarded(
+        "parser.add_argument('--port', type=int)\n"
+        "args = ['--worker-id', wid]\n"
+        "extra += ['--profile']\n") == {"worker --worker-id",
+                                          "worker --profile"}
+
+
 if __name__ == "__main__":
     table = census()
     marks = {"src": "S", "examples": "E", "benchmarks": "B",
@@ -376,3 +570,8 @@ if __name__ == "__main__":
     for package, (names, options) in counts(table).items():
         mine = sum(key.startswith(package + ".") for key in alone)
         print(f"{package:12s}{names:7d}{options:9d}{mine:12d}")
+    callers = flag_callers()
+    print(f"\n{'flag':40s}passed by")
+    for flag in cli_flags():
+        print(f"{flag:40s}" + ("a command line" if flag in callers else
+                               f"nobody: {CLI_ALLOWED.get(flag, '?')}"))
