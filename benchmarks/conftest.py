@@ -45,10 +45,6 @@ def bench_suite() -> Dict[str, Callable[[], Workload]]:
     }
 
 
-def bench_platform() -> GPUPlatform:
-    return GPUPlatform(GPUPlatformConfig.small(num_chiplets=2))
-
-
 class _Poller:
     """Background HTTP poller emulating a browser tab."""
 
@@ -132,7 +128,7 @@ def prepare_scenario(workload_factory: Callable[[], Workload],
                      scenario: str) -> ScenarioContext:
     """Set up one (workload, scenario) cell of Figure 7."""
     assert scenario in SCENARIOS
-    platform = bench_platform()
+    platform = GPUPlatform(GPUPlatformConfig.small(num_chiplets=2))
     workload_factory().enqueue(platform.driver)
     ctx = ScenarioContext(platform)
     if scenario != "none":
@@ -144,27 +140,6 @@ def prepare_scenario(workload_factory: Callable[[], Workload],
                                  active=(scenario == "active"))
             ctx.poller.start()
     return ctx
-
-
-@dataclass
-class ScenarioResult:
-    wall_seconds: float
-    sim_seconds: float
-    completed: bool
-    requests: int
-
-
-def run_scenario(workload_factory: Callable[[], Workload],
-                 scenario: str) -> ScenarioResult:
-    """Set up, run and tear down one cell (used by non-timing tests)."""
-    ctx = prepare_scenario(workload_factory, scenario)
-    start = time.perf_counter()
-    completed = ctx.platform.run()
-    wall = time.perf_counter() - start
-    requests = ctx.poller.requests if ctx.poller is not None else 0
-    ctx.teardown()
-    return ScenarioResult(wall, ctx.platform.simulation.now, completed,
-                          requests)
 
 
 @pytest.fixture(scope="session")

@@ -131,7 +131,10 @@ class Watchdog:
 
     def _handle_hang(self, status) -> None:
         detected_wall = time.monotonic()
-        snapshot = self._diagnostic_snapshot(status)
+        try:
+            snapshot = self._diagnostic_snapshot(status)
+        except Exception as exc:  # diagnostics never skip the abort
+            snapshot = {"hang": status.to_dict(), "error": repr(exc)}
         snapshot_path = self._persist(snapshot, "watchdog_snapshot")
 
         self.state = "recovering"
@@ -235,11 +238,9 @@ class Watchdog:
             "progress": [bar.to_dict() for bar in monitor.progress_bars()],
         }
         profiler = getattr(monitor, "profiler", None)
-        if profiler is not None:
-            profile = profiler.report(10)
-            if profile.samples:
-                snapshot["profiler_top"] = [
-                    f.to_dict() for f in profile.functions]
+        profile = profiler.report(10) if profiler is not None else {}
+        if profile.get("samples"):
+            snapshot["profiler_top"] = profile["functions"]
         injector = getattr(monitor, "injector", None)
         if injector is not None:
             snapshot["faults"] = injector.to_dict()

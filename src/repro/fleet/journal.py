@@ -232,7 +232,7 @@ class JournalReplay:
     records: int = 0
     corrupt_records: int = 0
     torn_tail: bool = False
-    duplicates: int = 0
+    duplicates: int = field(default=0, init=False)
     campaign: Dict[str, Any] = field(default_factory=dict)
     jobs: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     checkpoints: Dict[str, Dict[str, Any]] = field(default_factory=dict)

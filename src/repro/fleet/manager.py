@@ -65,7 +65,7 @@ class WorkerHandle:
 
     worker_id: str
     channel: WorkerChannel
-    started_wall: float = field(default_factory=time.monotonic)
+    started_wall: float = field(init=False, default_factory=time.monotonic)
     job_id: Optional[str] = None      # currently assigned job
     attempt: int = 0
     state: str = "booting"  # booting | idle | running | exited

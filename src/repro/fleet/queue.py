@@ -28,9 +28,8 @@ class JobSpec:
     """One parameterized simulation job.
 
     ``fault`` (a dict of ``POST /api/faults`` parameters: kind, target,
-    start, ...) is armed only while ``attempt < fault_attempts`` — the
-    canonical chaos experiment injects on the first attempt and lets the
-    restart policy prove a clean retry succeeds.
+    start, ...) is armed on the first attempt only: the canonical chaos
+    experiment, in which the restart policy proves a clean retry works.
     """
 
     job_id: str
@@ -40,7 +39,6 @@ class JobSpec:
     buggy_l2: bool = False
     seed: int = 0
     fault: Optional[Dict[str, Any]] = None
-    fault_attempts: int = 1
     max_retries: int = 1
     #: Arm a ring-buffer tracer for this job's run; the worker reports
     #: the trace volume in its result event.

@@ -213,7 +213,7 @@ def _execute_job(spec: JobSpec, attempt: int, server: RTMServer,
             check_interval=WATCHDOG_INTERVAL,
             max_tick_retries=1,
             retry_wait=WATCHDOG_INTERVAL)
-        if spec.fault is not None and attempt < spec.fault_attempts \
+        if spec.fault is not None and attempt == 0 \
                 and (resume is None or "error" in resume):
             # A resumed attempt never re-arms its fault: the snapshot
             # already carries whatever damage the fault did, and the

@@ -70,6 +70,36 @@ def test_mid_run_checkpoint_resumes_to_identical_final_state(tmp_path):
         == reference.driver.commands_completed
 
 
+def test_a_restored_retry_redoes_less_than_half_of_a_cold_run(tmp_path):
+    """What checkpoint-resume buys a retried job, in the engine's own
+    unit of work: one snapshot at ~60% of a FIR(8192) run (the last
+    periodic checkpoint well behind the failure point, the worst case
+    a sane cadence produces) leaves the retry under half the events."""
+    def workload():
+        return FIR(num_samples=8192)
+
+    cold = _platform()
+    workload().enqueue(cold.driver)
+    assert cold.run()
+    cold_events = cold.engine.event_count
+
+    platform = _platform()
+    workload().enqueue(platform.driver)
+    path = str(tmp_path / "ckpt.rtm")
+    ckpt = Checkpointer(platform, path, every_events=cold_events * 3 // 5)
+    ckpt.start()
+    assert platform.run()
+    ckpt.stop()
+    assert ckpt.count == 1, "cadence should leave one snapshot at ~60%"
+
+    restored, _ = load_checkpoint(path, workload=workload())
+    events_at_restore = restored.engine.event_count
+    assert restored.engine.now > 0.0
+    assert restored.run()
+    redo_events = restored.engine.event_count - events_at_restore
+    assert redo_events < cold_events * 0.5, (redo_events, cold_events)
+
+
 def test_save_over_http_mid_run_restores_to_the_same_end(tmp_path):
     """``POST /api/checkpoint?action=save`` end to end: a snapshot
     requested through the client while the run is live restores to a

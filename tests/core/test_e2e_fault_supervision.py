@@ -9,12 +9,15 @@ because where it writes post-mortems is the process's choice, never a
 request's.
 """
 
+import json
+import pathlib
 import threading
 import time
 
 import pytest
 
 from repro.core import Monitor, RTMClient
+from repro.faults.injector import FaultKind, FaultSpec
 from repro.gpu import GPUPlatform, GPUPlatformConfig
 from repro.workloads import FIR
 
@@ -85,3 +88,32 @@ def test_injected_stall_detected_attributed_and_supervised(rig, tmp_path):
     fault = next(f for f in client.faults()["faults"]
                  if f["id"] == spec["id"])
     assert fault["applied_count"] > 0
+
+
+def test_watchdog_aborts_a_stall_while_the_profiler_runs(tmp_path):
+    # The continuous profiler's top-K is one of the snapshot's readers;
+    # a hang beside it must still be confirmed, snapshotted and
+    # aborted on the first check, not wait out hang_wait.
+    platform = GPUPlatform(GPUPlatformConfig.small(num_chiplets=1))
+    monitor = Monitor(platform.simulation)
+    monitor.attach_driver(platform.driver)
+    monitor.hang.stall_threshold = 0.3
+    monitor.ensure_injector().inject(
+        FaultSpec(FaultKind.STALL, "*WriteBuffer*", start=1e-6))
+    watchdog = monitor.enable_watchdog(
+        check_interval=0.05, max_tick_retries=0,
+        snapshot_dir=str(tmp_path))
+    monitor.start_continuous_profiling(interval=0.005)
+    FIR(num_samples=8192).enqueue(platform.driver)
+    try:
+        start = time.monotonic()
+        assert not platform.run(hang_wait=WALL_BUDGET)
+        assert time.monotonic() - start < WALL_BUDGET / 3
+    finally:
+        monitor.stop_planes()
+
+    assert watchdog.state == "aborted"
+    assert watchdog.loop.failures == 0
+    snapshot = json.loads(
+        pathlib.Path(watchdog.report["snapshot_path"]).read_text())
+    assert snapshot["profiler_top"]

@@ -127,6 +127,25 @@ def test_zero_retries_aborts_without_ticking():
     assert monitor._simulation.aborted
 
 
+def test_a_raising_diagnostic_does_not_skip_the_abort(tmp_path):
+    class BrokenOverview(FakeMonitor):
+        def overview(self):
+            raise RuntimeError("reader broke")
+
+    monitor = BrokenOverview([True])
+    wd = Watchdog(monitor, WatchdogConfig(check_interval=0.02,
+                                          max_tick_retries=0,
+                                          snapshot_dir=str(tmp_path)))
+    wd.start()
+    assert _wait(lambda: wd.state == "aborted")
+    wd.stop()
+    assert wd.loop.failures == 0
+    assert monitor._simulation.aborted
+    snapshot = json.loads(
+        (tmp_path / "watchdog_snapshot_1.json").read_text())
+    assert "reader broke" in snapshot["error"]
+
+
 def test_healthy_run_never_triggers():
     monitor = FakeMonitor([False] * 5)
     wd = Watchdog(monitor, WatchdogConfig(check_interval=0.01))

@@ -62,7 +62,11 @@ def test_spec_ids_are_unique(platform):
 # Zero overhead when idle
 # ----------------------------------------------------------------------
 def test_no_hooks_without_injector(platform):
+    FIR(num_samples=256).enqueue(platform.driver)
+    assert platform.run()
     assert not platform.simulation.engine._hooks
+    for comp in platform.simulation.components:
+        assert not comp._hooks, comp.name
     for conn in platform.simulation.connections:
         assert not conn._hooks
 

@@ -159,7 +159,9 @@ def test_rule_fired_exactly_once_into_sse_and_resolved(two_campaigns):
     # record landed for camp-b.
     historian = Historian(two_campaigns["db"])
     alerts = historian.alerts("camp-b")
+    degraded = historian.stats()["degraded"]
     historian.close()
+    assert not degraded
     states = [a["payload"]["state"] for a in alerts]
     assert states == ["firing", "resolved"]
 

@@ -31,7 +31,8 @@ def profiled_run():
     profiler.stop()
     monitor.stop_server()
     assert ok, "monitored run did not complete"
-    assert profiler.status()["samples"] > 50
+    status = profiler.status()
+    assert status["samples"] > 50 and status["windows_kept"] > 0
     return monitor, profiler
 
 

@@ -7,7 +7,8 @@ run exactly, and the per-family metric totals agree.  The workload
 deliberately keeps ``page_locality`` at its default so roughly half of
 all stores cross the shard boundary — this exercises the codec, the
 window barrier, and the injection path as hard as the small scale
-allows.
+allows.  A second, four-chiplet platform split 2 and 4 ways checks the
+same instruction total when a shard holds more than one chiplet.
 """
 
 from urllib.request import urlopen
@@ -17,12 +18,18 @@ import pytest
 from repro.gpu.cu import ComputeUnit
 from repro.gpu.platform import GPUPlatform, GPUPlatformConfig
 from repro.metrics import SimMetrics, expose, family_total, parse_exposition
-from repro.shard import ShardCoordinator
+from repro.shard import ShardCoordinator, run_sharded
 from repro.workloads import StoreStorm
 
 _CONFIG = GPUPlatformConfig.small(num_chiplets=2)
 _WORKLOAD = StoreStorm(num_workgroups=8, wavefronts_per_wg=2,
                        stores_per_wavefront=16)
+
+# Four chiplets, each workgroup's stores on its own chiplet: a 2-way
+# split puts two chiplets in each shard, a 4-way split one.
+_WIDE_CONFIG = GPUPlatformConfig.small(num_chiplets=4)
+_WIDE_WORKLOAD = StoreStorm(num_workgroups=16, wavefronts_per_wg=2,
+                            stores_per_wavefront=8, page_locality=4)
 
 # Families whose totals must survive sharding exactly: committed work.
 _EXACT_FAMILIES = [
@@ -117,3 +124,22 @@ def test_coordinator_serves_one_federated_exposition(runs):
         assert "rtm_shard_barrier_wait_seconds_total" in text
         # Shard-side families arrive labelled, once per shard.
         assert text.count("rtm_cu_instructions_total{") >= 2
+
+
+@pytest.fixture(scope="module")
+def wide_monolithic():
+    platform = GPUPlatform(_WIDE_CONFIG)
+    _WIDE_WORKLOAD.enqueue(platform.driver)
+    assert platform.run()
+    return sum(comp.num_instructions
+               for comp in platform.simulation.components
+               if isinstance(comp, ComputeUnit))
+
+
+@pytest.mark.parametrize("num_shards", [2, 4])
+def test_four_chiplets_commit_the_monolithic_instructions(wide_monolithic,
+                                                          num_shards):
+    result = run_sharded(_WIDE_CONFIG, _WIDE_WORKLOAD, num_shards)
+    assert result.completed
+    assert result.num_shards == num_shards
+    assert result.instructions == wide_monolithic > 0

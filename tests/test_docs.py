@@ -32,6 +32,18 @@ def test_every_bench_in_design_exists():
         assert (ROOT / path).is_file(), f"DESIGN references missing {path}"
 
 
+def test_every_bench_is_in_the_experiment_index():
+    """A bench reproduces a table or figure of the paper, or it does
+    not live in ``benchmarks/``: timing lives in rtmbench, functional
+    checks in tier-1."""
+    design = (ROOT / "DESIGN.md").read_text()
+    index = design.split("## Experiment index", 1)[1].split("\n## ", 1)[0]
+    unindexed = [path.name for path in
+                 sorted((ROOT / "benchmarks").glob("test_*.py"))
+                 if f"`benchmarks/{path.name}" not in index]
+    assert not unindexed, unindexed
+
+
 def test_examples_advertised_in_readme_exist():
     readme = (ROOT / "README.md").read_text()
     for path in re.findall(r"python (examples/[\w_]+\.py)", readme):

@@ -94,7 +94,7 @@ BUDGET = {
     "metrics": (44, 25),
     "faults": (29, 34),
     "checkpoint": (10, 8),
-    "fleet": (67, 57),
+    "fleet": (67, 54),
     "historian": (28, 29),
     "shard": (40, 12),
 }
