@@ -16,14 +16,16 @@ imports nothing above itself.
 Everything else is derived from thread names: the repo's own daemon
 threads follow a strict ``rtm-*`` naming discipline, which
 :class:`Periodic` (the one loop that wakes every N seconds) checks.
-The main thread's one duty of the same kind lives here too:
-:class:`SignalGuard`, which turns SIGTERM/SIGINT into a clean stop.
+The main thread's duties of the same kind live here too:
+:class:`SignalGuard`, which turns SIGTERM/SIGINT into a clean stop, and
+:func:`run_guarded`, the one way a simulation is run to its end.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, Optional, Union
+import time
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 _lock = threading.Lock()
 #: explicit registrations: thread ident -> role
@@ -196,7 +198,8 @@ class SignalGuard:
     what it drives, flush whatever it exports — and report success:
     being told to stop is not a failure.  Handlers are restored on
     ``__exit__`` so library callers (tests invoke ``repro.cli.main``
-    in-process) don't leak process-wide state.
+    in-process) don't leak process-wide state.  Guards nest: an inner
+    guard's signal is the outer one's too.
     """
 
     def __init__(self, on_signal: Callable[[], None] = lambda: None):
@@ -204,9 +207,12 @@ class SignalGuard:
         self._previous = {}
         self.requested = False
 
-    def _handle(self, signum, frame):  # noqa: ARG002 (signal signature)
+    def _handle(self, signum, frame):
         self.requested = True
         self._on_signal()
+        outer = self._previous.get(signum)
+        if isinstance(getattr(outer, "__self__", None), SignalGuard):
+            outer(signum, frame)  # a guard entered inside another
 
     def __enter__(self) -> "SignalGuard":
         import signal  # here: a process that never guards never loads it
@@ -222,3 +228,42 @@ class SignalGuard:
         import signal
         for signum, handler in self._previous.items():
             signal.signal(signum, handler)
+
+
+def _heartbeat(simulation: Any, progress: Optional[Callable[[], None]],
+               interval: float, wall_timeout: Optional[float]) -> Periodic:
+    """:func:`run_guarded`'s ``rtm-progress`` loop."""
+    deadline = time.monotonic() + (float("inf") if wall_timeout is None
+                                   else wall_timeout)
+
+    def beat() -> None:
+        nonlocal deadline
+        if time.monotonic() >= deadline:
+            deadline = float("inf")  # abort once, then wake by interval
+            simulation.abort()
+        if progress is not None:
+            progress()
+
+    return Periodic("rtm-progress",
+                    lambda: min(interval, deadline - time.monotonic()), beat)
+
+
+def run_guarded(platform: Any, hang_wait: float = 0.0, *,
+                wall_timeout: Optional[float] = None,
+                progress: Optional[Callable[[], None]] = None,
+                interval: float = 1.0) -> Tuple[bool, str]:
+    """Run *platform* to its end on this thread (SIGTERM/SIGINT abort it);
+    a heartbeat calls *progress* every *interval* seconds and aborts the
+    run *wall_timeout* seconds in.  Returns ``(ok, state)``: the run
+    state, or ``interrupted`` (ok too) when a signal stopped the run."""
+    simulation = platform.simulation
+    heartbeat = _heartbeat(simulation, progress, interval, wall_timeout)
+    with SignalGuard(simulation.abort) as guard:
+        if progress is not None or wall_timeout is not None:
+            heartbeat.start()
+        try:
+            platform.run(hang_wait=hang_wait)
+        finally:
+            heartbeat.stop()
+    state = "interrupted" if guard.requested else simulation.run_state
+    return state in ("completed", "interrupted"), state

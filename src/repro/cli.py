@@ -18,9 +18,9 @@ parsers and binds each to its handler with ``set_defaults(handler=…)``.
 
 A run-like command is :func:`add_workload_arguments` +
 :func:`~repro.workloads.build_platform` (which the fleet worker calls
-too) (+ :func:`attach_monitor`) + :func:`run_platform`,
+too) (+ :func:`attach_monitor`) + :func:`~repro.akita.threads.run_guarded`,
 which stops the engine on SIGTERM/SIGINT so the command flushes its
-exports and exits 0 (:class:`SignalGuard`).
+exports and exits 0.  Bad input is one ``error: …`` line and exit 2.
 """
 
 import argparse
@@ -30,9 +30,10 @@ import sys
 import threading
 import time
 from importlib import import_module
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional
 
-from .akita.threads import SignalGuard
+from .akita.errors import ConfigurationError
+from .akita.threads import SignalGuard, run_guarded  # noqa: F401 (planes)
 from .gpu import GPUPlatform
 from .workloads import (WORKLOADS, build_platform, make_workload,
                         platform_config)
@@ -75,24 +76,10 @@ def attach_monitor(platform: GPUPlatform, port: Optional[int] = None):
     return monitor
 
 
-def run_platform(platform: GPUPlatform, hang_wait: float,
-                 progress: Optional[Callable[[], None]] = None,
-                 interval: float = 1.0) -> Tuple[bool, str]:
-    """Run *platform* to its end under a :class:`SignalGuard`, calling
-    *progress* every *interval* wall seconds.  Returns ``(ok, state)``:
-    *state* is the run state the simulation ended in (``completed``,
-    ``hung``, ``aborted``) or ``interrupted`` when a signal stopped the
-    engine — *ok* stays true, the caller flushes and exits 0."""
-    thread = threading.Thread(target=platform.run, args=(hang_wait,))
-    with SignalGuard(platform.simulation.abort) as guard:
-        thread.start()
-        while thread.is_alive():
-            thread.join(timeout=interval)
-            if progress is not None:
-                progress()
-    state = ("interrupted" if guard.requested
-             else platform.simulation.run_state)
-    return state in ("completed", "interrupted"), state
+def usage_error(message: str) -> int:
+    """Report input the command cannot run on; returns exit status 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -149,6 +136,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.progress_interval <= 0:
+        return usage_error("--progress-interval must be positive")
     if args.shards > 1:
         return _run_sharded(args)
     from .metrics import rate
@@ -171,8 +160,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"wgs={kernel.completed}/{kernel.total} "
               f"{kips:8.1f} kevents/s")
 
-    ok, state = run_platform(platform, args.hang_wait, progress,
-                             args.progress_interval)
+    ok, state = run_guarded(platform, args.hang_wait, progress=progress,
+                            interval=args.progress_interval)
     print(f"{state} "
           f"in {time.monotonic() - start:.1f}s wall, "
           f"{platform.simulation.now * 1e6:.2f}us simulated, "
@@ -247,13 +236,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     monitor = attach_monitor(platform, args.port)
     print("Serving the congested im2col simulation of case study 1. "
           "Open the URL and explore; Ctrl-C to stop.")
-    deadline = time.monotonic() + (args.duration or float("inf"))
-
-    def stop_when_due() -> None:
-        if time.monotonic() > deadline:
-            platform.simulation.abort()
-
-    run_platform(platform, 3600.0, stop_when_due, interval=0.2)
+    run_guarded(platform, 3600.0, wall_timeout=args.duration or None)
     monitor.stop_server()
     print("demo stopped")
     return 0
@@ -306,4 +289,7 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ConfigurationError as exc:  # e.g. --chiplets 0
+        return usage_error(str(exc))

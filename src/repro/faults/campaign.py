@@ -17,14 +17,13 @@ hung runs so a campaign can never wedge CI.
 from __future__ import annotations
 
 import fnmatch
-import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Dict, Optional
 
+from ..akita.threads import run_guarded
 from ..core.monitor import Monitor
 from ..core.watchdog import Watchdog, WatchdogConfig
-from .injector import FaultInjector
 from .scenarios import FaultScenario
 
 
@@ -43,16 +42,7 @@ class CampaignResult:
     watchdog_report: Optional[Dict[str, Any]] = None
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "scenario": self.scenario,
-            "passed": self.passed,
-            "verdicts": self.verdicts,
-            "elapsed_wall": round(self.elapsed_wall, 3),
-            "completed": self.completed,
-            "final_state": self.final_state,
-            "fault_stats": self.fault_stats,
-            "watchdog_report": self.watchdog_report,
-        }
+        return {**asdict(self), "elapsed_wall": round(self.elapsed_wall, 3)}
 
     def summary(self) -> str:
         """A terse human-readable verdict table."""
@@ -116,8 +106,7 @@ class CampaignRunner:
         if monitor.hang is not None:
             monitor.hang.stall_threshold = self.stall_threshold
 
-        injector = FaultInjector(platform.simulation, seed=scenario.seed)
-        monitor.attach_injector(injector)
+        injector = monitor.ensure_injector(seed=scenario.seed)
         scenario.arm(injector)
 
         if self.workload_factory is not None:
@@ -127,34 +116,20 @@ class CampaignRunner:
         monitor.attach_watchdog(watchdog)
         watchdog.start()
 
-        completed: List[bool] = []
-        thread = threading.Thread(
-            target=lambda: completed.append(
-                platform.run(hang_wait=self.wall_timeout)),
-            daemon=True, name=f"campaign-{scenario.name}")
-
         start = time.monotonic()
-        thread.start()
         try:
-            thread.join(timeout=self.wall_timeout)
+            _, state = run_guarded(platform, self.wall_timeout,
+                                   wall_timeout=self.wall_timeout)
         finally:
-            watchdog.stop()
-            if thread.is_alive():  # don't overwrite a completed state
-                platform.simulation.abort()
-                thread.join(timeout=10.0)
-            monitor.stop_server()
+            monitor.stop_server()  # and every plane, the watchdog too
 
         elapsed = time.monotonic() - start
         confirmed = (watchdog.report or {}).get("confirmed_at")
         hang_detected_at = None if confirmed is None else confirmed - start
         return self._evaluate(scenario, monitor, injector, watchdog,
-                              bool(completed and completed[0]),
+                              state == "completed",
                               platform.simulation.run_state,
                               hang_detected_at, elapsed)
-
-    def run_all(self, scenarios: List[FaultScenario]
-                ) -> List[CampaignResult]:
-        return [self.run(scenario) for scenario in scenarios]
 
     # ------------------------------------------------------------------
     def _evaluate(self, scenario, monitor, injector, watchdog,

@@ -41,20 +41,21 @@ The worker exits 0 on ``shutdown`` or stdin EOF (an orphaned worker
 whose manager died must not linger); a failed job is an event, never an
 exit status.
 
-SIGTERM/SIGINT abort the running simulation so the result event is
-flushed before exit — ``FleetManager.stop()`` never leaves half-written
-control traffic behind.
+A job runs in :func:`~repro.akita.threads.run_guarded`: SIGTERM/SIGINT
+abort it, flush its result and exit 0 — ``FleetManager.stop()`` never
+leaves half-written control traffic behind.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import signal  # noqa: F401 - every job's guard needs it; boot pays
 import sys
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..akita.threads import Periodic, SignalGuard
+from ..akita.threads import SignalGuard, run_guarded
 from ..core import Monitor
 from ..core.server import RTMServer
 # Every job's enable_watchdog() and ensure_sim_metrics() run them; boot
@@ -110,19 +111,6 @@ def _arm_fault(monitor: Monitor, spec: JobSpec) -> None:
     injector.inject(FaultSpec(kind, target, **fault))
 
 
-def _progress_loop(platform: GPUPlatform, job_id: str,
-                   attempt: int) -> Periodic:
-    """The heartbeat a running job sends upstream."""
-    def beat() -> None:
-        simulation = platform.simulation
-        emit({"event": "progress", "job_id": job_id, "attempt": attempt,
-              "sim_time": simulation.now,
-              "events": platform.engine.event_count,
-              "run_state": simulation.run_state})
-
-    return Periodic("rtm-progress", PROGRESS_INTERVAL, beat)
-
-
 def _build_platform(spec: JobSpec, resume_from: Optional[str]):
     """The job's platform: resumed from a checkpoint when one is given
     and loadable, else built cold.  Returns ``(platform, resume)``
@@ -174,11 +162,10 @@ def _make_checkpointer(platform: GPUPlatform, spec: JobSpec,
 
 def _execute_job(spec: JobSpec, attempt: int, server: RTMServer,
                  settings: WorkerSettings,
-                 running: Optional[List[GPUPlatform]] = None,
                  resume_from: Optional[str] = None) -> bool:
     """Run one job against *server*, emitting the full event sequence
-    (``started`` … ``final-metrics`` … ``done``/``failed``), its
-    platform in *running* while it runs.  Returns the job's success.
+    (``started`` … ``progress`` … ``final-metrics`` …
+    ``done``/``failed``).  Returns the job's success.
 
     Everything simulation-scoped — platform, monitor, registry,
     watchdog, tracer, checkpointer — is built fresh here and torn down
@@ -191,11 +178,6 @@ def _execute_job(spec: JobSpec, attempt: int, server: RTMServer,
     failing_as = "rejected"  # a bad build; a bad run is "crashed"
     try:
         platform, resume = _build_platform(spec, resume_from)
-        if running is not None:
-            # The signal guard aborts what is in here: this job's
-            # platform, for the duration of this job only.
-            running.append(platform)
-
         monitor = Monitor(platform.simulation)
         monitor.attach_driver(platform.driver)
         if monitor.hang is not None:
@@ -240,27 +222,25 @@ def _execute_job(spec: JobSpec, attempt: int, server: RTMServer,
                 "Virtual time this attempt resumed from."
             ).set(float(resume["sim_time"]))
         failing_as = "crashed"
-        progress = _progress_loop(platform, spec.job_id, attempt)
-        progress.start()
-        try:
-            ok = platform.run(hang_wait=HANG_WAIT)
-        finally:
-            progress.stop()
+
+        def beat() -> None:
+            emit({"event": "progress", "job_id": spec.job_id,
+                  "attempt": attempt, "sim_time": platform.simulation.now,
+                  "events": platform.engine.event_count,
+                  "run_state": platform.simulation.run_state})
+
+        ok = run_guarded(platform, HANG_WAIT, progress=beat,
+                         interval=PROGRESS_INTERVAL)[1] == "completed"
     except Exception as exc:  # a result too: report it, stay alive
         _emit_failed(spec.job_id, attempt, failing_as,
                      f"{type(exc).__name__}: {exc}")
         if monitor is not None:
             monitor.stop_planes()
         return False
-    finally:
-        if running is not None:
-            running.clear()
 
     checkpointer = monitor.checkpointer
     if checkpointer is not None:
         checkpointer.stop()  # a settled status() for the result below
-    watchdog_report = (monitor.watchdog.report
-                       if monitor.watchdog is not None else None)
     injector = monitor.injector
     tracer = monitor.tracer
     result = {
@@ -270,7 +250,7 @@ def _execute_job(spec: JobSpec, attempt: int, server: RTMServer,
         "run_state": platform.simulation.run_state,
         "sim_time": platform.simulation.now,
         "events": platform.engine.event_count,
-        "watchdog": watchdog_report,
+        "watchdog": monitor.watchdog.report,
         "fault_stats": injector.stats() if injector is not None else {},
         "trace": tracer.status() if tracer is not None else None,
         "resume": resume,
@@ -305,12 +285,7 @@ def main(argv: List[str]) -> int:
     # moment its first job is assigned.
     server = RTMServer(Monitor())
     server.start()
-    running: List[GPUPlatform] = []
     jobs_done = 0
-
-    def abort_running() -> None:
-        for platform in list(running):
-            platform.simulation.abort()
 
     def ready() -> None:
         emit({"event": "ready", "worker_id": worker_id,
@@ -319,7 +294,7 @@ def main(argv: List[str]) -> int:
 
     ready()
     try:
-        with SignalGuard(abort_running) as guard:
+        with SignalGuard() as guard:
             for line in sys.stdin:
                 command = decode_command(line)
                 if command is None:
@@ -342,7 +317,6 @@ def main(argv: List[str]) -> int:
                     ready()
                     continue
                 ok = _execute_job(spec, attempt, server, settings,
-                                  running=running,
                                   resume_from=command.get("resume_from"))
                 if ok:
                     jobs_done += 1

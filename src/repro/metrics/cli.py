@@ -4,7 +4,7 @@ attached and dump the final Prometheus text exposition."""
 import argparse
 import sys
 
-from ..cli import add_workload_arguments, build_platform, run_platform
+from ..cli import add_workload_arguments, build_platform, run_guarded
 
 
 def register(subparsers) -> None:
@@ -28,7 +28,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     sim_metrics = SimMetrics(platform.simulation)
     sim_metrics.start()
     try:
-        ok, state = run_platform(platform, args.hang_wait)
+        ok, state = run_guarded(platform, args.hang_wait)
     finally:
         # A hung run's final counters are exactly what to look at.
         sim_metrics.stop()

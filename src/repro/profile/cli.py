@@ -8,7 +8,7 @@ import json
 import sys
 
 from ..cli import (add_workload_arguments, attach_monitor, build_platform,
-                   run_platform)
+                   run_guarded)
 
 
 def register(subparsers) -> None:
@@ -105,7 +105,7 @@ def _profile_record(args: argparse.Namespace) -> int:
     profiler = monitor.start_continuous_profiling(
         interval=args.interval, window_seconds=args.window)
     try:
-        ok, state = run_platform(platform, hang_wait=0.0)
+        ok, state = run_guarded(platform)
     finally:
         # A hung run's profile is exactly what to look at: stop the
         # sampling thread first so the summary is a settled snapshot.

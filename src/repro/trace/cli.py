@@ -2,9 +2,10 @@
 export the recorded message/task lifecycle (JSONL or Perfetto)."""
 
 import argparse
-import sys
+import re
 
-from ..cli import add_workload_arguments, build_platform, run_platform
+from ..cli import (add_workload_arguments, build_platform, run_guarded,
+                   usage_error)
 
 
 def register(subparsers) -> None:
@@ -34,8 +35,13 @@ def register(subparsers) -> None:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from . import RingStore, SQLiteStore, Tracer, export_events
     if args.backend == "sqlite" and not args.db:
-        print("error: --backend sqlite needs --db", file=sys.stderr)
-        return 2
+        return usage_error("--backend sqlite needs --db")
+    if args.capacity < 1:
+        return usage_error("--capacity must be positive")
+    try:
+        re.compile(args.include)
+    except re.error as exc:
+        return usage_error(f"--include {args.include!r}: {exc}")
     platform, _ = build_platform(args.workload, args.chiplets,
                                   buggy_l2=args.buggy_l2)
     store = (SQLiteStore(args.db) if args.backend == "sqlite"
@@ -44,7 +50,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                     include=args.include or None)
     tracer.start()
     try:
-        ok, state = run_platform(platform, args.hang_wait)
+        ok, state = run_guarded(platform, args.hang_wait)
     finally:
         # A hung run still has a story to tell: stop (flushes), export.
         tracer.stop()

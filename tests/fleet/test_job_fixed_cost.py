@@ -17,6 +17,13 @@ component for a table no job opens) and a label set rendered once
 (``expose()`` no longer builds and escapes a dict per histogram
 bucket line).  ``python -m tests.fleet.test_job_fixed_cost`` prints
 the table.
+
+The subtraction only means something while the job's simulation runs
+on the thread that is counted (``count_calls`` profiles the calling
+thread alone: ``run_guarded`` keeps the engine there).  A run moved
+onto another thread would leave ``measured`` negative — far under any
+budget — so the test first checks that the job counts more calls than
+its bare run.
 """
 
 import contextlib
@@ -76,7 +83,11 @@ def bare_run_calls():
 
 def test_a_jobs_fixed_cost_repeats_and_stays_a_quarter_under_pr19():
     with warm_server() as server:
-        measured = job_calls(server) - bare_run_calls()
+        job, bare = job_calls(server), bare_run_calls()
+        assert job > bare, (
+            f"a job counted {job} calls, its bare run {bare}: the "
+            "simulation no longer runs on the counted thread")
+        measured = job - bare
         assert measured == job_calls(server) - bare_run_calls(), \
             "the count must repeat exactly"
     assert measured <= 0.75 * PARENT_FIXED_CALLS, (

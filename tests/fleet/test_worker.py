@@ -2,8 +2,10 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -108,3 +110,40 @@ def test_warm_worker_exits_cleanly_on_stdin_eof():
     assert proc.returncode == 0, proc.stderr.decode()
     events = list(FrameDecoder().feed(proc.stdout))
     assert [e["event"] for e in events] == ["ready"]
+
+
+@pytest.mark.slow
+def test_sigterm_mid_job_aborts_it_flushes_the_result_and_exits_zero():
+    """The module's documented contract: SIGTERM aborts the running
+    job, its result still reaches the manager, no ``ready`` follows and
+    the worker exits 0."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.fleet.worker", "--worker-id", "w1"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, bufsize=0, env=_worker_env())
+    decoder, events = FrameDecoder(), []
+    try:
+        proc.stdin.write(encode_command(
+            {"cmd": "run", "attempt": 0,
+             "spec": {"job_id": "long", "workload": "fir",
+                      "params": {"num_samples": 65536}}}))
+        deadline = time.monotonic() + 60
+        while not any(e["event"] == "progress" for e in events) \
+                and time.monotonic() < deadline:
+            chunk = proc.stdout.read(65536)
+            assert chunk, proc.stderr.read().decode()
+            events += decoder.feed(chunk)
+        proc.send_signal(signal.SIGTERM)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0, err.decode()
+    events += decoder.feed(out)
+    first = [e["event"] for e in events].index("progress")
+    assert [e["event"] for e in events[:first]] == ["ready", "started"]
+    after = [e for e in events[first:] if e["event"] != "progress"]
+    assert [e["event"] for e in after] == ["final-metrics", "failed"]
+    assert after[-1]["job_id"] == "long"
+    assert after[-1]["run_state"] == "aborted" and not after[-1]["ok"]

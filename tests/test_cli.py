@@ -100,6 +100,25 @@ def test_trace_sqlite_requires_db(capsys):
     assert "--db" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "fir", "--chiplets", "0"],
+    ["metrics", "fir", "--chiplets", "-1"],
+    ["run", "fir", "--chiplets", "1", "--shards", "3"],
+    ["trace", "fir", "--include", "["],
+    ["trace", "fir", "--capacity", "0"],
+    ["run", "fir", "--chiplets", "1", "--progress-interval", "0"],
+    ["run", "fir", "--chiplets", "1", "--progress-interval", "-1"],
+], ids=" ".join)
+def test_input_no_run_can_take_is_one_error_line_and_exit_2(argv, capsys):
+    """Not a traceback, not a run spinning out progress lines: the
+    same answer as ``trace --backend sqlite`` without ``--db``."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1, captured.err
+
+
 def test_trace_include_filter(capsys, tmp_path):
     out_path = tmp_path / "cu.jsonl"
     assert main(["trace", "fir", "--chiplets", "1",

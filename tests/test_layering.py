@@ -34,9 +34,11 @@ And an id belongs to the collection that hands it out: ``core``,
 
 And a loop that wakes every N seconds is written once: a thread is
 constructed only by ``akita/threads.py``'s ``Periodic``, the transport,
-the pipe readers, the event-driven fleet scheduler and the four sites
-that run a simulation on a thread, and nobody else spells
-``while not stop.wait(interval)``.
+the pipe readers, the event-driven fleet scheduler, the sharded run and
+the live study session (every other simulation runs to its end on its
+caller's thread, in ``run_guarded``), and nobody else spells
+``while not stop.wait(interval)``; a run's ``rtm-progress`` heartbeat is
+built only by ``run_guarded``.
 
 ``python tests/test_layering.py`` prints ``src/repro`` lines per package
 and in total (the number ROADMAP's aim 2 is judged by).
@@ -395,15 +397,16 @@ def test_the_counter_rule_sees_module_and_class_level_only():
 
 #: Who may construct a thread, and how many times: the periodic loop,
 #: the transport (accept loop + one per connection), the pipe readers,
-#: the event-queue scheduler, and the sites that run a whole simulation
-#: on a thread so the caller can watch it.
+#: the event-queue scheduler, and the two sites that drive a simulation
+#: from a thread while the caller does something else: the sharded run
+#: (its coordinator has no abort for a signal guard to call) and the
+#: study's live session (a script drives it while it serves).
 THREAD_SITES = {
     "repro/akita/threads.py": 1,
     "repro/core/http.py": 2,
     "repro/fleet/channel.py": 1,
     "repro/fleet/manager.py": 1,
-    "repro/cli.py": 2,
-    "repro/faults/campaign.py": 1,
+    "repro/cli.py": 1,
     "repro/studies/session.py": 1,
 }
 PERIODIC = "repro/akita/threads.py"
@@ -440,7 +443,7 @@ def test_a_periodic_loop_is_written_once():
             offenders += [f"{relative}:{line} (wait-loop)"
                           for kind, line in found if kind == "wait-loop"]
     assert not offenders, "\n".join(offenders)
-    assert sum(THREAD_SITES.values()) <= 9
+    assert sum(THREAD_SITES.values()) <= 7
 
 
 def test_the_thread_rule_sees_each_spelling_but_not_lookalikes():
@@ -456,6 +459,45 @@ def test_the_thread_rule_sees_each_spelling_but_not_lookalikes():
         "threading.current_thread()\n")
     assert sorted(_thread_sites_and_wait_loops(source)) == [
         ("Thread", 3), ("Thread", 4), ("wait-loop", 5)]
+
+
+def _heartbeats(source):
+    """Lines of every ``Periodic("rtm-progress…", …)`` construction."""
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call) or getattr(
+                node.func, "attr", getattr(node.func, "id", None)) \
+                != "Periodic":
+            continue
+        names = node.args[:1] + [keyword.value for keyword in node.keywords
+                                 if keyword.arg == "name"]
+        if any(isinstance(name, ast.Constant)
+               and str(name.value).startswith("rtm-progress")
+               for name in names):
+            yield node.lineno
+
+
+def test_a_run_heartbeat_is_built_only_by_the_guarded_run():
+    """One heartbeat per run, built where the run is guarded: a caller
+    passes ``progress=`` to ``run_guarded``, it does not start its own
+    ``rtm-progress`` loop beside ``platform.run()``."""
+    offenders = [f"{path.relative_to(SRC).as_posix()}:{line}"
+                 for path in sorted((SRC / "repro").rglob("*.py"))
+                 if path.relative_to(SRC).as_posix() != PERIODIC
+                 for line in _heartbeats(path.read_text())]
+    assert not offenders, "\n".join(offenders)
+    assert list(_heartbeats(
+        (SRC / "repro" / "akita" / "threads.py").read_text())) != []
+
+
+def test_the_heartbeat_rule_sees_each_spelling_but_not_lookalikes():
+    source = (
+        "from ..akita import threads\n"
+        "a = Periodic('rtm-progress', 0.2, beat)\n"
+        "b = threads.Periodic('rtm-progress-w1', interval=0.2, body=f)\n"
+        "c = Periodic(name='rtm-progress', interval=0.2, body=f)\n"
+        "d = Periodic('rtm-sampler', 0.2, beat)\n"
+        "e = Periodic(name, 0.2, beat)\n")
+    assert list(_heartbeats(source)) == [2, 3, 4]
 
 
 #: What ``cli.py`` may name besides the planes of its own table: the
@@ -519,7 +561,7 @@ def test_the_eager_import_rule_sees_each_spelling_but_not_local_ones():
         "from __future__ import annotations\n"
         "import argparse, json\n"
         "import repro.core\n"
-        "from ..cli import run_platform\n"
+        "from ..cli import run_guarded\n"
         "from . import Historian\n"
         "from .store import Historian\n"
         "def handler(args):\n"

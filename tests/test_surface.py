@@ -92,7 +92,7 @@ BUDGET = {
     "trace": (52, 35),
     "profile": (36, 22),
     "metrics": (44, 25),
-    "faults": (29, 34),
+    "faults": (28, 34),
     "checkpoint": (10, 8),
     "fleet": (67, 54),
     "historian": (28, 29),

@@ -2,7 +2,8 @@
 (``repro/akita/threads.py``): one lifecycle, one failure rule, one name
 per role.  Stated over all seven owners — the monitor's sampler, the
 watchdog, the continuous profiler, the checkpointer, the series
-recorder, the historian service and the fleet worker's heartbeat.
+recorder, the historian service and ``run_guarded``'s heartbeat (the
+``progress`` lines of ``repro run`` and of a fleet job).
 
 ``python tests/test_threads.py`` prints the thread inventory of a
 monitored FIR run with every plane attached: name, role, turns,
@@ -10,7 +11,6 @@ failures.
 """
 
 import contextlib
-import io
 import queue
 import sys
 import tempfile
@@ -21,14 +21,13 @@ from pathlib import Path
 import pytest
 
 from repro.akita import threads
-from repro.akita.threads import Periodic
+from repro.akita.threads import Periodic, run_guarded
 from repro.checkpoint import Checkpointer
 from repro.core import Monitor, RTMClient, RTMClientError
 from repro.core.export import SeriesRecorder, metric_target
 from repro.core.watchdog import Watchdog, WatchdogConfig
 from repro.fleet import FleetGateway
 from repro.fleet.channel import WorkerChannel, Zygote
-from repro.fleet.worker import _progress_loop
 from repro.gpu import GPUPlatform, GPUPlatformConfig
 from repro.historian import Historian, HistorianService, registry_source
 from repro.profile import ContinuousProfiler
@@ -158,8 +157,8 @@ def _historian(tmp_path):
 
 
 def _progress(tmp_path):
-    loop = _progress_loop(_platform(), "job", 0)
-    loop.interval = INTERVAL
+    loop = threads._heartbeat(_platform().simulation, lambda: None,
+                              INTERVAL, wall_timeout=None)
     return loop, loop.start, loop.stop
 
 
@@ -257,7 +256,8 @@ def test_stalled_for_walks_a_snapshot_while_the_sampler_appends():
 @contextlib.contextmanager
 def every_plane(tmp_path):
     """A FIR platform with every background thread this repo has
-    beside a simulation; yields ``(platform, loops)``."""
+    beside a simulation but the one ``run_guarded`` adds (its
+    heartbeat lives as long as the run); yields ``(platform, loops)``."""
     platform = _platform()
     FIR(num_samples=8192).enqueue(platform.driver)
     monitor = Monitor(platform.simulation, sample_interval=INTERVAL)
@@ -280,14 +280,11 @@ def every_plane(tmp_path):
         Historian(tmp_path / "h.db"),
         source=registry_source(monitor.metrics), interval=INTERVAL)
     service.start()
-    progress = _progress_loop(platform, "fir", 0)
-    progress.start()
     try:
         yield platform, [monitor.sampler, monitor.watchdog.loop,
                          monitor.checkpointer.loop, monitor.profiler.loop,
-                         recorder.loop, service.loop, progress]
+                         recorder.loop, service.loop]
     finally:
-        progress.stop()
         service.stop()
         service.historian.close()
         recorder.stop()
@@ -295,12 +292,21 @@ def every_plane(tmp_path):
         monitor.stop_server()
 
 
+def _rtm_roles():
+    return {t.name: threads.role_of(t.ident, t.name)
+            for t in threading.enumerate() if t.name.startswith("rtm-")}
+
+
 def test_with_every_plane_on_no_rtm_thread_has_role_other(tmp_path):
+    during = {}
     with every_plane(tmp_path) as (platform, loops):
-        assert platform.run(hang_wait=60.0)
-        live = {t.name: threads.role_of(t.ident, t.name)
-                for t in threading.enumerate()
-                if t.name.startswith("rtm-")}
+        assert run_guarded(platform, 60.0, interval=INTERVAL,
+                           progress=lambda: during.update(_rtm_roles())) \
+            == (True, "completed")
+        assert not _named("rtm-progress"), "the heartbeat ends with its run"
+        live = _rtm_roles()
+        assert "rtm-progress" in during
+        assert "other" not in during.values(), during
         assert {loop.name for loop in loops} <= set(live)
         assert "rtm-server" in live
         assert "other" not in live.values(), live
@@ -344,9 +350,7 @@ def test_gateways_and_worker_channels_have_a_role():
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp, \
             every_plane(Path(tmp)) as (platform, loops):
-        # The heartbeat writes control frames to stdout.
-        with contextlib.redirect_stdout(io.StringIO()):
-            platform.run(hang_wait=60.0)
+        run_guarded(platform, 60.0)
         by_name = {loop.name: loop for loop in loops}
         print(f"{'thread':24s}{'role':12s}{'turns':>8s}{'failures':>10s}")
         for thread in sorted(threading.enumerate(), key=lambda t: t.name):
