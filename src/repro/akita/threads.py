@@ -18,14 +18,16 @@ threads follow a strict ``rtm-*`` naming discipline, which
 :class:`Periodic` (the one loop that wakes every N seconds) checks.
 The main thread's duties of the same kind live here too:
 :class:`SignalGuard`, which turns SIGTERM/SIGINT into a clean stop, and
-:func:`run_guarded`, the one way a simulation is run to its end.
+:func:`guarded` (:func:`run_guarded` for a platform), the one way a
+simulation is run to its end.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
 
 _lock = threading.Lock()
 #: explicit registrations: thread ident -> role
@@ -230,9 +232,10 @@ class SignalGuard:
             signal.signal(signum, handler)
 
 
-def _heartbeat(simulation: Any, progress: Optional[Callable[[], None]],
+def _heartbeat(abort: Callable[[], None],
+               progress: Optional[Callable[[], None]],
                interval: float, wall_timeout: Optional[float]) -> Periodic:
-    """:func:`run_guarded`'s ``rtm-progress`` loop."""
+    """:func:`guarded`'s ``rtm-progress`` loop."""
     deadline = time.monotonic() + (float("inf") if wall_timeout is None
                                    else wall_timeout)
 
@@ -240,7 +243,7 @@ def _heartbeat(simulation: Any, progress: Optional[Callable[[], None]],
         nonlocal deadline
         if time.monotonic() >= deadline:
             deadline = float("inf")  # abort once, then wake by interval
-            simulation.abort()
+            abort()
         if progress is not None:
             progress()
 
@@ -248,22 +251,35 @@ def _heartbeat(simulation: Any, progress: Optional[Callable[[], None]],
                     lambda: min(interval, deadline - time.monotonic()), beat)
 
 
+@contextmanager
+def guarded(abort: Callable[[], None], *,
+            wall_timeout: Optional[float] = None,
+            progress: Optional[Callable[[], None]] = None,
+            interval: float = 1.0) -> Iterator[SignalGuard]:
+    """Run the body on this thread with SIGTERM/SIGINT calling *abort*;
+    a heartbeat calls *progress* every *interval* seconds and *abort*
+    *wall_timeout* seconds in, and ends with the body.  Yields the
+    :class:`SignalGuard` (``requested``: a signal stopped the body)."""
+    heartbeat = _heartbeat(abort, progress, interval, wall_timeout)
+    with SignalGuard(abort) as guard:
+        if progress is not None or wall_timeout is not None:
+            heartbeat.start()
+        try:
+            yield guard
+        finally:
+            heartbeat.stop()
+
+
 def run_guarded(platform: Any, hang_wait: float = 0.0, *,
                 wall_timeout: Optional[float] = None,
                 progress: Optional[Callable[[], None]] = None,
                 interval: float = 1.0) -> Tuple[bool, str]:
-    """Run *platform* to its end on this thread (SIGTERM/SIGINT abort it);
-    a heartbeat calls *progress* every *interval* seconds and aborts the
-    run *wall_timeout* seconds in.  Returns ``(ok, state)``: the run
-    state, or ``interrupted`` (ok too) when a signal stopped the run."""
+    """Run *platform* to its end in :func:`guarded`.  Returns ``(ok,
+    state)``: the run state, or ``interrupted`` (ok too) when a signal
+    stopped the run."""
     simulation = platform.simulation
-    heartbeat = _heartbeat(simulation, progress, interval, wall_timeout)
-    with SignalGuard(simulation.abort) as guard:
-        if progress is not None or wall_timeout is not None:
-            heartbeat.start()
-        try:
-            platform.run(hang_wait=hang_wait)
-        finally:
-            heartbeat.stop()
+    with guarded(simulation.abort, wall_timeout=wall_timeout,
+                 progress=progress, interval=interval) as guard:
+        platform.run(hang_wait=hang_wait)
     state = "interrupted" if guard.requested else simulation.run_state
     return state in ("completed", "interrupted"), state

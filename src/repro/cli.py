@@ -20,20 +20,22 @@ A run-like command is :func:`add_workload_arguments` +
 :func:`~repro.workloads.build_platform` (which the fleet worker calls
 too) (+ :func:`attach_monitor`) + :func:`~repro.akita.threads.run_guarded`,
 which stops the engine on SIGTERM/SIGINT so the command flushes its
-exports and exits 0.  Bad input is one ``error: …`` line and exit 2.
+exports and exits 0; ``run --shards N`` drives its coordinator in the
+same :func:`~repro.akita.threads.guarded`.  Bad input is one ``error: …``
+line and exit 2.
 """
 
 import argparse
 import dataclasses
 import json
 import sys
-import threading
 import time
 from importlib import import_module
 from typing import List, Optional
 
 from .akita.errors import ConfigurationError
-from .akita.threads import SignalGuard, run_guarded  # noqa: F401 (planes)
+from .akita.threads import (SignalGuard, guarded,  # noqa: F401 (planes)
+                            run_guarded)
 from .gpu import GPUPlatform
 from .workloads import (WORKLOADS, build_platform, make_workload,
                         platform_config)
@@ -187,46 +189,42 @@ def _run_sharded(args: argparse.Namespace) -> int:
                         full_scale=args.full_scale),
         make_workload(args.workload, full_scale=args.full_scale),
         args.shards, monitor=args.monitor, port=args.port)
-    box: dict = {}
+    announce = args.monitor
 
-    def _drive() -> None:
-        try:
-            box["result"] = coordinator.run()
-        except Exception as exc:  # noqa: BLE001 - reported below
-            box["error"] = exc
-
-    thread = threading.Thread(target=_drive)
-    start = time.monotonic()
-    thread.start()
-    if args.monitor:
-        while thread.is_alive() and coordinator.dashboard_url is None:
-            time.sleep(0.05)
-        if coordinator.dashboard_url:
+    def progress() -> None:
+        nonlocal announce
+        if announce:
+            if coordinator.dashboard_url is None:
+                return  # the shards are still booting
             print(f"AkitaRTM federated dashboard: "
                   f"{coordinator.dashboard_url}")
-    while thread.is_alive():
-        thread.join(timeout=args.progress_interval)
-        if not thread.is_alive():
-            break
+            announce = False
         bars = coordinator.merged_progress()
         done = sum(b["completed"] for b in bars)
         total = sum(b["total"] for b in bars)
-        status = coordinator.shard_status()
         print(f"shards={args.shards} "
-              f"windows={status['windows']:,} wgs={done}/{total}")
-    coordinator.close()
-    if "error" in box:
-        print(f"error: {box['error']}", file=sys.stderr)
+              f"windows={coordinator.shard_status()['windows']:,} "
+              f"wgs={done}/{total}")
+
+    start = time.monotonic()
+    try:
+        with guarded(coordinator.abort, progress=progress,
+                     interval=args.progress_interval) as guard:
+            result = coordinator.run()
+    except Exception as exc:  # noqa: BLE001 - one error line
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    result = box["result"]
-    elapsed = time.monotonic() - start
-    print(f"{'completed' if result.completed else 'hung'} "
-          f"in {elapsed:.1f}s wall, "
+    finally:
+        coordinator.close()
+    state = ("interrupted" if guard.requested
+             else "completed" if result.completed else "hung")
+    print(f"{state} "
+          f"in {time.monotonic() - start:.1f}s wall, "
           f"{result.sim_time * 1e6:.2f}us simulated, "
           f"{result.events:,} events on {result.num_shards} shards, "
           f"{result.windows:,} windows, "
           f"{result.boundary_messages:,} boundary messages")
-    return 0 if result.completed else 1
+    return 0 if state != "hung" else 1
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:

@@ -53,10 +53,11 @@ def _run_child(sock, fds, module, args, wakeup):
 
 
 def _serve(module):
+    # The owner's Ctrl-C is the owner's, also while the import runs.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     import_module(module)
     gc.freeze()
     sock = socket.socket(fileno=0)
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the owner's Ctrl-C
     wakeup = os.pipe()
     os.set_blocking(wakeup[1], False)
     signal.set_wakeup_fd(wakeup[1])

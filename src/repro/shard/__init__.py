@@ -29,7 +29,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "BoundaryInjector": ".boundary",
     "build_port_registry": ".boundary",
     "ShardConnection": ".boundary",
-    "run_sharded": ".coordinator",
     "ShardCoordinator": ".coordinator",
     "ShardGateway": ".coordinator",
     "ShardResult": ".coordinator",

@@ -351,7 +351,6 @@ class BoundaryInjector:
     def __init__(self, engine: Engine):
         self._engine = engine
         self.injected = 0
-        self.retries = 0
 
     def inject(self, msg: Msg, deliver_at: float) -> None:
         """Schedule *msg* for delivery at *deliver_at* (clamped to now;
@@ -362,25 +361,9 @@ class BoundaryInjector:
         self._engine.schedule(_InjectionEvent(at, self, msg))
 
     def handle(self, event: _InjectionEvent) -> None:
+        # Every boundary destination is a port this shard adopted
+        # (ShardRuntime._rewire): its connection parks a message that
+        # finds the buffer full until the component frees a slot.
         msg = event.msg
-        dst = msg.dst
-        conn = dst.connection
-        if isinstance(conn, ShardConnection):
-            # Every boundary destination is a port the local shard
-            # adopted; its connection parks the message on a full
-            # buffer and drains it on the component's own
-            # notify_available wake — no polling.
-            conn.deliver_inbound(msg)
-            self.injected += 1
-            return
-        if not dst.buf.can_push():
-            # Fallback (un-adopted destination): behave like
-            # link-level backpressure and retry next cycle.
-            comp = dst.component
-            freq = getattr(comp, "freq", None) or 1e9
-            self.retries += 1
-            self._engine.schedule(
-                _InjectionEvent(event.time + 1.0 / freq, self, msg))
-            return
-        dst.deliver(msg)
+        msg.dst.connection.deliver_inbound(msg)
         self.injected += 1

@@ -31,6 +31,10 @@ together with the coordinator's own barrier metrics, ``/api/progress``
 sums per-kernel progress (each workgroup runs on exactly one shard),
 ``/api/buffers`` concatenates buffer rows.
 
+:meth:`ShardCoordinator.abort` (any thread, or a signal handler: ``repro
+run --shards N`` runs in :func:`~repro.akita.threads.guarded`) ends the
+run at the next barrier as a hang does: shards stopped, counters kept.
+
 A shard that dies, goes silent or closes its pipe raises
 :class:`ShardWorkerError` naming the shard, its exit code (read after
 the reap), the torn frames its decoder saw and the last lines of its
@@ -54,7 +58,7 @@ from ..workloads import Workload, workload_spec
 from .partition import chiplet_owners, owner_of_name
 
 __all__ = ["ShardCoordinator", "ShardGateway", "ShardResult",
-           "ShardWorkerError", "run_sharded"]
+           "ShardWorkerError"]
 
 #: Wall-clock budget for any single worker response.  Windows are
 #: milliseconds; even a solo fast-forward grant stays far inside this.
@@ -90,18 +94,12 @@ class ShardResult:
     wgs: int
     mem_reqs: int
     boundary_messages: int
-    injected: int
     wall_seconds: float
     #: Zygote + forks + full-platform build + init handshake (all shards)
     #: — the fixed cost a pool-style caller excludes from throughput
     #: (a shard set boots once, then runs a long simulation).
     boot_seconds: float
-    #: Final per-shard metric expositions (``None`` when run without
-    #: ``metrics``/``monitor``).
-    shard_metrics: Dict[int, Optional[str]]
-    shard_urls: Dict[int, Optional[str]]
     dashboard_url: Optional[str]
-    progress: List[Dict[str, Any]]
 
 
 class ShardCoordinator:
@@ -149,6 +147,7 @@ class ShardCoordinator:
         self._next_times: Dict[int, Optional[float]] = {}
         self._final_metrics: Dict[int, Optional[str]] = {}
         self._windows = 0
+        self._aborted = False
         self._boundary_total = 0
         self._boot_seconds = 0.0
         self._gateway: Optional[ShardGateway] = None
@@ -185,6 +184,11 @@ class ShardCoordinator:
             raise
         self._reap_workers()
         return result
+
+    def abort(self) -> None:
+        """End the run at the next barrier, as a hang would: safe from
+        any thread and from a signal handler."""
+        self._aborted = True
 
     def close(self) -> None:
         self._reap_workers()
@@ -265,10 +269,12 @@ class ShardCoordinator:
     # The barrier loop
     # ------------------------------------------------------------------
     def _barrier_loop(self) -> bool:
-        """Window rounds until every shard is dry; returns whether the
-        hub's driver saw the workload through (vs. a global hang)."""
+        """Window rounds until every shard is dry or :meth:`abort`;
+        returns whether the hub's driver saw the workload through."""
         hub_done = False
         while True:
+            if self._aborted:
+                return False
             active = {k: t for k, t in self._next_times.items()
                       if t is not None}
             if not active:
@@ -338,31 +344,26 @@ class ShardCoordinator:
         for k in range(self.num_shards):
             self._send(k, {"cmd": "stop", "completed": completed})
         sim_time = 0.0
-        events = instructions = wgs = mem_reqs = injected = 0
+        events = instructions = wgs = mem_reqs = 0
         for k in range(self.num_shards):
             while True:
                 _, event = self._recv(k)
                 if event.get("event") == "shard-stopped":
                     break
-            sim_time = max(sim_time,
-                           event.get("sim_time", event.get("now", 0.0)))
+            sim_time = max(sim_time, event["sim_time"])
             events += event.get("events", 0)
             instructions += event.get("instructions", 0)
             wgs += event.get("wgs", 0)
             mem_reqs += event.get("mem_reqs", 0)
-            injected += event.get("injected", 0)
             self._final_metrics[k] = event.get("metrics_text")
         return ShardResult(
             completed=completed, num_shards=self.num_shards,
             sim_time=sim_time, windows=self._windows, events=events,
             instructions=instructions, wgs=wgs, mem_reqs=mem_reqs,
-            boundary_messages=self._boundary_total, injected=injected,
+            boundary_messages=self._boundary_total,
             wall_seconds=time.monotonic() - start_wall,
             boot_seconds=self._boot_seconds,
-            shard_metrics=dict(self._final_metrics),
-            shard_urls=dict(self.shard_urls),
-            dashboard_url=self.dashboard_url,
-            progress=self.merged_progress())
+            dashboard_url=self.dashboard_url)
 
     # ------------------------------------------------------------------
     # Federation (gateway data plane)
@@ -470,22 +471,3 @@ class ShardGateway(HTTPServerThread):
     def _shards(self, params):
         return self.coordinator.shard_status()
 
-
-# ----------------------------------------------------------------------
-# Convenience entry point
-# ----------------------------------------------------------------------
-def run_sharded(config: GPUPlatformConfig, workload: Workload,
-                num_shards: int, *, monitor: bool = False,
-                metrics: bool = False, port: int = 0,
-                timeout: float = _DEFAULT_TIMEOUT) -> ShardResult:
-    """Run *workload* on *config* split across *num_shards* processes
-    and tear everything down afterwards.  For a gateway that outlives
-    the run (interactive monitoring), drive :class:`ShardCoordinator`
-    directly and :meth:`~ShardCoordinator.close` it when finished."""
-    coordinator = ShardCoordinator(
-        config, workload, num_shards, monitor=monitor,
-        metrics=metrics, port=port, timeout=timeout)
-    try:
-        return coordinator.run()
-    finally:
-        coordinator.close()

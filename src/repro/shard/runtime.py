@@ -126,10 +126,6 @@ class ShardRuntime:
     # Window protocol
     # ------------------------------------------------------------------
     @property
-    def now(self) -> float:
-        return self.engine.now
-
-    @property
     def next_time(self) -> Optional[float]:
         return self.engine.next_event_time
 
@@ -139,12 +135,11 @@ class ShardRuntime:
         driver replica elsewhere never processes its queue)."""
         return self.platform.driver.all_done if self.shard == 0 else False
 
-    def inject(self, items: List[Dict[str, Any]]) -> int:
+    def inject(self, items: List[Dict[str, Any]]) -> None:
         """Schedule ferried boundary messages for local delivery."""
         for item in items:
             self.injector.inject(self.codec.decode(item["msg"]),
                                  item["deliver_at"])
-        return len(items)
 
     def run_window(self, horizon: float,
                    chunk_seconds: Optional[float] = None) -> int:

@@ -8,7 +8,7 @@ Speaks the fleet control framing (bare JSON command lines on stdin,
 ======================  =================================================
 manager → worker        worker → manager
 ======================  =================================================
-``init``                ``shard-ready`` (url, window, next event time)
+``init``                ``shard-ready`` (url, next event time)
 ``inject``              —
 ``window``              ``shard-outbox``* then ``window-done``
 ``stop``                ``shard-stopped`` (final counters + exposition)
@@ -18,6 +18,10 @@ manager → worker        worker → manager
 The outbox is split into bounded batches before framing
 (:func:`split_batches`) so a hot window can never trip the decoder's
 line cap and silently lose boundary messages.
+
+A shard ends on its coordinator's ``stop``/``shutdown``, stdin EOF or
+the reap's SIGKILL; a SIGTERM/SIGINT (a Ctrl-C to the process group) is
+only recorded, and the coordinator's abort stops the shards.
 
 Monitoring is opt-in per the ``init`` flags: ``metrics`` attaches a
 :class:`Monitor` with simulation instrumentation (counter families in
@@ -32,6 +36,7 @@ from __future__ import annotations
 import sys
 from typing import Any, Dict, List, Optional
 
+from ..akita.threads import SignalGuard
 from ..fleet.protocol import decode_command, emit, split_batches
 from ..gpu.platform import GPUPlatformConfig
 from ..workloads import resolve_workload
@@ -42,7 +47,6 @@ class _WorkerState:
     def __init__(self) -> None:
         self.runtime: Optional[ShardRuntime] = None
         self.monitor = None
-        self.server = None
         self.shard = -1
 
 
@@ -65,21 +69,17 @@ def _handle_init(state: _WorkerState, cmd: Dict[str, Any]) -> None:
             url = state.monitor.start_server(port=cmd.get("port", 0))
             state.monitor.start_sampler()
     emit({"event": "shard-ready", "shard": state.shard, "url": url,
-          "window_cycles": config.shard_window_cycles,
-          "next_time": state.runtime.next_time,
-          "now": state.runtime.now})
+          "next_time": state.runtime.next_time})
 
 
 def _handle_window(state: _WorkerState, cmd: Dict[str, Any]) -> None:
     runtime = state.runtime
-    events = runtime.run_window(cmd["horizon"],
-                                cmd.get("chunk_seconds"))
+    runtime.run_window(cmd["horizon"], cmd.get("chunk_seconds"))
     for batch in split_batches(runtime.drain_outbox()):
         emit({"event": "shard-outbox", "shard": state.shard,
               "msgs": batch})
     emit({"event": "window-done", "shard": state.shard,
-          "next_time": runtime.next_time, "now": runtime.now,
-          "events": events, "done": runtime.done,
+          "next_time": runtime.next_time, "done": runtime.done,
           "progress": runtime.progress()})
 
 
@@ -91,10 +91,8 @@ def _handle_stop(state: _WorkerState, cmd: Dict[str, Any]) -> None:
         from ..metrics import expose
         metrics_text = expose(state.monitor.metrics)
     payload = {"event": "shard-stopped", "shard": state.shard,
-               "now": runtime.now,
                "sim_time": runtime.engine.last_event_time,
                "events": runtime.engine.event_count,
-               "injected": runtime.injector.injected,
                "metrics_text": metrics_text}
     payload.update(runtime.counters())
     emit(payload)
@@ -105,27 +103,28 @@ def _handle_stop(state: _WorkerState, cmd: Dict[str, Any]) -> None:
 def main(argv: List[str]) -> int:
     """Command loop (*argv* is empty); returns the exit code."""
     state = _WorkerState()
-    for line in sys.stdin:
-        cmd = decode_command(line)
-        if cmd is None:
-            continue
-        op = cmd.get("cmd")
-        try:
-            if op == "init":
-                _handle_init(state, cmd)
-            elif op == "inject":
-                state.runtime.inject(cmd["msgs"])
-            elif op == "window":
-                _handle_window(state, cmd)
-            elif op == "stop":
-                _handle_stop(state, cmd)
-                return 0
-            elif op == "shutdown":
-                return 0
-        except Exception as exc:  # noqa: BLE001 - reported, not fatal here
-            emit({"event": "shard-error", "shard": state.shard,
-                  "op": op, "error": f"{type(exc).__name__}: {exc}"})
-            return 1
+    with SignalGuard():  # the coordinator stops its shards
+        for line in sys.stdin:
+            cmd = decode_command(line)
+            if cmd is None:
+                continue
+            op = cmd.get("cmd")
+            try:
+                if op == "init":
+                    _handle_init(state, cmd)
+                elif op == "inject":
+                    state.runtime.inject(cmd["msgs"])
+                elif op == "window":
+                    _handle_window(state, cmd)
+                elif op == "stop":
+                    _handle_stop(state, cmd)
+                    return 0
+                elif op == "shutdown":
+                    return 0
+            except Exception as exc:  # noqa: BLE001 - reported, not fatal
+                emit({"event": "shard-error", "shard": state.shard,
+                      "op": op, "error": f"{type(exc).__name__}: {exc}"})
+                return 1
     return 0
 
 

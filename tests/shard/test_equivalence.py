@@ -8,7 +8,9 @@ deliberately keeps ``page_locality`` at its default so roughly half of
 all stores cross the shard boundary — this exercises the codec, the
 window barrier, and the injection path as hard as the small scale
 allows.  A second, four-chiplet platform split 2 and 4 ways checks the
-same instruction total when a shard holds more than one chiplet.
+same instruction total when a shard holds more than one chiplet, and
+that every port a boundary message can land on is adopted by its
+shard's :class:`ShardConnection` (the injector delivers through it).
 """
 
 from urllib.request import urlopen
@@ -18,7 +20,8 @@ import pytest
 from repro.gpu.cu import ComputeUnit
 from repro.gpu.platform import GPUPlatform, GPUPlatformConfig
 from repro.metrics import SimMetrics, expose, family_total, parse_exposition
-from repro.shard import ShardCoordinator, run_sharded
+from repro.shard import ShardConnection, ShardCoordinator, ShardRuntime
+from repro.shard.partition import chiplet_owners, owner_of_name
 from repro.workloads import StoreStorm
 
 _CONFIG = GPUPlatformConfig.small(num_chiplets=2)
@@ -139,7 +142,37 @@ def wide_monolithic():
 @pytest.mark.parametrize("num_shards", [2, 4])
 def test_four_chiplets_commit_the_monolithic_instructions(wide_monolithic,
                                                           num_shards):
-    result = run_sharded(_WIDE_CONFIG, _WIDE_WORKLOAD, num_shards)
+    coordinator = ShardCoordinator(_WIDE_CONFIG, _WIDE_WORKLOAD, num_shards)
+    try:
+        result = coordinator.run()
+    finally:
+        coordinator.close()
     assert result.completed
     assert result.num_shards == num_shards
     assert result.instructions == wide_monolithic > 0
+
+
+@pytest.mark.parametrize("num_shards", [2, 4])
+def test_every_boundary_destination_is_adopted(num_shards):
+    # A boundary port is an endpoint of a monolithic link whose ends
+    # belong to different shards: the driver's and command processors'
+    # ports, the switch ports and the RDMA net ports of chiplets off
+    # the hub.  On its owning shard it must be plugged into a
+    # ShardConnection, which the injector delivers through.
+    owners = chiplet_owners(_WIDE_CONFIG.partition_chiplets(num_shards))
+    boundary = set()
+    for conn in GPUPlatform(_WIDE_CONFIG).simulation.connections:
+        names = [port.name for port in conn.ports]
+        if len({owner_of_name(name, owners) for name in names}) > 1:
+            boundary.update(names)
+    assert any(name.startswith("Driver") for name in boundary)
+    assert any(".RDMA." in name for name in boundary)
+    for shard in range(num_shards):
+        runtime = ShardRuntime(_WIDE_CONFIG, _WIDE_WORKLOAD, shard,
+                               num_shards)
+        owned = [name for name in boundary
+                 if owner_of_name(name, owners) == shard]
+        assert owned
+        for name in owned:
+            assert isinstance(runtime.registry[name].connection,
+                              ShardConnection), (shard, name)

@@ -271,6 +271,48 @@ def test_trace_sigterm_exits_zero_with_a_flushed_database(tmp_path):
     store.close()
 
 
+def _children(pid):
+    """Pids of *pid*'s child processes (forked by any of its threads)."""
+    return {int(child) for path in Path(f"/proc/{pid}/task").glob("*/children")
+            for child in path.read_text().split()}
+
+
+@pytest.mark.slow
+def test_sharded_run_ends_cleanly_on_a_group_sigint():
+    # Ctrl-C signals the whole foreground process group: the CLI, the
+    # shards' zygote and every shard.  The shards leave stopping to the
+    # coordinator, which ends the run at the next barrier: `interrupted`,
+    # exit 0, no traceback and no process left behind.
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    env["PYTHONPATH"] = os.path.abspath(
+        os.path.join(os.path.dirname(__file__), "..", "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "run", "storestorm",
+         "--chiplets", "4", "--shards", "2", "--progress-interval", "0.1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=env, start_new_session=True)
+    try:
+        # The first progress line past window 0: the shards are booted
+        # and the barrier loop is running.
+        for line in proc.stdout:
+            if line.startswith("shards=2 ") and "windows=0 " not in line:
+                break
+        assert proc.poll() is None, "the run ended before the signal"
+        zygotes = _children(proc.pid)
+        assert zygotes
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+    assert proc.returncode == 0, err
+    assert any(line.startswith("interrupted")
+               for line in out.splitlines()), out
+    assert "Traceback" not in err, err
+    assert not [pid for pid in zygotes if Path(f"/proc/{pid}").exists()]
+
+
 # ---------------------------------------------------------------------------
 # The parser tree: no flag moved
 # ---------------------------------------------------------------------------

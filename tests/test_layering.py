@@ -34,11 +34,11 @@ And an id belongs to the collection that hands it out: ``core``,
 
 And a loop that wakes every N seconds is written once: a thread is
 constructed only by ``akita/threads.py``'s ``Periodic``, the transport,
-the pipe readers, the event-driven fleet scheduler, the sharded run and
-the live study session (every other simulation runs to its end on its
-caller's thread, in ``run_guarded``), and nobody else spells
+the pipe readers, the event-driven fleet scheduler and the live study
+session (every other simulation, the sharded one too, runs to its end on
+its caller's thread, in ``guarded``), and nobody else spells
 ``while not stop.wait(interval)``; a run's ``rtm-progress`` heartbeat is
-built only by ``run_guarded``.
+built only by ``guarded``.
 
 ``python tests/test_layering.py`` prints ``src/repro`` lines per package
 and in total (the number ROADMAP's aim 2 is judged by).
@@ -397,16 +397,15 @@ def test_the_counter_rule_sees_module_and_class_level_only():
 
 #: Who may construct a thread, and how many times: the periodic loop,
 #: the transport (accept loop + one per connection), the pipe readers,
-#: the event-queue scheduler, and the two sites that drive a simulation
-#: from a thread while the caller does something else: the sharded run
-#: (its coordinator has no abort for a signal guard to call) and the
-#: study's live session (a script drives it while it serves).
+#: the event-queue scheduler, and the one site that drives a simulation
+#: from a thread while the caller does something else: the study's live
+#: session (a script drives it while it serves).  The sharded run is
+#: not one: its coordinator has an abort, so it runs in ``guarded``.
 THREAD_SITES = {
     "repro/akita/threads.py": 1,
     "repro/core/http.py": 2,
     "repro/fleet/channel.py": 1,
     "repro/fleet/manager.py": 1,
-    "repro/cli.py": 1,
     "repro/studies/session.py": 1,
 }
 PERIODIC = "repro/akita/threads.py"
@@ -443,7 +442,7 @@ def test_a_periodic_loop_is_written_once():
             offenders += [f"{relative}:{line} (wait-loop)"
                           for kind, line in found if kind == "wait-loop"]
     assert not offenders, "\n".join(offenders)
-    assert sum(THREAD_SITES.values()) <= 7
+    assert sum(THREAD_SITES.values()) <= 6
 
 
 def test_the_thread_rule_sees_each_spelling_but_not_lookalikes():
@@ -478,8 +477,8 @@ def _heartbeats(source):
 
 def test_a_run_heartbeat_is_built_only_by_the_guarded_run():
     """One heartbeat per run, built where the run is guarded: a caller
-    passes ``progress=`` to ``run_guarded``, it does not start its own
-    ``rtm-progress`` loop beside ``platform.run()``."""
+    passes ``progress=`` to ``run_guarded`` or ``guarded``, it does not
+    start its own ``rtm-progress`` loop beside the run."""
     offenders = [f"{path.relative_to(SRC).as_posix()}:{line}"
                  for path in sorted((SRC / "repro").rglob("*.py"))
                  if path.relative_to(SRC).as_posix() != PERIODIC

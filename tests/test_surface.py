@@ -96,7 +96,7 @@ BUDGET = {
     "checkpoint": (10, 8),
     "fleet": (67, 54),
     "historian": (28, 29),
-    "shard": (40, 12),
+    "shard": (39, 8),
 }
 
 

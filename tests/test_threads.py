@@ -2,8 +2,9 @@
 (``repro/akita/threads.py``): one lifecycle, one failure rule, one name
 per role.  Stated over all seven owners — the monitor's sampler, the
 watchdog, the continuous profiler, the checkpointer, the series
-recorder, the historian service and ``run_guarded``'s heartbeat (the
-``progress`` lines of ``repro run`` and of a fleet job).
+recorder, the historian service and ``guarded``'s heartbeat (the
+``progress`` lines of ``repro run``, sharded or not, and of a fleet
+job).
 
 ``python tests/test_threads.py`` prints the thread inventory of a
 monitored FIR run with every plane attached: name, role, turns,
@@ -157,7 +158,7 @@ def _historian(tmp_path):
 
 
 def _progress(tmp_path):
-    loop = threads._heartbeat(_platform().simulation, lambda: None,
+    loop = threads._heartbeat(_platform().simulation.abort, lambda: None,
                               INTERVAL, wall_timeout=None)
     return loop, loop.start, loop.stop
 
