@@ -93,7 +93,9 @@ class Zygote:
         self.module = module
         self._socket, theirs = socket.socketpair(
             socket.AF_UNIX, socket.SOCK_SEQPACKET)
-        # It must import ``repro`` even from a source checkout.
+        # It must import ``repro`` even from a source checkout.  Its own
+        # session: a terminal's Ctrl-C or a group SIGTERM reaches the
+        # owner, which stops the pool; never the zygote or its workers.
         path = os.pathsep.join(filter(None, (
             str(Path(__file__).resolve().parents[2]),
             os.environ.get("PYTHONPATH"))))
@@ -101,7 +103,7 @@ class Zygote:
             self.process = subprocess.Popen(
                 [sys.executable, "-m", "repro.fleet.zygote", module],
                 stdin=theirs, stdout=subprocess.DEVNULL,
-                stderr=subprocess.PIPE,
+                stderr=subprocess.PIPE, start_new_session=True,
                 env={**os.environ, "PYTHONPATH": path})
         self._fork_lock = threading.Lock()
         self._answered = threading.Event()

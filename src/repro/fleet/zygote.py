@@ -33,7 +33,6 @@ def _run_child(sock, fds, module, args, wakeup):
             os.close(fd)
         signal.set_wakeup_fd(-1)
         signal.signal(signal.SIGCHLD, signal.SIG_DFL)
-        signal.signal(signal.SIGINT, signal.default_int_handler)
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         sys.stdin = sys.__stdin__ = open(0, closefd=False)
         sys.stdout = sys.__stdout__ = open(1, "w", closefd=False)
@@ -53,8 +52,6 @@ def _run_child(sock, fds, module, args, wakeup):
 
 
 def _serve(module):
-    # The owner's Ctrl-C is the owner's, also while the import runs.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
     import_module(module)
     gc.freeze()
     sock = socket.socket(fileno=0)

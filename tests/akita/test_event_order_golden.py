@@ -27,16 +27,9 @@ import pytest
 
 from repro.akita import HookPos
 from repro.gpu import GPUPlatform, GPUPlatformConfig
-from repro.workloads import FIR, Im2Col, StoreStorm
+from tests.akita.kernels import GOLDEN_KERNELS, KERNELS
 
 GOLDEN = Path(__file__).parent / "data" / "event_order_golden.json"
-
-WORKLOADS = {
-    "fir256": lambda: FIR(num_samples=256),
-    "im2col_batch1": lambda: Im2Col.scaled(batch=1),
-    "storestorm_small": lambda: StoreStorm(
-        num_workgroups=4, wavefronts_per_wg=2, stores_per_wavefront=24),
-}
 
 
 def _run_in_windows(platform, cycles=3.5):
@@ -74,21 +67,27 @@ def event_order(make_workload, drive=GPUPlatform.run):
     return {"events": count, "sha256": digest.hexdigest()}
 
 
-@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def measure():
+    """``events@<kernel>``: the event count the golden file pins."""
+    return {f"events@{name}": run["events"]
+            for name, run in json.loads(GOLDEN.read_text()).items()}
+
+
+@pytest.mark.parametrize("workload", GOLDEN_KERNELS)
 def test_event_order_matches_golden(workload):
     golden = json.loads(GOLDEN.read_text())
-    assert event_order(WORKLOADS[workload]) == golden[workload]
+    assert event_order(KERNELS[workload].make) == golden[workload]
 
 
-@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+@pytest.mark.parametrize("workload", GOLDEN_KERNELS)
 def test_event_order_is_the_same_through_run_window(workload):
     golden = json.loads(GOLDEN.read_text())
-    assert event_order(WORKLOADS[workload], _run_in_windows) \
+    assert event_order(KERNELS[workload].make, _run_in_windows) \
         == golden[workload]
 
 
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(
-        {name: event_order(make) for name, make in sorted(WORKLOADS.items())},
+        {name: event_order(KERNELS[name].make) for name in GOLDEN_KERNELS},
         indent=2) + "\n")
     print(GOLDEN.read_text())

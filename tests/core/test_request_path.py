@@ -12,12 +12,16 @@ connection the server closed for silence must not cost a GET a retry
 or send a POST twice.  The fuzz case holds the parser to "damaged
 requests are counted and survived".
 
-``python tests/core/test_request_path.py`` prints the table, with CPU
-microseconds per request over 1000 requests to an idle server (process
-time: the server's handler threads plus the one-line client beside
-them).
+``PYTHONPATH=src python -m tests.counts`` prints the counts per 100
+requests of three clients — a bare kept-alive socket, ``RTMClient`` and
+an HTTP/1.0 socket — and ``calls_per_scrape``: the interpreter calls of
+one scraper cycle (``/metrics``, ``/api/metrics?delta=1``,
+``/api/trace/query?limit=100``) answered in process over a finished
+instrumented FIR, the count a cheaper read path claims on.
 """
 
+import functools
+import json
 import random
 import socket
 import sys
@@ -30,9 +34,10 @@ import pytest
 
 from repro.core import (Monitor, RTMClient, RTMClientError,
                         RTMConnectionError, RTMServer)
-from repro.core.http import HTTPServerThread
+from repro.core.http import HTTPServerThread, Response
 from repro.gpu import GPUPlatform, GPUPlatformConfig
 from repro.workloads import FIR
+from tests.call_counter import count_calls
 
 
 def _monitor(samples=0):
@@ -82,13 +87,82 @@ def _raw(server, request, timeout=5.0):
 # ----------------------------------------------------------------------
 # Counts
 # ----------------------------------------------------------------------
+def scrape_calls(samples=256):
+    """Interpreter calls of one scraper cycle over a finished FIR run
+    with registry and ring tracer, the handlers called in process (the
+    counter sees its own thread only) and their answers encoded; the
+    cycle before it pays the first read's caches."""
+    platform = GPUPlatform(GPUPlatformConfig.small(num_chiplets=2))
+    FIR(num_samples=samples).enqueue(platform.driver)
+    monitor = Monitor(platform.simulation)
+    monitor.ensure_sim_metrics().start()
+    monitor.ensure_tracer(backend="ring").start()
+    assert platform.run()
+    server = RTMServer(monitor)
+    routes = [(server.routes.get(("GET", path))
+               or server.resolve("GET", path), params)
+              for path, params in (("/metrics", {}),
+                                   ("/api/metrics", {"delta": "1"}),
+                                   ("/api/trace/query", {"limit": "100"}))]
+
+    def cycle():
+        for route, params in routes:
+            answer = route(server, params)
+            if not isinstance(answer, Response):
+                json.dumps(answer).encode()
+
+    cycle()
+    frames, c_calls, _ = count_calls(cycle)
+    return frames + c_calls
+
+
+@functools.cache
+def measure():
+    """``connections|requests|writes_per_100_requests@<client>`` for a
+    kept-alive socket, ``RTMClient`` and an HTTP/1.0 socket, and
+    ``calls_per_scrape``."""
+    counts = {"calls_per_scrape": scrape_calls()}
+    server = RTMServer(_monitor())
+    server.start()
+    before = _counts(server)  # the socket below is accepted after this
+    try:
+        with socket.create_connection((server.host, server.port)) as sock, \
+                RTMClient(server.url) as client:
+            for name, call in (
+                    ("keepalive_socket", lambda: (sock.sendall(
+                        b"GET /api/overview HTTP/1.1\r\n\r\n"),
+                        sock.recv(1 << 16))),
+                    ("rtmclient", client.overview),
+                    ("http10_socket", lambda: _raw(
+                        server, b"GET /api/overview HTTP/1.0\r\n\r\n"))):
+                for _ in range(100):
+                    call()
+                after = _counts(server)
+                for what, a, b in zip(("connections", "requests", "writes"),
+                                      before, after):
+                    counts[f"{what}_per_100_requests@{name}"] = b - a
+                before = after
+    finally:
+        server.stop()
+    return counts
+
+
 def test_100_calls_are_one_connection_one_thread_100_writes(server):
+    counts = measure()
+    for name, connections in (("keepalive_socket", 1), ("rtmclient", 1),
+                              ("http10_socket", 100)):
+        assert [counts[f"{what}_per_100_requests@{name}"]
+                for what in ("connections", "requests", "writes")] \
+            == [connections, 100, 100], name
     with RTMClient(server.url) as client:
-        for _ in range(100):
+        for _ in range(3):
             client.overview()
-        assert _counts(server) == (1, 100, 100)
         assert len(_handler_threads(server)) == 1
         assert client.retry_count == 0
+
+
+def test_a_scrape_costs_the_same_calls_twice():
+    assert measure()["calls_per_scrape"] == scrape_calls()
 
 
 def test_connection_close_clients_get_a_connection_per_request(server):
@@ -347,36 +421,3 @@ def test_a_handler_without_a_registry_refuses_uncounted():
         assert b"200 OK" in _raw(server, b"GET /x HTTP/1.0\r\n\r\n")
     finally:
         server.stop()
-
-
-# ----------------------------------------------------------------------
-# The table
-# ----------------------------------------------------------------------
-if __name__ == "__main__":
-    N = 1000
-    server = RTMServer(_monitor())
-    server.start()
-    print(f"{'client':44s}{'requests':>9s}{'connections':>13s}"
-          f"{'writes':>8s}{'CPU us/request':>16s}")
-
-    def row(label, call):
-        before, cpu = _counts(server), time.process_time()
-        for _ in range(N):
-            call()
-        cpu = time.process_time() - cpu
-        conns, requests, writes = (
-            b - a for a, b in zip(before, _counts(server)))
-        print(f"{label:44s}{requests:9d}{conns:13d}{writes:8d}"
-              f"{cpu / N * 1e6:16.1f}")
-
-    with socket.create_connection((server.host, server.port)) as sock:
-        # A bare socket: the CPU of the process is then the server's
-        # but for one send and one recv.
-        row("one kept-alive connection (bare socket)",
-            lambda: (sock.sendall(b"GET /api/overview HTTP/1.1\r\n\r\n"),
-                     sock.recv(1 << 16)))
-    with RTMClient(server.url) as client:
-        row("RTMClient (one kept-alive connection)", client.overview)
-    row("a connection per request (HTTP/1.0 socket)",
-        lambda: _raw(server, b"GET /api/overview HTTP/1.0\r\n\r\n"))
-    server.stop()

@@ -17,9 +17,8 @@ with 500.
 Then the behaviour at the table's edges that a rewrite of the dispatch
 can change without any route noticing.
 
-``python tests/core/test_route_walk.py`` prints the composed table:
-method, path, the module that answers it, and its status before any
-plane is attached.
+``PYTHONPATH=src python -m tests.counts`` prints ``routes@<server>``,
+the rows of each table.
 """
 
 import socket
@@ -177,13 +176,27 @@ WALK = (
        for key, status in SHARD_STATUS.items()])
 
 
+def _tables():
+    """server -> (its route rows, their pinned statuses); the RTM
+    server's rows are composed when asked, which resolves every plane."""
+    return {"rtm_server": (route_rows(), RTM_STATUS),
+            "fleet_gateway": (FLEET_ROUTES, FLEET_STATUS),
+            "historian_service": (HISTORIAN_ROUTES, HISTORIAN_STATUS),
+            "shard_gateway": (SHARD_ROUTES, SHARD_STATUS)}
+
+
+def measure():
+    """``routes@<server>``: the rows of each table."""
+    return {f"routes@{server}": len(rows)
+            for server, (rows, _) in _tables().items()}
+
+
 def test_the_pinned_statuses_cover_the_three_tables():
-    for pinned, rows in ((RTM_STATUS, route_rows()),
-                         (FLEET_STATUS, FLEET_ROUTES),
-                         (HISTORIAN_STATUS, HISTORIAN_ROUTES),
-                         (SHARD_STATUS, SHARD_ROUTES)):
+    counts = measure()
+    for server, (rows, pinned) in _tables().items():
         assert set(pinned) == {(method, spec.partition("?")[0])
                                for method, spec, _, _ in rows}
+        assert counts[f"routes@{server}"] == len(pinned), server
 
 
 def _answer(make, method, path):
@@ -270,12 +283,3 @@ def test_a_method_the_table_does_not_hold_is_405(make, allow):
         assert f"\r\nAllow: {allow}\r\n" in head + "\r\n"
     finally:
         server.stop()
-
-
-if __name__ == "__main__":
-    print(f"{'method':8s}{'path':28s}{'answered by':28s}pre-attach")
-    for method, spec, _, _ in route_rows():
-        path = spec.partition("?")[0]
-        status, server = _answer(_bare_monitor, method, path)
-        module = server.routes[(method, path)].__module__
-        print(f"{method:8s}{path:28s}{module[len('repro.'):]:28s}{status}")

@@ -15,8 +15,13 @@ History: 21,594 at PR 19; 11,325 (-47.6%) when buffers became
 discovered at first read (``Monitor()`` no longer walks every
 component for a table no job opens) and a label set rendered once
 (``expose()`` no longer builds and escapes a dict per histogram
-bucket line).  ``python -m tests.fleet.test_job_fixed_cost`` prints
-the table.
+bucket line); 11,373 since, held to :data:`FIXED_CALLS_BUDGET`.
+``PYTHONPATH=src python -m tests.counts`` prints it as
+``calls_per_job@fleet``.
+
+Beside it, what a journaled job costs the disk: ``fsyncs_per_job``,
+the ``os.fsync`` calls of a journaled 4-job campaign on two workers,
+divided by 4 — one per critical ``complete`` record, and the close's.
 
 The subtraction only means something while the job's simulation runs
 on the thread that is counted (``count_calls`` profiles the calling
@@ -27,18 +32,23 @@ its bare run.
 """
 
 import contextlib
+import functools
 import io
+import os
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 from repro.core import Monitor
 from repro.core.server import RTMServer
+from repro.fleet import CampaignJournal, FleetManager, JobQueue
 from repro.fleet.queue import JobSpec
 from repro.fleet.worker import WorkerSettings, _execute_job
 from repro.gpu import GPUPlatform, GPUPlatformConfig
 from tests.call_counter import count_calls
 
-#: ``job_calls() - bare_run_calls()`` measured at PR 19 (the parent of
-#: the change this file came with), same script, same spec.
-PARENT_FIXED_CALLS = 21594
+#: ``calls_per_job@fleet`` may not exceed this: 11,373 when it was set.
+FIXED_CALLS_BUDGET = 11_400
 
 SPEC = JobSpec("fixed-cost", "fir", params={"num_samples": 256})
 
@@ -81,30 +91,59 @@ def bare_run_calls():
     return calls
 
 
-def test_a_jobs_fixed_cost_repeats_and_stays_a_quarter_under_pr19():
+def fixed_calls(server):
+    """A job's calls beyond its bare run, on the warm *server*."""
+    job, bare = job_calls(server), bare_run_calls()
+    assert job > bare, (
+        f"a job counted {job} calls, its bare run {bare}: the "
+        "simulation no longer runs on the counted thread")
+    return job - bare
+
+
+def campaign_fsyncs(jobs=4):
+    """``os.fsync`` calls of one journaled *jobs*-job FIR campaign on
+    two workers, from submission to the journal's close."""
+    synced = []
+    real = os.fsync
+    with tempfile.TemporaryDirectory() as tmp:
+        queue = JobQueue()
+        journal = CampaignJournal(str(Path(tmp) / "campaign.wal"))
+        manager = FleetManager(queue, num_workers=2, journal=journal)
+        manager.start()
+        with mock.patch("os.fsync",
+                        lambda fd: synced.append(fd) or real(fd)):
+            try:
+                assert manager.wait_ready(timeout=60)
+                queue.submit_all([
+                    JobSpec(f"fir-{i}", "fir", params={"num_samples": 256})
+                    for i in range(jobs)])
+                assert manager.wait(timeout=120)
+            finally:
+                manager.stop()
+                journal.close()
+        assert queue.counts()["completed"] == jobs, queue.counts()
+    return len(synced)
+
+
+@functools.cache
+def measure():
+    """``calls_per_job@fleet`` and ``fsyncs_per_job``."""
     with warm_server() as server:
-        job, bare = job_calls(server), bare_run_calls()
-        assert job > bare, (
-            f"a job counted {job} calls, its bare run {bare}: the "
-            "simulation no longer runs on the counted thread")
-        measured = job - bare
-        assert measured == job_calls(server) - bare_run_calls(), \
+        calls = fixed_calls(server)
+    return {"calls_per_job@fleet": calls,
+            "fsyncs_per_job": campaign_fsyncs() / 4}
+
+
+def test_a_jobs_fixed_cost_repeats_and_stays_inside_its_budget():
+    measured = measure()["calls_per_job@fleet"]
+    with warm_server() as server:
+        assert measured == fixed_calls(server), \
             "the count must repeat exactly"
-    assert measured <= 0.75 * PARENT_FIXED_CALLS, (
-        f"{measured} calls per job beyond its simulation, "
-        f"{PARENT_FIXED_CALLS} at PR 19: a job is paying again for "
-        "something nobody reads")
+    assert measured <= FIXED_CALLS_BUDGET, (
+        f"{measured} calls per job beyond its simulation, budget "
+        f"{FIXED_CALLS_BUDGET}: a job is paying again for something "
+        "nobody reads")
 
 
-if __name__ == "__main__":
-    with warm_server() as server:
-        job, bare = job_calls(server), bare_run_calls()
-    fixed = job - bare
-    print("Per-job fixed cost, interpreter calls on the worker's main "
-          "thread (FIR 256)")
-    print(f"{'':28}{'calls':>10}")
-    print(f"{'_execute_job':28}{job:>10}")
-    print(f"{'bare platform.run()':28}{bare:>10}")
-    print(f"{'fixed cost + recording':28}{fixed:>10}")
-    print(f"{'at PR 19':28}{PARENT_FIXED_CALLS:>10}")
-    print(f"{'change':28}{100.0 * (fixed / PARENT_FIXED_CALLS - 1):>9.1f}%")
+def test_a_journaled_job_costs_one_fsync_and_a_quarter_of_the_close():
+    assert measure()["fsyncs_per_job"] == (4 + 1) / 4

@@ -277,40 +277,69 @@ def _children(pid):
             for child in path.read_text().split()}
 
 
-@pytest.mark.slow
-def test_sharded_run_ends_cleanly_on_a_group_sigint():
-    # Ctrl-C signals the whole foreground process group: the CLI, the
-    # shards' zygote and every shard.  The shards leave stopping to the
-    # coordinator, which ends the run at the next barrier: `interrupted`,
-    # exit 0, no traceback and no process left behind.
+def _signal_a_sharded_run(signum, once):
+    """Start ``repro run storestorm --shards 2`` in its own process
+    group, send *signum* to the group as soon as the zygote runs in its
+    own session and ``once(zygote pid)`` holds, and return ``(exit code,
+    stdout, stderr, pids)``: the pids of the zygote and of every shard
+    seen before the signal."""
     env = dict(os.environ, PYTHONUNBUFFERED="1")
     env["PYTHONPATH"] = os.path.abspath(
         os.path.join(os.path.dirname(__file__), "..", "src"))
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "run", "storestorm",
-         "--chiplets", "4", "--shards", "2", "--progress-interval", "0.1"],
+         "--chiplets", "4", "--shards", "2"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env=env, start_new_session=True)
     try:
-        # The first progress line past window 0: the shards are booted
-        # and the barrier loop is running.
-        for line in proc.stdout:
-            if line.startswith("shards=2 ") and "windows=0 " not in line:
+        deadline = time.monotonic() + 60
+        while True:
+            zygotes = _children(proc.pid)
+            if zygotes and os.getsid(min(zygotes)) != os.getsid(proc.pid) \
+                    and once(min(zygotes)):
                 break
-        assert proc.poll() is None, "the run ended before the signal"
-        zygotes = _children(proc.pid)
-        assert zygotes
-        os.killpg(proc.pid, signal.SIGINT)
+            assert proc.poll() is None, "the run ended before the signal"
+            assert time.monotonic() < deadline
+            time.sleep(0.002)
+        (zygote,) = zygotes
+        pids = {zygote, *_children(zygote)}
+        os.killpg(proc.pid, signum)
         out, err = proc.communicate(timeout=60)
     finally:
         if proc.poll() is None:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.communicate()
-    assert proc.returncode == 0, err
+    return proc.returncode, out, err, pids
+
+
+@pytest.mark.slow
+def test_sharded_run_ends_cleanly_on_a_group_sigint():
+    # Ctrl-C signals the whole foreground process group: the CLI alone,
+    # since the shards' zygote (and every shard it forks) runs in its own
+    # session.  Sent as soon as the zygote has one, mid-boot: the
+    # coordinator ends the run at the first barrier, `interrupted`,
+    # exit 0, no traceback and no process left behind.
+    code, out, err, pids = _signal_a_sharded_run(signal.SIGINT,
+                                                 lambda zygote: True)
+    assert code == 0, err
     assert any(line.startswith("interrupted")
                for line in out.splitlines()), out
     assert "Traceback" not in err, err
-    assert not [pid for pid in zygotes if Path(f"/proc/{pid}").exists()]
+    assert not [pid for pid in pids if Path(f"/proc/{pid}").exists()]
+
+
+@pytest.mark.slow
+def test_sharded_run_leaves_no_shard_behind_on_a_group_sigterm():
+    # A group SIGTERM (`timeout`, a service manager) once killed the
+    # zygote mid-run: the coordinator could no longer kill a shard, and
+    # the shards outlived the CLI by seconds.
+    code, out, err, pids = _signal_a_sharded_run(
+        signal.SIGTERM, lambda zygote: len(_children(zygote)) == 2)
+    assert code == 0, err
+    assert any(line.startswith("interrupted")
+               for line in out.splitlines()), out
+    assert len(pids) == 3
+    assert not [pid for pid in pids if Path(f"/proc/{pid}").exists()]
 
 
 # ---------------------------------------------------------------------------

@@ -31,11 +31,12 @@ A 3-worker fleet and a 3-shard run each call ``subprocess.Popen`` once
 (three times each before the zygote), and every worker's parent is the
 zygote.
 
-``python tests/test_import_footprint.py`` prints the table: modules,
-``repro.*`` modules and import milliseconds per entry, then the
-interpreter starts per pool boot.
+``PYTHONPATH=src python -m tests.counts`` prints the counts:
+``modules@<entry>`` and ``repro_modules@<entry>`` per entry statement,
+and ``interpreter_starts@<pool>`` per pool boot.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -52,14 +53,14 @@ from repro.workloads import StoreStorm
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _python(code, *flags):
+def _python(code):
     """Run *code* in a fresh interpreter that can import ``repro``;
-    returns ``(last stdout line parsed as JSON, stderr)``."""
+    returns its last stdout line parsed as JSON."""
     proc = subprocess.run(
-        [sys.executable, *flags, "-c", code], capture_output=True,
-        text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1]), proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def _is_repro(module):
@@ -69,13 +70,14 @@ def _is_repro(module):
 # ----------------------------------------------------------------------
 # What an entry point loads
 # ----------------------------------------------------------------------
-def loaded_by(entry, *flags):
-    """``(modules the *entry* statement adds to sys.modules, stderr)``."""
-    return _python(
+@functools.cache
+def loaded_by(entry):
+    """The modules the *entry* statement adds to ``sys.modules``."""
+    return tuple(_python(
         "import sys; before = set(sys.modules)\n"
         f"{entry}\n"
         "added = sorted(set(sys.modules) - before)\n"
-        "import json; print(json.dumps(added))", *flags)
+        "import json; print(json.dumps(added))"))
 
 
 #: What ``http.server``, ``urllib.request`` and ``tempfile`` drag into a
@@ -127,22 +129,30 @@ ENTRIES = {
 }
 
 
+#: Entries counted beside :data:`ENTRIES`: the simulator alone, with a
+#: monitor, and the fleet's manager side.
+COUNTED_ENTRIES = ("import repro.gpu, repro.workloads",
+                   "import repro.gpu, repro.workloads; "
+                   "from repro.core import Monitor",
+                   "import repro.fleet.manager")
+
+
 @pytest.mark.parametrize("entry", sorted(ENTRIES))
 def test_entry_point_loads_no_neighbours(entry):
     forbidden, budget = ENTRIES[entry]
-    modules, _ = loaded_by(entry)
+    modules = loaded_by(entry)
     offenders = [m for m in modules
                  if any(m == f or m.startswith(f + ".") for f in forbidden)]
     assert not offenders, f"`{entry}` loads {offenders}"
-    count = sum(map(_is_repro, modules))
+    count = measure()[f"repro_modules@{entry}"]
     assert count <= budget, (
         f"`{entry}` loads {count} repro.* modules, budget {budget}: "
         "a package __init__ or a worker grew an import it does not run")
 
 
 def test_opening_the_front_door_adds_under_twenty_modules():
-    monitor, _ = loaded_by("from repro.core import Monitor")
-    serving, _ = loaded_by(SERVING)
+    monitor = loaded_by("from repro.core import Monitor")
+    serving = loaded_by(SERVING)
     added = sorted(set(serving) - set(monitor))
     assert len(added) <= 20, added  # of every origin, stdlib included
 
@@ -161,7 +171,7 @@ def _modules_of(*layers):
 def test_a_bare_simulation_loads_akita_gpu_and_the_workloads_table():
     """akita + gpu + the workloads table: no workload module until one
     is named."""
-    modules, _ = loaded_by("import repro.gpu, repro.workloads")
+    modules = loaded_by("import repro.gpu, repro.workloads")
     assert set(filter(_is_repro, modules)) == (
         {"repro", "repro._lazy", "repro.workloads"}
         | _modules_of("akita", "gpu"))
@@ -201,8 +211,8 @@ def _zygote(module):
 @pytest.mark.parametrize("module, count", [("repro.fleet.worker", 63),
                                            ("repro.shard.worker", 49)])
 def test_a_zygote_preloads_what_its_worker_entry_loads(module, count):
-    preloaded, _ = loaded_by(_zygote(module))
-    entry, _ = loaded_by(f"import {module}")
+    preloaded = loaded_by(_zygote(module))
+    entry = loaded_by(f"import {module}")
     assert set(filter(_is_repro, preloaded)) == \
         set(filter(_is_repro, entry))
     assert sum(map(_is_repro, entry)) == count
@@ -214,15 +224,15 @@ _FIR_BY_NAME["a job in a forked worker"] = (
 
 @pytest.mark.parametrize("way", sorted(_FIR_BY_NAME))
 def test_running_fir_loads_fir_and_no_other_workload(way):
-    modules, _ = loaded_by(_FIR_BY_NAME[way])
+    modules = loaded_by(_FIR_BY_NAME[way])
     workloads = _modules_of("workloads") - {"repro.workloads"}
     assert workloads & set(modules) == {"repro.workloads.fir",
                                         "repro.workloads.base"}
 
 
 def test_a_window_in_a_forked_shard_loads_only_its_workload():
-    modules, _ = loaded_by(_zygote("repro.shard.worker") + _SHARD_INIT
-                           + _WINDOW)
+    modules = loaded_by(_zygote("repro.shard.worker") + _SHARD_INIT
+                        + _WINDOW)
     workloads = _modules_of("workloads") - {"repro.workloads"}
     assert workloads & set(modules) == {"repro.workloads.storestorm",
                                         "repro.workloads.base"}
@@ -339,7 +349,7 @@ TIMED_REGIONS = {
 
 @pytest.mark.parametrize("region", sorted(TIMED_REGIONS))
 def test_timed_region_imports_nothing(region):
-    added, _ = _python(TIMED_REGIONS[region])
+    added = _python(TIMED_REGIONS[region])
     assert added == [], (
         f"{region}: first imported inside the timed region — import "
         "them where the process sets up")
@@ -382,6 +392,7 @@ def _shard_boot(size):
 POOLS = {"fleet": _fleet_boot, "sharded": _shard_boot}
 
 
+@functools.cache
 def interpreter_starts(pool, size=3):
     """``(subprocess.Popen calls, zygote pid, each worker's parent)``
     for one boot of *pool* with *size* workers or shards."""
@@ -402,41 +413,25 @@ def interpreter_starts(pool, size=3):
 
 @pytest.mark.parametrize("pool", sorted(POOLS))
 def test_a_pool_boot_starts_one_interpreter(pool):
-    starts, zygote, parents = interpreter_starts(pool)
+    starts = measure()[f"interpreter_starts@{pool}"]
     assert starts == 1, f"{pool}: {starts} interpreter starts for 3"
+    _, zygote, parents = interpreter_starts(pool)
     assert parents == [zygote] * 3
 
 
 # ----------------------------------------------------------------------
-# The table
+# The counts
 # ----------------------------------------------------------------------
-def _import_ms(stderr):
-    """Milliseconds of top-level imports in an ``-X importtime`` log:
-    the cumulative column of every line that is not nested in another."""
-    total_us = 0
-    for line in stderr.splitlines():
-        if line.startswith("import time:") and "|" in line:
-            _, cumulative, name = line.split("|")
-            if name.startswith(" ") and not name.startswith("  ") \
-                    and cumulative.strip().isdigit():
-                total_us += int(cumulative)
-    return total_us / 1e3
-
-
-if __name__ == "__main__":
-    _, startup = loaded_by("pass", "-X", "importtime")
-    print(f"{'entry':66s}{'modules':>8s}{'repro.*':>9s}{'import ms':>11s}")
-    for entry in (*sorted(ENTRIES), "import repro.gpu, repro.workloads",
-                  "import repro.gpu, repro.workloads; "
-                  "from repro.core import Monitor",
-                  "import repro.fleet.manager"):
-        modules, log = loaded_by(entry, "-X", "importtime")
-        print(f"{entry:66s}{len(modules):8d}"
-              f"{sum(map(_is_repro, modules)):9d}"
-              f"{_import_ms(log) - _import_ms(startup):11.1f}")
-    print(f"\n{'pool boot':20s}{'workers':>8s}{'interpreter starts':>20s}"
-          f"{'forked by the zygote':>22s}")
+@functools.cache
+def measure():
+    """``modules@<entry>`` and ``repro_modules@<entry>`` for every
+    entry, ``interpreter_starts@<pool>`` for a 3-worker boot of each
+    pool."""
+    counts = {}
+    for entry in (*sorted(ENTRIES), *COUNTED_ENTRIES):
+        modules = loaded_by(entry)
+        counts[f"modules@{entry}"] = len(modules)
+        counts[f"repro_modules@{entry}"] = sum(map(_is_repro, modules))
     for pool in sorted(POOLS):
-        starts, zygote, parents = interpreter_starts(pool)
-        print(f"{pool:20s}{len(parents):8d}{starts:20d}"
-              f"{parents.count(zygote):22d}")
+        counts[f"interpreter_starts@{pool}"] = interpreter_starts(pool)[0]
+    return counts

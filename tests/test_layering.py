@@ -40,8 +40,12 @@ its caller's thread, in ``guarded``), and nobody else spells
 ``while not stop.wait(interval)``; a run's ``rtm-progress`` heartbeat is
 built only by ``guarded``.
 
-``python tests/test_layering.py`` prints ``src/repro`` lines per package
-and in total (the number ROADMAP's aim 2 is judged by).
+And a count has one printer: under ``tests/`` only ``counts.py`` and the
+two golden regenerators run as scripts; a gate exposes ``measure()``,
+which ``python -m tests.counts`` merges.
+
+``PYTHONPATH=src python -m tests.counts`` prints ``lines@<package>`` and
+``lines@src/repro`` (the number ROADMAP's aim 2 is judged by).
 """
 
 import ast
@@ -50,7 +54,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 ALLOWED = {
     "akita": {"akita"},
@@ -571,14 +576,60 @@ def test_the_eager_import_rule_sees_each_spelling_but_not_local_ones():
             "repro.historian.store"]
 
 
-if __name__ == "__main__":
+#: The scripts under ``tests/``: the counts document and the two
+#: regenerators of golden data.
+SCRIPTS = {"tests/counts.py", "tests/trace/golden.py",
+           "tests/akita/test_event_order_golden.py"}
+
+
+def _main_blocks(source):
+    """Lines of every ``if __name__ == "__main__":`` in *source*."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Compare) \
+                and len(node.test.ops) == 1 \
+                and isinstance(node.test.ops[0], ast.Eq):
+            sides = [node.test.left, *node.test.comparators]
+            if {getattr(side, "id", getattr(side, "value", None))
+                    for side in sides} == {"__name__", "__main__"}:
+                yield node.lineno
+
+
+def test_a_count_has_one_printer():
+    offenders = []
+    for path in sorted((ROOT / "tests").rglob("*.py")):
+        relative = path.relative_to(ROOT).as_posix()
+        if relative not in SCRIPTS:
+            offenders += [f"{relative}:{line}"
+                          for line in _main_blocks(path.read_text())]
+    assert not offenders, (
+        "a gate exposes measure() for tests/counts.py instead of "
+        "printing its own table:\n" + "\n".join(offenders))
+
+
+def test_the_script_rule_sees_each_spelling_but_not_lookalikes():
+    source = (
+        "if __name__ == '__main__':\n"
+        "    main()\n"
+        "if '__main__' == __name__:\n"
+        "    main()\n"
+        "def f():\n"
+        "    if __name__ == \"__main__\":\n"
+        "        pass\n"
+        "runpy.run_module('m', run_name='__main__')\n"
+        "if __name__ != '__main__':\n"
+        "    pass\n"
+        "if name == '__main__':\n"
+        "    pass\n")
+    assert list(_main_blocks(source)) == [1, 3, 6]
+
+
+def measure():
+    """``lines@<package>`` of ``src/repro`` (``top_level`` for the files
+    directly in it) and ``lines@src/repro``."""
     lines = {}
     for path in sorted((SRC / "repro").rglob("*.py")):
         parts = path.relative_to(SRC / "repro").parts
-        package = parts[0] if len(parts) > 1 else "(top level)"
-        lines[package] = lines.get(package, 0) + len(
-            path.read_text().splitlines())
-    print(f"{'package':14s}{'lines':>8s}")
-    for package, count in sorted(lines.items()):
-        print(f"{package:14s}{count:8d}")
-    print(f"{'src/repro':14s}{sum(lines.values()):8d}")
+        key = f"lines@{parts[0] if len(parts) > 1 else 'top_level'}"
+        lines[key] = lines.get(key, 0) + len(path.read_text().splitlines())
+    lines["lines@src/repro"] = sum(lines.values())
+    return lines

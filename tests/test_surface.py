@@ -40,16 +40,16 @@ the code that builds a worker's command line (:data:`WORKER_FORWARDERS`).
 A flag nobody passes is a constant, or :data:`CLI_ALLOWED` says why it
 stays.
 
-``python tests/test_surface.py`` prints every name, where it is used,
-and a per-package count, then every campaign flag and who passes it.
+``PYTHONPATH=src python -m tests.counts`` prints the per-package
+counts (``public_names``, ``options``, ``test_only``) and the flag
+census (``flags@campaign_cli``, ``unpassed_flags@campaign_cli``).
 """
 
 import argparse
 import ast
+import functools
 import re
 from pathlib import Path
-
-import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
@@ -262,6 +262,7 @@ def corpora():
     return found
 
 
+@functools.cache
 def census(packages=PACKAGES):
     """``{package: [(key, kind, corpora that use it), ...]}``."""
     refs = corpora()
@@ -279,23 +280,11 @@ def used_by_tests_alone(table):
                   for key, _, used in rows if used == ["tests"])
 
 
-def counts(table):
-    """``{package: (names, options)}``."""
-    return {package: (sum(kind == "name" for _, kind, _ in rows),
-                      sum(kind == "option" for _, kind, _ in rows))
-            for package, rows in table.items()}
-
-
 # ----------------------------------------------------------------------
 # The gate
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def table():
-    return census()
-
-
-def test_no_public_name_is_used_by_the_tests_alone(table):
-    unexplained = [key for key in used_by_tests_alone(table)
+def test_no_public_name_is_used_by_the_tests_alone():
+    unexplained = [key for key in used_by_tests_alone(census())
                    if key not in ALLOWED]
     assert not unexplained, (
         "used only by tests — delete it (and its tests), make it a "
@@ -303,17 +292,21 @@ def test_no_public_name_is_used_by_the_tests_alone(table):
         + "\n".join(unexplained))
 
 
-def test_every_allowed_name_is_still_test_only(table):
-    stale = sorted(set(ALLOWED) - set(used_by_tests_alone(table)))
+def test_every_allowed_name_is_still_test_only():
+    stale = sorted(set(ALLOWED) - set(used_by_tests_alone(census())))
     assert not stale, "no longer test-only; drop from ALLOWED:\n" + \
         "\n".join(stale)
 
 
-def test_the_surface_only_shrinks(table):
-    grown = {package: (now, BUDGET.get(package))
-             for package, now in counts(table).items()
-             if BUDGET.get(package) is None
-             or now[0] > BUDGET[package][0] or now[1] > BUDGET[package][1]}
+def test_the_surface_only_shrinks():
+    measured = measure()
+    grown = {}
+    for package in PACKAGES:
+        now = (measured[f"public_names@{package}"],
+               measured[f"options@{package}"])
+        budget = BUDGET.get(package)
+        if budget is None or now[0] > budget[0] or now[1] > budget[1]:
+            grown[package] = (now, budget)
     assert not grown, grown
 
 
@@ -554,24 +547,26 @@ def test_the_flag_census_reads_every_kind_of_command_line():
                                           "worker --profile"}
 
 
-if __name__ == "__main__":
+# ----------------------------------------------------------------------
+# The counts
+# ----------------------------------------------------------------------
+@functools.cache
+def measure():
+    """Per package ``public_names@``, ``options@`` and ``test_only@``
+    (names only the tests use); the campaign flags and how many of them
+    no command line passes."""
     table = census()
-    marks = {"src": "S", "examples": "E", "benchmarks": "B",
-             "static": "W", "docs": "D", "tests": "T"}
-    print("used by: S src, E examples, B benchmarks, W static, D docs, "
-          "T tests; * = tests alone, - = nobody")
-    for package, rows in table.items():
-        print(f"\n[{package}]")
-        for key, _, used in rows:
-            flag = "*" if used == ["tests"] else " " if used else "-"
-            print(f"{flag} {''.join(marks[c] for c in used):6s} {key}")
-    print(f"\n{'package':12s}{'names':>7s}{'options':>9s}{'tests only':>12s}")
     alone = used_by_tests_alone(table)
-    for package, (names, options) in counts(table).items():
-        mine = sum(key.startswith(package + ".") for key in alone)
-        print(f"{package:12s}{names:7d}{options:9d}{mine:12d}")
-    callers = flag_callers()
-    print(f"\n{'flag':40s}passed by")
-    for flag in cli_flags():
-        print(f"{flag:40s}" + ("a command line" if flag in callers else
-                               f"nobody: {CLI_ALLOWED.get(flag, '?')}"))
+    measured = {}
+    for package, rows in table.items():
+        measured[f"public_names@{package}"] = sum(
+            kind == "name" for _, kind, _ in rows)
+        measured[f"options@{package}"] = sum(
+            kind == "option" for _, kind, _ in rows)
+        measured[f"test_only@{package}"] = sum(
+            key.startswith(package + ".") for key in alone)
+    flags, callers = cli_flags(), flag_callers()
+    measured["flags@campaign_cli"] = len(flags)
+    measured["unpassed_flags@campaign_cli"] = sum(
+        flag not in callers for flag in flags)
+    return measured

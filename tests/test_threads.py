@@ -6,12 +6,13 @@ recorder, the historian service and ``guarded``'s heartbeat (the
 ``progress`` lines of ``repro run``, sharded or not, and of a fleet
 job).
 
-``python tests/test_threads.py`` prints the thread inventory of a
-monitored FIR run with every plane attached: name, role, turns,
-failures.
+``PYTHONPATH=src python -m tests.counts`` prints
+``threads@monitored_fir``: the threads a monitored FIR run with every
+plane attached has alive when it ends, its own included.
 """
 
 import contextlib
+import functools
 import queue
 import sys
 import tempfile
@@ -298,23 +299,44 @@ def _rtm_roles():
             for t in threading.enumerate() if t.name.startswith("rtm-")}
 
 
-def test_with_every_plane_on_no_rtm_thread_has_role_other(tmp_path):
+@functools.cache
+def monitored_fir():
+    """One FIR run with every plane on: ``(rtm roles seen during the
+    run, rtm roles alive after it, threads it started that are alive
+    after it, the loops, the rtm threads left once it is torn down)``."""
     during = {}
-    with every_plane(tmp_path) as (platform, loops):
+    before = set(threading.enumerate())
+    with tempfile.TemporaryDirectory() as tmp, \
+            every_plane(Path(tmp)) as (platform, loops):
         assert run_guarded(platform, 60.0, interval=INTERVAL,
                            progress=lambda: during.update(_rtm_roles())) \
             == (True, "completed")
         assert not _named("rtm-progress"), "the heartbeat ends with its run"
         live = _rtm_roles()
-        assert "rtm-progress" in during
-        assert "other" not in during.values(), during
-        assert {loop.name for loop in loops} <= set(live)
-        assert "rtm-server" in live
-        assert "other" not in live.values(), live
-        assert all(loop.failures == 0 for loop in loops), \
-            [loop.status() for loop in loops if loop.failures]
-    assert not [t.name for t in threading.enumerate()
-                if t.name.startswith("rtm-")]
+        started = set(threading.enumerate()) - before
+    left = [t.name for t in threading.enumerate() if t.name.startswith("rtm-")]
+    return during, live, started, loops, left
+
+
+def measure():
+    """``threads@monitored_fir``: the threads a monitored FIR run with
+    every plane on has alive at its end, the run's own thread
+    included."""
+    return {"threads@monitored_fir": len(monitored_fir()[2]) + 1}
+
+
+def test_with_every_plane_on_no_rtm_thread_has_role_other():
+    during, live, _, loops, left = monitored_fir()
+    assert "rtm-progress" in during
+    assert "other" not in during.values(), during
+    assert {loop.name for loop in loops} <= set(live)
+    assert "rtm-server" in live
+    assert "other" not in live.values(), live
+    assert all(loop.failures == 0 for loop in loops), \
+        [loop.status() for loop in loops if loop.failures]
+    assert not left
+    assert measure()["threads@monitored_fir"] == len(loops) + 3, \
+        "the loops, the server, its connection and the run's own thread"
 
 
 
@@ -347,17 +369,3 @@ def test_gateways_and_worker_channels_have_a_role():
             "rtm-shard-gateway", "rtm-shard-gateway-conn",
             "rtm-channel-w1-stdout", "rtm-channel-w1-stderr"} <= set(live)
     assert "other" not in live.values(), live
-
-if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp, \
-            every_plane(Path(tmp)) as (platform, loops):
-        run_guarded(platform, 60.0)
-        by_name = {loop.name: loop for loop in loops}
-        print(f"{'thread':24s}{'role':12s}{'turns':>8s}{'failures':>10s}")
-        for thread in sorted(threading.enumerate(), key=lambda t: t.name):
-            loop = by_name.get(thread.name)
-            turns, failures = (loop.turns, loop.failures) if loop \
-                else ("-", "-")
-            print(f"{thread.name:24s}"
-                  f"{threads.role_of(thread.ident, thread.name):12s}"
-                  f"{turns:>8}{failures:>10}")
