@@ -5,9 +5,9 @@ The metrics registry prices every hook position one of its callbacks
 runs at (`rtm_hook_callback_seconds_total{position=...}`), so the
 callback share of monitoring overhead is a quantity you *scrape from
 the run itself* rather than measure by differencing wall clocks across
-repeated runs.  No callback runs per event — event counts and engine
-wall time are read from the engine at scrape time — so the table lists
-the occupancy sample at `port_deliver` and the engine lifecycle
+repeated runs.  No callback runs per event or per message — event
+counts, engine wall time and buffer occupancy (each port's `fills`)
+are read at scrape time — so the table lists the engine lifecycle
 positions only.  This script runs the 2-chiplet StoreStorm write
 workload, scrapes the registry mid-flight and again at the end, and
 prints the per-position cost table (see EXPERIMENTS.md, "Figure 7 from
@@ -51,8 +51,7 @@ def print_breakdown(snapshot) -> None:
         print(f"  {pos:<16s} {n:>12,.0f} {t:>10.4f} {per:>9.0f}")
     if wall:
         print(f"  callback share: {total / wall:.1%} of "
-              f"{wall:.3f}s engine wall time (delivery cost is sampled"
-              " and scaled: an upper bound)")
+              f"{wall:.3f}s engine wall time")
 
 
 def main() -> None:

@@ -40,11 +40,17 @@ class Port:
         #: by contract; a Buffer never rebinds its deque.
         self.incoming = self.buf._items
         self._connection: Optional["Connection"] = None
-        #: Messages sent / received through this port (monitorable;
-        #: deltas give the per-port throughput view the paper lists as
-        #: a future extension in §VIII).
+        #: Messages sent through this port (monitorable; deltas give
+        #: the per-port throughput view the paper lists as a future
+        #: extension in §VIII).
         self.num_sent = 0
-        self.num_delivered = 0
+        #: Deliveries by the fill they found: ``fills[n]`` arrivals met
+        #: ``n`` messages waiting (the occupancy histogram, pulled).
+        self.fills = [0] * self.buf._capacity
+
+    @property
+    def num_delivered(self) -> int:
+        return sum(self.fills)
 
     # -- wiring ------------------------------------------------------------
     @property
@@ -96,10 +102,11 @@ class Port:
         # buffer's own fields: every message crosses these three.
         buf = self.buf
         items = buf._items
-        if len(items) >= buf._capacity:
+        n = len(items)
+        if n >= buf._capacity:
             raise BufferError_(f"push to full buffer {buf.name}")
         items.append(msg)
-        self.num_delivered += 1
+        self.fills[n] += 1
         comp = self.component
         if comp is not None:
             if comp._chains[_PORT_DELIVER]:

@@ -28,12 +28,11 @@ Restore fix-ups (what pickling alone cannot carry):
   the workload the caller provides, and live wavefronts replay their
   consumed-op count to their exact position.
 * **Tick revival.**  The snapshot may have been taken from a *damaged*
-  run (a stall fault puts components into a wakeable coma).  The
-  loader reconciles each ticking component's schedule flag against
-  the actual pending tick events; if the snapshot's queue is dry —
-  the hung-run signature — it additionally schedules a wake-up tick
-  for every ticking component.  Snapshots with pending events are
-  self-driving and resume unperturbed, preserving exactness.
+  run (a stall fault puts components into a wakeable coma).  If the
+  snapshot's queue is dry — the hung-run signature — the loader
+  schedules a wake-up tick for every ticking component.  Snapshots
+  with pending events are self-driving: pickling kept every schedule
+  flag exactly as the live run had it, so they resume untouched.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ import pickle
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..akita.component import TickingComponent
-from ..akita.event import TickEvent
 from ..akita.message import ensure_msg_ids_at_least, msg_id_watermark
 from ..core.atomicio import atomic_write_bytes
 
@@ -64,7 +62,8 @@ CHECKPOINT_MAGIC = "rtm-ckpt"
 #: (or worse, succeeding) unpickle.  2: events carry no ``id``.
 #: 3: every port has ``incoming``, every component the wake-up pair.
 #: 4: a hookable's fields in name order; an MSHR has ``full``/``unsent``.
-CHECKPOINT_VERSION = 4
+#: 5: a port counts its deliveries by fill (``fills``).
+CHECKPOINT_VERSION = 5
 
 #: Refuse to parse absurd header lines (a corrupt file could otherwise
 #: make the reader scan for a newline through gigabytes of pickle).
@@ -233,30 +232,19 @@ def _revive_ticking(platform: Any) -> None:
     simulation = getattr(platform, "simulation", platform)
     engine = getattr(simulation, "engine", None)
     components = getattr(simulation, "components", None)
-    if engine is None or components is None:
+    # A non-empty queue is a self-driving simulation, and its pickled
+    # schedule flags are the live run's own: a component may rightly
+    # disagree with the queue (a stale later tick left by ``tick_at``,
+    # a ``_near_tick`` shortcut), so any rewrite perturbs the exact
+    # schedule.  A dry queue means every component is asleep — either
+    # the workload finished (kicks are a few no-progress ticks) or a
+    # fault put the system into a wakeable coma, and the kick is the
+    # difference between resuming and staying hung.  A run that goes
+    # back to sleep *after* restore is the watchdog's job, same as any
+    # hang.
+    if engine is None or components is None or engine.pending_event_count:
         return
-    # Reconcile each ticking component's schedule flag with the ticks
-    # actually frozen in the queue (earliest pending tick per handler).
-    pending: Dict[int, float] = {}
-    for entry in engine._queue._heap:
-        event = entry[3]
-        if isinstance(event, TickEvent):
-            key = id(event.handler)
-            t = event.time
-            if key not in pending or t < pending[key]:
-                pending[key] = t
-    queue_dry = len(engine._queue) == 0
     for component in components:
-        if not isinstance(component, TickingComponent):
-            continue
-        component._next_scheduled = pending.get(id(component))
-        # Kick only when the snapshot's queue is dry: a non-empty queue
-        # is a self-driving simulation and extra wake ticks would
-        # perturb its exact schedule, while a dry queue means every
-        # component is asleep — either the workload finished (kicks are
-        # a few no-progress ticks) or a fault put the system into a
-        # wakeable coma, and the kick is the difference between
-        # resuming and staying hung.  A run that goes back to sleep
-        # *after* restore is the watchdog's job, same as any hang.
-        if queue_dry:
+        if isinstance(component, TickingComponent):
+            component._next_scheduled = None
             component.tick_later()

@@ -267,6 +267,9 @@ def _execute_job(spec: JobSpec, attempt: int, server: RTMServer,
               "summary": monitor.profiler.summary()})
     # Final exposition first (see module docstring: the gateway's
     # per-job cache must be complete before the job goes terminal).
+    # The instrumentation stops first: its last collect is the one the
+    # exposition shows, so the job's registry is collected once.
+    monitor.sim_metrics.stop()
     emit({"event": "final-metrics", "job_id": spec.job_id,
           "attempt": attempt, "metrics_text": expose(monitor.metrics)})
     emit({"event": ("done" if ok else "failed"), **result})

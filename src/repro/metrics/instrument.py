@@ -11,28 +11,24 @@ Two collection styles, chosen per metric for cost:
 
 * **Pull (free on the sim thread).**  Counters the components already
   maintain as plain state — ``engine.event_count``, ``port.num_sent``,
-  ``tags.hits``, ``mshr.size``, RDMA in-flight — are copied into the
-  registry by a collector that runs at *scrape* time, and the engine's
-  wall time is read off the pass clock (started at ``ENGINE_START``,
-  stopped at ``ENGINE_DRY``/``ENGINE_END``) at the same moment.  The
-  simulation pays nothing for these, ever: no callback runs per event.
-* **Hooks (bounded, measured).**  Quantities that only exist at an
-  instant — buffer occupancy at delivery, the start and end of an
-  engine pass — are recorded from hook callbacks, subscribed to exactly
-  those positions.  The callbacks publish their own cost per hook
-  position (``rtm_hook_callback_seconds_total{position=...}``) —
-  exactly the decomposition of AkitaRTM's Figure 7, live instead of
-  post-hoc; a position no callback is subscribed to reports 0.
-  Occupancy is *sampled* (one delivery in 4, its cost scaled) so
-  self-accounting does not itself dominate the budget it reports: the
-  delivery callback takes ``PORT_DELIVER``'s positional
-  ``(port, now, msg)``, and three calls in four are one counter step —
-  the count the collector publishes as
-  ``rtm_hook_callbacks_total{position="port_deliver"}``.
+  ``port.fills``, ``tags.hits``, ``mshr.size``, RDMA in-flight — are
+  copied into the registry by a collector that runs at *scrape* time,
+  and the engine's wall time is read off the pass clock (started at
+  ``ENGINE_START``, stopped at ``ENGINE_DRY``/``ENGINE_END``) at the
+  same moment.  The simulation pays nothing for these, ever: no
+  callback runs per event or per message.  Buffer occupancy is one of
+  them: a port counts each delivery by the fill it found
+  (``Port.fills``), so the ``rtm_buffer_occupancy_ratio`` histogram is
+  exact — every delivery at ``(fill + 1) / capacity`` — and built here.
+* **Hooks (bounded, measured).**  The start and end of an engine pass
+  only exist at an instant, so they are recorded from engine lifecycle
+  callbacks — a handful per run.  The callbacks publish their own cost
+  per hook position (``rtm_hook_callback_seconds_total{position=...}``)
+  — AkitaRTM's Figure 7 decomposition, live instead of post-hoc; a
+  position no callback is subscribed to reports 0.
 
-When :meth:`start` has not been called the hot paths run zero metrics
-code: every firing site tests its own position's (empty) hook chain
-and this module attaches nothing at construction.
+No component is ever hooked: attached or not, the hot paths run zero
+metrics code, and this module attaches nothing at construction.
 
 Also the RTM server's metrics plane: :data:`ROUTES` serve the monitor's
 registry and attach its :class:`SimMetrics` at the first scrape.
@@ -41,8 +37,10 @@ registry and attach its :class:`SimMetrics` at the first scrape.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
+from operator import attrgetter
 from time import perf_counter
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..akita.engine import RunState
 from ..akita.hooks import HookCtx, HookPos
@@ -79,7 +77,8 @@ class SimMetrics:
         # the pass in flight or None).  One tuple, replaced whole, so
         # the scrape thread never pairs an old total with a new start.
         self._pass_clock: Tuple[float, Optional[float]] = (0.0, None)
-        self._n_deliver = 0  # deliveries seen; every 4th is sampled
+        #: One row per component, resolved at the first collect.
+        self._rows: List[_Row] = []
         self._define_families()
 
     # ------------------------------------------------------------------
@@ -119,42 +118,12 @@ class SimMetrics:
             ("connection",))
         self._m_occupancy = reg.histogram(
             "rtm_buffer_occupancy_ratio",
-            "Port buffer fullness, sampled at every 4th delivery.",
+            "Port buffer fullness each delivery left, by component.",
             ("component",), buckets=OCCUPANCY_BUCKETS)
-        # GPU components (duck-typed: any component with the attribute).
-        self._m_cache_hits = reg.counter(
-            "rtm_cache_hits_total", "Cache tag hits.", ("component",))
-        self._m_cache_misses = reg.counter(
-            "rtm_cache_misses_total", "Cache tag misses.",
-            ("component",))
-        self._m_cache_reads = reg.counter(
-            "rtm_cache_reads_total", "Cache read requests.",
-            ("component",))
-        self._m_cache_writes = reg.counter(
-            "rtm_cache_writes_total", "Cache write requests.",
-            ("component",))
-        self._m_mshr = reg.gauge(
-            "rtm_cache_mshr_occupancy",
-            "Outstanding misses held in each MSHR.", ("component",))
-        self._m_rdma_inflight = reg.gauge(
-            "rtm_rdma_inflight",
-            "Outgoing RDMA transactions in flight.", ("component",))
-        self._m_rdma_forwarded = reg.counter(
-            "rtm_rdma_forwarded_total",
-            "Remote requests forwarded by each RDMA engine.",
-            ("component",))
-        self._m_cu_ticks = reg.counter(
-            "rtm_cu_ticks_total", "Compute-unit ticks.", ("component",))
-        self._m_cu_wgs = reg.counter(
-            "rtm_cu_wgs_completed_total",
-            "Workgroups completed per compute unit.", ("component",))
-        self._m_cu_mem = reg.counter(
-            "rtm_cu_mem_reqs_total",
-            "Memory requests issued per compute unit.", ("component",))
-        self._m_cu_instr = reg.counter(
-            "rtm_cu_instructions_total",
-            "Instructions (wavefront ops) committed per compute unit.",
-            ("component",))
+        # GPU components, duck-typed (see _GPU_FAMILIES).
+        self._gpu = [(marker, getattr(reg, kind)(name, help, ("component",)),
+                      attrgetter(path))
+                     for marker, kind, name, help, path in _GPU_FAMILIES]
         # Self-overhead: Figure 7's decomposition as a live family.
         self._m_cb_count = reg.counter(
             "rtm_hook_callbacks_total",
@@ -164,17 +133,12 @@ class SimMetrics:
             "rtm_hook_callback_seconds_total",
             "Wall-clock seconds spent in monitoring callbacks, "
             "by hook position.", ("position",))
-        # Pre-resolved overhead children: the hot path must not pay for
-        # label-tuple hashing on every event.
+        # Pre-resolved overhead children: a callback must not pay for
+        # label-tuple hashing.
         self._cb_count: Dict[HookPos, Any] = {
             pos: self._m_cb_count.labels(pos.value) for pos in HookPos}
         self._cb_seconds: Dict[HookPos, Any] = {
             pos: self._m_cb_seconds.labels(pos.value) for pos in HookPos}
-        self._occ_children: Dict[Any, Any] = {}  # by port
-        # The per-delivery position additionally skips the dict: its
-        # seconds child is bound straight to an attribute, and its
-        # count is ``_n_deliver``, published by _collect.
-        self._sec_deliver = self._cb_seconds[HookPos.PORT_DELIVER]
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -184,7 +148,7 @@ class SimMetrics:
         return self._started
 
     def start(self) -> None:
-        """Attach hooks and the pull-collector.  Idempotent."""
+        """Attach the lifecycle hook and the pull-collector.  Idempotent."""
         if self._started:
             return
         sim = self.simulation
@@ -193,8 +157,6 @@ class SimMetrics:
             self._pass_clock = (self._pass_clock[0], perf_counter())
         sim.engine.accept_hook(self._on_engine_lifecycle,
                                _ENGINE_LIFECYCLE)
-        for comp in sim.components:
-            comp.accept_hook(self._on_deliver, (HookPos.PORT_DELIVER,))
         self.registry.add_collector(self._collect)
         self._started = True
 
@@ -208,10 +170,7 @@ class SimMetrics:
         if not self._started:
             return
         self._collect()
-        sim = self.simulation
-        sim.engine.remove_hook(self._on_engine_lifecycle)
-        for comp in sim.components:
-            comp.remove_hook(self._on_deliver)
+        self.simulation.engine.remove_hook(self._on_engine_lifecycle)
         self.registry.remove_collector(self._collect)
         # Unobserved from here on: stop the clock of a pass in flight.
         self._pass_clock = (self._engine_wall(), None)
@@ -224,7 +183,7 @@ class SimMetrics:
         }
 
     # ------------------------------------------------------------------
-    # Hook callbacks (simulation thread — keep them lean)
+    # Hook callback (simulation thread)
     # ------------------------------------------------------------------
     def _on_engine_lifecycle(self, ctx: HookCtx) -> None:
         # Start/pause/continue/dry/end: a handful of calls per run.
@@ -240,24 +199,6 @@ class SimMetrics:
         self._cb_count[pos].value += 1.0
         self._cb_seconds[pos].value += perf_counter() - t0
 
-    def _on_deliver(self, port: Any, now: float, msg: Any) -> None:
-        # Occupancy is a distribution, so it tolerates sampling: every
-        # 4th delivery is observed (and self-timed, scaled to the
-        # family's usual per-call meaning); the other three leave after
-        # this one counter step, which _collect publishes.
-        n = self._n_deliver = self._n_deliver + 1
-        if n & 3:
-            return
-        t0 = perf_counter()
-        child = self._occ_children.get(port)
-        if child is None:
-            comp = port.component
-            name = comp.name if comp is not None else port.name
-            child = self._occ_children[port] = \
-                self._m_occupancy.labels(name)
-        child.observe(port.buf.fullness)
-        self._sec_deliver.value += (perf_counter() - t0) * 4.0
-
     # ------------------------------------------------------------------
     # Pull collection (scrape thread)
     # ------------------------------------------------------------------
@@ -268,55 +209,98 @@ class SimMetrics:
         self._m_event_wall.set(self._engine_wall())
         self._m_sim_time.set(engine.now)
         self._m_queue_depth.set(float(engine.pending_event_count))
-        self._cb_count[HookPos.PORT_DELIVER].set(float(self._n_deliver))
         for conn in sim.connections:
             name = getattr(conn, "name", repr(conn))
             dropped = getattr(conn, "dropped_count", 0)
             if dropped:
                 self._m_dropped.labels(name).set(float(dropped))
-        for comp in sim.components:
-            name = comp.name
+        rows = self._rows
+        if len(rows) != len(sim.components):
+            rows = self._rows = [self._row(comp)
+                                 for comp in sim.components]
+        bins = len(OCCUPANCY_BUCKETS) + 1
+        for row in rows:
             sent = delivered = 0
-            for port in comp.ports:
+            counts = [0] * bins
+            ratios = 0.0
+            for port in row.component.ports:
                 sent += port.num_sent
-                delivered += port.num_delivered
+                capacity = len(port.fills)
+                for fill, n in enumerate(port.fills, 1):
+                    if n:
+                        ratio = fill / capacity
+                        counts[bisect_left(OCCUPANCY_BUCKETS, ratio)] += n
+                        ratios += n * ratio
+                        delivered += n
             if sent:
-                self._m_sent.labels(name).set(float(sent))
+                if row.sent is None:
+                    row.sent = self._m_sent.labels(row.component.name)
+                row.sent.value = float(sent)
             if delivered:
-                self._m_delivered.labels(name).set(float(delivered))
-            self._collect_gpu(name, comp)
+                if row.delivered is None:
+                    name = row.component.name
+                    row.delivered = self._m_delivered.labels(name)
+                    row.occupancy = self._m_occupancy.labels(name)
+                row.delivered.value = float(delivered)
+                occupancy = row.occupancy
+                occupancy.counts = counts
+                occupancy.sum = ratios
+                occupancy.count = delivered
+            for child, read in row.cells:
+                child.value = float(read(row.component))
 
     def _engine_wall(self) -> float:
         done, started = self._pass_clock
         return done if started is None \
             else done + (perf_counter() - started)
 
-    def _collect_gpu(self, name: str, comp: Any) -> None:
-        tags = getattr(comp, "tags", None)
-        if tags is not None:
-            self._m_cache_hits.labels(name).set(float(tags.hits))
-            self._m_cache_misses.labels(name).set(float(tags.misses))
-            self._m_cache_reads.labels(name).set(
-                float(getattr(comp, "num_reads", 0)))
-            self._m_cache_writes.labels(name).set(
-                float(getattr(comp, "num_writes", 0)))
-        mshr = getattr(comp, "mshr", None)
-        if mshr is not None:
-            self._m_mshr.labels(name).set(float(mshr.size))
-        if hasattr(comp, "incoming_transactions"):  # RDMA engine
-            self._m_rdma_inflight.labels(name).set(
-                float(comp.transactions))
-            self._m_rdma_forwarded.labels(name).set(
-                float(getattr(comp, "num_forwarded", 0)))
-        if hasattr(comp, "num_wgs_completed"):  # compute unit
-            self._m_cu_ticks.labels(name).set(
-                float(getattr(comp, "tick_count", 0)))
-            self._m_cu_wgs.labels(name).set(
-                float(comp.num_wgs_completed))
-            self._m_cu_mem.labels(name).set(
-                float(getattr(comp, "num_mem_reqs", 0)))
-            self._m_cu_instr.labels(name).set(
-                float(getattr(comp, "num_instructions", 0)))
+    def _row(self, comp: Any) -> "_Row":
+        """*comp* with its GPU families' children and their readers."""
+        return _Row(comp, [(family.labels(comp.name), read)
+                           for marker, family, read in self._gpu
+                           if getattr(comp, marker, None) is not None])
+
+
+class _Row:
+    """One component as :meth:`SimMetrics._collect` reads it; its
+    traffic children appear at its first message."""
+
+    __slots__ = ("component", "cells", "sent", "delivered", "occupancy")
+
+    def __init__(self, component: Any,
+                 cells: List[Tuple[Any, Callable[[Any], Any]]]):
+        self.component, self.cells = component, cells
+        self.sent = self.delivered = self.occupancy = None
+
+
+#: The GPU families, duck-typed: a component that has the marker
+#: attribute gets a child, set from the value path at every collect.
+#: ``(marker, type, name, help, value path)``.
+_GPU_FAMILIES = (
+    ("tags", "counter", "rtm_cache_hits_total", "Cache tag hits.",
+     "tags.hits"),
+    ("tags", "counter", "rtm_cache_misses_total", "Cache tag misses.",
+     "tags.misses"),
+    ("tags", "counter", "rtm_cache_reads_total", "Cache read requests.",
+     "num_reads"),
+    ("tags", "counter", "rtm_cache_writes_total", "Cache write requests.",
+     "num_writes"),
+    ("mshr", "gauge", "rtm_cache_mshr_occupancy",
+     "Outstanding misses held in each MSHR.", "mshr.size"),
+    ("incoming_transactions", "gauge", "rtm_rdma_inflight",
+     "Outgoing RDMA transactions in flight.", "transactions"),
+    ("incoming_transactions", "counter", "rtm_rdma_forwarded_total",
+     "Remote requests forwarded by each RDMA engine.", "num_forwarded"),
+    ("num_wgs_completed", "counter", "rtm_cu_ticks_total",
+     "Compute-unit ticks.", "tick_count"),
+    ("num_wgs_completed", "counter", "rtm_cu_wgs_completed_total",
+     "Workgroups completed per compute unit.", "num_wgs_completed"),
+    ("num_wgs_completed", "counter", "rtm_cu_mem_reqs_total",
+     "Memory requests issued per compute unit.", "num_mem_reqs"),
+    ("num_wgs_completed", "counter", "rtm_cu_instructions_total",
+     "Instructions (wavefront ops) committed per compute unit.",
+     "num_instructions"),
+)
 
 
 # -- the metrics plane -------------------------------------------------

@@ -20,8 +20,10 @@ The outbox is split into bounded batches before framing
 line cap and silently lose boundary messages.
 
 A shard ends on its coordinator's ``stop``/``shutdown``, stdin EOF or
-the reap's SIGKILL; a SIGTERM/SIGINT (a Ctrl-C to the process group) is
-only recorded, and the coordinator's abort stops the shards.
+the reap's SIGKILL.  It runs in its zygote's session, so a Ctrl-C to
+the terminal's process group never reaches it; a SIGTERM/SIGINT sent
+to its pid directly is only recorded, and the coordinator's abort
+stops the shards.
 
 Monitoring is opt-in per the ``init`` flags: ``metrics`` attaches a
 :class:`Monitor` with simulation instrumentation (counter families in

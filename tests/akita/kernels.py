@@ -28,8 +28,8 @@ class Kernel(NamedTuple):
 
 
 KERNELS = {
-    "fir256": Kernel(lambda: FIR(num_samples=256), 18.5, 8.1, 5.0, True),
-    "fir4096": Kernel(lambda: FIR(num_samples=4096), 19.7, 8.8, 5.0,
+    "fir256": Kernel(lambda: FIR(num_samples=256), 18.5, 8.1, 3.7, True),
+    "fir4096": Kernel(lambda: FIR(num_samples=4096), 19.7, 8.8, 3.8,
                       False),
     "im2col_batch1": Kernel(lambda: Im2Col.scaled(batch=1), 19.2, 7.8,
                             None, True),

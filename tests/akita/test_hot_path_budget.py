@@ -40,7 +40,10 @@ ring tracer recording — rtmbench's ``instrumented`` workload) gates the
 recording path: what recording adds per event, on top of the bare
 count.  History: 11.52 → 4.51 at 256 samples (11.83 → 4.57 at 4096)
 when component hooks became positional and a trace record one frame;
-unchanged when ``PORT_SEND`` moved from the port into the connection.
+unchanged when ``PORT_SEND`` moved from the port into the connection;
+4.51 → 3.33 (4.57 → 3.45) when buffer occupancy became a count the
+port keeps, read at scrape time, instead of a metrics callback per
+delivery.
 """
 
 import functools

@@ -8,6 +8,7 @@ resumes making progress after restore.
 """
 
 import json
+import random
 
 import pytest
 
@@ -21,8 +22,10 @@ from repro.checkpoint import (
 )
 from repro.akita import TickEvent
 from repro.akita.connection import DeliveryEvent
+from repro.akita.hooks import HookPos
 from repro.gpu import GPUPlatform, GPUPlatformConfig
 from repro.workloads import FIR
+from tests.akita.kernels import KERNELS
 
 
 def _platform():
@@ -139,6 +142,48 @@ def test_save_over_http_mid_run_restores_to_the_same_end(tmp_path):
     assert restored.run()
     assert restored.engine.event_count == reference.engine.event_count
     assert restored.engine.now == reference.engine.now
+
+
+#: Event boundaries of the small StoreStorm (8,922 events) whose
+#: restores once diverged from the cold run (1560: +1 event, 1976: +1,
+#: 2210: +9, 7267: -1) when restore rewrote every schedule flag from
+#: the queue, plus a seeded sample of the rest.
+SWEEP_BOUNDARIES = sorted({1560, 1976, 2210, 7267,
+                           *random.Random(41).sample(range(1, 8922), 8)})
+
+
+def test_restore_is_exact_at_every_swept_event_boundary(tmp_path):
+    """A snapshot taken between any two events resumes to the cold
+    run's event count and end time."""
+    make = KERNELS["storestorm_small"].make
+
+    def build():
+        platform = _platform()
+        make().enqueue(platform.driver)
+        return platform
+
+    cold = build()
+    assert cold.run()
+    platform = build()
+    engine = platform.engine
+    saved = []
+
+    def save(ctx):
+        if engine.event_count in SWEEP_BOUNDARIES:
+            path = str(tmp_path / f"{engine.event_count}.rtm")
+            save_checkpoint(platform, path, fsync=False)
+            saved.append((engine.event_count, path))
+
+    engine.accept_hook(save, positions=(HookPos.AFTER_EVENT,))
+    assert platform.run()
+    assert [n for n, _ in saved] == SWEEP_BOUNDARIES
+    ends = {}
+    for boundary, path in saved:
+        restored, _ = load_checkpoint(path, workload=make())
+        assert restored.run()
+        ends[boundary] = (restored.engine.event_count, restored.engine.now)
+    assert ends == {n: (cold.engine.event_count, cold.engine.now)
+                    for n in SWEEP_BOUNDARIES}
 
 
 def test_restored_wavefronts_replay_their_op_streams(tmp_path):

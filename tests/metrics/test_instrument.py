@@ -1,11 +1,16 @@
 """SimMetrics wiring: zero-cost detached, full families attached."""
 
+from bisect import bisect_left
+
 import pytest
 
 from repro.akita.hooks import HookPos
+from repro.core import Monitor
 from repro.gpu import GPUPlatform, GPUPlatformConfig
 from repro.metrics import MetricRegistry, SimMetrics, expose
-from repro.workloads import make_workload
+from repro.metrics.instrument import OCCUPANCY_BUCKETS
+from repro.trace import TraceKind
+from repro.workloads import FIR, make_workload
 
 
 @pytest.fixture()
@@ -68,7 +73,8 @@ def test_run_populates_all_layer_families(platform):
                     snap["rtm_port_messages_delivered_total"]["samples"])
     assert sent > 0 and delivered > 0
     occupancy = snap["rtm_buffer_occupancy_ratio"]["samples"]
-    assert sum(s["count"] for s in occupancy) > 0
+    # Exact, not sampled: one observation per delivered message.
+    assert sum(s["count"] for s in occupancy) == delivered
     for sample in occupancy:
         # snapshot buckets are per-bin: they sum to the count, and a
         # fullness ratio can never land past the 1.0 bound
@@ -85,30 +91,60 @@ def test_run_populates_all_layer_families(platform):
     assert any("RDMA" in name for name in rdma_components)
 
     # Monitor-overhead layer: per-hook-position time and count of the
-    # callbacks that actually ran.  Nothing is subscribed per event —
-    # the engine families above were pulled at scrape time.
+    # callbacks that actually ran.  Nothing is subscribed per event or
+    # per message — everything above was pulled at scrape time.
     by_pos = {s["labels"]["position"]: s["value"] for s in
               snap["rtm_hook_callbacks_total"]["samples"]}
     assert by_pos[HookPos.BEFORE_EVENT.value] == 0
     assert by_pos[HookPos.AFTER_EVENT.value] == 0
     assert by_pos[HookPos.ENGINE_START.value] == 1
     assert by_pos[HookPos.ENGINE_DRY.value] == 1
-    assert by_pos[HookPos.PORT_DELIVER.value] == delivered
+    assert by_pos[HookPos.PORT_DELIVER.value] == 0
     seconds_by_pos = {s["labels"]["position"]: s["value"] for s in
                       snap["rtm_hook_callback_seconds_total"]["samples"]}
     assert seconds_by_pos[HookPos.BEFORE_EVENT.value] == 0
-    assert seconds_by_pos[HookPos.PORT_DELIVER.value] > 0
+    assert seconds_by_pos[HookPos.PORT_DELIVER.value] == 0
+    assert seconds_by_pos[HookPos.ENGINE_START.value] > 0
 
 
 def test_no_callback_is_subscribed_per_event(platform):
+    """Only the engine's lifecycle is hooked: no component, so no
+    callback per event or per message."""
     sm = SimMetrics(platform.simulation)
     sm.start()
     chains = platform.simulation.engine._chains
     assert not chains[HookPos.BEFORE_EVENT.index]
     assert not chains[HookPos.AFTER_EVENT.index]
     for comp in platform.simulation.components:
-        assert [pos for pos in HookPos if comp._chains[pos.index]] \
-            == [HookPos.PORT_DELIVER]
+        assert not comp._hooks
+        assert not any(comp._chains)
+    sm.stop()
+
+
+def test_occupancy_equals_the_traced_deliveries_bucket_for_bucket():
+    """Two planes, one fact: the histogram pulled from the ports' fill
+    counts holds exactly the fills the ring tracer recorded at each
+    delivery, bucketed here on its own."""
+    platform = GPUPlatform(GPUPlatformConfig.small(num_chiplets=2))
+    FIR(num_samples=256).enqueue(platform.driver)
+    monitor = Monitor(platform.simulation)
+    sm = monitor.ensure_sim_metrics()
+    sm.start()
+    tracer = monitor.ensure_tracer(backend="ring")
+    tracer.start()
+    assert platform.run()
+    assert tracer.store.dropped == 0
+    traced = {}
+    for ev in tracer.query(kind=TraceKind.DELIVER, limit=0):
+        size, capacity = map(int, ev.extra.split()[0].split("/"))
+        bins = traced.setdefault(
+            ev.component, [0] * (len(OCCUPANCY_BUCKETS) + 1))
+        bins[bisect_left(OCCUPANCY_BUCKETS, size / capacity)] += 1
+    family = "rtm_buffer_occupancy_ratio"
+    published = {s["labels"]["component"]: list(s["buckets"].values())
+                 for s in sm.registry.snapshot(family)[family]["samples"]}
+    assert len(published) > 10
+    assert published == traced
     sm.stop()
 
 

@@ -238,9 +238,9 @@ def test_the_workload_rule_sees_every_spelling_but_not_the_table():
         ("base", 3), ("fir", 1), ("im2col", 2), ("storestorm", 7)]
 
 
-#: The one reader of the heap outside ``akita``: restore reconciles
-#: each component's schedule flag with the ticks frozen in the queue.
-QUEUE_READERS = {("repro/checkpoint/format.py", "_revive_ticking")}
+#: Readers of the heap outside ``akita``: none (restore trusts the
+#: pickled schedule flags instead of reconciling them with the queue).
+QUEUE_READERS = set()
 
 
 def _engine_queue_reads(source):
