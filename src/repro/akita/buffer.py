@@ -9,14 +9,18 @@ buffers after the engine runs dry mark the components involved in a hang
 Every buffer has a hierarchical ``name`` (e.g.
 ``GPU[1].SA[3].L1VROB[0].TopPort.Buf``) so the analyzer can report where
 it lives without holding references to the owning component.
+
+A buffer owns its flow control: :attr:`Buffer.free_slots`, the one
+admission rule, counts the slots reserved for messages in flight.  Its
+port fills and drains it (``Port.deliver``, ``Port.retrieve_incoming``).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Iterator, Optional
+from typing import Any, Deque, Iterator
 
-from .errors import BufferError_, ConfigurationError
+from .errors import ConfigurationError
 
 
 class Buffer:
@@ -35,6 +39,9 @@ class Buffer:
         self._capacity = int(capacity)
         self._items: Deque[Any] = deque()
         self._pinned = False
+        #: Slots promised to messages in flight: a connection's send
+        #: takes one, the delivery (or an injected drop) gives it back.
+        self._reserved = 0
 
     # -- capacity queries ------------------------------------------------
     @property
@@ -63,14 +70,13 @@ class Buffer:
             return 1.0
         return len(self._items) / self._capacity
 
-    def can_push(self) -> bool:
-        return not self._pinned and len(self._items) < self._capacity
-
     @property
     def free_slots(self) -> int:
+        """Messages that may still be admitted — the one admission rule:
+        0 while pinned, else capacity minus queued and reserved."""
         if self._pinned:
             return 0
-        return self._capacity - len(self._items)
+        return self._capacity - len(self._items) - self._reserved
 
     # -- fault injection ---------------------------------------------------
     @property
@@ -82,47 +88,13 @@ class Buffer:
         """Force the buffer to report itself full (``pinned=True``) so
         every sender sees permanent backpressure, or release it.
 
-        Pinning acts at the flow-control level only (:meth:`can_push`,
-        :attr:`free_slots`): new admissions are refused, but messages
-        whose slot was reserved before the pin still land, and queued
-        items may still be popped.  This is how the fault injector
+        Pinning acts at the flow-control level only (:attr:`free_slots`):
+        new admissions are refused, but messages whose slot was reserved
+        before the pin still land, and queued items may still be
+        retrieved.  This is how the fault injector
         freezes a component's intake without corrupting in-flight
         traffic."""
         self._pinned = bool(pinned)
-
-    # -- mutation ---------------------------------------------------------
-    def push(self, item: Any) -> None:
-        """Append *item*.
-
-        Raises
-        ------
-        BufferError_
-            If the buffer is full.  Callers must check :meth:`can_push`;
-            overflowing a hardware buffer is a modelling bug, not a
-            recoverable condition.
-        """
-        if len(self._items) >= self._capacity:
-            raise BufferError_(f"push to full buffer {self.name}")
-        self._items.append(item)
-
-    def pop(self) -> Any:
-        """Remove and return the oldest item."""
-        if not self._items:
-            raise BufferError_(f"pop from empty buffer {self.name}")
-        return self._items.popleft()
-
-    def peek(self) -> Optional[Any]:
-        """Return the oldest item without removing it, or ``None``."""
-        if not self._items:
-            return None
-        return self._items[0]
-
-    def remove(self, item: Any) -> None:
-        """Remove a specific item (used by reorder buffers)."""
-        self._items.remove(item)
-
-    def clear(self) -> None:
-        self._items.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Buffer {self.name} {self.size}/{self.capacity}>"

@@ -1,9 +1,10 @@
 """Connections move messages between ports with latency and backpressure.
 
 :class:`DirectConnection` models a fixed-latency point-to-point (or small
-fan-in) link.  A slot in the destination buffer is *reserved* at send
-time, so an in-flight message always has a place to land; combined with
-FIFO event ordering this gives per-(src,dst) in-order delivery.
+fan-in) link.  A send reserves a slot on the destination buffer itself
+(:attr:`~repro.akita.buffer.Buffer.free_slots` counts it), so an
+in-flight message always has a place to land; combined with FIFO event
+ordering this gives per-(src,dst) in-order delivery.
 
 When a component retrieves a message from one of its ports, every
 component plugged into the same connection is woken
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappush
-from typing import Dict, List, Protocol, runtime_checkable
+from typing import List, Protocol, runtime_checkable
 
 from .engine import Engine
 from .errors import ConfigurationError, PortError
@@ -104,7 +105,6 @@ class DirectConnection(Hookable):
             raise ConfigurationError(
                 f"connection {name!r} needs latency >= 0, got {latency}")
         self._ports: List[Port] = []
-        self._inflight: Dict[Port, int] = {}
         self.msg_count = 0  # total messages transported (observable)
         self.dropped_count = 0  # messages lost to injected faults
 
@@ -120,33 +120,29 @@ class DirectConnection(Hookable):
         """Attach *port* to this connection."""
         port.set_connection(self)
         self._ports.append(port)
-        self._inflight[port] = 0
 
     def can_send(self, src: Port, msg: Msg) -> bool:
         """Would :meth:`try_send` accept *msg* now?  No side effect."""
         dst = msg.dst
-        inflight = self._inflight.get(dst)
-        if inflight is None:
+        if dst is None or dst._connection is not self:
             raise PortError(
                 f"message {msg!r} has no destination on connection "
                 f"{self.name}")
-        # Buffer.free_slots, on the buffer's own fields.
-        buf = dst.buf
-        return not buf._pinned and \
-            buf._capacity - len(buf._items) - inflight > 0
+        return dst.buf.free_slots > 0
 
     def try_send(self, src: Port, msg: Msg) -> bool:
         """The one door of :meth:`Port.send`: refuse *msg* (``False``,
         nothing changed), or set ``msg.src``, fire the sender's
         ``PORT_SEND`` hooks, reserve the slot and schedule delivery."""
         dst = msg.dst
-        inflight = self._inflight.get(dst)
-        if inflight is None:
+        if dst is None or dst._connection is not self:
             raise PortError(
                 f"message {msg!r} has no destination on connection "
                 f"{self.name}")
-        buf = dst.buf  # can_send(), spelled out
-        if buf._pinned or buf._capacity - len(buf._items) - inflight <= 0:
+        # Buffer.free_slots > 0, on the buffer's own fields: the one
+        # hot copy of the admission rule.
+        buf = dst.buf
+        if buf._pinned or buf._capacity - len(buf._items) - buf._reserved <= 0:
             return False
         msg.src = src
         engine = self._engine
@@ -157,7 +153,7 @@ class DirectConnection(Hookable):
         if comp is not None and comp._chains[_PORT_SEND]:
             for hook in comp._chains[_PORT_SEND]:
                 hook(src, now, msg)
-        self._inflight[dst] = inflight + 1
+        buf._reserved += 1
         msg.send_time = now
         self.msg_count += 1
         deliver_at = now + self._latency
@@ -171,7 +167,7 @@ class DirectConnection(Hookable):
                 # slot and wake senders that were blocked on it.  The
                 # sender still counted it as sent — exactly the view a
                 # component has of a lossy link.
-                self._inflight[dst] -= 1
+                buf._reserved -= 1
                 self.dropped_count += 1
                 self.invoke_hooks(HookCtx(self, now,
                                           HookPos.CONN_DROP, transfer))
@@ -193,7 +189,7 @@ class DirectConnection(Hookable):
     def handle(self, event: DeliveryEvent) -> None:
         """Deliver the event's message (engine-facing Handler API)."""
         msg = event.msg
-        self._inflight[msg.dst] -= 1
+        msg.dst.buf._reserved -= 1
         msg.dst.deliver(msg)
 
     def notify_available(self, port: Port) -> None:

@@ -1,8 +1,10 @@
 """Ports: the endpoints through which components exchange messages.
 
-A port owns one bounded *incoming* buffer.  Sending is mediated by the
-connection the port is plugged into; the connection reserves a slot in
-the destination buffer at send time so messages in flight can never
+A port owns one bounded *incoming* buffer, and is its only writer:
+:meth:`Port.deliver` appends, :meth:`Port.retrieve_incoming` takes the
+oldest.  Sending is mediated by the connection the port is plugged
+into; the connection reserves a slot on the destination buffer at send
+time (``Buffer.free_slots`` counts it) so messages in flight can never
 overflow the destination (hardware-accurate backpressure).
 
 The incoming buffer is named ``<port name>.Buf`` so it shows up in the
@@ -98,8 +100,8 @@ class Port:
     # -- receiving ----------------------------------------------------------
     def deliver(self, msg: Msg) -> None:
         """Called by the connection when a message arrives."""
-        # Buffer.push, Buffer.peek and Buffer.pop spelled out on the
-        # buffer's own fields: every message crosses these three.
+        # The slot was reserved at send time; overflowing here is a
+        # modelling bug, not backpressure.
         buf = self.buf
         items = buf._items
         n = len(items)

@@ -63,7 +63,8 @@ CHECKPOINT_MAGIC = "rtm-ckpt"
 #: 3: every port has ``incoming``, every component the wake-up pair.
 #: 4: a hookable's fields in name order; an MSHR has ``full``/``unsent``.
 #: 5: a port counts its deliveries by fill (``fills``).
-CHECKPOINT_VERSION = 5
+#: 6: a buffer counts its reserved slots; a connection keeps no table.
+CHECKPOINT_VERSION = 6
 
 #: Refuse to parse absurd header lines (a corrupt file could otherwise
 #: make the reader scan for a newline through gigabytes of pickle).

@@ -38,7 +38,6 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Set
 
 from ..akita.connection import DirectConnection
 from ..akita.engine import Engine
-from ..akita.errors import PortError
 from ..akita.event import Event
 from ..akita.hooks import HookPos
 from ..akita.message import Msg
@@ -214,8 +213,8 @@ class ShardConnection(DirectConnection):
     A remote destination's buffer lives in another process, so slot
     reservation is impossible.  Instead each remote destination gets a
     per-window export quota (a small multiple of its buffer capacity);
-    the receiving side's injector absorbs any short-term excess by
-    retrying full buffers cycle by cycle.  Senders denied by an
+    the receiving side absorbs any short-term excess by parking
+    messages until their destination frees a slot.  Senders denied by an
     exhausted quota are remembered and woken at the next window start.
     """
 
@@ -231,10 +230,11 @@ class ShardConnection(DirectConnection):
         self._export = export
         self._exported_this_window: Dict[Port, int] = {}
         self._blocked: List[Port] = []
-        #: Inbound messages waiting for a free slot at their (full)
+        #: Inbound messages waiting for a free slot at their
         #: destination buffer, per port.  Local sends reserve their
         #: slot at send time and never face this; ferried messages
-        #: have no reservation and must wait their turn.
+        #: have no reservation, so they wait their turn and never take
+        #: a slot reserved for a local message still in flight.
         self._parked: Dict[Port, Deque[Msg]] = {}
         self.exported_count = 0
         self.parked_count = 0
@@ -243,17 +243,12 @@ class ShardConnection(DirectConnection):
         """Take over *port* from the connection it was built with."""
         port.replace_connection(self)
         self._ports.append(port)
-        self._inflight[port] = 0
 
     # -- sending --------------------------------------------------------
     def can_send(self, src: Port, msg: Msg) -> bool:
         dst = msg.dst
-        if dst is None:
-            raise PortError(
-                f"message {msg!r} has no destination on connection "
-                f"{self.name}")
-        if dst in self._inflight:
-            return super().can_send(src, msg)
+        if dst is None or dst._connection is self:
+            return super().can_send(src, msg)  # raises on no destination
         quota = dst.buf.capacity * self.QUOTA_FACTOR
         if self._exported_this_window.get(dst, 0) >= quota:
             if src not in self._blocked:
@@ -263,7 +258,8 @@ class ShardConnection(DirectConnection):
 
     def try_send(self, src: Port, msg: Msg) -> bool:
         # Only an export pays for the quota check.
-        if msg.dst in self._inflight:
+        dst = msg.dst
+        if dst is None or dst._connection is self:
             return super().try_send(src, msg)
         if not self.can_send(src, msg):
             return False
@@ -276,7 +272,6 @@ class ShardConnection(DirectConnection):
         msg.send_time = now
         self.msg_count += 1
         self.exported_count += 1
-        dst = msg.dst
         self._exported_this_window[dst] = \
             self._exported_this_window.get(dst, 0) + 1
         self._export(msg, now + self._latency)
@@ -286,7 +281,9 @@ class ShardConnection(DirectConnection):
     def deliver_inbound(self, msg: Msg) -> bool:
         """Land a ferried message at its (adopted) destination port.
 
-        A full buffer parks the message instead of failing: the next
+        A buffer with no free slot (:attr:`Buffer.free_slots`, which
+        counts the slots reserved for local messages in flight) parks
+        the message instead of failing: the next
         :meth:`notify_available` for that port — fired whenever its
         component consumes a message — drains the parked queue in FIFO
         order before any blocked sender gets the slot.  This mirrors
@@ -296,7 +293,7 @@ class ShardConnection(DirectConnection):
         """
         dst = msg.dst
         parked = self._parked.get(dst)
-        if not parked and dst.buf.can_push():
+        if not parked and dst.buf.free_slots > 0:
             dst.deliver(msg)
             return True
         if parked is None:
@@ -308,7 +305,7 @@ class ShardConnection(DirectConnection):
     def notify_available(self, port: Port) -> None:
         parked = self._parked.get(port)
         if parked:
-            while parked and port.buf.can_push():
+            while parked and port.buf.free_slots > 0:
                 port.deliver(parked.popleft())
             if parked:
                 return  # still full: the slot went to a parked message

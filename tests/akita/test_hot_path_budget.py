@@ -19,7 +19,9 @@ nothing, and ``gpu`` read the clock and its ports' queues without a
 frame; then 19.18 → 16.84 (20.24 → 17.94) when a send became one
 reserve-or-refuse call on the connection, hot events were built without
 an ``__init__`` frame, a wake-up became ``tick_later`` itself and the
-caches stopped entering sub-steps whose queue is empty.  Each budget
+caches stopped entering sub-steps whose queue is empty; then 16.84 →
+16.45 (17.94 → 17.47) when a send reserved its slot on the destination
+buffer instead of in a per-connection table.  Each budget
 sits about 10% above what the code reaches.  If a change legitimately
 needs more calls, say why in the commit that raises it.
 
@@ -32,8 +34,8 @@ the code reaches.  History: FIR(256) 10.63 → 7.63, FIR(4096) 11.07 →
 
 The kernels and their budgets are one table, ``tests/akita/kernels.py``,
 shared with the golden-order test.  History of the other two:
-``Im2Col.scaled(batch=1)`` 26.13 → 19.39 → 17.45 and the small
-StoreStorm 25.35 → 17.97 → 15.37.
+``Im2Col.scaled(batch=1)`` 26.13 → 19.39 → 17.45 → 16.91 and the small
+StoreStorm 25.35 → 17.97 → 15.37 → 15.04.
 
 The same count over an *instrumented* run (metrics registry attached,
 ring tracer recording — rtmbench's ``instrumented`` workload) gates the

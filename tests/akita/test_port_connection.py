@@ -90,11 +90,12 @@ def test_backpressure_counts_inflight_messages():
     assert prod.out.send(Msg(dst=sink.inp))
     assert prod.out.send(Msg(dst=sink.inp))
     # Two slots reserved by in-flight messages: a third send must fail.
+    assert sink.inp.buf._reserved == 2 and sink.inp.buf.free_slots == 0
     third = Msg(dst=sink.inp)
     assert not prod.out.can_send(third)
     assert prod.out.send(third) is False
     engine.run()
-    assert sink.inp.buf.size == 2
+    assert sink.inp.buf.size == 2 and sink.inp.buf._reserved == 0
 
 
 def test_retrieve_frees_slot_and_allows_new_send():
@@ -208,7 +209,7 @@ def test_incoming_is_the_buffers_own_queue():
     assert port.incoming is port.buf._items
     port.deliver(Msg(dst=port))
     assert list(port.incoming) == [port.peek_incoming()]
-    port.buf.clear()
+    port.retrieve_incoming()
     assert port.incoming is port.buf._items and not port.incoming
 
 
@@ -304,12 +305,12 @@ def test_a_refused_try_send_changes_nothing():
                      positions=(HookPos.PORT_SEND,))
     first, refused = Msg(dst=sink.inp), Msg(dst=sink.inp)
     assert conn.try_send(prod.out, first)
-    before = (prod.out.num_sent, conn.msg_count, dict(conn._inflight),
+    before = (prod.out.num_sent, conn.msg_count, sink.inp.buf._reserved,
               engine.pending_event_count)
     assert conn.try_send(prod.out, refused) is False
     assert prod.out.send(refused) is False
     assert sent == [first], "no hook fires for a refusal"
-    assert (prod.out.num_sent, conn.msg_count, dict(conn._inflight),
+    assert (prod.out.num_sent, conn.msg_count, sink.inp.buf._reserved,
             engine.pending_event_count) == before
     assert refused.src is None and first.src is prod.out
 
@@ -333,7 +334,7 @@ def test_a_dropped_send_is_traced_before_its_drop_and_wakes_the_sender():
     assert prod.port_.send(msg), "a lossy link still counts the send"
     assert trace == [("send", msg), ("drop", msg)]
     assert prod.available == [prod.port_], "the freed slot wakes it"
-    assert conn._inflight[sink.inp] == 0 and conn.dropped_count == 1
+    assert sink.inp.buf._reserved == 0 and conn.dropped_count == 1
     assert prod.port_.num_sent == 1 and prod.port_.can_send(
         Msg(dst=sink.inp))
     engine.run()

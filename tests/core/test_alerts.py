@@ -75,7 +75,7 @@ def test_rule_on_buffer_size():
     g = _Gauge()
     rule = AlertRule(g, "buf", ">=", 4.0)
     for _ in range(4):
-        g.buf.push("x")
+        g.buf._items.append("x")
     assert rule.evaluate(0.0, time.monotonic()) == "firing"
 
 

@@ -53,9 +53,9 @@ def test_snapshot_hides_empty_by_default(analyzer_with_boxes):
 def test_snapshot_sort_by_percent(analyzer_with_boxes):
     analyzer, a, b = analyzer_with_boxes
     for _ in range(3):
-        a.bufs[0].push("x")   # 3/4 = 75%
+        a.bufs[0]._items.append("x")   # 3/4 = 75%
     for _ in range(4):
-        b.bufs[0].push("x")   # 4/8 = 50%
+        b.bufs[0]._items.append("x")   # 4/8 = 50%
     rows = analyzer.snapshot(sort="percent")
     assert rows[0].name == "A.B0"
     assert rows[0].percent == 0.75
@@ -64,9 +64,9 @@ def test_snapshot_sort_by_percent(analyzer_with_boxes):
 def test_snapshot_sort_by_size(analyzer_with_boxes):
     analyzer, a, b = analyzer_with_boxes
     for _ in range(3):
-        a.bufs[0].push("x")
+        a.bufs[0]._items.append("x")
     for _ in range(4):
-        b.bufs[0].push("x")
+        b.bufs[0]._items.append("x")
     rows = analyzer.snapshot(sort="size")
     assert rows[0].name == "B.B0"
     assert rows[0].size == 4
@@ -74,8 +74,8 @@ def test_snapshot_sort_by_size(analyzer_with_boxes):
 
 def test_snapshot_top_truncates(analyzer_with_boxes):
     analyzer, a, b = analyzer_with_boxes
-    a.bufs[0].push("x")
-    b.bufs[0].push("x")
+    a.bufs[0]._items.append("x")
+    b.bufs[0]._items.append("x")
     assert len(analyzer.snapshot(top=1)) == 1
 
 
@@ -87,7 +87,7 @@ def test_snapshot_rejects_bad_sort(analyzer_with_boxes):
 
 def test_row_to_dict(analyzer_with_boxes):
     analyzer, a, _ = analyzer_with_boxes
-    a.bufs[0].push("x")
+    a.bufs[0]._items.append("x")
     row = analyzer.snapshot()[0]
     d = row.to_dict()
     assert d == {"buffer": "A.B0", "size": 1, "capacity": 4,
@@ -104,8 +104,8 @@ def test_figure4_chain_identifies_slow_component():
         analyzer.register_component(box)
     # C's buffer full; others nearly empty (B and D keep up).
     for _ in range(4):
-        boxes["C"].bufs[0].push("req")
-    boxes["B"].bufs[0].push("req")
+        boxes["C"].bufs[0]._items.append("req")
+    boxes["B"].bufs[0]._items.append("req")
     rows = analyzer.snapshot(sort="percent")
     assert rows[0].name == "C.B0"
     assert rows[0].percent == 1.0

@@ -208,6 +208,6 @@ def test_a_component_registered_after_the_first_read_is_found_next():
     assert analyzer.buffer_count == 1
     late = Box("B", engine)
     analyzer.register_component(late)
-    late.buf.push("x")
+    late.buf._items.append("x")
     assert [row.name for row in analyzer.non_empty()] == ["B.Buf"]
     assert analyzer.buffer_count == 2

@@ -178,7 +178,7 @@ def test_hang_status_includes_stuck_buffers():
             pass
 
     box = Box()
-    box.buf.push("stuck-msg")
+    box.buf._items.append("stuck-msg")
     analyzer = BufferAnalyzer()
     analyzer.register_component(box)
     sim.engine.schedule(CallbackEvent(1.0, lambda e: None))

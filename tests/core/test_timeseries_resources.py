@@ -46,7 +46,7 @@ def test_watch_samples_container_sizes():
 def test_watch_samples_buffer_size():
     t = _Thing()
     w = ValueWatch(t, "buf")
-    t.buf.push("x")
+    t.buf._items.append("x")
     assert w.sample(0.0) == 1.0
 
 

@@ -70,7 +70,7 @@ def test_sample_interleaves_multiple_sources():
     w1 = vm.watch(g1, "reading")
     w2 = vm.watch(g2, "buf")
     g1.reading = 7
-    g2.buf.push("x")
+    g2.buf._items.append("x")
     vm.sample_all(1.0)
     assert list(w1.points) == [(1.0, 7.0)]
     assert list(w2.points) == [(1.0, 1.0)]

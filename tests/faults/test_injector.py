@@ -177,7 +177,7 @@ def test_pin_buffer_shows_full_and_blocks_senders(platform):
     buf = chiplet.l2s[0].top_port.buf
     assert buf.pinned
     assert buf.fullness == 1.0
-    assert not buf.can_push()
+    assert buf.free_slots == 0
     completed = _run(platform)
     assert not completed
 

@@ -20,7 +20,7 @@ class _Counter(TickingComponent):
             self.blocked_on = "out of budget"
             return False
         self.budget -= 1
-        self.port.buf.push("item")
+        self.port.incoming.append("item")  # fills without a wake-up
         return True
 
 

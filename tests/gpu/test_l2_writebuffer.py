@@ -125,11 +125,10 @@ def test_l2_fill_acceptance_policy(buggy):
     # Stage an eviction and make the write buffer's InPort full so the
     # staging cannot drain (the WB is deliberately never woken).
     l2.eviction_staging.append(0xDEAD000)
-    while wb.in_port.buf.can_push():
-        wb.in_port.buf.push(EvictionReq(wb.in_port, 0x3000))
-    # A fill is waiting at the L2's storage port.
-    l2.storage_port.buf.push(FetchedData(l2.storage_port, 0x1000, 99))
-    l2.tick_later()
+    while wb.in_port.buf.free_slots > 0:
+        wb.in_port.incoming.append(EvictionReq(wb.in_port, 0x3000))
+    # A fill is waiting at the L2's storage port; its arrival wakes the L2.
+    l2.storage_port.deliver(FetchedData(l2.storage_port, 0x1000, 99))
     engine.run_until(100e-9)
     if buggy:
         assert l2.storage_port.buf.size == 1  # fill refused
@@ -155,9 +154,9 @@ def test_buggy_head_of_line_starves_evictions():
         wb._queue.append(("fill", original))
         wb._queue.append(("evict", EvictionReq(wb.in_port, 0x2000)))
         # Make the storage port unreachable: fill it via a dirty trick -
-        # occupy all slots so can_send() fails.
-        while l2.storage_port.buf.can_push():
-            l2.storage_port.buf.push(object())
+        # occupy all slots, waking nobody, so can_send() fails.
+        while l2.storage_port.buf.free_slots > 0:
+            l2.storage_port.incoming.append(object())
         wb.tick_later()
         engine.run_until(100e-9)
         assert wb.num_evictions == expect_evictions, f"buggy={buggy}"

@@ -88,9 +88,9 @@ def test_sload_falls_back_to_vector_path_without_scalar_wiring():
 
     descriptor = KD("k", 1, 1, lambda wg, wf: iter([("sload", 0, 4)]))
     state = KernelState(descriptor)
-    # Deliver a workgroup directly (no dispatcher in this harness).
-    cu.ctrl_port.buf.push(MapWGMsg(cu.ctrl_port, state, 0, 0))
-    cu.tick_later()
+    # Deliver a workgroup directly (no dispatcher in this harness);
+    # the delivery wakes the CU.
+    cu.ctrl_port.deliver(MapWGMsg(cu.ctrl_port, state, 0, 0))
     engine.run_until(1e-6)
     assert len(stub.seen) == 1  # went through the vector port
 

@@ -245,6 +245,25 @@ def test_inbound_parks_on_full_buffer_and_drains_on_retrieve():
     assert sink.inp.retrieve_incoming() is second
 
 
+def test_a_ferried_message_never_takes_a_reserved_slot():
+    """A local send reserves the destination's only slot; a ferried
+    message arriving before that delivery lands must park, not take the
+    slot and leave the local message nowhere to land."""
+    engine = Engine()
+    src, dst = _Sink("S", engine, capacity=1), _Sink("D", engine, capacity=1)
+    conn, _ = _boundary(engine)
+    conn.adopt(src.inp)
+    conn.adopt(dst.inp)
+    local, ferried = Msg(dst=dst.inp), Msg(dst=dst.inp)
+    assert src.inp.send(local)
+    landed = conn.deliver_inbound(ferried)
+    engine.run()  # the reserved delivery lands
+    assert not landed and conn.parked_count == 1
+    assert list(dst.inp.incoming) == [local]
+    assert dst.inp.retrieve_incoming() is local
+    assert list(dst.inp.incoming) == [ferried]
+
+
 def test_injector_delivers_through_the_adopted_connection():
     engine = Engine()
     sink = _Sink("S", engine, capacity=1)
