@@ -37,8 +37,6 @@ class Connection(Protocol):
 
     def plug_in(self, port: Port) -> None: ...
 
-    def can_send(self, src: Port, msg: Msg) -> bool: ...
-
     def try_send(self, src: Port, msg: Msg) -> bool: ...
 
     def notify_available(self, port: Port) -> None: ...
@@ -120,15 +118,6 @@ class DirectConnection(Hookable):
         """Attach *port* to this connection."""
         port.set_connection(self)
         self._ports.append(port)
-
-    def can_send(self, src: Port, msg: Msg) -> bool:
-        """Would :meth:`try_send` accept *msg* now?  No side effect."""
-        dst = msg.dst
-        if dst is None or dst._connection is not self:
-            raise PortError(
-                f"message {msg!r} has no destination on connection "
-                f"{self.name}")
-        return dst.buf.free_slots > 0
 
     def try_send(self, src: Port, msg: Msg) -> bool:
         """The one door of :meth:`Port.send`: refuse *msg* (``False``,

@@ -86,6 +86,9 @@ class Engine(Hookable):
         self._event_count = 0
         self._last_event_time: VTimeInSec = 0.0
         self._throttle_delay = 0.0  # wall seconds inserted per event
+        #: The id of the next message built for a port of this engine
+        #: (``Msg.__init__``); pickles with the engine.
+        self.next_msg_id = 0
 
     # ------------------------------------------------------------------
     # Read-only accessors (safe from any thread)

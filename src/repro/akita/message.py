@@ -3,36 +3,19 @@
 Components in the Akita paradigm communicate *only* by sending messages
 through ports; there is no shared state.  That isolation is what lets
 AkitaRTM monitor each component independently (paper §II).
+
+A message's id is minted by the engine of the component that owns its
+destination port (``Engine.next_msg_id``): ids are per simulation, so
+one simulation numbers its messages the same way in a fresh process, in
+a warm worker's second job, and across a checkpoint and its restore.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .port import Port
-
-#: Rebound by a restore: read it as ``message._msg_ids``, not by value.
-_msg_ids = itertools.count()
-
-
-def msg_id_watermark() -> int:
-    """An id strictly greater than every message id handed out so far
-    (consumes one id, which is harmless — ids only need uniqueness and
-    monotonicity).
-
-    Message ids key request/response matching (e.g. the CU's
-    outstanding-request table), so a restored process must never reuse
-    an id frozen in a snapshot."""
-    return next(_msg_ids)
-
-
-def ensure_msg_ids_at_least(n: int) -> None:
-    """Fast-forward the message id counter so the next id is >= *n*."""
-    global _msg_ids
-    current = next(_msg_ids)
-    _msg_ids = itertools.count(max(current + 1, int(n)))
 
 
 class Msg:
@@ -42,7 +25,8 @@ class Msg:
     ----------
     src, dst:
         Sending / receiving ports.  ``src`` is stamped by the port on
-        send; ``dst`` must be set by the sender.
+        send; ``dst`` is required, and its component's engine numbers
+        the message.
     size_bytes:
         Wire size, used by bandwidth-limited connections (the inter-
         chiplet network).
@@ -54,16 +38,17 @@ class Msg:
     __slots__ = ("id", "src", "dst", "size_bytes", "send_time")
     respond_to: Optional[int] = None
 
-    def __init__(self, dst: Optional["Port"] = None, size_bytes: int = 4):
-        self.id = next(_msg_ids)
+    def __init__(self, dst: "Port", size_bytes: int = 4):
+        engine = dst.component._engine
+        self.id = engine.next_msg_id
+        engine.next_msg_id += 1
         self.src: Optional["Port"] = None
         self.dst = dst
         self.size_bytes = size_bytes
         self.send_time: float = -1.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        dst = self.dst.name if self.dst is not None else "?"
-        return f"<{type(self).__name__} #{self.id} -> {dst}>"
+        return f"<{type(self).__name__} #{self.id} -> {self.dst.name}>"
 
 
 class GeneralRsp(Msg):

@@ -74,13 +74,6 @@ class Port:
         self._connection = conn
 
     # -- sending -----------------------------------------------------------
-    def can_send(self, msg: Msg) -> bool:
-        """True if *msg* can be sent right now without overflowing the
-        destination."""
-        if self._connection is None:
-            raise PortError(f"port {self.name} is not connected")
-        return self._connection.can_send(self, msg)
-
     def send(self, msg: Msg) -> bool:
         """Send *msg* through the connection.
 

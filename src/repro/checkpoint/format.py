@@ -7,21 +7,21 @@ Layout::
 
 The header is one line of JSON carrying a magic string, a format
 version, the payload length, its SHA-256, and a ``meta`` dict (sim
-time, event count, the message id watermark, plus whatever the caller
-adds — job id, attempt, cadence sequence).  Loading verifies magic, version,
-length and digest before unpickling, so a truncated or bit-flipped
-file fails loudly instead of resuming a corrupt simulation.  Files are
-written via temp-file + fsync + atomic rename
-(:mod:`repro.core.atomicio`), so the last good checkpoint at a path
-survives a crash mid-save.
+time, event count, plus whatever the caller adds — job id, attempt,
+cadence sequence).  Loading verifies magic, version, length and digest
+before unpickling, so a truncated or bit-flipped file fails loudly
+instead of resuming a corrupt simulation.  Files are written via
+temp-file + fsync + atomic rename (:mod:`repro.core.atomicio`), so the
+last good checkpoint at a path survives a crash mid-save.
+
+Message ids need no fix-up: the engine numbers them
+(``Engine.next_msg_id``) and pickles the number with the rest of the
+simulation, so a restored run goes on numbering exactly where the saved
+one was.  (Events carry no id either: the event queue pickles its own
+tie-break sequence.)
 
 Restore fix-ups (what pickling alone cannot carry):
 
-* **Message id watermark.**  Message ids come from a process-global
-  counter and key request/response matching; the restoring process
-  fast-forwards its counter past the snapshot's watermark so restored
-  ids stay unique.  (Events carry no id: the event queue pickles its
-  own tie-break sequence.)
 * **Workload programs.**  Wavefront op streams are generators of
   (deterministic) workload programs — unpicklable.  Kernel descriptors
   drop them on save; the loader reinstalls them by kernel name from
@@ -44,7 +44,6 @@ import pickle
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..akita.component import TickingComponent
-from ..akita.message import ensure_msg_ids_at_least, msg_id_watermark
 from ..core.atomicio import atomic_write_bytes
 
 __all__ = [
@@ -64,7 +63,8 @@ CHECKPOINT_MAGIC = "rtm-ckpt"
 #: 4: a hookable's fields in name order; an MSHR has ``full``/``unsent``.
 #: 5: a port counts its deliveries by fill (``fills``).
 #: 6: a buffer counts its reserved slots; a connection keeps no table.
-CHECKPOINT_VERSION = 6
+#: 7: the engine carries ``next_msg_id``; the header no watermark.
+CHECKPOINT_VERSION = 7
 
 #: Refuse to parse absurd header lines (a corrupt file could otherwise
 #: make the reader scan for a newline through gigabytes of pickle).
@@ -95,7 +95,6 @@ def save_checkpoint(platform: Any, path: str,
         header_meta.setdefault("event_count", engine.event_count)
         header_meta.setdefault("pending_events",
                                engine.pending_event_count)
-    header_meta["msg_id_watermark"] = msg_id_watermark()
     try:
         payload = pickle.dumps(platform,
                                protocol=pickle.HIGHEST_PROTOCOL)
@@ -149,8 +148,6 @@ def load_checkpoint(path: str,
         raise CheckpointError(
             f"checkpoint {path} failed to unpickle: "
             f"{type(exc).__name__}: {exc}") from exc
-    meta = header.get("meta", {})
-    ensure_msg_ids_at_least(int(meta.get("msg_id_watermark", 0)) + 1)
     _reinstall_programs(platform, workload)
     _revive_ticking(platform)
     return platform, header

@@ -159,14 +159,8 @@ class WriteBuffer(TickingComponent):
 
     def _can_dispatch(self, kind: str) -> bool:
         assert self.storage_port is not None and self.dram_top is not None
-        if kind == _FILL:
-            probe = FetchedData(self.storage_port, 0, 0)
-            return self.in_port.can_send(probe)
-        if kind == _EVICT:
-            probe = WriteReq(self.dram_top, 0, CACHE_LINE_SIZE)
-        else:
-            probe = ReadReq(self.dram_top, 0, CACHE_LINE_SIZE)
-        return self.dram_port.can_send(probe)
+        dst = self.storage_port if kind == _FILL else self.dram_top
+        return dst.buf.free_slots > 0
 
     def _dispatch(self, kind: str, payload) -> bool:
         assert self.storage_port is not None and self.dram_top is not None

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING
 
-from ..akita import message
 from ..akita.message import Msg
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -38,8 +37,10 @@ class MemReq(Msg):
 
     def __init__(self, dst: "Port", address: int, access_bytes: int,
                  pid: int = 0):
-        # Msg.__init__ in this frame (counter read through its module).
-        self.id = next(message._msg_ids)
+        # Msg.__init__ in this frame.
+        engine = dst.component._engine
+        self.id = engine.next_msg_id
+        engine.next_msg_id += 1
         self.src = None
         self.dst = dst
         self.size_bytes = 16
@@ -80,7 +81,9 @@ class MemRsp(Msg):
     __slots__ = ("respond_to",)
 
     def __init__(self, dst: "Port", respond_to: int, size_bytes: int):
-        self.id = next(message._msg_ids)  # as MemReq: Msg.__init__
+        engine = dst.component._engine  # as MemReq: Msg.__init__
+        self.id = engine.next_msg_id
+        engine.next_msg_id += 1
         self.src = None
         self.dst = dst
         self.size_bytes = size_bytes

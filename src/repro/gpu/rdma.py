@@ -129,11 +129,11 @@ class RDMAEngine(TickingComponent):
             if not isinstance(msg, MemReq):
                 break
             self.l1_port.retrieve_incoming()
-            fwd = _clone_req(msg, None)
-            self._outgoing[fwd.id] = msg
             target = self._chiplet_of(msg.address)
-            envelope = NetMsg(self._switch_port, fwd,
-                              self._remote_ports[target], self.net_port)
+            remote = self._remote_ports[target]
+            fwd = _clone_req(msg, remote)
+            self._outgoing[fwd.id] = msg
+            envelope = NetMsg(self._switch_port, fwd, remote, self.net_port)
             self._to_net.append(envelope)
             if self._tasks_observed:
                 self.task_begin(fwd.id, "rdma_transfer",
@@ -187,7 +187,7 @@ class RDMAEngine(TickingComponent):
             if record is None:
                 continue
             original, origin = record
-            rsp = _clone_rsp(msg, None, original.id)
+            rsp = _clone_rsp(msg, origin, original.id)
             self._to_net.append(
                 NetMsg(self._switch_port, rsp, origin, self.net_port))
             progress = True

@@ -162,9 +162,9 @@ class BoundaryCodec:
         elif kind == "kernel_complete":
             msg = KernelCompleteMsg(dst, wire["launch_id"])
         elif kind == "net":
-            payload = self._decode_payload(wire["payload"])
-            msg = NetMsg(dst, payload, self._port(wire["final_dst"]),
-                         self._port(wire["origin"]))
+            final_dst = self._port(wire["final_dst"])
+            payload = self._decode_payload(wire["payload"], final_dst)
+            msg = NetMsg(dst, payload, final_dst, self._port(wire["origin"]))
         else:
             raise ValueError(f"unknown boundary message kind {kind!r}")
         src = wire.get("src")
@@ -172,11 +172,11 @@ class BoundaryCodec:
             msg.src = self._port(src)
         return msg
 
-    def _decode_payload(self, wire: Dict[str, Any]) -> Msg:
+    def _decode_payload(self, wire: Dict[str, Any], final_dst: Port) -> Msg:
         kind = wire["kind"]
         if kind in ("read", "write"):
             cls = WriteReq if kind == "write" else ReadReq
-            payload = cls(None, wire["address"], wire["access_bytes"],
+            payload = cls(final_dst, wire["address"], wire["access_bytes"],
                           wire["pid"])
             # Preserve the origin shard's request id: the response the
             # remote side builds answers *this* id, and the origin's
@@ -184,10 +184,10 @@ class BoundaryCodec:
             payload.id = wire["id"]
             return payload
         if kind == "data_ready":
-            return DataReadyRsp(None, wire["respond_to"],
+            return DataReadyRsp(final_dst, wire["respond_to"],
                                 data_bytes=wire["size_bytes"] - 16)
         if kind == "write_done":
-            return WriteDoneRsp(None, wire["respond_to"])
+            return WriteDoneRsp(final_dst, wire["respond_to"])
         raise ValueError(f"unknown payload kind {kind!r}")
 
     def _port(self, name: str) -> Port:
@@ -245,23 +245,15 @@ class ShardConnection(DirectConnection):
         self._ports.append(port)
 
     # -- sending --------------------------------------------------------
-    def can_send(self, src: Port, msg: Msg) -> bool:
-        dst = msg.dst
-        if dst is None or dst._connection is self:
-            return super().can_send(src, msg)  # raises on no destination
-        quota = dst.buf.capacity * self.QUOTA_FACTOR
-        if self._exported_this_window.get(dst, 0) >= quota:
-            if src not in self._blocked:
-                self._blocked.append(src)
-            return False
-        return True
-
     def try_send(self, src: Port, msg: Msg) -> bool:
         # Only an export pays for the quota check.
         dst = msg.dst
         if dst is None or dst._connection is self:
-            return super().try_send(src, msg)
-        if not self.can_send(src, msg):
+            return super().try_send(src, msg)  # raises on no destination
+        exported = self._exported_this_window.get(dst, 0)
+        if exported >= dst.buf.capacity * self.QUOTA_FACTOR:
+            if src not in self._blocked:
+                self._blocked.append(src)
             return False
         msg.src = src
         now = self._engine._now
@@ -272,8 +264,7 @@ class ShardConnection(DirectConnection):
         msg.send_time = now
         self.msg_count += 1
         self.exported_count += 1
-        self._exported_this_window[dst] = \
-            self._exported_this_window.get(dst, 0) + 1
+        self._exported_this_window[dst] = exported + 1
         self._export(msg, now + self._latency)
         return True
 

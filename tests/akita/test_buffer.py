@@ -8,8 +8,9 @@ A buffer is filled and drained by its port (``Port.deliver``,
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.akita import (Buffer, BufferError_, ConfigurationError,
-                         DirectConnection, Engine, Msg, Port)
+from repro.akita import (Buffer, BufferError_, Component,
+                         ConfigurationError, DirectConnection, Engine, Msg,
+                         Port)
 
 
 def test_requires_positive_capacity():
@@ -65,7 +66,8 @@ def test_free_slots_counts_the_slots_reserved_in_flight():
     """A send takes a slot at once; its delivery turns the reservation
     into an item, so the count of free slots does not move again."""
     engine = Engine()
-    src, dst = Port(None, "Src", 1), Port(None, "Dst", 3)
+    src = Component("Src", engine).add_port("Out", 1)
+    dst = Component("Dst", engine).add_port("In", 3)
     conn = DirectConnection("C", engine)
     conn.plug_in(src)
     conn.plug_in(dst)

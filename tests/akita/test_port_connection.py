@@ -53,9 +53,9 @@ def test_port_names_are_hierarchical():
 
 def test_send_without_connection_raises():
     engine = Engine()
-    prod = _Producer("P", engine)
+    prod, sink = _Producer("P", engine), _Sink("S", engine)
     with pytest.raises(PortError):
-        prod.out.send(Msg())
+        prod.out.send(Msg(dst=sink.inp))
 
 
 def test_double_connect_raises():
@@ -92,7 +92,6 @@ def test_backpressure_counts_inflight_messages():
     # Two slots reserved by in-flight messages: a third send must fail.
     assert sink.inp.buf._reserved == 2 and sink.inp.buf.free_slots == 0
     third = Msg(dst=sink.inp)
-    assert not prod.out.can_send(third)
     assert prod.out.send(third) is False
     engine.run()
     assert sink.inp.buf.size == 2 and sink.inp.buf._reserved == 0
@@ -105,10 +104,12 @@ def test_retrieve_frees_slot_and_allows_new_send():
     _wire(engine, prod.out, sink.inp)
     assert prod.out.send(Msg(dst=sink.inp))
     engine.run()
-    assert not prod.out.can_send(Msg(dst=sink.inp))
+    assert sink.inp.buf.free_slots == 0
+    assert prod.out.send(Msg(dst=sink.inp)) is False
     got = sink.inp.retrieve_incoming()
     assert got is not None
-    assert prod.out.can_send(Msg(dst=sink.inp))
+    assert sink.inp.buf.free_slots == 1
+    assert prod.out.send(Msg(dst=sink.inp))
 
 
 def test_retrieve_empty_returns_none():
@@ -335,16 +336,15 @@ def test_a_dropped_send_is_traced_before_its_drop_and_wakes_the_sender():
     assert trace == [("send", msg), ("drop", msg)]
     assert prod.available == [prod.port_], "the freed slot wakes it"
     assert sink.inp.buf._reserved == 0 and conn.dropped_count == 1
-    assert prod.port_.num_sent == 1 and prod.port_.can_send(
-        Msg(dst=sink.inp))
+    assert prod.port_.num_sent == 1 and sink.inp.buf.free_slots == 1
     engine.run()
     assert sink.inp.buf.size == 0
+    assert prod.port_.send(Msg(dst=sink.inp)), "the slot was given back"
 
 
 def test_the_connection_protocol_names_try_send():
     class _SendOnly:
         def plug_in(self, port): ...
-        def can_send(self, src, msg): ...
         def send(self, src, msg): ...
         def notify_available(self, port): ...
 

@@ -152,9 +152,24 @@ SWEEP_BOUNDARIES = sorted({1560, 1976, 2210, 7267,
                            *random.Random(41).sample(range(1, 8922), 8)})
 
 
+def _deliveries(platform):
+    """``(event count, message id)`` of every delivery *platform* makes
+    from now on, in order."""
+    engine, seen = platform.engine, []
+
+    def record(port, now, msg):
+        seen.append((engine.event_count, msg.id))
+
+    for comp in platform.simulation.components:
+        comp.accept_hook(record, positions=(HookPos.PORT_DELIVER,))
+    return seen
+
+
 def test_restore_is_exact_at_every_swept_event_boundary(tmp_path):
     """A snapshot taken between any two events resumes to the cold
-    run's event count and end time."""
+    run's event count and end time, and no one renumbers the run: the
+    run that saved and every restored run deliver the cold run's
+    messages under the cold run's ids."""
     make = KERNELS["storestorm_small"].make
 
     def build():
@@ -163,8 +178,10 @@ def test_restore_is_exact_at_every_swept_event_boundary(tmp_path):
         return platform
 
     cold = build()
+    cold_ids = _deliveries(cold)
     assert cold.run()
     platform = build()
+    saver_ids = _deliveries(platform)
     engine = platform.engine
     saved = []
 
@@ -177,11 +194,17 @@ def test_restore_is_exact_at_every_swept_event_boundary(tmp_path):
     engine.accept_hook(save, positions=(HookPos.AFTER_EVENT,))
     assert platform.run()
     assert [n for n, _ in saved] == SWEEP_BOUNDARIES
+    assert saver_ids == cold_ids, "a save uses up no message id"
     ends = {}
     for boundary, path in saved:
         restored, _ = load_checkpoint(path, workload=make())
+        restored_ids = _deliveries(restored)
         assert restored.run()
         ends[boundary] = (restored.engine.event_count, restored.engine.now)
+        # Events are counted after their handler: the deliveries of the
+        # events after the save record counts from the boundary on.
+        assert restored_ids == [d for d in cold_ids if d[0] >= boundary], \
+            boundary
     assert ends == {n: (cold.engine.event_count, cold.engine.now)
                     for n in SWEEP_BOUNDARIES}
 
@@ -352,6 +375,9 @@ def test_saves_atomically_overwrite_one_path(tmp_path):
 
 
 def test_meta_carries_caller_fields_and_watermark(tmp_path):
+    """The caller's fields and the engine's, and no id watermark:
+    events carry no id, and the engine pickles its own
+    ``next_msg_id``."""
     platform = _platform()
     path = str(tmp_path / "ckpt.rtm")
     header = save_checkpoint(platform, path,
@@ -359,8 +385,7 @@ def test_meta_carries_caller_fields_and_watermark(tmp_path):
     meta = header["meta"]
     assert meta["job_id"] == "j1"
     assert meta["attempt"] == 2
-    assert "event_id_watermark" not in meta  # events have no id
-    assert meta["msg_id_watermark"] >= 0
+    assert not [key for key in meta if "watermark" in key]
     assert meta["sim_time"] == platform.engine.now
     assert read_checkpoint_meta(path) == header
 

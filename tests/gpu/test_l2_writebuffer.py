@@ -154,7 +154,7 @@ def test_buggy_head_of_line_starves_evictions():
         wb._queue.append(("fill", original))
         wb._queue.append(("evict", EvictionReq(wb.in_port, 0x2000)))
         # Make the storage port unreachable: fill it via a dirty trick -
-        # occupy all slots, waking nobody, so can_send() fails.
+        # occupy all slots, waking nobody, so free_slots stays 0.
         while l2.storage_port.buf.free_slots > 0:
             l2.storage_port.incoming.append(object())
         wb.tick_later()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.akita import Engine, message as akita_message
+from repro.akita import Component, Engine, message as akita_message
 from repro.akita.message import ControlMsg, GeneralRsp, Msg
 from repro.gpu import mem, protocol
 from repro.gpu import (
@@ -21,11 +21,10 @@ from repro.gpu.protocol import (KernelCompleteMsg, LaunchKernelMsg,
                                 MapWGMsg, WGCompleteMsg)
 
 
-class _Holder:
-    """Bare port stand-in (messages only need an object reference)."""
-
-    def __init__(self, name="P"):
-        self.name = name
+def _port(name="P", engine=None):
+    """A real port: a message takes its id from its destination's
+    engine."""
+    return Component("Box", engine or Engine()).add_port(name)
 
 
 def test_line_address_alignment():
@@ -37,7 +36,7 @@ def test_line_address_alignment():
 
 
 def test_read_req_fields():
-    dst = _Holder()
+    dst = _port()
     req = ReadReq(dst, 0x1234, 4)
     assert req.dst is dst
     assert req.address == 0x1234
@@ -47,40 +46,40 @@ def test_read_req_fields():
 
 
 def test_write_req_wire_size_includes_payload():
-    req = WriteReq(_Holder(), 0, 64)
-    small = WriteReq(_Holder(), 0, 4)
+    req = WriteReq(_port(), 0, 64)
+    small = WriteReq(_port(), 0, 4)
     assert req.size_bytes > small.size_bytes
     assert req.size_bytes == 16 + 64
 
 
 def test_responses_reference_their_request():
-    req = ReadReq(_Holder(), 0, 4)
-    rsp = DataReadyRsp(_Holder(), req.id, 64)
+    req = ReadReq(_port(), 0, 4)
+    rsp = DataReadyRsp(_port(), req.id, 64)
     assert rsp.respond_to == req.id
     assert isinstance(rsp, MemRsp)
-    ack = WriteDoneRsp(_Holder(), req.id)
+    ack = WriteDoneRsp(_port(), req.id)
     assert ack.respond_to == req.id
 
 
 def test_data_ready_wire_size_includes_data():
-    big = DataReadyRsp(_Holder(), 1, data_bytes=64)
-    small = DataReadyRsp(_Holder(), 1, data_bytes=4)
+    big = DataReadyRsp(_port(), 1, data_bytes=64)
+    small = DataReadyRsp(_port(), 1, data_bytes=4)
     assert big.size_bytes > small.size_bytes
 
 
 def test_eviction_and_fill_carry_line_payloads():
-    ev = EvictionReq(_Holder(), 0x80)
+    ev = EvictionReq(_port(), 0x80)
     assert ev.address == 0x80
     assert ev.size_bytes == 16 + CACHE_LINE_SIZE
-    fill = FetchedData(_Holder(), 0x80, respond_to=7)
+    fill = FetchedData(_port(), 0x80, respond_to=7)
     assert fill.address == 0x80
     assert fill.respond_to == 7
 
 
 def test_netmsg_wraps_payload_with_overhead():
-    payload = ReadReq(_Holder(), 0, 64)
-    origin, final = _Holder("origin"), _Holder("final")
-    envelope = NetMsg(_Holder("switch"), payload, final, origin)
+    payload = ReadReq(_port(), 0, 64)
+    origin, final = _port("origin"), _port("final")
+    envelope = NetMsg(_port("switch"), payload, final, origin)
     assert envelope.payload is payload
     assert envelope.final_dst is final
     assert envelope.origin is origin
@@ -88,32 +87,35 @@ def test_netmsg_wraps_payload_with_overhead():
 
 
 def test_message_ids_are_unique_and_increasing():
-    a = ReadReq(_Holder(), 0, 4)
-    b = WriteReq(_Holder(), 0, 4)
-    c = EvictionReq(_Holder(), 0)
-    assert a.id < b.id < c.id
+    dst = _port()
+    a = ReadReq(dst, 0, 4)
+    b = WriteReq(dst, 0, 4)
+    c = EvictionReq(dst, 0)
+    assert [a.id, b.id, c.id] == [0, 1, 2]
+    assert dst.component.engine.next_msg_id == 3
 
 
 _KERNEL = object()  # messages only carry the reference
 
-#: One constructor call per concrete message class of the three modules.
+#: One constructor call per concrete message class of the three
+#: modules, every address on port *p*.
 MAKE = {
-    Msg: lambda: Msg(_Holder()),
-    GeneralRsp: lambda: GeneralRsp(_Holder(), 1),
-    ControlMsg: lambda: ControlMsg(_Holder(), "flush"),
-    MemReq: lambda: MemReq(_Holder(), 0, 4),
-    ReadReq: lambda: ReadReq(_Holder(), 0, 4),
-    WriteReq: lambda: WriteReq(_Holder(), 0, 4),
-    MemRsp: lambda: MemRsp(_Holder(), 1, 16),
-    DataReadyRsp: lambda: DataReadyRsp(_Holder(), 1),
-    WriteDoneRsp: lambda: WriteDoneRsp(_Holder(), 1),
-    EvictionReq: lambda: EvictionReq(_Holder(), 0),
-    FetchedData: lambda: FetchedData(_Holder(), 0, 1),
-    NetMsg: lambda: NetMsg(_Holder(), Msg(_Holder()), _Holder(), _Holder()),
-    LaunchKernelMsg: lambda: LaunchKernelMsg(_Holder(), _KERNEL, [0]),
-    MapWGMsg: lambda: MapWGMsg(_Holder(), _KERNEL, 0, 0),
-    WGCompleteMsg: lambda: WGCompleteMsg(_Holder(), _KERNEL, 0, 0),
-    KernelCompleteMsg: lambda: KernelCompleteMsg(_Holder(), 0),
+    Msg: lambda p: Msg(p),
+    GeneralRsp: lambda p: GeneralRsp(p, 1),
+    ControlMsg: lambda p: ControlMsg(p, "flush"),
+    MemReq: lambda p: MemReq(p, 0, 4),
+    ReadReq: lambda p: ReadReq(p, 0, 4),
+    WriteReq: lambda p: WriteReq(p, 0, 4),
+    MemRsp: lambda p: MemRsp(p, 1, 16),
+    DataReadyRsp: lambda p: DataReadyRsp(p, 1),
+    WriteDoneRsp: lambda p: WriteDoneRsp(p, 1),
+    EvictionReq: lambda p: EvictionReq(p, 0),
+    FetchedData: lambda p: FetchedData(p, 0, 1),
+    NetMsg: lambda p: NetMsg(p, Msg(p), p, p),
+    LaunchKernelMsg: lambda p: LaunchKernelMsg(p, _KERNEL, [0]),
+    MapWGMsg: lambda p: MapWGMsg(p, _KERNEL, 0, 0),
+    WGCompleteMsg: lambda p: WGCompleteMsg(p, _KERNEL, 0, 0),
+    KernelCompleteMsg: lambda p: KernelCompleteMsg(p, 0),
 }
 
 
@@ -129,17 +131,30 @@ def test_every_message_class_has_a_constructor_call_here():
     assert set(MAKE) == _message_classes()
 
 
+def _minted(msg):
+    """Ids *msg*'s construction took, in order (an envelope's payload
+    is built first)."""
+    payload = getattr(msg, "payload", None)
+    return ([payload.id] if payload is not None else []) + [msg.id]
+
+
 @pytest.mark.parametrize("cls", sorted(MAKE, key=lambda c: c.__name__),
                          ids=lambda c: c.__name__)
 def test_ids_follow_a_fast_forwarded_counter(cls):
-    """A checkpoint restore fast-forwards the id counter by *rebinding*
-    a module global.  A constructor that fills ``Msg``'s slots itself
-    and captured the old counter by value would go on minting stale
-    ids — and answer requests frozen in the snapshot."""
-    floor = akita_message.msg_id_watermark() + 10**9
-    akita_message.ensure_msg_ids_at_least(floor)
-    msg = MAKE[cls]()
-    assert type(msg) is cls and msg.id >= floor
-    assert msg.src is None and msg.send_time == -1.0
-    later = [make().id for make in MAKE.values()]
-    assert later == sorted(set(later)) and later[0] > msg.id
+    """Two simulations in one process, their constructions interleaved:
+    each numbers in its own order from its engine's ``next_msg_id`` —
+    0, 1, 2 … for a fresh one, on from the saved number for a restored
+    one (here fast-forwarded by hand) — whatever the other built.  A
+    constructor that fills ``Msg``'s slots itself must read the
+    destination's engine like ``Msg.__init__`` does."""
+    fresh, restored = _port("A"), _port("B")
+    floor = restored.component.engine.next_msg_id = 10**9
+    ids = {fresh: [], restored: []}
+    for port in (fresh, restored, restored, fresh, restored, fresh, fresh):
+        msg = MAKE[cls](port)
+        assert type(msg) is cls and msg.dst is port
+        assert msg.src is None and msg.send_time == -1.0
+        ids[port] += _minted(msg)
+    for port, start in ((fresh, 0), (restored, floor)):
+        assert ids[port] == list(range(start, start + len(ids[port])))
+        assert port.component.engine.next_msg_id == start + len(ids[port])

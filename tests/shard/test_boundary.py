@@ -65,7 +65,8 @@ def test_kernel_complete_round_trip(rig):
 @pytest.mark.parametrize("cls", [ReadReq, WriteReq])
 def test_net_mem_req_preserves_request_id(rig, cls):
     _, registry, codec = rig
-    payload = cls(None, address=0x1200, access_bytes=4, pid=2)
+    payload = cls(registry["GPU[1].RDMA.NetPort"], address=0x1200,
+                  access_bytes=4, pid=2)
     original_id = payload.id
     msg = NetMsg(registry["InterChipletSwitch.Port0"], payload,
                  final_dst=registry["GPU[1].RDMA.NetPort"],
@@ -78,18 +79,21 @@ def test_net_mem_req_preserves_request_id(rig, cls):
     assert decoded.payload.id == original_id
     assert decoded.payload.address == 0x1200
     assert decoded.final_dst is registry["GPU[1].RDMA.NetPort"]
+    assert decoded.payload.dst is decoded.final_dst
     assert decoded.origin is registry["GPU[0].RDMA.NetPort"]
 
 
 def test_net_responses_round_trip(rig):
     _, registry, codec = rig
-    ready = DataReadyRsp(None, respond_to=41, data_bytes=64)
-    done = WriteDoneRsp(None, respond_to=42)
+    home = registry["GPU[0].RDMA.NetPort"]
+    ready = DataReadyRsp(home, respond_to=41, data_bytes=64)
+    done = WriteDoneRsp(home, respond_to=42)
     for payload in (ready, done):
         msg = NetMsg(registry["InterChipletSwitch.Port1"], payload,
-                     final_dst=registry["GPU[0].RDMA.NetPort"],
+                     final_dst=home,
                      origin=registry["GPU[1].RDMA.NetPort"])
         decoded = codec.decode(codec.encode(msg))
+        assert decoded.payload.dst is home
         assert decoded.payload.respond_to == payload.respond_to
         assert decoded.payload.size_bytes == payload.size_bytes
 
@@ -97,7 +101,7 @@ def test_net_responses_round_trip(rig):
 def test_codec_rejects_unknown_messages_and_ports(rig):
     _, registry, codec = rig
     with pytest.raises(TypeError):
-        codec.encode(Msg())
+        codec.encode(Msg(registry["Driver.ToGPU"]))
     with pytest.raises(ValueError):
         codec.decode({"kind": "kernel_complete", "dst": "No.Such.Port",
                       "src": None, "launch_id": 0})
@@ -145,8 +149,7 @@ def test_adopted_local_pair_behaves_like_a_direct_connection():
     conn, exports = _boundary(engine)
     conn.adopt(prod.out)
     conn.adopt(sink.inp)
-    msg = Msg()
-    msg.dst = sink.inp
+    msg = Msg(dst=sink.inp)
     assert prod.out.send(msg)
     engine.run()
     assert sink.inp.buf.size == 1
@@ -159,8 +162,7 @@ def test_remote_send_exports_with_arrival_time():
     conn, exports = _boundary(engine, latency=2e-9)
     conn.adopt(prod.out)
     remote = _Sink("R", engine).inp  # NOT adopted: remote
-    msg = Msg()
-    msg.dst = remote
+    msg = Msg(dst=remote)
     assert prod.out.send(msg)
     assert [m for m, _ in exports] == [msg]
     assert exports[0][1] == pytest.approx(engine.now + 2e-9)
@@ -176,11 +178,9 @@ def test_remote_quota_blocks_then_window_barrier_wakes():
     remote = _Sink("R", engine, capacity=1).inp
     quota = remote.buf.capacity * ShardConnection.QUOTA_FACTOR
     for _ in range(quota):
-        msg = Msg()
-        msg.dst = remote
+        msg = Msg(dst=remote)
         assert prod.out.send(msg)
-    over = Msg()
-    over.dst = remote
+    over = Msg(dst=remote)
     assert not prod.out.send(over)  # quota exhausted this window
     assert len(exports) == quota
     assert prod.wakeups == 0
@@ -232,8 +232,7 @@ def test_inbound_parks_on_full_buffer_and_drains_on_retrieve():
     sink = _Sink("S", engine, capacity=1)
     conn, _ = _boundary(engine)
     conn.adopt(sink.inp)
-    first, second = Msg(), Msg()
-    first.dst = second.dst = sink.inp
+    first, second = Msg(dst=sink.inp), Msg(dst=sink.inp)
     assert conn.deliver_inbound(first)
     assert not conn.deliver_inbound(second)  # buffer full: parked
     assert conn.parked_count == 1
@@ -270,8 +269,7 @@ def test_injector_delivers_through_the_adopted_connection():
     conn, _ = _boundary(engine)
     conn.adopt(sink.inp)
     injector = BoundaryInjector(engine)
-    msg = Msg()
-    msg.dst = sink.inp
+    msg = Msg(dst=sink.inp)
     injector.inject(msg, deliver_at=5e-9)
     engine.run()
     assert engine.now == pytest.approx(5e-9)
@@ -287,8 +285,7 @@ def test_injector_clamps_past_arrivals_to_now():
     # Advance the clock past the nominal arrival.
     engine.run_window(1e-8)
     injector = BoundaryInjector(engine)
-    msg = Msg()
-    msg.dst = sink.inp
+    msg = Msg(dst=sink.inp)
     injector.inject(msg, deliver_at=5e-9)  # in the past
     engine.run()
     assert sink.inp.buf.size == 1

@@ -348,7 +348,7 @@ def test_the_front_door_rule_sees_each_spelling_but_not_lookalikes():
 
 #: Packages whose ids belong to the collection that hands them out: a
 #: counter there is built per object, never shared by the process.
-PER_OBJECT_IDS = ("core", "faults", "historian")
+PER_OBJECT_IDS = ("akita", "core", "faults", "gpu", "historian")
 
 
 def _shared_counters(source):

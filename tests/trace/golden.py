@@ -1,14 +1,17 @@
 """The tiny traced run behind ``tests/trace/data/fir256.jsonl``.
 
-Message and task ids come from process-wide counters, so the run is
-only reproducible byte for byte in a fresh interpreter:
-``test_format_on_read.py`` runs this file as a script and compares its
-stdout with the committed export.  The data file was written by this
-same script at the commit *before* trace records became format-on-read
-(``PYTHONPATH=src python tests/trace/golden.py ring``; the ``sqlite``
-export was the same 1600 lines byte for byte, so one file serves both),
-so equality proves the lazily produced events are the eagerly produced
-ones.
+Message ids are numbered by the simulation's own engine, so the run is
+reproducible byte for byte in any process, after any other simulation:
+``test_format_on_read.py`` calls :func:`traced_fir_jsonl` in-process and
+compares it with the committed export.  The data file is this script's
+output (``PYTHONPATH=src python tests/trace/golden.py ring``; the
+``sqlite`` export is the same 1600 lines byte for byte, so one file
+serves both).  It was first written at the commit *before* trace
+records became format-on-read; it has since been re-pinned only when
+the numbering of ids changed, each time checked to differ from the
+previous file by one order-preserving renumbering of the ids alone, so
+equality still proves the lazily produced events are the eagerly
+produced ones.
 """
 
 import json

@@ -5,8 +5,6 @@ turns them into :class:`TraceEvent`\\ s; these tests pin that the reader
 sees exactly what the old eager tracer wrote.
 """
 
-import os
-import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -14,24 +12,26 @@ from pathlib import Path
 import pytest
 
 from repro.akita import Component, DirectConnection, Engine, Msg
+from repro.gpu import GPUPlatform, GPUPlatformConfig
 from repro.gpu.mem import DataReadyRsp, ReadReq
 from repro.trace import (RingStore, SQLiteStore, TraceEvent, TraceKind,
                          Tracer)
+from repro.workloads import FIR
+from tests.trace import golden
 
 HERE = Path(__file__).parent
-SRC = HERE.parents[1] / "src"
 
 
 @pytest.mark.parametrize("backend", ["ring", "sqlite"])
 def test_export_is_byte_identical_to_the_eager_tracer(backend):
     """``data/fir256.jsonl`` was exported by the eager tracer (see
-    ``golden.py``); ids are process-wide, hence the fresh interpreter."""
-    result = subprocess.run(
-        [sys.executable, str(HERE / "golden.py"), backend],
-        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
-        timeout=120)
-    assert result.returncode == 0, result.stderr.decode()
-    assert result.stdout == (HERE / "data" / "fir256.jsonl").read_bytes()
+    ``golden.py``).  Ids belong to the simulation, so the export is the
+    same in this process after another FIR(256) has already run."""
+    earlier = GPUPlatform(GPUPlatformConfig.small(num_chiplets=2))
+    FIR(num_samples=256).enqueue(earlier.driver)
+    assert earlier.run()
+    assert golden.traced_fir_jsonl(backend) \
+        == (HERE / "data" / "fir256.jsonl").read_text()
 
 
 # ----------------------------------------------------------------------
