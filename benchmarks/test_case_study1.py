@@ -15,12 +15,20 @@ import pytest
 from repro.core import Monitor, RTMClient
 from repro.gpu import GPUPlatform
 from repro.studies.participants import PARTICIPANTS, ParticipantAgent
-from repro.studies.session import problem_platform_config, problem_workload
+from repro.studies.session import (
+    PROBLEM_EVENTS_PER_SECOND,
+    problem_platform_config,
+    problem_workload,
+)
 
 
 @pytest.fixture(scope="module")
 def live_case_study():
     platform = GPUPlatform(problem_platform_config())
+    # The study's own slow-down (§V-C): the congestion the walk reads is
+    # an opening phase, which a simulator at full speed can leave before
+    # the walk reaches the RDMA engine.
+    platform.engine.set_throttle(PROBLEM_EVENTS_PER_SECOND)
     monitor = Monitor(platform.simulation)
     monitor.attach_driver(platform.driver)
     problem_workload().enqueue(platform.driver)

@@ -6,10 +6,13 @@ A :class:`Component` owns ports and reacts to events.  A
 * Each cycle the engine delivers a :class:`~repro.akita.event.TickEvent`
   and the component's :meth:`~TickingComponent.tick` tries to make
   progress.
-* If the tick made progress, another tick is scheduled for the next
-  cycle; otherwise the component *sleeps* — it consumes zero events until
-  something wakes it (a message arrival, freed buffer space, or
-  AkitaRTM's *Tick* button via :meth:`TickingComponent.tick_later`).
+* If the tick made progress, the same event is pushed again as the
+  next cycle's tick; otherwise the component *sleeps* — it consumes
+  zero events until something wakes it (a message arrival, freed
+  buffer space, or AkitaRTM's *Tick* button via
+  :meth:`TickingComponent.tick_later`).
+* A tick enters only the sub-steps whose input holds work (a queue, a
+  port's incoming messages): an empty one is skipped without a frame.
 * Ports and connections skip ``notify_*`` for a component whose
   next-cycle tick is already pending (``_next_scheduled == _near_tick``:
   never true of a non-ticking component, which is told every time).
@@ -159,7 +162,8 @@ class TickingComponent(Component):
             self._last_tick_time = at
             self.tick_count += 1
             if self.tick():
-                # tick_later() in this frame, one per progressing tick.
+                # tick_later() in this frame, one per progressing tick,
+                # re-pushing the event in hand (hooks.py: AFTER_EVENT).
                 scheduled = self._next_scheduled
                 if scheduled != self._near_tick:
                     engine = self._engine
@@ -169,10 +173,7 @@ class TickingComponent(Component):
                         self._near_tick = scheduled
                     else:
                         self._next_scheduled = self._near_tick = t
-                        event = _new(TickEvent)
                         event.time = t
-                        event.handler = self
-                        event.secondary = True
                         queue = engine._queue
                         heappush(queue._heap,
                                  (t, True, next(queue._seq), event))

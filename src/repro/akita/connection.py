@@ -20,13 +20,14 @@ from heapq import heappush
 from typing import List, Protocol, runtime_checkable
 
 from .engine import Engine
-from .errors import ConfigurationError, PortError
+from .errors import BufferError_, ConfigurationError, PortError
 from .event import Event
 from .hooks import Hookable, HookCtx, HookPos
 from .message import Msg
 from .port import Port
 
 _CONN_TRANSFER = HookPos.CONN_TRANSFER.index
+_PORT_DELIVER = HookPos.PORT_DELIVER.index
 _PORT_SEND = HookPos.PORT_SEND.index
 _new = object.__new__
 
@@ -176,10 +177,27 @@ class DirectConnection(Hookable):
         return True
 
     def handle(self, event: DeliveryEvent) -> None:
-        """Deliver the event's message (engine-facing Handler API)."""
+        """Deliver the event's message (engine-facing Handler API): give
+        back its reserved slot and land it, :meth:`Port.deliver` in this
+        frame."""
         msg = event.msg
-        msg.dst.buf._reserved -= 1
-        msg.dst.deliver(msg)
+        dst = msg.dst
+        buf = dst.buf
+        buf._reserved -= 1
+        items = buf._items
+        n = len(items)
+        if n >= buf._capacity:
+            raise BufferError_(f"push to full buffer {buf.name}")
+        items.append(msg)
+        dst.fills[n] += 1
+        comp = dst.component
+        if comp is not None:
+            if comp._chains[_PORT_DELIVER]:
+                now = comp._engine._now
+                for hook in comp._chains[_PORT_DELIVER]:
+                    hook(dst, now, msg)
+            if comp._next_scheduled != comp._near_tick:
+                comp.notify_recv(dst)
 
     def notify_available(self, port: Port) -> None:
         """A buffer slot freed at *port*; wake potential senders (not

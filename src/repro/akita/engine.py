@@ -268,6 +268,8 @@ class Engine(Hookable):
                     continue
             event.handler.handle(event)
             self._event_count += 1
+            # The handler may have re-pushed *event* (a progressing
+            # tick): AFTER_EVENT hooks read ctx.now, not event.time.
             chain = self._chains[_AFTER_EVENT]
             if chain:
                 ctx.now = now
@@ -340,9 +342,11 @@ class Engine(Hookable):
         self._resume = threading.Event()
         self._resume.set()
         # The restored engine is runnable regardless of how the
-        # checkpointed one was parked (paused, mid-run, terminated).
+        # checkpointed one was parked (paused, mid-run, terminated) or
+        # slowed down (set_throttle: a monitor's pace, not state).
         self._pause_requested = False
         self._terminated = False
+        self._throttle_delay = 0.0
         self._state = RunState.IDLE
 
     def run_until(self, t: VTimeInSec) -> None:

@@ -8,8 +8,11 @@ asks a ticking component to advance by one cycle.
 Two details mirror the Go Akita framework:
 
 * **Secondary events.**  Within a single timestamp, *primary* events run
-  before *secondary* ones.  Connections use secondary events so that all
-  components observe a consistent pre-tick state before messages move.
+  before *secondary* ones.  Ticks and message deliveries are both
+  secondary, so a delivery and a tick of the same timestamp run in the
+  order they were scheduled: a tick sees a same-time arrival only if the
+  delivery was pushed first.  Nothing puts deliveries before ticks yet
+  (ROADMAP item 3).
 * **Deterministic ties.**  Events of the same timestamp and class run
   in the order they were scheduled: the queue numbers its own
   insertions (see :mod:`repro.akita.queue`), so two runs of the same
@@ -64,9 +67,10 @@ class Event:
 class TickEvent(Event):
     """Asks a ticking component to advance one cycle.
 
-    Tick events are *secondary* so that message deliveries scheduled for
-    the same timestamp land in the destination buffers before the
-    component inspects them.
+    Tick events are *secondary*, like deliveries: a same-time delivery
+    lands before the tick only if it was scheduled first (see the module
+    docstring).  A tick that made progress is re-pushed as the next
+    cycle's tick (``TickingComponent.handle``).
     """
 
     __slots__ = ()

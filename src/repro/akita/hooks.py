@@ -33,6 +33,12 @@ The calling convention belongs to the position:
   synchronously and never retain it: the engine's event loop reuses one
   ctx object across invocations, mutating its fields in place, so a
   stored reference would silently change under the observer.
+
+An ``AFTER_EVENT`` hook sees the event as its handler left it.  A tick
+that made progress re-pushes the very ``TickEvent`` it was handed, so
+there ``ctx.item`` is already the next cycle's pending tick and
+``ctx.item.time`` reads that cycle; the time the event fired is
+``ctx.now``.  ``BEFORE_EVENT`` sees every event untouched.
 """
 
 from __future__ import annotations

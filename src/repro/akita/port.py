@@ -92,7 +92,11 @@ class Port:
 
     # -- receiving ----------------------------------------------------------
     def deliver(self, msg: Msg) -> None:
-        """Called by the connection when a message arrives."""
+        """Called by the connection when a message arrives.
+
+        ``DirectConnection.handle`` lands its deliveries with this same
+        body in its own frame; a change here is a change there.
+        """
         # The slot was reserved at send time; overflowing here is a
         # modelling bug, not backpressure.
         buf = self.buf

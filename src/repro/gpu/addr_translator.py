@@ -70,10 +70,14 @@ class AddressTranslator(TickingComponent):
 
     # ------------------------------------------------------------------
     def tick(self) -> bool:
+        # Enter a sub-step only when its input holds work.
         progress = False
-        progress |= self._respond_up()
-        progress |= self._drain_pipeline()
-        progress |= self._accept()
+        if self.bottom_port.incoming:
+            progress = self._respond_up()
+        if self._pipeline:
+            progress |= self._drain_pipeline()
+        if self.top_port.incoming:
+            progress |= self._accept()
         if (self._pipeline and not progress
                 and self._pipeline[0][0] > self._engine._now + 1e-15):
             # Nothing to do until the head translation completes; a

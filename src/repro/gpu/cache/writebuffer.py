@@ -77,18 +77,24 @@ class WriteBuffer(TickingComponent):
 
     # ------------------------------------------------------------------
     def tick(self) -> bool:
+        # Enter a sub-step only when its input holds work.
         progress = False
         if self.buggy:
             # The shipped design gives returning DRAM data priority for
             # queue slots; under a fill burst the queue becomes all-fills
             # with a blocked head, which is what starves the L2's
             # eviction and closes the deadlock cycle.
-            progress |= self._accept_from_dram()
-            progress |= self._accept_from_l2()
+            if self.dram_port.incoming:
+                progress = self._accept_from_dram()
+            if self.in_port.incoming:
+                progress |= self._accept_from_l2()
         else:
-            progress |= self._accept_from_l2()
-            progress |= self._accept_from_dram()
-        progress |= self._process_queue()
+            if self.in_port.incoming:
+                progress = self._accept_from_l2()
+            if self.dram_port.incoming:
+                progress |= self._accept_from_dram()
+        if self._queue:
+            progress |= self._process_queue()
         return progress
 
     def _accept_from_l2(self) -> bool:

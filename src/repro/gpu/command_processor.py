@@ -36,11 +36,17 @@ class CommandProcessor(TickingComponent):
         self._dispatcher_in = dispatcher_in
 
     def tick(self) -> bool:
+        # Enter a sub-step only when its input holds work.
         progress = False
-        progress |= self._drain(self._to_dispatcher, self.dispatcher_port)
-        progress |= self._drain(self._to_driver, self.driver_port)
-        progress |= self._intake_driver()
-        progress |= self._intake_dispatcher()
+        if self._to_dispatcher:
+            progress = self._drain(self._to_dispatcher,
+                                   self.dispatcher_port)
+        if self._to_driver:
+            progress |= self._drain(self._to_driver, self.driver_port)
+        if self.driver_port.incoming:
+            progress |= self._intake_driver()
+        if self.dispatcher_port.incoming:
+            progress |= self._intake_dispatcher()
         return progress
 
     def _intake_driver(self) -> bool:

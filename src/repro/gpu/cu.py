@@ -128,11 +128,16 @@ class ComputeUnit(TickingComponent):
 
     # ------------------------------------------------------------------
     def tick(self) -> bool:
+        # Enter a sub-step only when its input holds work.
         progress = False
-        progress |= self._send_completions()
-        progress |= self._drain_responses()
-        progress |= self._advance_wavefronts()
-        progress |= self._accept_workgroups()
+        if self._completions:
+            progress = self._send_completions()
+        if self.mem_port.incoming or self.scalar_port.incoming:
+            progress |= self._drain_responses()
+        if self.wavefronts:
+            progress |= self._advance_wavefronts()
+        if self.ctrl_port.incoming:
+            progress |= self._accept_workgroups()
         return progress
 
     def _accept_workgroups(self) -> bool:

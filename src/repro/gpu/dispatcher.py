@@ -68,11 +68,16 @@ class Dispatcher(TickingComponent):
 
     # ------------------------------------------------------------------
     def tick(self) -> bool:
+        # Enter a sub-step only when its input holds work.
         progress = False
-        progress |= self._send_replies()
-        progress |= self._process_cu_messages()
-        progress |= self._dispatch()
-        progress |= self._process_cp_messages()
+        if self._pending_replies:
+            progress = self._send_replies()
+        if self.cu_port.incoming:
+            progress |= self._process_cu_messages()
+        if self._pending_wgs:
+            progress |= self._dispatch()
+        if self.cp_port.incoming:
+            progress |= self._process_cp_messages()
         return progress
 
     def _process_cp_messages(self) -> bool:

@@ -42,9 +42,12 @@ class DRAMController(TickingComponent):
 
     # ------------------------------------------------------------------
     def tick(self) -> bool:
+        # Enter a sub-step only when its input holds work.
         progress = False
-        progress |= self._respond_ready()
-        progress |= self._accept()
+        if self._inflight:
+            progress = self._respond_ready()
+        if self.top_port.incoming:
+            progress |= self._accept()
         if (self._inflight and not progress
                 and self._inflight[0][0] > self._engine._now + 1e-15):
             # Head not ready yet: wake when it is.  A head that is ready

@@ -100,7 +100,8 @@ class Driver(TickingComponent):
     # -- execution -------------------------------------------------------------
     def tick(self) -> bool:
         progress = False
-        progress |= self._send_pending_launches()
+        if self._pending_launches:
+            progress = self._send_pending_launches()
         if self._current is None:
             if not self._queue:
                 return progress

@@ -51,7 +51,7 @@ class MemReq(Msg):
 
     @property
     def line_addr(self) -> int:
-        return line_address(self.address)
+        return self.address & ~(CACHE_LINE_SIZE - 1)  # line_address(), inline
 
 
 class ReadReq(MemReq):
@@ -71,8 +71,16 @@ class WriteReq(MemReq):
 
     def __init__(self, dst: "Port", address: int, access_bytes: int,
                  pid: int = 0):
-        super().__init__(dst, address, access_bytes, pid)
+        engine = dst.component._engine  # as MemReq.__init__, one frame
+        self.id = engine.next_msg_id
+        engine.next_msg_id += 1
+        self.src = None
+        self.dst = dst
         self.size_bytes = 16 + access_bytes
+        self.send_time = -1.0
+        self.address = int(address)
+        self.access_bytes = int(access_bytes)
+        self.pid = pid
 
 
 class MemRsp(Msg):
@@ -80,7 +88,7 @@ class MemRsp(Msg):
 
     __slots__ = ("respond_to",)
 
-    def __init__(self, dst: "Port", respond_to: int, size_bytes: int):
+    def __init__(self, dst: "Port", respond_to: int, size_bytes: int = 16):
         engine = dst.component._engine  # as MemReq: Msg.__init__
         self.id = engine.next_msg_id
         engine.next_msg_id += 1
@@ -98,16 +106,22 @@ class DataReadyRsp(MemRsp):
 
     def __init__(self, dst: "Port", respond_to: int,
                  data_bytes: int = CACHE_LINE_SIZE):
-        super().__init__(dst, respond_to, size_bytes=16 + data_bytes)
+        engine = dst.component._engine  # as MemRsp.__init__, one frame
+        self.id = engine.next_msg_id
+        engine.next_msg_id += 1
+        self.src = None
+        self.dst = dst
+        self.size_bytes = 16 + data_bytes
+        self.send_time = -1.0
+        self.respond_to = respond_to
 
 
 class WriteDoneRsp(MemRsp):
-    """Write acknowledgement."""
+    """Write acknowledgement, built by ``MemRsp.__init__`` itself (16
+    bytes on the wire)."""
 
     __slots__ = ()
 
-    def __init__(self, dst: "Port", respond_to: int):
-        super().__init__(dst, respond_to, size_bytes=16)
 
 
 class EvictionReq(Msg):

@@ -108,13 +108,20 @@ class RDMAEngine(TickingComponent):
 
     # ------------------------------------------------------------------
     def tick(self) -> bool:
+        # Enter a sub-step only when its input holds work.
         progress = False
-        progress |= self._drain_to_l1()
-        progress |= self._drain_to_l2()
-        progress |= self._drain_to_net()
-        progress |= self._intake_from_l1()
-        progress |= self._intake_from_net()
-        progress |= self._intake_from_l2()
+        if self._to_l1:
+            progress = self._drain_to_l1()
+        if self._to_l2:
+            progress |= self._drain_to_l2()
+        if self._to_net:
+            progress |= self._drain_to_net()
+        if self.l1_port.incoming:
+            progress |= self._intake_from_l1()
+        if self.net_port.incoming:
+            progress |= self._intake_from_net()
+        if self.l2_port.incoming:
+            progress |= self._intake_from_l2()
         return progress
 
     # -- intake -----------------------------------------------------------

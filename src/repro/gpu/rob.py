@@ -65,10 +65,14 @@ class ReorderBuffer(TickingComponent):
 
     # ------------------------------------------------------------------
     def tick(self) -> bool:
+        # Enter a sub-step only when its input holds work.
         progress = False
-        progress |= self._retire()
-        progress |= self._process_responses()
-        progress |= self._accept_and_forward()
+        if self.transactions:
+            progress = self._retire()
+        if self.bottom_port.incoming:
+            progress |= self._process_responses()
+        if self.top_port.incoming:
+            progress |= self._accept_and_forward()
         return progress
 
     def _accept_and_forward(self) -> bool:

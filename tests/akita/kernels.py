@@ -28,14 +28,14 @@ class Kernel(NamedTuple):
 
 
 KERNELS = {
-    "fir256": Kernel(lambda: FIR(num_samples=256), 18.1, 8.1, 3.7, True),
-    "fir4096": Kernel(lambda: FIR(num_samples=4096), 19.2, 8.8, 3.8,
+    "fir256": Kernel(lambda: FIR(num_samples=256), 15.5, 6.6, 3.7, True),
+    "fir4096": Kernel(lambda: FIR(num_samples=4096), 16.6, 7.2, 3.8,
                       False),
-    "im2col_batch1": Kernel(lambda: Im2Col.scaled(batch=1), 18.6, 7.8,
+    "im2col_batch1": Kernel(lambda: Im2Col.scaled(batch=1), 16.0, 6.5,
                             None, True),
     "storestorm_small": Kernel(lambda: StoreStorm(
         num_workgroups=4, wavefronts_per_wg=2, stores_per_wavefront=24),
-        16.5, 7.6, None, True),
+        14.1, 5.8, None, True),
 }
 
 GOLDEN_KERNELS = sorted(name for name, kernel in KERNELS.items()

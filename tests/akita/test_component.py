@@ -9,6 +9,7 @@ from repro.akita import (
     DirectConnection,
     Engine,
     GHZ,
+    HookPos,
     MHZ,
     Msg,
     TickEvent,
@@ -80,6 +81,24 @@ def test_ticks_land_on_cycle_boundaries():
     c.tick_later()
     engine.run()
     assert engine.now == pytest.approx(4e-9)
+
+
+def test_a_progressing_tick_re_pushes_the_event_it_was_handed():
+    """One TickEvent serves a run of progressing ticks: an AFTER_EVENT
+    hook finds it already moved to the next cycle and reads the time it
+    fired from ``ctx.now``; the final, idle tick is not re-pushed."""
+    engine = Engine()
+    c = _Counter("C", engine, budget=3)
+    seen = []
+    engine.accept_hook(
+        lambda ctx: seen.append((ctx.now, ctx.item.time, ctx.item)),
+        positions=(HookPos.AFTER_EVENT,))
+    c.tick_later()
+    engine.run()
+    assert len({id(event) for _, _, event in seen}) == 1
+    assert [(now, at) for now, at, _ in seen] == pytest.approx(
+        [(1e-9, 2e-9), (2e-9, 3e-9), (3e-9, 4e-9), (4e-9, 4e-9)])
+    assert engine.event_count == 4 and c.asleep
 
 
 def test_tick_later_is_idempotent():

@@ -21,21 +21,25 @@ reserve-or-refuse call on the connection, hot events were built without
 an ``__init__`` frame, a wake-up became ``tick_later`` itself and the
 caches stopped entering sub-steps whose queue is empty; then 16.84 →
 16.45 (17.94 → 17.47) when a send reserved its slot on the destination
-buffer instead of in a per-connection table.  Each budget
+buffer instead of in a per-connection table; then 15.83 → 14.11 (16.82
+→ 15.10) when every ``gpu`` tick entered only the sub-steps that hold
+work, a progressing tick re-pushed the event it was handed, the hot
+memory messages were built in one frame and a delivery landed in the
+connection's own frame.  Each budget
 sits about 10% above what the code reaches.  If a change legitimately
 needs more calls, say why in the commit that raises it.
 
 A C call (``len``, ``heappush``) costs far less than a Python frame, so
 the mixed count understates a frame saving; the *frames* per event
 (``kind == "call"`` only) are gated on their own, 4–10% above what
-the code reaches.  History: FIR(256) 10.63 → 7.63, FIR(4096) 11.07 →
-8.16, ``Im2Col.scaled(batch=1)`` 10.23 → 7.52, the small StoreStorm
-10.16 → 6.93.
+the code reaches.  History: FIR(256) 10.63 → 7.63 → 6.06, FIR(4096)
+11.07 → 8.16 → 6.62, ``Im2Col.scaled(batch=1)`` 10.23 → 7.52 → 5.97,
+the small StoreStorm 10.16 → 6.93 → 5.37.
 
 The kernels and their budgets are one table, ``tests/akita/kernels.py``,
 shared with the golden-order test.  History of the other two:
-``Im2Col.scaled(batch=1)`` 26.13 → 19.39 → 17.45 → 16.91 and the small
-StoreStorm 25.35 → 17.97 → 15.37 → 15.04.
+``Im2Col.scaled(batch=1)`` 26.13 → 19.39 → 17.45 → 16.91 → 14.56 and
+the small StoreStorm 25.35 → 17.97 → 15.37 → 15.04 → 12.79.
 
 The same count over an *instrumented* run (metrics registry attached,
 ring tracer recording — rtmbench's ``instrumented`` workload) gates the

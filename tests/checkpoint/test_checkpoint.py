@@ -115,6 +115,10 @@ def test_save_over_http_mid_run_restores_to_the_same_end(tmp_path):
     reference = _cold_reference()
     platform = _platform()
     _workload().enqueue(platform.driver)
+    # At full speed the run can end before the pause request is served
+    # (then the snapshot is of the finished run); slowed to a pace the
+    # request always beats, the run is live when it is saved.
+    platform.engine.set_throttle(50_000)
     monitor = Monitor(platform.simulation)
     path = str(tmp_path / "live.rtm")
     monitor.attach_checkpointer(Checkpointer(platform, path,
@@ -138,6 +142,8 @@ def test_save_over_http_mid_run_restores_to_the_same_end(tmp_path):
 
     restored, header = load_checkpoint(path, workload=_workload())
     assert 0.0 < header["meta"]["sim_time"] < reference.engine.now
+    assert restored.engine._throttle_delay == 0.0, \
+        "the saving monitor's slow-down came back with the snapshot"
     assert restored.engine.event_count < reference.engine.event_count
     assert restored.run()
     assert restored.engine.event_count == reference.engine.event_count
