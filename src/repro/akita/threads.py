@@ -41,7 +41,6 @@ _NAME_RULES = (
     ("rtm-shard-gateway", "server"),
     ("rtm-sampler", "monitor"),
     ("rtm-watchdog", "monitor"),
-    ("rtm-checkpoint", "monitor"),
     ("rtm-historian", "monitor"),
     ("rtm-recorder", "monitor"),
     ("rtm-cprofiler", "profiler"),

@@ -28,6 +28,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "CHECKPOINT_VERSION": ".format",
     "CheckpointError": ".format",
     "load_checkpoint": ".format",
-    "read_checkpoint_meta": ".format",
     "save_checkpoint": ".format",
 })

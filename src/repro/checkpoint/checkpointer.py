@@ -1,16 +1,14 @@
-"""The cadence driver: periodic snapshots of a live simulation.
+"""The cadence driver: snapshots of a live simulation.
 
-Two cadences, composable:
-
-* ``every_events=N`` — deterministic: an ``AFTER_EVENT`` hook fires the
-  snapshot on the simulation thread every N processed events, at an
-  event boundary by construction.  This is the mode tests and the
-  resume benchmark use: the snapshot lands at the same virtual time on
-  every run.
-* ``interval=T`` — wall-clock: a daemon thread pauses the engine,
-  waits for the simulation thread to park at an event boundary, saves,
-  and resumes.  This is the mode fleet workers use for crash
-  insurance on long jobs.
+* ``every_events=N`` — an ``AFTER_EVENT`` hook fires the snapshot on
+  the simulation thread every N processed events, at an event boundary
+  by construction, so the snapshot lands at the same virtual time on
+  every run.  This is the cadence fleet workers use for crash insurance
+  (``fleet run --checkpoint-events``).
+* on request — :meth:`Checkpointer.save_paused` (``POST
+  /api/checkpoint``) pauses the engine, waits for the simulation thread
+  to park at an event boundary, saves, and continues.  With
+  ``every_events=0`` this is the only way a snapshot is taken.
 
 A failed save (e.g. a fault injector's pin-window callbacks are
 momentarily in the queue and unpicklable) is *counted and skipped*,
@@ -23,23 +21,23 @@ Also the RTM server's checkpoint plane: :data:`ROUTES`.
 from __future__ import annotations
 
 import threading
+import time
 from typing import Any, Callable, Dict, Optional
 
 from ..akita.engine import RunState
 from ..akita.hooks import HookCtx, HookPos
-from ..akita.threads import Periodic
 from ..core.http import BadRequest
 from .format import CheckpointError, save_checkpoint
 
 __all__ = ["Checkpointer"]
 
-#: How long the interval thread waits for the engine to park.
+#: How long an on-request save waits for the engine to park.
 _PAUSE_WAIT = 5.0
 _PAUSE_POLL = 0.002
 
 
 class Checkpointer:
-    """Writes periodic checkpoints of *platform* to *path*.
+    """Writes checkpoints of *platform* to *path*.
 
     Every save atomically replaces *path*, so the file is always the
     last good snapshot — the single thing a restarting worker needs.
@@ -53,9 +51,7 @@ class Checkpointer:
     path:
         Target file, atomically overwritten on each save.
     every_events:
-        Snapshot every N processed events (0 disables the hook mode).
-    interval:
-        Snapshot every T wall seconds (0 disables the thread mode).
+        Snapshot every N processed events (0: on request only).
     meta:
         Extra header fields stamped into every snapshot (job id,
         attempt...).
@@ -69,20 +65,15 @@ class Checkpointer:
     """
 
     def __init__(self, platform: Any, path: str,
-                 every_events: int = 0, interval: float = 0.0,
+                 every_events: int = 0,
                  meta: Optional[Dict[str, Any]] = None,
                  on_save: Optional[Callable[[Dict[str, Any]], None]]
                  = None,
                  registry: Any = None):
-        if every_events <= 0 and interval <= 0:
-            raise ValueError(
-                "Checkpointer needs every_events > 0 and/or "
-                "interval > 0")
         self.platform = platform
         self.engine = platform.engine
         self.path = path
         self.every_events = int(every_events)
-        self.interval = float(interval)
         self.meta = dict(meta or {})
         self.on_save = on_save
         self.count = 0
@@ -92,8 +83,6 @@ class Checkpointer:
         self._save_lock = threading.Lock()
         self._next_at = 0
         self._hook_installed = False
-        self.loop = Periodic("rtm-checkpointer", self.interval,
-                             self.save_paused)
         self._metrics = None
         if registry is not None:
             self._metrics = {
@@ -116,21 +105,19 @@ class Checkpointer:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Install the event hook and/or start the interval thread."""
+        """Install the event hook (none when saves are on request
+        only)."""
         if self.every_events > 0 and not self._hook_installed:
             self._next_at = self.engine.event_count + self.every_events
             self.engine.accept_hook(self._on_event,
                                     positions=(HookPos.AFTER_EVENT,))
             self._hook_installed = True
-        if self.interval > 0:
-            self.loop.start()
 
     def stop(self) -> None:
-        """Detach the hook and stop the interval thread."""
+        """Detach the hook."""
         if self._hook_installed:
             self.engine.remove_hook(self._on_event)
             self._hook_installed = False
-        self.loop.stop()
 
     # ------------------------------------------------------------------
     # Saving
@@ -171,12 +158,10 @@ class Checkpointer:
         return {
             "path": self.path,
             "every_events": self.every_events,
-            "interval": self.interval,
             "count": self.count,
             "errors": self.errors,
             "last_error": self.last_error,
             "last": (self.last_header or {}).get("meta"),
-            "loop": self.loop.status(),
         }
 
     # ------------------------------------------------------------------
@@ -193,14 +178,12 @@ class Checkpointer:
         if engine.run_state is RunState.RUNNING:
             engine.pause()
             try:
-                deadline = _PAUSE_WAIT / _PAUSE_POLL
+                deadline = time.monotonic() + _PAUSE_WAIT
                 while engine.run_state is RunState.RUNNING \
-                        and deadline > 0:
-                    if self.loop.wait(_PAUSE_POLL):
-                        return False
-                    deadline -= 1
+                        and time.monotonic() < deadline:
+                    time.sleep(_PAUSE_POLL)
                 if engine.run_state is RunState.RUNNING:
-                    return False  # refused to park; try next interval
+                    return False  # refused to park
                 return self.save_now() is not None
             finally:
                 engine.continue_()

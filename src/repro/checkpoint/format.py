@@ -51,7 +51,6 @@ __all__ = [
     "CHECKPOINT_VERSION",
     "CheckpointError",
     "load_checkpoint",
-    "read_checkpoint_meta",
     "save_checkpoint",
 ]
 
@@ -76,8 +75,8 @@ class CheckpointError(Exception):
 
 
 def save_checkpoint(platform: Any, path: str,
-                    meta: Optional[Dict[str, Any]] = None,
-                    fsync: bool = True) -> Dict[str, Any]:
+                    meta: Optional[Dict[str, Any]] = None
+                    ) -> Dict[str, Any]:
     """Snapshot *platform* to *path* atomically; returns the header.
 
     The caller must ensure the simulation is quiescent — the engine
@@ -114,16 +113,10 @@ def save_checkpoint(platform: Any, path: str,
     buf.write(b"\n")
     buf.write(payload)
     try:
-        atomic_write_bytes(path, buf.getvalue(), fsync=fsync)
+        atomic_write_bytes(path, buf.getvalue())
     except OSError as exc:
         raise CheckpointError(f"cannot write checkpoint {path}: "
                               f"{exc}") from exc
-    return header
-
-
-def read_checkpoint_meta(path: str) -> Dict[str, Any]:
-    """Read and validate only the header of *path* (cheap)."""
-    header, _ = _read_header(path)
     return header
 
 
@@ -137,7 +130,7 @@ def load_checkpoint(path: str,
     never launched a kernel.  Wake-up ticks are scheduled so a snapshot
     of a stalled run resumes making progress.
     """
-    header, payload = _read_header(path, want_payload=True)
+    header, payload = _read_checkpoint(path)
     digest = hashlib.sha256(payload).hexdigest()
     if digest != header.get("sha256"):
         raise CheckpointError(
@@ -156,9 +149,7 @@ def load_checkpoint(path: str,
 # ----------------------------------------------------------------------
 # Internals
 # ----------------------------------------------------------------------
-def _read_header(path: str,
-                 want_payload: bool = False
-                 ) -> Tuple[Dict[str, Any], bytes]:
+def _read_checkpoint(path: str) -> Tuple[Dict[str, Any], bytes]:
     try:
         with open(path, "rb") as fh:
             line = fh.readline(_MAX_HEADER_BYTES)
@@ -184,8 +175,6 @@ def _read_header(path: str,
             if expected < 0:
                 raise CheckpointError(
                     f"checkpoint {path} header lacks payload_bytes")
-            if not want_payload:
-                return header, b""
             payload = fh.read(expected + 1)
             if len(payload) != expected:
                 raise CheckpointError(

@@ -71,8 +71,7 @@ class Rule:
     def breaching(self, observed: Any, now_wall: float) -> bool:
         raise NotImplementedError
 
-    def evaluate(self, observed: Any,
-                 now_wall: Optional[float] = None) -> Optional[str]:
+    def evaluate(self, observed: Any, now_wall: float) -> Optional[str]:
         """Advance the machine against what one pass *observed*.
 
         Returns ``"firing"`` or ``"resolved"`` on a transition, else
@@ -80,7 +79,6 @@ class Rule:
         a still-breaching rule emits nothing.  When the condition
         clears the rule re-arms: a later breach fires again.
         """
-        now_wall = time.monotonic() if now_wall is None else now_wall
         if not self.breaching(observed, now_wall):
             self._holding_since = None
             was_firing = self.state == "firing"
@@ -149,8 +147,7 @@ class AlertRule(Rule):
         return (value is not None
                 and OPERATORS[self.op](value, self.threshold))
 
-    def evaluate(self, now_sim: float,
-                 now_wall: Optional[float] = None) -> Optional[str]:
+    def evaluate(self, now_sim: float, now_wall: float) -> Optional[str]:
         edge = super().evaluate(now_sim, now_wall)
         if edge == "firing":
             self.fired_at_sim_time = now_sim

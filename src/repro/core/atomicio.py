@@ -19,13 +19,12 @@ from typing import Any
 __all__ = ["atomic_write_bytes", "atomic_write_text", "atomic_write_json"]
 
 
-def atomic_write_bytes(path: Any, data: bytes, fsync: bool = True) -> None:
+def atomic_write_bytes(path: Any, data: bytes) -> None:
     """Write *data* to *path* so that a crash can never tear it.
 
     The temp file lives in the target's directory (rename is only atomic
-    within one filesystem).  With *fsync* (default) the data is on disk
-    before the rename, so even a power loss leaves the old or the new
-    file, complete.
+    within one filesystem), and the data is fsynced before the rename,
+    so even a power loss leaves the old or the new file, complete.
     """
     path = os.fspath(path)
     fd = None
@@ -46,8 +45,7 @@ def atomic_write_bytes(path: Any, data: bytes, fsync: bool = True) -> None:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
             fh.flush()
-            if fsync:
-                os.fsync(fh.fileno())
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -57,13 +55,11 @@ def atomic_write_bytes(path: Any, data: bytes, fsync: bool = True) -> None:
         raise
 
 
-def atomic_write_text(path: Any, text: str, fsync: bool = True) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"), fsync=fsync)
+def atomic_write_text(path: Any, text: str) -> None:
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def atomic_write_json(path: Any, obj: Any, indent: int = 2,
-                      fsync: bool = True, default=str) -> None:
-    atomic_write_text(path,
-                      json.dumps(obj, indent=indent, default=default)
-                      + "\n",
-                      fsync=fsync)
+def atomic_write_json(path: Any, obj: Any) -> None:
+    """*obj* as indented JSON; what JSON cannot encode is written as
+    its ``str``."""
+    atomic_write_text(path, json.dumps(obj, indent=2, default=str) + "\n")

@@ -68,17 +68,16 @@ class RTMClient:
         transport error (0 disables retries).  HTTP error statuses
         (4xx/5xx) are server verdicts, not transport failures, and are
         never retried.
-    backoff:
-        Initial retry delay in seconds; doubles per attempt, with up to
-        50% uniform jitter added to avoid retry stampedes.
     """
 
     def __init__(self, url: str, timeout: float = 5.0,
-                 max_retries: int = 3, backoff: float = 0.05):
+                 max_retries: int = 3):
         self.base = url.rstrip("/")
         self.timeout = timeout
         self.max_retries = max_retries
-        self.backoff = backoff
+        #: Initial retry delay in seconds; doubles per attempt, with up
+        #: to 50% uniform jitter added to avoid retry stampedes.
+        self.backoff = 0.05
         self.retry_count = 0  # total transient retries, for tests/stats
         self._sleep = time.sleep  # injectable for tests
         parts = urlsplit(self.base)

@@ -62,8 +62,7 @@ def _plane(prefix: str):
 class Monitor:
     """Real-time monitor for one simulation."""
 
-    def __init__(self, simulation: Optional[Simulation] = None,
-                 sample_interval: float = 0.1):
+    def __init__(self, simulation: Optional[Simulation] = None):
         self._engine: Optional[Engine] = None
         self._simulation: Optional[Simulation] = None
         self._components: Dict[str, Any] = {}
@@ -92,7 +91,8 @@ class Monitor:
         self.sim_metrics = None  # set by ensure_sim_metrics
         self._server = None  # set by start_server
         self._driver = None
-        self.sample_interval = sample_interval
+        #: Wall seconds between sampler turns, read every turn.
+        self.sample_interval = 0.1
         self.sampler = Periodic("rtm-sampler",
                                 lambda: self.sample_interval, self._sample)
         if simulation is not None:
@@ -419,8 +419,8 @@ class Monitor:
     # ------------------------------------------------------------------
     # Server lifecycle (Go API #6, #7)
     # ------------------------------------------------------------------
-    def start_server(self, port: int = 0, host: str = "127.0.0.1",
-                     announce: bool = False) -> str:
+    def start_server(self, port: int = 0,
+                     host: str = "127.0.0.1") -> str:
         """Start the HTTP backend; returns the URL (printed to the
         terminal in the paper's workflow)."""
         from .server import RTMServer
@@ -428,8 +428,6 @@ class Monitor:
             return self._server.url
         self._server = RTMServer(self, host=host, port=port)
         self._server.start()
-        if announce:  # pragma: no cover - cosmetic
-            print(f"AkitaRTM listening on {self._server.url}")
         return self._server.url
 
     def stop_server(self) -> None:

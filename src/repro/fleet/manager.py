@@ -27,7 +27,8 @@ a result event) gets a post-mortem assembled from its exit code, last
 control events and stderr tail; the job re-enters the queue at the
 front of the line under :meth:`JobQueue.fail`'s retry policy.
 Workers that crash are *recycled* — a replacement process is forked —
-up to ``max_worker_restarts`` for the pool's lifetime; if the budget is
+up to one per worker slot (``max_worker_restarts``) for the pool's
+lifetime; if the budget is
 spent and no workers remain, the remaining jobs are failed rather than
 left to hang the campaign.
 
@@ -123,7 +124,6 @@ class FleetManager:
 
     def __init__(self, queue: JobQueue, num_workers: int = 2,
                  worker_args: Optional[List[str]] = None,
-                 max_worker_restarts: Optional[int] = None,
                  journal=None):
         if num_workers < 1:
             raise ValueError("need at least one worker slot")
@@ -138,10 +138,9 @@ class FleetManager:
         self.journal = journal
         if journal is not None:
             journal.attach(queue)
-        #: Crashed workers replaced over the pool's lifetime.
-        self.max_worker_restarts = (num_workers
-                                    if max_worker_restarts is None
-                                    else max_worker_restarts)
+        #: Crashed workers replaced over the pool's lifetime: one per
+        #: slot.
+        self.max_worker_restarts = num_workers
         self.drained = threading.Event()
         self._lock = threading.Lock()
         self._active: Dict[str, WorkerHandle] = {}

@@ -43,7 +43,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "MetricRule": ".rules",
     "RULE_KINDS": ".rules",
     "HistorianService": ".service",
-    "registry_source": ".service",
     "Historian": ".store",
     "RECORD_KINDS": ".store",
     "RetentionPolicy": ".store",

@@ -19,9 +19,9 @@ The service brings its own HTTP routes, :data:`ROUTES`, and
 gateway it records: a gateway no service is bound to has no
 ``/api/historian/*`` paths.  Retention is ``repro historian prune``'s.
 
-The service also works without a fleet: pass ``source=`` a callable
-returning parsed families (see :func:`registry_source`) to record any
-monitored run — the overhead benchmark drives it that way.
+The snapshot source is the bound gateway's federated exposition; a
+service bound to no gateway (as in the overhead benchmark) harvests
+jobs and records no snapshot.
 """
 
 from __future__ import annotations
@@ -33,16 +33,11 @@ from ..akita.threads import Periodic
 from ..core.alerts import AlertManager
 from ..core.http import (BadRequest, EventStream, float_param, int_param,
                          route_table)
-from ..metrics.exposition import expose, family_total, parse_exposition
+from ..metrics.exposition import family_total, parse_exposition
 from .rules import MetricRule
 from .store import Historian
 
-__all__ = ["HistorianService", "registry_source"]
-
-
-def registry_source(registry) -> Callable[[], Dict[str, Any]]:
-    """Snapshot source sampling a registry directly (no fleet)."""
-    return lambda: parse_exposition(expose(registry))
+__all__ = ["HistorianService"]
 
 
 class HistorianService:
@@ -59,10 +54,6 @@ class HistorianService:
         its ``queue.terminal_jobs()``, ``final_metrics()`` and
         ``profiles()`` views) to harvest job outcomes from.  Optional: a
         fleet-less monitored run records snapshots and alerts only.
-    source:
-        Callable returning parsed families (``parse_exposition``
-        output).  Defaults to the gateway's federated exposition once
-        :meth:`bind_gateway` is called.
     interval:
         Sampling cadence in wall seconds.
     rules:
@@ -72,13 +63,15 @@ class HistorianService:
     def __init__(self, historian: Historian,
                  campaign_id: Optional[str] = None,
                  manager=None,
-                 source: Optional[Callable[[], Dict[str, Any]]] = None,
                  interval: float = 1.0,
                  rules: Iterable[MetricRule] = (),
                  meta: Optional[Dict[str, Any]] = None):
         self.historian = historian
         self.manager = manager
-        self.source = source
+        #: Returns parsed families (``parse_exposition`` output) to
+        #: record and evaluate each tick; the bound gateway's federated
+        #: exposition, ``None`` until :meth:`bind_gateway`.
+        self.source: Optional[Callable[[], Dict[str, Any]]] = None
         self.interval = interval
         self.engine = AlertManager()
         for rule in rules:
@@ -104,9 +97,8 @@ class HistorianService:
         in its registry, and mount :data:`ROUTES` on it, answered by
         this service.  The gateway's table is replaced whole, so other
         gateways keep theirs."""
-        if self.source is None:
-            self.source = lambda: parse_exposition(
-                gateway.federated_metrics())
+        self.source = lambda: parse_exposition(
+            gateway.federated_metrics())
         self.engine.attach_registry(gateway.registry)
         gateway.routes = {**gateway.routes, **route_table(ROUTES, self)}
 

@@ -113,10 +113,10 @@ class Historian:
     campaign's rows.
     """
 
-    def __init__(self, path: Any, batch_size: int = 64,
-                 flush_interval: float = 0.5):
+    def __init__(self, path: Any, flush_interval: float = 0.5):
         self.path = str(path)
-        self.batch_size = batch_size
+        #: Pending rows that force a flush.
+        self.batch_size = 64
         self.flush_interval = flush_interval
         self._lock = threading.RLock()
         self._pending: List[tuple] = []

@@ -24,7 +24,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "parse_exposition": ".exposition",
     "federate": ".federation",
     "federate_sources": ".federation",
-    "inject_label": ".federation",
     "inject_labels": ".federation",
     "scrape": ".federation",
     "OCCUPANCY_BUCKETS": ".instrument",

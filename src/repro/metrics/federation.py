@@ -7,8 +7,7 @@ instrumentation).  Two things make the merge non-trivial:
 * every sample needs identity labels so the series stay distinguishable
   downstream — ``worker="wN",job="fir-c1"`` for the fleet, where one
   long-lived worker produces expositions for *many* jobs, and
-  ``shard="k"`` for a sharded run (:func:`inject_label` /
-  :func:`inject_labels`);
+  ``shard="k"`` for a sharded run (:func:`inject_labels`);
 * ``# HELP``/``# TYPE`` headers must appear exactly once per family and
   all samples of a family must stay contiguous, as the text format
   requires (:func:`federate` re-groups lines by family).
@@ -27,7 +26,7 @@ import re
 from typing import Dict, Iterable, List, Optional, Tuple
 from urllib.request import Request, urlopen
 
-__all__ = ["SCRAPE_TIMEOUT", "inject_label", "inject_labels",
+__all__ = ["SCRAPE_TIMEOUT", "inject_labels",
            "federate", "federate_sources", "scrape"]
 
 #: Per-worker scrape/proxy timeout: a wedged worker must not hold the
@@ -45,12 +44,6 @@ _HEADER_RE = re.compile(r"^# (HELP|TYPE) ([a-zA-Z_:][a-zA-Z0-9_:]*) ?(.*)$")
 def _escape(value: str) -> str:
     return (value.replace("\\", "\\\\").replace("\n", "\\n")
             .replace('"', '\\"'))
-
-
-def inject_label(text: str, label: str, value: str) -> str:
-    """Add ``label="value"`` to every sample line of an exposition
-    (single-label convenience over :func:`inject_labels`)."""
-    return inject_labels(text, {label: value})
 
 
 def inject_labels(text: str, labels: Dict[str, str]) -> str:

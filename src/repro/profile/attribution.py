@@ -197,20 +197,25 @@ def attribution_report(stacks: Dict[str, Dict[Stack, float]],
 # ----------------------------------------------------------------------
 # Compact summaries (fleet control channel / historian payloads)
 # ----------------------------------------------------------------------
+#: The functions a summary (and a merge of summaries) keeps.
+_SUMMARY_FUNCTIONS = 40
+#: The stacks one job's summary keeps, and a campaign's merge.
+_SUMMARY_STACKS = 250
+_MERGED_STACKS = 500
+
+
 def make_summary(stacks: Dict[str, Dict[Stack, float]],
-                 duration: float, samples: int,
-                 top_functions: int = 40,
-                 top_stacks: int = 250) -> Dict[str, Any]:
+                 duration: float, samples: int) -> Dict[str, Any]:
     """A JSON-able digest of a stack map, bounded in size so it can
     ride a control-channel line or a historian row."""
     report = attribution_report(stacks, duration, samples,
-                                top=top_functions)
+                                top=_SUMMARY_FUNCTIONS)
     flat: List[Tuple[str, Stack, float]] = [
         (role, stack, seconds)
         for role, per_stack in stacks.items()
         for stack, seconds in per_stack.items()]
     flat.sort(key=lambda item: item[2], reverse=True)
-    kept = flat[:top_stacks]
+    kept = flat[:_SUMMARY_STACKS]
     return {
         "duration": report["duration"],
         "samples": report["samples"],
@@ -239,9 +244,8 @@ def summary_stack_map(summary: Dict[str, Any]
     return stacks
 
 
-def merge_summaries(summaries: Iterable[Dict[str, Any]],
-                    top_functions: int = 40,
-                    top_stacks: int = 500) -> Dict[str, Any]:
+def merge_summaries(summaries: Iterable[Dict[str, Any]]
+                    ) -> Dict[str, Any]:
     """Fold many per-job summaries into one campaign-wide summary."""
     merged: Dict[str, Any] = {
         "duration": 0.0, "samples": 0, "sampled_seconds": 0.0,
@@ -286,13 +290,14 @@ def merge_summaries(summaries: Iterable[Dict[str, Any]],
     merged["functions"] = sorted(
         functions.values(),
         key=lambda fn: (fn["self"], fn["total"]),
-        reverse=True)[:top_functions]
+        reverse=True)[:_SUMMARY_FUNCTIONS]
     ranked_stacks = sorted(stacks.items(), key=lambda kv: -kv[1])
-    merged["stacks_dropped"] += max(0, len(ranked_stacks) - top_stacks)
+    merged["stacks_dropped"] += max(0,
+                                    len(ranked_stacks) - _MERGED_STACKS)
     merged["stacks"] = [
         {"role": role, "frames": [list(frame) for frame in stack],
          "seconds": round(seconds, 4)}
-        for (role, stack), seconds in ranked_stacks[:top_stacks]]
+        for (role, stack), seconds in ranked_stacks[:_MERGED_STACKS]]
     return merged
 
 

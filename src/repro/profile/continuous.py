@@ -347,15 +347,11 @@ class ContinuousProfiler:
                           edges.items(), key=lambda kv: -kv[1])],
         }
 
-    def summary(self, last: Optional[int] = None,
-                top_functions: int = 40,
-                top_stacks: int = 250) -> Dict[str, Any]:
+    def summary(self, last: Optional[int] = None) -> Dict[str, Any]:
         """The compact digest that rides the fleet control channel and
         the historian."""
         duration, samples = self._span(last)
-        return make_summary(self.merged_stacks(last), duration, samples,
-                            top_functions=top_functions,
-                            top_stacks=top_stacks)
+        return make_summary(self.merged_stacks(last), duration, samples)
 
     def collapsed(self, last: Optional[int] = None,
                   role: Optional[str] = None) -> str:

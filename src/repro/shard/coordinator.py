@@ -107,9 +107,7 @@ class ShardCoordinator:
 
     def __init__(self, config: GPUPlatformConfig, workload: Workload,
                  num_shards: int, *, monitor: bool = False,
-                 metrics: bool = False, port: int = 0,
-                 host: str = "127.0.0.1",
-                 timeout: float = _DEFAULT_TIMEOUT):
+                 port: int = 0, host: str = "127.0.0.1"):
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
         self.config = config
@@ -117,8 +115,6 @@ class ShardCoordinator:
         self.num_shards = num_shards
         self.owners = chiplet_owners(config.partition_chiplets(num_shards))
         self.monitor = monitor
-        self.metrics = metrics
-        self.timeout = timeout
         self._solo_seconds = _SOLO_GRANT_CYCLES / config.freq
         self._window_seconds = config.shard_window_cycles / config.freq
         #: The barrier families: the preamble of the federated
@@ -216,8 +212,7 @@ class ShardCoordinator:
             self._send(k, {"cmd": "init", "shard": k,
                            "num_shards": self.num_shards,
                            "config": config_dict, "workload": spec,
-                           "monitor": self.monitor,
-                           "metrics": self.metrics, "port": 0})
+                           "monitor": self.monitor, "port": 0})
         for k in range(self.num_shards):
             _, ready = self._recv(k)
             if ready.get("event") != "shard-ready":
@@ -237,10 +232,11 @@ class ShardCoordinator:
     def _recv(self, k: int) -> Tuple[float, Dict[str, Any]]:
         """Shard *k*'s next event with its arrival timestamp."""
         try:
-            _, arrival, event = self._sinks[k].get(timeout=self.timeout)
+            _, arrival, event = self._sinks[k].get(
+                timeout=_DEFAULT_TIMEOUT)
         except queue.Empty:
             raise self._worker_error(
-                k, f"no response within {self.timeout:.0f}s",
+                k, f"no response within {_DEFAULT_TIMEOUT:.0f}s",
                 exited=False) from None
         if event is None:
             raise self._worker_error(k, "worker exited unexpectedly",

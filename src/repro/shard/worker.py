@@ -25,12 +25,12 @@ the terminal's process group never reaches it; a SIGTERM/SIGINT sent
 to its pid directly is only recorded, and the coordinator's abort
 stops the shards.
 
-Monitoring is opt-in per the ``init`` flags: ``metrics`` attaches a
-:class:`Monitor` with simulation instrumentation (counter families in
-the final exposition), ``monitor`` additionally serves the per-shard
-AkitaRTM dashboard the coordinator's gateway federates.  Both default
-off so benchmark comparisons against an uninstrumented monolithic run
-stay fair.
+Monitoring is opt-in per the ``init`` command's ``monitor`` flag: it
+attaches a :class:`Monitor` with simulation instrumentation (counter
+families in the final exposition) and serves the per-shard AkitaRTM
+dashboard the coordinator's gateway federates.  It defaults off so
+benchmark comparisons against an uninstrumented monolithic run stay
+fair.
 """
 
 from __future__ import annotations
@@ -59,17 +59,15 @@ def _handle_init(state: _WorkerState, cmd: Dict[str, Any]) -> None:
     state.runtime = ShardRuntime(config, workload, cmd["shard"],
                                  cmd["num_shards"])
     url = None
-    if cmd.get("metrics") or cmd.get("monitor"):
+    if cmd.get("monitor"):
         from ..core import Monitor
         # Constructed after pruning: the monitor sees (and instruments)
         # only the components this shard owns.
         state.monitor = Monitor(state.runtime.simulation)
         state.monitor.attach_driver(state.runtime.platform.driver)
-        if cmd.get("metrics"):
-            state.monitor.ensure_sim_metrics().start()
-        if cmd.get("monitor"):
-            url = state.monitor.start_server(port=cmd.get("port", 0))
-            state.monitor.start_sampler()
+        state.monitor.ensure_sim_metrics().start()
+        url = state.monitor.start_server(port=cmd.get("port", 0))
+        state.monitor.start_sampler()
     emit({"event": "shard-ready", "shard": state.shard, "url": url,
           "next_time": state.runtime.next_time})
 

@@ -256,11 +256,11 @@ class SQLiteStore(TraceStore):
 
     backend = "sqlite"
 
-    def __init__(self, path: str, batch_size: int = 512,
-                 flush_interval: float = 0.25):
+    def __init__(self, path: str, flush_interval: float = 0.25):
         super().__init__()
         self.path = str(path)
-        self.batch_size = int(batch_size)
+        #: Pending rows that force a flush.
+        self.batch_size = 512
         self.flush_interval = float(flush_interval)
         self._pending: List[tuple] = []
         self._recorded = 0

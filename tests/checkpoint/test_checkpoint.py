@@ -9,6 +9,7 @@ resumes making progress after restore.
 
 import json
 import random
+import threading
 
 import pytest
 
@@ -17,7 +18,6 @@ from repro.checkpoint import (
     CheckpointError,
     Checkpointer,
     load_checkpoint,
-    read_checkpoint_meta,
     save_checkpoint,
 )
 from repro.akita import TickEvent
@@ -121,8 +121,7 @@ def test_save_over_http_mid_run_restores_to_the_same_end(tmp_path):
     platform.engine.set_throttle(50_000)
     monitor = Monitor(platform.simulation)
     path = str(tmp_path / "live.rtm")
-    monitor.attach_checkpointer(Checkpointer(platform, path,
-                                             interval=3600.0))
+    monitor.attach_checkpointer(Checkpointer(platform, path))
     client = RTMClient(monitor.start_server())
     thread = threading.Thread(target=platform.run, daemon=True)
     thread.start()
@@ -194,7 +193,7 @@ def test_restore_is_exact_at_every_swept_event_boundary(tmp_path):
     def save(ctx):
         if engine.event_count in SWEEP_BOUNDARIES:
             path = str(tmp_path / f"{engine.event_count}.rtm")
-            save_checkpoint(platform, path, fsync=False)
+            save_checkpoint(platform, path)
             saved.append((engine.event_count, path))
 
     engine.accept_hook(save, positions=(HookPos.AFTER_EVENT,))
@@ -340,14 +339,14 @@ def test_unsupported_version_is_rejected(tmp_path, version):
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode() + b"\n" + rest)
     with pytest.raises(CheckpointError, match="version"):
-        read_checkpoint_meta(path)
+        load_checkpoint(path)
 
 
 def test_garbage_file_is_rejected(tmp_path):
     path = str(tmp_path / "noise.rtm")
     open(path, "wb").write(b"not a checkpoint at all\nmore noise")
     with pytest.raises(CheckpointError):
-        read_checkpoint_meta(path)
+        load_checkpoint(path)
 
 
 def test_missing_file_is_rejected(tmp_path):
@@ -375,7 +374,7 @@ def test_saves_atomically_overwrite_one_path(tmp_path):
     second = ckpt.save_now()
     assert first["meta"]["checkpoint_seq"] == 0
     assert second["meta"]["checkpoint_seq"] == 1
-    assert read_checkpoint_meta(path)["meta"]["checkpoint_seq"] == 1
+    assert load_checkpoint(path)[1]["meta"]["checkpoint_seq"] == 1
     assert list(tmp_path.iterdir()) == [tmp_path / "ckpt.rtm"], \
         "no temp files may survive a save"
 
@@ -393,7 +392,7 @@ def test_meta_carries_caller_fields_and_watermark(tmp_path):
     assert meta["attempt"] == 2
     assert not [key for key in meta if "watermark" in key]
     assert meta["sim_time"] == platform.engine.now
-    assert read_checkpoint_meta(path) == header
+    assert load_checkpoint(path)[1] == header
 
 
 def test_unpicklable_state_is_counted_not_fatal(tmp_path):
@@ -409,23 +408,23 @@ def test_unpicklable_state_is_counted_not_fatal(tmp_path):
     assert ckpt.count == 0 and ckpt.last_header is None
 
 
-def test_interval_mode_snapshots_a_threaded_run(tmp_path):
-    import threading
-
+def test_without_a_cadence_it_saves_only_on_request(tmp_path):
+    """``Checkpointer(platform, path)`` installs no hook and starts no
+    thread: the run takes no snapshot, and ``save_paused`` (the ``POST
+    /api/checkpoint`` path) still saves."""
     platform = _platform()
-    FIR(num_samples=8192).enqueue(platform.driver)
+    _workload().enqueue(platform.driver)
     path = str(tmp_path / "ckpt.rtm")
-    ckpt = Checkpointer(platform, path, interval=0.02)
-    thread = threading.Thread(target=lambda: platform.run(hang_wait=5.0),
-                              daemon=True)
+    threads_before = set(threading.enumerate())
+    ckpt = Checkpointer(platform, path)
     ckpt.start()
-    thread.start()
-    thread.join(timeout=60.0)
+    assert platform.engine.num_hooks == 0
+    assert set(threading.enumerate()) == threads_before
+    assert platform.run()
+    assert ckpt.count == 0 and ckpt.status()["every_events"] == 0
+    assert ckpt.save_paused()
     ckpt.stop()
-    assert not thread.is_alive()
-    assert platform.simulation.completed
-    if ckpt.count:  # a fast host may finish before the first tick
-        restored, header = load_checkpoint(
-            path, workload=FIR(num_samples=8192))
-        assert restored.engine.now == header["meta"]["sim_time"]
-        assert restored.run()
+    assert ckpt.count == 1
+    restored, header = load_checkpoint(path, workload=_workload())
+    assert header["meta"]["event_count"] == platform.engine.event_count
+    assert restored.engine.now == platform.engine.now

@@ -22,8 +22,8 @@ def _reset(*args):
 
 
 def _client(max_retries=3):
-    client = RTMClient("http://127.0.0.1:9", max_retries=max_retries,
-                       backoff=0.01)
+    client = RTMClient("http://127.0.0.1:9", max_retries=max_retries)
+    client.backoff = 0.01
     client._request = _reset
     client._sleep = client_sleeps(client)
     return client
@@ -159,7 +159,8 @@ def test_transient_then_success_recovers(monkeypatch):
 def test_connection_refused_fast_fails_without_retries():
     # A dead port is a definitive verdict, answered immediately — no
     # retries, no sleeps.
-    client = RTMClient("http://127.0.0.1:9", max_retries=5, backoff=0.5)
+    client = RTMClient("http://127.0.0.1:9", max_retries=5)
+    client.backoff = 0.5
     sleeps = []
     client._sleep = sleeps.append
     with pytest.raises(RTMConnectionError, match="connection refused"):
@@ -171,7 +172,8 @@ def test_connection_refused_fast_fails_without_retries():
 def test_connection_refused_returns_well_under_one_backoff_cycle():
     # Regression for the satellite: probing a dead worker must answer in
     # far less than a single backoff delay (real sleeps, big backoff).
-    client = RTMClient("http://127.0.0.1:9", max_retries=3, backoff=2.0)
+    client = RTMClient("http://127.0.0.1:9", max_retries=3)
+    client.backoff = 2.0
     start = time.monotonic()
     with pytest.raises(RTMConnectionError):
         client.overview()
@@ -184,7 +186,8 @@ def test_connection_error_is_a_client_error_subclass():
 
 
 def test_metrics_stream_refuses_fast():
-    client = RTMClient("http://127.0.0.1:9", max_retries=3, backoff=2.0)
+    client = RTMClient("http://127.0.0.1:9", max_retries=3)
+    client.backoff = 2.0
     sleeps = []
     client._sleep = sleeps.append
     start = time.monotonic()

@@ -126,7 +126,8 @@ def test_a_dead_zygote_fails_the_restart_by_name_and_never_hangs():
     queue_.submit_all([JobSpec(f"fir-z{i}", "fir",
                                params={"num_samples": 2048},
                                max_retries=2) for i in range(6)])
-    manager = FleetManager(queue_, num_workers=2, max_worker_restarts=1)
+    manager = FleetManager(queue_, num_workers=2)
+    manager.max_worker_restarts = 1
     manager.start()
     try:
         assert manager.wait_ready(timeout=60)

@@ -101,8 +101,8 @@ def test_a_failing_snapshot_source_is_counted_and_the_harvest_runs(
 
     historian = Historian(tmp_path / "h.db")
     service = HistorianService(historian, campaign_id="c",
-                               manager=_Manager(queue),
-                               source=unreachable, interval=60.0)
+                               manager=_Manager(queue), interval=60.0)
+    service.source = unreachable
     service.tick()
     service.tick()
     status = service.status()

@@ -83,8 +83,7 @@ def test_policy_validates_kind():
 
 
 def test_prune_flushes_pending_first(tmp_path):
-    historian = Historian(tmp_path / "h.db", batch_size=1000,
-                          flush_interval=1000.0)
+    historian = Historian(tmp_path / "h.db", flush_interval=1000.0)
     cid = historian.begin_campaign("c")
     for i in range(4):
         historian.record(cid, "snapshot", {"i": i}, wall=float(i))

@@ -67,8 +67,7 @@ def test_jobs_latest_record_wins(store):
 
 
 def test_batched_writes_flush_on_query(tmp_path):
-    historian = Historian(tmp_path / "h.db", batch_size=1000,
-                          flush_interval=1000.0)
+    historian = Historian(tmp_path / "h.db", flush_interval=1000.0)
     cid = historian.begin_campaign("c")
     for i in range(10):
         historian.record(cid, "snapshot", {"i": i})

@@ -2,28 +2,28 @@
 
 from repro.core.http import HTTPServerThread, Response
 from repro.metrics import (MetricRegistry, expose, federate,
-                           federate_sources, inject_label)
+                           federate_sources, inject_labels)
 
 
 # ---------------------------------------------------------------------------
-# inject_label
+# inject_labels
 # ---------------------------------------------------------------------------
 
 def test_inject_adds_brace_block_to_bare_samples():
     text = "rtm_events_total 42\n"
-    assert inject_label(text, "worker", "w1") == \
+    assert inject_labels(text, {"worker": "w1"}) == \
         'rtm_events_total{worker="w1"} 42\n'
 
 
 def test_inject_prepends_to_existing_labels():
     text = 'rtm_jobs{state="queued"} 3\n'
-    assert inject_label(text, "worker", "w2") == \
+    assert inject_labels(text, {"worker": "w2"}) == \
         'rtm_jobs{worker="w2",state="queued"} 3\n'
 
 
 def test_inject_skips_samples_already_carrying_the_label():
     text = 'rtm_jobs{worker="w9",state="queued"} 3\n'
-    assert inject_label(text, "worker", "w1") == text
+    assert inject_labels(text, {"worker": "w1"}) == text
 
 
 def test_inject_leaves_comments_and_blank_lines_alone():
@@ -31,14 +31,14 @@ def test_inject_leaves_comments_and_blank_lines_alone():
             "# TYPE rtm_x counter\n"
             "\n"
             "rtm_x 1\n")
-    out = inject_label(text, "worker", "w1")
+    out = inject_labels(text, {"worker": "w1"})
     assert "# HELP rtm_x Things." in out
     assert "# TYPE rtm_x counter" in out
     assert 'rtm_x{worker="w1"} 1' in out
 
 
 def test_inject_escapes_label_value():
-    out = inject_label("m 1\n", "worker", 'we"ird\\')
+    out = inject_labels("m 1\n", {"worker": 'we"ird\\'})
     assert out == 'm{worker="we\\"ird\\\\"} 1\n'
 
 
@@ -47,7 +47,7 @@ def test_inject_real_exposition_round_trips():
     registry.counter("jobs_total", "Jobs.").inc(5)
     gauge = registry.gauge("load", "Load.", ("cpu",))
     gauge.labels("0").set(0.5)
-    out = inject_label(expose(registry), "worker", "w1")
+    out = inject_labels(expose(registry), {"worker": "w1"})
     assert 'jobs_total{worker="w1"} 5' in out
     assert 'load{worker="w1",cpu="0"} 0.5' in out
 

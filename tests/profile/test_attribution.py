@@ -4,6 +4,7 @@ from repro.profile import (LAYERS, attribution_report, classify_frame,
                            classify_path, classify_stack, diff_summaries,
                            make_summary, merge_summaries,
                            summary_stack_map)
+from repro.profile.attribution import _SUMMARY_STACKS
 
 ENGINE = ("run", "/repo/src/repro/akita/engine.py", 150)
 HOOKS = ("invoke_hooks", "/repo/src/repro/akita/hooks.py", 40)
@@ -107,10 +108,9 @@ def test_summary_round_trips_through_stack_map():
 def test_summary_bounds_stack_count():
     stacks = {"simulation": {
         (("f%d" % i, "/x/repro/akita/e.py", i),): 0.01
-        for i in range(40)}}
-    summary = make_summary(stacks, duration=1.0, samples=40,
-                           top_stacks=10)
-    assert len(summary["stacks"]) == 10
+        for i in range(_SUMMARY_STACKS + 30)}}
+    summary = make_summary(stacks, duration=1.0, samples=40)
+    assert len(summary["stacks"]) == _SUMMARY_STACKS
     assert summary["stacks_dropped"] == 30
 
 

@@ -68,7 +68,7 @@ def _monolithic():
 def runs():
     mono = _monolithic()
     coordinator = ShardCoordinator(_CONFIG, _WORKLOAD, 2,
-                                   monitor=True, metrics=True)
+                                   monitor=True)
     try:
         result = coordinator.run()
         federated = coordinator.federated_metrics()

@@ -18,18 +18,28 @@ are private.
 package ``__init__.py`` lazy tables, which re-export and do not use),
 ``examples``, ``benchmarks`` and ``tests`` — are read as syntax trees: a
 function, class or method is used where an identifier, an attribute, an
-imported name or a whitespace-free string constant names it; an option
-is used where a call passes it by keyword, an assignment sets it as an
-attribute, or a string that is no dict-display key names it (a request
-parameter, a config key).  The dashboard's ``static`` files and the
-``docs`` (README, DESIGN, EXPERIMENTS) are read as text, word by word; a
-family written with a glob (``RTMClient.trace_*``) documents every name
-it matches.  Matching is by name, so a name shared with an unrelated one
-counts as used: the census can miss dead surface, never invent it.
+imported name or a whitespace-free string constant names it, but not
+by its own module's ``__all__``.  An option is used where a call to its
+callee fills it — ``Foo(x=)`` fills ``Foo``'s ``x``, ``obj.foo(x=)``
+every ``foo`` method's, a positional argument the option at its place,
+a ``*``/``**`` call every option of that callee — and by bare name
+where an assignment sets it as an attribute, a string that is no
+dict-display key names it (a request parameter, a config key), or a
+keyword goes to a callee the syntax cannot name (``super().__init__``,
+``cls(...)``, a variable, ``dataclasses.replace``).  The dashboard's
+``static`` files and the ``docs`` (README, DESIGN, EXPERIMENTS) are
+read as text, word by word; a family written with a glob
+(``RTMClient.trace_*``) documents every name it matches.  Matching is
+by name, so a name shared with an unrelated one counts as used and the
+census can miss dead surface.  The one way it can invent some is a call
+that spells another name for the callee — a subclass that inherits its
+base's ``__init__``, an alias — so read a finding's callers before
+deleting it (no monitor-side class inherits an ``__init__`` with
+options today).
 
-*The gate.*  No surface name is used by ``tests`` alone unless
-:data:`ALLOWED` lists it with a reason, and every entry there is still
-needed.  Each package's count of names and options stays within
+*The gate.*  No surface name is used by ``tests`` alone, or by nothing,
+unless :data:`ALLOWED` lists it with a reason, and every entry there is
+still needed.  Each package's count of names and options stays within
 :data:`BUDGET`, so the surface can only shrink.
 
 *The command line.*  The same rule for flags: every ``--flag`` of a
@@ -64,39 +74,45 @@ CORPORA = ("src", "examples", "benchmarks", "static", "docs", "tests")
 
 _NEVER_DUE = "test seam: an interval that never elapses makes the " \
     "batching deterministic"
-_COUNT = "the client's spelling of the route's documented count= " \
-    "parameter"
+_ROUTE_PARAMETER = "the client's spelling of a parameter its route " \
+    "documents (count=, for=)"
 
-#: Names only the tests use, kept on purpose: ``key`` -> reason.
+#: Names nothing but the tests uses, kept on purpose: ``key`` -> reason.
 ALLOWED = {
     "core.monitor:Monitor.update_progress_bar":
         "Go API UpdateProgressBar (paper §IV-B: the 12 functions)",
     "core.server:route_rows": "the composed route table that README's "
         "tables (tests/test_docs.py) and the route walk are checked "
         "against",
-    "core.client:RTMClient.metrics_stream(max_events=)": _COUNT,
-    "core.client:RTMClient.historian_stream(max_events=)": _COUNT,
+    "core.client:RTMClient.metrics_stream(max_events=)": _ROUTE_PARAMETER,
+    "core.client:RTMClient.historian_stream(max_events=)":
+        _ROUTE_PARAMETER,
+    "core.client:RTMClient.historian_add_rule(for_seconds=)":
+        _ROUTE_PARAMETER,
     "trace.store:SQLiteStore(flush_interval=)": _NEVER_DUE,
     "historian.store:Historian(flush_interval=)": _NEVER_DUE,
     "fleet.journal:CampaignJournal(fsync_batch=)":
         "test seam: a small batch makes the fsync cadence countable",
     "fleet.protocol:split_batches(max_bytes=)":
         "test seam: a small bound splits without megabyte frames",
+    "core.alerts:AlertManager.evaluate_all(now_wall=)":
+        "test seam: a given wall clock walks a rule's hold window, and "
+        "the log and counters behind it, without sleeping",
 }
 
 #: Per package: (public names, options) the census may count at most.
 #: Before the walk that set this gate the monitor side counted 547
 #: names and 370 options, 30 of them used by tests alone.
 BUDGET = {
-    "core": (214, 104),
-    "trace": (52, 35),
-    "profile": (36, 22),
-    "metrics": (44, 25),
+    "core": (214, 94),
+    "trace": (52, 34),
+    "profile": (36, 16),
+    "metrics": (43, 25),
     "faults": (28, 34),
-    "checkpoint": (10, 8),
-    "fleet": (67, 54),
-    "historian": (28, 29),
-    "shard": (38, 8),
+    "checkpoint": (9, 6),
+    "fleet": (67, 53),
+    "historian": (27, 27),
+    "shard": (38, 6),
 }
 
 
@@ -129,52 +145,67 @@ def _settable(field_value):
                         for keyword in field_value.keywords))
 
 
-def _options(function):
-    """The parameters of *function* that have a default."""
+def _options(function, method=False):
+    """``(option, position)`` for each parameter of *function* that has
+    a default: *position* is where a call fills it positionally (the
+    ``self``/``cls`` of a *method* not counted), ``None`` for a
+    keyword-only one."""
     args = function.args
     positional = args.posonlyargs + args.args
-    with_default = positional[len(positional) - len(args.defaults):] \
-        if args.defaults else []
-    with_default += [arg for arg, default
-                     in zip(args.kwonlyargs, args.kw_defaults)
-                     if default is not None]
-    return [arg.arg for arg in with_default]
+    if method and not any(getattr(decorator, "id", None) == "staticmethod"
+                          for decorator in function.decorator_list):
+        positional = positional[1:]
+    first = len(positional) - len(args.defaults)
+    return ([(arg.arg, i) for i, arg in enumerate(positional) if i >= first]
+            + [(arg.arg, None) for arg, default
+               in zip(args.kwonlyargs, args.kw_defaults)
+               if default is not None])
 
 
 def _surface_of(source, module):
-    """``(key, kind, name)`` for every public name and option *source*
-    defines; *module* is its dotted name below ``repro``."""
+    """``(key, kind, name, callee, position)`` for every public name and
+    option *source* defines; *module* is its dotted name below
+    ``repro``.  An option's *callee* is the name a call that fills it
+    goes by (the class, for ``__init__`` and dataclass fields) and
+    *position* where such a call fills it positionally; a name has
+    neither."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in ast.parse(source).body:
         if isinstance(node, functions) and _is_public(node.name):
-            yield f"{module}:{node.name}", "name", node.name
-            for option in _options(node):
-                yield f"{module}:{node.name}({option}=)", "option", option
+            yield f"{module}:{node.name}", "name", node.name, None, None
+            for option, position in _options(node):
+                yield (f"{module}:{node.name}({option}=)", "option",
+                       option, node.name, position)
         elif isinstance(node, ast.ClassDef) and _is_public(node.name):
-            yield f"{module}:{node.name}", "name", node.name
             owner = f"{module}:{node.name}"
+            yield owner, "name", node.name, None, None
+            fields = 0
             for item in node.body:
                 if isinstance(item, functions):
                     if item.name == "__init__":
-                        for option in _options(item):
-                            yield f"{owner}({option}=)", "option", option
+                        for option, position in _options(item, True):
+                            yield (f"{owner}({option}=)", "option",
+                                   option, node.name, position)
                     elif _is_public(item.name):
-                        yield f"{owner}.{item.name}", "name", item.name
-                        for option in _options(item):
+                        yield (f"{owner}.{item.name}", "name", item.name,
+                               None, None)
+                        for option, position in _options(item, True):
                             yield (f"{owner}.{item.name}({option}=)",
-                                   "option", option)
+                                   "option", option, item.name, position)
                 elif isinstance(item, ast.AnnAssign) \
                         and _is_dataclass(node) \
                         and isinstance(item.target, ast.Name) \
-                        and item.value is not None \
-                        and _settable(item.value) \
-                        and _is_public(item.target.id):
-                    yield (f"{owner}({item.target.id}=)", "option",
-                           item.target.id)
+                        and (item.value is None or _settable(item.value)):
+                    if item.value is not None \
+                            and _is_public(item.target.id):
+                        yield (f"{owner}({item.target.id}=)", "option",
+                               item.target.id, node.name, fields)
+                    fields += 1
 
 
 def surface(packages=PACKAGES):
-    """``{package: [(key, kind, name), ...]}`` in file order."""
+    """``{package: [(key, kind, name, callee, position), ...]}`` in file
+    order."""
     found = {}
     for package in packages:
         rows = found.setdefault(package, [])
@@ -190,34 +221,117 @@ def surface(packages=PACKAGES):
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _FAMILY = re.compile(r"([A-Za-z_][A-Za-z0-9_]*_)\*")
 
+#: Callees that fill the options of their first argument, whose type
+#: the syntax cannot name (``dataclasses.replace``, ``functools.partial``).
+_FORWARDING = ("replace", "partial")
+
+
+class _Uses:
+    """What a Python corpus refers to: *names* (identifiers, attributes,
+    imported names, string words); *words*, the options it uses by bare
+    name (attribute stores, strings, keywords of a callee the syntax
+    cannot name); and per named callee the *keywords* passed to it, the
+    most arguments passed to it by position, and whether a ``*``/``**``
+    call (*starred*) may fill any of its options."""
+
+    def __init__(self):
+        self.names, self.words = set(), set()
+        self.keywords, self.starred = set(), set()
+        self.positional = {}
+
+    def __ior__(self, other):
+        self.names |= other.names
+        self.words |= other.words
+        self.keywords |= other.keywords
+        self.starred |= other.starred
+        for callee, count in other.positional.items():
+            self.positional[callee] = max(count,
+                                          self.positional.get(callee, 0))
+        return self
+
+    def uses(self, name, callee=None, position=None):
+        """Whether the corpus uses the name *name* or, given its
+        *callee*, that callee's option *name*."""
+        if callee is None:
+            return name in self.names
+        return (name in self.words or (callee, name) in self.keywords
+                or callee in self.starred
+                or position is not None
+                and self.positional.get(callee, 0) > position)
+
+
+def _callee(func, variables):
+    """The name the callee *func* goes by, or ``None`` when the syntax
+    cannot name it: a computed callee (``super().__init__``), a private
+    or forwarding one, or one of the file's *variables* (``cls``, a
+    parameter, an assigned name)."""
+    if isinstance(func, ast.Attribute):
+        name = func.attr
+    elif isinstance(func, ast.Name) and func.id not in variables:
+        name = func.id
+    else:
+        return None
+    return None if name.startswith("_") or name in _FORWARDING else name
+
+
+def _read_call(call, callee, uses):
+    keywords = {keyword.arg for keyword in call.keywords if keyword.arg}
+    if callee is None:
+        uses.words |= keywords
+        return
+    uses.keywords |= {(callee, keyword) for keyword in keywords}
+    if len(keywords) < len(call.keywords) \
+            or any(isinstance(arg, ast.Starred) for arg in call.args):
+        uses.starred.add(callee)
+    uses.positional[callee] = max(len(call.args),
+                                  uses.positional.get(callee, 0))
+
+
+def _exports(tree):
+    """The ids of the string constants of *tree*'s ``__all__``."""
+    found = set()
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [getattr(node, "target", None)]
+        if any(getattr(target, "id", None) == "__all__"
+               for target in targets) and node.value is not None:
+            found |= {id(item) for item in ast.walk(node.value)}
+    return found
+
 
 def _references(source, lazy_table=False):
-    """``(names, options)`` *source* refers to: see the module docstring.
-    A *lazy_table* (a package ``__init__.py``) contributes no string."""
+    """The :class:`_Uses` of *source*: see the module docstring.  A
+    *lazy_table* (a package ``__init__.py``) contributes no string."""
     tree = ast.parse(source)
+    exports = _exports(tree)
     dict_keys = {id(key) for node in ast.walk(tree)
                  if isinstance(node, ast.Dict) for key in node.keys}
-    names, options = set(), set()
+    variables = {node.id if isinstance(node, ast.Name) else node.arg
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.arg) or isinstance(node, ast.Name)
+                 and isinstance(node.ctx, ast.Store)}
+    uses = _Uses()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            uses.names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            uses.names.add(node.attr)
             if isinstance(node.ctx, ast.Store) and not (
                     isinstance(node.value, ast.Name)
                     and node.value.id == "self"):
-                options.add(node.attr)
+                uses.words.add(node.attr)
         elif isinstance(node, ast.alias):
-            names.add(node.name.rpartition(".")[2])
-        elif isinstance(node, ast.keyword) and node.arg:
-            options.add(node.arg)
+            uses.names.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Call):
+            _read_call(node, _callee(node.func, variables), uses)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                and not lazy_table and not re.search(r"\s", node.value):
+                and not lazy_table and id(node) not in exports \
+                and not re.search(r"\s", node.value):
             words = set(_WORD.findall(node.value))
-            names |= words
+            uses.names |= words
             if id(node) not in dict_keys:
-                options |= words
-    return names, options
+                uses.words |= words
+    return uses
 
 
 def _python_files(corpus):
@@ -233,7 +347,8 @@ def _python_files(corpus):
 
 class _Text(set):
     """The words of a text corpus; also holds every name one of its
-    globbed families (``prefix_*``) matches."""
+    globbed families (``prefix_*``) matches.  Docs are prose: a word
+    uses every name and option it spells."""
 
     def __init__(self, text):
         super().__init__(_WORD.findall(text))
@@ -242,23 +357,21 @@ class _Text(set):
     def __contains__(self, name):
         return super().__contains__(name) or name.startswith(self.families)
 
+    def uses(self, name, callee=None, position=None):
+        return name in self
+
 
 def corpora():
-    """``{corpus: (names, options)}`` — what each corpus refers to."""
+    """``{corpus: uses}`` — what each corpus refers to."""
     found = {}
     for corpus in ("src", "examples", "benchmarks", "tests"):
-        names, options = set(), set()
+        uses = found[corpus] = _Uses()
         for path, lazy_table in _python_files(corpus):
-            more_names, more_options = _references(path.read_text(),
-                                                   lazy_table)
-            names |= more_names
-            options |= more_options
-        found[corpus] = (names, options)
+            uses |= _references(path.read_text(), lazy_table)
     for corpus, paths in (
             ("static", sorted(SRC.glob("*/static/*"))),
             ("docs", [ROOT / name for name in DOCS])):
-        words = _Text("\n".join(path.read_text() for path in paths))
-        found[corpus] = (words, words)
+        found[corpus] = _Text("\n".join(path.read_text() for path in paths))
     return found
 
 
@@ -270,30 +383,32 @@ def census(packages=PACKAGES):
     for package, rows in surface(packages).items():
         table[package] = [
             (key, kind, [corpus for corpus in CORPORA
-                         if name in refs[corpus][kind == "option"]])
-            for key, kind, name in rows]
+                         if refs[corpus].uses(name, callee, position)])
+            for key, kind, name, callee, position in rows]
     return table
 
 
-def used_by_tests_alone(table):
+def unused_outside_tests(table):
+    """The keys no corpus but ``tests`` uses: used by the tests alone,
+    or by nothing."""
     return sorted(key for rows in table.values()
-                  for key, _, used in rows if used == ["tests"])
+                  for key, _, used in rows if set(used) <= {"tests"})
 
 
 # ----------------------------------------------------------------------
 # The gate
 # ----------------------------------------------------------------------
 def test_no_public_name_is_used_by_the_tests_alone():
-    unexplained = [key for key in used_by_tests_alone(census())
+    unexplained = [key for key in unused_outside_tests(census())
                    if key not in ALLOWED]
     assert not unexplained, (
-        "used only by tests — delete it (and its tests), make it a "
-        "constant, or list it in ALLOWED with a reason:\n"
+        "used by tests alone, or by nothing — delete it (and its tests), "
+        "make it a constant, or list it in ALLOWED with a reason:\n"
         + "\n".join(unexplained))
 
 
 def test_every_allowed_name_is_still_test_only():
-    stale = sorted(set(ALLOWED) - set(used_by_tests_alone(census())))
+    stale = sorted(set(ALLOWED) - set(unused_outside_tests(census())))
     assert not stale, "no longer test-only; drop from ALLOWED:\n" + \
         "\n".join(stale)
 
@@ -320,46 +435,97 @@ def test_the_census_reads_every_kind_of_use():
         "class K:\n"
         "    def __init__(self, x, y=0): pass\n"
         "    def m(self, z=None): pass\n"
+        "    @staticmethod\n"
+        "    def s(w=0): pass\n"
         "    @property\n"
         "    def p(self): return 1\n"
         "    def _private(self): pass\n"
         "class _Hidden:\n"
         "    def m(self): pass\n", "pkg.mod"))
     assert defined == [
-        ("pkg.mod:K", "name", "K"), ("pkg.mod:K(y=)", "option", "y"),
-        ("pkg.mod:K.m", "name", "m"), ("pkg.mod:K.m(z=)", "option", "z"),
-        ("pkg.mod:K.p", "name", "p"), ("pkg.mod:f", "name", "f"),
-        ("pkg.mod:f(b=)", "option", "b"), ("pkg.mod:f(c=)", "option", "c")]
+        ("pkg.mod:K", "name", "K", None, None),
+        ("pkg.mod:K(y=)", "option", "y", "K", 1),
+        ("pkg.mod:K.m", "name", "m", None, None),
+        ("pkg.mod:K.m(z=)", "option", "z", "m", 0),
+        ("pkg.mod:K.p", "name", "p", None, None),
+        ("pkg.mod:K.s", "name", "s", None, None),
+        ("pkg.mod:K.s(w=)", "option", "w", "s", 0),
+        ("pkg.mod:f", "name", "f", None, None),
+        ("pkg.mod:f(b=)", "option", "b", "f", 1),
+        ("pkg.mod:f(c=)", "option", "c", "f", None)]
     fields = list(_surface_of(
         "@dataclass\n"
         "class C:\n"
         "    need: int\n"
         "    knob: int = 1\n"
         "    _seen: int = 0\n"
-        "    id: int = field(default=0, init=False)\n", "pkg.mod"))
-    assert fields == [("pkg.mod:C", "name", "C"),
-                      ("pkg.mod:C(knob=)", "option", "knob")]
-    names, options = _references(
+        "    id: int = field(default=0, init=False)\n"
+        "    last: int = 2\n", "pkg.mod"))
+    assert fields == [("pkg.mod:C", "name", "C", None, None),
+                      ("pkg.mod:C(knob=)", "option", "knob", "C", 1),
+                      ("pkg.mod:C(last=)", "option", "last", "C", 3)]
+    uses = _references(
         "from x import alpha\n"
         "beta()\n"
         "obj.gamma\n"
         "route = ('GET', '/api/x', 'delta')\n"
-        "call(eps=1)\n"
         "obj.zeta = 2\n"
         "self.kappa = 3\n"
         "params.get('eta')\n"
         "payload = {'theta': 1}\n"
         "'''A docstring naming iota.'''\n")
-    assert {"alpha", "beta", "gamma", "delta", "eta", "theta"} <= names
-    assert "iota" not in names
-    assert {"eps", "zeta", "eta"} <= options
-    assert not {"theta", "gamma", "iota", "kappa"} & options
+    assert all(uses.uses(name) for name in
+               ("alpha", "beta", "gamma", "delta", "eta", "theta"))
+    assert not uses.uses("iota")
+    assert all(uses.uses(option, "Any", None)
+               for option in ("zeta", "eta"))
+    assert not any(uses.uses(option, "Any", None)
+                   for option in ("theta", "gamma", "iota", "kappa"))
     assert _references("T = {'Name': '.module'}\n",
-                       lazy_table=True)[0] == {"T"}
+                       lazy_table=True).names == {"T"}
     docs = _Text("The client: `RTMClient.trace_*` and `overview()`.")
-    assert all(name in docs
+    assert all(docs.uses(name)
                for name in ("trace_start", "trace_query", "overview"))
-    assert "profile_start" not in docs
+    assert not docs.uses("profile_start")
+
+
+def test_the_census_matches_each_option_to_its_callee():
+    """A module's own ``__all__`` is no use; a call fills the options of
+    the callee it names — by keyword, by position, or all of them
+    through ``*``/``**`` — and a callee the syntax cannot name counts
+    by bare keyword.  An option no corpus but the tests uses, or none
+    at all, fails the gate."""
+    exported = _references("__all__ = ['alpha']\n"
+                           "__all__ += ['beta']\n")
+    assert not exported.uses("alpha") and not exported.uses("beta")
+    named = _references("Foo(x=1)\n"
+                        "obj.run(2, 3)\n"
+                        "Spread(*args)\n"
+                        "Keyed(**options)\n")
+    assert named.uses("x", "Foo", 0)
+    assert not named.uses("x", "Bar", 0)
+    assert named.uses("limit", "run", 1)
+    assert not named.uses("limit", "run", 2)
+    assert not named.uses("limit", "other", 0)
+    assert named.uses("anything", "Spread", None)
+    assert named.uses("anything", "Keyed", None)
+    unnamed = _references("class Sub(Base):\n"
+                          "    def __init__(self):\n"
+                          "        super().__init__(x=1)\n"
+                          "    @classmethod\n"
+                          "    def make(cls):\n"
+                          "        return cls(y=2)\n"
+                          "factory = pick()\n"
+                          "factory(z=3)\n"
+                          "replace(spec, w=0)\n")
+    assert all(unnamed.uses(option, "Base", None)
+               for option in ("x", "y", "z", "w"))
+    table = {"pkg": [("pkg.mod:K(y=)", "option", []),
+                     ("pkg.mod:K(z=)", "option", ["tests"]),
+                     ("pkg.mod:K(w=)", "option", ["src", "tests"]),
+                     ("pkg.mod:K(v=)", "option", ["docs"])]}
+    assert unused_outside_tests(table) == ["pkg.mod:K(y=)",
+                                           "pkg.mod:K(z=)"]
 
 
 # ----------------------------------------------------------------------
@@ -553,10 +719,10 @@ def test_the_flag_census_reads_every_kind_of_command_line():
 @functools.cache
 def measure():
     """Per package ``public_names@``, ``options@`` and ``test_only@``
-    (names only the tests use); the campaign flags and how many of them
-    no command line passes."""
+    (names no corpus but the tests uses, the allowed ones included);
+    the campaign flags and how many of them no command line passes."""
     table = census()
-    alone = used_by_tests_alone(table)
+    alone = unused_outside_tests(table)
     measured = {}
     for package, rows in table.items():
         measured[f"public_names@{package}"] = sum(

@@ -1,8 +1,8 @@
 """Every loop that wakes every N seconds is one ``Periodic``
 (``repro/akita/threads.py``): one lifecycle, one failure rule, one name
-per role.  Stated over all seven owners — the monitor's sampler, the
-watchdog, the continuous profiler, the checkpointer, the series
-recorder, the historian service and ``guarded``'s heartbeat (the
+per role.  Stated over all six owners — the monitor's sampler, the
+watchdog, the continuous profiler, the series recorder, the historian
+service and ``guarded``'s heartbeat (the
 ``progress`` lines of ``repro run``, sharded or not, and of a fleet
 job).
 
@@ -31,7 +31,8 @@ from repro.core.watchdog import Watchdog, WatchdogConfig
 from repro.fleet import FleetGateway
 from repro.fleet.channel import WorkerChannel, Zygote
 from repro.gpu import GPUPlatform, GPUPlatformConfig
-from repro.historian import Historian, HistorianService, registry_source
+from repro.historian import Historian, HistorianService
+from repro.metrics import expose, parse_exposition
 from repro.profile import ContinuousProfiler
 from repro.shard.coordinator import ShardGateway
 from repro.workloads import FIR
@@ -104,7 +105,8 @@ class _Flaky:
 
 def test_a_watched_property_that_raises_once_does_not_end_sampling():
     platform = _platform()
-    monitor = Monitor(platform.simulation, sample_interval=INTERVAL)
+    monitor = Monitor(platform.simulation)
+    monitor.sample_interval = INTERVAL
     monitor.register_component(_Flaky())
     watch = monitor.watch_value("Flaky", "ratio")
     monitor.start_server()
@@ -124,9 +126,10 @@ def test_a_watched_property_that_raises_once_does_not_end_sampling():
     assert not monitor.sampler.running
 
 
-# ------------------------------------------- one lifecycle, seven owners
+# --------------------------------------------- one lifecycle, six owners
 def _sampler(tmp_path):
-    monitor = Monitor(_platform().simulation, sample_interval=INTERVAL)
+    monitor = Monitor(_platform().simulation)
+    monitor.sample_interval = INTERVAL
     return monitor.sampler, monitor.start_sampler, monitor.stop_sampler
 
 
@@ -139,12 +142,6 @@ def _watchdog(tmp_path):
 def _profiler(tmp_path):
     profiler = ContinuousProfiler(interval=INTERVAL)
     return profiler.loop, profiler.start, profiler.stop
-
-
-def _checkpointer(tmp_path):
-    checkpointer = Checkpointer(_platform(), str(tmp_path / "c.rtm"),
-                                interval=INTERVAL)
-    return checkpointer.loop, checkpointer.start, checkpointer.stop
 
 
 def _recorder(tmp_path):
@@ -164,8 +161,8 @@ def _progress(tmp_path):
     return loop, loop.start, loop.stop
 
 
-OWNERS = [_sampler, _watchdog, _profiler, _checkpointer, _recorder,
-          _historian, _progress]
+OWNERS = [_sampler, _watchdog, _profiler, _recorder, _historian,
+          _progress]
 
 
 @pytest.mark.parametrize("owner", OWNERS)
@@ -262,13 +259,14 @@ def every_plane(tmp_path):
     heartbeat lives as long as the run); yields ``(platform, loops)``."""
     platform = _platform()
     FIR(num_samples=8192).enqueue(platform.driver)
-    monitor = Monitor(platform.simulation, sample_interval=INTERVAL)
+    monitor = Monitor(platform.simulation)
+    monitor.sample_interval = INTERVAL
     monitor.attach_driver(platform.driver)
     monitor.start_server()
     monitor.start_sampler()
     monitor.enable_watchdog(check_interval=INTERVAL)
     monitor.attach_checkpointer(Checkpointer(
-        platform, str(tmp_path / "fir.rtm"), interval=0.1,
+        platform, str(tmp_path / "fir.rtm"), every_events=20_000,
         registry=monitor.metrics))
     monitor.checkpointer.start()
     monitor.ensure_tracer().start()
@@ -278,14 +276,14 @@ def every_plane(tmp_path):
         RTMClient(monitor.url),
         [metric_target("rtm_engine_events_total")], interval=INTERVAL)
     recorder.start()
-    service = HistorianService(
-        Historian(tmp_path / "h.db"),
-        source=registry_source(monitor.metrics), interval=INTERVAL)
+    service = HistorianService(Historian(tmp_path / "h.db"),
+                               interval=INTERVAL)
+    service.source = lambda: parse_exposition(expose(monitor.metrics))
     service.start()
     try:
         yield platform, [monitor.sampler, monitor.watchdog.loop,
-                         monitor.checkpointer.loop, monitor.profiler.loop,
-                         recorder.loop, service.loop]
+                         monitor.profiler.loop, recorder.loop,
+                         service.loop]
     finally:
         service.stop()
         service.historian.close()

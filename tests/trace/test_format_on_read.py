@@ -136,8 +136,11 @@ def _put(store, i, port):
 def test_counts_stay_exact_across_reads_and_clear(backend, tmp_path):
     port = _Sim().client.out
     ring = backend == "ring"
-    store = RingStore(capacity=8) if ring \
-        else SQLiteStore(str(tmp_path / "trace.db"), batch_size=4)
+    if ring:
+        store = RingStore(capacity=8)
+    else:
+        store = SQLiteStore(str(tmp_path / "trace.db"))
+        store.batch_size = 4
     for i in range(12):
         _put(store, i, port)
         # A read takes no sequence number and miscounts nothing.

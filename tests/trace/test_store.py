@@ -21,7 +21,8 @@ def store(request, tmp_path):
     if request.param == "ring":
         yield RingStore(capacity=1000)
     else:
-        s = SQLiteStore(str(tmp_path / "trace.db"), batch_size=4)
+        s = SQLiteStore(str(tmp_path / "trace.db"))
+        s.batch_size = 4
         yield s
         s.close()
 
@@ -145,8 +146,7 @@ def test_ring_rejects_non_positive_capacity():
 # SQLite specifics
 # ----------------------------------------------------------------------
 def test_sqlite_flushes_in_batches(tmp_path):
-    store = SQLiteStore(str(tmp_path / "t.db"), batch_size=100,
-                        flush_interval=3600.0)
+    store = SQLiteStore(str(tmp_path / "t.db"), flush_interval=3600.0)
     _fill(store, 5)
     assert store._pending  # below batch size, still buffered
     assert len(store) == 5  # __len__ counts pending too
@@ -174,8 +174,7 @@ def test_sqlite_keeps_a_row_when_a_reader_flushes_mid_append(
     thread is still formatting the row it is about to buffer; the row
     must go into the batch that is written next, not the one just
     written out."""
-    store = SQLiteStore(str(tmp_path / "t.db"), batch_size=1000,
-                        flush_interval=3600.0)
+    store = SQLiteStore(str(tmp_path / "t.db"), flush_interval=3600.0)
     to_row = TraceEvent.to_row
 
     def to_row_with_a_flush_landing_inside(event):
@@ -192,8 +191,7 @@ def test_sqlite_keeps_a_row_when_a_reader_flushes_mid_append(
 
 
 def test_sqlite_query_flushes_pending(tmp_path):
-    store = SQLiteStore(str(tmp_path / "t.db"), batch_size=1000,
-                        flush_interval=3600.0)
+    store = SQLiteStore(str(tmp_path / "t.db"), flush_interval=3600.0)
     _fill(store, 3)
     assert len(store.query()) == 3  # visible despite no explicit flush
     store.close()
