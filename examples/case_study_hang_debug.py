@@ -29,10 +29,8 @@ from repro.workloads import StoreStorm
 def run_buggy() -> None:
     print("=== Phase A: the buggy simulator ===\n")
     platform = GPUPlatform(StoreStorm.trigger_config(buggy=True))
-    monitor = Monitor(platform.simulation)
-    monitor.attach_driver(platform.driver)
+    monitor = Monitor.for_platform(platform)
     url = monitor.start_server()
-    monitor.start_sampler()
     print(f"dashboard: {url}")
 
     StoreStorm().enqueue(platform.driver)
@@ -98,8 +96,7 @@ def run_buggy() -> None:
 def run_fixed() -> None:
     print("\n=== Phase B: the patched simulator ===\n")
     platform = GPUPlatform(StoreStorm.trigger_config(buggy=False))
-    monitor = Monitor(platform.simulation)
-    monitor.attach_driver(platform.driver)
+    monitor = Monitor.for_platform(platform)
     StoreStorm().enqueue(platform.driver)
     completed = platform.run()
     print(f"    same workload, eager-eviction write buffer: "

@@ -41,8 +41,7 @@ def spark(points, width=60):
 def main() -> None:
     print("=== Case study 1: im2col on a 4-chiplet MCM GPU ===\n")
     platform = GPUPlatform(problem_platform_config())
-    monitor = Monitor(platform.simulation)
-    monitor.attach_driver(platform.driver)
+    monitor = Monitor.for_platform(platform)
     url = monitor.start_server()
     print(f"dashboard: {url}\n")
 

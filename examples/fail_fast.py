@@ -26,8 +26,7 @@ from repro.workloads import StoreStorm
 
 def main() -> None:
     platform = GPUPlatform(StoreStorm.trigger_config(buggy=True))
-    monitor = Monitor(platform.simulation)
-    monitor.attach_driver(platform.driver)
+    monitor = Monitor.for_platform(platform)
     monitor.sample_interval = 0.02
 
     l2 = platform.chiplets[0].l2s[0]
@@ -35,7 +34,6 @@ def main() -> None:
                              l2.top_port.buf.capacity, duration=0.05,
                              action="notify")
     monitor.enable_watchdog(max_tick_retries=0, check_interval=0.02)
-    monitor.start_sampler()
     print(f"armed: {rule.label} (notify after 50ms sustained)")
     print("armed: abort-on-hang policy (watchdog, no Tick retries)")
 

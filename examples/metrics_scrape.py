@@ -56,8 +56,7 @@ def print_breakdown(snapshot) -> None:
 
 def main() -> None:
     platform = GPUPlatform(GPUPlatformConfig.small(num_chiplets=2))
-    monitor = Monitor(platform.simulation)
-    monitor.attach_driver(platform.driver)
+    monitor = Monitor.for_platform(platform)
     StoreStorm().enqueue(platform.driver)
     url = monitor.start_server()
     client = RTMClient(url)

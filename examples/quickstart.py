@@ -22,9 +22,9 @@ def main() -> None:
     platform = GPUPlatform(GPUPlatformConfig.small(num_chiplets=2))
 
     # 2. Attach AkitaRTM: one call registers the engine and every
-    #    component; attach_driver adds the default progress bars.
-    monitor = Monitor(platform.simulation)
-    monitor.attach_driver(platform.driver)
+    #    component, adds the driver's default progress bars and starts
+    #    the sampler that feeds the time charts and the hang detector.
+    monitor = Monitor.for_platform(platform)
     url = monitor.start_server()
     print(f"AkitaRTM dashboard: {url}")
 

@@ -22,8 +22,7 @@ def main() -> None:
         else pathlib.Path(".")
 
     platform = GPUPlatform(problem_platform_config())
-    monitor = Monitor(platform.simulation)
-    monitor.attach_driver(platform.driver)
+    monitor = Monitor.for_platform(platform)
     problem_workload().enqueue(platform.driver)
     url = monitor.start_server()
     print(f"dashboard: {url}")

@@ -29,8 +29,7 @@ def main() -> None:
     platform = GPUPlatform(GPUPlatformConfig.small(num_chiplets=2))
     FIR(num_samples=2048).enqueue(platform.driver)
 
-    monitor = Monitor(platform.simulation)
-    monitor.attach_driver(platform.driver)
+    monitor = Monitor.for_platform(platform)
 
     # Always-on tracing: one ring, hooks attached, nothing else pays.
     tracer = monitor.ensure_tracer(capacity=1 << 18)
@@ -42,6 +41,7 @@ def main() -> None:
                               probability=0.02))
 
     ok = platform.run(hang_wait=0.0)
+    monitor.stop_sampler()
     state = "completed" if ok else platform.simulation.run_state
     stats = tracer.store.stats()
     print(f"run {state} at t={platform.simulation.now * 1e6:.2f}us "

@@ -70,9 +70,7 @@ def attach_monitor(platform: GPUPlatform, port: Optional[int] = None):
     """A :class:`~repro.core.Monitor` on *platform*, its sampler running
     and — given a *port* (0: ephemeral) — its dashboard up and announced."""
     from .core import Monitor
-    monitor = Monitor(platform.simulation)
-    monitor.attach_driver(platform.driver)
-    monitor.start_sampler()
+    monitor = Monitor.for_platform(platform)
     if port is not None:
         print(f"AkitaRTM dashboard: {monitor.start_server(port=port)}")
     return monitor

@@ -7,11 +7,10 @@ Typical usage::
     from repro.gpu import GPUPlatform
 
     platform = GPUPlatform()
-    monitor = Monitor(platform.simulation)   # registers engine+components
-    monitor.attach_driver(platform.driver)   # default progress bars
-    url = monitor.start_server()             # open in a browser
-    monitor.start_sampler()                  # feed time charts / hang det.
-    platform.run(hang_wait=3600)             # debuggable if it hangs
+    monitor = Monitor.for_platform(platform)  # engine+components, the
+                                              # driver's bars, the sampler
+    url = monitor.start_server()              # open in a browser
+    platform.run(hang_wait=3600)              # debuggable if it hangs
 
 The twelve-function plugin API lives on :class:`Monitor`; the HTTP API
 (`/api/...`) is served by :class:`RTMServer` and consumed by the

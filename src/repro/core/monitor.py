@@ -84,8 +84,8 @@ class Monitor:
         self.profiler = None  # set by start_continuous_profiling
         self.resources: Optional[ResourceMonitor] = None
         self.hang: Optional[HangDetector] = None
-        self.injector = None  # set by attach_injector / ensure_injector
-        self.watchdog = None  # set by attach_watchdog / enable_watchdog
+        self.injector = None  # set by ensure_injector
+        self.watchdog = None  # set by enable_watchdog
         self.checkpointer = None  # set by attach_checkpointer
         self.tracer = None  # set by ensure_tracer
         self.sim_metrics = None  # set by ensure_sim_metrics
@@ -97,6 +97,16 @@ class Monitor:
                                 lambda: self.sample_interval, self._sample)
         if simulation is not None:
             self.register_simulation(simulation)
+
+    @classmethod
+    def for_platform(cls, platform) -> "Monitor":
+        """The monitor a run hosts: *platform*'s simulation registered,
+        its driver's progress bars attached and the sampler running.
+        Serving stays explicit (:meth:`start_server`)."""
+        monitor = cls(platform.simulation)
+        monitor.attach_driver(platform.driver)
+        monitor.start_sampler()
+        return monitor
 
     # ------------------------------------------------------------------
     # Registration (Go API #1, #2 + sugar)
@@ -142,11 +152,6 @@ class Monitor:
         """The registered simulation (``None`` until there is one)."""
         return self._simulation
 
-    def attach_injector(self, injector) -> None:
-        """Expose *injector* over ``/api/faults`` and in diagnostics."""
-        _plane("/api/faults")
-        self.injector = injector
-
     def ensure_injector(self, seed: int = 0):
         """Return the attached fault injector, creating one first."""
         return _plane("/api/faults").ensure_injector(self, seed)
@@ -191,23 +196,17 @@ class Monitor:
             self.checkpointer.stop()
         self.checkpointer = checkpointer
 
-    def attach_watchdog(self, watchdog) -> None:
-        """Expose *watchdog* over ``/api/watchdog``; replaces (and
-        stops) any previous one."""
-        _plane("/api/watchdog")
-        if self.watchdog is not None and self.watchdog is not watchdog:
-            self.watchdog.stop()
-        self.watchdog = watchdog
-
     def enable_watchdog(self, **config):
         """Create, attach and start a :class:`~repro.core.watchdog.
-        Watchdog`; keyword arguments populate its
-        :class:`~repro.core.watchdog.WatchdogConfig`."""
-        watchdog = _plane("/api/watchdog")
-        self.attach_watchdog(watchdog.Watchdog(
-            self, watchdog.WatchdogConfig(**config)))
-        self.watchdog.start()
-        return self.watchdog
+        Watchdog`, stopping any previous one; keyword arguments populate
+        its :class:`~repro.core.watchdog.WatchdogConfig`."""
+        plane = _plane("/api/watchdog")
+        watchdog = plane.Watchdog(self, plane.WatchdogConfig(**config))
+        if self.watchdog is not None:
+            self.watchdog.stop()
+        self.watchdog = watchdog
+        watchdog.start()
+        return watchdog
 
     # ------------------------------------------------------------------
     # Progress bars (Go API #3, #4, #5)

@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, Optional
 
 from ..akita.threads import run_guarded
 from ..core.monitor import Monitor
-from ..core.watchdog import Watchdog, WatchdogConfig
+from ..core.watchdog import WatchdogConfig
 from .scenarios import FaultScenario
 
 
@@ -100,11 +100,8 @@ class CampaignRunner:
     def run(self, scenario: FaultScenario) -> CampaignResult:
         """Execute one scenario and evaluate its expectation."""
         platform = self.platform_factory()
-        monitor = Monitor(platform.simulation)
-        if getattr(platform, "driver", None) is not None:
-            monitor.attach_driver(platform.driver)
-        if monitor.hang is not None:
-            monitor.hang.stall_threshold = self.stall_threshold
+        monitor = Monitor.for_platform(platform)
+        monitor.hang.stall_threshold = self.stall_threshold
 
         injector = monitor.ensure_injector(seed=scenario.seed)
         scenario.arm(injector)
@@ -112,9 +109,8 @@ class CampaignRunner:
         if self.workload_factory is not None:
             self.workload_factory().enqueue(platform.driver)
 
-        watchdog = Watchdog(monitor, self.watchdog_config)
-        monitor.attach_watchdog(watchdog)
-        watchdog.start()
+        watchdog = monitor.enable_watchdog(
+            **asdict(self.watchdog_config or WatchdogConfig()))
 
         start = time.monotonic()
         try:

@@ -350,7 +350,7 @@ def ensure_injector(monitor, seed: int = 0) -> FaultInjector:
         if monitor.simulation is None:
             raise RuntimeError(
                 "fault injection needs a registered simulation")
-        monitor.attach_injector(FaultInjector(monitor.simulation, seed))
+        monitor.injector = FaultInjector(monitor.simulation, seed)
     return monitor.injector
 
 

@@ -178,11 +178,8 @@ def _execute_job(spec: JobSpec, attempt: int, server: RTMServer,
     failing_as = "rejected"  # a bad build; a bad run is "crashed"
     try:
         platform, resume = _build_platform(spec, resume_from)
-        monitor = Monitor(platform.simulation)
-        monitor.attach_driver(platform.driver)
-        if monitor.hang is not None:
-            monitor.hang.stall_threshold = STALL_THRESHOLD
-        monitor.start_sampler()
+        monitor = Monitor.for_platform(platform)
+        monitor.hang.stall_threshold = STALL_THRESHOLD
         # The process-lifetime server now fronts this job's monitor:
         # the dashboard URL spans jobs, the simulation behind it is new.
         server.rebind(monitor)

@@ -115,7 +115,10 @@ class AddressTranslator(TickingComponent):
         assert self.down_port is not None, f"{self.name} not wired"
         progress = False
         now = self._engine._now
-        for _ in range(self.width):
+        # No more than the slots free below, so a request is built (and
+        # numbered) only once it will be admitted.
+        free = self.down_port.buf.free_slots
+        for _ in range(free if free < self.width else self.width):
             if not self._pipeline or self._pipeline[0][0] > now + 1e-15:
                 break
             _, __, req = self._pipeline[0]

@@ -225,22 +225,18 @@ class ComputeUnit(TickingComponent):
         if wf.outstanding >= self.max_outstanding_per_wf:
             return False
         assert self.rob_top is not None, f"{self.name} not wired"
-        port = self.mem_port
-        if kind == "load":
-            req = ReadReq(self.rob_top, op[1], op[2])
-        elif kind == "store":
-            req = WriteReq(self.rob_top, op[1], op[2])
-        elif kind == "sload":
+        if kind == "sload" and self.scalar_top is not None:
             # Scalar loads (kernel arguments, lookup tables shared by
-            # the whole wavefront) go through the SA's scalar cache.
-            if self.scalar_top is None:
-                # Platform without a scalar path: fall back to vector.
-                req = ReadReq(self.rob_top, op[1], op[2])
-            else:
-                req = ReadReq(self.scalar_top, op[1], op[2])
-                port = self.scalar_port
+            # the whole wavefront) go through the SA's scalar cache; a
+            # platform without a scalar path falls back to vector.
+            dst, port = self.scalar_top, self.scalar_port
+        elif kind in ("load", "store", "sload"):
+            dst, port = self.rob_top, self.mem_port
         else:
             raise ValueError(f"unknown wavefront op {op!r}")
+        if dst.buf.free_slots <= 0:
+            return False  # build (and number) only what will be admitted
+        req = (WriteReq if kind == "store" else ReadReq)(dst, op[1], op[2])
         if not port.send(req):
             return False
         self._outstanding[req.id] = wf

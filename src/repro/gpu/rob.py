@@ -86,7 +86,11 @@ class ReorderBuffer(TickingComponent):
         assert self.down_port is not None, f"{self.name} not wired"
         progress = False
         items = self.top_port.incoming
-        for _ in range(self.width):
+        # Forward no more than the slots free below, so a request is
+        # built (and numbered) only once it will be admitted; a full
+        # downstream leaves requests piling up in TopPort.Buf.
+        free = self.down_port.buf.free_slots
+        for _ in range(free if free < self.width else self.width):
             if not items or len(self.transactions) >= self.capacity:
                 break
             msg = items[0]
@@ -99,7 +103,7 @@ class ReorderBuffer(TickingComponent):
                 fwd = WriteReq(self.down_port, msg.address,
                                msg.access_bytes, msg.pid)
             if not self.bottom_port.send(fwd):
-                break  # downstream full: requests pile up in TopPort.Buf
+                break
             self.top_port.retrieve_incoming()
             entry = _ROBEntry(msg)
             entry.forwarded = fwd

@@ -63,11 +63,9 @@ def _handle_init(state: _WorkerState, cmd: Dict[str, Any]) -> None:
         from ..core import Monitor
         # Constructed after pruning: the monitor sees (and instruments)
         # only the components this shard owns.
-        state.monitor = Monitor(state.runtime.simulation)
-        state.monitor.attach_driver(state.runtime.platform.driver)
+        state.monitor = Monitor.for_platform(state.runtime.platform)
         state.monitor.ensure_sim_metrics().start()
         url = state.monitor.start_server(port=cmd.get("port", 0))
-        state.monitor.start_sampler()
     emit({"event": "shard-ready", "shard": state.shard, "url": url,
           "next_time": state.runtime.next_time})
 

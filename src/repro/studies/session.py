@@ -92,8 +92,7 @@ class _LiveSim:
                  events_per_second: float = 0.0):
         self.platform = GPUPlatform(config)
         self.platform.engine.set_throttle(events_per_second)
-        self.monitor = Monitor(self.platform.simulation)
-        self.monitor.attach_driver(self.platform.driver)
+        self.monitor = Monitor.for_platform(self.platform)
         workload.enqueue(self.platform.driver)
         self.url = self.monitor.start_server()
         self._thread: Optional[threading.Thread] = None

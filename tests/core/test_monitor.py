@@ -29,6 +29,22 @@ def test_register_simulation_registers_everything(platform, monitor):
     assert monitor.analyzer.buffer_count > 10
 
 
+def test_for_platform_is_the_recipe_of_a_monitored_run(platform):
+    """One call: simulation registered, driver bars attached, sampler
+    running — and no server until one is asked for."""
+    FIR(num_samples=256).enqueue(platform.driver)
+    m = Monitor.for_platform(platform)
+    try:
+        assert m.simulation is platform.simulation
+        assert m.hang is not None
+        assert "kernel:fir" in [b.name for b in m.progress_bars()]
+        assert m.sampler.running and m.sampler.name == "rtm-sampler"
+        assert m.url is None
+    finally:
+        m.stop_server()  # no server, but every plane: the sampler too
+    assert not m.sampler.running
+
+
 def test_register_component_requires_name():
     m = Monitor()
     with pytest.raises(ValueError):

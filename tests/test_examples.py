@@ -109,6 +109,21 @@ def test_trace_capture(tmp_path):
 
 
 @pytest.mark.slow
+def test_metrics_scrape():
+    out = _run("metrics_scrape.py")
+    final = out.split("final scrape:", 1)[1]
+    assert final.split()[:4] == ["position", "callbacks", "seconds",
+                                 "ns/call"]
+    # The per-position cost table: the engine's start hook ran once.
+    rows = {line.split()[0]: line.split()[1:]
+            for line in final.splitlines()
+            if line.startswith("  engine_")}
+    assert rows["engine_start"][0] == "1"
+    assert "callback share:" in final
+    assert "run complete:" in final and "events" in final
+
+
+@pytest.mark.slow
 def test_fleet_sweep():
     out = _run("fleet_sweep.py")
     assert "fleet gateway: http://127.0.0.1:" in out

@@ -40,6 +40,12 @@ its caller's thread, in ``guarded``), and nobody else spells
 ``while not stop.wait(interval)``; a run's ``rtm-progress`` heartbeat is
 built only by ``guarded``.
 
+And a monitored run has one door: outside ``core/monitor.py`` no
+module builds a ``Monitor`` from arguments — ``Monitor.for_platform``
+registers the simulation, attaches the driver and starts the sampler
+for every run — and only the warm fleet worker serves a bare
+``Monitor()`` before its first job.
+
 And a count has one printer: under ``tests/`` only ``counts.py`` and the
 two golden regenerators run as scripts; a gate exposes ``measure()``,
 which ``python -m tests.counts`` merges.
@@ -502,6 +508,51 @@ def test_the_heartbeat_rule_sees_each_spelling_but_not_lookalikes():
         "d = Periodic('rtm-sampler', 0.2, beat)\n"
         "e = Periodic(name, 0.2, beat)\n")
     assert list(_heartbeats(source)) == [2, 3, 4]
+
+
+#: The recipe's own module, and the one place a bare ``Monitor()``
+#: is served: a warm fleet worker before its first job.
+MONITOR_RECIPE = "repro/core/monitor.py"
+BARE_MONITOR = "repro/fleet/worker.py"
+
+
+def _monitor_constructions(source):
+    """``(line, has_arguments)`` for every call whose callee is named
+    ``Monitor`` (``Monitor(...)``, ``core.Monitor(...)``)."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(
+                node.func, "attr", getattr(node.func, "id", None)) \
+                == "Monitor":
+            yield node.lineno, bool(node.args or node.keywords)
+
+
+def test_a_monitored_run_is_built_by_the_recipe():
+    """A run's monitor comes from ``Monitor.for_platform``: a site that
+    builds one from a simulation by hand repeats the recipe (and
+    drifts from it — a forgotten driver or sampler)."""
+    offenders = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        relative = path.relative_to(SRC).as_posix()
+        if relative == MONITOR_RECIPE:
+            continue
+        for line, has_arguments in _monitor_constructions(
+                path.read_text()):
+            if has_arguments or relative != BARE_MONITOR:
+                offenders.append(f"{relative}:{line}")
+    assert not offenders, "\n".join(offenders)
+
+
+def test_the_monitor_rule_sees_each_spelling_but_not_the_recipe():
+    source = (
+        "from repro import core\n"
+        "a = Monitor(sim)\n"
+        "b = core.Monitor(simulation=s)\n"
+        "c = Monitor()\n"
+        "d = Monitor.for_platform(p)\n"
+        "e = ValueMonitor(registry=r)\n"
+        "f = core.Monitor.for_platform(p)\n")
+    assert list(_monitor_constructions(source)) == [
+        (2, True), (3, True), (4, False)]
 
 
 #: What ``cli.py`` may name besides the planes of its own table: the

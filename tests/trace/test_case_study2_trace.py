@@ -13,7 +13,6 @@ import json
 import pytest
 
 from repro.core import Monitor
-from repro.core.watchdog import Watchdog, WatchdogConfig
 from repro.gpu import GPUPlatform, GPUPlatformConfig
 from repro.trace import RingStore, TraceKind, Tracer, write_perfetto
 from repro.workloads import StoreStorm
@@ -98,12 +97,13 @@ def test_write_buffer_tasks_left_open_at_hang(hung_trace):
 
 def test_watchdog_postmortem_carries_trace_window(hung_trace):
     platform, monitor, tracer, _ = hung_trace
-    watchdog = Watchdog(monitor, WatchdogConfig(
-        check_interval=0.02, retry_wait=0.02, max_tick_retries=0,
-        trace_window=32))
-    monitor.attach_watchdog(watchdog)
-    # Drive the hang handler directly (the run has already wedged;
-    # no need for the polling thread).
+    # Drive the hang handler directly (the run has already wedged): the
+    # polling thread is stopped a minute before its first check.
+    watchdog = monitor.enable_watchdog(
+        check_interval=60.0, retry_wait=0.02, max_tick_retries=0,
+        trace_window=32)
+    watchdog.stop()
+    assert monitor.watchdog is watchdog
     status = monitor.hang_status()
     assert status.hung  # run_state == "hung" is definitive
     watchdog._handle_hang(status)
