@@ -14,7 +14,7 @@ bottleneck analyzer exactly as in the paper's Figure 3
 
 from __future__ import annotations
 
-from typing import Any, Optional, TYPE_CHECKING
+from typing import Deque, Optional, TYPE_CHECKING
 
 from .buffer import Buffer
 from .errors import BufferError_, PortError
@@ -89,6 +89,23 @@ class Port:
             self.num_sent += 1
             return True
         return False
+
+    def drain(self, queue: Deque[Msg], limit: int) -> int:
+        """Send the head of *queue* until a send is refused, the queue
+        is empty or *limit* messages have gone; return how many went.
+
+        A refused head stays queued for a later tick.  Each send is
+        :meth:`send`'s, through the connection's one door.
+        """
+        conn = self._connection
+        if conn is None:
+            raise PortError(f"port {self.name} is not connected")
+        sent = 0
+        while queue and sent < limit and conn.try_send(self, queue[0]):
+            queue.popleft()
+            sent += 1
+        self.num_sent += sent
+        return sent
 
     # -- receiving ----------------------------------------------------------
     def deliver(self, msg: Msg) -> None:

@@ -16,7 +16,7 @@ instead of tearing the process down, letting the user debug in place.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from .component import Component
 from .connection import DirectConnection

@@ -18,7 +18,7 @@ from ..akita.component import TickingComponent
 from ..akita.engine import Engine
 from ..akita.port import Port
 from ..akita.ticker import GHZ
-from .mem import MemReq, MemRsp, DataReadyRsp, ReadReq, WriteDoneRsp, WriteReq
+from .mem import MemReq, MemRsp
 from .tlb import TLB
 
 
@@ -122,12 +122,7 @@ class AddressTranslator(TickingComponent):
             if not self._pipeline or self._pipeline[0][0] > now + 1e-15:
                 break
             _, __, req = self._pipeline[0]
-            if isinstance(req, ReadReq):
-                fwd: MemReq = ReadReq(self.down_port, req.address,
-                                      req.access_bytes, req.pid)
-            else:
-                fwd = WriteReq(self.down_port, req.address,
-                               req.access_bytes, req.pid)
+            fwd = req.forward(self.down_port)
             if not self.bottom_port.send(fwd):
                 break
             heapq.heappop(self._pipeline)
@@ -148,12 +143,7 @@ class AddressTranslator(TickingComponent):
                 self.bottom_port.retrieve_incoming()
                 continue
             assert original.src is not None
-            if isinstance(msg, DataReadyRsp):
-                rsp: MemRsp = DataReadyRsp(original.src, original.id,
-                                           original.access_bytes)
-            else:
-                rsp = WriteDoneRsp(original.src, original.id)
-            if not self.top_port.send(rsp):
+            if not self.top_port.send(original.reply(original.src)):
                 break
             self.bottom_port.retrieve_incoming()
             del self._pending_down[msg.respond_to]

@@ -13,10 +13,8 @@ the in-flight ``transactions`` count pins at the MSHR capacity (Figure
 
 from __future__ import annotations
 
-import heapq
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional
 
-from ...akita.component import TickingComponent
 from ...akita.engine import Engine
 from ...akita.port import Port
 from ...akita.ticker import GHZ
@@ -26,51 +24,32 @@ from ..mem import (
     MemReq,
     MemRsp,
     ReadReq,
-    WriteDoneRsp,
     WriteReq,
 )
-from .mshr import MSHR
-from .tags import SetAssocTags
+from .mshr import CacheBank
 
 #: Route function: physical address -> destination port (L2 bank or RDMA).
 RouteFn = Callable[[int], Port]
 
 
-class L1VCache(TickingComponent):
+class L1VCache(CacheBank):
     """Per-CU vector data cache."""
 
     def __init__(self, name: str, engine: Engine, freq: float = GHZ,
                  size_bytes: int = 16 * 1024, ways: int = 4,
                  mshr_capacity: int = 16, hit_latency: int = 1,
                  top_buf: int = 4, bottom_buf: int = 8, width: int = 4):
-        super().__init__(name, engine, freq)
-        self.top_port = self.add_port("TopPort", top_buf)
+        super().__init__(name, engine, freq, size_bytes, ways,
+                         mshr_capacity, hit_latency, top_buf, width)
         self.bottom_port = self.add_port("BottomPort", bottom_buf)
-        self.tags = SetAssocTags(size_bytes, ways)
-        self.mshr = MSHR(mshr_capacity)
-        self.hit_latency = hit_latency
-        self.width = width
         self._route: Optional[RouteFn] = None
         # forwarded fetch/write id -> MSHR key
         self._pending_down: Dict[int, object] = {}
-        # (ready_time, seq, response) for hit-latency modelling
-        self._respond_queue: List[Tuple[float, int, MemRsp]] = []
-        self._seq = 0
-        self.num_reads = 0
-        self.num_writes = 0
 
     def set_route(self, route: RouteFn) -> None:
         """Install the address → downstream-port routing function."""
         self._route = route
 
-    # ------------------------------------------------------------------
-    @property
-    def transactions(self) -> int:
-        """In-flight transactions — pins at MSHR capacity when the
-        downstream memory system is the bottleneck."""
-        return self.mshr.size
-
-    # ------------------------------------------------------------------
     def tick(self) -> bool:
         # Enter a sub-step only when its queue holds work.
         progress = False
@@ -100,10 +79,12 @@ class L1VCache(TickingComponent):
             if isinstance(msg, ReadReq):
                 if not self._handle_read(msg):
                     break
+                self.num_reads += 1
             else:
                 assert isinstance(msg, WriteReq)
                 if not self._handle_write(msg):
                     break
+                self.num_writes += 1
             progress = True
         return progress
 
@@ -112,82 +93,55 @@ class L1VCache(TickingComponent):
         line = req.line_addr
         if self.tags.lookup(line):
             self.top_port.retrieve_incoming()
-            self.num_reads += 1
             pending = self.mshr.lookup(line)
             if pending is not None:
                 # Line is being fetched (eager-fill mode): coalesce.
                 pending.waiting.append(req)
             else:
-                self._queue_response(
-                    DataReadyRsp(req.src, req.id, req.access_bytes))
+                self._queue_response(req.reply(req.src))
             return True
         entry = self.mshr.lookup(line)
         if entry is not None:  # coalesce with in-flight fetch
             self.top_port.retrieve_incoming()
-            self.num_reads += 1
             entry.waiting.append(req)
             return True
         if self.mshr.full:
             return False  # stall: this is the "pinned at 16" state
         self.top_port.retrieve_incoming()
-        self.num_reads += 1
         entry = self.mshr.allocate(line)
         entry.waiting.append(req)
         if self._tasks_observed:
             self.task_begin(line, "cache_miss", f"read@{line:#x}")
-        self._try_send_fetch(entry)
+        self._try_send(entry)
         return True
 
     def _handle_write(self, req: WriteReq) -> bool:
         if self.mshr.full:
             return False
         self.top_port.retrieve_incoming()
-        self.num_writes += 1
         key = ("w", req.id)
         entry = self.mshr.allocate(key)
         entry.waiting.append(req)
         if self._tasks_observed:
             self.task_begin(key, "cache_miss", f"write@{req.address:#x}")
-        self._try_send_write(entry)
+        self._try_send(entry)
         return True
 
     # -- downstream traffic ---------------------------------------------------
-    def _issue_pending_fetches(self) -> bool:
-        """Retry fetches/writes that could not be sent earlier."""
-        progress = False
-        for entry in self.mshr.entries:
-            if entry.fetch_sent:
-                continue
-            if isinstance(entry.key, tuple):
-                sent = self._try_send_write(entry)
-            else:
-                sent = self._try_send_fetch(entry)
-            progress |= sent
-            if not sent:
-                break
-        return progress
-
-    def _try_send_fetch(self, entry) -> bool:
+    def _try_send(self, entry) -> bool:
+        """Send a read miss's line fetch, or forward a write whole."""
         assert self._route is not None, f"{self.name} has no route"
-        dst = self._route(entry.key)
-        fetch = ReadReq(dst, entry.key, CACHE_LINE_SIZE)
-        if not self.bottom_port.send(fetch):
+        key = entry.key
+        if isinstance(key, tuple):  # ("w", id): a write
+            req: WriteReq = entry.waiting[0]
+            msg = req.forward(self._route(req.address))
+        else:
+            msg = ReadReq(self._route(key), key, CACHE_LINE_SIZE)
+        if not self.bottom_port.send(msg):
             return False
         entry.fetch_sent = True
         self.mshr.unsent -= 1
-        self._pending_down[fetch.id] = entry.key
-        return True
-
-    def _try_send_write(self, entry) -> bool:
-        assert self._route is not None, f"{self.name} has no route"
-        req: WriteReq = entry.waiting[0]
-        dst = self._route(req.address)
-        fwd = WriteReq(dst, req.address, req.access_bytes, req.pid)
-        if not self.bottom_port.send(fwd):
-            return False
-        entry.fetch_sent = True
-        self.mshr.unsent -= 1
-        self._pending_down[fwd.id] = entry.key
+        self._pending_down[msg.id] = key
         return True
 
     def _process_bottom(self) -> bool:
@@ -208,31 +162,8 @@ class L1VCache(TickingComponent):
                 self.task_end(key, "cache_miss")
             if isinstance(msg, DataReadyRsp):
                 self.tags.fill(entry.key)  # write-through: victims clean
-                for waiting in entry.waiting:
-                    self._queue_response(DataReadyRsp(
-                        waiting.src, waiting.id, waiting.access_bytes))
-            else:
-                original = entry.waiting[0]
-                self._queue_response(WriteDoneRsp(original.src, original.id))
-            progress = True
-        return progress
-
-    # -- responses -------------------------------------------------------------
-    def _queue_response(self, rsp: MemRsp) -> None:
-        ready = self._engine._now + self.hit_latency / self.freq
-        heapq.heappush(self._respond_queue, (ready, self._seq, rsp))
-        self._seq += 1
-
-    def _send_responses(self) -> bool:
-        progress = False
-        now = self._engine._now
-        for _ in range(self.width):
-            if (not self._respond_queue
-                    or self._respond_queue[0][0] > now + 1e-15):
-                break
-            rsp = self._respond_queue[0][2]
-            if not self.top_port.send(rsp):
-                break
-            heapq.heappop(self._respond_queue)
+            # The reads coalesced on a fetch, or the one write forwarded.
+            for waiting in entry.waiting:
+                self._queue_response(waiting.reply(waiting.src))
             progress = True
         return progress

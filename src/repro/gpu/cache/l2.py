@@ -18,28 +18,15 @@ Two variants (paper case study 2):
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
-from ...akita.component import TickingComponent
 from ...akita.engine import Engine
 from ...akita.ticker import GHZ
-from ..mem import (
-    CACHE_LINE_SIZE,
-    DataReadyRsp,
-    EvictionReq,
-    FetchedData,
-    MemReq,
-    MemRsp,
-    ReadReq,
-    WriteDoneRsp,
-    WriteReq,
-)
-from .mshr import MSHR
-from .tags import SetAssocTags
+from ..mem import CACHE_LINE_SIZE, EvictionReq, FetchedData, MemReq, ReadReq
+from .mshr import CacheBank
 
 
-class L2Cache(TickingComponent):
+class L2Cache(CacheBank):
     """One bank of the chiplet-shared L2."""
 
     def __init__(self, name: str, engine: Engine, freq: float = GHZ,
@@ -48,32 +35,18 @@ class L2Cache(TickingComponent):
                  top_buf: int = 16, storage_buf: int = 4, wb_buf: int = 4,
                  eviction_staging: int = 1, width: int = 4,
                  buggy: bool = False):
-        super().__init__(name, engine, freq)
-        self.top_port = self.add_port("TopPort", top_buf)
+        super().__init__(name, engine, freq, size_bytes, ways,
+                         mshr_capacity, hit_latency, top_buf, width)
         self.storage_port = self.add_port("StoragePort", storage_buf)
         self.wb_port = self.add_port("ToWB", wb_buf)
-        self.tags = SetAssocTags(size_bytes, ways)
-        self.mshr = MSHR(mshr_capacity)
-        self.hit_latency = hit_latency
-        self.width = width
         self.buggy = buggy
         self.eviction_staging_capacity = eviction_staging
         self.eviction_staging: List[int] = []  # victim line addresses
         self._wb_in_port = None  # WriteBuffer.InPort, set by connect()
-        self._respond_queue: List[Tuple[float, int, MemRsp]] = []
-        self._seq = 0
-        self.num_reads = 0
-        self.num_writes = 0
         self.blocked_on: Optional[str] = None  # diagnosis aid (RTM-visible)
 
     def connect_write_buffer(self, wb_in_port) -> None:
         self._wb_in_port = wb_in_port
-
-    # ------------------------------------------------------------------
-    @property
-    def transactions(self) -> int:
-        """Outstanding misses (monitored value)."""
-        return self.mshr.size
 
     # ------------------------------------------------------------------
     def tick(self) -> bool:
@@ -150,12 +123,9 @@ class L2Cache(TickingComponent):
             return
         self.mshr.release(line_addr)
         for req in entry.waiting:
-            if isinstance(req, ReadReq):
-                self._queue_response(
-                    DataReadyRsp(req.src, req.id, req.access_bytes))
-            else:
+            if not isinstance(req, ReadReq):
                 self.tags.mark_dirty(line_addr)
-                self._queue_response(WriteDoneRsp(req.src, req.id))
+            self._queue_response(req.reply(req.src))
 
     # -- request path ------------------------------------------------------------
     def _process_top(self) -> bool:
@@ -167,6 +137,10 @@ class L2Cache(TickingComponent):
                 break
             if not self._handle_request(msg):
                 break
+            if isinstance(msg, ReadReq):
+                self.num_reads += 1
+            else:
+                self.num_writes += 1
             progress = True
         return progress
 
@@ -177,17 +151,12 @@ class L2Cache(TickingComponent):
         if in_flight is not None:
             self.top_port.retrieve_incoming()
             in_flight.waiting.append(req)
-            self._count(req)
             return True
         if self.tags.lookup(line):
             self.top_port.retrieve_incoming()
-            self._count(req)
-            if isinstance(req, ReadReq):
-                self._queue_response(
-                    DataReadyRsp(req.src, req.id, req.access_bytes))
-            else:
+            if not isinstance(req, ReadReq):
                 self.tags.mark_dirty(line)
-                self._queue_response(WriteDoneRsp(req.src, req.id))
+            self._queue_response(req.reply(req.src))
             return True
         # Miss: allocate an MSHR entry and fetch through the write buffer.
         if self.mshr.full:
@@ -208,29 +177,12 @@ class L2Cache(TickingComponent):
             if victim is not None and victim.dirty:
                 self._stage_eviction(victim.line_addr)
         self.top_port.retrieve_incoming()
-        self._count(req)
         entry = self.mshr.allocate(line)
         entry.waiting.append(req)
-        self._try_send_fetch(entry)
+        self._try_send(entry)
         return True
 
-    def _count(self, req: MemReq) -> None:
-        if isinstance(req, ReadReq):
-            self.num_reads += 1
-        else:
-            self.num_writes += 1
-
-    def _issue_pending_fetches(self) -> bool:
-        progress = False
-        for entry in self.mshr.entries:
-            if entry.fetch_sent:
-                continue
-            if not self._try_send_fetch(entry):
-                break
-            progress = True
-        return progress
-
-    def _try_send_fetch(self, entry) -> bool:
+    def _try_send(self, entry) -> bool:
         fetch = ReadReq(self._wb_in_port, entry.key, CACHE_LINE_SIZE)
         if not self.wb_port.send(fetch):
             self.blocked_on = "send fetch to write buffer (InPort full)"
@@ -239,23 +191,3 @@ class L2Cache(TickingComponent):
         self.mshr.unsent -= 1
         self.blocked_on = None
         return True
-
-    # -- responses -----------------------------------------------------------
-    def _queue_response(self, rsp: MemRsp) -> None:
-        ready = self._engine._now + self.hit_latency / self.freq
-        heapq.heappush(self._respond_queue, (ready, self._seq, rsp))
-        self._seq += 1
-
-    def _send_responses(self) -> bool:
-        progress = False
-        now = self._engine._now
-        for _ in range(self.width):
-            if (not self._respond_queue
-                    or self._respond_queue[0][0] > now + 1e-15):
-                break
-            rsp = self._respond_queue[0][2]
-            if not self.top_port.send(rsp):
-                break
-            heapq.heappop(self._respond_queue)
-            progress = True
-        return progress

@@ -1,17 +1,26 @@
-"""Miss Status Holding Registers.
+"""Miss Status Holding Registers, and the cache bank built around them.
 
 An MSHR entry tracks one outstanding cache-line fetch (keyed by line address); requests to a line
 that is already being fetched *coalesce* onto the existing entry instead
 of issuing a second fetch.  A full MSHR is the canonical reason an L1
 cache stops accepting requests — the paper's Figure 5 shows the L1
 transaction count pinned at the MSHR capacity (16) when this happens.
+
+:class:`CacheBank` is what L1 and L2 share: the top port, tags and MSHR,
+the hit-latency response queue, and the retry of misses whose fetch was
+refused.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import heapq
+from typing import Dict, List, Optional, Tuple
 
+from ...akita.component import TickingComponent
+from ...akita.engine import Engine
 from ...akita.errors import BufferError_, ConfigurationError
+from ..mem import MemRsp
+from .tags import SetAssocTags
 
 
 class MSHREntry:
@@ -78,3 +87,65 @@ class MSHR:
         entry = self._entries.pop(key)
         self.full = False
         return entry
+
+
+class CacheBank(TickingComponent):
+    """A cache's tags, MSHR and response pipeline.
+
+    A subclass adds its downstream ports after the bank's ``TopPort``
+    and defines ``_try_send(entry)``: send the miss of one MSHR entry
+    below, and on success set ``entry.fetch_sent`` and decrement
+    ``mshr.unsent``.
+    """
+
+    def __init__(self, name: str, engine: Engine, freq: float,
+                 size_bytes: int, ways: int, mshr_capacity: int,
+                 hit_latency: int, top_buf: int, width: int):
+        super().__init__(name, engine, freq)
+        self.top_port = self.add_port("TopPort", top_buf)
+        self.tags = SetAssocTags(size_bytes, ways)
+        self.mshr = MSHR(mshr_capacity)
+        self.hit_latency = hit_latency
+        self.width = width
+        # (ready_time, seq, response) for hit-latency modelling
+        self._respond_queue: List[Tuple[float, int, MemRsp]] = []
+        self._seq = 0
+        self.num_reads = 0
+        self.num_writes = 0
+
+    @property
+    def transactions(self) -> int:
+        """Outstanding misses (monitored value) — pins at the MSHR
+        capacity when the memory below is the bottleneck."""
+        return self.mshr.size
+
+    def _issue_pending_fetches(self) -> bool:
+        """Retry, in allocation order, the misses a refused send left
+        unsent."""
+        progress = False
+        for entry in self.mshr.entries:
+            if entry.fetch_sent:
+                continue
+            if not self._try_send(entry):
+                break
+            progress = True
+        return progress
+
+    def _queue_response(self, rsp: MemRsp) -> None:
+        ready = self._engine._now + self.hit_latency / self.freq
+        heapq.heappush(self._respond_queue, (ready, self._seq, rsp))
+        self._seq += 1
+
+    def _send_responses(self) -> bool:
+        progress = False
+        now = self._engine._now
+        for _ in range(self.width):
+            if (not self._respond_queue
+                    or self._respond_queue[0][0] > now + 1e-15):
+                break
+            rsp = self._respond_queue[0][2]
+            if not self.top_port.send(rsp):
+                break
+            heapq.heappop(self._respond_queue)
+            progress = True
+        return progress

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..mem import CACHE_LINE_SIZE
 from ...akita.errors import BufferError_, ConfigurationError

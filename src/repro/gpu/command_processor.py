@@ -38,11 +38,12 @@ class CommandProcessor(TickingComponent):
     def tick(self) -> bool:
         # Enter a sub-step only when its input holds work.
         progress = False
-        if self._to_dispatcher:
-            progress = self._drain(self._to_dispatcher,
-                                   self.dispatcher_port)
-        if self._to_driver:
-            progress |= self._drain(self._to_driver, self.driver_port)
+        queue = self._to_dispatcher
+        if queue:
+            progress = self.dispatcher_port.drain(queue, len(queue)) > 0
+        queue = self._to_driver
+        if queue:
+            progress |= self.driver_port.drain(queue, len(queue)) > 0
         if self.driver_port.incoming:
             progress |= self._intake_driver()
         if self.dispatcher_port.incoming:
@@ -76,14 +77,5 @@ class CommandProcessor(TickingComponent):
             self.dispatcher_port.retrieve_incoming()
             fwd = KernelCompleteMsg(self._reply_port, msg.launch_id)
             self._to_driver.append(fwd)
-            progress = True
-        return progress
-
-    def _drain(self, queue: Deque[Msg], port: Port) -> bool:
-        progress = False
-        while queue:
-            if not port.send(queue[0]):
-                break
-            queue.popleft()
             progress = True
         return progress

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from ..akita.component import TickingComponent
-from .mem import CACHE_LINE_SIZE  # noqa: F401  (re-export convenience)
 
 
 @dataclass

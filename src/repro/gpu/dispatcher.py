@@ -70,8 +70,9 @@ class Dispatcher(TickingComponent):
     def tick(self) -> bool:
         # Enter a sub-step only when its input holds work.
         progress = False
-        if self._pending_replies:
-            progress = self._send_replies()
+        replies = self._pending_replies
+        if replies:
+            progress = self.cp_port.drain(replies, len(replies)) > 0
         if self.cu_port.incoming:
             progress |= self._process_cu_messages()
         if self._pending_wgs:
@@ -150,14 +151,5 @@ class Dispatcher(TickingComponent):
                     self._pending_replies.append(
                         KernelCompleteMsg(launch.reply_to,
                                           launch.launch_id))
-            progress = True
-        return progress
-
-    def _send_replies(self) -> bool:
-        progress = False
-        while self._pending_replies:
-            if not self.cp_port.send(self._pending_replies[0]):
-                break
-            self._pending_replies.popleft()
             progress = True
         return progress

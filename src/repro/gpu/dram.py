@@ -14,7 +14,7 @@ from typing import List, Tuple
 from ..akita.component import TickingComponent
 from ..akita.engine import Engine
 from ..akita.ticker import GHZ
-from .mem import DataReadyRsp, MemReq, ReadReq, WriteDoneRsp
+from .mem import MemReq, ReadReq
 
 
 class DRAMController(TickingComponent):
@@ -79,11 +79,7 @@ class DRAMController(TickingComponent):
                 break
             _, req = self._inflight[0]
             assert req.src is not None
-            if isinstance(req, ReadReq):
-                rsp = DataReadyRsp(req.src, req.id, req.access_bytes)
-            else:
-                rsp = WriteDoneRsp(req.src, req.id)
-            if not self.top_port.send(rsp):
+            if not self.top_port.send(req.reply(req.src)):
                 break
             self._inflight.pop(0)
             if isinstance(req, ReadReq):

@@ -100,8 +100,9 @@ class Driver(TickingComponent):
     # -- execution -------------------------------------------------------------
     def tick(self) -> bool:
         progress = False
-        if self._pending_launches:
-            progress = self._send_pending_launches()
+        launches = self._pending_launches
+        if launches:
+            progress = self.gpu_port.drain(launches, len(launches)) > 0
         if self._current is None:
             if not self._queue:
                 return progress
@@ -151,15 +152,6 @@ class Driver(TickingComponent):
         if (cmd.completions_seen >= cmd.completions_needed
                 and not self._pending_launches):
             self._finish_current()
-            progress = True
-        return progress
-
-    def _send_pending_launches(self) -> bool:
-        progress = False
-        while self._pending_launches:
-            if not self.gpu_port.send(self._pending_launches[0]):
-                break
-            self._pending_launches.popleft()
             progress = True
         return progress
 

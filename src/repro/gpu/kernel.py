@@ -16,7 +16,7 @@ everything the paper's analyses observe (see DESIGN.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Tuple
 
 #: One wavefront op. ("compute", cycles) | ("load"|"store", addr, nbytes)

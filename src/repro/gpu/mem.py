@@ -5,16 +5,21 @@ RDMA} → DRAM) communicates exclusively with these messages.  This is a
 *timing* model: requests carry addresses and sizes but no data values,
 which is all the monitoring tool (and the paper's analyses) ever look at.
 
-Every forwarding component keeps its own transaction table mapping the
-requests it sent downstream to the requests it received from upstream,
-and answers upstream when the downstream response arrives — exactly the
-structure that makes "number of transactions in component X" a meaningful
-monitored value in the paper's Figure 5.
+A request answers and forwards itself: :meth:`MemReq.forward` copies
+it to the next hop down, and ``reply`` builds the response that answers
+it (a :class:`DataReadyRsp` of its ``access_bytes`` for a read, a
+:class:`WriteDoneRsp` for a write).  They are the only code that picks a
+message type from a request type.  Every forwarding component keeps its
+own transaction table mapping the requests it sent downstream to the
+requests it received from upstream, and answers upstream with
+``original.reply(original.src)`` when the downstream response arrives —
+exactly the structure that makes "number of transactions in component
+X" a meaningful monitored value in the paper's Figure 5.
 """
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 from ..akita.message import Msg
 
@@ -53,11 +58,19 @@ class MemReq(Msg):
     def line_addr(self) -> int:
         return self.address & ~(CACHE_LINE_SIZE - 1)  # line_address(), inline
 
+    def forward(self, dst: "Port") -> "MemReq":
+        """A copy of this request, with its own id, addressed to *dst*."""
+        return type(self)(dst, self.address, self.access_bytes, self.pid)
+
 
 class ReadReq(MemReq):
     """Read *access_bytes* from *address*."""
 
     __slots__ = ()
+
+    def reply(self, dst: "Port") -> "DataReadyRsp":
+        """The data that answers this read, addressed to *dst*."""
+        return DataReadyRsp(dst, self.id, self.access_bytes)
 
 
 class WriteReq(MemReq):
@@ -81,6 +94,11 @@ class WriteReq(MemReq):
         self.address = int(address)
         self.access_bytes = int(access_bytes)
         self.pid = pid
+
+    def reply(self, dst: "Port") -> "WriteDoneRsp":
+        """The acknowledgement that answers this write, addressed to
+        *dst*."""
+        return WriteDoneRsp(dst, self.id)
 
 
 class MemRsp(Msg):
@@ -121,7 +139,6 @@ class WriteDoneRsp(MemRsp):
     bytes on the wire)."""
 
     __slots__ = ()
-
 
 
 class EvictionReq(Msg):

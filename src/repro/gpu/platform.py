@@ -20,7 +20,7 @@ structure for tests and fast experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..akita.connection import DirectConnection

@@ -17,33 +17,12 @@ from typing import Callable, Deque, Dict, Optional, Tuple
 
 from ..akita.component import TickingComponent
 from ..akita.engine import Engine
-from ..akita.message import Msg
 from ..akita.port import Port
 from ..akita.ticker import GHZ
-from .mem import (
-    DataReadyRsp,
-    MemReq,
-    MemRsp,
-    NetMsg,
-    ReadReq,
-    WriteDoneRsp,
-    WriteReq,
-)
+from .mem import MemReq, MemRsp, NetMsg
 
 #: address -> local L2 bank top port
 BankRouteFn = Callable[[int], Port]
-
-
-def _clone_req(req: MemReq, dst: Optional[Port]) -> MemReq:
-    if isinstance(req, ReadReq):
-        return ReadReq(dst, req.address, req.access_bytes, req.pid)
-    return WriteReq(dst, req.address, req.access_bytes, req.pid)
-
-
-def _clone_rsp(rsp: MemRsp, dst: Port, respond_to: int) -> MemRsp:
-    if isinstance(rsp, DataReadyRsp):
-        return DataReadyRsp(dst, respond_to, rsp.size_bytes - 16)
-    return WriteDoneRsp(dst, respond_to)
 
 
 class RDMAEngine(TickingComponent):
@@ -111,11 +90,13 @@ class RDMAEngine(TickingComponent):
         # Enter a sub-step only when its input holds work.
         progress = False
         if self._to_l1:
-            progress = self._drain_to_l1()
+            progress = self.l1_port.drain(self._to_l1, self.width) > 0
         if self._to_l2:
-            progress |= self._drain_to_l2()
+            progress |= self.l2_port.drain(self._to_l2, self.width) > 0
         if self._to_net:
-            progress |= self._drain_to_net()
+            sent = self.net_port.drain(self._to_net, self.width)
+            self.num_forwarded += sent
+            progress |= sent > 0
         if self.l1_port.incoming:
             progress |= self._intake_from_l1()
         if self.net_port.incoming:
@@ -138,7 +119,7 @@ class RDMAEngine(TickingComponent):
             self.l1_port.retrieve_incoming()
             target = self._chiplet_of(msg.address)
             remote = self._remote_ports[target]
-            fwd = _clone_req(msg, remote)
+            fwd = msg.forward(remote)
             self._outgoing[fwd.id] = msg
             envelope = NetMsg(self._switch_port, fwd, remote, self.net_port)
             self._to_net.append(envelope)
@@ -162,7 +143,7 @@ class RDMAEngine(TickingComponent):
             payload = msg.payload
             if isinstance(payload, MemReq):
                 self.net_port.retrieve_incoming()
-                fwd = _clone_req(payload, self._bank_route(payload.address))
+                fwd = payload.forward(self._bank_route(payload.address))
                 self._incoming[fwd.id] = (payload, msg.origin)
                 self._to_l2.append(fwd)
             else:
@@ -174,8 +155,7 @@ class RDMAEngine(TickingComponent):
                     if self._tasks_observed:
                         self.task_end(payload.respond_to,
                                       "rdma_transfer")
-                    self._to_l1.append(
-                        _clone_rsp(payload, original.src, original.id))
+                    self._to_l1.append(original.reply(original.src))
             progress = True
         return progress
 
@@ -194,43 +174,8 @@ class RDMAEngine(TickingComponent):
             if record is None:
                 continue
             original, origin = record
-            rsp = _clone_rsp(msg, origin, original.id)
+            rsp = original.reply(origin)
             self._to_net.append(
                 NetMsg(self._switch_port, rsp, origin, self.net_port))
-            progress = True
-        return progress
-
-    # -- drains ----------------------------------------------------------
-    def _drain_to_net(self) -> bool:
-        progress = False
-        for _ in range(self.width):
-            if not self._to_net:
-                break
-            if not self.net_port.send(self._to_net[0]):
-                break
-            self._to_net.popleft()
-            self.num_forwarded += 1
-            progress = True
-        return progress
-
-    def _drain_to_l2(self) -> bool:
-        progress = False
-        for _ in range(self.width):
-            if not self._to_l2:
-                break
-            if not self.l2_port.send(self._to_l2[0]):
-                break
-            self._to_l2.popleft()
-            progress = True
-        return progress
-
-    def _drain_to_l1(self) -> bool:
-        progress = False
-        for _ in range(self.width):
-            if not self._to_l1:
-                break
-            if not self.l1_port.send(self._to_l1[0]):
-                break
-            self._to_l1.popleft()
             progress = True
         return progress

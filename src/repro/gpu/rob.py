@@ -22,7 +22,7 @@ from ..akita.component import TickingComponent
 from ..akita.engine import Engine
 from ..akita.port import Port
 from ..akita.ticker import GHZ
-from .mem import DataReadyRsp, MemReq, MemRsp, ReadReq, WriteDoneRsp, WriteReq
+from .mem import MemReq, MemRsp
 
 
 class _ROBEntry:
@@ -96,12 +96,7 @@ class ReorderBuffer(TickingComponent):
             msg = items[0]
             if not isinstance(msg, MemReq):
                 break
-            if isinstance(msg, ReadReq):
-                fwd: MemReq = ReadReq(self.down_port, msg.address,
-                                      msg.access_bytes, msg.pid)
-            else:
-                fwd = WriteReq(self.down_port, msg.address,
-                               msg.access_bytes, msg.pid)
+            fwd = msg.forward(self.down_port)
             if not self.bottom_port.send(fwd):
                 break
             self.top_port.retrieve_incoming()
@@ -135,15 +130,9 @@ class ReorderBuffer(TickingComponent):
         for _ in range(self.width):
             if not self.transactions or not self.transactions[0].done:
                 break
-            entry = self.transactions[0]
-            req = entry.original
+            req = self.transactions[0].original
             assert req.src is not None
-            if isinstance(req, ReadReq):
-                rsp: MemRsp = DataReadyRsp(req.src, req.id,
-                                           req.access_bytes)
-            else:
-                rsp = WriteDoneRsp(req.src, req.id)
-            if not self.top_port.send(rsp):
+            if not self.top_port.send(req.reply(req.src)):
                 break
             self.transactions.pop(0)
             self.num_retired += 1

@@ -29,7 +29,6 @@ from typing import (
     Callable,
     Deque,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,

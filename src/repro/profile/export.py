@@ -15,7 +15,7 @@ rebuilds from a fleet/historian summary.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from .attribution import Frame, Stack
 

@@ -8,13 +8,12 @@ package implements that execution mode:
 
 * :mod:`.partition` — name-based ownership: chiplet blocks per shard,
   host side (driver, switch) on the hub shard 0.
-* :mod:`.boundary` — the wire codec for boundary-crossing messages,
-  the proxy :class:`ShardConnection` that exports remote sends, and
-  the :class:`BoundaryInjector` that lands ferried arrivals in
-  timestamp order.
+* :mod:`.boundary` — the wire codec for boundary-crossing messages
+  and the proxy :class:`ShardConnection` that exports remote sends
+  and lands ferried arrivals.
 * :mod:`.runtime` — the per-process shard: build the full platform,
-  prune to the owned slice, rewire boundary edges, run in granted
-  windows.
+  prune to the owned slice, rewire boundary edges, schedule ferried
+  arrivals in timestamp order, run in granted windows.
 * :mod:`.worker` — the worker process (forked from the run's zygote),
   speaking the fleet control framing on its pipes.
 * :mod:`.coordinator` — forks the workers, drives the conservative
@@ -26,7 +25,6 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "BoundaryCodec": ".boundary",
-    "BoundaryInjector": ".boundary",
     "build_port_registry": ".boundary",
     "ShardConnection": ".boundary",
     "ShardCoordinator": ".coordinator",

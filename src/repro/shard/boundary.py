@@ -1,6 +1,6 @@
-"""The shard boundary: wire codec, proxy connections, and injection.
+"""The shard boundary: wire codec and proxy connections.
 
-Three pieces turn an intra-process link into a cross-process one:
+Two pieces turn an intra-process link into a cross-process one:
 
 * :class:`BoundaryCodec` — translates the messages that can legally
   cross a shard boundary (kernel launches and completions on the
@@ -15,15 +15,12 @@ Three pieces turn an intra-process link into a cross-process one:
   destination is local behave exactly as on the original link
   (reserved slot, latency, delivery event).  Sends to a non-adopted
   (remote) port are exported to the outbox with their arrival time
-  ``now + latency``; the coordinator ferries them to the owning shard.
+  ``now + latency``; the coordinator ferries them to the owning shard,
+  whose runtime lands each at its arrival time through
+  :meth:`ShardConnection.deliver_inbound`.
   Remote destinations have no slot to reserve, so backpressure is
   approximated with a per-window export quota per destination —
   senders denied by the quota are woken at the next window barrier.
-
-* :class:`BoundaryInjector` — schedules a decoded inbound message for
-  delivery at its arrival time via an engine event, so cross-shard
-  deliveries interleave with local events in timestamp order exactly
-  like a local :class:`DeliveryEvent` would.
 
 The conservative window invariant makes all of this safe: a boundary
 message sent at time *t* arrives at ``t + latency ≥ t + W``, and no
@@ -34,11 +31,10 @@ time, so an injected arrival is never in the receiving shard's past.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Set
+from typing import Any, Callable, Deque, Dict, List
 
 from ..akita.connection import DirectConnection
 from ..akita.engine import Engine
-from ..akita.event import Event
 from ..akita.hooks import HookPos
 from ..akita.message import Msg
 from ..akita.port import Port
@@ -46,7 +42,6 @@ from ..gpu.driver import Driver
 from ..gpu.mem import (
     DataReadyRsp,
     MemReq,
-    MemRsp,
     NetMsg,
     ReadReq,
     WriteDoneRsp,
@@ -54,8 +49,7 @@ from ..gpu.mem import (
 )
 from ..gpu.protocol import KernelCompleteMsg, LaunchKernelMsg
 
-__all__ = ["build_port_registry", "BoundaryCodec", "ShardConnection",
-           "BoundaryInjector"]
+__all__ = ["build_port_registry", "BoundaryCodec", "ShardConnection"]
 
 _PORT_SEND = HookPos.PORT_SEND.index
 
@@ -221,7 +215,7 @@ class ShardConnection(DirectConnection):
     #: Export quota per remote destination per window, as a multiple of
     #: the destination buffer's capacity.  Large enough never to stall
     #: a well-matched producer/consumer pair inside one window, small
-    #: enough to bound the injector's retry backlog.
+    #: enough to bound the parked backlog of inbound messages.
     QUOTA_FACTOR = 4
 
     def __init__(self, name: str, engine: Engine, latency: float,
@@ -312,46 +306,3 @@ class ShardConnection(DirectConnection):
         for port in blocked:
             if port.component is not None:
                 port.component.notify_available(port)
-
-
-# ----------------------------------------------------------------------
-# Inbound injection
-# ----------------------------------------------------------------------
-class _InjectionEvent(Event):
-    """Lands one ferried boundary message at its arrival time.
-
-    Secondary, like :class:`DeliveryEvent`: at equal timestamps the
-    receiving component's primary tick runs first, matching the
-    ordering a local delivery would have had.
-    """
-
-    __slots__ = ("msg",)
-
-    def __init__(self, time: float, injector: "BoundaryInjector",
-                 msg: Msg):
-        super().__init__(time, injector, secondary=True)
-        self.msg = msg
-
-
-class BoundaryInjector:
-    """Delivers coordinator-ferried messages into local ports."""
-
-    def __init__(self, engine: Engine):
-        self._engine = engine
-        self.injected = 0
-
-    def inject(self, msg: Msg, deliver_at: float) -> None:
-        """Schedule *msg* for delivery at *deliver_at* (clamped to now;
-        the window invariant makes past arrivals impossible, but a
-        same-instant clamp keeps the engine's no-past-events contract
-        airtight against float rounding)."""
-        at = max(deliver_at, self._engine._now)
-        self._engine.schedule(_InjectionEvent(at, self, msg))
-
-    def handle(self, event: _InjectionEvent) -> None:
-        # Every boundary destination is a port this shard adopted
-        # (ShardRuntime._rewire): its connection parks a message that
-        # finds the buffer full until the component frees a slot.
-        msg = event.msg
-        msg.dst.connection.deliver_inbound(msg)
-        self.injected += 1

@@ -24,19 +24,29 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from ..akita.connection import DirectConnection
+from ..akita.event import Event
+from ..akita.message import Msg
 from ..gpu.cu import ComputeUnit
 from ..gpu.platform import GPUPlatform, GPUPlatformConfig
 from ..workloads import Workload
-from .boundary import (
-    BoundaryCodec,
-    BoundaryInjector,
-    ShardConnection,
-    build_port_registry,
-)
+from .boundary import BoundaryCodec, ShardConnection, build_port_registry
 from .partition import chiplet_owners, owner_of_name
 
 __all__ = ["ShardRuntime"]
+
+
+class _InjectionEvent(Event):
+    """Lands one ferried boundary message at its arrival time.
+
+    Secondary, like a local :class:`DeliveryEvent`: it orders against
+    same-time ticks by insertion, as the local delivery would have.
+    """
+
+    __slots__ = ("msg",)
+
+    def __init__(self, time: float, runtime: "ShardRuntime", msg: Msg):
+        super().__init__(time, runtime, secondary=True)
+        self.msg = msg
 
 
 class ShardRuntime:
@@ -57,7 +67,6 @@ class ShardRuntime:
         # build_port_registry.
         self.registry = build_port_registry(self.simulation)
         self.codec = BoundaryCodec(self.registry, self.platform.driver)
-        self.injector = BoundaryInjector(self.engine)
         self._outbox: List[Dict[str, Any]] = []
         self._shard_conns: List[ShardConnection] = []
         if num_shards > 1:
@@ -136,10 +145,23 @@ class ShardRuntime:
         return self.platform.driver.all_done if self.shard == 0 else False
 
     def inject(self, items: List[Dict[str, Any]]) -> None:
-        """Schedule ferried boundary messages for local delivery."""
+        """Schedule ferried boundary messages for local delivery at
+        their arrival times, clamped to now: the window invariant makes
+        past arrivals impossible, but a same-instant clamp keeps the
+        engine's no-past-events contract airtight against float
+        rounding."""
+        engine = self.engine
         for item in items:
-            self.injector.inject(self.codec.decode(item["msg"]),
-                                 item["deliver_at"])
+            msg = self.codec.decode(item["msg"])
+            at = max(item["deliver_at"], engine.now)
+            engine.schedule(_InjectionEvent(at, self, msg))
+
+    def handle(self, event: _InjectionEvent) -> None:
+        # Every boundary destination is a port this shard adopted
+        # (_rewire): its connection parks a message that finds the
+        # buffer full until the component frees a slot.
+        msg = event.msg
+        msg.dst.connection.deliver_inbound(msg)
 
     def run_window(self, horizon: float,
                    chunk_seconds: Optional[float] = None) -> int:

@@ -24,7 +24,7 @@ from ..core.client import RTMClient
 from ..gpu import GPUPlatform, GPUPlatformConfig
 from ..workloads import FIR, Im2Col
 from .participants import PARTICIPANTS, Findings, ParticipantAgent, Profile
-from .survey import PAPER_FIGURE6, STATEMENTS, SurveyTable, respond
+from .survey import PAPER_FIGURE6, SurveyTable, respond
 
 #: Behaviour-derived themes (paper §VI-B's open-coding results).
 THEMES = (

@@ -31,7 +31,7 @@ import re
 import threading
 import time
 from collections import deque
-from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Deque, Dict, Iterable, List, Optional
 
 from .events import FIELDS, TraceEvent, record_names
 

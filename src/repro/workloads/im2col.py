@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..gpu.kernel import KernelDescriptor
-from .base import WORD, Workload, mix
+from .base import WORD, Workload
 
 
 @dataclass

@@ -1,5 +1,7 @@
 """Tests for ports and direct connections: latency, backpressure, wakeups."""
 
+from collections import deque
+
 import pytest
 
 from repro.akita import (
@@ -294,6 +296,46 @@ def test_a_component_due_next_cycle_is_not_told_and_not_scheduled_twice():
     # Three messages, one tick each, and the one that found nothing.
     assert fwd.tick_count == 4 and fwd.asleep
     assert ticks == pytest.approx([2e-9, 3e-9, 4e-9, 5e-9])
+
+
+# -- Port.drain ----------------------------------------------------------
+def test_drain_stops_at_the_first_refusal_and_leaves_the_head_queued():
+    engine = Engine()
+    prod, sink = _Producer("P", engine), _Sink("S", engine, buf_capacity=2)
+    _wire(engine, prod.out, sink.inp)
+    msgs = [Msg(dst=sink.inp) for _ in range(3)]
+    queue = deque(msgs)
+    assert prod.out.drain(queue, 10) == 2
+    assert list(queue) == [msgs[2]] and msgs[2].src is None
+    assert prod.out.num_sent == 2
+    assert prod.out.drain(queue, 10) == 0, "still refused: nothing moves"
+    assert list(queue) == [msgs[2]]
+    engine.run()
+    assert list(sink.inp.incoming) == msgs[:2]
+    sink.inp.retrieve_incoming()
+    assert prod.out.drain(queue, 10) == 1 and not queue
+
+
+def test_drain_stops_at_its_limit():
+    engine = Engine()
+    prod, sink = _Producer("P", engine), _Sink("S", engine, buf_capacity=8)
+    _wire(engine, prod.out, sink.inp)
+    msgs = [Msg(dst=sink.inp) for _ in range(5)]
+    queue = deque(msgs)
+    assert prod.out.drain(queue, 3) == 3
+    assert list(queue) == msgs[3:]
+    assert prod.out.drain(queue, 3) == 2 and not queue
+    assert prod.out.drain(queue, 3) == 0
+    assert prod.out.num_sent == 5
+
+
+def test_drain_without_connection_raises():
+    engine = Engine()
+    prod, sink = _Producer("P", engine), _Sink("S", engine)
+    queue = deque([Msg(dst=sink.inp)])
+    with pytest.raises(PortError):
+        prod.out.drain(queue, 1)
+    assert len(queue) == 1
 
 
 # -- the one door: DirectConnection.try_send ---------------------------

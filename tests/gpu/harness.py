@@ -13,7 +13,7 @@ import heapq
 from typing import List, Optional, Tuple
 
 from repro.akita import DirectConnection, Engine, TickingComponent
-from repro.gpu import DataReadyRsp, MemReq, MemRsp, ReadReq, WriteDoneRsp, WriteReq
+from repro.gpu import MemReq, MemRsp, ReadReq, WriteReq
 
 
 class Requester(TickingComponent):
@@ -76,11 +76,7 @@ class MemoryStub(TickingComponent):
         now = self.engine.now
         while self._inflight and self._inflight[0][0] <= now + 1e-15:
             _, __, req = self._inflight[0]
-            if isinstance(req, ReadReq):
-                rsp = DataReadyRsp(req.src, req.id, req.access_bytes)
-            else:
-                rsp = WriteDoneRsp(req.src, req.id)
-            if not self.top_port.send(rsp):
+            if not self.top_port.send(req.reply(req.src)):
                 break
             heapq.heappop(self._inflight)
             progress = True

@@ -67,6 +67,41 @@ def test_data_ready_wire_size_includes_data():
     assert big.size_bytes > small.size_bytes
 
 
+@pytest.mark.parametrize("cls", [ReadReq, WriteReq],
+                         ids=lambda c: c.__name__)
+def test_a_request_forwards_itself(cls):
+    req = cls(_port("Up"), 0x1234, 8, pid=3)
+    here = req.dst.component.engine.next_msg_id
+    below = _port("Below")
+    engine = below.component.engine
+    minted = engine.next_msg_id
+    fwd = req.forward(below)
+    assert type(fwd) is cls and fwd is not req
+    assert fwd.dst is below and fwd.src is None
+    assert (fwd.address, fwd.access_bytes, fwd.pid) == (0x1234, 8, 3)
+    assert fwd.size_bytes == req.size_bytes
+    assert fwd.id == minted and engine.next_msg_id == minted + 1
+    assert req.dst.component.engine.next_msg_id == here
+
+
+@pytest.mark.parametrize("cls, rsp_cls, size", [
+    (ReadReq, DataReadyRsp, 16 + 8),
+    (WriteReq, WriteDoneRsp, 16),
+], ids=["ReadReq", "WriteReq"])
+def test_a_request_replies_for_itself(cls, rsp_cls, size):
+    req = cls(_port("Below"), 0x1234, 8, pid=3)
+    here = req.dst.component.engine.next_msg_id
+    up = _port("Up")
+    engine = up.component.engine
+    minted = engine.next_msg_id
+    rsp = req.reply(up)
+    assert type(rsp) is rsp_cls
+    assert rsp.dst is up and rsp.src is None and rsp.respond_to == req.id
+    assert rsp.size_bytes == size
+    assert rsp.id == minted and engine.next_msg_id == minted + 1
+    assert req.dst.component.engine.next_msg_id == here
+
+
 def test_eviction_and_fill_carry_line_payloads():
     ev = EvictionReq(_port(), 0x80)
     assert ev.address == 0x80

@@ -16,8 +16,8 @@ from repro.gpu.platform import GPUPlatform, GPUPlatformConfig
 from repro.gpu.protocol import KernelCompleteMsg, LaunchKernelMsg
 from repro.shard import (
     BoundaryCodec,
-    BoundaryInjector,
     ShardConnection,
+    ShardRuntime,
     build_port_registry,
 )
 from repro.workloads import StoreStorm
@@ -263,29 +263,46 @@ def test_a_ferried_message_never_takes_a_reserved_slot():
     assert list(dst.inp.incoming) == [ferried]
 
 
-def test_injector_delivers_through_the_adopted_connection():
-    engine = Engine()
-    sink = _Sink("S", engine, capacity=1)
-    conn, _ = _boundary(engine)
-    conn.adopt(sink.inp)
-    injector = BoundaryInjector(engine)
-    msg = Msg(dst=sink.inp)
-    injector.inject(msg, deliver_at=5e-9)
-    engine.run()
-    assert engine.now == pytest.approx(5e-9)
-    assert sink.inp.buf.size == 1
-    assert injector.injected == 1
+@pytest.fixture()
+def shard1():
+    """Shard 1 of 2: owns chiplet 1, whose RDMA net port its runtime
+    adopted; nothing is scheduled until something is injected.  Returns
+    the runtime, that port, and the (port, time, msg) of each arrival
+    at its RDMA."""
+    runtime = ShardRuntime(GPUPlatformConfig.small(num_chiplets=2),
+                           StoreStorm(num_workgroups=4, wavefronts_per_wg=1,
+                                      stores_per_wavefront=2), 1, 2)
+    port = runtime.platform.chiplets[1].rdma.net_port
+    landed = []
+    port.component.accept_hook(
+        lambda p, now, msg: landed.append((p, now, msg)),
+        positions=(HookPos.PORT_DELIVER,))
+    return runtime, port, landed
 
 
-def test_injector_clamps_past_arrivals_to_now():
-    engine = Engine()
-    sink = _Sink("S", engine)
-    conn, _ = _boundary(engine)
-    conn.adopt(sink.inp)
+def _ferried(runtime, port, deliver_at):
+    """A remote read for *port*'s chiplet, as the coordinator ferries it."""
+    registry = runtime.registry
+    payload = ReadReq(port, 0x40, 64)
+    msg = NetMsg(port, payload, port, registry["GPU[0].RDMA.NetPort"])
+    return {"deliver_at": deliver_at, "msg": runtime.codec.encode(msg)}
+
+
+def test_injector_delivers_through_the_adopted_connection(shard1):
+    runtime, port, landed = shard1
+    assert isinstance(port.connection, ShardConnection)
+    runtime.inject([_ferried(runtime, port, 5e-9)])
+    runtime.run_window(6e-9)
+    [(at_port, at, msg)] = landed
+    assert at_port is port and at == pytest.approx(5e-9)
+    assert isinstance(msg, NetMsg) and msg.dst is port
+
+
+def test_injector_clamps_past_arrivals_to_now(shard1):
+    runtime, port, landed = shard1
     # Advance the clock past the nominal arrival.
-    engine.run_window(1e-8)
-    injector = BoundaryInjector(engine)
-    msg = Msg(dst=sink.inp)
-    injector.inject(msg, deliver_at=5e-9)  # in the past
-    engine.run()
-    assert sink.inp.buf.size == 1
+    runtime.run_window(1e-8)
+    runtime.inject([_ferried(runtime, port, 5e-9)])  # in the past
+    runtime.run_window(1.05e-8)
+    [(at_port, at, _)] = landed
+    assert at_port is port and at == pytest.approx(1e-8)

@@ -46,6 +46,16 @@ registers the simulation, attaches the driver and starts the sampler
 for every run — and only the warm fleet worker serves a bare
 ``Monitor()`` before its first job.
 
+And a request answers for itself: outside ``gpu/mem.py`` no ``gpu``
+module builds a ``DataReadyRsp`` or a ``WriteDoneRsp`` —
+``req.reply(dst)`` picks the response of a request's type.
+
+And an import is used: a module-level import binds a name its module
+names again (in code, or in a string such as an annotation or
+``__all__``); ``__init__.py`` files and ``# noqa: F401`` statements
+(``cli.py``'s plane re-exports, ``fleet/worker.py``'s preloads) are
+exempt.
+
 And a count has one printer: under ``tests/`` only ``counts.py`` and the
 two golden regenerators run as scripts; a gate exposes ``measure()``,
 which ``python -m tests.counts`` merges.
@@ -55,6 +65,7 @@ which ``python -m tests.counts`` merges.
 """
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -625,6 +636,117 @@ def test_the_eager_import_rule_sees_each_spelling_but_not_local_ones():
         source, ("repro", "historian"))) == [
             "repro.cli", "repro.core", "repro.historian",
             "repro.historian.store"]
+
+
+#: The one module that picks a response type from a request type.
+REPLIES = "repro/gpu/mem.py"
+_RESPONSES = {"DataReadyRsp", "WriteDoneRsp"}
+
+
+def _response_builds(source):
+    """Sorted lines of every call whose callee is named ``DataReadyRsp``
+    or ``WriteDoneRsp`` (bare or as an attribute)."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None))
+        in _RESPONSES)
+
+
+def test_a_request_answers_for_itself():
+    offenders = []
+    for path in sorted((SRC / "repro" / "gpu").rglob("*.py")):
+        relative = path.relative_to(SRC).as_posix()
+        if relative != REPLIES:
+            offenders += [f"{relative}:{line}"
+                          for line in _response_builds(path.read_text())]
+    assert not offenders, (
+        "build a response with req.reply(dst):\n" + "\n".join(offenders))
+
+
+def test_the_reply_rule_sees_each_spelling_but_not_lookalikes():
+    source = (
+        "rsp = DataReadyRsp(req.src, req.id, 4)\n"
+        "ack = mem.WriteDoneRsp(req.src, req.id)\n"
+        "def f(q):\n"
+        "    q.append(WriteDoneRsp(dst, 1))\n"
+        "isinstance(msg, DataReadyRsp)\n"
+        "rsp = req.reply(req.src)\n"
+        "cls = DataReadyRsp\n")
+    assert _response_builds(source) == [1, 2, 4]
+
+
+def _module_imports(body):
+    """The import statements of a module body, those under a
+    module-level ``if`` / ``try`` included."""
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, (ast.If, ast.Try)):
+            for block in (node.body, node.orelse,
+                          getattr(node, "finalbody", []),
+                          *(h.body for h in getattr(node, "handlers", []))):
+                yield from _module_imports(block)
+
+
+def _unused_imports(source):
+    """``(line, name)`` of every module-level import whose bound name
+    the module never names again: not in code, not as a word of a
+    string (a quoted annotation, ``__all__``)."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            named.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    for node in _module_imports(tree.body):
+        if getattr(node, "module", None) == "__future__" or any(
+                "noqa: F401" in line
+                for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if alias.name != "*" and bound not in named:
+                yield node.lineno, bound
+
+
+def test_every_import_is_used():
+    offenders = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        if path.name != "__init__.py":
+            offenders += [f"{path.relative_to(SRC)}:{line} {name}"
+                          for line, name in _unused_imports(
+                              path.read_text())]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_the_import_rule_sees_each_spelling():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import os.path\n"
+        "import json as js\n"
+        "from typing import Any, Dict, TYPE_CHECKING\n"
+        "from .mem import (CACHE_LINE_SIZE,\n"
+        "                  line_address as align)\n"
+        "from . import tags\n"
+        "from .x import *\n"
+        "import signal  # noqa: F401 - a preload\n"
+        "if TYPE_CHECKING:\n"
+        "    from .port import Port\n"
+        "    from .buffer import Buffer\n"
+        "try:\n"
+        "    import resource\n"
+        "except ImportError:\n"
+        "    import msvcrt\n"
+        "def f(p: 'Port') -> Dict:\n"
+        "    import socket\n"
+        "    return tags.lookup(CACHE_LINE_SIZE)\n")
+    assert list(_unused_imports(source)) == [
+        (2, "os"), (3, "os"), (4, "js"), (5, "Any"), (6, "align"),
+        (13, "Buffer"), (15, "resource"), (17, "msvcrt")]
 
 
 #: The scripts under ``tests/``: the counts document and the two

@@ -112,7 +112,7 @@ BUDGET = {
     "checkpoint": (9, 6),
     "fleet": (67, 53),
     "historian": (27, 27),
-    "shard": (38, 6),
+    "shard": (36, 6),
 }
 
 
