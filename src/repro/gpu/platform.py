@@ -106,37 +106,6 @@ class GPUPlatformConfig:
     def cus_per_gpu(self) -> int:
         return self.sas_per_gpu * self.cus_per_sa
 
-    @property
-    def shard_window_cycles(self) -> int:
-        """The conservative sync window: the minimum latency of any link
-        that can cross a shard boundary (driver↔CP and chiplet↔switch).
-        No boundary message sent at time *t* can arrive before
-        ``t + shard_window_cycles / freq``, so shards may safely run
-        that many cycles past the global minimum next-event time."""
-        return min(self.driver_conn_latency_cycles,
-                   self.net_link_latency_cycles)
-
-    def partition_chiplets(self, num_shards: int) -> List[List[int]]:
-        """Assign chiplets to shards: contiguous blocks, sizes differing
-        by at most one, every chiplet in exactly one shard.
-
-        Shard 0 additionally owns the host side (Driver and
-        InterChipletSwitch); ``num_shards == 1`` is the degenerate case
-        where shard 0 owns everything (the monolithic platform).
-        """
-        n = self.num_chiplets
-        if not 1 <= num_shards <= n:
-            raise ConfigurationError(
-                f"need 1..{n} shards for {n} chiplets, got {num_shards}")
-        base, extra = divmod(n, num_shards)
-        blocks: List[List[int]] = []
-        start = 0
-        for s in range(num_shards):
-            size = base + (1 if s < extra else 0)
-            blocks.append(list(range(start, start + size)))
-            start += size
-        return blocks
-
     @classmethod
     def r9_nano_mcm(cls, num_chiplets: int = 4,
                     **overrides) -> "GPUPlatformConfig":
@@ -251,6 +220,17 @@ class GPUPlatform:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+    def _link(self, name: str, cycles: int,
+              *ports: Port) -> DirectConnection:
+        """The connection *name*, *cycles* platform cycles long, with
+        *ports* plugged in in order, registered with the simulation."""
+        conn = DirectConnection(name, self.engine,
+                                latency=cycles / self.config.freq)
+        for port in ports:
+            conn.plug_in(port)
+        self.simulation.register_connection(conn)
+        return conn
+
     def _build(self) -> None:
         cfg = self.config
         sim = self.simulation
@@ -265,11 +245,9 @@ class GPUPlatform:
             msgs_per_cycle=cfg.net_msgs_per_cycle)
         sim.register_component(self.switch)
 
-        driver_conn = DirectConnection(
-            "DriverConn", engine,
-            latency=cfg.driver_conn_latency_cycles / cfg.freq)
-        driver_conn.plug_in(self.driver.gpu_port)
-        sim.register_connection(driver_conn)
+        driver_conn = self._link("DriverConn",
+                                 cfg.driver_conn_latency_cycles,
+                                 self.driver.gpu_port)
 
         for i in range(cfg.num_chiplets):
             chiplet = self._build_chiplet(i, driver_conn)
@@ -309,21 +287,13 @@ class GPUPlatform:
             chiplet.write_buffers.append(wb)
             chiplet.drams.append(dram)
 
-            l2_wb_conn = DirectConnection(
-                join(gpu, indexed("L2WBConn", b)), engine,
-                latency=1 / cfg.freq)
-            for port in (l2.wb_port, l2.storage_port, wb.in_port):
-                l2_wb_conn.plug_in(port)
-            sim.register_connection(l2_wb_conn)
+            self._link(join(gpu, indexed("L2WBConn", b)), 1,
+                       l2.wb_port, l2.storage_port, wb.in_port)
             l2.connect_write_buffer(wb.in_port)
             wb.connect(l2.storage_port, dram.top_port)
 
-            wb_dram_conn = DirectConnection(
-                join(gpu, indexed("WBDRAMConn", b)), engine,
-                latency=1 / cfg.freq)
-            wb_dram_conn.plug_in(wb.dram_port)
-            wb_dram_conn.plug_in(dram.top_port)
-            sim.register_connection(wb_dram_conn)
+            self._link(join(gpu, indexed("WBDRAMConn", b)), 1,
+                       wb.dram_port, dram.top_port)
 
         # -- RDMA -------------------------------------------------------
         rdma = RDMAEngine(join(gpu, "RDMA"), engine, i, cfg.freq)
@@ -331,13 +301,9 @@ class GPUPlatform:
         chiplet.rdma = rdma
 
         # -- chiplet crossbar: L1 bottoms + L2 tops + RDMA ----------------
-        crossbar = DirectConnection(join(gpu, "L1ToL2Conn"), engine,
-                                    latency=4 / cfg.freq)
-        for l2 in chiplet.l2s:
-            crossbar.plug_in(l2.top_port)
-        crossbar.plug_in(rdma.l1_port)
-        crossbar.plug_in(rdma.l2_port)
-        sim.register_connection(crossbar)
+        crossbar = self._link(join(gpu, "L1ToL2Conn"), 4,
+                              *(l2.top_port for l2 in chiplet.l2s),
+                              rdma.l1_port, rdma.l2_port)
 
         # -- control plane ------------------------------------------------
         cp = CommandProcessor(join(gpu, "CommandProcessor"), engine,
@@ -350,17 +316,12 @@ class GPUPlatform:
         driver_conn.plug_in(cp.driver_port)
         self.driver.connect_gpu(cp.driver_port)
 
-        cp_disp_conn = DirectConnection(join(gpu, "CPDispatcherConn"),
-                                        engine, latency=1 / cfg.freq)
-        cp_disp_conn.plug_in(cp.dispatcher_port)
-        cp_disp_conn.plug_in(dispatcher.cp_port)
-        sim.register_connection(cp_disp_conn)
+        self._link(join(gpu, "CPDispatcherConn"), 1,
+                   cp.dispatcher_port, dispatcher.cp_port)
         cp.connect(dispatcher.cp_port)
 
-        dispatch_bus = DirectConnection(join(gpu, "DispatchBus"), engine,
-                                        latency=1 / cfg.freq)
-        dispatch_bus.plug_in(dispatcher.cu_port)
-        sim.register_connection(dispatch_bus)
+        dispatch_bus = self._link(join(gpu, "DispatchBus"), 1,
+                                  dispatcher.cu_port)
 
         # -- shader arrays ------------------------------------------------
         l2_tops = [l2.top_port for l2 in chiplet.l2s]
@@ -404,20 +365,14 @@ class GPUPlatform:
         chiplet.scalar_ats.append(s_at)
         chiplet.scalar_caches.append(s_l1)
 
-        at_l1 = DirectConnection(join(sa, "SATL1SConn"), engine,
-                                 latency=1 / cfg.freq)
-        at_l1.plug_in(s_at.bottom_port)
-        at_l1.plug_in(s_l1.top_port)
-        sim.register_connection(at_l1)
+        self._link(join(sa, "SATL1SConn"), 1, s_at.bottom_port,
+                   s_l1.top_port)
         crossbar.plug_in(s_l1.bottom_port)
 
         # The SA-shared scalar bus gains CU ScalarPorts in
         # _build_cu_chain.
-        scalar_bus = DirectConnection(join(sa, "ScalarBus"), engine,
-                                      latency=1 / cfg.freq)
-        scalar_bus.plug_in(s_at.top_port)
-        sim.register_connection(scalar_bus)
-        self._scalar_buses[sa] = scalar_bus
+        self._scalar_buses[sa] = self._link(join(sa, "ScalarBus"), 1,
+                                            s_at.top_port)
 
         s_at.connect_down(s_l1.top_port)
         s_l1.set_route(route)
@@ -454,23 +409,12 @@ class GPUPlatform:
         chiplet.ats.append(at)
         chiplet.l1s.append(l1)
 
-        cu_rob = DirectConnection(join(sa, indexed("CUROBConn", k)),
-                                  engine, latency=1 / cfg.freq)
-        cu_rob.plug_in(cu.mem_port)
-        cu_rob.plug_in(rob.top_port)
-        sim.register_connection(cu_rob)
-
-        rob_at = DirectConnection(join(sa, indexed("ROBATConn", k)),
-                                  engine, latency=1 / cfg.freq)
-        rob_at.plug_in(rob.bottom_port)
-        rob_at.plug_in(at.top_port)
-        sim.register_connection(rob_at)
-
-        at_l1 = DirectConnection(join(sa, indexed("ATL1Conn", k)),
-                                 engine, latency=1 / cfg.freq)
-        at_l1.plug_in(at.bottom_port)
-        at_l1.plug_in(l1.top_port)
-        sim.register_connection(at_l1)
+        self._link(join(sa, indexed("CUROBConn", k)), 1, cu.mem_port,
+                   rob.top_port)
+        self._link(join(sa, indexed("ROBATConn", k)), 1, rob.bottom_port,
+                   at.top_port)
+        self._link(join(sa, indexed("ATL1Conn", k)), 1, at.bottom_port,
+                   l1.top_port)
 
         crossbar.plug_in(l1.bottom_port)
         dispatch_bus.plug_in(cu.ctrl_port)
@@ -491,12 +435,9 @@ class GPUPlatform:
         for chiplet in self.chiplets:
             rdma = chiplet.rdma
             rdma._remote_ports = dict(remote_ports)
-            link = DirectConnection(
-                join(chiplet.name, "NetLink"), self.engine,
-                latency=cfg.net_link_latency_cycles / cfg.freq)
-            link.plug_in(rdma.net_port)
-            link.plug_in(self.switch.switch_port(chiplet.id))
-            self.simulation.register_connection(link)
+            self._link(join(chiplet.name, "NetLink"),
+                       cfg.net_link_latency_cycles, rdma.net_port,
+                       self.switch.switch_port(chiplet.id))
             self.switch.add_route(rdma.net_port, chiplet.id)
 
     # ------------------------------------------------------------------

@@ -6,14 +6,17 @@ many threads it spawns, so the only road to parallel speedup is
 synchronizing virtual time conservatively across the boundary.  This
 package implements that execution mode:
 
-* :mod:`.partition` — name-based ownership: chiplet blocks per shard,
-  host side (driver, switch) on the hub shard 0.
-* :mod:`.boundary` — the wire codec for boundary-crossing messages
-  and the proxy :class:`ShardConnection` that exports remote sends
-  and lands ferried arrivals.
+* :mod:`.partition` — name-based ownership: chiplet blocks per shard
+  (:func:`chiplet_owners`), host side (driver, switch) on the hub
+  shard 0.
+* :mod:`.boundary` — the wire codec (a message crosses as its class
+  name and its slot fields) and the proxy :class:`ShardConnection`
+  that exports remote sends and lands ferried arrivals.
 * :mod:`.runtime` — the per-process shard: build the full platform,
-  prune to the owned slice, rewire boundary edges, schedule ferried
-  arrivals in timestamp order, run in granted windows.
+  prune to the owned slice, replace every platform link that spans
+  shards with a :class:`ShardConnection` (the shortest is the shard's
+  sync window), schedule ferried arrivals in timestamp order, run in
+  granted windows.
 * :mod:`.worker` — the worker process (forked from the run's zygote),
   speaking the fleet control framing on its pipes.
 * :mod:`.coordinator` — forks the workers, drives the conservative

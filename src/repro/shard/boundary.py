@@ -5,10 +5,11 @@ Two pieces turn an intra-process link into a cross-process one:
 * :class:`BoundaryCodec` — translates the messages that can legally
   cross a shard boundary (kernel launches and completions on the
   driver↔CP link; :class:`~repro.gpu.mem.NetMsg` envelopes on the
-  chiplet↔switch links) to and from JSON.  Ports travel as names and
-  are resolved against the receiving shard's registry — every shard
-  builds the *full* platform, so a dormant replica port exists for
-  every name and acts as a stable address anchor.
+  chiplet↔switch links) to and from JSON, each as its class name and
+  its ``__slots__`` fields.  Ports travel as names and are resolved
+  against the receiving shard's registry — every shard builds the
+  *full* platform, so a dormant replica port exists for every name and
+  acts as a stable address anchor.
 
 * :class:`ShardConnection` — a :class:`DirectConnection` that *adopts*
   the locally-owned endpoints of a boundary edge.  Sends whose
@@ -31,7 +32,7 @@ time, so an injected arrival is never in the receiving shard's past.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List
+from typing import Any, Callable, Deque, Dict, List, Tuple
 
 from ..akita.connection import DirectConnection
 from ..akita.engine import Engine
@@ -39,14 +40,8 @@ from ..akita.hooks import HookPos
 from ..akita.message import Msg
 from ..akita.port import Port
 from ..gpu.driver import Driver
-from ..gpu.mem import (
-    DataReadyRsp,
-    MemReq,
-    NetMsg,
-    ReadReq,
-    WriteDoneRsp,
-    WriteReq,
-)
+from ..gpu.kernel import KernelState
+from ..gpu.mem import DataReadyRsp, NetMsg, ReadReq, WriteDoneRsp, WriteReq
 from ..gpu.protocol import KernelCompleteMsg, LaunchKernelMsg
 
 __all__ = ["build_port_registry", "BoundaryCodec", "ShardConnection"]
@@ -72,123 +67,73 @@ def build_port_registry(simulation) -> Dict[str, Port]:
 # ----------------------------------------------------------------------
 # Wire codec
 # ----------------------------------------------------------------------
+#: The messages that may cross a shard boundary — kernel launches and
+#: completions on the driver↔CP link, :class:`~repro.gpu.mem.NetMsg`
+#: envelopes and their payloads on the chiplet↔switch links — by wire
+#: name, with every ``__slots__`` field, base classes first.
+_WIRE_TYPES: Dict[str, Tuple[type, Tuple[str, ...]]] = {
+    cls.__name__: (cls, tuple(
+        slot for klass in reversed(cls.__mro__)
+        for slot in klass.__dict__.get("__slots__", ())))
+    for cls in (LaunchKernelMsg, KernelCompleteMsg, NetMsg, ReadReq,
+                WriteReq, DataReadyRsp, WriteDoneRsp)}
+
+
 class BoundaryCodec:
-    """Encode/decode the boundary-crossing message vocabulary.
+    """Encode/decode a boundary-crossing message as its own fields.
 
-    Identity rules the codec must preserve:
-
-    * A :class:`MemReq` keeps its ``id`` across the wire — the origin
-      RDMA's outstanding-request table is keyed by it, and the remote
-      side's eventual response carries it back in ``respond_to``.
-    * ``LaunchKernelMsg.kernel`` travels as an *index* into the
-      driver's launch list.  Every shard enqueues the identical
-      workload into its (possibly dormant) driver replica, so the
-      index resolves to the congruent local :class:`KernelState`.
-    * ``src`` travels as a port name: the command processor records
-      ``msg.src`` of a launch as its reply-to address, and routing the
-      completion back over the wire requires that address to be the
-      (dormant) driver port replica, not ``None``.
+    A message travels as its class name and its slots: a :class:`Port`
+    as its name, resolved against the receiving shard's registry (so a
+    launch's ``src``, the command processor's reply-to address, is the
+    dormant driver replica there); a :class:`KernelState` as
+    ``{"kernel": i}``, its index in the driver's launch list, which
+    every shard enqueues identically; a nested message recursively;
+    anything else as it is.  Decoding sets the slots on a bare instance,
+    so every message keeps its ``id`` and the receiver mints none — the
+    origin RDMA's request table is keyed by a request's id, which the
+    remote response carries back in ``respond_to``.
     """
 
     def __init__(self, registry: Dict[str, Port], driver: Driver):
         self._registry = registry
         self._driver = driver
 
-    # -- encode ---------------------------------------------------------
     def encode(self, msg: Msg) -> Dict[str, Any]:
-        if isinstance(msg, LaunchKernelMsg):
-            return {
-                "kind": "launch",
-                "dst": msg.dst.name,
-                "src": msg.src.name if msg.src is not None else None,
-                "kernel": self._kernel_index(msg),
-                "wg_ids": list(msg.wg_ids),
-            }
-        if isinstance(msg, KernelCompleteMsg):
-            return {
-                "kind": "kernel_complete",
-                "dst": msg.dst.name,
-                "src": msg.src.name if msg.src is not None else None,
-                "launch_id": msg.launch_id,
-            }
-        if isinstance(msg, NetMsg):
-            return {
-                "kind": "net",
-                "dst": msg.dst.name,
-                "src": msg.src.name if msg.src is not None else None,
-                "final_dst": msg.final_dst.name,
-                "origin": msg.origin.name,
-                "payload": self._encode_payload(msg.payload),
-            }
-        raise TypeError(
-            f"{type(msg).__name__} cannot cross a shard boundary")
+        name = type(msg).__name__
+        cls, slots = _WIRE_TYPES.get(name, (None, ()))
+        if cls is not type(msg):
+            raise TypeError(f"{name} cannot cross a shard boundary")
+        wire: Dict[str, Any] = {"type": name}
+        for slot in slots:
+            value = getattr(msg, slot)
+            if isinstance(value, Port):
+                value = value.name
+            elif isinstance(value, KernelState):
+                # By identity; ValueError for a kernel the driver lacks.
+                value = {"kernel": [k is value for k
+                                    in self._driver.kernels].index(True)}
+            elif isinstance(value, Msg):
+                value = self.encode(value)
+            wire[slot] = value
+        return wire
 
-    def _kernel_index(self, msg: LaunchKernelMsg) -> int:
-        for i, state in enumerate(self._driver.kernels):
-            if state is msg.kernel:
-                return i
-        raise ValueError(
-            f"launch references a kernel unknown to the driver: {msg!r}")
-
-    @staticmethod
-    def _encode_payload(payload: Msg) -> Dict[str, Any]:
-        if isinstance(payload, MemReq):
-            kind = "write" if isinstance(payload, WriteReq) else "read"
-            return {"kind": kind, "id": payload.id,
-                    "address": payload.address,
-                    "access_bytes": payload.access_bytes,
-                    "pid": payload.pid}
-        if isinstance(payload, DataReadyRsp):
-            return {"kind": "data_ready", "respond_to": payload.respond_to,
-                    "size_bytes": payload.size_bytes}
-        if isinstance(payload, WriteDoneRsp):
-            return {"kind": "write_done", "respond_to": payload.respond_to}
-        raise TypeError(
-            f"{type(payload).__name__} cannot cross the network boundary")
-
-    # -- decode ---------------------------------------------------------
     def decode(self, wire: Dict[str, Any]) -> Msg:
-        kind = wire["kind"]
-        dst = self._port(wire["dst"])
-        if kind == "launch":
-            kernel = self._driver.kernels[wire["kernel"]]
-            msg: Msg = LaunchKernelMsg(dst, kernel, list(wire["wg_ids"]))
-        elif kind == "kernel_complete":
-            msg = KernelCompleteMsg(dst, wire["launch_id"])
-        elif kind == "net":
-            final_dst = self._port(wire["final_dst"])
-            payload = self._decode_payload(wire["payload"], final_dst)
-            msg = NetMsg(dst, payload, final_dst, self._port(wire["origin"]))
-        else:
-            raise ValueError(f"unknown boundary message kind {kind!r}")
-        src = wire.get("src")
-        if src is not None:
-            msg.src = self._port(src)
+        cls, slots = _WIRE_TYPES.get(wire.get("type"), (None, ()))
+        if cls is None:
+            raise ValueError(
+                f"unknown boundary message type {wire.get('type')!r}")
+        msg = object.__new__(cls)
+        for slot in slots:
+            value = wire[slot]
+            if isinstance(value, str):
+                if value not in self._registry:
+                    raise ValueError(f"unknown boundary port {value!r}")
+                value = self._registry[value]
+            elif isinstance(value, dict):
+                value = (self._driver.kernels[value["kernel"]]
+                         if "kernel" in value else self.decode(value))
+            setattr(msg, slot, value)
         return msg
-
-    def _decode_payload(self, wire: Dict[str, Any], final_dst: Port) -> Msg:
-        kind = wire["kind"]
-        if kind in ("read", "write"):
-            cls = WriteReq if kind == "write" else ReadReq
-            payload = cls(final_dst, wire["address"], wire["access_bytes"],
-                          wire["pid"])
-            # Preserve the origin shard's request id: the response the
-            # remote side builds answers *this* id, and the origin's
-            # transaction table is keyed by it.
-            payload.id = wire["id"]
-            return payload
-        if kind == "data_ready":
-            return DataReadyRsp(final_dst, wire["respond_to"],
-                                data_bytes=wire["size_bytes"] - 16)
-        if kind == "write_done":
-            return WriteDoneRsp(final_dst, wire["respond_to"])
-        raise ValueError(f"unknown payload kind {kind!r}")
-
-    def _port(self, name: str) -> Port:
-        try:
-            return self._registry[name]
-        except KeyError:
-            raise ValueError(f"unknown boundary port {name!r}") from None
 
 
 # ----------------------------------------------------------------------

@@ -10,9 +10,9 @@ of conservative parallel discrete-event simulation:
 1. Every shard reports its next pending event time at the barrier.
 2. The coordinator grants the horizon ``T_min + W``, where ``T_min``
    is the minimum across *active* shards and ``W`` — the sync window —
-   is the minimum cross-shard link latency from the config: no
-   boundary message sent at or after ``T_min`` can arrive before the
-   horizon, so every shard may run all events strictly before it.
+   is the shortest boundary link any shard reported at ``shard-ready``:
+   no boundary message sent at or after ``T_min`` can arrive before
+   the horizon, so every shard may run all events strictly before it.
 3. Shards run their window and return their outbox of exported
    boundary messages; the coordinator routes each to the destination
    shard (by port *name* — see :func:`~repro.shard.partition.
@@ -113,10 +113,12 @@ class ShardCoordinator:
         self.config = config
         self.workload = workload
         self.num_shards = num_shards
-        self.owners = chiplet_owners(config.partition_chiplets(num_shards))
+        self.owners = chiplet_owners(config.num_chiplets, num_shards)
         self.monitor = monitor
         self._solo_seconds = _SOLO_GRANT_CYCLES / config.freq
-        self._window_seconds = config.shard_window_cycles / config.freq
+        #: The sync window W: the minimum of the shards' boundary
+        #: links, ``None`` for one shard (only the solo grant is used).
+        self._window_seconds: Optional[float] = None
         #: The barrier families: the preamble of the federated
         #: exposition, which is why it is not the gateway transport's
         #: ``request_registry`` (see there).
@@ -213,6 +215,7 @@ class ShardCoordinator:
                            "num_shards": self.num_shards,
                            "config": config_dict, "workload": spec,
                            "monitor": self.monitor, "port": 0})
+        windows = []
         for k in range(self.num_shards):
             _, ready = self._recv(k)
             if ready.get("event") != "shard-ready":
@@ -220,6 +223,9 @@ class ShardCoordinator:
                     f"shard {k}: expected shard-ready, got {ready!r}")
             self.shard_urls[k] = ready.get("url")
             self._next_times[k] = ready.get("next_time")
+            if ready.get("window") is not None:
+                windows.append(ready["window"])
+        self._window_seconds = min(windows, default=None)
 
     # ------------------------------------------------------------------
     # Talking to one shard

@@ -3,9 +3,8 @@
 A sharded run splits one multi-chiplet :class:`~repro.gpu.platform.
 GPUPlatform` into ``num_shards`` processes along the chiplet boundary:
 contiguous chiplet blocks (sizes differing by at most one, computed by
-:meth:`GPUPlatformConfig.partition_chiplets`), with shard 0 — the *hub*
-— additionally owning the host side (``Driver``) and the shared
-``InterChipletSwitch``.
+:func:`chiplet_owners`), with shard 0 — the *hub* — additionally owning
+the host side (``Driver``) and the shared ``InterChipletSwitch``.
 
 Ownership is decidable from a component or port *name* alone, which is
 what makes cross-process message routing a pure function: every port
@@ -17,20 +16,29 @@ the object graph.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
+from ..akita.errors import ConfigurationError
 from ..akita.naming import split_indexed
 
 __all__ = ["chiplet_owners", "owner_of_name"]
 
 
-def chiplet_owners(blocks: List[List[int]]) -> Dict[int, int]:
-    """Invert a partition (shard → chiplets) into chiplet → shard."""
-    owners: Dict[int, int] = {}
-    for shard, chiplets in enumerate(blocks):
-        for c in chiplets:
-            owners[c] = shard
-    return owners
+def chiplet_owners(num_chiplets: int, num_shards: int) -> Dict[int, int]:
+    """Chiplet → shard: contiguous blocks, sizes differing by at most
+    one, every chiplet on exactly one shard.
+
+    ``num_shards == 1`` is the degenerate case where shard 0 owns
+    everything (the monolithic platform).
+    """
+    if not 1 <= num_shards <= num_chiplets:
+        raise ConfigurationError(
+            f"need 1..{num_chiplets} shards for {num_chiplets} chiplets, "
+            f"got {num_shards}")
+    base, extra = divmod(num_chiplets, num_shards)
+    big = extra * (base + 1)  # the first *extra* shards hold base + 1
+    return {c: c // (base + 1) if c < big else extra + (c - big) // base
+            for c in range(num_chiplets)}
 
 
 def owner_of_name(name: str, owners: Dict[int, int]) -> int:

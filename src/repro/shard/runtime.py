@@ -9,9 +9,12 @@ kernel launch list are identical everywhere.  It then
 2. *prunes*: deregisters every component another shard owns from the
    monitored simulation — the objects survive as dormant replicas
    (never ticked, never seeded) whose ports anchor wire addresses,
-3. *rewires*: replaces each boundary edge's connection with a
-   :class:`~repro.shard.boundary.ShardConnection` that adopts only the
-   locally-owned endpoints and exports sends to remote ones.
+3. *rewires*: every platform link with some, but not all, of its
+   ports on components this shard still registers is a boundary edge;
+   it is replaced by a :class:`~repro.shard.boundary.ShardConnection`
+   of the same latency that adopts the owned ports and exports sends
+   to the others.  The shortest such link is the shard's sync
+   :attr:`~ShardRuntime.window`.
 
 Only shard 0 seeds the driver's first tick; on every other shard the
 driver replica holds the enqueued workload (for the kernel index
@@ -54,11 +57,8 @@ class ShardRuntime:
 
     def __init__(self, config: GPUPlatformConfig, workload: Workload,
                  shard: int, num_shards: int):
-        self.config = config
         self.shard = shard
-        self.num_shards = num_shards
-        self.blocks = config.partition_chiplets(num_shards)
-        self.owners = chiplet_owners(self.blocks)
+        self.owners = chiplet_owners(config.num_chiplets, num_shards)
         self.platform = GPUPlatform(config, name=f"shard{shard}")
         self.simulation = self.platform.simulation
         self.engine = self.platform.engine
@@ -72,6 +72,10 @@ class ShardRuntime:
         if num_shards > 1:
             self._prune()
             self._rewire()
+        #: The latency of this shard's shortest boundary link (``None``
+        #: with none): no message it exports arrives sooner.
+        self.window: Optional[float] = min(
+            (conn.latency for conn in self._shard_conns), default=None)
         if shard == 0:
             # Only the hub's driver runs; dormant replicas keep their
             # queued commands forever un-ticked.
@@ -89,43 +93,18 @@ class ShardRuntime:
                 self.simulation.deregister_component(name)
 
     def _rewire(self) -> None:
-        cfg = self.config
-        platform = self.platform
-
-        # Driver ↔ command processors: one shared link whose endpoints
-        # span shards.  Adopt the locally-owned ones.
-        driver_conn = self._new_conn(
-            "ShardDriverConn", cfg.driver_conn_latency_cycles / cfg.freq)
-        if self.shard == 0:
-            driver_conn.adopt(platform.driver.gpu_port)
-        for chiplet in platform.chiplets:
-            if self.owners[chiplet.id] == self.shard:
-                driver_conn.adopt(chiplet.command_processor.driver_port)
-
-        # Chiplet ↔ switch: per-chiplet point-to-point links.  A link
-        # whose two endpoints are both local (chiplet owned by the hub)
-        # keeps its original DirectConnection; a link with exactly one
-        # local endpoint gets a proxy adopting that endpoint; a fully
-        # remote link needs nothing here.
-        for chiplet in platform.chiplets:
-            owner = self.owners[chiplet.id]
-            if owner == 0 and self.shard == 0:
-                continue  # both endpoints local to the hub
-            link_latency = cfg.net_link_latency_cycles / cfg.freq
-            if self.shard == 0:
-                conn = self._new_conn(
-                    f"ShardNetLink[{chiplet.id}]", link_latency)
-                conn.adopt(platform.switch.switch_port(chiplet.id))
-            elif owner == self.shard:
-                conn = self._new_conn(
-                    f"ShardNetLink[{chiplet.id}]", link_latency)
-                conn.adopt(chiplet.rdma.net_port)
-
-    def _new_conn(self, name: str, latency: float) -> ShardConnection:
-        conn = ShardConnection(name, self.engine, latency, self._export)
-        self._shard_conns.append(conn)
-        self.simulation.register_connection(conn)
-        return conn
+        # Ownership is registry membership: _prune's own decision.
+        owned = set(self.simulation.component_names)
+        for link in self.simulation.connections:
+            ports = link.ports
+            local = [port for port in ports if port.component.name in owned]
+            if 0 < len(local) < len(ports):
+                conn = ShardConnection("Shard" + link.name, self.engine,
+                                       link.latency, self._export)
+                for port in local:
+                    conn.adopt(port)
+                self._shard_conns.append(conn)
+                self.simulation.register_connection(conn)
 
     def _export(self, msg, deliver_at: float) -> None:
         self._outbox.append({"deliver_at": deliver_at,

@@ -8,7 +8,7 @@ Speaks the fleet control framing (bare JSON command lines on stdin,
 ======================  =================================================
 manager → worker        worker → manager
 ======================  =================================================
-``init``                ``shard-ready`` (url, next event time)
+``init``                ``shard-ready`` (url, next event time, window)
 ``inject``              —
 ``window``              ``shard-outbox``* then ``window-done``
 ``stop``                ``shard-stopped`` (final counters + exposition)
@@ -67,7 +67,8 @@ def _handle_init(state: _WorkerState, cmd: Dict[str, Any]) -> None:
         state.monitor.ensure_sim_metrics().start()
         url = state.monitor.start_server(port=cmd.get("port", 0))
     emit({"event": "shard-ready", "shard": state.shard, "url": url,
-          "next_time": state.runtime.next_time})
+          "next_time": state.runtime.next_time,
+          "window": state.runtime.window})
 
 
 def _handle_window(state: _WorkerState, cmd: Dict[str, Any]) -> None:

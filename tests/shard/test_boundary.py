@@ -1,10 +1,20 @@
 """The shard boundary layer: codec round-trips, proxy connection
 semantics (local passthrough, remote export, quota, parked inbound),
-and the injection path."""
+the injection path, and the rewire that finds the boundary links."""
+
+import json
 
 import pytest
 
-from repro.akita import Component, DirectConnection, Engine, HookPos, Msg
+from repro.akita import (
+    Component,
+    DirectConnection,
+    Engine,
+    HookPos,
+    Msg,
+    Port,
+)
+from repro.gpu.kernel import KernelState
 from repro.gpu.mem import (
     DataReadyRsp,
     NetMsg,
@@ -17,8 +27,11 @@ from repro.gpu.protocol import KernelCompleteMsg, LaunchKernelMsg
 from repro.shard import (
     BoundaryCodec,
     ShardConnection,
+    ShardCoordinator,
     ShardRuntime,
     build_port_registry,
+    chiplet_owners,
+    owner_of_name,
 )
 from repro.workloads import StoreStorm
 
@@ -98,13 +111,72 @@ def test_net_responses_round_trip(rig):
         assert decoded.payload.size_bytes == payload.size_bytes
 
 
+def _wire_messages(platform, registry):
+    """One message of each of the seven wire types, every port field
+    set (a payload's ``src`` stays ``None``: it is never sent alone)."""
+    switch = registry["InterChipletSwitch.Port0"]
+    home, away = (registry["GPU[0].RDMA.NetPort"],
+                  registry["GPU[1].RDMA.NetPort"])
+    read = ReadReq(away, address=0x1200, access_bytes=4, pid=2)
+    write = WriteReq(away, address=0x1240, access_bytes=8, pid=1)
+    ready = DataReadyRsp(home, respond_to=41, data_bytes=64)
+    done = WriteDoneRsp(home, respond_to=42)
+    msgs = [LaunchKernelMsg(registry["GPU[1].CommandProcessor.ToDriver"],
+                            platform.driver.kernels[0], [1, 3]),
+            KernelCompleteMsg(registry["Driver.ToGPU"], launch_id=7),
+            NetMsg(switch, read, final_dst=away, origin=home),
+            read, write, ready, done]
+    for msg in msgs:
+        msg.src = registry["Driver.ToGPU"] if msg is not read else None
+        msg.send_time = 3e-9
+    return msgs
+
+
+def _fields(msg):
+    return [slot for cls in type(msg).__mro__
+            for slot in cls.__dict__.get("__slots__", ())]
+
+
+def _assert_same_message(decoded, msg):
+    """Every slot equal: ports and kernels by identity, a payload
+    recursively, anything else by value."""
+    assert type(decoded) is type(msg)
+    for slot in _fields(msg):
+        want, got = getattr(msg, slot), getattr(decoded, slot)
+        if isinstance(want, Msg):
+            _assert_same_message(got, want)
+        elif isinstance(want, (Port, KernelState)) or want is None:
+            assert got is want, slot
+        else:
+            assert got == want, slot
+
+
+@pytest.mark.parametrize("kind", [
+    "LaunchKernelMsg", "KernelCompleteMsg", "NetMsg", "ReadReq",
+    "WriteReq", "DataReadyRsp", "WriteDoneRsp"])
+def test_every_wire_type_round_trips_field_for_field(rig, kind):
+    platform, registry, codec = rig
+    [msg] = [msg for msg in _wire_messages(platform, registry)
+             if type(msg).__name__ == kind]
+    wire = json.loads(json.dumps(codec.encode(msg)))
+    engine = platform.engine
+    minted = engine.next_msg_id
+    decoded = codec.decode(wire)
+    _assert_same_message(decoded, msg)
+    # Decoding mints no id: the receiving simulation numbers only the
+    # messages it builds itself.
+    assert engine.next_msg_id == minted
+
+
 def test_codec_rejects_unknown_messages_and_ports(rig):
     _, registry, codec = rig
     with pytest.raises(TypeError):
         codec.encode(Msg(registry["Driver.ToGPU"]))
+    wire = codec.encode(KernelCompleteMsg(registry["Driver.ToGPU"], 0))
     with pytest.raises(ValueError):
-        codec.decode({"kind": "kernel_complete", "dst": "No.Such.Port",
-                      "src": None, "launch_id": 0})
+        codec.decode(dict(wire, type="Msg"))
+    with pytest.raises(ValueError):
+        codec.decode(dict(wire, dst="No.Such.Port"))
 
 
 # ---------------------------------------------------------------------------
@@ -306,3 +378,50 @@ def test_injector_clamps_past_arrivals_to_now(shard1):
     runtime.run_window(1.05e-8)
     [(at_port, at, _)] = landed
     assert at_port is port and at == pytest.approx(1e-8)
+
+
+# ---------------------------------------------------------------------------
+# Rewire and window
+# ---------------------------------------------------------------------------
+
+# Driver and network links of different lengths: the window must be the
+# shorter, whichever link it is.
+_SKEWED = GPUPlatformConfig.small(num_chiplets=4,
+                                  driver_conn_latency_cycles=20,
+                                  net_link_latency_cycles=7)
+_STORM = StoreStorm(num_workgroups=4, wavefronts_per_wg=1,
+                    stores_per_wavefront=2, page_locality=4)
+
+
+@pytest.mark.parametrize("num_shards", [2, 4])
+def test_a_shard_cuts_exactly_the_links_that_span_shards(num_shards):
+    owners = chiplet_owners(_SKEWED.num_chiplets, num_shards)
+    links = GPUPlatform(_SKEWED).simulation.connections
+    spans = {link: {owner_of_name(port.name, owners)
+                    for port in link.ports} for link in links}
+    for shard in range(num_shards):
+        spanning = {"Shard" + link.name: link.latency
+                    for link, shards in spans.items()
+                    if len(shards) > 1 and shard in shards}
+        runtime = ShardRuntime(_SKEWED, _STORM, shard, num_shards)
+        cut = {conn.name: conn.latency
+               for conn in runtime.simulation.connections
+               if isinstance(conn, ShardConnection)}
+        assert cut == spanning, shard
+        assert runtime.window == 7 / _SKEWED.freq
+
+
+def test_one_shard_cuts_nothing():
+    runtime = ShardRuntime(_SKEWED, _STORM, 0, 1)
+    assert runtime.window is None
+    assert not any(isinstance(conn, ShardConnection)
+                   for conn in runtime.simulation.connections)
+
+
+def test_the_coordinator_window_is_the_shortest_boundary_link():
+    coordinator = ShardCoordinator(_SKEWED, _STORM, 4)
+    try:
+        assert coordinator.run().completed
+    finally:
+        coordinator.close()
+    assert coordinator._window_seconds == 7 / _SKEWED.freq

@@ -10,7 +10,8 @@ window barrier, and the injection path as hard as the small scale
 allows.  A second, four-chiplet platform split 2 and 4 ways checks the
 same instruction total when a shard holds more than one chiplet, and
 that every port a boundary message can land on is adopted by its
-shard's :class:`ShardConnection` (the injector delivers through it).
+shard's :class:`ShardConnection` (``ShardRuntime.inject``/``handle``
+deliver through it).
 """
 
 from urllib.request import urlopen
@@ -158,8 +159,8 @@ def test_every_boundary_destination_is_adopted(num_shards):
     # belong to different shards: the driver's and command processors'
     # ports, the switch ports and the RDMA net ports of chiplets off
     # the hub.  On its owning shard it must be plugged into a
-    # ShardConnection, which the injector delivers through.
-    owners = chiplet_owners(_WIDE_CONFIG.partition_chiplets(num_shards))
+    # ShardConnection, which ShardRuntime.inject/handle deliver through.
+    owners = chiplet_owners(_WIDE_CONFIG.num_chiplets, num_shards)
     boundary = set()
     for conn in GPUPlatform(_WIDE_CONFIG).simulation.connections:
         names = [port.name for port in conn.ports]

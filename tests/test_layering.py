@@ -50,6 +50,11 @@ And a request answers for itself: outside ``gpu/mem.py`` no ``gpu``
 module builds a ``DataReadyRsp`` or a ``WriteDoneRsp`` —
 ``req.reply(dst)`` picks the response of a request's type.
 
+And the simulator knows nothing of shards: no ``akita`` or ``gpu``
+module defines an identifier containing ``shard`` (comments and
+docstrings may say the word), and a ``gpu`` link is declared once —
+only ``GPUPlatform._link`` builds a ``DirectConnection``.
+
 And an import is used: a module-level import binds a name its module
 names again (in code, or in a string such as an annotation or
 ``__all__``); ``__init__.py`` files and ``# noqa: F401`` statements
@@ -674,6 +679,117 @@ def test_the_reply_rule_sees_each_spelling_but_not_lookalikes():
         "rsp = req.reply(req.src)\n"
         "cls = DataReadyRsp\n")
     assert _response_builds(source) == [1, 2, 4]
+
+
+#: The simulator below the shard layer: it knows nothing of shards.
+SHARD_FREE = ("akita", "gpu")
+
+
+def _shard_identifiers(source):
+    """``(scope, name, line)`` of every identifier *source* defines that
+    contains ``shard`` in any case — a ``def``, a ``class``, an argument,
+    or an assignment target (a name or an attribute) — with the
+    ``def``/``class`` it is defined in.  Comments, docstrings and other
+    strings are not identifiers."""
+    def walk(node, scope):
+        name = None
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            name = node.name
+        elif isinstance(node, ast.arg):
+            name = node.arg
+        elif isinstance(node, (ast.Attribute, ast.Name)) \
+                and isinstance(node.ctx, ast.Store):
+            name = getattr(node, "attr", getattr(node, "id", None))
+        if name is not None and "shard" in name.lower():
+            yield scope, name, node.lineno
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = node.name
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, scope)
+    return list(walk(ast.parse(source), None))
+
+
+def test_the_simulator_knows_nothing_of_shards():
+    """The shard layer reads the platform it splits: the window comes
+    from the links a shard cuts, the partition from ``shard/``."""
+    offenders = []
+    for package in SHARD_FREE:
+        for path in sorted((SRC / "repro" / package).rglob("*.py")):
+            offenders += [f"{path.relative_to(SRC)}:{line} {scope}.{name}"
+                          for scope, name, line in _shard_identifiers(
+                              path.read_text())]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_the_shard_rule_sees_each_spelling_but_not_prose():
+    source = (
+        "# a shard comment\n"
+        "class ShardPolicy:\n"
+        "    \"\"\"Docstring about shards.\"\"\"\n"
+        "    @property\n"
+        "    def shard_window_cycles(self):\n"
+        "        return 'shard'\n"
+        "def split(config, num_shards, *, shard=0):\n"
+        "    config.shard_count = num_shards\n"
+        "    shards = [shard]\n"
+        "    return config.shard_count, shards\n")
+    assert _shard_identifiers(source) == [
+        (None, "ShardPolicy", 2),
+        ("ShardPolicy", "shard_window_cycles", 5),
+        ("split", "num_shards", 7), ("split", "shard", 7),
+        ("split", "shard_count", 8), ("split", "shards", 9)]
+
+
+#: The one place ``gpu`` builds a connection: ``(module, class, method)``.
+LINK = ("repro/gpu/platform.py", "GPUPlatform", "_link")
+
+
+def _connection_builds(source):
+    """``(enclosing class, enclosing function, line)`` of every call
+    whose callee is named ``DirectConnection`` (bare or as an
+    attribute)."""
+    def walk(node, cls, function):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None)) \
+                == "DirectConnection":
+            yield cls, function, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, cls, function)
+    return list(walk(ast.parse(source), None, None))
+
+
+def test_a_link_is_declared_once():
+    offenders = []
+    for path in sorted((SRC / "repro" / "gpu").rglob("*.py")):
+        relative = path.relative_to(SRC).as_posix()
+        offenders += [f"{relative}:{line} ({cls}.{function})"
+                      for cls, function, line in _connection_builds(
+                          path.read_text())
+                      if (relative, cls, function) != LINK]
+    assert not offenders, (
+        "build a platform link with GPUPlatform._link:\n"
+        + "\n".join(offenders))
+
+
+def test_the_link_rule_sees_each_spelling_but_not_lookalikes():
+    source = (
+        "bus = DirectConnection('Bus', engine, 1e-9)\n"
+        "class GPUPlatform:\n"
+        "    def _link(self, name):\n"
+        "        return DirectConnection(name, self.engine)\n"
+        "    def _build(self):\n"
+        "        conn = connection.DirectConnection('X', self.engine)\n"
+        "        isinstance(conn, DirectConnection)\n"
+        "        kind = DirectConnection\n")
+    assert _connection_builds(source) == [
+        (None, None, 1), ("GPUPlatform", "_link", 4),
+        ("GPUPlatform", "_build", 6)]
 
 
 def _module_imports(body):
