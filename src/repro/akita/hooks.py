@@ -48,7 +48,7 @@ import functools
 import gc
 import threading
 import types
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields, is_dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
@@ -156,7 +156,8 @@ def declared_names(cls: type) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
 
     The candidates are every name the methods of *cls* and its bases
     mention (``co_names``: a superset of what they assign on ``self``)
-    that no class in the MRO defines itself.
+    that no class in the MRO defines itself, and every dataclass field
+    (whose default is a class attribute the instance shadows).
     """
     class_level: set = set()
     mentioned: set = set()
@@ -177,29 +178,42 @@ def declared_names(cls: type) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
                 codes.extend(c for c in code.co_consts
                              if isinstance(c, types.CodeType))
     # No dunders: ``__dict__`` is the one name that must not be read.
-    candidates = sorted(name for name in mentioned - class_level
-                        if not name.startswith("__"))
+    names = mentioned - class_level
+    if is_dataclass(cls):
+        names |= {field.name for field in dataclass_fields(cls)}
+    candidates = sorted(name for name in names if not name.startswith("__"))
     return tuple(candidates), tuple(properties)
 
 
 def instance_fields(obj: Any) -> Dict[str, Any]:
     """*obj*'s instance attributes by name: the names come from the
-    class (:func:`declared_names`), the values from ``getattr``, and
-    ``gc.get_referents`` — which lists an instance's values without
-    their names — tells whether any was missed (assigned from outside
-    the class's code, or shadowing a class attribute); only then is
-    ``__dict__`` read."""
-    if not type(obj).__dictoffset__:
+    class (:func:`declared_names`, or the ``__slots__`` of its MRO), the
+    values from ``getattr``, and ``gc.get_referents`` — which lists an
+    instance's values without their names — tells whether any was
+    missed (assigned from outside the class's code); only then is
+    ``__dict__`` read.  Once something has materialised it, the
+    referents are that dict and the type, and the dict — it holds every
+    found field and is none of their values — is read, not counted."""
+    cls = type(obj)
+    if not cls.__dictoffset__:
         return {slot: getattr(obj, slot)
-                for slot in getattr(obj, "__slots__", ())
+                for klass in reversed(cls.__mro__)
+                for slot in klass.__dict__.get("__slots__", ())
                 if hasattr(obj, slot)}
     fields = {}
-    for name in declared_names(type(obj))[0]:
+    for name in declared_names(cls)[0]:
         value = getattr(obj, name, _MISSING)
         if value is not _MISSING:
             fields[name] = value
+    referents = gc.get_referents(obj)
+    for ref in referents:
+        if type(ref) is dict and fields \
+                and not any(ref is value for value in fields.values()) \
+                and all(ref.get(name, _MISSING) is value
+                        for name, value in fields.items()):
+            return dict(sorted(ref.items()))
     # Referents of an instance with inline values: its values + its type.
-    if len(fields) != len(gc.get_referents(obj)) - 1:
+    if len(fields) != len(referents) - 1:
         fields = dict(vars(obj))
     return fields
 

@@ -39,15 +39,6 @@ def validate(name: str) -> None:
                 f"illegal name segment {segment!r} in {name!r}")
 
 
-def tokenize(name: str) -> List[str]:
-    """Split a dotted name into segments.
-
-    >>> tokenize("GPU[1].SA[3].L1VCache[0]")
-    ['GPU[1]', 'SA[3]', 'L1VCache[0]']
-    """
-    return name.split(".")
-
-
 def split_indexed(segment: str) -> Tuple[str, List[int]]:
     """Split ``"SA[3]"`` into ``("SA", [3])``.
 

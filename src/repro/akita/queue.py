@@ -61,13 +61,6 @@ class EventQueue:
         """
         return heappop(self._heap)[3]
 
-    def peek(self) -> Optional[Event]:
-        """Return the earliest event without removing it, or ``None``."""
-        try:
-            return self._heap[0][3]
-        except IndexError:
-            return None
-
     def next_time(self) -> Optional[float]:
         """Virtual time of the earliest event, or ``None`` if empty."""
         # Not "if heap: heap[0]": the popping thread may take the last

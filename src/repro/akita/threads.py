@@ -69,22 +69,6 @@ def register_current_thread(role: str) -> int:
     return ident
 
 
-def unregister_thread(ident: Optional[int] = None) -> None:
-    with _lock:
-        _roles.pop(ident if ident is not None
-                   else threading.get_ident(), None)
-
-
-def sim_thread_id() -> Optional[int]:
-    """Ident of the thread currently holding the ``simulation`` role,
-    or None when no engine has run yet."""
-    with _lock:
-        for tid, role in _roles.items():
-            if role == "simulation":
-                return tid
-    return None
-
-
 def role_of(ident: int, name: str = "") -> str:
     """Best-effort role label for a thread: explicit registration
     first, then the ``rtm-*`` naming discipline, then ``other``."""
@@ -96,17 +80,6 @@ def role_of(ident: int, name: str = "") -> str:
         if name.startswith(prefix):
             return mapped
     return "other"
-
-
-def thread_roles() -> Dict[int, str]:
-    """ident -> role for every live thread (registered or inferred)."""
-    roles: Dict[int, str] = {}
-    for thread in threading.enumerate():
-        ident = thread.ident
-        if ident is None:  # pragma: no cover - not yet started
-            continue
-        roles[ident] = role_of(ident, thread.name)
-    return roles
 
 
 #: The one bound on how long :meth:`Periodic.stop` waits for a loop.

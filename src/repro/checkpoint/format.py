@@ -63,7 +63,9 @@ CHECKPOINT_MAGIC = "rtm-ckpt"
 #: 5: a port counts its deliveries by fill (``fills``).
 #: 6: a buffer counts its reserved slots; a connection keeps no table.
 #: 7: the engine carries ``next_msg_id``; the header no watermark.
-CHECKPOINT_VERSION = 7
+#: 8: kernel and memcopy states are slotted; throughput widths and
+#: page sizes are constants, not component attributes.
+CHECKPOINT_VERSION = 8
 
 #: Refuse to parse absurd header lines (a corrupt file could otherwise
 #: make the reader scan for a newline through gigabytes of pickle).

@@ -26,13 +26,12 @@ class AddressTranslator(TickingComponent):
     """A pipelined translation stage between the ROB and the L1 cache."""
 
     def __init__(self, name: str, engine: Engine, freq: float = GHZ,
-                 top_buf: int = 4, bottom_buf: int = 4,
                  tlb_capacity: int = 64, hit_latency: int = 1,
                  miss_latency: int = 20, width: int = 4,
                  max_inflight: int = 64):
         super().__init__(name, engine, freq)
-        self.top_port = self.add_port("TopPort", top_buf)
-        self.bottom_port = self.add_port("BottomPort", bottom_buf)
+        self.top_port = self.add_port("TopPort", 4)
+        self.bottom_port = self.add_port("BottomPort", 4)
         self.down_port: Optional[Port] = None
         self.tlb = TLB(tlb_capacity)
         self.hit_latency = hit_latency

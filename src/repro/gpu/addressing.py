@@ -15,6 +15,9 @@ from dataclasses import dataclass
 
 from .mem import CACHE_LINE_SIZE
 
+#: The one page size: the unit of chiplet interleaving and of a TLB entry.
+PAGE_BYTES = 4096
+
 
 @dataclass(frozen=True)
 class AddressMapper:
@@ -22,11 +25,10 @@ class AddressMapper:
 
     num_chiplets: int
     banks_per_chiplet: int = 1
-    page_bytes: int = 4096
 
     def chiplet_of(self, addr: int) -> int:
         """Chiplet that owns the page containing *addr*."""
-        return (addr // self.page_bytes) % self.num_chiplets
+        return (addr // PAGE_BYTES) % self.num_chiplets
 
     def is_local(self, addr: int, chiplet_id: int) -> bool:
         return self.chiplet_of(addr) == chiplet_id
@@ -34,9 +36,3 @@ class AddressMapper:
     def bank_of(self, addr: int) -> int:
         """L2/DRAM bank (within the owning chiplet) for *addr*."""
         return (addr // CACHE_LINE_SIZE) % self.banks_per_chiplet
-
-    def page_of(self, addr: int) -> int:
-        return addr // self.page_bytes
-
-    def page_base(self, addr: int) -> int:
-        return (addr // self.page_bytes) * self.page_bytes

@@ -38,10 +38,10 @@ class L1VCache(CacheBank):
     def __init__(self, name: str, engine: Engine, freq: float = GHZ,
                  size_bytes: int = 16 * 1024, ways: int = 4,
                  mshr_capacity: int = 16, hit_latency: int = 1,
-                 top_buf: int = 4, bottom_buf: int = 8, width: int = 4):
+                 width: int = 4):
         super().__init__(name, engine, freq, size_bytes, ways,
-                         mshr_capacity, hit_latency, top_buf, width)
-        self.bottom_port = self.add_port("BottomPort", bottom_buf)
+                         mshr_capacity, hit_latency, 4, width)
+        self.bottom_port = self.add_port("BottomPort", 8)
         self._route: Optional[RouteFn] = None
         # forwarded fetch/write id -> MSHR key
         self._pending_down: Dict[int, object] = {}

@@ -46,13 +46,12 @@ class SetAssocTags:
         index = (line_addr // CACHE_LINE_SIZE) % self.num_sets
         return self._sets[index]
 
-    def lookup(self, line_addr: int, touch: bool = True) -> bool:
-        """True on hit.  ``touch`` refreshes LRU recency."""
+    def lookup(self, line_addr: int) -> bool:
+        """True on hit, which refreshes LRU recency."""
         s = self._set_of(line_addr)
         if line_addr in s:
             self.hits += 1
-            if touch:
-                s.move_to_end(line_addr)
+            s.move_to_end(line_addr)
             return True
         self.misses += 1
         return False
@@ -61,9 +60,9 @@ class SetAssocTags:
         """Presence check without counting a hit/miss."""
         return line_addr in self._set_of(line_addr)
 
-    def fill(self, line_addr: int, dirty: bool = False,
-             evictable=None) -> Optional[Victim]:
-        """Insert a line; return the victim if one had to be evicted.
+    def fill(self, line_addr: int, evictable=None) -> Optional[Victim]:
+        """Insert a clean line (:meth:`mark_dirty` dirties it); return
+        the victim if one had to be evicted.
 
         ``evictable`` optionally filters victim candidates (e.g. a cache
         must not evict a line with an active MSHR entry).  Callers using
@@ -72,7 +71,6 @@ class SetAssocTags:
         """
         s = self._set_of(line_addr)
         if line_addr in s:
-            s[line_addr] = s[line_addr] or dirty
             s.move_to_end(line_addr)
             return None
         victim = None
@@ -82,7 +80,7 @@ class SetAssocTags:
                 raise BufferError_(
                     f"no evictable way for line {line_addr:#x}")
             victim = Victim(old_addr, s.pop(old_addr))
-        s[line_addr] = dirty
+        s[line_addr] = False
         return victim
 
     def can_fill(self, line_addr: int, evictable=None) -> bool:
@@ -104,9 +102,6 @@ class SetAssocTags:
         if line_addr in s:
             s[line_addr] = True
             s.move_to_end(line_addr)
-
-    def invalidate(self, line_addr: int) -> None:
-        self._set_of(line_addr).pop(line_addr, None)
 
     @property
     def occupancy(self) -> int:

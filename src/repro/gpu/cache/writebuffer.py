@@ -49,10 +49,10 @@ class WriteBuffer(TickingComponent):
 
     def __init__(self, name: str, engine: Engine, freq: float = GHZ,
                  queue_capacity: int = 8, in_buf: int = 4,
-                 dram_buf: int = 8, width: int = 2, buggy: bool = False):
+                 width: int = 2, buggy: bool = False):
         super().__init__(name, engine, freq)
         self.in_port = self.add_port("InPort", in_buf)
-        self.dram_port = self.add_port("DRAMPort", dram_buf)
+        self.dram_port = self.add_port("DRAMPort", 8)
         self.queue_capacity = queue_capacity
         self.width = width
         self.buggy = buggy

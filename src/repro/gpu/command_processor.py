@@ -21,11 +21,10 @@ from .protocol import KernelCompleteMsg, LaunchKernelMsg
 class CommandProcessor(TickingComponent):
     """Front door of one GPU chiplet."""
 
-    def __init__(self, name: str, engine: Engine, freq: float = GHZ,
-                 driver_buf: int = 4, dispatcher_buf: int = 4):
+    def __init__(self, name: str, engine: Engine, freq: float = GHZ):
         super().__init__(name, engine, freq)
-        self.driver_port = self.add_port("ToDriver", driver_buf)
-        self.dispatcher_port = self.add_port("ToDispatcher", dispatcher_buf)
+        self.driver_port = self.add_port("ToDriver", 4)
+        self.dispatcher_port = self.add_port("ToDispatcher", 4)
         self._dispatcher_in: Optional[Port] = None
         self._to_dispatcher: Deque[Msg] = deque()
         self._to_driver: Deque[Msg] = deque()

@@ -19,6 +19,10 @@ from .kernel import KernelState
 from .mem import MemRsp, ReadReq, WriteReq
 from .protocol import MapWGMsg, WGCompleteMsg
 
+#: Responses the CU takes from each memory port per cycle: twice its
+#: issue width of 4.
+_RESPONSES_PER_PORT = 8
+
 
 class _Wavefront:
     """Execution state of one resident wavefront.
@@ -84,18 +88,16 @@ class ComputeUnit(TickingComponent):
     """One SIMD compute unit."""
 
     def __init__(self, name: str, engine: Engine, freq: float = GHZ,
-                 max_wavefronts: int = 10, max_outstanding_per_wf: int = 8,
-                 mem_buf: int = 8, ctrl_buf: int = 4, issue_width: int = 4):
+                 max_wavefronts: int = 10, max_outstanding_per_wf: int = 8):
         super().__init__(name, engine, freq)
-        self.mem_port = self.add_port("MemPort", mem_buf)
-        self.scalar_port = self.add_port("ScalarPort", mem_buf)
-        self.ctrl_port = self.add_port("CtrlPort", ctrl_buf)
+        self.mem_port = self.add_port("MemPort", 8)
+        self.scalar_port = self.add_port("ScalarPort", 8)
+        self.ctrl_port = self.add_port("CtrlPort", 4)
         self.rob_top: Optional[Port] = None
         self.scalar_top: Optional[Port] = None  # SA's L1SAddrTrans
         self.dispatcher_port: Optional[Port] = None
         self.max_wavefronts = max_wavefronts
         self.max_outstanding_per_wf = max_outstanding_per_wf
-        self.issue_width = issue_width
         self.wavefronts: List[_Wavefront] = []
         self._outstanding: Dict[int, _Wavefront] = {}
         self._completions: Deque[_WorkGroup] = deque()
@@ -166,7 +168,7 @@ class ComputeUnit(TickingComponent):
         progress = False
         for port in (self.mem_port, self.scalar_port):
             items = port.incoming
-            for _ in range(self.issue_width * 2):
+            for _ in range(_RESPONSES_PER_PORT):
                 msg = items[0] if items else None
                 if msg is None or not isinstance(msg, MemRsp):
                     break

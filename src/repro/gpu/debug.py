@@ -19,9 +19,12 @@ Typical hang-debugging flow::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..akita.component import TickingComponent
+
+#: Virtual seconds :meth:`TickStepper.step` waits for its ticks.
+_STEP_HORIZON = 1e-3
 
 
 @dataclass
@@ -45,19 +48,9 @@ class TickRecord:
 class TickStepper:
     """Breakpoint-on-Tick for one component."""
 
-    def __init__(self, component: TickingComponent,
-                 on_tick: Optional[Callable[[TickRecord], None]] = None):
-        """
-        Parameters
-        ----------
-        component:
-            The (possibly sleeping) component to step.
-        on_tick:
-            Optional callback invoked with each :class:`TickRecord`
-            (the "breakpoint body").
-        """
+    def __init__(self, component: TickingComponent):
+        """*component* is the (possibly sleeping) component to step."""
         self.component = component
-        self.on_tick = on_tick
         self.records: List[TickRecord] = []
         self._original_tick = component.tick
         self._installed = False
@@ -82,8 +75,6 @@ class TickStepper:
                                        self.component.ports)},
             )
             self.records.append(record)
-            if self.on_tick is not None:
-                self.on_tick(record)
             return progress
 
         self.component.tick = traced_tick  # type: ignore[method-assign]
@@ -106,8 +97,7 @@ class TickStepper:
         self.uninstall()
 
     # -- stepping -----------------------------------------------------------
-    def step(self, ticks: int = 1,
-             max_virtual_time: float = 1e-3) -> TickRecord:
+    def step(self, ticks: int = 1) -> TickRecord:
         """Wake the component and run the engine until it has ticked
         *ticks* more times (the paper's Tick-button + line-step loop).
 
@@ -118,7 +108,7 @@ class TickStepper:
         self.install()
         engine = self.component.engine
         target = len(self.records) + ticks
-        deadline = engine.now + max_virtual_time
+        deadline = engine.now + _STEP_HORIZON
         while len(self.records) < target:
             self.component.tick_later()
             next_time = min(self.component._next_scheduled or deadline,
@@ -127,7 +117,7 @@ class TickStepper:
             if engine.now >= deadline:
                 raise TimeoutError(
                     f"{self.component.name} did not tick within "
-                    f"{max_virtual_time}s of virtual time")
+                    f"{_STEP_HORIZON}s of virtual time")
         return self.records[-1]
 
     # -- analysis ------------------------------------------------------------

@@ -24,6 +24,9 @@ from .protocol import (
     WGCompleteMsg,
 )
 
+#: Workgroups the dispatcher maps per cycle.
+_DISPATCH_WIDTH = 2
+
 
 class _Launch:
     """Bookkeeping for one LaunchKernelMsg."""
@@ -41,13 +44,10 @@ class _Launch:
 class Dispatcher(TickingComponent):
     """Maps workgroups onto this GPU's compute units."""
 
-    def __init__(self, name: str, engine: Engine, freq: float = GHZ,
-                 cp_buf: int = 4, cu_buf: int = 16,
-                 dispatch_width: int = 2):
+    def __init__(self, name: str, engine: Engine, freq: float = GHZ):
         super().__init__(name, engine, freq)
-        self.cp_port = self.add_port("ToCP", cp_buf)
-        self.cu_port = self.add_port("ToCU", cu_buf)
-        self.dispatch_width = dispatch_width
+        self.cp_port = self.add_port("ToCP", 4)
+        self.cu_port = self.add_port("ToCU", 16)
         self._cus: List[ComputeUnit] = []
         self._free_slots: Dict[ComputeUnit, int] = {}
         self._pending_wgs: Deque[Tuple[_Launch, int]] = deque()
@@ -102,7 +102,7 @@ class Dispatcher(TickingComponent):
     def _dispatch(self) -> bool:
         progress = False
         dispatched = 0
-        while self._pending_wgs and dispatched < self.dispatch_width:
+        while self._pending_wgs and dispatched < _DISPATCH_WIDTH:
             launch, wg_id = self._pending_wgs[0]
             wfs_needed = launch.kernel.descriptor.wavefronts_per_wg
             cu = self._find_free_cu(wfs_needed)

@@ -1,6 +1,7 @@
 """A simple banked DRAM controller.
 
-Fixed access latency plus a service-rate limit (requests per cycle).
+Fixed access latency plus a service-rate limit: one request accepted
+and one answered per cycle.
 Requests queue behind each other when the bank is saturated, so a full
 DRAM controller buffer is a legitimate bottleneck signal for the
 analyzer (and DRAM controllers appear among the non-empty buffers in
@@ -16,18 +17,18 @@ from ..akita.engine import Engine
 from ..akita.ticker import GHZ
 from .mem import MemReq, ReadReq
 
+#: Requests in service at once.
+_QUEUE_CAPACITY = 64
+
 
 class DRAMController(TickingComponent):
     """One DRAM channel with fixed latency and bounded throughput."""
 
     def __init__(self, name: str, engine: Engine, freq: float = GHZ,
-                 latency_cycles: int = 100, requests_per_cycle: int = 1,
-                 top_buf: int = 16, queue_capacity: int = 64):
+                 latency_cycles: int = 100):
         super().__init__(name, engine, freq)
-        self.top_port = self.add_port("TopPort", top_buf)
+        self.top_port = self.add_port("TopPort", 16)
         self.latency_cycles = latency_cycles
-        self.requests_per_cycle = requests_per_cycle
-        self.queue_capacity = queue_capacity
         # (ready_time, request) in arrival order; ready times are
         # monotonic because latency is constant.
         self._inflight: List[Tuple[float, MemReq]] = []
@@ -57,34 +58,25 @@ class DRAMController(TickingComponent):
         return progress
 
     def _accept(self) -> bool:
-        progress = False
-        items = self.top_port.incoming
-        for _ in range(self.requests_per_cycle):
-            if not items or len(self._inflight) >= self.queue_capacity:
-                break
-            msg = items[0]
-            if not isinstance(msg, MemReq):
-                break
-            self.top_port.retrieve_incoming()
-            ready = self._engine._now + self.latency_cycles / self.freq
-            self._inflight.append((ready, msg))
-            progress = True
-        return progress
+        msg = self.top_port.incoming[0]
+        if len(self._inflight) >= _QUEUE_CAPACITY \
+                or not isinstance(msg, MemReq):
+            return False
+        self.top_port.retrieve_incoming()
+        ready = self._engine._now + self.latency_cycles / self.freq
+        self._inflight.append((ready, msg))
+        return True
 
     def _respond_ready(self) -> bool:
-        progress = False
-        now = self._engine._now
-        for _ in range(self.requests_per_cycle):
-            if not self._inflight or self._inflight[0][0] > now + 1e-15:
-                break
-            _, req = self._inflight[0]
-            assert req.src is not None
-            if not self.top_port.send(req.reply(req.src)):
-                break
-            self._inflight.pop(0)
-            if isinstance(req, ReadReq):
-                self.num_reads += 1
-            else:
-                self.num_writes += 1
-            progress = True
-        return progress
+        ready, req = self._inflight[0]
+        if ready > self._engine._now + 1e-15:
+            return False
+        assert req.src is not None
+        if not self.top_port.send(req.reply(req.src)):
+            return False
+        self._inflight.pop(0)
+        if isinstance(req, ReadReq):
+            self.num_reads += 1
+        else:
+            self.num_writes += 1
+        return True

@@ -18,7 +18,7 @@ predicate that distinguishes a finished run from a hang.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Any, Deque, List
 
 from ..akita.component import TickingComponent
 from ..akita.engine import Engine
@@ -28,37 +28,26 @@ from .kernel import KernelDescriptor, KernelState, MemCopyState
 from .protocol import KernelCompleteMsg, LaunchKernelMsg
 
 
-class _Command:
-    kind = "abstract"
-
-
-class _MemCopyCommand(_Command):
-    def __init__(self, nbytes: int, direction: str):
-        self.state = MemCopyState(nbytes, direction=direction)
-        self.kind = f"memcopy_{direction}"
-
-
-class _KernelCommand(_Command):
+class _KernelCommand:
     def __init__(self, descriptor: KernelDescriptor):
-        self.descriptor = descriptor
-        self.state: Optional[KernelState] = None
-        self.kind = "kernel"
+        self.state = KernelState(descriptor)
         self.completions_needed = 0
         self.completions_seen = 0
-        self.launch_sent = False
 
 
 class Driver(TickingComponent):
     """Host driver and command queue."""
 
     def __init__(self, name: str, engine: Engine, freq: float = GHZ,
-                 gpu_buf: int = 16, dma_bytes_per_cycle: int = 256):
+                 dma_bytes_per_cycle: int = 256):
         super().__init__(name, engine, freq)
-        self.gpu_port = self.add_port("ToGPU", gpu_buf)
+        self.gpu_port = self.add_port("ToGPU", 16)
         self.dma_bytes_per_cycle = dma_bytes_per_cycle
         self._cp_ports: List[Port] = []
-        self._queue: Deque[_Command] = deque()
-        self._current: Optional[_Command] = None
+        # Commands waiting, and the one running: a _KernelCommand, or a
+        # MemCopyState, which is its own command.
+        self._queue: Deque[Any] = deque()
+        self._current: Any = None
         self._pending_launches: Deque[LaunchKernelMsg] = deque()
         self.commands_completed = 0
         self.kernels: List[KernelState] = []       # all launched kernels
@@ -70,20 +59,18 @@ class Driver(TickingComponent):
 
     # -- application-facing API ----------------------------------------------
     def memcopy_h2d(self, nbytes: int) -> MemCopyState:
-        cmd = _MemCopyCommand(nbytes, "h2d")
-        self._queue.append(cmd)
-        self.memcopies.append(cmd.state)
-        return cmd.state
+        return self._memcopy(MemCopyState(nbytes, direction="h2d"))
 
     def memcopy_d2h(self, nbytes: int) -> MemCopyState:
-        cmd = _MemCopyCommand(nbytes, "d2h")
-        self._queue.append(cmd)
-        self.memcopies.append(cmd.state)
-        return cmd.state
+        return self._memcopy(MemCopyState(nbytes, direction="d2h"))
+
+    def _memcopy(self, state: MemCopyState) -> MemCopyState:
+        self._queue.append(state)
+        self.memcopies.append(state)
+        return state
 
     def launch_kernel(self, descriptor: KernelDescriptor) -> KernelState:
         cmd = _KernelCommand(descriptor)
-        cmd.state = KernelState(descriptor)
         self._queue.append(cmd)
         self.kernels.append(cmd.state)
         return cmd.state
@@ -110,19 +97,19 @@ class Driver(TickingComponent):
             self._start_command(self._current)
             progress = True
         cmd = self._current
-        if isinstance(cmd, _MemCopyCommand):
+        if isinstance(cmd, MemCopyState):
             progress |= self._advance_memcopy(cmd)
         else:
             assert isinstance(cmd, _KernelCommand)
             progress |= self._advance_kernel(cmd)
         return progress
 
-    def _start_command(self, cmd: _Command) -> None:
+    def _start_command(self, cmd: Any) -> None:
         if isinstance(cmd, _KernelCommand):
             num_gpus = len(self._cp_ports)
             assert num_gpus > 0, "driver has no GPUs attached"
             shares: List[List[int]] = [[] for _ in range(num_gpus)]
-            for wg_id in range(cmd.descriptor.num_workgroups):
+            for wg_id in range(cmd.state.descriptor.num_workgroups):
                 shares[wg_id % num_gpus].append(wg_id)
             for cp_port, wg_ids in zip(self._cp_ports, shares):
                 if not wg_ids:
@@ -131,8 +118,7 @@ class Driver(TickingComponent):
                     LaunchKernelMsg(cp_port, cmd.state, wg_ids))
                 cmd.completions_needed += 1
 
-    def _advance_memcopy(self, cmd: _MemCopyCommand) -> bool:
-        state = cmd.state
+    def _advance_memcopy(self, state: MemCopyState) -> bool:
         state.copied_bytes = min(
             state.total_bytes, state.copied_bytes + self.dma_bytes_per_cycle)
         if state.done:

@@ -51,7 +51,7 @@ class KernelDescriptor:
         object.__setattr__(self, "program", program)
 
 
-@dataclass
+@dataclass(slots=True)
 class KernelState:
     """Progress of one kernel launch, in units of workgroups.
 
@@ -86,7 +86,7 @@ class KernelState:
         self.completed += 1
 
 
-@dataclass
+@dataclass(slots=True)
 class MemCopyState:
     """Progress of one host↔device memory copy, in bytes."""
 

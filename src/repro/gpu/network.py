@@ -23,12 +23,11 @@ class ChipletSwitch(TickingComponent):
     """Crossbar switch with a global forwarding-rate limit."""
 
     def __init__(self, name: str, engine: Engine, num_ports: int,
-                 freq: float = GHZ, msgs_per_cycle: int = 1,
-                 port_buf: int = 16):
+                 freq: float = GHZ, msgs_per_cycle: int = 1):
         super().__init__(name, engine, freq)
         self.msgs_per_cycle = msgs_per_cycle
         self._ports_list: List[Port] = [
-            self.add_port(f"Port{i}", port_buf) for i in range(num_ports)]
+            self.add_port(f"Port{i}", 16) for i in range(num_ports)]
         # final destination port -> index of the switch port that reaches it
         self._routes: Dict[Port, int] = {}
         self._rr = 0  # round-robin pointer over input ports

@@ -90,7 +90,6 @@ class GPUPlatformConfig:
 
     # Host
     dma_bytes_per_cycle: int = 256
-    page_bytes: int = 4096
     #: Driver ↔ command-processor link latency (host PCIe-ish hop).
     driver_conn_latency_cycles: int = 10
 
@@ -209,8 +208,7 @@ class GPUPlatform:
         self.simulation = Simulation(name, engine)
         self.engine = self.simulation.engine
         self.mapper = AddressMapper(self.config.num_chiplets,
-                                    self.config.l2_banks,
-                                    self.config.page_bytes)
+                                    self.config.l2_banks)
         self.chiplets: List[Chiplet] = []
         self.driver: Driver = None  # type: ignore[assignment]
         self.switch: ChipletSwitch = None  # type: ignore[assignment]

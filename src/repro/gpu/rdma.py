@@ -21,6 +21,9 @@ from ..akita.port import Port
 from ..akita.ticker import GHZ
 from .mem import MemReq, MemRsp, NetMsg
 
+#: Messages queued for the network before the engine stops taking more.
+_NET_QUEUE_CAPACITY = 4096
+
 #: address -> local L2 bank top port
 BankRouteFn = Callable[[int], Port]
 
@@ -29,16 +32,13 @@ class RDMAEngine(TickingComponent):
     """Remote-memory access engine bridging chiplets."""
 
     def __init__(self, name: str, engine: Engine, chiplet_id: int,
-                 freq: float = GHZ, l1_buf: int = 8, l2_buf: int = 8,
-                 net_buf: int = 16, width: int = 4,
-                 net_queue_capacity: int = 4096):
+                 freq: float = GHZ, width: int = 4):
         super().__init__(name, engine, freq)
         self.chiplet_id = chiplet_id
-        self.l1_port = self.add_port("ToL1", l1_buf)
-        self.l2_port = self.add_port("ToL2", l2_buf)
-        self.net_port = self.add_port("NetPort", net_buf)
+        self.l1_port = self.add_port("ToL1", 8)
+        self.l2_port = self.add_port("ToL2", 8)
+        self.net_port = self.add_port("NetPort", 16)
         self.width = width
-        self.net_queue_capacity = net_queue_capacity
         self._switch_port: Optional[Port] = None
         self._remote_ports: Dict[int, Port] = {}  # chiplet id -> NetPort
         self._bank_route: Optional[BankRouteFn] = None
@@ -111,7 +111,7 @@ class RDMAEngine(TickingComponent):
         progress = False
         items = self.l1_port.incoming
         for _ in range(self.width):
-            if not items or len(self._to_net) >= self.net_queue_capacity:
+            if not items or len(self._to_net) >= _NET_QUEUE_CAPACITY:
                 break
             msg = items[0]
             if not isinstance(msg, MemReq):
@@ -164,7 +164,7 @@ class RDMAEngine(TickingComponent):
         progress = False
         items = self.l2_port.incoming
         for _ in range(self.width):
-            if not items or len(self._to_net) >= self.net_queue_capacity:
+            if not items or len(self._to_net) >= _NET_QUEUE_CAPACITY:
                 break
             msg = items[0]
             if not isinstance(msg, MemRsp):

@@ -41,13 +41,12 @@ class ReorderBuffer(TickingComponent):
     """In-order retirement buffer in front of the L1 pipeline."""
 
     def __init__(self, name: str, engine: Engine, freq: float = GHZ,
-                 capacity: int = 128, top_buf: int = 8, bottom_buf: int = 4,
-                 width: int = 4):
+                 capacity: int = 128, top_buf: int = 8, width: int = 4):
         super().__init__(name, engine, freq)
         self.capacity = capacity
         self.width = width
         self.top_port = self.add_port("TopPort", top_buf)
-        self.bottom_port = self.add_port("BottomPort", bottom_buf)
+        self.bottom_port = self.add_port("BottomPort", 4)
         self.down_port: Optional[Port] = None  # address translator's top
         self.transactions: List[_ROBEntry] = []
         self._by_forwarded_id: Dict[int, _ROBEntry] = {}

@@ -12,16 +12,16 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from ..akita.errors import ConfigurationError
+from .addressing import PAGE_BYTES
 
 
 class TLB:
     """Page-granular translation cache."""
 
-    def __init__(self, capacity: int = 64, page_bytes: int = 4096):
+    def __init__(self, capacity: int = 64):
         if capacity <= 0:
             raise ConfigurationError("TLB capacity must be positive")
         self.capacity = capacity
-        self.page_bytes = page_bytes
         self._entries: OrderedDict = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -29,7 +29,7 @@ class TLB:
     def lookup(self, addr: int) -> bool:
         """True on hit; refreshes recency.  A miss does *not* install the
         translation — call :meth:`fill` once the walk completes."""
-        page = addr // self.page_bytes
+        page = addr // PAGE_BYTES
         if page in self._entries:
             self.hits += 1
             self._entries.move_to_end(page)
@@ -38,7 +38,7 @@ class TLB:
         return False
 
     def fill(self, addr: int) -> None:
-        page = addr // self.page_bytes
+        page = addr // PAGE_BYTES
         if page in self._entries:
             self._entries.move_to_end(page)
             return

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..gpu.addressing import PAGE_BYTES
 from ..gpu.kernel import KernelDescriptor
 from ..gpu.platform import GPUPlatformConfig
 from .base import Workload
@@ -42,9 +43,9 @@ class StoreStorm(Workload):
             for i in range(n):
                 addr = ((wg * 31 + wf * 17 + i * 3) * stride) % (1 << 22)
                 if locality:
-                    page = addr // 4096
+                    page = addr // PAGE_BYTES
                     page = page - page % locality + wg % locality
-                    addr = page * 4096 + addr % 4096
+                    addr = page * PAGE_BYTES + addr % PAGE_BYTES
                 yield ("store", addr, 4)
 
         return KernelDescriptor(self.name, self.num_workgroups,

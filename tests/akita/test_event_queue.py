@@ -57,16 +57,15 @@ def test_insertion_order_breaks_ties():
     assert q.pop() is second
 
 
-def test_peek_and_next_time():
+def test_next_time():
     h = _Recorder()
     q = EventQueue()
-    assert q.peek() is None
     assert q.next_time() is None
     e = Event(3.5, h)
     q.push(e)
-    assert q.peek() is e
     assert q.next_time() == 3.5
     assert len(q) == 1
+    assert q.pop() is e
 
 
 def test_pop_empty_raises():

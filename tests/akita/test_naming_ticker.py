@@ -29,9 +29,7 @@ def test_validate_rejects_bad_names(bad):
         naming.validate(bad)
 
 
-def test_tokenize_and_split_indexed():
-    toks = naming.tokenize("GPU[1].SA[3].L1VCache[0]")
-    assert toks == ["GPU[1]", "SA[3]", "L1VCache[0]"]
+def test_split_indexed():
     assert naming.split_indexed("SA[3]") == ("SA", [3])
     assert naming.split_indexed("Driver") == ("Driver", [])
 

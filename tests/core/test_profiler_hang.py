@@ -6,10 +6,9 @@ import time
 
 import pytest
 
-from repro.akita import CallbackEvent, Simulation
+from repro.akita import CallbackEvent, Simulation, threads
 from repro.core import BufferAnalyzer, HangDetector
-from repro.akita.threads import (register_current_thread, sim_thread_id,
-                                 unregister_thread)
+from repro.akita.threads import register_current_thread
 from repro.profile import ContinuousProfiler
 
 
@@ -31,7 +30,7 @@ def _simulation_thread(deadline):
     try:
         _busy_wrapper_beta(deadline)
     finally:
-        unregister_thread()
+        threads._roles.pop(threading.get_ident(), None)
 
 
 def _profile_busy_thread(seconds, target=_simulation_thread):
@@ -73,9 +72,10 @@ def test_profiler_records_call_edges():
 
 
 def test_report_falls_back_to_every_thread_without_a_simulation_role():
-    claimed = sim_thread_id()  # an earlier test's engine may hold it
-    if claimed is not None:
-        unregister_thread(claimed)
+    # An earlier test's engine may hold the simulation role.
+    for ident, role in list(threads._roles.items()):
+        if role == "simulation":
+            del threads._roles[ident]
     report = _profile_busy_thread(
         0.3, target=_busy_wrapper_beta).report(top=200)
     names = [f["name"] for f in report["functions"]]

@@ -10,14 +10,16 @@ as before without doing that to any component, the engine or its queue.
 
 import gc
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
 from repro.akita import Buffer, Component, Engine
+from repro.akita.hooks import instance_fields
 from repro.checkpoint import Checkpointer, load_checkpoint
 from repro.core import (BufferAnalyzer, Monitor, discover_buffers,
-                        serialize_component)
+                        inspector, serialize_component)
 from repro.gpu import GPUPlatform, GPUPlatformConfig
 from repro.gpu.debug import TickStepper
 from repro.workloads import FIR
@@ -29,13 +31,19 @@ needs_inline_values = pytest.mark.skipif(
     reason="instances have a real __dict__ from birth before 3.11")
 
 
+_MISSING = object()
+
+
 def has_materialised_dict(obj) -> bool:
     """Whether *obj*'s attributes live in a real dict, asked without
     creating one: an instance with inline values refers to the values
-    themselves, a materialised one to the dict that holds them —
-    recognised by an attribute name every hookable (``_chains``) or
-    event queue (``_heap``) has."""
-    return any(type(ref) is dict and ("_chains" in ref or "_heap" in ref)
+    themselves, a materialised one to the dict that holds them — a
+    dict among its referents that is its attribute table, every key an
+    attribute of *obj* holding that very value."""
+    return any(type(ref) is dict and ref
+               and all(isinstance(name, str)
+                       and getattr(obj, name, _MISSING) is value
+                       for name, value in ref.items())
                for ref in gc.get_referents(obj))
 
 
@@ -78,12 +86,81 @@ def test_analyzer_finds_the_same_buffers_in_the_same_order(platform):
     assert names == expected
 
 
+@dataclass
+class _Progress:
+    """A dataclass with defaults: class attributes its instances
+    shadow."""
+
+    name: str
+    total: int = 0
+    done: int = 0
+
+
 @needs_inline_values
 def test_detector_sees_a_materialised_dict(platform):
     component = platform.simulation.components[0]
+    progress = _Progress("k", total=4)
     assert not has_materialised_dict(component)
+    assert not has_materialised_dict(progress)
     vars(component)
+    vars(progress)
     assert has_materialised_dict(component)
+    assert has_materialised_dict(progress)
+    assert not has_materialised_dict({"name": "k"})
+
+
+def test_a_dataclass_reads_the_same_before_and_after_vars():
+    """Defaults are class attributes; the reader finds the instance's
+    values without ``vars()``, and after something else materialised
+    the dict it reads that dict instead of counting it as a field."""
+    progress = _Progress("k", total=4)
+    before = instance_fields(progress)
+    assert before == {"done": 0, "name": "k", "total": 4}
+    if sys.version_info >= (3, 11):
+        assert not has_materialised_dict(progress)
+    vars(progress)
+    assert instance_fields(progress) == before
+    progress.extra = [1]  # assigned from outside the class's code
+    assert instance_fields(progress) == {**before, "extra": [1]}
+
+
+def _panel_walk(platform, monkeypatch):
+    """Serialise every registered component twice; returns both
+    renderings and every object the panel read fields of."""
+    reached = {}
+    read = inspector._public_attrs
+
+    def recording(obj):
+        reached[id(obj)] = obj
+        return read(obj)
+
+    monkeypatch.setattr(inspector, "_public_attrs", recording)
+    components = platform.simulation.components
+    first = [serialize_component(c) for c in components]
+    second = [serialize_component(c) for c in components]
+    return first, second, list(reached.values())
+
+
+@pytest.mark.parametrize("paused", [False, True], ids=["finished",
+                                                       "paused"])
+def test_the_second_click_shows_what_the_first_did(platform, monkeypatch,
+                                                    paused):
+    FIR(num_samples=256).enqueue(platform.driver)
+    if paused:  # mid-way: workgroups in flight, messages in buffers
+        platform.start()
+        platform.engine.run_until(1.2e-7)
+        assert platform.driver.kernels[0].ongoing > 0
+    else:
+        assert platform.run()
+    first, second, reached = _panel_walk(platform, monkeypatch)
+    assert first == second
+    driver = next(r for r in first if r["name"] == "Driver")
+    [kernel] = driver["fields"]["kernels"]["preview"]
+    assert {"total", "completed", "ongoing"} <= set(kernel["fields"])
+    assert len(reached) > len(platform.simulation.components)
+    if sys.version_info >= (3, 11):
+        assert [type(obj).__name__ for obj in reached
+                if has_materialised_dict(obj)] == []
 
 
 @needs_inline_values

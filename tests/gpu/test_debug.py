@@ -54,13 +54,13 @@ def test_stuck_component_diagnosed():
     assert not stepper.records[-1].buffer_deltas
 
 
-def test_on_tick_callback_is_the_breakpoint_body():
+def test_step_runs_as_many_ticks_as_asked():
     engine = Engine()
     c = _Counter(engine)
-    hits = []
-    stepper = TickStepper(c, on_tick=hits.append)
-    stepper.step(ticks=2)
-    assert len(hits) == 2
+    stepper = TickStepper(c)
+    record = stepper.step(ticks=2)
+    assert len(stepper.records) == 2 and record is stepper.records[-1]
+    assert c.budget == 1
 
 
 def test_context_manager_uninstalls():

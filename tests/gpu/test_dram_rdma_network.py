@@ -29,8 +29,7 @@ def test_dram_answers_after_latency():
 
 def test_dram_throughput_limit():
     engine = Engine()
-    dram = DRAMController("DRAM", engine, latency_cycles=10,
-                          requests_per_cycle=1)
+    dram = DRAMController("DRAM", engine, latency_cycles=10)
     req = Requester("Req", engine, dram.top_port)
     wire(engine, req.out, dram.top_port)
     n = 20
@@ -187,5 +186,3 @@ def test_address_mapper_interleaving():
     assert mapper.bank_of(0) == 0
     assert mapper.bank_of(64) == 1
     assert mapper.bank_of(128) == 0
-    assert mapper.page_of(8192) == 2
-    assert mapper.page_base(8200) == 8192

@@ -57,14 +57,6 @@ def test_tags_fill_existing_is_not_eviction():
     assert tags.fill(0) is None
 
 
-def test_tags_invalidate():
-    tags = SetAssocTags(1024, 2)
-    tags.fill(0)
-    tags.invalidate(0)
-    assert not tags.contains(0)
-    tags.invalidate(0)  # idempotent
-
-
 def test_tags_occupancy_and_hit_rate():
     tags = SetAssocTags(1024, 2)
     assert tags.occupancy == 0

@@ -7,7 +7,8 @@ import time
 import pytest
 
 from repro.metrics import MetricRegistry, expose
-from repro.akita.threads import register_current_thread, unregister_thread
+from repro.akita import threads
+from repro.akita.threads import register_current_thread
 from repro.profile import ContinuousProfiler
 from repro.profile import continuous
 
@@ -19,7 +20,7 @@ def _busy_simulation(stop):
     x = 0
     while not stop.is_set():
         x = (x + 1) % 1000003
-    unregister_thread()
+    threads._roles.pop(threading.get_ident(), None)
     return x
 
 

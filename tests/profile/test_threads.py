@@ -2,21 +2,25 @@
 
 import threading
 
-from repro.akita import Engine
-from repro.akita.threads import (register_current_thread, role_of,
-                                 sim_thread_id, thread_roles,
-                                 unregister_thread)
+from repro.akita import Engine, threads
+from repro.akita.threads import register_current_thread, role_of
+
+
+def _simulation_thread():
+    """The ident holding the ``simulation`` role, or None."""
+    return next((ident for ident, role in threads._roles.items()
+                 if role == "simulation"), None)
 
 
 def test_register_and_unregister_current_thread():
     ident = register_current_thread("simulation")
     try:
         assert ident == threading.get_ident()
-        assert sim_thread_id() == ident
+        assert _simulation_thread() == ident
         assert role_of(ident) == "simulation"
     finally:
-        unregister_thread(ident)
-    assert sim_thread_id() is None
+        threads._roles.pop(ident)
+    assert _simulation_thread() is None
     assert role_of(ident) == "other"
 
 
@@ -30,13 +34,13 @@ def test_role_moves_with_reregistration():
     worker = threading.Thread(target=claim)
     worker.start()
     worker.join()
-    assert sim_thread_id() == claimed[0]  # even though it exited
+    assert _simulation_thread() == claimed[0]  # even though it exited
     ident = register_current_thread("simulation")
     try:
-        assert sim_thread_id() == ident
+        assert _simulation_thread() == ident
         assert role_of(claimed[0]) == "other"
     finally:
-        unregister_thread(ident)
+        threads._roles.pop(ident)
 
 
 def test_name_discipline_maps_daemon_threads():
@@ -46,11 +50,6 @@ def test_name_discipline_maps_daemon_threads():
     assert role_of(-1, "rtm-cprofiler") == "profiler"
     assert role_of(-1, "MainThread") == "main"
     assert role_of(-1, "ThreadPoolExecutor-0_0") == "other"
-
-
-def test_thread_roles_covers_live_threads():
-    roles = thread_roles()
-    assert threading.get_ident() in roles
 
 
 def test_engine_run_registers_simulation_thread():
@@ -67,6 +66,6 @@ def test_engine_run_registers_simulation_thread():
     worker.start()
     worker.join()
     try:
-        assert sim_thread_id() == seen["ident"]
+        assert _simulation_thread() == seen["ident"]
     finally:
-        unregister_thread(seen["ident"])
+        threads._roles.pop(seen["ident"])

@@ -112,8 +112,9 @@ def test_net_responses_round_trip(rig):
 
 
 def _wire_messages(platform, registry):
-    """One message of each of the seven wire types, every port field
-    set (a payload's ``src`` stays ``None``: it is never sent alone)."""
+    """One message of each of the seven wire types — a ``NetMsg`` around
+    each of the four payloads — every port field set (a read's ``src``
+    stays ``None``: a payload is never sent alone)."""
     switch = registry["InterChipletSwitch.Port0"]
     home, away = (registry["GPU[0].RDMA.NetPort"],
                   registry["GPU[1].RDMA.NetPort"])
@@ -124,7 +125,9 @@ def _wire_messages(platform, registry):
     msgs = [LaunchKernelMsg(registry["GPU[1].CommandProcessor.ToDriver"],
                             platform.driver.kernels[0], [1, 3]),
             KernelCompleteMsg(registry["Driver.ToGPU"], launch_id=7),
-            NetMsg(switch, read, final_dst=away, origin=home),
+            *(NetMsg(switch, payload, final_dst=payload.dst,
+                     origin=away if payload.dst is home else home)
+              for payload in (read, write, ready, done)),
             read, write, ready, done]
     for msg in msgs:
         msg.src = registry["Driver.ToGPU"] if msg is not read else None
@@ -138,8 +141,11 @@ def _fields(msg):
 
 
 def _assert_same_message(decoded, msg):
-    """Every slot equal: ports and kernels by identity, a payload
-    recursively, anything else by value."""
+    """Every slot equal: ports and kernels by identity (a launch's
+    ``src`` is the command processor's reply-to address), a payload
+    recursively, anything else by value (a request's ``id``, which the
+    origin RDMA's transaction table is keyed by and the remote response
+    answers)."""
     assert type(decoded) is type(msg)
     for slot in _fields(msg):
         want, got = getattr(msg, slot), getattr(decoded, slot)
@@ -156,16 +162,18 @@ def _assert_same_message(decoded, msg):
     "WriteReq", "DataReadyRsp", "WriteDoneRsp"])
 def test_every_wire_type_round_trips_field_for_field(rig, kind):
     platform, registry, codec = rig
-    [msg] = [msg for msg in _wire_messages(platform, registry)
-             if type(msg).__name__ == kind]
-    wire = json.loads(json.dumps(codec.encode(msg)))
+    msgs = [msg for msg in _wire_messages(platform, registry)
+            if type(msg).__name__ == kind]
+    assert len(msgs) == (4 if kind == "NetMsg" else 1)
     engine = platform.engine
-    minted = engine.next_msg_id
-    decoded = codec.decode(wire)
-    _assert_same_message(decoded, msg)
-    # Decoding mints no id: the receiving simulation numbers only the
-    # messages it builds itself.
-    assert engine.next_msg_id == minted
+    for msg in msgs:
+        wire = json.loads(json.dumps(codec.encode(msg)))
+        minted = engine.next_msg_id
+        decoded = codec.decode(wire)
+        _assert_same_message(decoded, msg)
+        # Decoding mints no id: the receiving simulation numbers only
+        # the messages it builds itself.
+        assert engine.next_msg_id == minted
 
 
 def test_codec_rejects_unknown_messages_and_ports(rig):

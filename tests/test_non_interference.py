@@ -1,0 +1,82 @@
+"""Watching a simulation does not change what it computes.
+
+The paper's Fig. 7 claims monitoring costs time and nothing else.  Here
+that is a test: a kernel run with each monitoring plane attached in
+turn — the monitor and its server, the metrics registry, the ring
+tracer, the continuous profiler, a passive poller and an active client
+clicking every component — ends in the same state as a bare run of the
+same spec, as :func:`tests.digest.digest` reads it.  The two clients
+read once with the run paused half-way and once at its end.  The
+Fig. 7 harness (``benchmarks/conftest.py::prepare_scenario``) builds
+every run.
+"""
+
+import functools
+
+import pytest
+
+from benchmarks.conftest import prepare_scenario
+from repro.core import RTMClient
+from tests.akita.kernels import KERNELS
+from tests.digest import digest
+
+ORACLE_KERNELS = ("fir256", "im2col_batch1", "storestorm_small")
+#: plane -> the Fig. 7 scenario it runs in.
+PLANES = {"bare": "none", "monitor": "monitor", "registry": "monitor",
+          "ring": "monitor", "profiler": "monitor", "passive": "passive",
+          "active": "active"}
+
+
+def _read(client, plane):
+    """What a browser tab asks: the passive one refreshes time and
+    progress; the active one also clicks every component."""
+    client.overview()
+    client.progress()
+    if plane == "active":
+        for name in client.components():
+            client.component(name)
+        client.buffers(top=20)
+
+
+def _run(kernel, plane, pause_at=None):
+    """``(digest, end time)`` of *kernel* run under *plane*."""
+    ctx = prepare_scenario(KERNELS[kernel].make, PLANES[plane])
+    platform, monitor = ctx.platform, ctx.monitor
+    try:
+        if plane == "registry":
+            monitor.ensure_sim_metrics().start()
+        elif plane == "ring":
+            monitor.ensure_tracer().start()
+        elif plane == "profiler":
+            monitor.start_continuous_profiling()
+        client = RTMClient(monitor.url) if ctx.poller else None
+        platform.start()
+        if client is not None:
+            platform.engine.run_until(pause_at)
+            _read(client, plane)
+        assert platform.simulation.run()
+        if client is not None:
+            _read(client, plane)
+        return digest(platform.simulation), platform.engine.now
+    finally:
+        ctx.teardown()
+
+
+@functools.cache
+def _bare(kernel):
+    return _run(kernel, "bare")
+
+
+@pytest.mark.parametrize("plane", list(PLANES))
+@pytest.mark.parametrize("kernel", ORACLE_KERNELS)
+def test_no_plane_changes_what_the_simulation_computes(kernel, plane):
+    expected, end = _bare(kernel)
+    assert _run(kernel, plane, pause_at=end / 2)[0] == expected
+
+
+def test_the_digest_sees_one_changed_field():
+    ctx = prepare_scenario(KERNELS["fir256"].make, "none")
+    assert ctx.platform.run()
+    before = digest(ctx.platform.simulation)
+    ctx.platform.chiplets[0].cus[0].num_instructions += 1
+    assert digest(ctx.platform.simulation) != before

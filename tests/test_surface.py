@@ -1,12 +1,12 @@
-"""The monitor side's public surface, and who uses it — a census that
-gates.
+"""The public surface of the simulator core and the monitor side, and
+who uses it — a census that gates.
 
 ROADMAP's deletion budget says "anything with no test, no doc and no
 caller goes"; the simplicity rules behind it say an action has one door,
 an option only tests set is a constant, and a public name only its own
-tests call is dead.  This file counts that surface for every
-monitor-side package (:data:`PACKAGES`) and fails when it grows a name
-nobody but the tests uses.
+tests call is dead.  This file counts that surface for ``akita``,
+``gpu`` and every monitor-side package (:data:`PACKAGES`) and fails when
+it grows a name nobody but the tests uses.
 
 *The surface.*  Every public module-level function and class, every
 public method and property of a public class, and every *option*: a
@@ -34,8 +34,17 @@ by name, so a name shared with an unrelated one counts as used and the
 census can miss dead surface.  The one way it can invent some is a call
 that spells another name for the callee — a subclass that inherits its
 base's ``__init__``, an alias — so read a finding's callers before
-deleting it (no monitor-side class inherits an ``__init__`` with
-options today).
+deleting it (no finding in the censused packages is one today).
+
+*Uses no syntax shows.*  The component panel renders every public
+property of each object it reaches (``core/inspector.py::
+_public_attrs``), so a property of an ``akita``/``gpu`` class
+(:data:`PANEL_PACKAGES`) counts as used by ``src``.  The other way
+round, a ``**`` call counts as filling every option of its callee, so
+one round trip hides a whole class: the shard worker rebuilds its
+platform as ``GPUPlatformConfig(**cmd["config"])``, and every
+``GPUPlatformConfig`` field counts as used whether or not anything sets
+it.
 
 *The gate.*  No surface name is used by ``tests`` alone, or by nothing,
 unless :data:`ALLOWED` lists it with a reason, and every entry there is
@@ -64,10 +73,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 
-#: The monitor side: everything above ``akita``/``gpu``/``workloads``
-#: but the paper's user study.
-PACKAGES = ("core", "trace", "profile", "metrics", "faults", "checkpoint",
-            "fleet", "historian", "shard")
+#: The simulator core (``akita``, ``gpu``) and the monitor side above
+#: it, but not ``workloads`` (its dataclass fields are the fleet job's
+#: parameter contract) nor the paper's user study.
+PACKAGES = ("akita", "gpu", "core", "trace", "profile", "metrics", "faults",
+            "checkpoint", "fleet", "historian", "shard")
+#: The packages whose objects the component panel renders: it shows
+#: every public property of each object it reaches
+#: (``core/inspector.py::_public_attrs``), so ``src`` uses them all.
+PANEL_PACKAGES = ("akita", "gpu")
 
 DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
 CORPORA = ("src", "examples", "benchmarks", "static", "docs", "tests")
@@ -104,6 +118,8 @@ ALLOWED = {
 #: Before the walk that set this gate the monitor side counted 547
 #: names and 370 options, 30 of them used by tests alone.
 BUDGET = {
+    "akita": (133, 33),
+    "gpu": (123, 95),
     "core": (213, 94),
     "trace": (52, 34),
     "profile": (36, 16),
@@ -187,7 +203,11 @@ def _surface_of(source, module):
                             yield (f"{owner}({option}=)", "option",
                                    option, node.name, position)
                     elif _is_public(item.name):
-                        yield (f"{owner}.{item.name}", "name", item.name,
+                        kind = "property" if any(
+                            getattr(decorator, "id", None) == "property"
+                            for decorator in item.decorator_list) \
+                            else "name"
+                        yield (f"{owner}.{item.name}", kind, item.name,
                                None, None)
                         for option, position in _options(item, True):
                             yield (f"{owner}.{item.name}({option}=)",
@@ -375,6 +395,15 @@ def corpora():
     return found
 
 
+def _used_by(refs, package, kind, name, callee, position):
+    """The corpora of *refs* that use one surface row of *package*; a
+    property of a :data:`PANEL_PACKAGES` class is used by ``src``."""
+    return [corpus for corpus in CORPORA
+            if refs[corpus].uses(name, callee, position)
+            or corpus == "src" and kind == "property"
+            and package in PANEL_PACKAGES]
+
+
 @functools.cache
 def census(packages=PACKAGES):
     """``{package: [(key, kind, corpora that use it), ...]}``."""
@@ -382,8 +411,8 @@ def census(packages=PACKAGES):
     table = {}
     for package, rows in surface(packages).items():
         table[package] = [
-            (key, kind, [corpus for corpus in CORPORA
-                         if refs[corpus].uses(name, callee, position)])
+            (key, kind, _used_by(refs, package, kind, name, callee,
+                                 position))
             for key, kind, name, callee, position in rows]
     return table
 
@@ -447,7 +476,7 @@ def test_the_census_reads_every_kind_of_use():
         ("pkg.mod:K(y=)", "option", "y", "K", 1),
         ("pkg.mod:K.m", "name", "m", None, None),
         ("pkg.mod:K.m(z=)", "option", "z", "m", 0),
-        ("pkg.mod:K.p", "name", "p", None, None),
+        ("pkg.mod:K.p", "property", "p", None, None),
         ("pkg.mod:K.s", "name", "s", None, None),
         ("pkg.mod:K.s(w=)", "option", "w", "s", 0),
         ("pkg.mod:f", "name", "f", None, None),
@@ -526,6 +555,19 @@ def test_the_census_matches_each_option_to_its_callee():
                      ("pkg.mod:K(v=)", "option", ["docs"])]}
     assert unused_outside_tests(table) == ["pkg.mod:K(y=)",
                                            "pkg.mod:K(z=)"]
+
+
+def test_the_panel_uses_every_property_of_the_simulator():
+    """A property of an ``akita``/``gpu`` class is used by ``src`` (the
+    panel renders it) even when no corpus names it; a monitor-side
+    property or a simulator method is not."""
+    refs = {corpus: _Uses() for corpus in CORPORA}
+    refs["tests"].names.add("p")
+    assert _used_by(refs, "gpu", "property", "p", None, None) == \
+        ["src", "tests"]
+    assert _used_by(refs, "akita", "property", "q", None, None) == ["src"]
+    assert _used_by(refs, "core", "property", "p", None, None) == ["tests"]
+    assert _used_by(refs, "gpu", "name", "p", None, None) == ["tests"]
 
 
 # ----------------------------------------------------------------------
@@ -726,7 +768,7 @@ def measure():
     measured = {}
     for package, rows in table.items():
         measured[f"public_names@{package}"] = sum(
-            kind == "name" for _, kind, _ in rows)
+            kind != "option" for _, kind, _ in rows)
         measured[f"options@{package}"] = sum(
             kind == "option" for _, kind, _ in rows)
         measured[f"test_only@{package}"] = sum(
