@@ -65,7 +65,9 @@ CHECKPOINT_MAGIC = "rtm-ckpt"
 #: 7: the engine carries ``next_msg_id``; the header no watermark.
 #: 8: kernel and memcopy states are slotted; throughput widths and
 #: page sizes are constants, not component attributes.
-CHECKPOINT_VERSION = 8
+#: 9: a kernel descriptor pickles as its fields; the platform config
+#: lost its fixed-microarchitecture fields.
+CHECKPOINT_VERSION = 9
 
 #: Refuse to parse absurd header lines (a corrupt file could otherwise
 #: make the reader scan for a newline through gigabytes of pickle).

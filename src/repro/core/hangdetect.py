@@ -60,7 +60,6 @@ class HangDetector:
 
     def __init__(self, simulation, analyzer: BufferAnalyzer,
                  stall_threshold: float = 2.0,
-                 clock: Callable[[], float] = time.monotonic,
                  registry: Optional[MetricRegistry] = None):
         """
         Parameters
@@ -72,16 +71,14 @@ class HangDetector:
         stall_threshold:
             Wall seconds of frozen simulation time before declaring a
             hang.
-        clock:
-            Wall-clock source.  Must be monotonic — ``time.monotonic``
-            by default, never ``time.time``, whose NTP/DST jumps would
-            fake or mask stalls.  Injectable so tests can simulate the
-            passage of wall time deterministically.
         """
         self.simulation = simulation
         self.analyzer = analyzer
         self.stall_threshold = stall_threshold
-        self.clock = clock
+        #: Wall-clock source.  Monotonic, never ``time.time``, whose
+        #: NTP/DST jumps would fake or mask stalls; a test replaces it
+        #: to walk wall time without sleeping.
+        self.clock: Callable[[], float] = time.monotonic
         # (wall, sim_time) history; a couple hundred points suffice.
         self._history: Deque[Tuple[float, float]] = deque(maxlen=512)
         self._g_stalled = self._g_hung = None

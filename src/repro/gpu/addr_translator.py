@@ -26,17 +26,15 @@ class AddressTranslator(TickingComponent):
     """A pipelined translation stage between the ROB and the L1 cache."""
 
     def __init__(self, name: str, engine: Engine, freq: float = GHZ,
-                 tlb_capacity: int = 64, hit_latency: int = 1,
-                 miss_latency: int = 20, width: int = 4,
-                 max_inflight: int = 64):
+                 tlb_capacity: int = 64, max_inflight: int = 64):
         super().__init__(name, engine, freq)
         self.top_port = self.add_port("TopPort", 4)
         self.bottom_port = self.add_port("BottomPort", 4)
         self.down_port: Optional[Port] = None
         self.tlb = TLB(tlb_capacity)
-        self.hit_latency = hit_latency
-        self.miss_latency = miss_latency
-        self.width = width
+        self.hit_latency = 1    # cycles
+        self.miss_latency = 20  # cycles: the page walk
+        self.width = 4
         self.max_inflight = max_inflight
         # (ready_time, seq, request) — requests whose translation is in
         # flight inside the translator pipeline.

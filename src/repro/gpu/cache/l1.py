@@ -36,11 +36,9 @@ class L1VCache(CacheBank):
     """Per-CU vector data cache."""
 
     def __init__(self, name: str, engine: Engine, freq: float = GHZ,
-                 size_bytes: int = 16 * 1024, ways: int = 4,
-                 mshr_capacity: int = 16, hit_latency: int = 1,
-                 width: int = 4):
-        super().__init__(name, engine, freq, size_bytes, ways,
-                         mshr_capacity, hit_latency, 4, width)
+                 size_bytes: int = 16 * 1024):
+        # 4 ways, a 16-entry MSHR, a 1-cycle hit, a 4-slot TopPort.
+        super().__init__(name, engine, freq, size_bytes, 4, 16, 1, 4)
         self.bottom_port = self.add_port("BottomPort", 8)
         self._route: Optional[RouteFn] = None
         # forwarded fetch/write id -> MSHR key

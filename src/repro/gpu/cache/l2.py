@@ -31,15 +31,13 @@ class L2Cache(CacheBank):
 
     def __init__(self, name: str, engine: Engine, freq: float = GHZ,
                  size_bytes: int = 256 * 1024, ways: int = 8,
-                 mshr_capacity: int = 32, hit_latency: int = 4,
-                 storage_buf: int = 4, eviction_staging: int = 1,
-                 width: int = 4, buggy: bool = False):
-        super().__init__(name, engine, freq, size_bytes, ways,
-                         mshr_capacity, hit_latency, 16, width)
+                 storage_buf: int = 4, buggy: bool = False):
+        # A 32-entry MSHR, a 4-cycle hit, a 16-slot TopPort.
+        super().__init__(name, engine, freq, size_bytes, ways, 32, 4, 16)
         self.storage_port = self.add_port("StoragePort", storage_buf)
         self.wb_port = self.add_port("ToWB", 4)
         self.buggy = buggy
-        self.eviction_staging_capacity = eviction_staging
+        self.eviction_staging_capacity = 1
         self.eviction_staging: List[int] = []  # victim line addresses
         self._wb_in_port = None  # WriteBuffer.InPort, set by connect()
         self.blocked_on: Optional[str] = None  # diagnosis aid (RTM-visible)

@@ -100,13 +100,13 @@ class CacheBank(TickingComponent):
 
     def __init__(self, name: str, engine: Engine, freq: float,
                  size_bytes: int, ways: int, mshr_capacity: int,
-                 hit_latency: int, top_buf: int, width: int):
+                 hit_latency: int, top_buf: int):
         super().__init__(name, engine, freq)
         self.top_port = self.add_port("TopPort", top_buf)
         self.tags = SetAssocTags(size_bytes, ways)
         self.mshr = MSHR(mshr_capacity)
         self.hit_latency = hit_latency
-        self.width = width
+        self.width = 4
         # (ready_time, seq, response) for hit-latency modelling
         self._respond_queue: List[Tuple[float, int, MemRsp]] = []
         self._seq = 0

@@ -88,7 +88,7 @@ class ComputeUnit(TickingComponent):
     """One SIMD compute unit."""
 
     def __init__(self, name: str, engine: Engine, freq: float = GHZ,
-                 max_wavefronts: int = 10, max_outstanding_per_wf: int = 8):
+                 max_outstanding_per_wf: int = 8):
         super().__init__(name, engine, freq)
         self.mem_port = self.add_port("MemPort", 8)
         self.scalar_port = self.add_port("ScalarPort", 8)
@@ -96,7 +96,7 @@ class ComputeUnit(TickingComponent):
         self.rob_top: Optional[Port] = None
         self.scalar_top: Optional[Port] = None  # SA's L1SAddrTrans
         self.dispatcher_port: Optional[Port] = None
-        self.max_wavefronts = max_wavefronts
+        self.max_wavefronts = 10
         self.max_outstanding_per_wf = max_outstanding_per_wf
         self.wavefronts: List[_Wavefront] = []
         self._outstanding: Dict[int, _Wavefront] = {}

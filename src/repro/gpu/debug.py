@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 
 from ..akita.component import TickingComponent
 
-#: Virtual seconds :meth:`TickStepper.step` waits for its ticks.
+#: Virtual seconds :meth:`TickStepper.step` waits for its tick.
 _STEP_HORIZON = 1e-3
 
 
@@ -97,17 +97,17 @@ class TickStepper:
         self.uninstall()
 
     # -- stepping -----------------------------------------------------------
-    def step(self, ticks: int = 1) -> TickRecord:
+    def step(self) -> TickRecord:
         """Wake the component and run the engine until it has ticked
-        *ticks* more times (the paper's Tick-button + line-step loop).
+        once more (the paper's Tick-button + line-step loop).
 
-        Returns the last record.  Works on a dry (hung) engine: the
+        Returns the tick's record.  Works on a dry (hung) engine: the
         injected tick event is exactly what the *Kick Start* button
         replays.
         """
         self.install()
         engine = self.component.engine
-        target = len(self.records) + ticks
+        target = len(self.records) + 1
         deadline = engine.now + _STEP_HORIZON
         while len(self.records) < target:
             self.component.tick_later()

@@ -38,11 +38,10 @@ class _KernelCommand:
 class Driver(TickingComponent):
     """Host driver and command queue."""
 
-    def __init__(self, name: str, engine: Engine, freq: float = GHZ,
-                 dma_bytes_per_cycle: int = 256):
+    def __init__(self, name: str, engine: Engine, freq: float = GHZ):
         super().__init__(name, engine, freq)
         self.gpu_port = self.add_port("ToGPU", 16)
-        self.dma_bytes_per_cycle = dma_bytes_per_cycle
+        self.dma_bytes_per_cycle = 256
         self._cp_ports: List[Port] = []
         # Commands waiting, and the one running: a _KernelCommand, or a
         # MemCopyState, which is its own command.

@@ -25,7 +25,7 @@ Op = Tuple
 ProgramFn = Callable[[int, int], Iterator[Op]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KernelDescriptor:
     """Static description of a kernel grid."""
 
@@ -38,13 +38,12 @@ class KernelDescriptor:
         if self.num_workgroups <= 0 or self.wavefronts_per_wg <= 0:
             raise ValueError("kernel grid dimensions must be positive")
 
-    def __getstate__(self) -> dict:
+    def __reduce__(self):
         """Checkpoints drop the program: it is a (usually nested)
         generator function.  :func:`repro.checkpoint.load_checkpoint`
         reinstalls it from the workload by kernel name."""
-        state = self.__dict__.copy()
-        state["program"] = None
-        return state
+        return type(self), (self.name, self.num_workgroups,
+                            self.wavefronts_per_wg, None)
 
     def install_program(self, program: ProgramFn) -> None:
         """Reattach *program* after a restore (frozen-dataclass safe)."""

@@ -47,7 +47,10 @@ from .rob import ReorderBuffer
 
 @dataclass
 class GPUPlatformConfig:
-    """All tunables of the simulated platform."""
+    """The knobs of the simulated platform that a caller turns.  The
+    fixed microarchitecture (cache ways, MSHR depths, pipeline widths
+    and latencies, the DMA rate) is a constant in each component's
+    constructor."""
 
     num_chiplets: int = 4
     sas_per_gpu: int = 16
@@ -56,29 +59,19 @@ class GPUPlatformConfig:
     freq: float = GHZ
 
     # Compute units
-    max_wavefronts_per_cu: int = 10
     max_outstanding_per_wf: int = 8
 
     # L1 pipeline
     rob_capacity: int = 128
-    rob_top_buf: int = 8
     l1_size_bytes: int = 16 * 1024
-    l1_ways: int = 4
-    l1_mshr: int = 16
-    #: Per-SA scalar cache (kernel arguments / lookup tables), as in
-    #: MGPUSim's L1SCache shared by the shader array's CUs.
-    scalar_cache_bytes: int = 8 * 1024
     at_tlb_capacity: int = 64
-    at_miss_latency: int = 20
     at_max_inflight: int = 64
 
     # L2 / write buffer / DRAM
     l2_size_bytes: int = 512 * 1024     # per bank
     l2_ways: int = 8
-    l2_mshr: int = 32
     l2_write_buffer_bug: bool = False   # case study 2's hang, if True
     l2_storage_buf: int = 4
-    l2_eviction_staging: int = 1
     wb_queue_capacity: int = 8
     wb_in_buf: int = 4
     wb_width: int = 2
@@ -89,7 +82,6 @@ class GPUPlatformConfig:
     net_link_latency_cycles: int = 20
 
     # Host
-    dma_bytes_per_cycle: int = 256
     #: Driver ↔ command-processor link latency (host PCIe-ish hop).
     driver_conn_latency_cycles: int = 10
 
@@ -108,12 +100,9 @@ class GPUPlatformConfig:
     @classmethod
     def r9_nano_mcm(cls, num_chiplets: int = 4,
                     **overrides) -> "GPUPlatformConfig":
-        """The paper's 4-chiplet MCM GPU (64 CUs per chiplet)."""
-        params = dict(num_chiplets=num_chiplets, sas_per_gpu=16,
-                      cus_per_sa=4, l2_banks=4,
-                      l2_size_bytes=512 * 1024)
-        params.update(overrides)
-        return cls(**params)
+        """The paper's 4-chiplet MCM GPU (64 CUs per chiplet), which
+        the field defaults describe."""
+        return cls(num_chiplets=num_chiplets, **overrides)
 
     @classmethod
     def small(cls, num_chiplets: int = 2, **overrides) -> "GPUPlatformConfig":
@@ -234,8 +223,7 @@ class GPUPlatform:
         sim = self.simulation
         engine = self.engine
 
-        self.driver = Driver("Driver", engine, cfg.freq,
-                             dma_bytes_per_cycle=cfg.dma_bytes_per_cycle)
+        self.driver = Driver("Driver", engine, cfg.freq)
         sim.register_component(self.driver)
 
         self.switch = ChipletSwitch(
@@ -266,9 +254,7 @@ class GPUPlatform:
         for b in range(cfg.l2_banks):
             l2 = L2Cache(join(gpu, indexed("L2", b)), engine, cfg.freq,
                          size_bytes=cfg.l2_size_bytes, ways=cfg.l2_ways,
-                         mshr_capacity=cfg.l2_mshr,
                          storage_buf=cfg.l2_storage_buf,
-                         eviction_staging=cfg.l2_eviction_staging,
                          buggy=cfg.l2_write_buffer_bug)
             wb = WriteBuffer(join(gpu, indexed("WriteBuffer", b)), engine,
                              cfg.freq,
@@ -353,11 +339,10 @@ class GPUPlatform:
         s_at = AddressTranslator(join(sa, indexed("L1SAddrTrans", 0)),
                                  engine, cfg.freq,
                                  tlb_capacity=cfg.at_tlb_capacity,
-                                 miss_latency=cfg.at_miss_latency,
                                  max_inflight=cfg.at_max_inflight)
+        # 8 KiB of kernel arguments and lookup tables.
         s_l1 = L1VCache(join(sa, indexed("L1SCache", 0)), engine,
-                        cfg.freq, size_bytes=cfg.scalar_cache_bytes,
-                        ways=cfg.l1_ways, mshr_capacity=cfg.l1_mshr)
+                        cfg.freq, size_bytes=8 * 1024)
         sim.register_component(s_at)
         sim.register_component(s_l1)
         chiplet.scalar_ats.append(s_at)
@@ -387,19 +372,15 @@ class GPUPlatform:
         engine = self.engine
 
         cu = ComputeUnit(join(sa, indexed("CU", k)), engine, cfg.freq,
-                         max_wavefronts=cfg.max_wavefronts_per_cu,
                          max_outstanding_per_wf=cfg.max_outstanding_per_wf)
         rob = ReorderBuffer(join(sa, indexed("L1VROB", k)), engine,
-                            cfg.freq, capacity=cfg.rob_capacity,
-                            top_buf=cfg.rob_top_buf)
+                            cfg.freq, capacity=cfg.rob_capacity)
         at = AddressTranslator(join(sa, indexed("L1VAddrTrans", k)),
                                engine, cfg.freq,
                                tlb_capacity=cfg.at_tlb_capacity,
-                               miss_latency=cfg.at_miss_latency,
                                max_inflight=cfg.at_max_inflight)
         l1 = L1VCache(join(sa, indexed("L1VCache", k)), engine, cfg.freq,
-                      size_bytes=cfg.l1_size_bytes, ways=cfg.l1_ways,
-                      mshr_capacity=cfg.l1_mshr)
+                      size_bytes=cfg.l1_size_bytes)
         for component in (cu, rob, at, l1):
             sim.register_component(component)
         chiplet.cus.append(cu)

@@ -32,13 +32,13 @@ class RDMAEngine(TickingComponent):
     """Remote-memory access engine bridging chiplets."""
 
     def __init__(self, name: str, engine: Engine, chiplet_id: int,
-                 freq: float = GHZ, width: int = 4):
+                 freq: float = GHZ):
         super().__init__(name, engine, freq)
         self.chiplet_id = chiplet_id
         self.l1_port = self.add_port("ToL1", 8)
         self.l2_port = self.add_port("ToL2", 8)
         self.net_port = self.add_port("NetPort", 16)
-        self.width = width
+        self.width = 4
         self._switch_port: Optional[Port] = None
         self._remote_ports: Dict[int, Port] = {}  # chiplet id -> NetPort
         self._bank_route: Optional[BankRouteFn] = None

@@ -6,7 +6,7 @@ the ROB retires them back to the CU in issue order.
 
 Observables that matter to the paper:
 
-* ``TopPort.Buf`` — capacity 8 by default; the buffer that shows up
+* ``TopPort.Buf`` — capacity 8; the buffer that shows up
   pinned at 8/8 in Figure 3 and Figure 5(c) when the downstream memory
   system cannot keep up.
 * ``transactions`` — the in-flight entries inside the ROB itself, the
@@ -41,11 +41,11 @@ class ReorderBuffer(TickingComponent):
     """In-order retirement buffer in front of the L1 pipeline."""
 
     def __init__(self, name: str, engine: Engine, freq: float = GHZ,
-                 capacity: int = 128, top_buf: int = 8, width: int = 4):
+                 capacity: int = 128):
         super().__init__(name, engine, freq)
         self.capacity = capacity
-        self.width = width
-        self.top_port = self.add_port("TopPort", top_buf)
+        self.width = 4
+        self.top_port = self.add_port("TopPort", 8)
         self.bottom_port = self.add_port("BottomPort", 4)
         self.down_port: Optional[Port] = None  # address translator's top
         self.transactions: List[_ROBEntry] = []

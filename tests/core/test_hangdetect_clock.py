@@ -1,8 +1,8 @@
 """Injectable-clock regression tests for the hang detector.
 
 The detector must measure stalls on a *monotonic* wall clock — NTP or
-DST jumps in ``time.time()`` would fake or mask hangs.  The injectable
-``clock`` makes the stall arithmetic testable without sleeping.
+DST jumps in ``time.time()`` would fake or mask hangs.  Replacing the
+``clock`` attribute makes the stall arithmetic testable without sleeping.
 """
 
 import time
@@ -37,12 +37,13 @@ class FakeClock:
 
 def _detector(clock, threshold=2.0):
     sim = FakeSimulation()
-    return sim, HangDetector(sim, BufferAnalyzer(),
-                             stall_threshold=threshold, clock=clock)
+    detector = HangDetector(sim, BufferAnalyzer(), stall_threshold=threshold)
+    detector.clock = clock
+    return sim, detector
 
 
 def test_default_clock_is_monotonic():
-    _, detector = _detector(clock=time.monotonic)
+    detector = HangDetector(FakeSimulation(), BufferAnalyzer())
     assert detector.clock is time.monotonic
 
 

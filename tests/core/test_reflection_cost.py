@@ -9,6 +9,7 @@ as before without doing that to any component, the engine or its queue.
 """
 
 import gc
+import pickle
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -245,3 +246,21 @@ def test_fields_assigned_from_outside_the_class_are_still_found():
     assert fields["level"] == 2
     assert fields["inside"]["name"] == "Sys.Odd.Inside"
     assert [b.name for b in discover_buffers(odd)] == ["Sys.Odd.Inside"]
+
+
+@needs_inline_values
+def test_a_checkpoint_leaves_the_kernel_descriptor_as_fast_as_it_found_it(
+        platform):
+    """Saving reads the descriptor's fields, not its ``__dict__``: every
+    dispatched workgroup reads ``wavefronts_per_wg`` after the save."""
+    FIR(num_samples=256).enqueue(platform.driver)
+    platform.start()
+    platform.engine.run_until(1.2e-7)
+    descriptor = platform.driver.kernels[0].descriptor
+    assert not has_materialised_dict(descriptor)
+    restored = pickle.loads(pickle.dumps(platform.simulation))
+    assert not has_materialised_dict(descriptor)
+    driver = next(c for c in restored.components if c.name == "Driver")
+    kernel = driver.kernels[0].descriptor
+    assert (kernel.name, kernel.num_workgroups, kernel.program) == \
+        (descriptor.name, descriptor.num_workgroups, None)

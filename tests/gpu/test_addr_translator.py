@@ -33,7 +33,8 @@ def test_requests_pass_through_translated():
 
 def test_tlb_miss_costs_more_than_hit():
     engine = Engine()
-    at, stub, req = _setup(engine, at_kwargs={"miss_latency": 50})
+    at, stub, req = _setup(engine)
+    at.miss_latency = 50
     req.add_read(0)  # TLB miss: pays the 50-cycle walk
     req.tick_later()
     engine.run()

@@ -134,8 +134,11 @@ def test_r9_nano_mcm_defaults():
     assert cfg.num_chiplets == 4
     assert cfg.cus_per_gpu == 64
     assert cfg.l1_size_bytes == 16 * 1024
-    assert cfg.l1_mshr == 16
-    assert cfg.rob_top_buf == 8
+    chiplet = GPUPlatform(GPUPlatformConfig.r9_nano_mcm(
+        num_chiplets=1)).chiplets[0]
+    assert len(chiplet.cus) == 64
+    assert chiplet.l1s[0].mshr.capacity == 16
+    assert chiplet.robs[0].top_port.buf.capacity == 8
 
 
 def test_r9_nano_mcm_builds_full_hierarchy():

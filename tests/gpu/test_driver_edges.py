@@ -75,8 +75,8 @@ def test_queue_length_counts_pending_commands():
 
 def test_dma_rate_scales_memcopy_time():
     def copy_time(rate):
-        platform = GPUPlatform(GPUPlatformConfig.small(
-            num_chiplets=1, dma_bytes_per_cycle=rate))
+        platform = GPUPlatform(GPUPlatformConfig.small(num_chiplets=1))
+        platform.driver.dma_bytes_per_cycle = rate
         platform.driver.memcopy_h2d(1 << 20)
         assert platform.run()
         return platform.simulation.now

@@ -4,13 +4,14 @@ import pytest
 
 from repro.akita import Engine
 from repro.gpu import L1VCache
+from repro.gpu.cache.tags import SetAssocTags
 from repro.gpu.mem import CACHE_LINE_SIZE
 
 from .harness import MemoryStub, Requester, wire
 
 
-def _setup(engine, l1_kwargs=None, stub_kwargs=None):
-    l1 = L1VCache("L1", engine, **(l1_kwargs or {}))
+def _setup(engine, stub_kwargs=None):
+    l1 = L1VCache("L1", engine)
     stub = MemoryStub("Mem", engine, **(stub_kwargs or {}))
     req = Requester("Req", engine, l1.top_port)
     wire(engine, req.out, l1.top_port, name="ReqL1")
@@ -64,9 +65,7 @@ def test_write_through_no_allocate():
 def test_mshr_full_pins_transactions_at_capacity():
     """The Figure 5(d) L1 signature: pinned at MSHR capacity (16)."""
     engine = Engine()
-    l1, stub, req = _setup(engine,
-                           l1_kwargs={"mshr_capacity": 16},
-                           stub_kwargs={"frozen": True})
+    l1, stub, req = _setup(engine, stub_kwargs={"frozen": True})
     for i in range(64):
         req.add_read(i * CACHE_LINE_SIZE)
     req.tick_later()
@@ -77,8 +76,8 @@ def test_mshr_full_pins_transactions_at_capacity():
 
 def test_mshr_drains_when_downstream_resumes():
     engine = Engine()
-    l1, stub, req = _setup(engine, l1_kwargs={"mshr_capacity": 4},
-                           stub_kwargs={"frozen": True})
+    l1, stub, req = _setup(engine, stub_kwargs={"frozen": True})
+    l1.mshr.capacity = 4
     for i in range(12):
         req.add_read(i * CACHE_LINE_SIZE)
     req.tick_later()
@@ -113,7 +112,8 @@ def test_route_function_selects_destination():
 def test_fill_evicts_lru_line():
     engine = Engine()
     # 2 sets x 2 ways = 4 lines of 64B -> 256B cache
-    l1, stub, req = _setup(engine, l1_kwargs={"size_bytes": 256, "ways": 2})
+    l1, stub, req = _setup(engine)
+    l1.tags = SetAssocTags(256, 2)
     set_stride = 2 * CACHE_LINE_SIZE
     for i in range(3):  # 3 lines mapping to set 0
         req.add_read(i * set_stride)
@@ -126,7 +126,8 @@ def test_fill_evicts_lru_line():
 
 def test_hit_latency_observed():
     engine = Engine()
-    l1, stub, req = _setup(engine, l1_kwargs={"hit_latency": 5})
+    l1, stub, req = _setup(engine)
+    l1.hit_latency = 5
     req.add_read(0)
     req.tick_later()
     engine.run()

@@ -97,8 +97,7 @@ def _storestorm(req, n=96, stride=512):
 
 def _tight_kwargs():
     return dict(
-        l2_kwargs={"size_bytes": 1024, "ways": 2, "storage_buf": 1,
-                   "eviction_staging": 1},
+        l2_kwargs={"size_bytes": 1024, "ways": 2, "storage_buf": 1},
         wb_kwargs={"queue_capacity": 2, "in_buf": 1, "width": 1},
         dram_kwargs={"latency_cycles": 20},
     )

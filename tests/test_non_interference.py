@@ -6,16 +6,20 @@ turn — the monitor and its server, the metrics registry, the ring
 tracer, the continuous profiler, a passive poller and an active client
 clicking every component — ends in the same state as a bare run of the
 same spec, as :func:`tests.digest.digest` reads it.  The two clients
-read once with the run paused half-way and once at its end.  The
-Fig. 7 harness (``benchmarks/conftest.py::prepare_scenario``) builds
-every run.
+read once with the run paused half-way and once at its end.  A run
+saved to a checkpoint at a seeded event, restored and run to its end
+computes the same.  The Fig. 7 harness
+(``benchmarks/conftest.py::prepare_scenario``) builds every run.
 """
 
 import functools
+import random
 
 import pytest
 
 from benchmarks.conftest import prepare_scenario
+from repro.akita import HookPos
+from repro.checkpoint import load_checkpoint, save_checkpoint
 from repro.core import RTMClient
 from tests.akita.kernels import KERNELS
 from tests.digest import digest
@@ -72,6 +76,27 @@ def _bare(kernel):
 def test_no_plane_changes_what_the_simulation_computes(kernel, plane):
     expected, end = _bare(kernel)
     assert _run(kernel, plane, pause_at=end / 2)[0] == expected
+
+
+@pytest.mark.parametrize("kernel", ORACLE_KERNELS)
+def test_a_restored_checkpoint_computes_what_the_bare_run_did(kernel,
+                                                              tmp_path):
+    expected, _ = _bare(kernel)
+    ctx = prepare_scenario(KERNELS[kernel].make, "none")
+    engine, path = ctx.platform.engine, str(tmp_path / "run.rtm")
+    boundary = random.Random(kernel).randrange(100, 1000)
+
+    def save(_):
+        if engine.event_count == boundary:
+            save_checkpoint(ctx.platform, path)
+
+    engine.accept_hook(save, positions=(HookPos.AFTER_EVENT,))
+    assert ctx.platform.run()
+    restored, header = load_checkpoint(path, KERNELS[kernel].make())
+    assert header["meta"]["event_count"] == boundary
+    assert not restored.driver.all_done
+    assert restored.run()
+    assert digest(restored.simulation) == expected
 
 
 def test_the_digest_sees_one_changed_field():

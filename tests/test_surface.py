@@ -21,15 +21,17 @@ function, class or method is used where an identifier, an attribute, an
 imported name or a whitespace-free string constant names it, but not
 by its own module's ``__all__``.  An option is used where a call to its
 callee fills it — ``Foo(x=)`` fills ``Foo``'s ``x``, ``obj.foo(x=)``
-every ``foo`` method's, a positional argument the option at its place,
-a ``*``/``**`` call every option of that callee — and by bare name
-where an assignment sets it as an attribute, a string that is no
-dict-display key names it (a request parameter, a config key), or a
-keyword goes to a callee the syntax cannot name (``super().__init__``,
-``cls(...)``, a variable, ``dataclasses.replace``).  The dashboard's
-``static`` files and the ``docs`` (README, DESIGN, EXPERIMENTS) are
-read as text, word by word; a family written with a glob
-(``RTMClient.trace_*``) documents every name it matches.  Matching is
+every ``foo`` method's, a positional argument (or a ``*`` spread) the
+option at its place, and a class's preset (a classmethod that takes
+``**`` and passes it on, ``GPUPlatformConfig.small(l2_banks=2)``) the
+class's options — and by bare name where an assignment sets it as an
+attribute, a string that is no dict-display key names it (a request
+parameter, a config key), or a keyword goes to a callee the syntax
+cannot name (``super().__init__``, ``cls(...)``, a variable,
+``dataclasses.replace``, a ``dict(...)``).  The dashboard's ``static``
+files and the ``docs`` (README, DESIGN, EXPERIMENTS) are read as text,
+word by word; a family written with a glob (``RTMClient.trace_*``)
+documents every name it matches.  Matching is
 by name, so a name shared with an unrelated one counts as used and the
 census can miss dead surface.  The one way it can invent some is a call
 that spells another name for the callee — a subclass that inherits its
@@ -39,12 +41,16 @@ deleting it (no finding in the censused packages is one today).
 *Uses no syntax shows.*  The component panel renders every public
 property of each object it reaches (``core/inspector.py::
 _public_attrs``), so a property of an ``akita``/``gpu`` class
-(:data:`PANEL_PACKAGES`) counts as used by ``src``.  The other way
-round, a ``**`` call counts as filling every option of its callee, so
-one round trip hides a whole class: the shard worker rebuilds its
-platform as ``GPUPlatformConfig(**cmd["config"])``, and every
-``GPUPlatformConfig`` field counts as used whether or not anything sets
-it.
+(:data:`PANEL_PACKAGES`) counts as used by ``src``.  A ``**`` call
+spreads a mapping built elsewhere, so it fills only the options its
+corpus writes as a mapping key: a dict display's key (rtmbench's
+``SHARD_CONFIG``), a ``dict(...)`` keyword, or a parser's ``--flag``,
+whose dest ``vars(args)`` spreads.  A round trip therefore fills
+nothing: the shard worker's ``GPUPlatformConfig(**cmd["config"])``
+rebuilds what ``dataclasses.asdict`` took apart.  Text sets no option
+by naming it: a doc uses an option only where it writes ``name=``, and
+``static`` (markup, CSS and script, whose ``width`` is an SVG
+attribute) uses none.
 
 *The gate.*  No surface name is used by ``tests`` alone, or by nothing,
 unless :data:`ALLOWED` lists it with a reason, and every entry there is
@@ -67,6 +73,7 @@ census (``flags@campaign_cli``, ``unpassed_flags@campaign_cli``).
 import argparse
 import ast
 import functools
+import math
 import re
 from pathlib import Path
 
@@ -119,8 +126,8 @@ ALLOWED = {
 #: names and 370 options, 30 of them used by tests alone.
 BUDGET = {
     "akita": (133, 33),
-    "gpu": (123, 95),
-    "core": (213, 94),
+    "gpu": (123, 69),
+    "core": (213, 93),
     "trace": (52, 34),
     "profile": (36, 16),
     "metrics": (43, 25),
@@ -168,8 +175,7 @@ def _options(function, method=False):
     keyword-only one."""
     args = function.args
     positional = args.posonlyargs + args.args
-    if method and not any(getattr(decorator, "id", None) == "staticmethod"
-                          for decorator in function.decorator_list):
+    if method and not _decorated(function, "staticmethod"):
         positional = positional[1:]
     first = len(positional) - len(args.defaults)
     return ([(arg.arg, i) for i, arg in enumerate(positional) if i >= first]
@@ -178,40 +184,49 @@ def _options(function, method=False):
                if default is not None])
 
 
+def _decorated(function, name):
+    return any(getattr(decorator, "id", None) == name
+               for decorator in function.decorator_list)
+
+
 def _surface_of(source, module):
-    """``(key, kind, name, callee, position)`` for every public name and
-    option *source* defines; *module* is its dotted name below
-    ``repro``.  An option's *callee* is the name a call that fills it
-    goes by (the class, for ``__init__`` and dataclass fields) and
-    *position* where such a call fills it positionally; a name has
-    neither."""
+    """``(key, kind, name, callees, position)`` for every public name
+    and option *source* defines; *module* is its dotted name below
+    ``repro``.  An option's *callees* are the names a call that fills it
+    goes by — for ``__init__`` and dataclass fields the class and its
+    presets, the classmethods that take ``**`` and pass it on
+    (``GPUPlatformConfig.small``) — and *position* where a call to the
+    first fills it positionally; a name has neither."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in ast.parse(source).body:
         if isinstance(node, functions) and _is_public(node.name):
-            yield f"{module}:{node.name}", "name", node.name, None, None
+            yield f"{module}:{node.name}", "name", node.name, (), None
             for option, position in _options(node):
                 yield (f"{module}:{node.name}({option}=)", "option",
-                       option, node.name, position)
+                       option, (node.name,), position)
         elif isinstance(node, ast.ClassDef) and _is_public(node.name):
             owner = f"{module}:{node.name}"
-            yield owner, "name", node.name, None, None
+            yield owner, "name", node.name, (), None
+            callees = (node.name,) + tuple(
+                item.name for item in node.body
+                if isinstance(item, functions) and item.args.kwarg
+                and _decorated(item, "classmethod"))
             fields = 0
             for item in node.body:
                 if isinstance(item, functions):
                     if item.name == "__init__":
                         for option, position in _options(item, True):
                             yield (f"{owner}({option}=)", "option",
-                                   option, node.name, position)
+                                   option, callees, position)
                     elif _is_public(item.name):
-                        kind = "property" if any(
-                            getattr(decorator, "id", None) == "property"
-                            for decorator in item.decorator_list) \
+                        kind = "property" if _decorated(item, "property") \
                             else "name"
                         yield (f"{owner}.{item.name}", kind, item.name,
-                               None, None)
+                               (), None)
                         for option, position in _options(item, True):
                             yield (f"{owner}.{item.name}({option}=)",
-                                   "option", option, item.name, position)
+                                   "option", option, (item.name,),
+                                   position)
                 elif isinstance(item, ast.AnnAssign) \
                         and _is_dataclass(node) \
                         and isinstance(item.target, ast.Name) \
@@ -219,13 +234,13 @@ def _surface_of(source, module):
                     if item.value is not None \
                             and _is_public(item.target.id):
                         yield (f"{owner}({item.target.id}=)", "option",
-                               item.target.id, node.name, fields)
+                               item.target.id, callees, fields)
                     fields += 1
 
 
 def surface(packages=PACKAGES):
-    """``{package: [(key, kind, name, callee, position), ...]}`` in file
-    order."""
+    """``{package: [(key, kind, name, callees, position), ...]}`` in
+    file order."""
     found = {}
     for package in packages:
         rows = found.setdefault(package, [])
@@ -240,28 +255,33 @@ def surface(packages=PACKAGES):
 # ----------------------------------------------------------------------
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _FAMILY = re.compile(r"([A-Za-z_][A-Za-z0-9_]*_)\*")
+_SETTING = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)=")
 
-#: Callees that fill the options of their first argument, whose type
-#: the syntax cannot name (``dataclasses.replace``, ``functools.partial``).
-_FORWARDING = ("replace", "partial")
+#: Callees whose keywords go on to one the syntax cannot name:
+#: ``dataclasses.replace`` and ``functools.partial`` fill their first
+#: argument's options, and a ``dict(...)`` is a mapping a ``**`` call
+#: spreads.
+_FORWARDING = ("replace", "partial", "dict")
 
 
 class _Uses:
     """What a Python corpus refers to: *names* (identifiers, attributes,
     imported names, string words); *words*, the options it uses by bare
     name (attribute stores, strings, keywords of a callee the syntax
-    cannot name); and per named callee the *keywords* passed to it, the
-    most arguments passed to it by position, and whether a ``*``/``**``
-    call (*starred*) may fill any of its options."""
+    cannot name); *keys*, the strings it writes as dict-display keys;
+    and per named callee the *keywords* passed to it, the most
+    arguments passed to it by position (all of them, through a ``*``),
+    and whether a ``**`` call (*starred*) spreads a mapping into it."""
 
     def __init__(self):
-        self.names, self.words = set(), set()
+        self.names, self.words, self.keys = set(), set(), set()
         self.keywords, self.starred = set(), set()
         self.positional = {}
 
     def __ior__(self, other):
         self.names |= other.names
         self.words |= other.words
+        self.keys |= other.keys
         self.keywords |= other.keywords
         self.starred |= other.starred
         for callee, count in other.positional.items():
@@ -269,15 +289,18 @@ class _Uses:
                                           self.positional.get(callee, 0))
         return self
 
-    def uses(self, name, callee=None, position=None):
+    def uses(self, name, callees=(), position=None):
         """Whether the corpus uses the name *name* or, given its
-        *callee*, that callee's option *name*."""
-        if callee is None:
+        *callees*, their option *name*: a ``**`` call fills only the
+        options the corpus writes as a mapping key."""
+        if not callees:
             return name in self.names
-        return (name in self.words or (callee, name) in self.keywords
-                or callee in self.starred
+        return (name in self.words
+                or any((callee, name) in self.keywords
+                       or callee in self.starred and name in self.keys
+                       for callee in callees)
                 or position is not None
-                and self.positional.get(callee, 0) > position)
+                and self.positional.get(callees[0], 0) > position)
 
 
 def _callee(func, variables):
@@ -300,11 +323,12 @@ def _read_call(call, callee, uses):
         uses.words |= keywords
         return
     uses.keywords |= {(callee, keyword) for keyword in keywords}
-    if len(keywords) < len(call.keywords) \
-            or any(isinstance(arg, ast.Starred) for arg in call.args):
+    if len(keywords) < len(call.keywords):
         uses.starred.add(callee)
-    uses.positional[callee] = max(len(call.args),
-                                  uses.positional.get(callee, 0))
+    # A ``*`` spread reaches every position.
+    count = math.inf if any(isinstance(arg, ast.Starred)
+                            for arg in call.args) else len(call.args)
+    uses.positional[callee] = max(count, uses.positional.get(callee, 0))
 
 
 def _exports(tree):
@@ -349,8 +373,12 @@ def _references(source, lazy_table=False):
                 and not re.search(r"\s", node.value):
             words = set(_WORD.findall(node.value))
             uses.names |= words
-            if id(node) not in dict_keys:
+            if id(node) in dict_keys:
+                uses.keys |= words
+            else:
                 uses.words |= words
+            if node.value.startswith("--"):  # a flag: ``vars(args)`` key
+                uses.keys.add(node.value[2:].replace("-", "_"))
     return uses
 
 
@@ -367,18 +395,20 @@ def _python_files(corpus):
 
 class _Text(set):
     """The words of a text corpus; also holds every name one of its
-    globbed families (``prefix_*``) matches.  Docs are prose: a word
-    uses every name and option it spells."""
+    globbed families (``prefix_*``) matches.  A word uses every name it
+    spells, but an option only where the text sets it (``name=``), and
+    a text with no *settings* (markup and script) sets none."""
 
-    def __init__(self, text):
+    def __init__(self, text, settings=True):
         super().__init__(_WORD.findall(text))
         self.families = tuple(_FAMILY.findall(text))
+        self.settings = set(_SETTING.findall(text)) if settings else set()
 
     def __contains__(self, name):
         return super().__contains__(name) or name.startswith(self.families)
 
-    def uses(self, name, callee=None, position=None):
-        return name in self
+    def uses(self, name, callees=(), position=None):
+        return name in self.settings if callees else name in self
 
 
 def corpora():
@@ -388,18 +418,19 @@ def corpora():
         uses = found[corpus] = _Uses()
         for path, lazy_table in _python_files(corpus):
             uses |= _references(path.read_text(), lazy_table)
-    for corpus, paths in (
-            ("static", sorted(SRC.glob("*/static/*"))),
-            ("docs", [ROOT / name for name in DOCS])):
-        found[corpus] = _Text("\n".join(path.read_text() for path in paths))
+    found["static"] = _Text("\n".join(
+        path.read_text() for path in sorted(SRC.glob("*/static/*"))),
+        settings=False)
+    found["docs"] = _Text("\n".join(
+        (ROOT / name).read_text() for name in DOCS))
     return found
 
 
-def _used_by(refs, package, kind, name, callee, position):
+def _used_by(refs, package, kind, name, callees, position):
     """The corpora of *refs* that use one surface row of *package*; a
     property of a :data:`PANEL_PACKAGES` class is used by ``src``."""
     return [corpus for corpus in CORPORA
-            if refs[corpus].uses(name, callee, position)
+            if refs[corpus].uses(name, callees, position)
             or corpus == "src" and kind == "property"
             and package in PANEL_PACKAGES]
 
@@ -411,9 +442,9 @@ def census(packages=PACKAGES):
     table = {}
     for package, rows in surface(packages).items():
         table[package] = [
-            (key, kind, _used_by(refs, package, kind, name, callee,
+            (key, kind, _used_by(refs, package, kind, name, callees,
                                  position))
-            for key, kind, name, callee, position in rows]
+            for key, kind, name, callees, position in rows]
     return table
 
 
@@ -472,16 +503,16 @@ def test_the_census_reads_every_kind_of_use():
         "class _Hidden:\n"
         "    def m(self): pass\n", "pkg.mod"))
     assert defined == [
-        ("pkg.mod:K", "name", "K", None, None),
-        ("pkg.mod:K(y=)", "option", "y", "K", 1),
-        ("pkg.mod:K.m", "name", "m", None, None),
-        ("pkg.mod:K.m(z=)", "option", "z", "m", 0),
-        ("pkg.mod:K.p", "property", "p", None, None),
-        ("pkg.mod:K.s", "name", "s", None, None),
-        ("pkg.mod:K.s(w=)", "option", "w", "s", 0),
-        ("pkg.mod:f", "name", "f", None, None),
-        ("pkg.mod:f(b=)", "option", "b", "f", 1),
-        ("pkg.mod:f(c=)", "option", "c", "f", None)]
+        ("pkg.mod:K", "name", "K", (), None),
+        ("pkg.mod:K(y=)", "option", "y", ("K",), 1),
+        ("pkg.mod:K.m", "name", "m", (), None),
+        ("pkg.mod:K.m(z=)", "option", "z", ("m",), 0),
+        ("pkg.mod:K.p", "property", "p", (), None),
+        ("pkg.mod:K.s", "name", "s", (), None),
+        ("pkg.mod:K.s(w=)", "option", "w", ("s",), 0),
+        ("pkg.mod:f", "name", "f", (), None),
+        ("pkg.mod:f(b=)", "option", "b", ("f",), 1),
+        ("pkg.mod:f(c=)", "option", "c", ("f",), None)]
     fields = list(_surface_of(
         "@dataclass\n"
         "class C:\n"
@@ -489,10 +520,14 @@ def test_the_census_reads_every_kind_of_use():
         "    knob: int = 1\n"
         "    _seen: int = 0\n"
         "    id: int = field(default=0, init=False)\n"
-        "    last: int = 2\n", "pkg.mod"))
-    assert fields == [("pkg.mod:C", "name", "C", None, None),
-                      ("pkg.mod:C(knob=)", "option", "knob", "C", 1),
-                      ("pkg.mod:C(last=)", "option", "last", "C", 3)]
+        "    last: int = 2\n"
+        "    @classmethod\n"
+        "    def preset(cls, **overrides): return cls(**overrides)\n"
+        "    @classmethod\n"
+        "    def fixed(cls): return cls()\n", "pkg.mod"))
+    assert [row for row in fields if row[1] == "option"] == [
+        ("pkg.mod:C(knob=)", "option", "knob", ("C", "preset"), 1),
+        ("pkg.mod:C(last=)", "option", "last", ("C", "preset"), 3)]
     uses = _references(
         "from x import alpha\n"
         "beta()\n"
@@ -506,9 +541,9 @@ def test_the_census_reads_every_kind_of_use():
     assert all(uses.uses(name) for name in
                ("alpha", "beta", "gamma", "delta", "eta", "theta"))
     assert not uses.uses("iota")
-    assert all(uses.uses(option, "Any", None)
+    assert all(uses.uses(option, ("Any",), None)
                for option in ("zeta", "eta"))
-    assert not any(uses.uses(option, "Any", None)
+    assert not any(uses.uses(option, ("Any",), None)
                    for option in ("theta", "gamma", "iota", "kappa"))
     assert _references("T = {'Name': '.module'}\n",
                        lazy_table=True).names == {"T"}
@@ -518,26 +553,41 @@ def test_the_census_reads_every_kind_of_use():
     assert not docs.uses("profile_start")
 
 
+def test_text_sets_an_option_only_as_name_equals():
+    """Prose and markup name options without setting them: a doc uses
+    an option where it writes ``name=``, and the dashboard's markup and
+    script (``<rect width=...>``) use none."""
+    docs = _Text("Each tick is one clock; `Cache(ways=8)` sets it.")
+    assert docs.uses("clock") and docs.uses("ways")
+    assert not docs.uses("clock", ("Detector",), None)
+    assert docs.uses("ways", ("Cache",), None)
+    static = _Text('svg.setAttribute("width", 4); <rect width="4">',
+                   settings=False)
+    assert static.uses("width")
+    assert not static.uses("width", ("Cache",), None)
+
+
 def test_the_census_matches_each_option_to_its_callee():
     """A module's own ``__all__`` is no use; a call fills the options of
-    the callee it names — by keyword, by position, or all of them
-    through ``*``/``**`` — and a callee the syntax cannot name counts
-    by bare keyword.  An option no corpus but the tests uses, or none
-    at all, fails the gate."""
+    the callee it names — by keyword or by position — and a callee the
+    syntax cannot name counts by bare keyword.  An option no corpus but
+    the tests uses, or none at all, fails the gate."""
     exported = _references("__all__ = ['alpha']\n"
                            "__all__ += ['beta']\n")
     assert not exported.uses("alpha") and not exported.uses("beta")
     named = _references("Foo(x=1)\n"
                         "obj.run(2, 3)\n"
-                        "Spread(*args)\n"
-                        "Keyed(**options)\n")
-    assert named.uses("x", "Foo", 0)
-    assert not named.uses("x", "Bar", 0)
-    assert named.uses("limit", "run", 1)
-    assert not named.uses("limit", "run", 2)
-    assert not named.uses("limit", "other", 0)
-    assert named.uses("anything", "Spread", None)
-    assert named.uses("anything", "Keyed", None)
+                        "C.preset(knob=1)\n"
+                        "Spread(*args)\n")
+    assert named.uses("x", ("Foo",), 0)
+    assert not named.uses("x", ("Bar",), 0)
+    assert named.uses("limit", ("run",), 1)
+    assert not named.uses("limit", ("run",), 2)
+    assert not named.uses("limit", ("other",), 0)
+    assert named.uses("knob", ("C", "preset"), 1)
+    assert not named.uses("knob", ("C",), 1)
+    assert named.uses("anything", ("Spread",), 5)
+    assert not named.uses("anything", ("Spread",), None)
     unnamed = _references("class Sub(Base):\n"
                           "    def __init__(self):\n"
                           "        super().__init__(x=1)\n"
@@ -546,9 +596,10 @@ def test_the_census_matches_each_option_to_its_callee():
                           "        return cls(y=2)\n"
                           "factory = pick()\n"
                           "factory(z=3)\n"
-                          "replace(spec, w=0)\n")
-    assert all(unnamed.uses(option, "Base", None)
-               for option in ("x", "y", "z", "w"))
+                          "replace(spec, w=0)\n"
+                          "params = dict(v=1)\n")
+    assert all(unnamed.uses(option, ("Base",), None)
+               for option in ("x", "y", "z", "w", "v"))
     table = {"pkg": [("pkg.mod:K(y=)", "option", []),
                      ("pkg.mod:K(z=)", "option", ["tests"]),
                      ("pkg.mod:K(w=)", "option", ["src", "tests"]),
@@ -557,17 +608,33 @@ def test_the_census_matches_each_option_to_its_callee():
                                            "pkg.mod:K(z=)"]
 
 
+def test_a_spread_fills_only_the_keys_written_for_it():
+    """A ``**`` call fills the options of its callee that the corpus
+    writes as a mapping key — a dict display's key, a
+    ``dict(...)`` keyword or a parser flag that ``vars(args)`` spreads —
+    so a round trip (``Config(**asdict(config))``) fills none."""
+    spread = _references("Keyed(**options)\n"
+                         "Rebuilt(**cmd['config'])\n"
+                         "CONFIG = {'l2_banks': 2}\n"
+                         "parser.add_argument('--checkpoint-dir')\n")
+    assert spread.uses("l2_banks", ("Keyed",), None)
+    assert spread.uses("checkpoint_dir", ("Rebuilt",), None)
+    assert not spread.uses("l1_ways", ("Rebuilt",), None)
+    assert not spread.uses("l2_banks", ("Other",), None)
+    assert not spread.uses("l2_banks", ("Any",), None)  # not a word
+
+
 def test_the_panel_uses_every_property_of_the_simulator():
     """A property of an ``akita``/``gpu`` class is used by ``src`` (the
     panel renders it) even when no corpus names it; a monitor-side
     property or a simulator method is not."""
     refs = {corpus: _Uses() for corpus in CORPORA}
     refs["tests"].names.add("p")
-    assert _used_by(refs, "gpu", "property", "p", None, None) == \
+    assert _used_by(refs, "gpu", "property", "p", (), None) == \
         ["src", "tests"]
-    assert _used_by(refs, "akita", "property", "q", None, None) == ["src"]
-    assert _used_by(refs, "core", "property", "p", None, None) == ["tests"]
-    assert _used_by(refs, "gpu", "name", "p", None, None) == ["tests"]
+    assert _used_by(refs, "akita", "property", "q", (), None) == ["src"]
+    assert _used_by(refs, "core", "property", "p", (), None) == ["tests"]
+    assert _used_by(refs, "gpu", "name", "p", (), None) == ["tests"]
 
 
 # ----------------------------------------------------------------------
@@ -762,7 +829,9 @@ def test_the_flag_census_reads_every_kind_of_command_line():
 def measure():
     """Per package ``public_names@``, ``options@`` and ``test_only@``
     (names no corpus but the tests uses, the allowed ones included);
-    the campaign flags and how many of them no command line passes."""
+    ``fields@gpu_config``, the settable fields of the simulated
+    platform's description; the campaign flags and how many of them no
+    command line passes."""
     table = census()
     alone = unused_outside_tests(table)
     measured = {}
@@ -773,6 +842,9 @@ def measure():
             kind == "option" for _, kind, _ in rows)
         measured[f"test_only@{package}"] = sum(
             key.startswith(package + ".") for key in alone)
+    measured["fields@gpu_config"] = sum(
+        key.startswith("gpu.platform:GPUPlatformConfig(")
+        for key, _, _ in table["gpu"])
     flags, callers = cli_flags(), flag_callers()
     measured["flags@campaign_cli"] = len(flags)
     measured["unpassed_flags@campaign_cli"] = sum(
