@@ -237,12 +237,17 @@ class SimMetrics:
                     row.sent = self._m_sent.labels(row.component.name)
                 row.sent.value = float(sent)
             if delivered:
-                if row.delivered is None:
+                traffic = row.traffic
+                if traffic is None:
+                    # Published whole: a collect running beside this
+                    # one (a scrape beside the final expose) sees both
+                    # children or neither.
                     name = row.component.name
-                    row.delivered = self._m_delivered.labels(name)
-                    row.occupancy = self._m_occupancy.labels(name)
-                row.delivered.value = float(delivered)
-                occupancy = row.occupancy
+                    traffic = row.traffic = (
+                        self._m_delivered.labels(name),
+                        self._m_occupancy.labels(name))
+                received, occupancy = traffic
+                received.value = float(delivered)
                 occupancy.counts = counts
                 occupancy.sum = ratios
                 occupancy.count = delivered
@@ -263,14 +268,16 @@ class SimMetrics:
 
 class _Row:
     """One component as :meth:`SimMetrics._collect` reads it; its
-    traffic children appear at its first message."""
+    traffic children appear at its first message: ``sent`` at its first
+    send, ``traffic`` (the delivered counter and occupancy histogram,
+    one tuple) at its first delivery."""
 
-    __slots__ = ("component", "cells", "sent", "delivered", "occupancy")
+    __slots__ = ("component", "cells", "sent", "traffic")
 
     def __init__(self, component: Any,
                  cells: List[Tuple[Any, Callable[[Any], Any]]]):
         self.component, self.cells = component, cells
-        self.sent = self.delivered = self.occupancy = None
+        self.sent = self.traffic = None
 
 
 #: The GPU families, duck-typed: a component that has the marker

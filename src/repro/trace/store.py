@@ -2,11 +2,13 @@
 
 Two implementations behind one API:
 
-* :class:`RingStore` — a bounded in-memory ring.  Appends are O(1) and
-  allocation-free beyond the event object itself; the oldest events
-  fall off when the ring is full (``dropped`` counts them).  What the
-  tracer records stays a raw tuple (see :mod:`.events`) until a reader
-  asks for it: a query formats only the rows it returns.  This is the
+* :class:`RingStore` — a bounded in-memory ring.  It keeps each raw
+  record's fields (see :mod:`.events`) flat, side by side in one
+  bounded deque, so a write is one ``extend`` and leaves nothing the
+  garbage collector tracks; the oldest records fall off when the ring
+  is full (``dropped`` counts them).  A record stays raw until a reader
+  asks for it: a bounded query copies only the newest part of the ring
+  it needs, and formats only the rows it returns.  This is the
   always-on default: a crashed or hung run still holds its last N
   events for the watchdog post-mortem.
 * :class:`SQLiteStore` — a durable on-disk store in WAL mode.  Appends
@@ -27,13 +29,14 @@ kind set, virtual-time window, message id, bounded to the most recent
 from __future__ import annotations
 
 import itertools
+import math
 import re
 import threading
 import time
 from collections import deque
-from typing import Any, Deque, Dict, Iterable, List, Optional
+from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
-from .events import FIELDS, TraceEvent, record_names
+from .events import FIELDS, RECORD_FIELDS, TraceEvent, record_names
 
 #: ``limit=0`` means "no limit" in the query API.
 NO_LIMIT = 0
@@ -138,8 +141,28 @@ def _normalize_kinds(kind) -> Optional[frozenset]:
     return frozenset(kind)
 
 
+# Slots a record takes in the ring: one per field of a raw record.
+_WIDTH = len(RECORD_FIELDS)
+
+# Where a newest-first copy of the ring holds a record's fields: field
+# ``i`` of the ``j``-th newest record is at ``(j + 1) * _WIDTH - 1 - i``.
+_TIME, _KIND, _SUBJECT, _MSG_ID = (
+    _WIDTH - 1 - RECORD_FIELDS.index(name)
+    for name in ("time", "kind", "subject", "msg_id"))
+
+
 class RingStore(TraceStore):
-    """Bounded in-memory store (the always-on default)."""
+    """Bounded in-memory store (the always-on default).
+
+    The ring is one deque of fields, a slot per
+    :data:`.events.RECORD_FIELDS` entry of each record and ``capacity``
+    records long, so a full ring drops whole records from its old end.
+    Both doors write a record in one C-level ``extend``: the tuple the
+    tracer's hook builds is freed when the call returns, and recording
+    leaves no object behind for the garbage collector to count or
+    traverse.  An appended :class:`TraceEvent` is a record whose
+    ``subject`` slot holds the event itself.
+    """
 
     backend = "ring"
 
@@ -148,33 +171,36 @@ class RingStore(TraceStore):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = int(capacity)
-        # Holds appended events and, from the tracer, raw records.
-        self._ring: Deque[Any] = deque(maxlen=self.capacity)
-        # Either kind of write *is* the deque's append: no frame of
+        self._ring: Deque[Any] = deque(maxlen=self.capacity * _WIDTH)
+        # A raw record's write *is* the deque's extend: no frame of
         # this module stands between the tracer's hook and the ring.
-        self.put = self._store = self._ring.append
+        self.put = self._ring.extend
         self._cleared_at = 0  # ``recorded`` when the ring was last emptied
+
+    def _store(self, event: TraceEvent) -> None:
+        # The fields a query filters on stay flat; the rest is the event.
+        self.put((event.seq, event.time, event.kind, event, None,
+                  event.msg_id, None, None, None, None, None))
 
     @property
     def recorded(self) -> int:
-        # Numbering starts at 0, so the newest entry's seq says how
+        # Numbering starts at 0, so the newest record's seq says how
         # many were written; reading it takes no sequence number.
         try:
-            newest = self._ring[-1]
+            return self._ring[-_WIDTH] + 1
         except IndexError:
             return self._cleared_at
-        return (newest[0] if type(newest) is tuple else newest.seq) + 1
 
     def clear(self) -> None:
         self._cleared_at = self.recorded
         self._ring.clear()
 
     def __len__(self) -> int:
-        return len(self._ring)
+        return len(self._ring) // _WIDTH
 
     @property
     def dropped(self) -> int:
-        return self.recorded - len(self._ring)
+        return self.recorded - len(self)
 
     def tail(self, n: int) -> List[TraceEvent]:
         return self.query(limit=n) if n > 0 else []
@@ -186,40 +212,83 @@ class RingStore(TraceStore):
               limit: int = 1000) -> List[TraceEvent]:
         component_re = _compile(component)
         kinds = _normalize_kinds(kind)
-        matches: List[TraceEvent] = []
-        # Snapshot first: the simulation thread may append concurrently.
-        # Newest first, so a bounded query stops at its limit and
-        # formats nothing older.
-        for item in reversed(list(self._ring)):
-            raw = type(item) is tuple
-            if raw:
-                time, ev_kind, ev_msg_id = item[1], item[2], item[5]
-            else:
-                time, ev_kind, ev_msg_id = item.time, item.kind, item.msg_id
-            if kinds is not None and ev_kind not in kinds:
-                continue
-            if msg_id is not None and ev_msg_id != msg_id:
-                continue
-            if t0 is not None and time < t0:
-                continue
-            if t1 is not None and time > t1:
-                continue
-            if component_re is not None:
-                names = record_names(item) if raw \
-                    else (item.component, item.what)
-                if not (component_re.search(names[0])
-                        or component_re.search(names[1])):
-                    continue
-            matches.append(TraceEvent.from_record(item) if raw else item)
-            if len(matches) == limit:
+        want = limit if limit > 0 else None
+        # A bounded query copies the newest *limit* records, then four
+        # times as many while it is short of matches and the ring holds
+        # more; each copy is a fresh snapshot, filtered from scratch.
+        records = want
+        while True:
+            flat = self._newest(records)
+            hits = _hits(flat, kinds, msg_id, t0, t1, component_re, want)
+            if records is None or len(hits) == want \
+                    or len(flat) < records * _WIDTH:
                 break
-        matches.reverse()
-        return matches
+            records *= 4
+        return [_event(flat, j) for j in reversed(hits)]
+
+    def _newest(self, records: Optional[int]) -> List[Any]:
+        """The fields of the newest *records* records (``None``: all),
+        newest first, copied in one C-level pass.  A write can land
+        between making the reverse iterator and the first step of the
+        copy (a thread switch between the calls, or Python code run by a
+        collection an allocation there sets off); the deque then refuses
+        the copy, and it is taken again."""
+        fields = None if records is None else records * _WIDTH
+        while True:
+            try:
+                return list(itertools.islice(reversed(self._ring), fields))
+            except RuntimeError:  # deque mutated during iteration
+                pass
 
     def stats(self) -> Dict[str, Any]:
         data = super().stats()
         data["capacity"] = self.capacity
         return data
+
+
+def _hits(flat: List[Any], kinds: Optional[frozenset],
+          msg_id: Optional[int], t0: Optional[float], t1: Optional[float],
+          component_re: Optional["re.Pattern"],
+          want: Optional[int]) -> List[int]:
+    """Which records of *flat*, a newest-first copy of the ring, pass
+    every filter: their indices, newest first, at most *want* (``None``:
+    all).  Each filter but the last reads its one field of every
+    candidate; the component regex, which needs names, runs last and
+    stops at *want*."""
+    hits: Iterable[int] = range(len(flat) // _WIDTH)
+    if kinds is not None:
+        hits = [j for j, ev_kind in zip(hits, flat[_KIND::_WIDTH])
+                if ev_kind in kinds]
+    if msg_id is not None:
+        ids = flat[_MSG_ID::_WIDTH]
+        hits = [j for j in hits if ids[j] == msg_id]
+    if t0 is not None or t1 is not None:
+        times = flat[_TIME::_WIDTH]
+        lo = -math.inf if t0 is None else t0
+        hi = math.inf if t1 is None else t1
+        hits = [j for j in hits if lo <= times[j] <= hi]
+    if component_re is not None:
+        search = component_re.search
+        hits = (j for j in hits if any(map(search, _names(flat, j))))
+    return list(itertools.islice(hits, want))
+
+
+def _names(flat: List[Any], j: int) -> Tuple[str, str]:
+    """``(component, what)`` of the *j*-th record of a newest-first copy."""
+    base = j * _WIDTH
+    subject = flat[base + _SUBJECT]
+    if type(subject) is TraceEvent:
+        return subject.component, subject.what
+    return record_names(flat[base:base + _WIDTH][::-1])
+
+
+def _event(flat: List[Any], j: int) -> TraceEvent:
+    """The *j*-th record of a newest-first copy, as a :class:`TraceEvent`."""
+    base = j * _WIDTH
+    subject = flat[base + _SUBJECT]
+    if type(subject) is TraceEvent:
+        return subject
+    return TraceEvent.from_record(flat[base:base + _WIDTH][::-1])
 
 
 _SCHEMA = f"""

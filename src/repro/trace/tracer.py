@@ -8,7 +8,8 @@ position's hook chain empty.  Attached, each fact costs one frame: the
 closure the firing site calls builds one tuple of numbers and
 long-lived references (:data:`.events.RECORD_FIELDS`), numbered by the
 store's ``seq()``, and hands it to the store's ``put`` — for the ring,
-the deque's own ``append``.  Names, the ``"3/8"`` occupancy string and
+the deque's own ``extend``, which keeps the fields flat and lets the
+tuple die with the call.  Names, the ``"3/8"`` occupancy string and
 the ``re:<id>`` link are formatted when the record is read, and only
 for the rows a query returns.  A record never holds the message itself.
 

@@ -236,3 +236,29 @@ def test_stop_preserves_final_totals(platform):
     snap = sm.registry.snapshot()
     assert snap["rtm_engine_events_total"]["samples"][0]["value"] == \
         platform.simulation.engine.event_count
+
+
+def test_a_collect_beside_another_finds_a_components_traffic_whole(
+        platform, monkeypatch):
+    """A second collect that runs while the first is resolving a
+    component's first-delivery children (a ``/metrics`` scrape beside
+    the final expose, or two scrapers) finds both or neither, and the
+    two leave what one collect would have."""
+    assert platform.run()
+    sm = SimMetrics(platform.simulation)
+    labels = sm._m_occupancy.labels
+    beside = []
+
+    def labels_beside_a_second_collect(*values):
+        if not beside:
+            beside.append(values)
+            sm._collect()
+        return labels(*values)
+
+    monkeypatch.setattr(sm._m_occupancy, "labels",
+                        labels_beside_a_second_collect)
+    sm._collect()
+    assert beside
+    alone = SimMetrics(platform.simulation)
+    alone._collect()
+    assert sm.registry.snapshot() == alone.registry.snapshot()

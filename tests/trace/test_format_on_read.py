@@ -5,6 +5,7 @@ turns them into :class:`TraceEvent`\\ s; these tests pin that the reader
 sees exactly what the old eager tracer wrote.
 """
 
+import random
 import sys
 import threading
 from pathlib import Path
@@ -16,6 +17,7 @@ from repro.gpu import GPUPlatform, GPUPlatformConfig
 from repro.gpu.mem import DataReadyRsp, ReadReq
 from repro.trace import (RingStore, SQLiteStore, TraceEvent, TraceKind,
                          Tracer)
+from repro.trace.events import RECORD_FIELDS
 from repro.workloads import FIR
 from tests.trace import golden
 
@@ -118,8 +120,9 @@ def test_path_renders_both_directions(pair):
 def test_records_hold_no_message(pair):
     """A ring of records must not keep every message of the run alive."""
     tracer, _ = pair
-    for record in tracer.store._ring:
-        assert not any(isinstance(field, Msg) for field in record)
+    fields = list(tracer.store._ring)
+    assert len(fields) == len(tracer.store) * len(RECORD_FIELDS) > 0
+    assert not any(isinstance(field, Msg) for field in fields)
 
 
 # ----------------------------------------------------------------------
@@ -212,3 +215,104 @@ def test_query_racing_concurrent_appends_sees_a_consistent_prefix():
         sys.setswitchinterval(interval)
     assert not thread.is_alive()
     assert last_seen > 0
+
+
+# ----------------------------------------------------------------------
+# The flat ring against a plain list of what was written
+# ----------------------------------------------------------------------
+def _writes(sim, rng, n):
+    """*n* writes of every shape, as ``(raw record or None, event or
+    None)``: message, task and drop records for ``put``, and events for
+    ``append``.  Few message ids and tied times, so filters match
+    several rows."""
+    ports = [sim.client.out, sim.memory.top]
+    for i in range(n):
+        now = (i // 2) * 1e-9
+        msg_id = rng.randrange(6)
+        link = rng.choice((None, rng.randrange(6)))
+        shape = rng.randrange(4)
+        if shape == 0:
+            src, dst = rng.sample(ports, 2)
+            kind = rng.choice(TraceKind.ALL[:3])
+            size = None if kind == TraceKind.SEND else rng.randrange(3)
+            yield (rng.choice((src, dst)), now, kind, msg_id, src, dst,
+                   size, link), None
+        elif shape == 1:
+            yield (rng.choice(sim.components), now,
+                   rng.choice((TraceKind.TASK_BEGIN, TraceKind.TASK_END)),
+                   f"wg[{msg_id}]", link), None
+        elif shape == 2:
+            yield (sim.link, now, TraceKind.DROP, msg_id, link), None
+        else:
+            yield None, TraceEvent(
+                now, rng.choice(TraceKind.ALL), rng.choice(
+                    ("Sys.Client", "Sys.Mem")), "Top", msg_id, "ReadReq",
+                "a", "b", f"re:{link}" if link is not None else "")
+
+
+def _record(store, fields):
+    """*fields* as the tracer's hook for its kind would build them."""
+    if fields[2] in (TraceKind.TASK_BEGIN, TraceKind.TASK_END):
+        component, now, kind, label, link = fields
+        return (store.seq(), now, kind, component, label, None,
+                "workgroup", None, None, None, link)
+    if fields[2] == TraceKind.DROP:
+        conn, now, kind, msg_id, link = fields
+        return (store.seq(), now, kind, conn, None, msg_id, ReadReq,
+                conn.ports[0], conn.ports[1], None, link)
+    port, now, kind, msg_id, src, dst, size, link = fields
+    return (store.seq(), now, kind, port, None, msg_id,
+            DataReadyRsp if link is not None else ReadReq, src, dst, size,
+            link)
+
+
+def _rows(events):
+    return [ev.to_row() for ev in events]
+
+
+@pytest.mark.parametrize("limit", [0, 1, 3, 10, 1000])
+@pytest.mark.parametrize("capacity", [1, 2, 7, 40])
+def test_the_flat_ring_answers_like_a_list_of_records(capacity, limit):
+    """Every reader's answer, at every fill until well past capacity,
+    equals the answer of a plain list of the events written, formatted
+    on write."""
+    sim = _Sim()
+    store = RingStore(capacity)
+    tracer = Tracer(sim, store)
+    written = []
+    rng = random.Random(capacity * 1000 + limit)
+    for raw, event in _writes(sim, rng, 3 * capacity + 12):
+        if raw is None:
+            store.append(event)
+        else:
+            record = _record(store, raw)
+            store.put(record)
+            event = TraceEvent.from_record(record)
+        written.append(event)
+        held = written[-capacity:]
+        assert store.recorded == len(written)
+        assert len(store) == len(held)
+        assert store.dropped == len(written) - len(held)
+        newest = held[-limit:] if limit else held
+        assert _rows(store.tail(limit)) == (_rows(newest) if limit else [])
+        for filters, keep in (
+                ({}, lambda ev: True),
+                ({"kind": TraceKind.SEND}, lambda ev: ev.kind == "send"),
+                ({"kind": [TraceKind.DROP, TraceKind.TASK_END]},
+                 lambda ev: ev.kind in ("drop", "task_end")),
+                ({"msg_id": 2}, lambda ev: ev.msg_id == 2),
+                ({"t0": 2e-9}, lambda ev: ev.time >= 2e-9),
+                ({"t1": 3e-9}, lambda ev: ev.time <= 3e-9),
+                ({"component": "Mem"},
+                 lambda ev: "Mem" in ev.component or "Mem" in ev.what),
+                ({"component": "Link", "kind": "drop", "t0": 1e-9},
+                 lambda ev: ev.kind == "drop" and ev.time >= 1e-9
+                 and "Link" in ev.component)):
+            matches = [ev for ev in held if keep(ev)]
+            assert _rows(store.query(limit=limit, **filters)) == _rows(
+                matches[-limit:] if limit else matches), filters
+        for msg_id in range(6):
+            link = f"re:{msg_id}"
+            assert _rows(tracer.follow(msg_id)) == _rows(
+                [ev for ev in held
+                 if ev.msg_id == msg_id or link in ev.extra.split()])
